@@ -13,13 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .angular_sector import AngularMode, SectorLabel, modes_for_sector
+from .angular_sector import AngularMode, SectorLabel
 from .dunkl_calculus import Component, DunklParams
 from .solution_builder import (
     IntegralityError,
@@ -36,29 +35,6 @@ from .solution_builder import (
 )
 from .verification import run_suite
 
-THREADS_ENV_VAR = "DUNKL_OSC_THREADS"
-
-
-@dataclass
-class RunConfig:
-    params: DunklParams
-    config: OscillatorConfig
-    sector: SectorLabel
-    n_values: list[float]
-    branches: list[int]
-    k: int
-    k_max: int
-    fmt: str
-    precision: int
-    tol: float | None
-    h: float
-    threads: int
-    negative_energies: bool
-    grid_rho: int
-    grid_phi: int
-    free_energy: float | None
-    suite: str
-
 
 def _fmt(value: float, precision: int) -> str:
     return format(value, f".{precision}g")
@@ -72,14 +48,10 @@ def _parse_sector(text: str) -> SectorLabel:
 
 
 def _parse_n_values(text: str, sector: SectorLabel) -> list[float]:
-    def one(tok: str) -> float:
-        v = float(tok)
-        return v
-
     if ":" in text:
-        lo, hi = (one(t) for t in text.split(":", 1))
+        lo, hi = (float(t) for t in text.split(":", 1))
     else:
-        lo = hi = one(text)
+        lo = hi = float(text)
     step = 1.0
     if sector.epsilon == -1 and abs(lo - round(lo)) < 0.25:
         lo += 0.5  # half-odd family starts at 1/2
@@ -88,7 +60,111 @@ def _parse_n_values(text: str, sector: SectorLabel) -> list[float]:
     while v <= hi + 1e-9:
         out.append(v)
         v += step
+    if not out:
+        raise ValueError(f"--n {text!r} selects no mode index")
     return out
+
+
+def _mode(sector: SectorLabel, n: float, branch: int, params: DunklParams) -> AngularMode:
+    return AngularMode(sector, n if sector.epsilon == -1 else int(n), branch, params)
+
+
+def _require_at_least(value: int, low: int, flag: str) -> int:
+    if value < low:
+        raise ValueError(f"{flag} must be >= {low}, got {value}")
+    return value
+
+
+def _common(args: argparse.Namespace) -> tuple[DunklParams, OscillatorConfig, SectorLabel]:
+    """Validate the flags every subcommand accepts; return the physical system."""
+    if not 6 <= args.precision <= 17:
+        raise ValueError("precision must be between 6 and 17 significant digits")
+    if not (math.isfinite(args.h) and args.h > 0.0):
+        raise ValueError(f"--h must be a positive finite step, got {args.h}")
+    return (
+        DunklParams(args.mu_x, args.mu_y),
+        OscillatorConfig(omega=args.omega, omega_c=args.omega_c),
+        _parse_sector(args.sector),
+    )
+
+
+@dataclass(frozen=True)
+class SpectrumRun:
+    params: DunklParams
+    config: OscillatorConfig
+    sector: SectorLabel
+    n_values: list[float]
+    branches: list[int]
+    k_max: int
+    fmt: str
+    precision: int
+    negative_energies: bool
+
+    @classmethod
+    def from_args(cls, args: argparse.Namespace) -> "SpectrumRun":
+        params, config, sector = _common(args)
+        return cls(
+            params=params,
+            config=config,
+            sector=sector,
+            n_values=_parse_n_values(args.n, sector),
+            branches={"+": [1], "-": [-1], "both": [1, -1]}[args.branch],
+            k_max=_require_at_least(args.k_max, 0, "--k-max"),
+            fmt=args.fmt,
+            precision=args.precision,
+            negative_energies=args.negative_energies,
+        )
+
+
+@dataclass(frozen=True)
+class WavefunctionRun:
+    mode: AngularMode
+    config: OscillatorConfig
+    k: int
+    grid_rho: int
+    grid_phi: int
+    free_energy: float | None
+    precision: int
+
+    @classmethod
+    def from_args(cls, args: argparse.Namespace) -> "WavefunctionRun":
+        params, config, sector = _common(args)
+        n = _parse_n_values(args.n, sector)[0]
+        return cls(
+            mode=_mode(sector, n, 1 if args.branch == "+" else -1, params),
+            config=config,
+            k=args.k,
+            grid_rho=_require_at_least(args.grid_rho, 1, "--grid-rho"),
+            grid_phi=_require_at_least(args.grid_phi, 1, "--grid-phi"),
+            free_energy=args.energy,
+            precision=args.precision,
+        )
+
+
+@dataclass(frozen=True)
+class VerifyRun:
+    params: DunklParams
+    config: OscillatorConfig
+    suite: str
+    tol: float | None
+    h: float
+    n_max: float
+    k_max: int
+
+    @classmethod
+    def from_args(cls, args: argparse.Namespace) -> "VerifyRun":
+        params, config, _ = _common(args)
+        if not (math.isfinite(args.n_max) and args.n_max >= 0.0):
+            raise ValueError(f"--n-max must be finite and >= 0, got {args.n_max}")
+        return cls(
+            params=params,
+            config=config,
+            suite=args.suite,
+            tol=args.tol,
+            h=args.h,
+            n_max=args.n_max,
+            k_max=_require_at_least(args.k_max, 0, "--k-max"),
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--precision", type=int, default=17)
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--h", type=float, default=1e-4)
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--negative-energies", action="store_true")
 
     p_spec = sub.add_parser("spectrum", help="tabulate bound energies")
@@ -141,61 +216,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    if not 6 <= args.precision <= 17:
-        raise ValueError("precision must be between 6 and 17 significant digits")
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get(THREADS_ENV_VAR, "1"))
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    sector = _parse_sector(args.sector)
-    branch_map = {"+": [1], "-": [-1], "both": [1, -1]}
-    branches = branch_map.get(getattr(args, "branch", "both"), [1, -1])
-    return RunConfig(
-        params=DunklParams(args.mu_x, args.mu_y),
-        config=OscillatorConfig(omega=args.omega, omega_c=args.omega_c),
-        sector=sector,
-        n_values=_parse_n_values(getattr(args, "n", "0:2"), sector),
-        branches=branches,
-        k=getattr(args, "k", 0),
-        k_max=getattr(args, "k_max", 2),
-        fmt=args.fmt,
-        precision=args.precision,
-        tol=args.tol,
-        h=args.h,
-        threads=threads,
-        negative_energies=args.negative_energies,
-        grid_rho=getattr(args, "grid_rho", 12),
-        grid_phi=getattr(args, "grid_phi", 16),
-        free_energy=getattr(args, "energy", None),
-        suite=getattr(args, "suite", "all"),
-    )
-
-
-def _spectrum_rows(rc: RunConfig):
-    regime = classify_regime(rc.config)
+def _spectrum_rows(run: SpectrumRun):
+    regime = classify_regime(run.config)
     rows = []
-    for n in rc.n_values:
-        for branch in rc.branches:
-            if rc.sector.epsilon == 1 and n == 0 and branch == -1:
+    for n in run.n_values:
+        for branch in run.branches:
+            if run.sector.epsilon == 1 and n == 0 and branch == -1:
                 continue
             try:
-                mode = AngularMode(rc.sector, n if rc.sector.epsilon == -1 else int(n), branch, rc.params)
+                mode = _mode(run.sector, n, branch, run.params)
             except ValueError:
                 continue
-            for k in range(rc.k_max + 1):
+            for k in range(run.k_max + 1):
                 try:
-                    e_up = energy(Component.UPPER, rc.sector, mode, k, rc.config, 1)
+                    e_up = energy(Component.UPPER, run.sector, mode, k, run.config, 1)
                 except NegativeRadicandError:
                     e_up = None  # unphysical combination: marked, not dropped
                 try:
-                    kp = pair_radial_indices(rc.sector, regime, k, rc.params)
-                    kp_txt = str(kp)
+                    kp_txt = str(pair_radial_indices(run.sector, regime, k, run.params))
                 except InvalidPairError:
                     kp_txt = "invalid"
                 row = {
-                    "sector": f"{rc.sector.s_x:+d}{rc.sector.s_y:+d}",
+                    "sector": f"{run.sector.s_x:+d}{run.sector.s_y:+d}",
                     "n": n,
                     "branch": "+" if branch == 1 else "-",
                     "k": k,
@@ -203,30 +245,30 @@ def _spectrum_rows(rc: RunConfig):
                     "E_plus": e_up,
                     "regime": regime.value,
                 }
-                if rc.negative_energies:
+                if run.negative_energies:
                     row["E_minus"] = None if e_up is None else -e_up
                 rows.append(row)
     return rows
 
 
-def cmd_spectrum(rc: RunConfig, out=sys.stdout) -> int:
-    regime = classify_regime(rc.config)
-    if regime is Regime.CRITICAL:
+def cmd_spectrum(run: SpectrumRun) -> int:
+    out = sys.stdout
+    if classify_regime(run.config) is Regime.CRITICAL:
         out.write("regime=critical: no discrete spectrum; use "
                   "'wavefunction --energy E' for free-particle states\n")
         return 0
-    rows = _spectrum_rows(rc)
+    rows = _spectrum_rows(run)
     cols = ["sector", "n", "branch", "k", "k_prime", "E_plus"]
-    if rc.negative_energies:
+    if run.negative_energies:
         cols.append("E_minus")
     cols.append("regime")
-    if rc.fmt == "json":
+    if run.fmt == "json":
         payload = []
         for row in rows:
             item = dict(row)
             for key in ("E_plus", "E_minus"):
                 if key in item and item[key] is not None:
-                    item[key] = float(_fmt(item[key], rc.precision))
+                    item[key] = float(_fmt(item[key], run.precision))
                 elif key in item:
                     item[key] = "unphysical"
             payload.append(item)
@@ -240,39 +282,27 @@ def cmd_spectrum(rc: RunConfig, out=sys.stdout) -> int:
             if v is None:
                 cells.append("unphysical")
             elif isinstance(v, float):
-                cells.append(_fmt(v, rc.precision))
+                cells.append(_fmt(v, run.precision))
             else:
                 cells.append(str(v))
         out.write(",".join(cells) + "\n")
     return 0
 
 
-def _wavefunction_grid(rc: RunConfig):
-    regime = classify_regime(rc.config)
-    if regime is Regime.POSITIVE:
-        scale = math.sqrt(rc.config.hbar / (rc.config.m * rc.config.omega_tilde))
-    elif regime is Regime.NEGATIVE:
-        scale = math.sqrt(rc.config.hbar / (rc.config.m * rc.config.omega_bar))
-    else:
-        scale = rc.config.hbar / (rc.config.m * rc.config.c)
-    rho = np.geomspace(0.1 * scale, 4.0 * scale, rc.grid_rho)
-    phi = (np.arange(rc.grid_phi) + 0.5) * 2.0 * np.pi / rc.grid_phi
-    return rho, phi
-
-
-def cmd_wavefunction(rc: RunConfig, out=sys.stdout) -> int:
-    regime = classify_regime(rc.config)
-    n = rc.n_values[0]
-    mode = AngularMode(rc.sector, n if rc.sector.epsilon == -1 else int(n), rc.branches[0], rc.params)
-    if regime is Regime.CRITICAL:
-        if rc.free_energy is None:
+def cmd_wavefunction(run: WavefunctionRun) -> int:
+    out = sys.stdout
+    mode, config = run.mode, run.config
+    if classify_regime(config) is Regime.CRITICAL:
+        if run.free_energy is None:
             raise ValueError("critical regime: supply --energy E >= m c^2")
-        sol = free_particle(rc.sector, mode, rc.free_energy, rc.params, rc.config)
+        sol = free_particle(mode.sector, mode, run.free_energy, mode.params, config)
     else:
-        sol = build_spinor(rc.sector, mode, rc.k, rc.config, 1)
-    rho, phi = _wavefunction_grid(rc)
+        sol = build_spinor(mode.sector, mode, run.k, config, 1)
+    scale = config.length_scale
+    rho = np.geomspace(0.1 * scale, 4.0 * scale, run.grid_rho)
+    phi = (np.arange(run.grid_phi) + 0.5) * 2.0 * np.pi / run.grid_phi
     out.write("rho,phi,re_upper,im_upper,re_lower,im_lower\n")
-    p = rc.precision
+    p = run.precision
     for r in rho:
         for f in phi:
             u = complex(sol.upper.eval_polar(r, f))
@@ -284,18 +314,17 @@ def cmd_wavefunction(rc: RunConfig, out=sys.stdout) -> int:
     return 0
 
 
-def cmd_verify(rc: RunConfig, out=sys.stdout) -> int:
+def cmd_verify(run: VerifyRun) -> int:
     report = run_suite(
-        rc.params,
-        rc.config,
-        suite=rc.suite,
-        tol=rc.tol,
-        h=rc.h,
-        threads=rc.threads,
-        n_max=2,
-        k_max=rc.k_max,
+        run.params,
+        run.config,
+        suite=run.suite,
+        tol=run.tol,
+        h=run.h,
+        n_max=run.n_max,
+        k_max=run.k_max,
     )
-    out.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
+    sys.stdout.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
     return 0 if report.passed else 1
 
 
@@ -306,12 +335,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors
         return int(exc.code or 0)
     try:
-        rc = _run_config(args)
         if args.command == "spectrum":
-            return cmd_spectrum(rc)
+            return cmd_spectrum(SpectrumRun.from_args(args))
         if args.command == "wavefunction":
-            return cmd_wavefunction(rc)
-        return cmd_verify(rc)
+            return cmd_wavefunction(WavefunctionRun.from_args(args))
+        return cmd_verify(VerifyRun.from_args(args))
     except (ValueError, IntegralityError, InvalidPairError, NegativeRadicandError,
             RegimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -99,13 +99,9 @@ class ScalarField2D:
     """Complex-valued field on the plane given by an exact evaluation rule.
 
     ``fn`` must accept scalars or numpy arrays for both coordinates.
-    Parity tags are advisory ("even"/"odd"/None per axis) and are checked
-    by the test suite, not enforced here.
     """
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    parity_x: str | None = None
-    parity_y: str | None = None
 
     def __call__(self, x, y):
         return self.fn(x, y)
@@ -115,7 +111,7 @@ class ScalarField2D:
 
     def scaled(self, c: complex) -> "ScalarField2D":
         fn = self.fn
-        return ScalarField2D(lambda x, y: c * fn(x, y), self.parity_x, self.parity_y)
+        return ScalarField2D(lambda x, y: c * fn(x, y))
 
     @staticmethod
     def from_polar(g: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> "ScalarField2D":
@@ -124,16 +120,15 @@ class ScalarField2D:
 
     @staticmethod
     def zero() -> "ScalarField2D":
-        return ScalarField2D(lambda x, y: np.zeros_like(np.asarray(x, dtype=float) + 0j),
-                             parity_x="even", parity_y="even")
+        return ScalarField2D(lambda x, y: np.zeros_like(np.asarray(x, dtype=float) + 0j))
 
 
 def reflect(field: ScalarField2D, axis: Axis) -> ScalarField2D:
     """Compose a field with the sign flip of one coordinate (exact)."""
     fn = field.fn
     if axis is Axis.X:
-        return ScalarField2D(lambda x, y: fn(-x, y), field.parity_x, field.parity_y)
-    return ScalarField2D(lambda x, y: fn(x, -y), field.parity_x, field.parity_y)
+        return ScalarField2D(lambda x, y: fn(-x, y))
+    return ScalarField2D(lambda x, y: fn(x, -y))
 
 
 def _check_symmetric_near_axis(coord, diff, scale, h: float, what: str) -> None:
@@ -473,11 +468,6 @@ def weighted_inner_product(
         wgt = np.abs(x) ** (2.0 * mx) * np.abs(y) ** (2.0 * my)
         vals = np.conjugate(f(x, y)) * g(x, y)
         return complex(np.sum(rule.weights * wgt * vals))
-    if rule.kind == "radial":
-        rho = rule.nodes
-        wgt = rho ** (2.0 * (mx + my) + 1.0)
-        vals = np.conjugate(f(rho, np.zeros_like(rho))) * g(rho, np.zeros_like(rho))
-        return complex(np.sum(rule.weights * wgt * vals))
     if rule.kind == "polar":
         rho, phi = rule.nodes[:, 0], rule.nodes[:, 1]
         x, y = rho * np.cos(phi), rho * np.sin(phi)
@@ -488,4 +478,4 @@ def weighted_inner_product(
         )
         vals = np.conjugate(f(x, y)) * g(x, y)
         return complex(np.sum(rule.weights * wgt * vals))
-    raise ValueError(f"unknown quadrature kind {rule.kind!r}")
+    raise ValueError(f"weighted_inner_product needs an angular or polar rule, got {rule.kind!r}")

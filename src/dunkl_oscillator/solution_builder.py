@@ -2,9 +2,9 @@
 
 The effective frequency w~ = omega - omega_c/2 splits the problem into
 three regimes. For w~ > 0 (oscillator-dominated) and w~ < 0 (field-
-dominated, handled through w-bar = omega_c/2 - omega) the radial factors
-are Laguerre functions under a Gaussian; at the critical point w~ = 0
-the system degenerates to a free particle with Bessel radial profiles.
+dominated, handled through w-bar = |w~|) the radial factors are Laguerre
+functions under a Gaussian; at the critical point w~ = 0 the system
+degenerates to a free particle with Bessel radial profiles.
 
 With sigma = s_x mu_x + s_y mu_y and A the radial order
 (A = sqrt(lambda^2 + (mu_x + mu_y)^2) for epsilon = +1,
@@ -19,9 +19,11 @@ the four sector spectra collapse to
              with qb = 2 hbar w-bar / (m c^2), pairing k' = k + sigma + 1.
 
 Both components of a built spinor share the mode's angular eigenfunction;
-the component norms split the total probability as (E +/- m c^2) / (2 E)
-and the relative phase is fixed by a least-squares fit of the first
-coupled equation on a sample grid.
+the component norms split the total probability as (E +/- m c^2) / (2 E).
+The lower component is c_l R_l(rho) F(phi) with a real c_l >= 0: the
+first-order operators move each reflection-parity class to the opposite
+one, so they couple a pair that shares F not at all, and no relative
+phase can be read off the coupled equations.
 """
 
 from __future__ import annotations
@@ -33,13 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angular_sector import AngularMode, SectorLabel, f_eigenfunction, lambda_eigenvalue
-from .dunkl_calculus import (
-    Axis,
-    Component,
-    DunklParams,
-    ScalarField2D,
-    dunkl_derivative,
-)
+from .dunkl_calculus import Component, DunklParams, ScalarField2D
 from .special_functions import bessel_j, laguerre_l, log_gamma
 
 
@@ -90,8 +86,18 @@ class OscillatorConfig:
         return self.omega - 0.5 * self.omega_c
 
     @property
-    def omega_bar(self) -> float:
-        return 0.5 * self.omega_c - self.omega
+    def effective_frequency(self) -> float:
+        """|w~|, the frequency of the bound regimes' Gaussian."""
+        if classify_regime(self) is Regime.CRITICAL:
+            raise RegimeError("no effective frequency at the critical point")
+        return abs(self.omega_tilde)
+
+    @property
+    def length_scale(self) -> float:
+        """sqrt(hbar / (m |w~|)); the Compton length hbar / (m c) at the critical point."""
+        if classify_regime(self) is Regime.CRITICAL:
+            return self.hbar / (self.m * self.c)
+        return math.sqrt(self.hbar / (self.m * self.effective_frequency))
 
     @property
     def rest_energy(self) -> float:
@@ -175,13 +181,12 @@ def energy(
     a_ord = radial_order(mode)
     sigma = mode.params.signed_sum(sector.s_x, sector.s_y)
     mc2 = config.rest_energy
+    q = 2.0 * config.hbar * config.effective_frequency / mc2
     if regime is Regime.POSITIVE:
-        q = 2.0 * config.hbar * config.omega_tilde / mc2
         s_num = 2.0 * k + a_ord + lam - sigma
         if component is Component.LOWER:
             s_num = 2.0 * k + a_ord + lam + sigma + 2.0
     else:
-        q = 2.0 * config.hbar * config.omega_bar / mc2
         s_num = 2.0 * k + a_ord - lam + sigma + 2.0
         if component is Component.LOWER:
             s_num = 2.0 * k + a_ord - lam - sigma
@@ -222,21 +227,9 @@ class RadialProfile:
         )
 
 
-def build_radial(
-    component: Component,
-    sector: SectorLabel,
-    mode: AngularMode,
-    k: int,
-    config: OscillatorConfig,
-) -> RadialProfile:
+def build_radial(mode: AngularMode, k: int, config: OscillatorConfig) -> RadialProfile:
     """Radial profile of one component (the index is the caller's k or k')."""
-    regime = classify_regime(config)
-    if regime is Regime.POSITIVE:
-        omega_eff = config.omega_tilde
-    elif regime is Regime.NEGATIVE:
-        omega_eff = config.omega_bar
-    else:
-        raise RegimeError("no Laguerre radial profile at the critical frequency")
+    omega_eff = config.effective_frequency
     if k < 0:
         raise ValueError("radial index must be non-negative")
     a_ord = radial_order(mode)
@@ -270,14 +263,6 @@ def _product_field(radial: RadialProfile, angular: ScalarField2D, scale: complex
     return ScalarField2D(fn)
 
 
-def _phase_fit_points(config: OscillatorConfig, omega_eff: float) -> tuple[np.ndarray, np.ndarray]:
-    ell = math.sqrt(config.hbar / (config.m * omega_eff))
-    rho = np.geomspace(0.2 * ell, 3.0 * ell, 10)
-    phi = (2.0 * np.arange(10) + 1.0) * np.pi / 10.0 + 0.031
-    rr, pp = np.meshgrid(rho, phi, indexing="ij")
-    return (rr * np.cos(pp)).ravel(), (rr * np.sin(pp)).ravel()
-
-
 def build_spinor(
     sector: SectorLabel,
     mode: AngularMode,
@@ -288,10 +273,10 @@ def build_spinor(
     """Assemble the paired two-component state for upper radial index k.
 
     Component norms are set to <1|1> = (E + mc^2)/(2E) and
-    <2|2> = (E - mc^2)/(2E); their sum is 1. The relative phase of the
-    lower component is not determined by the closed forms and is fixed
-    by least squares on the first coupled equation over a 100-point
-    off-axis grid.
+    <2|2> = (E - mc^2)/(2E); their sum is 1. Both components carry the
+    mode's angular eigenfunction times a real, non-negative constant,
+    which fixes the relative phase by convention (see the module
+    docstring for why the coupled equations cannot fix it).
     """
     regime = classify_regime(config)
     k_prime = pair_radial_indices(sector, regime, k, mode.params)
@@ -299,22 +284,17 @@ def build_spinor(
     mc2 = config.rest_energy
 
     angular = f_eigenfunction(mode)
-    rad_u = build_radial(Component.UPPER, sector, mode, k, config)
-    rad_l = build_radial(Component.LOWER, sector, mode, k_prime, config)
+    rad_u = build_radial(mode, k, config)
+    rad_l = build_radial(mode, k_prime, config)
 
     nu2 = (e_val + mc2) / (2.0 * e_val)
     nl2 = (e_val - mc2) / (2.0 * e_val)
     cu = math.sqrt(max(nu2, 0.0) / rad_u.norm_squared())
     cl = math.sqrt(max(nl2, 0.0) / rad_l.norm_squared())
 
-    upper = _product_field(rad_u, angular, cu)
-    if cl == 0.0:
-        lower = ScalarField2D.zero()
-    else:
-        lower0 = _product_field(rad_l, angular, cl)
-        lower = _fit_relative_phase(upper, lower0, e_val, mode.params, config)
+    lower = ScalarField2D.zero() if cl == 0.0 else _product_field(rad_l, angular, cl)
     return SpinorSolution(
-        upper=upper,
+        upper=_product_field(rad_u, angular, cu),
         lower=lower,
         energy=e_val,
         quantum=QuantumNumbers(k, k_prime),
@@ -323,32 +303,6 @@ def build_spinor(
         norm_upper=nu2,
         norm_lower=nl2,
     )
-
-
-def _fit_relative_phase(
-    upper: ScalarField2D,
-    lower0: ScalarField2D,
-    e_val: float,
-    params: DunklParams,
-    config: OscillatorConfig,
-) -> ScalarField2D:
-    """Rotate the lower component by the phase that best satisfies
-    [-i hbar c (D_x - i D_y) + i m c w~ (x - iy)] psi_2 = (E - mc^2) psi_1."""
-    regime = classify_regime(config)
-    omega_eff = config.omega_tilde if regime is Regime.POSITIVE else config.omega_bar
-    xs, ys = _phase_fit_points(config, omega_eff)
-    hbar, c, m = config.hbar, config.c, config.m
-    wt = config.omega_tilde
-
-    dx = dunkl_derivative(lower0, Axis.X, (xs, ys), params)
-    dy = dunkl_derivative(lower0, Axis.Y, (xs, ys), params)
-    a_psi2 = -1j * hbar * c * (dx - 1j * dy) + 1j * m * c * wt * (xs - 1j * ys) * lower0(xs, ys)
-    target = (e_val - config.rest_energy) * upper(xs, ys)
-    overlap = np.sum(np.conjugate(a_psi2) * target)
-    if abs(overlap) < 1e-300:
-        return lower0
-    phase = overlap / abs(overlap)
-    return lower0.scaled(phase)
 
 
 def free_particle(

@@ -135,8 +135,3 @@ def log_gamma(x: float) -> float:
         acc += _LANCZOS_COEFFS[i] / (x + i - 1.0)
     t = x + _LANCZOS_G - 0.5
     return (x - 0.5) * math.log(t) - t + 0.5 * math.log(2.0 * math.pi) + math.log(acc)
-
-
-def gamma(x: float) -> float:
-    """Gamma function for x > 0 (exp of log_gamma)."""
-    return math.exp(log_gamma(x))

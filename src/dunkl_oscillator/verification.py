@@ -22,7 +22,6 @@ which pins the discrepancy on the closed forms rather than the operators.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,17 +145,14 @@ class GridSpec:
 
 
 def _length_scale(solution: SpinorSolution) -> float:
+    """The oscillator length for bound states; the inverse wavenumber of
+    a free state at the critical point (its Compton length at rest)."""
     config = solution.config
-    regime = classify_regime(config)
-    if regime is Regime.POSITIVE:
-        return math.sqrt(config.hbar / (config.m * config.omega_tilde))
-    if regime is Regime.NEGATIVE:
-        return math.sqrt(config.hbar / (config.m * config.omega_bar))
-    mc2 = config.rest_energy
-    tilde_e = (solution.energy**2 - mc2**2) / (2.0 * config.hbar**2 * config.c**2)
-    if tilde_e > 0.0:
-        return 1.0 / math.sqrt(2.0 * tilde_e)
-    return config.hbar / (config.m * config.c)
+    if classify_regime(config) is Regime.CRITICAL:
+        tilde_e = reduced_energy(solution)
+        if tilde_e > 0.0:
+            return 1.0 / math.sqrt(2.0 * tilde_e)
+    return config.length_scale
 
 
 def _state_tag(solution: SpinorSolution) -> str:
@@ -387,12 +383,18 @@ def nonrelativistic_target(
     k: int,
     base_config: OscillatorConfig,
 ) -> float:
-    """First-order term of the energy expansion: hbar w~ (2k + A + lambda - sigma)."""
+    """First-order term of the upper energy's expansion in 1/c^2.
+
+    hbar w~ (2k + A + lambda - sigma) for w~ > 0 and
+    hbar |w~| (2k + A - lambda + sigma + 2) for w~ < 0.
+    """
     lam = lambda_eigenvalue(mode)
     sigma = mode.params.signed_sum(sector.s_x, sector.s_y)
-    return base_config.hbar * base_config.omega_tilde * (
-        2.0 * k + radial_order(mode) + lam - sigma
-    )
+    if classify_regime(base_config) is Regime.NEGATIVE:
+        s_num = 2.0 * k + radial_order(mode) - lam + sigma + 2.0
+    else:
+        s_num = 2.0 * k + radial_order(mode) + lam - sigma
+    return base_config.hbar * base_config.effective_frequency * s_num
 
 
 def check_nonrelativistic_limit(
@@ -423,7 +425,7 @@ def check_nonrelativistic_limit(
         delta = energy(Component.UPPER, sector, mode, k, cfg, 1) - cfg.rest_energy
         errs.append(abs(delta - target))
     errs_arr = np.asarray(errs)
-    scale = max(abs(target), base_config.hbar * abs(base_config.omega_tilde))
+    scale = max(abs(target), base_config.hbar * base_config.effective_frequency)
     mismatch = errs_arr[-1] / scale
 
     report = VerificationReport("nrlimit")
@@ -624,15 +626,10 @@ def coupled_reflection_eigenstate(
     if epsilon not in (1, -1):
         raise ValueError("epsilon must be +1 or -1")
     mu_p = params.mu_plus
-    regime = classify_regime(config)
-    if regime is Regime.POSITIVE:
-        omega_eff = config.omega_tilde
-    elif regime is Regime.NEGATIVE:
-        omega_eff = config.omega_bar
-    else:
+    if classify_regime(config) is Regime.CRITICAL:
         raise RegimeError("bound reference states need a non-critical regime")
     w = config.m * config.omega_tilde / config.hbar
-    abs_w = config.m * omega_eff / config.hbar
+    abs_w = config.m * config.effective_frequency / config.hbar
 
     if epsilon == 1:
         ni = int(round(n))
@@ -669,12 +666,7 @@ def coupled_reflection_eigenstate(
         def ang(phi):
             return c1 * (phi_mp(n, params, phi) + 1j * weight * phi_pm(n, params, phi))
 
-    radial = RadialProfile(
-        order=a_ord,
-        exponent=a_ord - mu_p,
-        scale=config.m * omega_eff / config.hbar,
-        index=k,
-    )
+    radial = RadialProfile(order=a_ord, exponent=a_ord - mu_p, scale=abs_w, index=k)
     shift = -1.0 if component is Component.UPPER else 1.0
     tilde_e = abs_w * (2.0 * k + 1.0 + a_ord) + w * (kappa + shift)
 
@@ -728,67 +720,52 @@ def run_suite(
     k_max: int = 2,
     angular_n_max: float = 4,
 ) -> VerificationReport:
-    """Run one named verification suite (or 'all') and collect the records."""
+    """Run one named verification suite (or 'all') and collect the records.
+
+    The checks run one after another. ``threads`` accepts only 1: it is
+    kept so that existing callers passing ``threads=1`` keep working; a
+    thread pool gave no speed-up, as the numpy work per check is too small
+    to release the interpreter lock for long.
+    """
+    if threads != 1:
+        raise ValueError(f"threads must be 1, got {threads}")
     wanted = SUITE_NAMES if suite == "all" else (suite,)
     for name in wanted:
         if name not in SUITE_NAMES:
             raise ValueError(f"unknown suite {name!r}")
     regime = classify_regime(config)
-    jobs = []
+    if regime is Regime.CRITICAL:
+        for name in ("dirac", "nrlimit"):
+            if name in wanted:
+                raise RegimeError(f"the {name} suite needs a non-critical regime")
 
+    def tol_for(name: str) -> float:
+        return tol or DEFAULT_TOLS[name]
+
+    report = VerificationReport(suite)
     if "angular" in wanted:
         for sector in ALL_SECTORS:
             for mode in modes_for_sector(sector, params, angular_n_max):
-                jobs.append(
-                    lambda m=mode: check_angular_eigen(
-                        m, tol=tol or DEFAULT_TOLS["angular"], h=h
-                    ).records
-                )
+                report.extend(check_angular_eigen(mode, tol=tol_for("angular"), h=h).records)
     if "ortho" in wanted:
         for sector in ALL_SECTORS:
             modes = modes_for_sector(sector, params, angular_n_max)
-            jobs.append(
-                lambda ms=modes: check_orthonormality(
-                    ms, tol=tol or DEFAULT_TOLS["ortho"]
-                ).records
-            )
+            report.extend(check_orthonormality(modes, tol=tol_for("ortho")).records)
     if "kg" in wanted:
         if regime is Regime.CRITICAL:
             states = list(_critical_states(params, config, n_max))
         else:
             states = list(sweep_bound_states(params, config, n_max, k_max))
         for st in states:
-            jobs.append(
-                lambda s=st: check_kg_eigen(s, tol=tol or DEFAULT_TOLS["kg"], h=h).records
-            )
+            report.extend(check_kg_eigen(st, tol=tol_for("kg"), h=h).records)
     if "dirac" in wanted:
-        if regime is Regime.CRITICAL:
-            raise RegimeError("the dirac suite needs a non-critical regime")
-        for st in sweep_bound_states(params, config, n_max, k_max):
-            jobs.append(
-                lambda s=st: check_dirac_system(
-                    s, tol=tol or DEFAULT_TOLS["dirac"], h=h
-                ).records
-            )
+        for st in list(sweep_bound_states(params, config, n_max, k_max)):
+            report.extend(check_dirac_system(st, tol=tol_for("dirac"), h=h).records)
     if "nrlimit" in wanted:
-        if regime is Regime.CRITICAL:
-            raise RegimeError("the nrlimit suite needs a non-critical regime")
         for sector in ALL_SECTORS:
-            modes = modes_for_sector(sector, params, 1.5)
-            mode = modes[-1]
-            jobs.append(
-                lambda sec=sector, m=mode: check_nonrelativistic_limit(
-                    sec, m, 2, config, tol=tol or DEFAULT_TOLS["nrlimit"]
-                ).records
+            mode = modes_for_sector(sector, params, 1.5)[-1]
+            report.extend(
+                check_nonrelativistic_limit(sector, mode, 2, config, tol=tol_for("nrlimit")).records
             )
-
-    report = VerificationReport(suite)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for recs in pool.map(lambda job: job(), jobs):
-                report.extend(recs)
-    else:
-        for job in jobs:
-            report.extend(job())
     report.sort()
     return report

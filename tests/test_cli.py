@@ -1,25 +1,19 @@
 """Command-line interface: output shape, determinism, exit codes."""
 
+import contextlib
 import io
 import json
 import math
 
 import pytest
 
-from dunkl_oscillator.cli import build_parser, cmd_spectrum, cmd_verify, cmd_wavefunction, main, _run_config
+from dunkl_oscillator.cli import build_parser, main
 
 
 def _run(argv):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    rc = _run_config(args)
     out = io.StringIO()
-    if args.command == "spectrum":
-        code = cmd_spectrum(rc, out)
-    elif args.command == "wavefunction":
-        code = cmd_wavefunction(rc, out)
-    else:
-        code = cmd_verify(rc, out)
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
     return code, out.getvalue()
 
 
@@ -64,8 +58,11 @@ class TestSpectrum:
         assert any(row["k_prime"] == "0" and row["k"] == 3 for row in payload)
 
     def test_determinism(self):
-        argv = ["spectrum", "--mu-x", "1", "--mu-y", "1", "--n", "0:2", "--k-max", "2"]
-        assert _run(argv) == _run(argv)
+        for argv in (
+            ["spectrum", "--mu-x", "1", "--mu-y", "1", "--n", "0:2", "--k-max", "2"],
+            ["verify", "--suite", "kg", "--mu-x", "1", "--mu-y", "1"],
+        ):
+            assert _run(argv) == _run(argv)
 
 
 class TestWavefunction:
@@ -145,11 +142,12 @@ class TestVerify:
     def test_bad_precision_exits_2(self):
         assert main(["verify", "--suite", "kg", "--precision", "3"]) == 2
 
-    def test_threaded_output_matches_serial(self):
-        base = ["verify", "--suite", "kg", "--mu-x", "1", "--mu-y", "1"]
-        _, serial = _run(base + ["--threads", "1"])
-        _, threaded = _run(base + ["--threads", "3"])
-        assert serial == threaded
+    def test_n_max_selects_the_sweep(self):
+        code, default = _run(["verify", "--suite", "kg"])
+        assert code == 0
+        assert _run(["verify", "--suite", "kg", "--n-max", "2"]) == (code, default)
+        _, small = _run(["verify", "--suite", "kg", "--n-max", "0"])
+        assert 0 < len(json.loads(small)["checks"]) < len(json.loads(default)["checks"])
 
     def test_records_carry_schema(self):
         _, text = _run(["verify", "--suite", "angular"])
@@ -164,9 +162,26 @@ class TestArgparse:
             build_parser().parse_args(["verify", "--suite", "wat"])
         assert exc.value.code == 2
 
-    def test_thread_env_var_used_when_flag_absent(self, monkeypatch):
-        monkeypatch.setenv("DUNKL_OSC_THREADS", "3")
-        args = build_parser().parse_args(["verify", "--suite", "kg"])
-        assert _run_config(args).threads == 3
-        args = build_parser().parse_args(["verify", "--suite", "kg", "--threads", "2"])
-        assert _run_config(args).threads == 2
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "kg", "--h", "0"],
+        ["verify", "--suite", "kg", "--h=-1e-4"],
+        ["verify", "--suite", "kg", "--h", "nan"],
+        ["verify", "--suite", "kg", "--h", "inf"],
+        ["verify", "--suite", "kg", "--k-max", "-1"],
+        ["verify", "--suite", "kg", "--n-max", "-1"],
+        ["verify", "--suite", "kg", "--n-max", "inf"],
+        ["spectrum", "--k-max", "-1"],
+        ["spectrum", "--n", "2:1"],
+        ["wavefunction", "--k", "1", "--grid-rho", "0"],
+        ["wavefunction", "--k", "1", "--grid-phi", "0"],
+        ["verify", "--threads", "2"],
+    ],
+)
+def test_invalid_input_exits_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip()

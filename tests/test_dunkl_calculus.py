@@ -34,10 +34,10 @@ from dunkl_oscillator.dunkl_calculus import (
 from dunkl_oscillator.solution_builder import OscillatorConfig, build_spinor
 from dunkl_oscillator.verification import classical_pair_solution
 
-F_X = ScalarField2D(lambda x, y: x + 0j, parity_x="odd", parity_y="even")
-F_X2 = ScalarField2D(lambda x, y: x * x + 0j, parity_x="even", parity_y="even")
-F_X3 = ScalarField2D(lambda x, y: x**3 + 0j, parity_x="odd", parity_y="even")
-F_R2 = ScalarField2D(lambda x, y: x * x + y * y + 0j, parity_x="even", parity_y="even")
+F_X = ScalarField2D(lambda x, y: x + 0j)
+F_X2 = ScalarField2D(lambda x, y: x * x + 0j)
+F_X3 = ScalarField2D(lambda x, y: x**3 + 0j)
+F_R2 = ScalarField2D(lambda x, y: x * x + y * y + 0j)
 
 GAUSS = ScalarField2D(
     lambda x, y: np.exp(-(x * x + y * y)) * (1.0 + 0.7 * x + 0.3 * x * y + 0.2j * y * y)
@@ -76,8 +76,7 @@ class TestReflect:
     def test_parity_tags_describe_fields(self):
         rng = np.random.default_rng(7)
         pts = rng.uniform(-2, 2, size=(20, 2))
-        for fld in (F_X, F_X2, F_X3, F_R2):
-            sign = {"even": 1.0, "odd": -1.0}[fld.parity_x]
+        for fld, sign in ((F_X, -1.0), (F_X2, 1.0), (F_X3, -1.0), (F_R2, 1.0)):
             assert np.allclose(fld(-pts[:, 0], pts[:, 1]),
                                sign * fld(pts[:, 0], pts[:, 1]), atol=1e-12)
 

@@ -37,12 +37,12 @@ from dunkl_oscillator.solution_builder import (
     pair_radial_indices,
     radial_order,
 )
-from dunkl_oscillator.verification import classical_oscillator_b_energy
+from dunkl_oscillator.verification import GridSpec, classical_oscillator_b_energy, sweep_bound_states
 
 P11 = DunklParams(1.0, 1.0)
 P00 = DunklParams(0.0, 0.0)
 CFG_POS = OscillatorConfig(omega=1.0)
-CFG_NEG = OscillatorConfig(omega=0.25, omega_c=2.5)  # omega_bar = 1
+CFG_NEG = OscillatorConfig(omega=0.25, omega_c=2.5)  # w~ = -1
 CFG_CRIT = OscillatorConfig(omega=1.0, omega_c=2.0)
 
 
@@ -61,6 +61,16 @@ class TestRegime:
             OscillatorConfig(omega=-1.0)
         with pytest.raises(ValueError):
             OscillatorConfig(omega=1.0, m=0.0)
+
+    def test_effective_frequency_and_length_scale(self):
+        assert CFG_NEG.effective_frequency == 1.0
+        assert CFG_NEG.length_scale == 1.0
+        cfg = OscillatorConfig(omega=4.0, m=2.0, hbar=0.5)
+        assert cfg.length_scale == pytest.approx(0.25, rel=1e-15)
+        crit = OscillatorConfig(omega=1.0, omega_c=2.0, m=2.0, hbar=3.0, c=5.0)
+        assert crit.length_scale == pytest.approx(0.3, rel=1e-15)
+        with pytest.raises(RegimeError):
+            crit.effective_frequency
 
 
 class TestPairing:
@@ -106,7 +116,7 @@ class TestEnergy:
 
     def test_frozen_sqrt5_field_dominated(self):
         mode = AngularMode(SectorLabel(1, 1), 1, 1, P00)
-        cfg = OscillatorConfig(omega=0.0, omega_c=2.0)  # omega_bar = 1
+        cfg = OscillatorConfig(omega=0.0, omega_c=2.0)  # w~ = -1
         val = energy(Component.UPPER, SectorLabel(1, 1), mode, 0, cfg, 1)
         assert val == pytest.approx(math.sqrt(5.0), rel=1e-15)
 
@@ -164,7 +174,7 @@ class TestClassicalReduction:
 class TestRadialProfile:
     def test_ground_profile_is_gaussian_times_power(self):
         mode = AngularMode(SectorLabel(1, 1), 1, 1, P00)
-        prof = build_radial(Component.UPPER, SectorLabel(1, 1), mode, 0, CFG_POS)
+        prof = build_radial(mode, 0, CFG_POS)
         assert prof.index == 0
         assert prof.exponent == pytest.approx(2.0)  # A = |lambda| = 2 at mu = 0
         rho = 1.3
@@ -172,16 +182,16 @@ class TestRadialProfile:
 
     def test_value_at_origin(self):
         mode1 = AngularMode(SectorLabel(1, 1), 1, 1, P11)
-        prof1 = build_radial(Component.UPPER, SectorLabel(1, 1), mode1, 0, CFG_POS)
+        prof1 = build_radial(mode1, 0, CFG_POS)
         assert prof1.exponent > 0 and prof1(0.0) == 0.0
         mode0 = AngularMode(SectorLabel(1, 1), 0, 1, P11)
-        prof0 = build_radial(Component.UPPER, SectorLabel(1, 1), mode0, 0, CFG_POS)
+        prof0 = build_radial(mode0, 0, CFG_POS)
         assert prof0.exponent == pytest.approx(0.0, abs=1e-14)
         assert prof0(0.0) == pytest.approx(1.0)
 
     def test_norm_squared_matches_quadrature(self):
         mode = AngularMode(SectorLabel(1, -1), 1.5, 1, P11)
-        prof = build_radial(Component.UPPER, SectorLabel(1, -1), mode, 2, CFG_POS)
+        prof = build_radial(mode, 2, CFG_POS)
         rule = radial_quadrature(gaussian_cutoff_radius(prof.scale), 220)
         vals = prof(rule.nodes)
         quad = np.sum(rule.weights * vals * vals * rule.nodes ** (2 * P11.mu_plus + 1))
@@ -189,8 +199,8 @@ class TestRadialProfile:
 
     def test_field_dominated_regime_uses_omega_bar(self):
         mode = AngularMode(SectorLabel(1, 1), 1, 1, P11)
-        prof = build_radial(Component.UPPER, SectorLabel(1, 1), mode, 0, CFG_NEG)
-        assert prof.scale == pytest.approx(CFG_NEG.omega_bar, rel=1e-15)
+        prof = build_radial(mode, 0, CFG_NEG)
+        assert prof.scale == pytest.approx(CFG_NEG.effective_frequency, rel=1e-15)
 
 
 class TestBuildSpinor:
@@ -210,6 +220,20 @@ class TestBuildSpinor:
         nl = weighted_inner_product(sol.lower, sol.lower, P11, rule)
         assert nu.real == pytest.approx(sol.norm_upper, abs=1e-6)
         assert nl.real == pytest.approx(sol.norm_lower, abs=1e-6)
+
+    def test_components_share_one_real_phase(self):
+        # the lower component is c_l R_l F with c_l >= 0, so lower * conj(upper)
+        # is real everywhere: the README state plus sweep states of both regimes
+        rho, phi = GridSpec().polar_points(1.0)
+        readme = build_spinor(SectorLabel(1, -1), AngularMode(SectorLabel(1, -1), 0.5, 1, P11),
+                              1, CFG_POS, 1)
+        states = [readme]
+        for cfg in (CFG_POS, CFG_NEG):
+            states += [st for st in sweep_bound_states(P11, cfg, 2, 2) if st.norm_lower > 0][:4]
+        for sol in states:
+            prod = sol.lower.eval_polar(rho, phi) * np.conj(sol.upper.eval_polar(rho, phi))
+            assert np.max(np.abs(prod)) > 0
+            assert np.max(np.abs(prod.imag)) <= 1e-12 * np.max(np.abs(prod)), sol.mode
 
     def test_invalid_pair_propagates(self):
         mode = AngularMode(SectorLabel(1, 1), 1, 1, P11)
