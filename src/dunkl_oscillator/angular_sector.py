@@ -175,24 +175,15 @@ def lambda_eigenvalue(mode: AngularMode) -> float:
 def f_eigenfunction(mode: AngularMode) -> ScalarField2D:
     """The (unit-normalized, purely angular) J eigenfunction of a mode."""
     n, p, b = mode.n, mode.params, mode.branch
+    s = 1.0 / math.sqrt(2.0)
     if mode.sector.epsilon == 1:
         ni = int(round(n))
         if ni == 0:
-            return ScalarField2D.from_polar(
-                lambda rho, phi: phi_pp(0, p, phi) + 0j
-            )
-        s = 1.0 / math.sqrt(2.0)
-
-        def fn(rho, phi, _n=ni):
-            return s * (phi_pp(_n, p, phi) + 1j * b * phi_mm(_n, p, phi))
-
-        return ScalarField2D.from_polar(fn)
-    s = 1.0 / math.sqrt(2.0)
-
-    def fn(rho, phi, _n=n):
-        return s * (phi_mp(_n, p, phi) - 1j * b * phi_pm(_n, p, phi))
-
-    return ScalarField2D.from_polar(fn)
+            return ScalarField2D(lambda rho, phi: phi_pp(0, p, phi) + 0j)
+        return ScalarField2D(
+            lambda rho, phi: s * (phi_pp(ni, p, phi) + 1j * b * phi_mm(ni, p, phi))
+        )
+    return ScalarField2D(lambda rho, phi: s * (phi_mp(n, p, phi) - 1j * b * phi_pm(n, p, phi)))
 
 
 def modes_for_sector(sector: SectorLabel, params: DunklParams, n_max: float):

@@ -33,6 +33,7 @@ from .solution_builder import (
     free_particle,
     pair_radial_indices,
 )
+from .special_functions import MAX_DEGREE
 from .verification import run_suite
 
 
@@ -48,25 +49,24 @@ def _parse_sector(text: str) -> SectorLabel:
 
 
 def _parse_n_values(text: str, sector: SectorLabel) -> list[float]:
+    """The n ladder of ``--n lo[:hi]``: integers for equal-parity sectors,
+    half-odds for mixed ones (an integer ``lo`` snaps up by 1/2 there)."""
     if ":" in text:
         lo, hi = (float(t) for t in text.split(":", 1))
     else:
         lo = hi = float(text)
-    step = 1.0
-    if sector.epsilon == -1 and abs(lo - round(lo)) < 0.25:
-        lo += 0.5  # half-odd family starts at 1/2
-    out = []
-    v = lo
-    while v <= hi + 1e-9:
-        out.append(v)
-        v += step
-    if not out:
+    if not all(math.isfinite(v) and v <= MAX_DEGREE for v in (lo, hi)):
+        raise ValueError(f"--n bounds must be finite and at most {MAX_DEGREE}, got {text!r}")
+    offset = 0.0 if sector.epsilon == 1 else 0.5
+    if offset and abs(lo - round(lo)) < 0.25:
+        lo += offset  # half-odd family starts at 1/2
+    if lo < 0.0 or abs(lo - offset - round(lo - offset)) > 1e-9:
+        ladder = "a natural number" if sector.epsilon == 1 else "a positive half-odd number"
+        raise ValueError(f"--n {text!r}: n must be {ladder} in sector ({sector})")
+    count = math.floor(hi - lo + 1e-9) + 1
+    if count < 1:
         raise ValueError(f"--n {text!r} selects no mode index")
-    return out
-
-
-def _mode(sector: SectorLabel, n: float, branch: int, params: DunklParams) -> AngularMode:
-    return AngularMode(sector, n if sector.epsilon == -1 else int(n), branch, params)
+    return [lo + i for i in range(count)]
 
 
 def _require_at_least(value: int, low: int, flag: str) -> int:
@@ -131,7 +131,7 @@ class WavefunctionRun:
         params, config, sector = _common(args)
         n = _parse_n_values(args.n, sector)[0]
         return cls(
-            mode=_mode(sector, n, 1 if args.branch == "+" else -1, params),
+            mode=AngularMode(sector, n, 1 if args.branch == "+" else -1, params),
             config=config,
             k=args.k,
             grid_rho=_require_at_least(args.grid_rho, 1, "--grid-rho"),
@@ -221,12 +221,9 @@ def _spectrum_rows(run: SpectrumRun):
     rows = []
     for n in run.n_values:
         for branch in run.branches:
-            if run.sector.epsilon == 1 and n == 0 and branch == -1:
-                continue
-            try:
-                mode = _mode(run.sector, n, branch, run.params)
-            except ValueError:
-                continue
+            if n == 0 and (branch == -1 or run.sector != SectorLabel(1, 1)):
+                continue  # n = 0 is a single mode, in sector (+1,+1) only
+            mode = AngularMode(run.sector, n, branch, run.params)
             for k in range(run.k_max + 1):
                 try:
                     e_up = energy(Component.UPPER, run.sector, mode, k, run.config, 1)

@@ -1,10 +1,12 @@
 """Reflection-difference (Dunkl) calculus on evaluable plane fields.
 
-Fields are carried as exact evaluation rules, never as sampled grids, so
-the reflection parts of every operator are applied exactly and only the
-genuine derivatives are discretized (second-order central differences of
-step ``h``). That isolates all discretization error to O(h^2), which the
-test suite checks by Richardson-style step halving.
+Fields are carried as exact evaluation rules in polar coordinates
+``(rho, phi)``, never as sampled grids, so the reflection parts of every
+operator are applied exactly and only the genuine derivatives are
+discretized (second-order central differences of step ``h``). That
+isolates all discretization error to O(h^2), which the test suite checks
+by Richardson-style step halving. The polar operators call the rule
+directly; only the Cartesian ones convert their points, once per point.
 
 Conventions
 -----------
@@ -96,7 +98,7 @@ class DunklParams:
 
 @dataclass(frozen=True)
 class ScalarField2D:
-    """Complex-valued field on the plane given by an exact evaluation rule.
+    """Complex-valued field on the plane given by an exact rule ``fn(rho, phi)``.
 
     ``fn`` must accept scalars or numpy arrays for both coordinates.
     """
@@ -104,31 +106,32 @@ class ScalarField2D:
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def __call__(self, x, y):
-        return self.fn(x, y)
+        return self.fn(np.hypot(x, y), np.arctan2(y, x))
 
     def eval_polar(self, rho, phi):
-        return self.fn(rho * np.cos(phi), rho * np.sin(phi))
+        return self.fn(rho, phi)
 
     def scaled(self, c: complex) -> "ScalarField2D":
         fn = self.fn
-        return ScalarField2D(lambda x, y: c * fn(x, y))
+        return ScalarField2D(lambda rho, phi: c * fn(rho, phi))
 
     @staticmethod
-    def from_polar(g: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> "ScalarField2D":
-        """Build a field from a rule in polar coordinates (rho, phi)."""
-        return ScalarField2D(lambda x, y: g(np.hypot(x, y), np.arctan2(y, x)))
+    def from_xy(g: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> "ScalarField2D":
+        """Build a field from a rule in Cartesian coordinates (x, y)."""
+        return ScalarField2D(lambda rho, phi: g(rho * np.cos(phi), rho * np.sin(phi)))
 
     @staticmethod
     def zero() -> "ScalarField2D":
-        return ScalarField2D(lambda x, y: np.zeros_like(np.asarray(x, dtype=float) + 0j))
+        return ScalarField2D(lambda rho, phi: np.zeros_like(np.asarray(rho, dtype=float) + 0j))
 
 
 def reflect(field: ScalarField2D, axis: Axis) -> ScalarField2D:
-    """Compose a field with the sign flip of one coordinate (exact)."""
+    """Compose a field with the sign flip of one coordinate, without
+    discretization: R_x is phi -> pi - phi and R_y is phi -> -phi."""
     fn = field.fn
     if axis is Axis.X:
-        return ScalarField2D(lambda x, y: fn(-x, y))
-    return ScalarField2D(lambda x, y: fn(x, -y))
+        return ScalarField2D(lambda rho, phi: fn(rho, np.pi - phi))
+    return ScalarField2D(lambda rho, phi: fn(rho, -phi))
 
 
 def _check_symmetric_near_axis(coord, diff, scale, h: float, what: str) -> None:
@@ -458,24 +461,19 @@ def weighted_inner_product(
     """<f, g> against the weight |x|^{2mu_x} |y|^{2mu_y}.
 
     With an "angular" rule the integral runs over the unit circle (used
-    for purely angular fields); a "polar" rule covers the plane, where
-    the measure picks up rho^{2(mu_x+mu_y)+1}.
+    for purely angular fields; rho = 1 there); a "polar" rule covers the
+    plane, where the measure picks up rho^{2(mu_x+mu_y)+1}.
     """
-    mx, my = params.mu_x, params.mu_y
     if rule.kind == "angular":
-        phi = rule.nodes
-        x, y = np.cos(phi), np.sin(phi)
-        wgt = np.abs(x) ** (2.0 * mx) * np.abs(y) ** (2.0 * my)
-        vals = np.conjugate(f(x, y)) * g(x, y)
-        return complex(np.sum(rule.weights * wgt * vals))
-    if rule.kind == "polar":
+        rho, phi = np.ones_like(rule.nodes), rule.nodes
+    elif rule.kind == "polar":
         rho, phi = rule.nodes[:, 0], rule.nodes[:, 1]
-        x, y = rho * np.cos(phi), rho * np.sin(phi)
-        wgt = (
-            np.abs(np.cos(phi)) ** (2.0 * mx)
-            * np.abs(np.sin(phi)) ** (2.0 * my)
-            * rho ** (2.0 * (mx + my) + 1.0)
-        )
-        vals = np.conjugate(f(x, y)) * g(x, y)
-        return complex(np.sum(rule.weights * wgt * vals))
-    raise ValueError(f"weighted_inner_product needs an angular or polar rule, got {rule.kind!r}")
+    else:
+        raise ValueError(f"weighted_inner_product needs an angular or polar rule, got {rule.kind!r}")
+    wgt = (
+        np.abs(np.cos(phi)) ** (2.0 * params.mu_x)
+        * np.abs(np.sin(phi)) ** (2.0 * params.mu_y)
+        * rho ** (2.0 * params.mu_plus + 1.0)
+    )
+    vals = np.conjugate(f.eval_polar(rho, phi)) * g.eval_polar(rho, phi)
+    return complex(np.sum(rule.weights * wgt * vals))

@@ -31,6 +31,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -255,12 +256,8 @@ class SpinorSolution:
     norm_lower: float | None = None
 
 
-def _product_field(radial: RadialProfile, angular: ScalarField2D, scale: complex) -> ScalarField2D:
-    def fn(x, y):
-        rho = np.hypot(x, y)
-        return scale * radial(rho) * angular(x, y)
-
-    return ScalarField2D(fn)
+def _product_field(radial: Callable, angular: ScalarField2D, scale: complex) -> ScalarField2D:
+    return ScalarField2D(lambda rho, phi: scale * radial(rho) * angular.eval_polar(rho, phi))
 
 
 def build_spinor(
@@ -328,13 +325,11 @@ def free_particle(
     wavenumber = math.sqrt(2.0 * tilde_e)
     a_ord = radial_order(mode)
     mu_p = params.mu_plus
-    angular = f_eigenfunction(mode)
 
-    def fn(x, y):
-        rho = np.hypot(x, y)
-        return rho ** (-mu_p) * bessel_j(a_ord, wavenumber * rho) * angular(x, y)
+    def radial(rho):
+        return rho ** (-mu_p) * bessel_j(a_ord, wavenumber * rho)
 
-    field = ScalarField2D(fn)
+    field = _product_field(radial, f_eigenfunction(mode), 1.0)
     return SpinorSolution(
         upper=field,
         lower=field,

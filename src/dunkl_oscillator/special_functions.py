@@ -5,7 +5,9 @@ three-term recurrence, which is stable for the moderate degrees used here
 (degrees are capped at 200). Bessel J is delegated to scipy's Amos
 implementation because the declared range (order up to 200, argument up
 to 1e4) sits far beyond what a hand-rolled series/asymptotic split can
-cover at 1e-10 relative accuracy. log-Gamma uses a 15-term Lanczos sum.
+cover at 1e-10 relative accuracy; scipy is imported on the first call, so
+the package and its command line load without it. log-Gamma is the
+standard library's ``math.lgamma`` behind the package's domain check.
 
 All evaluators accept scalars or numpy arrays in the argument position
 and return matching shapes.
@@ -16,7 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special as _sp
 
 MAX_DEGREE = 200
 MAX_BESSEL_ORDER = 200.0
@@ -97,41 +98,14 @@ def bessel_j(nu: float, x):
     arr, scalar = _as_array(x)
     if np.any(arr < 0.0) or np.any(arr > MAX_BESSEL_ARG):
         raise DomainError("bessel_j argument outside [0, 1e4]")
-    val = _sp.jv(nu, arr)
+    from scipy import special
+
+    val = special.jv(nu, arr)
     return float(val) if scalar else val
-
-
-# Lanczos coefficients (g = 607/128, 15 terms); relative error below 1e-14
-# for real positive arguments.
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_COEFFS = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
 
 
 def log_gamma(x: float) -> float:
     """Natural log of the Gamma function for x > 0."""
     if x <= 0.0:
         raise DomainError(f"log_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        # Downward recursion keeps the Lanczos sum in its sweet spot.
-        return log_gamma(x + 1.0) - math.log(x)
-    acc = _LANCZOS_COEFFS[0]
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[i] / (x + i - 1.0)
-    t = x + _LANCZOS_G - 0.5
-    return (x - 0.5) * math.log(t) - t + 0.5 * math.log(2.0 * math.pi) + math.log(acc)
+    return math.lgamma(x)

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .angular_sector import (
     ALL_SECTORS,
@@ -51,7 +50,6 @@ from .dunkl_calculus import (
     weighted_inner_product,
 )
 from .solution_builder import (
-    IntegralityError,
     InvalidPairError,
     NegativeRadicandError,
     OscillatorConfig,
@@ -64,7 +62,6 @@ from .solution_builder import (
     classify_regime,
     energy,
     free_particle,
-    pair_radial_indices,
     radial_order,
 )
 from .special_functions import laguerre_l
@@ -339,6 +336,8 @@ def matrix_oracle_lambda(
     handles the non-orthogonality of the basis under the weight. Entirely
     independent of the Jacobi construction being checked.
     """
+    from scipy.linalg import eigh  # imported here: only this oracle needs scipy.linalg
+
     if basis_size < 1 or basis_size > 64:
         raise ValueError("basis_size must be in [1, 64]")
     if rule is None:
@@ -563,7 +562,7 @@ def classical_pair_solution(
                     k - 1, ma + 1, w * rho2
                 )
 
-            lower = ScalarField2D(lower_fn)
+            lower = ScalarField2D.from_xy(lower_fn)
     else:
         a = abs(m_angular)
 
@@ -581,9 +580,9 @@ def classical_pair_solution(
                 k, a - 1, w * rho2
             )
 
-        lower = ScalarField2D(lower_fn)
+        lower = ScalarField2D.from_xy(lower_fn)
 
-    upper = ScalarField2D(upper_fn)
+    upper = ScalarField2D.from_xy(upper_fn)
     params = DunklParams(0.0, 0.0)
     epsilon = 1 if m_angular % 2 == 0 else -1
     n_label = abs(m_angular) / 2.0
@@ -670,12 +669,7 @@ def coupled_reflection_eigenstate(
     shift = -1.0 if component is Component.UPPER else 1.0
     tilde_e = abs_w * (2.0 * k + 1.0 + a_ord) + w * (kappa + shift)
 
-    def fn(x, y):
-        rho = np.hypot(x, y)
-        phi = np.arctan2(y, x)
-        return radial(rho) * ang(phi)
-
-    return ScalarField2D(fn), tilde_e
+    return ScalarField2D(lambda rho, phi: radial(rho) * ang(phi)), tilde_e
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ P21 = DunklParams(2.0, 1.0)
 
 
 def _angular_field(fn):
-    return ScalarField2D.from_polar(lambda rho, phi: np.asarray(fn(phi)) + 0j)
+    return ScalarField2D(lambda rho, phi: np.asarray(fn(phi)) + 0j)
 
 
 class TestSectorLabel:

@@ -4,6 +4,10 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -156,6 +160,39 @@ class TestVerify:
         assert set(rec) == {"name", "inputs", "residual", "tol", "pass"}
 
 
+class TestNLadder:
+    def test_n_zero_skipped_outside_sector_pp(self):
+        code, text = _run(["spectrum", "--sector=-1,-1", "--n", "0:1", "--k-max", "0"])
+        assert code == 0
+        assert [ln.split(",")[1] for ln in text.splitlines()[1:]] == ["1", "1"]
+
+    def test_mixed_sector_snaps_integer_start(self):
+        code, text = _run(["spectrum", "--sector=1,-1", "--n", "0:2", "--k-max", "0"])
+        assert code == 0
+        assert sorted({ln.split(",")[1] for ln in text.splitlines()[1:]}) == ["0.5", "1.5"]
+
+    def test_export_range_accepted(self):
+        code, text = _run(["spectrum", "--n", "0:30", "--k-max", "300"])
+        assert code == 0
+        assert len(text.splitlines()) == 1 + 61 * 301
+
+
+def test_spectrum_does_not_import_scipy():
+    # scipy is imported lazily by the Bessel evaluator and the matrix oracle
+    code = (
+        "import contextlib, io, sys\n"
+        "from dunkl_oscillator.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['spectrum']) == 0\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 class TestArgparse:
     def test_unknown_suite_via_argparse(self):
         with pytest.raises(SystemExit) as exc:
@@ -175,6 +212,13 @@ class TestArgparse:
         ["verify", "--suite", "kg", "--n-max", "inf"],
         ["spectrum", "--k-max", "-1"],
         ["spectrum", "--n", "2:1"],
+        ["spectrum", "--n", "0:inf"],
+        ["spectrum", "--n", "nan"],
+        ["spectrum", "--n", "0:201"],
+        ["spectrum", "--n=-1:2"],
+        ["spectrum", "--sector", "1,1", "--n", "1.5", "--mu-x", "1", "--mu-y", "1", "--k-max", "0"],
+        ["spectrum", "--sector=1,-1", "--n", "0.7:2"],
+        ["wavefunction", "--sector=-1,-1", "--n", "0"],
         ["wavefunction", "--k", "1", "--grid-rho", "0"],
         ["wavefunction", "--k", "1", "--grid-phi", "0"],
         ["verify", "--threads", "2"],
