@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dunkl_calculus import DunklParams, ScalarField2D
+from .dunkl_calculus import DunklParams, ScalarField2D, remember_last
 from .special_functions import DomainError, jacobi_p, log_gamma
 
 _HALF_TOL = 1e-9
@@ -173,17 +173,27 @@ def lambda_eigenvalue(mode: AngularMode) -> float:
 
 
 def f_eigenfunction(mode: AngularMode) -> ScalarField2D:
-    """The (unit-normalized, purely angular) J eigenfunction of a mode."""
+    """The (unit-normalized, purely angular) J eigenfunction of a mode.
+
+    Each returned field remembers its last few angle arrays, so the two
+    components of a spinor, which share this field, evaluate F once per
+    distinct angle array.
+    """
     n, p, b = mode.n, mode.params, mode.branch
     s = 1.0 / math.sqrt(2.0)
     if mode.sector.epsilon == 1:
         ni = int(round(n))
         if ni == 0:
-            return ScalarField2D(lambda rho, phi: phi_pp(0, p, phi) + 0j)
-        return ScalarField2D(
-            lambda rho, phi: s * (phi_pp(ni, p, phi) + 1j * b * phi_mm(ni, p, phi))
-        )
-    return ScalarField2D(lambda rho, phi: s * (phi_mp(n, p, phi) - 1j * b * phi_pm(n, p, phi)))
+            def angular(phi):
+                return phi_pp(0, p, phi) + 0j
+        else:
+            def angular(phi):
+                return s * (phi_pp(ni, p, phi) + 1j * b * phi_mm(ni, p, phi))
+    else:
+        def angular(phi):
+            return s * (phi_mp(n, p, phi) - 1j * b * phi_pm(n, p, phi))
+    angular = remember_last(angular)
+    return ScalarField2D(lambda rho, phi: angular(phi))
 
 
 def modes_for_sector(sector: SectorLabel, params: DunklParams, n_max: float):

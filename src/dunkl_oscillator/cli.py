@@ -156,6 +156,8 @@ class VerifyRun:
         params, config, _ = _common(args)
         if not (math.isfinite(args.n_max) and args.n_max >= 0.0):
             raise ValueError(f"--n-max must be finite and >= 0, got {args.n_max}")
+        if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0.0):
+            raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
         return cls(
             params=params,
             config=config,
@@ -298,16 +300,15 @@ def cmd_wavefunction(run: WavefunctionRun) -> int:
     scale = config.length_scale
     rho = np.geomspace(0.1 * scale, 4.0 * scale, run.grid_rho)
     phi = (np.arange(run.grid_phi) + 0.5) * 2.0 * np.pi / run.grid_phi
+    rr, pp = np.meshgrid(rho, phi, indexing="ij")
+    upper, lower = sol.upper.eval_polar(rr, pp), sol.lower.eval_polar(rr, pp)
     out.write("rho,phi,re_upper,im_upper,re_lower,im_lower\n")
     p = run.precision
-    for r in rho:
-        for f in phi:
-            u = complex(sol.upper.eval_polar(r, f))
-            lo = complex(sol.lower.eval_polar(r, f))
-            out.write(
-                f"{_fmt(r, p)},{_fmt(f, p)},{_fmt(u.real, p)},{_fmt(u.imag, p)},"
-                f"{_fmt(lo.real, p)},{_fmt(lo.imag, p)}\n"
-            )
+    for r, f, u, lo in zip(rr.ravel(), pp.ravel(), upper.ravel(), lower.ravel()):
+        out.write(
+            f"{_fmt(r, p)},{_fmt(f, p)},{_fmt(u.real, p)},{_fmt(u.imag, p)},"
+            f"{_fmt(lo.real, p)},{_fmt(lo.imag, p)}\n"
+        )
     return 0
 
 

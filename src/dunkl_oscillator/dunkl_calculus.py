@@ -28,6 +28,7 @@ broadcasts; the verification grids rely on this.
 from __future__ import annotations
 
 import enum
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -123,6 +124,34 @@ class ScalarField2D:
     @staticmethod
     def zero() -> "ScalarField2D":
         return ScalarField2D(lambda rho, phi: np.zeros_like(np.asarray(rho, dtype=float) + 0j))
+
+
+def remember_last(fn: Callable[[np.ndarray], np.ndarray], size: int = 8):
+    """Wrap a one-coordinate factor ``fn(a)`` so that repeated arguments
+    are evaluated once.
+
+    The last ``size`` distinct arguments are kept, keyed by value (shape
+    and bytes), so a stencil that asks a factor for the same radii or
+    angles again gets the stored result. Stored arrays are read-only. The
+    cache belongs to the returned function: give each field its own.
+    """
+    cache: OrderedDict = OrderedDict()
+
+    def remembered(a):
+        a = np.asarray(a, dtype=float)
+        key = (a.shape, a.tobytes())
+        if key in cache:
+            cache.move_to_end(key)
+            return cache[key]
+        out = fn(a)
+        if isinstance(out, np.ndarray):
+            out.flags.writeable = False
+        cache[key] = out
+        if len(cache) > size:
+            cache.popitem(last=False)
+        return out
+
+    return remembered
 
 
 def reflect(field: ScalarField2D, axis: Axis) -> ScalarField2D:

@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .angular_sector import AngularMode, SectorLabel, f_eigenfunction, lambda_eigenvalue
-from .dunkl_calculus import Component, DunklParams, ScalarField2D
+from .dunkl_calculus import Component, DunklParams, ScalarField2D, remember_last
 from .special_functions import bessel_j, laguerre_l, log_gamma
 
 
@@ -77,6 +77,8 @@ class OscillatorConfig:
     c: float = 1.0
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in (self.omega, self.omega_c, self.m, self.hbar, self.c)):
+            raise ValueError(f"omega, omega_c, m, hbar, c must be finite, got {self}")
         if self.m <= 0 or self.hbar <= 0 or self.c <= 0:
             raise ValueError("m, hbar, c must be positive")
         if self.omega < 0 or self.omega_c < 0:
@@ -257,6 +259,9 @@ class SpinorSolution:
 
 
 def _product_field(radial: Callable, angular: ScalarField2D, scale: complex) -> ScalarField2D:
+    """scale * radial(rho) * angular(phi), evaluating the radial factor
+    once per distinct radius array (the angular field remembers its own)."""
+    radial = remember_last(radial)
     return ScalarField2D(lambda rho, phi: scale * radial(rho) * angular.eval_polar(rho, phi))
 
 
@@ -319,8 +324,8 @@ def free_particle(
     if classify_regime(config) is not Regime.CRITICAL:
         raise RegimeError("free_particle requires omega == omega_c / 2")
     mc2 = config.rest_energy
-    if e_val < mc2:
-        raise ValueError(f"free-particle energy must be >= m c^2, got {e_val}")
+    if not (math.isfinite(e_val) and e_val >= mc2):
+        raise ValueError(f"free-particle energy must be finite and >= m c^2, got {e_val}")
     tilde_e = (e_val * e_val - mc2 * mc2) / (2.0 * config.hbar**2 * config.c**2)
     wavenumber = math.sqrt(2.0 * tilde_e)
     a_ord = radial_order(mode)

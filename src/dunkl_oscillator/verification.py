@@ -734,7 +734,7 @@ def run_suite(
                 raise RegimeError(f"the {name} suite needs a non-critical regime")
 
     def tol_for(name: str) -> float:
-        return tol or DEFAULT_TOLS[name]
+        return DEFAULT_TOLS[name] if tol is None else tol
 
     report = VerificationReport(suite)
     if "angular" in wanted:
@@ -746,14 +746,16 @@ def run_suite(
             modes = modes_for_sector(sector, params, angular_n_max)
             report.extend(check_orthonormality(modes, tol=tol_for("ortho")).records)
     if "kg" in wanted:
+        # states are built one at a time, so only one state's factor
+        # caches are alive at once
         if regime is Regime.CRITICAL:
-            states = list(_critical_states(params, config, n_max))
+            states = _critical_states(params, config, n_max)
         else:
-            states = list(sweep_bound_states(params, config, n_max, k_max))
+            states = sweep_bound_states(params, config, n_max, k_max)
         for st in states:
             report.extend(check_kg_eigen(st, tol=tol_for("kg"), h=h).records)
     if "dirac" in wanted:
-        for st in list(sweep_bound_states(params, config, n_max, k_max)):
+        for st in sweep_bound_states(params, config, n_max, k_max):
             report.extend(check_dirac_system(st, tol=tol_for("dirac"), h=h).records)
     if "nrlimit" in wanted:
         for sector in ALL_SECTORS:

@@ -222,6 +222,15 @@ class TestArgparse:
         ["wavefunction", "--k", "1", "--grid-rho", "0"],
         ["wavefunction", "--k", "1", "--grid-phi", "0"],
         ["verify", "--threads", "2"],
+        ["spectrum", "--omega", "nan", "--n", "0", "--k-max", "0"],
+        ["spectrum", "--omega", "inf"],
+        ["spectrum", "--omega-c", "nan"],
+        ["wavefunction", "--omega", "1", "--omega-c", "2", "--n", "1", "--energy", "nan",
+         "--grid-rho", "2", "--grid-phi", "2"],
+        ["wavefunction", "--omega", "1", "--omega-c", "2", "--n", "1", "--energy", "inf",
+         "--grid-rho", "2", "--grid-phi", "2"],
+        ["verify", "--suite", "kg", "--tol", "nan"],
+        ["verify", "--suite", "kg", "--tol=-1"],
     ],
 )
 def test_invalid_input_exits_2(argv, capsys):

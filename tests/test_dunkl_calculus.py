@@ -29,6 +29,7 @@ from dunkl_oscillator.dunkl_calculus import (
     polar_quadrature,
     radial_quadrature,
     reflect,
+    remember_last,
     weighted_inner_product,
 )
 from dunkl_oscillator.solution_builder import OscillatorConfig, build_spinor
@@ -336,3 +337,47 @@ class TestWeightedInnerProduct:
             lhs = weighted_inner_product(f, d_of(g, axis), params, rule)
             rhs = -np.conjugate(weighted_inner_product(g, d_of(f, axis), params, rule))
             assert lhs == pytest.approx(rhs, abs=1e-8)
+
+
+class TestRememberLast:
+    def _counted(self, size=8):
+        seen = []
+
+        def fn(a):
+            seen.append(a.shape)
+            return np.cos(a) + 0j
+
+        return remember_last(fn, size), seen
+
+    def test_one_call_per_distinct_value(self):
+        f, seen = self._counted()
+        phi = np.linspace(0.1, 3.0, 7)
+        first = f(phi)
+        assert f(phi.copy()) is first  # equal values, another array
+        assert f(list(phi)) is first  # converted to float before keying
+        f(np.pi - phi)
+        assert len(seen) == 2
+        f(phi.reshape(7, 1))  # same bytes, other shape: another key
+        assert len(seen) == 3
+
+    def test_least_recently_used_is_dropped(self):
+        f, seen = self._counted(size=2)
+        a, b, c = (np.full(3, v) for v in (0.1, 0.2, 0.3))
+        f(a), f(b), f(a), f(c)  # c evicts b, the least recently used
+        f(a)
+        assert len(seen) == 3
+        f(b)
+        assert len(seen) == 4
+
+    def test_scalar_stays_scalar(self):
+        f, _ = self._counted()
+        out = f(0.3)
+        assert np.ndim(out) == 0
+        assert complex(out) == complex(math.cos(0.3))
+
+    def test_stored_arrays_are_read_only(self):
+        f, _ = self._counted()
+        out = f(np.array([0.1, 0.2]))
+        with pytest.raises(ValueError):
+            out[0] = 0.0
+        assert f(np.array([0.1, 0.2]))[0] == np.cos(0.1)

@@ -5,12 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from dunkl_oscillator import angular_sector, solution_builder
 from dunkl_oscillator.angular_sector import (
     ALL_SECTORS,
     AngularMode,
     SectorLabel,
+    f_eigenfunction,
     lambda_eigenvalue,
     modes_for_sector,
+    phi_mm,
+    phi_pp,
 )
 from dunkl_oscillator.dunkl_calculus import (
     Component,
@@ -61,6 +65,12 @@ class TestRegime:
             OscillatorConfig(omega=-1.0)
         with pytest.raises(ValueError):
             OscillatorConfig(omega=1.0, m=0.0)
+
+    @pytest.mark.parametrize("field", ["omega", "omega_c", "m", "hbar", "c"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_constants_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            OscillatorConfig(**{"omega": 1.0, field: value})
 
     def test_effective_frequency_and_length_scale(self):
         assert CFG_NEG.effective_frequency == 1.0
@@ -266,6 +276,12 @@ class TestFreeParticle:
         with pytest.raises(ValueError):
             free_particle(SectorLabel(1, 1), mode, 0.5, P11, CFG_CRIT)
 
+    @pytest.mark.parametrize("e_val", [math.nan, math.inf])
+    def test_non_finite_energy_rejected(self, e_val):
+        mode = AngularMode(SectorLabel(1, 1), 1, 1, P11)
+        with pytest.raises(ValueError):
+            free_particle(SectorLabel(1, 1), mode, e_val, P11, CFG_CRIT)
+
     def test_threshold_state_vanishes(self):
         mode = AngularMode(SectorLabel(1, 1), 1, 1, P11)
         sol = free_particle(SectorLabel(1, 1), mode, 1.0, P11, CFG_CRIT)
@@ -287,3 +303,65 @@ class TestFreeParticle:
     def test_classical_order_two(self):
         mode = AngularMode(SectorLabel(1, 1), 1, 1, P00)
         assert radial_order(mode) == pytest.approx(2.0, rel=1e-15)
+
+
+class TestFactorReuse:
+    """Each state evaluates its radial and angular factors once per
+    distinct coordinate array; the values are those of a fresh evaluation."""
+
+    @staticmethod
+    def _state():
+        # a (+1,+1) sweep state with both components nonzero (k' = k + 3)
+        return next(st for st in sweep_bound_states(P11, CFG_NEG, 2, 2)
+                    if st.mode.sector == SectorLabel(1, 1) and st.mode.n >= 1 and st.norm_lower > 0)
+
+    def test_components_share_angular_evaluations(self, monkeypatch):
+        sol = self._state()
+        calls = {"phi_pp": 0, "laguerre_l": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(angular_sector, "phi_pp", counted("phi_pp", phi_pp))
+        monkeypatch.setattr(solution_builder, "laguerre_l",
+                            counted("laguerre_l", solution_builder.laguerre_l))
+        rho, phi = GridSpec().polar_points(1.0)
+        angles = (phi, np.pi - phi, -phi)
+        for fld in (sol.upper, sol.lower):
+            for a in angles:
+                fld.eval_polar(rho, a)
+                fld.eval_polar(rho.copy(), a.copy())
+        assert calls["phi_pp"] == len(angles)
+        assert calls["laguerre_l"] == 2  # one radius array per component
+
+    def test_values_match_a_fresh_evaluation_bit_for_bit(self):
+        sol = self._state()
+        rho, phi = GridSpec().polar_points(1.0)
+        for a in (phi, np.pi - phi, -phi, phi):
+            sol.upper.eval_polar(rho, a)
+            sol.lower.eval_polar(rho, a)
+        # the same product, computed here without any cache
+        mode = sol.mode
+        s, ni, b = 1.0 / math.sqrt(2.0), int(mode.n), mode.branch
+        ang = s * (phi_pp(ni, P11, phi) + 1j * b * phi_mm(ni, P11, phi))
+        for fld, k, norm2 in ((sol.upper, sol.quantum.k, sol.norm_upper),
+                              (sol.lower, sol.quantum.k_prime, sol.norm_lower)):
+            rad = build_radial(mode, k, CFG_NEG)
+            c = math.sqrt(norm2 / rad.norm_squared())
+            assert np.array_equal(fld.eval_polar(rho, phi), c * rad(rho) * ang)
+
+    def test_scalar_point_gives_scalar(self):
+        sol = self._state()
+        vals = [sol.upper.eval_polar(0.7, 0.3) for _ in range(2)]
+        assert all(np.ndim(v) == 0 for v in vals)
+        assert complex(vals[0]) == complex(vals[1])
+
+    def test_cached_factor_is_read_only(self):
+        sol = self._state()
+        rho, phi = GridSpec().polar_points(1.0)
+        ang = f_eigenfunction(sol.mode).eval_polar(rho, phi)
+        with pytest.raises(ValueError):
+            ang[0] = 0.0

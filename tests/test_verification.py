@@ -284,6 +284,13 @@ class TestSweepAndSuite:
         rep = run_suite(P00, CFG, suite="dirac")
         assert not rep.passed
 
+    def test_explicit_tolerance_is_used_even_when_zero(self):
+        for tol in (0.0, 0.5):
+            rep = run_suite(P00, CFG, suite="ortho", tol=tol)
+            assert [r.tol for r in rep.records] == [tol] * 4
+            assert all(r.passed == (r.residual <= tol) for r in rep.records)
+        assert {r.tol for r in run_suite(P00, CFG, suite="ortho").records} == {1e-8}
+
     def test_threads_other_than_one_rejected(self):
         with pytest.raises(ValueError):
             run_suite(P00, CFG, suite="kg", threads=2)
