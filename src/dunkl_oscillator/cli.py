@@ -300,15 +300,20 @@ def cmd_wavefunction(run: WavefunctionRun) -> int:
     scale = config.length_scale
     rho = np.geomspace(0.1 * scale, 4.0 * scale, run.grid_rho)
     phi = (np.arange(run.grid_phi) + 0.5) * 2.0 * np.pi / run.grid_phi
-    rr, pp = np.meshgrid(rho, phi, indexing="ij")
-    upper, lower = sol.upper.eval_polar(rr, pp), sol.lower.eval_polar(rr, pp)
-    out.write("rho,phi,re_upper,im_upper,re_lower,im_lower\n")
     p = run.precision
-    for r, f, u, lo in zip(rr.ravel(), pp.ravel(), upper.ravel(), lower.ravel()):
-        out.write(
-            f"{_fmt(r, p)},{_fmt(f, p)},{_fmt(u.real, p)},{_fmt(u.imag, p)},"
+    # One rho row at a time keeps memory linear in the grid sides; phi is
+    # the same array on every row, so F(phi) is evaluated once. The header
+    # goes out with the first row, so an evaluation error leaves stdout empty.
+    header = "rho,phi,re_upper,im_upper,re_lower,im_lower\n"
+    for r in rho:
+        upper, lower = sol.upper.eval_polar(r, phi), sol.lower.eval_polar(r, phi)
+        rs = _fmt(r, p)
+        out.write(header + "".join(
+            f"{rs},{_fmt(f, p)},{_fmt(u.real, p)},{_fmt(u.imag, p)},"
             f"{_fmt(lo.real, p)},{_fmt(lo.imag, p)}\n"
-        )
+            for f, u, lo in zip(phi, upper, lower)
+        ))
+        header = ""
     return 0
 
 

@@ -126,11 +126,16 @@ class ScalarField2D:
         return ScalarField2D(lambda rho, phi: np.zeros_like(np.asarray(rho, dtype=float) + 0j))
 
 
-def remember_last(fn: Callable[[np.ndarray], np.ndarray], size: int = 8):
+# Distinct arguments a remembered factor keeps: dirac_apply asks one shared
+# factor for 7 distinct angle arrays, kg_apply for 5 angles and 3 radii.
+_REMEMBERED = 8
+
+
+def remember_last(fn: Callable[[np.ndarray], np.ndarray]):
     """Wrap a one-coordinate factor ``fn(a)`` so that repeated arguments
     are evaluated once.
 
-    The last ``size`` distinct arguments are kept, keyed by value (shape
+    The last ``_REMEMBERED`` distinct arguments are kept, keyed by value (shape
     and bytes), so a stencil that asks a factor for the same radii or
     angles again gets the stored result. Stored arrays are read-only. The
     cache belongs to the returned function: give each field its own.
@@ -147,7 +152,7 @@ def remember_last(fn: Callable[[np.ndarray], np.ndarray], size: int = 8):
         if isinstance(out, np.ndarray):
             out.flags.writeable = False
         cache[key] = out
-        if len(cache) > size:
+        if len(cache) > _REMEMBERED:
             cache.popitem(last=False)
         return out
 

@@ -109,6 +109,35 @@ class TestWavefunction:
             assert lo.real == pytest.approx(rl, rel=1e-12, abs=1e-15)
             assert lo.imag == pytest.approx(il, rel=1e-12, abs=1e-15)
 
+    def test_grid_is_evaluated_one_rho_row_at_a_time(self, monkeypatch):
+        # Memory must stay linear in the grid sides: each evaluation covers
+        # one rho row, never the whole rho x phi grid.
+        import dataclasses
+
+        import numpy as np
+
+        from dunkl_oscillator import cli
+        from dunkl_oscillator.dunkl_calculus import ScalarField2D
+
+        shapes = []
+        build = cli.build_spinor
+
+        def spy(field):
+            def fn(rho, phi):
+                shapes.append(np.broadcast(rho, phi).shape)
+                return field.eval_polar(rho, phi)
+            return ScalarField2D(fn)
+
+        def build_spy(*args):
+            sol = build(*args)
+            return dataclasses.replace(sol, upper=spy(sol.upper), lower=spy(sol.lower))
+
+        monkeypatch.setattr(cli, "build_spinor", build_spy)
+        args = self.ARGS[:-4] + ["--grid-rho", "5", "--grid-phi", "7"]
+        code, text = _run(args)
+        assert code == 0 and len(text.splitlines()) == 1 + 35
+        assert shapes == [(7,)] * 10
+
     def test_invalid_pair_exits_2(self):
         assert main(["wavefunction", "--mu-x", "1", "--mu-y", "1",
                      "--sector", "1,1", "--n", "1", "--k", "0"]) == 2

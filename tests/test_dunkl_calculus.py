@@ -340,14 +340,14 @@ class TestWeightedInnerProduct:
 
 
 class TestRememberLast:
-    def _counted(self, size=8):
+    def _counted(self):
         seen = []
 
         def fn(a):
             seen.append(a.shape)
             return np.cos(a) + 0j
 
-        return remember_last(fn, size), seen
+        return remember_last(fn), seen
 
     def test_one_call_per_distinct_value(self):
         f, seen = self._counted()
@@ -361,13 +361,16 @@ class TestRememberLast:
         assert len(seen) == 3
 
     def test_least_recently_used_is_dropped(self):
-        f, seen = self._counted(size=2)
-        a, b, c = (np.full(3, v) for v in (0.1, 0.2, 0.3))
-        f(a), f(b), f(a), f(c)  # c evicts b, the least recently used
+        f, seen = self._counted()
+        a, b, *rest = (np.full(3, 0.1 * v) for v in range(1, 10))
+        f(a), f(b), f(a)
+        for c in rest[:-1]:
+            f(c)  # 8 distinct arguments kept so far
+        f(rest[-1])  # the 9th evicts b, the least recently used
         f(a)
-        assert len(seen) == 3
+        assert len(seen) == 9
         f(b)
-        assert len(seen) == 4
+        assert len(seen) == 10
 
     def test_scalar_stays_scalar(self):
         f, _ = self._counted()
