@@ -6,10 +6,17 @@ of J comes in signed pairs
     epsilon = +1 : lambda = +/- 2 sqrt(n (n + mu_x + mu_y)),   n = 0, 1, 2, ...
     epsilon = -1 : lambda = +/- 2 sqrt((n + mu_x)(n + mu_y)),  n = 1/2, 3/2, ...
 
-with eigenfunctions built from weight-normalized Jacobi polynomials in
-x = -cos(2 phi). The four Phi families carry definite reflection
-signatures (s_x, s_y); the J eigenfunctions mix the two families of a
-given epsilon:
+with eigenfunctions built from one weight-normalized Jacobi rule in
+x = -cos(2 phi). With e = (1 - s)/2 for each reflection sign s, the
+family of signature (s_x, s_y) is
+
+    Phi^{s_x s_y}_n(phi) = c cos^{e_x}(phi) sin^{e_y}(phi) P_j^{(a,b)}(x),
+    a = mu_x - 1/2 + e_x,  b = mu_y - 1/2 + e_y,  j = n - (e_x + e_y)/2,
+    c^2 = (2j+a+b+1) Gamma(j+a+b+1) j! / (2 Gamma(j+a+1) Gamma(j+b+1)),
+
+(at j = 0 the numerator reads Gamma(a+b+2), so mu = 0, n = 0 stays
+finite). The J eigenfunctions mix the two families of a given epsilon
+as (Phi_A + i w Phi_B) / sqrt(1 + w^2) with w = epsilon b:
 
     epsilon = +1 : F = (Phi^{++} + i b Phi^{--}) / sqrt(2)
     epsilon = -1 : F = (Phi^{-+} - i b Phi^{+-}) / sqrt(2)
@@ -99,67 +106,73 @@ class AngularMode:
                 raise ValueError(f"epsilon=-1 requires half-odd n >= 1/2, got n={self.n}")
 
 
-def _norm_constant(log_num: float, log_den: float) -> float:
-    return math.exp(0.5 * (log_num - log_den))
+def _basis(s_x: int, s_y: int, n: float, params: DunklParams):
+    """Phi^{s_x s_y}_n as a function of phi, by the Jacobi rule of the
+    module docstring. The constant c and the domain check are computed
+    here, once; the returned function evaluates only trig x Jacobi.
+    """
+    e_x, e_y = (1 - s_x) // 2, (1 - s_y) // 2
+    a, b = params.mu_x - 0.5 + e_x, params.mu_y - 0.5 + e_y
+    j = int(round(n - 0.5 * (e_x + e_y)))
+    if j < 0:  # Phi^{--}_0 vanishes identically
+        return lambda phi: np.zeros_like(np.asarray(phi, dtype=float))
+    if a <= -1.0 or b <= -1.0:
+        raise DomainError(f"Phi^({s_x:+d},{s_y:+d}) needs Jacobi parameters > -1, got {a}, {b}")
+    # c^2 = (2j+a+b+1) Gamma(j+a+b+1) j! / (2 Gamma(j+a+1) Gamma(j+b+1)); at
+    # j = 0 its numerator is Gamma(a+b+2), finite also at a + b + 1 = 0.
+    if j == 0:
+        log_num = log_gamma(a + b + 2.0)
+    else:
+        log_num = math.log(2.0 * j + a + b + 1.0) + log_gamma(j + a + b + 1.0) + log_gamma(j + 1.0)
+    log_den = math.log(2.0) + log_gamma(j + a + 1.0) + log_gamma(j + b + 1.0)
+    c = math.exp(0.5 * (log_num - log_den))
 
+    def basis(phi):
+        phi = np.asarray(phi, dtype=float)
+        out = c * jacobi_p(j, a, b, -np.cos(2.0 * phi))
+        if e_x:
+            out = out * np.cos(phi)
+        if e_y:
+            out = out * np.sin(phi)
+        return out
 
-def _require_positive(*gamma_args: float) -> None:
-    for a in gamma_args:
-        if a <= 0.0:
-            raise DomainError(f"Gamma argument must be positive, got {a}")
+    return basis
 
 
 def phi_pp(n: int, params: DunklParams, phi):
     """Even-even angular basis function (reflection signature (+1, +1))."""
-    mp = params.mu_plus
-    _require_positive(n + params.mu_x + 0.5, n + params.mu_y + 0.5, n + mp + 1.0)
-    x = -np.cos(2.0 * np.asarray(phi, dtype=float))
-    # (2n+mu_p) Gamma(n+mu_p) is rewritten via Gamma(n+mu_p+1) so n = 0
-    # with mu_p = 0 stays finite; the leftover ratio is 1 at n = 0.
-    ratio = 1.0 if n == 0 else (2.0 * n + mp) / (n + mp)
-    log_num = log_gamma(n + mp + 1.0) + log_gamma(n + 1.0)
-    log_den = math.log(2.0) + log_gamma(n + params.mu_x + 0.5) + log_gamma(n + params.mu_y + 0.5)
-    c = math.sqrt(ratio) * _norm_constant(log_num, log_den)
-    return c * jacobi_p(n, params.mu_x - 0.5, params.mu_y - 0.5, x)
+    return _basis(1, 1, n, params)(phi)
 
 
 def phi_mm(n: int, params: DunklParams, phi):
     """Odd-odd angular basis function; identically zero at n = 0."""
-    phi = np.asarray(phi, dtype=float)
-    if n == 0:
-        out = np.zeros_like(phi)
-        return float(out) if out.ndim == 0 else out
-    mp = params.mu_plus
-    _require_positive(n + params.mu_x + 0.5, n + params.mu_y + 0.5, n + mp + 1.0)
-    x = -np.cos(2.0 * phi)
-    log_num = math.log(2.0 * n + mp) + log_gamma(n + mp + 1.0) + log_gamma(float(n))
-    log_den = math.log(2.0) + log_gamma(n + params.mu_x + 0.5) + log_gamma(n + params.mu_y + 0.5)
-    c = _norm_constant(log_num, log_den)
-    return c * np.sin(phi) * np.cos(phi) * jacobi_p(n - 1, params.mu_x + 0.5, params.mu_y + 0.5, x)
+    return _basis(-1, -1, n, params)(phi)
 
 
 def phi_mp(n: float, params: DunklParams, phi):
     """Odd-even angular basis function (signature (-1, +1)), half-odd n."""
-    mp = params.mu_plus
-    _require_positive(n + params.mu_x + 1.0, n + params.mu_y, n + mp + 0.5, n + 0.5)
-    phi = np.asarray(phi, dtype=float)
-    x = -np.cos(2.0 * phi)
-    log_num = math.log(2.0 * n + mp) + log_gamma(n + mp + 0.5) + log_gamma(n + 0.5)
-    log_den = math.log(2.0) + log_gamma(n + params.mu_x + 1.0) + log_gamma(n + params.mu_y)
-    c = _norm_constant(log_num, log_den)
-    return c * np.cos(phi) * jacobi_p(int(round(n - 0.5)), params.mu_x + 0.5, params.mu_y - 0.5, x)
+    return _basis(-1, 1, n, params)(phi)
 
 
 def phi_pm(n: float, params: DunklParams, phi):
     """Even-odd angular basis function (signature (+1, -1)), half-odd n."""
-    mp = params.mu_plus
-    _require_positive(n + params.mu_x, n + params.mu_y + 1.0, n + mp + 0.5, n + 0.5)
-    phi = np.asarray(phi, dtype=float)
-    x = -np.cos(2.0 * phi)
-    log_num = math.log(2.0 * n + mp) + log_gamma(n + mp + 0.5) + log_gamma(n + 0.5)
-    log_den = math.log(2.0) + log_gamma(n + params.mu_x) + log_gamma(n + params.mu_y + 1.0)
-    c = _norm_constant(log_num, log_den)
-    return c * np.sin(phi) * jacobi_p(int(round(n - 0.5)), params.mu_x - 0.5, params.mu_y + 0.5, x)
+    return _basis(1, -1, n, params)(phi)
+
+
+def mixed_pair(epsilon: int, n: float, params: DunklParams, weight: float):
+    """(Phi_A + i w Phi_B) / sqrt(1 + w^2) as a function of phi.
+
+    (A, B) is (++, --) for epsilon = +1 and (-+, +-) for epsilon = -1.
+    At n = 0 Phi^{--} vanishes, and the mode is Phi^{++}_0 alone,
+    whatever the weight.
+    """
+    (sa, sb) = ((1, 1), (-1, -1)) if epsilon == 1 else ((-1, 1), (1, -1))
+    phi_a = _basis(*sa, n, params)
+    if n == 0:
+        return lambda phi: phi_a(phi) + 0j
+    phi_b = _basis(*sb, n, params)
+    c = 1.0 / math.sqrt(1.0 + weight * weight)
+    return lambda phi: c * (phi_a(phi) + 1j * weight * phi_b(phi))
 
 
 def lambda_eigenvalue(mode: AngularMode) -> float:
@@ -175,24 +188,13 @@ def lambda_eigenvalue(mode: AngularMode) -> float:
 def f_eigenfunction(mode: AngularMode) -> ScalarField2D:
     """The (unit-normalized, purely angular) J eigenfunction of a mode.
 
-    Each returned field remembers its last few angle arrays, so the two
-    components of a spinor, which share this field, evaluate F once per
-    distinct angle array.
+    Both basis families are built, with their constants, when the field
+    is. Each returned field remembers its last few angle arrays, so the
+    two components of a spinor, which share this field, evaluate F once
+    per distinct angle array.
     """
-    n, p, b = mode.n, mode.params, mode.branch
-    s = 1.0 / math.sqrt(2.0)
-    if mode.sector.epsilon == 1:
-        ni = int(round(n))
-        if ni == 0:
-            def angular(phi):
-                return phi_pp(0, p, phi) + 0j
-        else:
-            def angular(phi):
-                return s * (phi_pp(ni, p, phi) + 1j * b * phi_mm(ni, p, phi))
-    else:
-        def angular(phi):
-            return s * (phi_mp(n, p, phi) - 1j * b * phi_pm(n, p, phi))
-    angular = remember_last(angular)
+    eps = mode.sector.epsilon
+    angular = remember_last(mixed_pair(eps, mode.n, mode.params, eps * mode.branch))
     return ScalarField2D(lambda rho, phi: angular(phi))
 
 

@@ -16,8 +16,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .angular_sector import AngularMode, SectorLabel
 from .dunkl_calculus import Component, DunklParams
 from .solution_builder import (
@@ -34,7 +32,7 @@ from .solution_builder import (
     pair_radial_indices,
 )
 from .special_functions import MAX_DEGREE
-from .verification import run_suite
+from .verification import GridSpec, run_suite
 
 
 def _fmt(value: float, precision: int) -> str:
@@ -75,17 +73,10 @@ def _require_at_least(value: int, low: int, flag: str) -> int:
     return value
 
 
-def _common(args: argparse.Namespace) -> tuple[DunklParams, OscillatorConfig, SectorLabel]:
-    """Validate the flags every subcommand accepts; return the physical system."""
-    if not 6 <= args.precision <= 17:
-        raise ValueError("precision must be between 6 and 17 significant digits")
-    if not (math.isfinite(args.h) and args.h > 0.0):
-        raise ValueError(f"--h must be a positive finite step, got {args.h}")
-    return (
-        DunklParams(args.mu_x, args.mu_y),
-        OscillatorConfig(omega=args.omega, omega_c=args.omega_c),
-        _parse_sector(args.sector),
-    )
+def _system(args: argparse.Namespace) -> tuple[DunklParams, OscillatorConfig]:
+    """The physical system every subcommand's flags describe."""
+    params = DunklParams(args.mu_x, args.mu_y)
+    return params, OscillatorConfig(omega=args.omega, omega_c=args.omega_c)
 
 
 @dataclass(frozen=True)
@@ -102,7 +93,8 @@ class SpectrumRun:
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "SpectrumRun":
-        params, config, sector = _common(args)
+        params, config = _system(args)
+        sector = _parse_sector(args.sector)
         return cls(
             params=params,
             config=config,
@@ -128,7 +120,8 @@ class WavefunctionRun:
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "WavefunctionRun":
-        params, config, sector = _common(args)
+        params, config = _system(args)
+        sector = _parse_sector(args.sector)
         n = _parse_n_values(args.n, sector)[0]
         return cls(
             mode=AngularMode(sector, n, 1 if args.branch == "+" else -1, params),
@@ -153,9 +146,11 @@ class VerifyRun:
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "VerifyRun":
-        params, config, _ = _common(args)
-        if not (math.isfinite(args.n_max) and args.n_max >= 0.0):
-            raise ValueError(f"--n-max must be finite and >= 0, got {args.n_max}")
+        params, config = _system(args)
+        if not (math.isfinite(args.h) and args.h > 0.0):
+            raise ValueError(f"--h must be a positive finite step, got {args.h}")
+        if not 0.0 <= args.n_max <= MAX_DEGREE:  # also rejects nan
+            raise ValueError(f"--n-max must be between 0 and {MAX_DEGREE}, got {args.n_max}")
         if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0.0):
             raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
         return cls(
@@ -177,20 +172,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def system(p: argparse.ArgumentParser) -> None:
         p.add_argument("--mu-x", type=float, default=0.0)
         p.add_argument("--mu-y", type=float, default=0.0)
         p.add_argument("--omega", type=float, default=1.0)
         p.add_argument("--omega-c", type=float, default=0.0)
+
+    def sector_and_precision(p: argparse.ArgumentParser) -> None:
         p.add_argument("--sector", type=str, default="1,1", help="SX,SY with values +1/-1")
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-        p.add_argument("--precision", type=int, default=17)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--h", type=float, default=1e-4)
-        p.add_argument("--negative-energies", action="store_true")
+        p.add_argument("--precision", type=int, choices=range(6, 18), default=17,
+                       metavar="6..17", help="significant digits of printed floats")
 
     p_spec = sub.add_parser("spectrum", help="tabulate bound energies")
-    common(p_spec)
+    system(p_spec)
+    sector_and_precision(p_spec)
+    p_spec.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
+    p_spec.add_argument("--negative-energies", action="store_true")
     p_spec.add_argument(
         "--n", type=str, default="0:2",
         help="mode index or range lo:hi (snaps to the half-odd ladder in mixed-parity sectors)",
@@ -199,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--k-max", type=int, default=2)
 
     p_wf = sub.add_parser("wavefunction", help="export a state on a polar grid as CSV")
-    common(p_wf)
+    system(p_wf)
+    sector_and_precision(p_wf)
     p_wf.add_argument("--n", type=str, default="1")
     p_wf.add_argument("--branch", choices=("+", "-"), default="+")
     p_wf.add_argument("--k", type=int, default=0)
@@ -209,9 +207,11 @@ def build_parser() -> argparse.ArgumentParser:
                       help="free-particle energy (critical regime only)")
 
     p_ver = sub.add_parser("verify", help="run a verification suite, emit JSON")
-    common(p_ver)
+    system(p_ver)
     p_ver.add_argument("--suite", choices=("kg", "angular", "ortho", "dirac", "nrlimit", "all"),
                        default="all")
+    p_ver.add_argument("--tol", type=float, default=None)
+    p_ver.add_argument("--h", type=float, default=1e-4)
     p_ver.add_argument("--n-max", type=float, default=2)
     p_ver.add_argument("--k-max", type=int, default=2)
 
@@ -297,9 +297,8 @@ def cmd_wavefunction(run: WavefunctionRun) -> int:
         sol = free_particle(mode.sector, mode, run.free_energy, mode.params, config)
     else:
         sol = build_spinor(mode.sector, mode, run.k, config, 1)
-    scale = config.length_scale
-    rho = np.geomspace(0.1 * scale, 4.0 * scale, run.grid_rho)
-    phi = (np.arange(run.grid_phi) + 0.5) * 2.0 * np.pi / run.grid_phi
+    grid = GridSpec(run.grid_rho, run.grid_phi)
+    rho, phi = grid.radii(config.length_scale), grid.angles()
     p = run.precision
     # One rho row at a time keeps memory linear in the grid sides; phi is
     # the same array on every row, so F(phi) is evaluated once. The header

@@ -280,6 +280,8 @@ def build_spinor(
     which fixes the relative phase by convention (see the module
     docstring for why the coupled equations cannot fix it).
     """
+    if sector != mode.sector:
+        raise ValueError(f"sector ({sector}) disagrees with the mode {mode}")
     regime = classify_regime(config)
     k_prime = pair_radial_indices(sector, regime, k, mode.params)
     e_val = energy(Component.UPPER, sector, mode, k, config, sign)
@@ -319,8 +321,10 @@ def free_particle(
     Et = (E^2 - m^2 c^4) / (2 hbar^2 c^2) >= 0 is the reduced energy; the
     Bessel order equals the radial order A of the mode (the small-rho
     behavior rho^{A - mu_+} forces this choice). Free states carry no
-    normalization split.
+    normalization split. ``sector`` and ``params`` must be the mode's own.
     """
+    if sector != mode.sector or params != mode.params:
+        raise ValueError(f"sector ({sector}) or {params} disagrees with the mode {mode}")
     if classify_regime(config) is not Regime.CRITICAL:
         raise RegimeError("free_particle requires omega == omega_c / 2")
     mc2 = config.rest_energy
@@ -329,7 +333,7 @@ def free_particle(
     tilde_e = (e_val * e_val - mc2 * mc2) / (2.0 * config.hbar**2 * config.c**2)
     wavenumber = math.sqrt(2.0 * tilde_e)
     a_ord = radial_order(mode)
-    mu_p = params.mu_plus
+    mu_p = mode.params.mu_plus
 
     def radial(rho):
         return rho ** (-mu_p) * bessel_j(a_ord, wavenumber * rho)

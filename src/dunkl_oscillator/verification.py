@@ -32,11 +32,8 @@ from .angular_sector import (
     SectorLabel,
     f_eigenfunction,
     lambda_eigenvalue,
+    mixed_pair,
     modes_for_sector,
-    phi_mm,
-    phi_mp,
-    phi_pm,
-    phi_pp,
 )
 from .dunkl_calculus import (
     Component,
@@ -131,13 +128,13 @@ class GridSpec:
         # offset so every angle is at least pi/n_phi from a multiple of pi/2
         return (np.arange(self.n_phi) + 0.5) * 2.0 * np.pi / self.n_phi
 
-    def polar_points(self, length_scale: float) -> tuple[np.ndarray, np.ndarray]:
-        rho = np.geomspace(
-            self.rho_min_factor * length_scale,
-            self.rho_max_factor * length_scale,
-            self.n_rho,
+    def radii(self, length_scale: float) -> np.ndarray:
+        return np.geomspace(
+            self.rho_min_factor * length_scale, self.rho_max_factor * length_scale, self.n_rho
         )
-        rr, pp = np.meshgrid(rho, self.angles(), indexing="ij")
+
+    def polar_points(self, length_scale: float) -> tuple[np.ndarray, np.ndarray]:
+        rr, pp = np.meshgrid(self.radii(length_scale), self.angles(), indexing="ij")
         return rr.ravel(), pp.ravel()
 
 
@@ -219,7 +216,7 @@ def check_angular_eigen(
     """Max |J F - lambda F| over an axis-avoiding angle grid (absolute)."""
     fld = f_eigenfunction(mode)
     lam = lambda_eigenvalue(mode)
-    phi = (np.arange(n_phi) + 0.5) * 2.0 * np.pi / n_phi
+    phi = GridSpec(n_phi=n_phi).angles()
     rho = np.ones_like(phi)
     vals = fld.eval_polar(rho, phi)
     applied = angular_j(fld, (rho, phi), mode.params, h)
@@ -629,44 +626,27 @@ def coupled_reflection_eigenstate(
         raise RegimeError("bound reference states need a non-critical regime")
     w = config.m * config.omega_tilde / config.hbar
     abs_w = config.m * config.effective_frequency / config.hbar
+    upper = component is Component.UPPER
 
     if epsilon == 1:
-        ni = int(round(n))
-        lam0 = 2.0 * math.sqrt(ni * (ni + mu_p))
-        a_ord = math.sqrt(lam0 * lam0 + mu_p * mu_p)
-        if ni == 0:
-            kappa = -mu_p if component is Component.UPPER else mu_p
-
-            def ang(phi):
-                return phi_pp(0, params, phi) + 0j
-
-        else:
-            kappa = kappa_sign * a_ord
-            if component is Component.UPPER:
-                weight = (mu_p + kappa) / lam0
-            else:
-                weight = (kappa - mu_p) / lam0
-            c1 = 1.0 / math.sqrt(1.0 + weight * weight)
-
-            def ang(phi):
-                return c1 * (phi_pp(ni, params, phi) + 1j * weight * phi_mm(ni, params, phi))
-
+        lam0 = 2.0 * math.sqrt(n * (n + mu_p))
+        mu_e = mu_p
     else:
         lam0 = 2.0 * math.sqrt((n + params.mu_x) * (n + params.mu_y))
-        mu_m = params.mu_minus
-        a_ord = math.sqrt(lam0 * lam0 + mu_m * mu_m)
+        mu_e = params.mu_minus
+    a_ord = math.sqrt(lam0 * lam0 + mu_e * mu_e)
+    if n == 0:
+        # a single mode (epsilon = +1 only); the component fixes kappa
+        kappa, weight = (-mu_p if upper else mu_p), 0.0
+    else:
         kappa = kappa_sign * a_ord
-        if component is Component.UPPER:
-            weight = -(kappa - mu_m) / lam0
-        else:
-            weight = -(kappa + mu_m) / lam0
-        c1 = 1.0 / math.sqrt(1.0 + weight * weight)
-
-        def ang(phi):
-            return c1 * (phi_mp(n, params, phi) + 1j * weight * phi_pm(n, params, phi))
+        # eigenvector Phi_A + i weight Phi_B of the 2x2 coupling
+        toward = mu_e if upper else -mu_e
+        weight = (kappa + toward) / lam0 if epsilon == 1 else -(kappa - toward) / lam0
+    ang = mixed_pair(epsilon, n, params, weight)
 
     radial = RadialProfile(order=a_ord, exponent=a_ord - mu_p, scale=abs_w, index=k)
-    shift = -1.0 if component is Component.UPPER else 1.0
+    shift = -1.0 if upper else 1.0
     tilde_e = abs_w * (2.0 * k + 1.0 + a_ord) + w * (kappa + shift)
 
     return ScalarField2D(lambda rho, phi: radial(rho) * ang(phi)), tilde_e

@@ -260,6 +260,14 @@ class TestArgparse:
          "--grid-rho", "2", "--grid-phi", "2"],
         ["verify", "--suite", "kg", "--tol", "nan"],
         ["verify", "--suite", "kg", "--tol=-1"],
+        ["verify", "--suite", "kg", "--n-max", "201"],
+        ["verify", "--suite", "kg", "--n-max", "1e9"],
+        ["verify", "--suite", "kg", "--n-max", "nan"],
+        ["wavefunction", "--k", "1", "--format", "json"],
+        ["verify", "--format", "csv"],
+        ["spectrum", "--tol", "-5"],
+        ["spectrum", "--precision", "5"],
+        ["wavefunction", "--k", "1", "--precision", "18"],
     ],
 )
 def test_invalid_input_exits_2(argv, capsys):

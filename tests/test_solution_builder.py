@@ -300,6 +300,17 @@ class TestFreeParticle:
         slope = math.log(vals[1] / vals[0]) / math.log(2.0)
         assert slope == pytest.approx(a_ord, abs=1e-3)
 
+    def test_sector_and_params_must_match_the_mode(self):
+        mode = AngularMode(SectorLabel(1, 1), 1, 1, P11)
+        with pytest.raises(ValueError):
+            free_particle(SectorLabel(-1, -1), mode, 2.0, P00, CFG_CRIT)
+        with pytest.raises(ValueError):
+            free_particle(SectorLabel(1, 1), mode, 2.0, P00, CFG_CRIT)
+        with pytest.raises(ValueError):
+            free_particle(SectorLabel(-1, -1), mode, 2.0, P11, CFG_CRIT)
+        with pytest.raises(ValueError):
+            build_spinor(SectorLabel(-1, -1), mode, 3, CFG_POS, 1)
+
     def test_classical_order_two(self):
         mode = AngularMode(SectorLabel(1, 1), 1, 1, P00)
         assert radial_order(mode) == pytest.approx(2.0, rel=1e-15)
@@ -317,7 +328,7 @@ class TestFactorReuse:
 
     def test_components_share_angular_evaluations(self, monkeypatch):
         sol = self._state()
-        calls = {"phi_pp": 0, "laguerre_l": 0}
+        calls = {"jacobi_p": 0, "laguerre_l": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -325,7 +336,8 @@ class TestFactorReuse:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(angular_sector, "phi_pp", counted("phi_pp", phi_pp))
+        monkeypatch.setattr(angular_sector, "jacobi_p",
+                            counted("jacobi_p", angular_sector.jacobi_p))
         monkeypatch.setattr(solution_builder, "laguerre_l",
                             counted("laguerre_l", solution_builder.laguerre_l))
         rho, phi = GridSpec().polar_points(1.0)
@@ -334,8 +346,28 @@ class TestFactorReuse:
             for a in angles:
                 fld.eval_polar(rho, a)
                 fld.eval_polar(rho.copy(), a.copy())
-        assert calls["phi_pp"] == len(angles)
+        assert calls["jacobi_p"] == 2 * len(angles)  # Phi^{++} and Phi^{--}
         assert calls["laguerre_l"] == 2  # one radius array per component
+
+    @pytest.mark.parametrize("mode", [AngularMode(SectorLabel(1, 1), 0, 1, P11),
+                                      AngularMode(SectorLabel(-1, -1), 2, -1, P11),
+                                      AngularMode(SectorLabel(1, -1), 1.5, 1, P11)])
+    def test_angular_constants_are_computed_once_per_mode(self, monkeypatch, mode):
+        calls = []
+        log_gamma = angular_sector.log_gamma
+
+        def counted(x):
+            calls.append(x)
+            return log_gamma(x)
+
+        monkeypatch.setattr(angular_sector, "log_gamma", counted)
+        fld = f_eigenfunction(mode)
+        assert calls
+        calls.clear()
+        phi = GridSpec().angles()
+        for a in (phi, np.pi - phi, -phi, phi + 0.1, 0.3):
+            fld.eval_polar(1.0, a)
+        assert calls == []
 
     def test_values_match_a_fresh_evaluation_bit_for_bit(self):
         sol = self._state()
