@@ -22,7 +22,6 @@ from .dunkl_calculus import (
     b_phi_apply,
     dirac_apply,
     dunkl_derivative,
-    dunkl_laplacian,
     kg_apply,
     polar_quadrature,
     radial_quadrature,

@@ -151,6 +151,8 @@ class VerifyRun:
             raise ValueError(f"--h must be a positive finite step, got {args.h}")
         if not 0.0 <= args.n_max <= MAX_DEGREE:  # also rejects nan
             raise ValueError(f"--n-max must be between 0 and {MAX_DEGREE}, got {args.n_max}")
+        if not 0 <= args.k_max <= MAX_DEGREE:
+            raise ValueError(f"--k-max must be between 0 and {MAX_DEGREE}, got {args.k_max}")
         if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0.0):
             raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
         return cls(
@@ -160,7 +162,7 @@ class VerifyRun:
             tol=args.tol,
             h=args.h,
             n_max=args.n_max,
-            k_max=_require_at_least(args.k_max, 0, "--k-max"),
+            k_max=args.k_max,
         )
 
 
@@ -219,8 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _spectrum_rows(run: SpectrumRun):
+    """Yield the table's rows one at a time, in output order."""
     regime = classify_regime(run.config)
-    rows = []
     for n in run.n_values:
         for branch in run.branches:
             if n == 0 and (branch == -1 or run.sector != SectorLabel(1, 1)):
@@ -246,8 +248,7 @@ def _spectrum_rows(run: SpectrumRun):
                 }
                 if run.negative_energies:
                     row["E_minus"] = None if e_up is None else -e_up
-                rows.append(row)
-    return rows
+                yield row
 
 
 def cmd_spectrum(run: SpectrumRun) -> int:
@@ -256,25 +257,25 @@ def cmd_spectrum(run: SpectrumRun) -> int:
         out.write("regime=critical: no discrete spectrum; use "
                   "'wavefunction --energy E' for free-particle states\n")
         return 0
-    rows = _spectrum_rows(run)
+    # Rows go out as they are produced, so memory stays flat in --k-max. The CSV
+    # header or JSON "[" goes with the first row: an error before it prints nothing.
+    if run.fmt == "json":
+        sep = "["
+        for row in _spectrum_rows(run):
+            for key in ("E_plus", "E_minus"):
+                if key in row:
+                    v = row[key]
+                    row[key] = "unphysical" if v is None else float(_fmt(v, run.precision))
+            out.write(sep + json.dumps(row, sort_keys=True))
+            sep = ", "
+        out.write("[]\n" if sep == "[" else "]\n")
+        return 0
     cols = ["sector", "n", "branch", "k", "k_prime", "E_plus"]
     if run.negative_energies:
         cols.append("E_minus")
     cols.append("regime")
-    if run.fmt == "json":
-        payload = []
-        for row in rows:
-            item = dict(row)
-            for key in ("E_plus", "E_minus"):
-                if key in item and item[key] is not None:
-                    item[key] = float(_fmt(item[key], run.precision))
-                elif key in item:
-                    item[key] = "unphysical"
-            payload.append(item)
-        out.write(json.dumps(payload, sort_keys=True) + "\n")
-        return 0
-    out.write(",".join(cols) + "\n")
-    for row in rows:
+    header = ",".join(cols) + "\n"
+    for row in _spectrum_rows(run):
         cells = []
         for col in cols:
             v = row[col]
@@ -284,7 +285,9 @@ def cmd_spectrum(run: SpectrumRun) -> int:
                 cells.append(_fmt(v, run.precision))
             else:
                 cells.append(str(v))
-        out.write(",".join(cells) + "\n")
+        out.write(header + ",".join(cells) + "\n")
+        header = ""
+    out.write(header)  # a table with no rows is its header alone
     return 0
 
 

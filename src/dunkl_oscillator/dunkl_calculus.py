@@ -12,7 +12,9 @@ Conventions
 -----------
 * ``D_x = d/dx + (mu_x / x) (1 - R_x)`` with ``R_x f(x, y) = f(-x, y)``,
   and symmetrically for ``D_y``.
-* The deformed Laplacian is ``D_x^2 + D_y^2``; expanding gives
+* The deformed Laplacian is ``D_x^2 + D_y^2``. ``kg_apply`` applies it
+  in polar form, with ``b_phi_apply`` as its angular part; in Cartesian
+  form it reads
   ``d2/dx2 + d2/dy2 + (2 mu_x / x) d/dx + (2 mu_y / y) d/dy
   - (mu_x / x^2)(1 - R_x) - (mu_y / y^2)(1 - R_y)``.
   (Note the minus sign on the reflection-difference terms; it follows
@@ -224,42 +226,6 @@ def dunkl_derivative(
         coord = y
     _check_symmetric_near_axis(coord, diff, np.abs(f0), h, "dunkl_derivative")
     return central + _reflection_quotient(coord, diff, central, mu)
-
-
-def dunkl_laplacian(
-    field: ScalarField2D,
-    point,
-    params: DunklParams,
-    h: float = DEFAULT_STEP,
-):
-    """Apply the deformed Laplacian D_x^2 + D_y^2 at ``point``."""
-    x, y = np.asarray(point[0], dtype=float), np.asarray(point[1], dtype=float)
-    f0 = field(x, y)
-    fxp, fxm = field(x + h, y), field(x - h, y)
-    fyp, fym = field(x, y + h), field(x, y - h)
-    out = (fxp - 2.0 * f0 + fxm) / (h * h) + (fyp - 2.0 * f0 + fym) / (h * h)
-
-    if params.mu_x != 0.0:
-        diff = f0 - field(-x, y)
-        _check_symmetric_near_axis(x, diff, np.abs(f0), h, "dunkl_laplacian")
-        d1 = (fxp - fxm) / (2.0 * h)
-        zero = np.asarray(x, dtype=float) == 0.0
-        safe = np.where(zero, 1.0, x)
-        d2 = (fxp - 2.0 * f0 + fxm) / (h * h)
-        # combined first-order + reflection terms; at x == 0 their joint
-        # limit for a locally even field is 2*mu*f''.
-        term = 2.0 * params.mu_x * d1 / safe - params.mu_x * diff / (safe * safe)
-        out = out + np.where(zero, 2.0 * params.mu_x * d2, term)
-    if params.mu_y != 0.0:
-        diff = f0 - field(x, -y)
-        _check_symmetric_near_axis(y, diff, np.abs(f0), h, "dunkl_laplacian")
-        d1 = (fyp - fym) / (2.0 * h)
-        zero = np.asarray(y, dtype=float) == 0.0
-        safe = np.where(zero, 1.0, y)
-        d2 = (fyp - 2.0 * f0 + fym) / (h * h)
-        term = 2.0 * params.mu_y * d1 / safe - params.mu_y * diff / (safe * safe)
-        out = out + np.where(zero, 2.0 * params.mu_y * d2, term)
-    return out
 
 
 def _angular_reflections(field: ScalarField2D, rho, phi):

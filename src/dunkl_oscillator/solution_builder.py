@@ -177,6 +177,8 @@ def energy(
         raise ValueError("sign must be +1 or -1")
     if k < 0:
         raise ValueError("k must be non-negative")
+    if sector != mode.sector:
+        raise ValueError(f"sector ({sector}) disagrees with the mode {mode}")
     regime = classify_regime(config)
     if regime is Regime.CRITICAL:
         raise RegimeError("no discrete spectrum at the critical frequency")

@@ -3,11 +3,12 @@
 Each check applies an operator from :mod:`dunkl_calculus` directly to an
 evaluable state and measures the residual on a grid that dodges the
 reflection-singular loci. Checks never reuse the closed-form algebra they
-test: eigenvalues are cross-checked against a dense diagonalization of
-the angular operator in a plain trigonometric basis, the undeformed limit
-against an independently coded textbook spectrum, and the deformed
-operators against reference eigenstates constructed here by explicitly
-diagonalizing the 2x2 reflection coupling on each branch pair.
+test: eigenvalues are cross-checked against the exact tridiagonal
+matrix of the angular operator on one shell of the Cartesian ladder,
+the undeformed limit against an independently coded textbook spectrum,
+and the deformed operators against reference eigenstates constructed
+here by explicitly diagonalizing the 2x2 reflection coupling on each
+branch pair.
 
 A finding the suite makes visible (see README): for nonzero deformation
 the builder's closed-form bound states with n >= 1 are exact solutions
@@ -322,55 +323,33 @@ def matrix_oracle_lambda(
     sector: SectorLabel,
     params: DunklParams,
     basis_size: int = 48,
-    rule: QuadratureRule | None = None,
 ) -> np.ndarray:
-    """Eigenvalues of J from a dense trigonometric-basis discretization.
+    """Eigenvalues of J on one shell of the Cartesian parabose ladder.
 
-    The basis is {1, cos(j phi), sin(j phi)} restricted to the parity
-    class epsilon = s_x s_y (even j for epsilon = +1, odd j for -1); J is
-    applied to the basis functions analytically, matrix elements come
-    from the weighted quadrature, and a generalized symmetric eigensolver
-    handles the non-orthogonality of the basis under the weight. Entirely
-    independent of the Jacobi construction being checked.
+    On the ladder A^+ |n> = sqrt([n+1]_mu) |n+1>, [n]_mu = n + mu (1 - (-1)^n),
+    of A^{+-} = (x -+ D_x) / sqrt(2), J = i (A_x^+ A_y^- - A_x^- A_y^+) keeps
+    each shell N = n_x + n_y and is tridiagonal on it, with off-diagonals
+    +/- i sqrt([n_x+1]_{mu_x} [N-n_x]_{mu_y}), n_x = 0..N-1. The phase
+    change |n_x> -> i^{n_x} |n_x> removes the +/- i, so the real symmetric
+    matrix built here has the spectrum of J. The shell is the largest N
+    with (-1)^N = epsilon and N + 1 <= basis_size; its eigenvalues are
+    +/- lambda of every mode with n <= N/2. No Jacobi polynomial,
+    quadrature or finite difference enters, so the oracle is independent
+    of the construction it checks (Genest, Ismail, Vinet and Zhedanov,
+    "The Dunkl oscillator in the plane I", J. Phys. A, 2013).
     """
-    from scipy.linalg import eigh  # imported here: only this oracle needs scipy.linalg
-
     if basis_size < 1 or basis_size > 64:
         raise ValueError("basis_size must be in [1, 64]")
-    if rule is None:
-        rule = angular_quadrature()
-    phi = rule.nodes
-    wgt = (
-        rule.weights
-        * np.abs(np.cos(phi)) ** (2.0 * params.mu_x)
-        * np.abs(np.sin(phi)) ** (2.0 * params.mu_y)
-    )
-
-    mx, my = params.mu_x, params.mu_y
-    tan, cot = np.tan(phi), 1.0 / np.tan(phi)
-    basis_vals = []
-    j_vals = []
-    j_idx = 0 if sector.epsilon == 1 else 1
-    while len(basis_vals) < basis_size:
-        j = j_idx
-        cj, sj = np.cos(j * phi), np.sin(j * phi)
-        rx_cos = 1.0 - (-1.0) ** j  # (1 - R_x) coefficient on cos
-        rx_sin = 1.0 + (-1.0) ** j
-        basis_vals.append(cj)
-        j_vals.append(1j * (-j * sj - mx * tan * rx_cos * cj))
-        if len(basis_vals) < basis_size and j > 0:
-            basis_vals.append(sj)
-            j_vals.append(1j * (j * cj + 2.0 * my * cot * sj - mx * tan * rx_sin * sj))
-        j_idx += 2
-    b_mat = np.stack(basis_vals, axis=1)
-    jb_mat = np.stack(j_vals, axis=1)
-
-    overlap = b_mat.T @ (wgt[:, None] * b_mat)
-    j_op = b_mat.conj().T @ (wgt[:, None] * jb_mat)
-    j_op = 0.5 * (j_op + j_op.conj().T)
-    overlap = 0.5 * (overlap + overlap.T)
-    vals = eigh(j_op, overlap, eigvals_only=True)
-    return np.sort(vals)
+    shell = basis_size - 1
+    if (-1) ** shell != sector.epsilon:
+        shell -= 1
+    if shell < 0:
+        raise ValueError("basis_size 1 holds no odd shell (epsilon = -1)")
+    # [n_x+1]_{mu_x} [N-n_x]_{mu_y}, where [n]_mu is n for even n, n + 2 mu for odd n
+    up = np.arange(1, shell + 1)
+    down = shell + 1 - up
+    off = np.sqrt((up + 2.0 * params.mu_x * (up % 2)) * (down + 2.0 * params.mu_y * (down % 2)))
+    return np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
 
 
 def nonrelativistic_target(

@@ -61,6 +61,41 @@ class TestSpectrum:
         assert any(row["k_prime"] == "invalid" for row in payload)
         assert any(row["k_prime"] == "0" and row["k"] == 3 for row in payload)
 
+    def test_rows_are_written_as_they_are_produced(self, monkeypatch):
+        # Memory must stay flat in --k-max: the first data row goes out
+        # before the last energy of the table is computed.
+        from dunkl_oscillator import cli
+
+        calls, writes = [], []
+        energy = cli.energy
+
+        def counting(*args):
+            calls.append(args)
+            return energy(*args)
+
+        class Sink(io.StringIO):
+            def write(self, text):
+                writes.append(len(calls))
+                return super().write(text)
+
+        monkeypatch.setattr(cli, "energy", counting)
+        for fmt in ("csv", "json"):
+            calls.clear()
+            writes.clear()
+            sink = Sink()
+            with contextlib.redirect_stdout(sink):
+                assert main(["spectrum", "--n", "0:2", "--k-max", "3", "--format", fmt]) == 0
+            assert len(calls) == 5 * 4
+            assert writes[0] < len(calls)
+        # the streamed JSON is the one json.dumps gives for the whole list
+        text = sink.getvalue()
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+
+    def test_empty_table(self):
+        argv = ["spectrum", "--sector=-1,-1", "--n", "0", "--k-max", "0"]
+        assert _run(argv) == (0, "sector,n,branch,k,k_prime,E_plus,regime\n")
+        assert _run(argv + ["--format", "json"]) == (0, "[]\n")
+
     def test_determinism(self):
         for argv in (
             ["spectrum", "--mu-x", "1", "--mu-y", "1", "--n", "0:2", "--k-max", "2"],
@@ -207,12 +242,15 @@ class TestNLadder:
 
 
 def test_spectrum_does_not_import_scipy():
-    # scipy is imported lazily by the Bessel evaluator and the matrix oracle
+    # scipy is imported lazily, and only by the Bessel evaluator: neither
+    # the spectrum table nor the matrix oracle needs it
     code = (
         "import contextlib, io, sys\n"
+        "from dunkl_oscillator import DunklParams, SectorLabel, matrix_oracle_lambda\n"
         "from dunkl_oscillator.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert main(['spectrum']) == 0\n"
+        "assert len(matrix_oracle_lambda(SectorLabel(1, 1), DunklParams(1, 1))) == 47\n"
         "print('scipy' in sys.modules)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -268,6 +306,7 @@ class TestArgparse:
         ["spectrum", "--tol", "-5"],
         ["spectrum", "--precision", "5"],
         ["wavefunction", "--k", "1", "--precision", "18"],
+        ["verify", "--suite", "kg", "--n-max", "0", "--k-max", "201"],
     ],
 )
 def test_invalid_input_exits_2(argv, capsys):

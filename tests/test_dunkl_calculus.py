@@ -24,7 +24,6 @@ from dunkl_oscillator.dunkl_calculus import (
     b_phi_apply,
     dirac_apply,
     dunkl_derivative,
-    dunkl_laplacian,
     kg_apply,
     polar_quadrature,
     radial_quadrature,
@@ -123,46 +122,6 @@ class TestDunklDerivative:
         ys = np.zeros(3)
         vals = dunkl_derivative(F_X3, Axis.X, (xs, ys), DunklParams(1.0, 0.0))
         assert np.allclose(vals, 5.0 * xs * xs, rtol=1e-6)
-
-
-class TestDunklLaplacian:
-    def test_classical_limit_matches_stencil(self):
-        # with both parameters zero the operator degenerates to the plain
-        # five-point stencil (up to summation order in the rounding)
-        h = 1e-4
-        pt = (0.73, -0.41)
-        f = GAUSS
-        stencil = (
-            f(pt[0] + h, pt[1]) + f(pt[0] - h, pt[1])
-            + f(pt[0], pt[1] + h) + f(pt[0], pt[1] - h)
-            - 4.0 * f(*pt)
-        ) / (h * h)
-        val = dunkl_laplacian(f, pt, DunklParams(0.0, 0.0), h)
-        assert val == pytest.approx(stencil, abs=1e-7)
-
-    def test_classical_value(self):
-        val = dunkl_laplacian(F_R2, (0.3, 0.9), DunklParams(0.0, 0.0))
-        assert val == pytest.approx(4.0, abs=1e-6)
-
-    def test_deformed_value_term_by_term(self):
-        # x^2 + y^2 at (1,1): 4 (classical) + 2*mu_x*2 + 2*mu_y*2, the
-        # reflection differences vanish on an even field
-        val = dunkl_laplacian(F_R2, (1.0, 1.0), DunklParams(1.0, 2.0))
-        assert val == pytest.approx(16.0, abs=1e-6)
-
-    def test_annihilates_constants(self):
-        const = ScalarField2D.from_xy(lambda x, y: 3.0 + 0j)
-        assert dunkl_laplacian(const, (0.7, 0.3), DunklParams(1.0, 1.0)) == 0.0
-
-    def test_second_order_convergence(self):
-        # D_x^2 x^3 y^2 + D_y^2 x^3 y^2 analytically
-        mu = DunklParams(0.75, 0.5)
-        fld = ScalarField2D.from_xy(lambda x, y: x**3 * y * y + 0j)
-        x, y = 1.1, 0.8
-        exact = (6 + 4 * mu.mu_x) * x * y * y + x**3 * (2 + 4 * mu.mu_y)
-        r1 = abs(dunkl_laplacian(fld, (x, y), mu, h=1e-2) - exact)
-        r2 = abs(dunkl_laplacian(fld, (x, y), mu, h=5e-3) - exact)
-        assert 3.5 <= r1 / r2 <= 4.5
 
 
 class TestAngularOperator:

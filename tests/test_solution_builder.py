@@ -162,6 +162,14 @@ class TestEnergy:
         with pytest.raises(RegimeError):
             energy(Component.UPPER, SectorLabel(1, 1), mode, 0, CFG_CRIT, 1)
 
+    def test_sector_must_match_the_mode(self):
+        # sigma is read from the sector and lambda from the mode, so a
+        # mismatch would mix two sectors' spectra into one finite number
+        mode = AngularMode(SectorLabel(1, 1), 1, 1, P11)
+        for component in (Component.UPPER, Component.LOWER):
+            with pytest.raises(ValueError, match="disagrees"):
+                energy(component, SectorLabel(-1, -1), mode, 1, CFG_POS, 1)
+
 
 class TestClassicalReduction:
     def test_spectra_match_independent_formula(self):

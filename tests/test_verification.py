@@ -179,7 +179,7 @@ class TestMatrixOracle:
         assert len(vals) == 1 and abs(vals[0]) <= 1e-12
 
     def test_every_analytic_eigenvalue_found(self):
-        grid = (0.0, 0.5, 1.0, 2.0)
+        grid = (0.0, 0.1, 0.3, 0.5, 1.0, 1.5, 2.0)
         for mx in grid:
             for my in grid:
                 params = DunklParams(mx, my)
@@ -188,6 +188,22 @@ class TestMatrixOracle:
                     for mode in modes_for_sector(sector, params, 4):
                         lam = lambda_eigenvalue(mode)
                         assert np.min(np.abs(vals - lam)) <= 1e-8, (params, mode)
+
+    def test_every_eigenvalue_is_analytic(self):
+        # basis 48 holds the shells N = 46 (epsilon = +1) and N = 47
+        # (epsilon = -1), whose eigenvalues are +/- lambda for n <= N/2
+        params = DunklParams(0.3, 0.7)
+        for sector, shell in ((SectorLabel(1, 1), 46), (SectorLabel(1, -1), 47)):
+            vals = matrix_oracle_lambda(sector, params, 48)
+            lams = np.array([lambda_eigenvalue(m)
+                             for m in modes_for_sector(sector, params, shell / 2)])
+            assert len(vals) == len(lams) == shell + 1
+            for v in vals:
+                assert np.min(np.abs(lams - v)) <= 1e-12, (sector, v)
+
+    def test_no_odd_shell_at_basis_one(self):
+        with pytest.raises(ValueError):
+            matrix_oracle_lambda(SectorLabel(1, -1), P11, 1)
 
 
 class TestNonrelativisticLimit:
