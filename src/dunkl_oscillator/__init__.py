@@ -24,8 +24,6 @@ from .dunkl_calculus import (
     dunkl_derivative,
     kg_apply,
     polar_quadrature,
-    radial_quadrature,
-    reflect,
     weighted_inner_product,
 )
 from .solution_builder import (

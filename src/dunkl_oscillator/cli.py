@@ -4,8 +4,8 @@ Output is deterministic: floats are printed with a fixed number of
 significant digits (17 by default, enough to round-trip), rows come in a
 fixed order, and files use UTF-8 with LF line endings and '.' decimals.
 
-Exit codes: 0 success, 1 at least one verification check failed,
-2 configuration error.
+Exit codes: 0 success, 1 at least one verification check failed or
+stdout was closed early, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -13,11 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
 from .angular_sector import AngularMode, SectorLabel
-from .dunkl_calculus import Component, DunklParams
+from .dunkl_calculus import DEFAULT_STEP, Component, DunklParams
 from .solution_builder import (
     IntegralityError,
     InvalidPairError,
@@ -202,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     sector_and_precision(p_wf)
     p_wf.add_argument("--n", type=str, default="1")
     p_wf.add_argument("--branch", choices=("+", "-"), default="+")
-    p_wf.add_argument("--k", type=int, default=0)
+    p_wf.add_argument("--k", type=int, default=1)
     p_wf.add_argument("--grid-rho", type=int, default=12)
     p_wf.add_argument("--grid-phi", type=int, default=16)
     p_wf.add_argument("--energy", type=float, default=None,
@@ -213,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--suite", choices=("kg", "angular", "ortho", "dirac", "nrlimit", "all"),
                        default="all")
     p_ver.add_argument("--tol", type=float, default=None)
-    p_ver.add_argument("--h", type=float, default=1e-4)
+    p_ver.add_argument("--h", type=float, default=DEFAULT_STEP)
     p_ver.add_argument("--n-max", type=float, default=2)
     p_ver.add_argument("--k-max", type=int, default=2)
 
@@ -341,10 +342,17 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         if args.command == "spectrum":
-            return cmd_spectrum(SpectrumRun.from_args(args))
-        if args.command == "wavefunction":
-            return cmd_wavefunction(WavefunctionRun.from_args(args))
-        return cmd_verify(VerifyRun.from_args(args))
+            code = cmd_spectrum(SpectrumRun.from_args(args))
+        elif args.command == "wavefunction":
+            code = cmd_wavefunction(WavefunctionRun.from_args(args))
+        else:
+            code = cmd_verify(VerifyRun.from_args(args))
+        sys.stdout.flush()  # a reader that went away shows up here, not at exit
+        return code
+    except BrokenPipeError:
+        # Point fd 1 at devnull so the interpreter's final flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, IntegralityError, InvalidPairError, NegativeRadicandError,
             RegimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -114,10 +114,6 @@ class ScalarField2D:
     def eval_polar(self, rho, phi):
         return self.fn(rho, phi)
 
-    def scaled(self, c: complex) -> "ScalarField2D":
-        fn = self.fn
-        return ScalarField2D(lambda rho, phi: c * fn(rho, phi))
-
     @staticmethod
     def from_xy(g: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> "ScalarField2D":
         """Build a field from a rule in Cartesian coordinates (x, y)."""
@@ -159,15 +155,6 @@ def remember_last(fn: Callable[[np.ndarray], np.ndarray]):
         return out
 
     return remembered
-
-
-def reflect(field: ScalarField2D, axis: Axis) -> ScalarField2D:
-    """Compose a field with the sign flip of one coordinate, without
-    discretization: R_x is phi -> pi - phi and R_y is phi -> -phi."""
-    fn = field.fn
-    if axis is Axis.X:
-        return ScalarField2D(lambda rho, phi: fn(rho, np.pi - phi))
-    return ScalarField2D(lambda rho, phi: fn(rho, -phi))
 
 
 def _check_symmetric_near_axis(coord, diff, scale, h: float, what: str) -> None:
@@ -390,17 +377,15 @@ def dirac_apply(
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights integrating the *plain* measure of a domain.
+    """Polar nodes ``(rho, phi)`` and weights that integrate drho dphi.
 
-    kind "angular": nodes are angles on [0, 2pi), weights integrate dphi.
-    kind "radial":  nodes are radii on [0, R], weights integrate drho.
-    kind "polar":   nodes are (rho, phi) pairs, weights integrate drho dphi
-                    (the Jacobian rho is part of the deformation weight
-                    applied by ``weighted_inner_product``).
+    The Jacobian rho is part of the deformation weight applied by
+    ``weighted_inner_product``. An angular rule puts every node on the
+    unit circle (rho = 1), where its weights integrate dphi.
     """
 
-    kind: str
-    nodes: np.ndarray
+    rho: np.ndarray
+    phi: np.ndarray
     weights: np.ndarray
 
 
@@ -420,22 +405,8 @@ def angular_quadrature(n_per_panel: int = 48) -> QuadratureRule:
         x, w = _gauss_on(k * np.pi / 2.0, (k + 1) * np.pi / 2.0, n_per_panel)
         nodes.append(x)
         weights.append(w)
-    return QuadratureRule("angular", np.concatenate(nodes), np.concatenate(weights))
-
-
-def gaussian_cutoff_radius(scale: float, power: float = 30.0) -> float:
-    """Radius beyond which rho^power * exp(-scale*rho^2) < 1e-18."""
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
-    r = np.sqrt(46.0 / scale)
-    for _ in range(4):
-        r = np.sqrt((46.0 + max(power, 0.0) * np.log(max(r, 1.0))) / scale)
-    return float(r)
-
-
-def radial_quadrature(r_max: float, n: int = 200, r_min: float = 0.0) -> QuadratureRule:
-    x, w = _gauss_on(r_min, r_max, n)
-    return QuadratureRule("radial", x, w)
+    phi = np.concatenate(nodes)
+    return QuadratureRule(np.ones_like(phi), phi, np.concatenate(weights))
 
 
 def polar_quadrature(
@@ -444,12 +415,11 @@ def polar_quadrature(
     n_per_panel: int = 48,
     r_min: float = 0.0,
 ) -> QuadratureRule:
-    rad = radial_quadrature(r_max, n_radial, r_min)
+    """Gauss-Legendre radii on [r_min, r_max] times the angular rule."""
+    r, wr = _gauss_on(r_min, r_max, n_radial)
     ang = angular_quadrature(n_per_panel)
-    rr, pp = np.meshgrid(rad.nodes, ang.nodes, indexing="ij")
-    ww = np.outer(rad.weights, ang.weights)
-    nodes = np.stack([rr.ravel(), pp.ravel()], axis=1)
-    return QuadratureRule("polar", nodes, ww.ravel())
+    rr, pp = np.meshgrid(r, ang.phi, indexing="ij")
+    return QuadratureRule(rr.ravel(), pp.ravel(), np.outer(wr, ang.weights).ravel())
 
 
 def weighted_inner_product(
@@ -460,16 +430,10 @@ def weighted_inner_product(
 ) -> complex:
     """<f, g> against the weight |x|^{2mu_x} |y|^{2mu_y}.
 
-    With an "angular" rule the integral runs over the unit circle (used
-    for purely angular fields; rho = 1 there); a "polar" rule covers the
-    plane, where the measure picks up rho^{2(mu_x+mu_y)+1}.
+    The measure picks up rho^{2(mu_x+mu_y)+1}, which is exactly 1 on an
+    angular rule, so there the integral runs over the unit circle.
     """
-    if rule.kind == "angular":
-        rho, phi = np.ones_like(rule.nodes), rule.nodes
-    elif rule.kind == "polar":
-        rho, phi = rule.nodes[:, 0], rule.nodes[:, 1]
-    else:
-        raise ValueError(f"weighted_inner_product needs an angular or polar rule, got {rule.kind!r}")
+    rho, phi = rule.rho, rule.phi
     wgt = (
         np.abs(np.cos(phi)) ** (2.0 * params.mu_x)
         * np.abs(np.sin(phi)) ** (2.0 * params.mu_y)

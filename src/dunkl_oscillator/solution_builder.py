@@ -107,11 +107,12 @@ class OscillatorConfig:
         return self.m * self.c * self.c
 
 
-def classify_regime(config: OscillatorConfig, rel_tol: float = 1e-14) -> Regime:
-    """Sign of the effective frequency, with an exact-zero tolerance."""
+def classify_regime(config: OscillatorConfig) -> Regime:
+    """Sign of the effective frequency; |w~| within 1e-14 of the larger
+    frequency counts as the critical point."""
     scale = max(config.omega, 0.5 * config.omega_c, 1e-300)
     wt = config.omega_tilde
-    if abs(wt) <= rel_tol * scale:
+    if abs(wt) <= 1e-14 * scale:
         return Regime.CRITICAL
     return Regime.POSITIVE if wt > 0 else Regime.NEGATIVE
 

@@ -34,15 +34,8 @@ def _as_array(x) -> tuple[np.ndarray, bool]:
 
 
 def jacobi_p(n: int, alpha: float, beta: float, x):
-    """Jacobi polynomial P_n^{(alpha,beta)}(x) for x in [-1, 1].
-
-    Degree -1 is accepted as a sentinel and evaluates to 0, so that
-    expressions like sin(phi)cos(phi) * P_{n-1} vanish cleanly at n = 0.
-    """
-    if n == -1:
-        arr, scalar = _as_array(x)
-        return 0.0 if scalar else np.zeros_like(arr)
-    if n < -1 or n > MAX_DEGREE:
+    """Jacobi polynomial P_n^{(alpha,beta)}(x) for x in [-1, 1], 0 <= n <= 200."""
+    if n < 0 or n > MAX_DEGREE:
         raise DomainError(f"jacobi_p degree out of range: {n}")
     if alpha <= -1.0 or beta <= -1.0:
         raise DomainError(f"jacobi_p requires alpha, beta > -1, got ({alpha}, {beta})")
@@ -69,11 +62,8 @@ def jacobi_p(n: int, alpha: float, beta: float, x):
 
 
 def laguerre_l(k: int, alpha: float, x):
-    """Generalized Laguerre polynomial L_k^{alpha}(x) for x >= 0."""
-    if k == -1:
-        arr, scalar = _as_array(x)
-        return 0.0 if scalar else np.zeros_like(arr)
-    if k < -1 or k > MAX_DEGREE:
+    """Generalized Laguerre polynomial L_k^{alpha}(x) for x >= 0, 0 <= k <= 200."""
+    if k < 0 or k > MAX_DEGREE:
         raise DomainError(f"laguerre_l degree out of range: {k}")
     if alpha <= -1.0:
         raise DomainError(f"laguerre_l requires alpha > -1, got {alpha}")

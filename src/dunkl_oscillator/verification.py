@@ -37,9 +37,9 @@ from .angular_sector import (
     modes_for_sector,
 )
 from .dunkl_calculus import (
+    DEFAULT_STEP,
     Component,
     DunklParams,
-    QuadratureRule,
     ScalarField2D,
     angular_j,
     angular_quadrature,
@@ -74,6 +74,9 @@ DEFAULT_TOLS = {
 
 SUITE_NAMES = ("kg", "angular", "ortho", "dirac", "nrlimit")
 
+# Highest mode index n of the angular and ortho suites.
+ANGULAR_N_MAX = 4
+
 
 @dataclass(frozen=True)
 class CheckRecord:
@@ -102,12 +105,6 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(r.passed for r in self.records)
 
-    def extend(self, records) -> None:
-        self.records.extend(records)
-
-    def sort(self) -> None:
-        self.records.sort(key=lambda r: r.name)
-
     def to_dict(self) -> dict:
         return {
             "suite": self.suite,
@@ -118,21 +115,18 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Residual-check grid: log-spaced radii times axis-avoiding angles."""
+    """Residual-check grid: radii log-spaced from 0.1 to 4 length scales
+    times axis-avoiding angles."""
 
     n_rho: int = 12
     n_phi: int = 16
-    rho_min_factor: float = 0.1
-    rho_max_factor: float = 4.0
 
     def angles(self) -> np.ndarray:
         # offset so every angle is at least pi/n_phi from a multiple of pi/2
         return (np.arange(self.n_phi) + 0.5) * 2.0 * np.pi / self.n_phi
 
     def radii(self, length_scale: float) -> np.ndarray:
-        return np.geomspace(
-            self.rho_min_factor * length_scale, self.rho_max_factor * length_scale, self.n_rho
-        )
+        return np.geomspace(0.1 * length_scale, 4.0 * length_scale, self.n_rho)
 
     def polar_points(self, length_scale: float) -> tuple[np.ndarray, np.ndarray]:
         rr, pp = np.meshgrid(self.radii(length_scale), self.angles(), indexing="ij")
@@ -172,7 +166,7 @@ def check_kg_eigen(
     solution: SpinorSolution,
     grid_spec: GridSpec = GridSpec(),
     tol: float = DEFAULT_TOLS["kg"],
-    h: float = 1e-4,
+    h: float = DEFAULT_STEP,
 ) -> VerificationReport:
     """Pointwise residual of the decoupled second-order equations."""
     params = solution.mode.params
@@ -212,7 +206,7 @@ def check_angular_eigen(
     mode: AngularMode,
     n_phi: int = 64,
     tol: float = DEFAULT_TOLS["angular"],
-    h: float = 1e-4,
+    h: float = DEFAULT_STEP,
 ) -> VerificationReport:
     """Max |J F - lambda F| over an axis-avoiding angle grid (absolute)."""
     fld = f_eigenfunction(mode)
@@ -248,12 +242,11 @@ def check_angular_eigen(
 
 def check_orthonormality(
     modes: list[AngularMode],
-    rule: QuadratureRule | None = None,
     tol: float = DEFAULT_TOLS["ortho"],
 ) -> VerificationReport:
-    """Gram matrix of the modes against the identity, weighted quadrature."""
-    if rule is None:
-        rule = angular_quadrature()
+    """Gram matrix of the modes against the identity, by the weighted
+    angular quadrature."""
+    rule = angular_quadrature()
     params = modes[0].params
     fields = [f_eigenfunction(m) for m in modes]
     gram = np.empty((len(modes), len(modes)), dtype=complex)
@@ -283,7 +276,7 @@ def check_dirac_system(
     solution: SpinorSolution,
     grid_spec: GridSpec = GridSpec(),
     tol: float = DEFAULT_TOLS["dirac"],
-    h: float = 1e-4,
+    h: float = DEFAULT_STEP,
 ) -> VerificationReport:
     """Max residual of the coupled first-order system on an off-axis grid."""
     params = solution.mode.params
@@ -667,11 +660,10 @@ def run_suite(
     config: OscillatorConfig,
     suite: str = "all",
     tol: float | None = None,
-    h: float = 1e-4,
+    h: float = DEFAULT_STEP,
     threads: int = 1,
     n_max: float = 2,
     k_max: int = 2,
-    angular_n_max: float = 4,
 ) -> VerificationReport:
     """Run one named verification suite (or 'all') and collect the records.
 
@@ -695,15 +687,15 @@ def run_suite(
     def tol_for(name: str) -> float:
         return DEFAULT_TOLS[name] if tol is None else tol
 
-    report = VerificationReport(suite)
+    records: list[CheckRecord] = []
     if "angular" in wanted:
         for sector in ALL_SECTORS:
-            for mode in modes_for_sector(sector, params, angular_n_max):
-                report.extend(check_angular_eigen(mode, tol=tol_for("angular"), h=h).records)
+            for mode in modes_for_sector(sector, params, ANGULAR_N_MAX):
+                records.extend(check_angular_eigen(mode, tol=tol_for("angular"), h=h).records)
     if "ortho" in wanted:
         for sector in ALL_SECTORS:
-            modes = modes_for_sector(sector, params, angular_n_max)
-            report.extend(check_orthonormality(modes, tol=tol_for("ortho")).records)
+            modes = modes_for_sector(sector, params, ANGULAR_N_MAX)
+            records.extend(check_orthonormality(modes, tol=tol_for("ortho")).records)
     if "kg" in wanted:
         # states are built one at a time, so only one state's factor
         # caches are alive at once
@@ -712,15 +704,14 @@ def run_suite(
         else:
             states = sweep_bound_states(params, config, n_max, k_max)
         for st in states:
-            report.extend(check_kg_eigen(st, tol=tol_for("kg"), h=h).records)
+            records.extend(check_kg_eigen(st, tol=tol_for("kg"), h=h).records)
     if "dirac" in wanted:
         for st in sweep_bound_states(params, config, n_max, k_max):
-            report.extend(check_dirac_system(st, tol=tol_for("dirac"), h=h).records)
+            records.extend(check_dirac_system(st, tol=tol_for("dirac"), h=h).records)
     if "nrlimit" in wanted:
         for sector in ALL_SECTORS:
             mode = modes_for_sector(sector, params, 1.5)[-1]
-            report.extend(
+            records.extend(
                 check_nonrelativistic_limit(sector, mode, 2, config, tol=tol_for("nrlimit")).records
             )
-    report.sort()
-    return report
+    return VerificationReport(suite, sorted(records, key=lambda r: r.name))

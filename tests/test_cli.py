@@ -109,6 +109,12 @@ class TestWavefunction:
             "--n", "0.5", "--branch", "+", "--k", "1",
             "--grid-rho", "4", "--grid-phi", "4"]
 
+    def test_defaults_build_a_state(self):
+        # (+1,+1), n = 1, k = 1 at mu = 0 pairs with k' = 0 (k = 0 would need k' = -1)
+        code, text = _run(["wavefunction"])
+        assert code == 0
+        assert len(text.strip().splitlines()) == 1 + 12 * 16
+
     def test_grid_shape_and_header(self):
         code, text = _run(self.ARGS)
         assert code == 0
@@ -241,6 +247,25 @@ class TestNLadder:
         assert len(text.splitlines()) == 1 + 61 * 301
 
 
+def _src_env():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_closed_stdout_exits_1_quietly():
+    # about 1.5 MB of rows, far more than a pipe buffers, so the writer
+    # meets the closed pipe while it is still writing
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dunkl_oscillator.cli", "spectrum", "--n", "0:30", "--k-max", "300"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env(),
+    )
+    assert proc.stdout.readline().startswith(b"sector,n,branch")
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert stderr == b""
+
+
 def test_spectrum_does_not_import_scipy():
     # scipy is imported lazily, and only by the Bessel evaluator: neither
     # the spectrum table nor the matrix oracle needs it
@@ -253,9 +278,8 @@ def test_spectrum_does_not_import_scipy():
         "assert len(matrix_oracle_lambda(SectorLabel(1, 1), DunklParams(1, 1))) == 47\n"
         "print('scipy' in sys.modules)\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(),
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 

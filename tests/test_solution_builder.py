@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dunkl_oscillator import angular_sector, solution_builder
 from dunkl_oscillator.angular_sector import (
@@ -19,10 +21,7 @@ from dunkl_oscillator.angular_sector import (
 from dunkl_oscillator.dunkl_calculus import (
     Component,
     DunklParams,
-    angular_quadrature,
-    gaussian_cutoff_radius,
     polar_quadrature,
-    radial_quadrature,
     weighted_inner_product,
 )
 from dunkl_oscillator.solution_builder import (
@@ -171,6 +170,59 @@ class TestEnergy:
                 energy(component, SectorLabel(-1, -1), mode, 1, CFG_POS, 1)
 
 
+# mu from the two spinor-compatible families: both natural or both half-odd
+_SPINOR_PARAMS = st.one_of(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.tuples(st.integers(0, 2), st.integers(0, 2)).map(lambda t: (t[0] + 0.5, t[1] + 0.5)),
+).map(lambda t: DunklParams(float(t[0]), float(t[1])))
+
+
+@st.composite
+def _bound_energy_args(draw):
+    """(component, sector, mode, k, omega, omega_c) with n <= 4, k <= 6, in
+    either bound regime (omega_c / omega = 2 is the critical point)."""
+    params = draw(_SPINOR_PARAMS)
+    sector = draw(st.sampled_from(ALL_SECTORS))
+    mode = draw(st.sampled_from(modes_for_sector(sector, params, 4)))
+    omega = draw(st.floats(0.05, 5.0))
+    ratio = draw(st.sampled_from([0.0, 0.5, 1.0, 3.0, 4.0, 8.0]))
+    component = draw(st.sampled_from(list(Component)))
+    return component, sector, mode, draw(st.integers(0, 6)), omega, ratio * omega
+
+
+def _energy_or_none(component, sector, mode, k, config, sign=1):
+    try:
+        return energy(component, sector, mode, k, config, sign)
+    except NegativeRadicandError:
+        return None
+
+
+class TestEnergyProperties:
+    @given(_bound_energy_args(), st.floats(0.1, 10.0))
+    @settings(max_examples=200, deadline=None)
+    def test_unchanged_when_units_are_rescaled(self, args, a):
+        # hbar -> a hbar with omega, omega_c -> omega / a, omega_c / a keeps
+        # every hbar * omega, so the spectrum is the same
+        component, sector, mode, k, omega, omega_c = args
+        e1 = _energy_or_none(component, sector, mode, k, OscillatorConfig(omega=omega, omega_c=omega_c))
+        e2 = _energy_or_none(component, sector, mode, k,
+                             OscillatorConfig(omega=omega / a, omega_c=omega_c / a, hbar=a))
+        assume(e1 is not None and e2 is not None)
+        # where the radicand is near 0 (E near 0, reached exactly by some of
+        # these states) its rounding enters E as sqrt(eps), not eps
+        assume(abs(e1) > 1e-6)
+        assert e2 == pytest.approx(e1, rel=1e-12)
+
+    @given(_bound_energy_args())
+    @settings(max_examples=200, deadline=None)
+    def test_antiparticle_is_the_mirror_image(self, args):
+        component, sector, mode, k, omega, omega_c = args
+        config = OscillatorConfig(omega=omega, omega_c=omega_c)
+        e_plus = _energy_or_none(component, sector, mode, k, config, 1)
+        assume(e_plus is not None)
+        assert energy(component, sector, mode, k, config, -1) == -e_plus
+
+
 class TestClassicalReduction:
     def test_spectra_match_independent_formula(self):
         # mu = 0: compare against the textbook spectrum coded in terms of
@@ -210,9 +262,12 @@ class TestRadialProfile:
     def test_norm_squared_matches_quadrature(self):
         mode = AngularMode(SectorLabel(1, -1), 1.5, 1, P11)
         prof = build_radial(mode, 2, CFG_POS)
-        rule = radial_quadrature(gaussian_cutoff_radius(prof.scale), 220)
-        vals = prof(rule.nodes)
-        quad = np.sum(rule.weights * vals * vals * rule.nodes ** (2 * P11.mu_plus + 1))
+        # Gauss-Legendre on [0, R], R where rho^30 exp(-rho^2) < 1e-18 at scale 1
+        r_max = 10.838109195829931
+        t, w = np.polynomial.legendre.leggauss(220)
+        nodes, weights = 0.5 * r_max * t + 0.5 * r_max, 0.5 * r_max * w
+        vals = prof(nodes)
+        quad = np.sum(weights * vals * vals * nodes ** (2 * P11.mu_plus + 1))
         assert quad == pytest.approx(prof.norm_squared(), rel=1e-12)
 
     def test_field_dominated_regime_uses_omega_bar(self):
@@ -233,7 +288,7 @@ class TestBuildSpinor:
     def test_quadrature_norms_match_split(self):
         mode = AngularMode(SectorLabel(1, -1), 0.5, 1, P11)
         sol = build_spinor(SectorLabel(1, -1), mode, 1, CFG_POS, 1)
-        rule = polar_quadrature(gaussian_cutoff_radius(1.0), 180, 48)
+        rule = polar_quadrature(10.838109195829931, 180, 48)  # rho^30 exp(-rho^2) < 1e-18
         nu = weighted_inner_product(sol.upper, sol.upper, P11, rule)
         nl = weighted_inner_product(sol.lower, sol.lower, P11, rule)
         assert nu.real == pytest.approx(sol.norm_upper, abs=1e-6)
