@@ -3,9 +3,15 @@
 Output is deterministic: floats are printed with a fixed number of
 significant digits (17 by default, enough to round-trip), rows come in a
 fixed order, and files use UTF-8 with LF line endings and '.' decimals.
+Stdout carries only the table or report; notes go to stderr. In the
+critical regime ``spectrum`` prints an empty table (the CSV header alone,
+or ``[]``), since there is no discrete spectrum.
 
 Exit codes: 0 success, 1 at least one verification check failed or
-stdout was closed early, 2 configuration error.
+stdout was closed early, 2 configuration error. Each flag's range is
+checked by the parser, so an out-of-range value is a usage error (a usage
+line, then ``argument --X: ...``) raised before any physics object is
+built; the other configuration errors print ``error: ...``.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from .angular_sector import AngularMode, SectorLabel
 from .dunkl_calculus import DEFAULT_STEP, Component, DunklParams
@@ -40,11 +45,29 @@ def _fmt(value: float, precision: int) -> str:
     return format(value, f".{precision}g")
 
 
+def _bounded(kind, low, high=math.inf, *, strict=False):
+    """An argparse ``type=``: ``kind(text)``, finite and in [low, high]
+    (``low`` itself excluded if ``strict``)."""
+
+    def parse(text: str):
+        value = kind(text)
+        above = low < value if strict else low <= value
+        if not (math.isfinite(value) and above and value <= high):
+            span = f"{'>' if strict else '>='} {low}" + (f" and <= {high}" if high < math.inf else "")
+            raise argparse.ArgumentTypeError(f"must be finite and {span}, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _parse_sector(text: str) -> SectorLabel:
+    """An argparse ``type=``: 'SX,SY' (parentheses allowed) with values +1/-1."""
     parts = text.replace("(", "").replace(")", "").split(",")
-    if len(parts) != 2:
-        raise ValueError(f"sector must be 'SX,SY', got {text!r}")
-    return SectorLabel(int(parts[0]), int(parts[1]))
+    try:
+        return SectorLabel(*map(int, parts))  # TypeError unless there are two parts
+    except (TypeError, ValueError):
+        raise argparse.ArgumentTypeError(f"must be 'SX,SY' with values +1/-1, got {text!r}") from None
 
 
 def _parse_n_values(text: str, sector: SectorLabel) -> list[float]:
@@ -68,103 +91,10 @@ def _parse_n_values(text: str, sector: SectorLabel) -> list[float]:
     return [lo + i for i in range(count)]
 
 
-def _require_at_least(value: int, low: int, flag: str) -> int:
-    if value < low:
-        raise ValueError(f"{flag} must be >= {low}, got {value}")
-    return value
-
-
 def _system(args: argparse.Namespace) -> tuple[DunklParams, OscillatorConfig]:
     """The physical system every subcommand's flags describe."""
     params = DunklParams(args.mu_x, args.mu_y)
     return params, OscillatorConfig(omega=args.omega, omega_c=args.omega_c)
-
-
-@dataclass(frozen=True)
-class SpectrumRun:
-    params: DunklParams
-    config: OscillatorConfig
-    sector: SectorLabel
-    n_values: list[float]
-    branches: list[int]
-    k_max: int
-    fmt: str
-    precision: int
-    negative_energies: bool
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "SpectrumRun":
-        params, config = _system(args)
-        sector = _parse_sector(args.sector)
-        return cls(
-            params=params,
-            config=config,
-            sector=sector,
-            n_values=_parse_n_values(args.n, sector),
-            branches={"+": [1], "-": [-1], "both": [1, -1]}[args.branch],
-            k_max=_require_at_least(args.k_max, 0, "--k-max"),
-            fmt=args.fmt,
-            precision=args.precision,
-            negative_energies=args.negative_energies,
-        )
-
-
-@dataclass(frozen=True)
-class WavefunctionRun:
-    mode: AngularMode
-    config: OscillatorConfig
-    k: int
-    grid_rho: int
-    grid_phi: int
-    free_energy: float | None
-    precision: int
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "WavefunctionRun":
-        params, config = _system(args)
-        sector = _parse_sector(args.sector)
-        n = _parse_n_values(args.n, sector)[0]
-        return cls(
-            mode=AngularMode(sector, n, 1 if args.branch == "+" else -1, params),
-            config=config,
-            k=args.k,
-            grid_rho=_require_at_least(args.grid_rho, 1, "--grid-rho"),
-            grid_phi=_require_at_least(args.grid_phi, 1, "--grid-phi"),
-            free_energy=args.energy,
-            precision=args.precision,
-        )
-
-
-@dataclass(frozen=True)
-class VerifyRun:
-    params: DunklParams
-    config: OscillatorConfig
-    suite: str
-    tol: float | None
-    h: float
-    n_max: float
-    k_max: int
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "VerifyRun":
-        params, config = _system(args)
-        if not (math.isfinite(args.h) and args.h > 0.0):
-            raise ValueError(f"--h must be a positive finite step, got {args.h}")
-        if not 0.0 <= args.n_max <= MAX_DEGREE:  # also rejects nan
-            raise ValueError(f"--n-max must be between 0 and {MAX_DEGREE}, got {args.n_max}")
-        if not 0 <= args.k_max <= MAX_DEGREE:
-            raise ValueError(f"--k-max must be between 0 and {MAX_DEGREE}, got {args.k_max}")
-        if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0.0):
-            raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
-        return cls(
-            params=params,
-            config=config,
-            suite=args.suite,
-            tol=args.tol,
-            h=args.h,
-            n_max=args.n_max,
-            k_max=args.k_max,
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -182,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--omega-c", type=float, default=0.0)
 
     def sector_and_precision(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--sector", type=str, default="1,1", help="SX,SY with values +1/-1")
+        p.add_argument("--sector", type=_parse_sector, default="1,1", help="SX,SY with values +1/-1")
         p.add_argument("--precision", type=int, choices=range(6, 18), default=17,
                        metavar="6..17", help="significant digits of printed floats")
 
@@ -196,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="mode index or range lo:hi (snaps to the half-odd ladder in mixed-parity sectors)",
     )
     p_spec.add_argument("--branch", choices=("+", "-", "both"), default="both")
-    p_spec.add_argument("--k-max", type=int, default=2)
+    p_spec.add_argument("--k-max", type=_bounded(int, 0), default=2)
 
     p_wf = sub.add_parser("wavefunction", help="export a state on a polar grid as CSV")
     system(p_wf)
@@ -204,8 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_wf.add_argument("--n", type=str, default="1")
     p_wf.add_argument("--branch", choices=("+", "-"), default="+")
     p_wf.add_argument("--k", type=int, default=1)
-    p_wf.add_argument("--grid-rho", type=int, default=12)
-    p_wf.add_argument("--grid-phi", type=int, default=16)
+    p_wf.add_argument("--grid-rho", type=_bounded(int, 1), default=12)
+    p_wf.add_argument("--grid-phi", type=_bounded(int, 1), default=16)
     p_wf.add_argument("--energy", type=float, default=None,
                       help="free-particle energy (critical regime only)")
 
@@ -213,33 +143,34 @@ def build_parser() -> argparse.ArgumentParser:
     system(p_ver)
     p_ver.add_argument("--suite", choices=("kg", "angular", "ortho", "dirac", "nrlimit", "all"),
                        default="all")
-    p_ver.add_argument("--tol", type=float, default=None)
-    p_ver.add_argument("--h", type=float, default=DEFAULT_STEP)
-    p_ver.add_argument("--n-max", type=float, default=2)
-    p_ver.add_argument("--k-max", type=int, default=2)
+    p_ver.add_argument("--tol", type=_bounded(float, 0.0), default=None)
+    p_ver.add_argument("--h", type=_bounded(float, 0.0, strict=True), default=DEFAULT_STEP)
+    p_ver.add_argument("--n-max", type=_bounded(float, 0.0, MAX_DEGREE), default=2)
+    p_ver.add_argument("--k-max", type=_bounded(int, 0, MAX_DEGREE), default=2)
 
     return parser
 
 
-def _spectrum_rows(run: SpectrumRun):
+def _spectrum_rows(args: argparse.Namespace, params: DunklParams, config: OscillatorConfig,
+                   n_values: list[float]):
     """Yield the table's rows one at a time, in output order."""
-    regime = classify_regime(run.config)
-    for n in run.n_values:
-        for branch in run.branches:
-            if n == 0 and (branch == -1 or run.sector != SectorLabel(1, 1)):
+    sector, regime = args.sector, classify_regime(config)
+    for n in n_values:
+        for branch in {"+": [1], "-": [-1], "both": [1, -1]}[args.branch]:
+            if n == 0 and (branch == -1 or sector != SectorLabel(1, 1)):
                 continue  # n = 0 is a single mode, in sector (+1,+1) only
-            mode = AngularMode(run.sector, n, branch, run.params)
-            for k in range(run.k_max + 1):
+            mode = AngularMode(sector, n, branch, params)
+            for k in range(args.k_max + 1):
                 try:
-                    e_up = energy(Component.UPPER, run.sector, mode, k, run.config, 1)
+                    e_up = energy(Component.UPPER, sector, mode, k, config, 1)
                 except NegativeRadicandError:
                     e_up = None  # unphysical combination: marked, not dropped
                 try:
-                    kp_txt = str(pair_radial_indices(run.sector, regime, k, run.params))
+                    kp_txt = str(pair_radial_indices(sector, regime, k, params))
                 except InvalidPairError:
                     kp_txt = "invalid"
                 row = {
-                    "sector": f"{run.sector.s_x:+d}{run.sector.s_y:+d}",
+                    "sector": f"{sector.s_x:+d}{sector.s_y:+d}",
                     "n": n,
                     "branch": "+" if branch == 1 else "-",
                     "k": k,
@@ -247,43 +178,46 @@ def _spectrum_rows(run: SpectrumRun):
                     "E_plus": e_up,
                     "regime": regime.value,
                 }
-                if run.negative_energies:
+                if args.negative_energies:
                     row["E_minus"] = None if e_up is None else -e_up
                 yield row
 
 
-def cmd_spectrum(run: SpectrumRun) -> int:
+def cmd_spectrum(args: argparse.Namespace) -> int:
     out = sys.stdout
-    if classify_regime(run.config) is Regime.CRITICAL:
-        out.write("regime=critical: no discrete spectrum; use "
-                  "'wavefunction --energy E' for free-particle states\n")
-        return 0
+    params, config = _system(args)
+    n_values = _parse_n_values(args.n, args.sector)
+    if classify_regime(config) is Regime.CRITICAL:
+        print("regime=critical: no discrete spectrum; use "
+              "'wavefunction --energy E' for free-particle states", file=sys.stderr)
+        n_values = []  # the table has no rows
+    rows = _spectrum_rows(args, params, config, n_values)
     # Rows go out as they are produced, so memory stays flat in --k-max. The CSV
     # header or JSON "[" goes with the first row: an error before it prints nothing.
-    if run.fmt == "json":
+    if args.fmt == "json":
         sep = "["
-        for row in _spectrum_rows(run):
+        for row in rows:
             for key in ("E_plus", "E_minus"):
                 if key in row:
                     v = row[key]
-                    row[key] = "unphysical" if v is None else float(_fmt(v, run.precision))
+                    row[key] = "unphysical" if v is None else float(_fmt(v, args.precision))
             out.write(sep + json.dumps(row, sort_keys=True))
             sep = ", "
         out.write("[]\n" if sep == "[" else "]\n")
         return 0
     cols = ["sector", "n", "branch", "k", "k_prime", "E_plus"]
-    if run.negative_energies:
+    if args.negative_energies:
         cols.append("E_minus")
     cols.append("regime")
     header = ",".join(cols) + "\n"
-    for row in _spectrum_rows(run):
+    for row in rows:
         cells = []
         for col in cols:
             v = row[col]
             if v is None:
                 cells.append("unphysical")
             elif isinstance(v, float):
-                cells.append(_fmt(v, run.precision))
+                cells.append(_fmt(v, args.precision))
             else:
                 cells.append(str(v))
         out.write(header + ",".join(cells) + "\n")
@@ -292,18 +226,20 @@ def cmd_spectrum(run: SpectrumRun) -> int:
     return 0
 
 
-def cmd_wavefunction(run: WavefunctionRun) -> int:
+def cmd_wavefunction(args: argparse.Namespace) -> int:
     out = sys.stdout
-    mode, config = run.mode, run.config
+    params, config = _system(args)
+    n = _parse_n_values(args.n, args.sector)[0]
+    mode = AngularMode(args.sector, n, 1 if args.branch == "+" else -1, params)
     if classify_regime(config) is Regime.CRITICAL:
-        if run.free_energy is None:
+        if args.energy is None:
             raise ValueError("critical regime: supply --energy E >= m c^2")
-        sol = free_particle(mode.sector, mode, run.free_energy, mode.params, config)
+        sol = free_particle(mode.sector, mode, args.energy, params, config)
     else:
-        sol = build_spinor(mode.sector, mode, run.k, config, 1)
-    grid = GridSpec(run.grid_rho, run.grid_phi)
+        sol = build_spinor(mode.sector, mode, args.k, config, 1)
+    grid = GridSpec(args.grid_rho, args.grid_phi)
     rho, phi = grid.radii(config.length_scale), grid.angles()
-    p = run.precision
+    p = args.precision
     # One rho row at a time keeps memory linear in the grid sides; phi is
     # the same array on every row, so F(phi) is evaluated once. The header
     # goes out with the first row, so an evaluation error leaves stdout empty.
@@ -320,15 +256,16 @@ def cmd_wavefunction(run: WavefunctionRun) -> int:
     return 0
 
 
-def cmd_verify(run: VerifyRun) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
+    params, config = _system(args)
     report = run_suite(
-        run.params,
-        run.config,
-        suite=run.suite,
-        tol=run.tol,
-        h=run.h,
-        n_max=run.n_max,
-        k_max=run.k_max,
+        params,
+        config,
+        suite=args.suite,
+        tol=args.tol,
+        h=args.h,
+        n_max=args.n_max,
+        k_max=args.k_max,
     )
     sys.stdout.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
     return 0 if report.passed else 1
@@ -342,11 +279,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         if args.command == "spectrum":
-            code = cmd_spectrum(SpectrumRun.from_args(args))
+            code = cmd_spectrum(args)
         elif args.command == "wavefunction":
-            code = cmd_wavefunction(WavefunctionRun.from_args(args))
+            code = cmd_wavefunction(args)
         else:
-            code = cmd_verify(VerifyRun.from_args(args))
+            code = cmd_verify(args)
         sys.stdout.flush()  # a reader that went away shows up here, not at exit
         return code
     except BrokenPipeError:

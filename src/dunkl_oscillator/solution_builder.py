@@ -197,6 +197,12 @@ def energy(
         if component is Component.LOWER:
             s_num = 2.0 * k + a_ord - lam - sigma
     radicand = 1.0 + q * s_num
+    # Some states have a radicand of exactly 0 (E = 0); rounding of q and of
+    # the terms of s_num must not turn it into a tiny E in some units and an
+    # error in others, so a radicand within a few ulps of those terms is 0.
+    scale = 1.0 + q * (2.0 * k + a_ord + abs(lam) + abs(sigma) + 2.0)
+    if abs(radicand) <= 8.0 * math.ulp(1.0) * scale:
+        radicand = 0.0
     if radicand < 0.0:
         raise NegativeRadicandError(
             f"negative energy radicand {radicand} for sector ({sector}), n={mode.n}, k={k}"

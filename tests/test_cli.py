@@ -35,10 +35,15 @@ class TestSpectrum:
         assert format(math.sqrt(13.0), ".17g") in body  # n=1 branch +, k=1
         assert "invalid" in body                      # k=0 has no partner
 
-    def test_critical_regime_message(self):
-        code, text = _run(["spectrum", "--omega", "1", "--omega-c", "2"])
-        assert code == 0
-        assert "critical" in text and "free-particle" in text
+    def test_critical_regime_message(self, capsys):
+        # no discrete spectrum: stdout is the empty table, the note goes to stderr
+        argv = ["spectrum", "--omega", "1", "--omega-c", "2"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "sector,n,branch,k,k_prime,E_plus,regime\n"
+        assert "critical" in captured.err and "free-particle" in captured.err
+        assert main(argv + ["--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == []
 
     def test_negative_energy_column(self):
         code, text = _run(
@@ -289,6 +294,28 @@ class TestArgparse:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["verify", "--suite", "wat"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--h", "0"],
+            ["verify", "--h", "nan"],
+            ["verify", "--tol", "-1"],
+            ["verify", "--tol", "inf"],
+            ["verify", "--n-max", "201"],
+            ["verify", "--n-max", "nan"],
+            ["verify", "--k-max", "201"],
+            ["spectrum", "--k-max", "-1"],
+            ["wavefunction", "--grid-rho", "0"],
+            ["spectrum", "--sector", "2,1"],
+        ],
+    )
+    def test_parser_rejects_out_of_range_values(self, argv, capsys):
+        # each range is checked while parsing, before any physics object is built
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert f"argument {argv[1]}:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

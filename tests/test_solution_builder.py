@@ -213,6 +213,15 @@ class TestEnergyProperties:
         assume(abs(e1) > 1e-6)
         assert e2 == pytest.approx(e1, rel=1e-12)
 
+    def test_exactly_zero_radicand_is_zero_in_any_units(self):
+        # mu=(2,3), (+1,+1), n=4, b=+1: lambda=12, A=13, sigma=5, so the lower
+        # k=0 radicand at w~ = -omega/2 is 1 + (2 hbar |w~|)(13 - 12 - 5) = 0
+        mode = AngularMode(SectorLabel(1, 1), 4, 1, DunklParams(2.0, 3.0))
+        for i in range(1, 200):
+            a = 0.05 * i
+            config = OscillatorConfig(omega=0.25 / a, omega_c=0.75 / a, hbar=a)
+            assert energy(Component.LOWER, SectorLabel(1, 1), mode, 0, config, 1) == 0.0, a
+
     @given(_bound_energy_args())
     @settings(max_examples=200, deadline=None)
     def test_antiparticle_is_the_mirror_image(self, args):
