@@ -11,7 +11,10 @@ Exit codes: 0 success, 1 at least one verification check failed or
 stdout was closed early, 2 configuration error. Each flag's range is
 checked by the parser, so an out-of-range value is a usage error (a usage
 line, then ``argument --X: ...``) raised before any physics object is
-built; the other configuration errors print ``error: ...``.
+built; the other configuration errors print ``error: ...`` (such as a
+``wavefunction --n`` that selects more than one n, or an ``--energy``
+outside the critical regime). In a mixed-parity sector a single integer
+``--n`` means n + 1/2, and a range ``lo:hi`` starts at lo + 1/2.
 """
 
 from __future__ import annotations
@@ -25,12 +28,10 @@ import sys
 from .angular_sector import AngularMode, SectorLabel
 from .dunkl_calculus import DEFAULT_STEP, Component, DunklParams
 from .solution_builder import (
-    IntegralityError,
     InvalidPairError,
     NegativeRadicandError,
     OscillatorConfig,
     Regime,
-    RegimeError,
     build_spinor,
     classify_regime,
     energy,
@@ -72,7 +73,8 @@ def _parse_sector(text: str) -> SectorLabel:
 
 def _parse_n_values(text: str, sector: SectorLabel) -> list[float]:
     """The n ladder of ``--n lo[:hi]``: integers for equal-parity sectors,
-    half-odds for mixed ones (an integer ``lo`` snaps up by 1/2 there)."""
+    half-odds for mixed ones (an integer ``lo`` snaps up by 1/2 there, so a
+    single integer n means n + 1/2)."""
     if ":" in text:
         lo, hi = (float(t) for t in text.split(":", 1))
     else:
@@ -82,6 +84,8 @@ def _parse_n_values(text: str, sector: SectorLabel) -> list[float]:
     offset = 0.0 if sector.epsilon == 1 else 0.5
     if offset and abs(lo - round(lo)) < 0.25:
         lo += offset  # half-odd family starts at 1/2
+        if ":" not in text:
+            hi = lo
     if lo < 0.0 or abs(lo - offset - round(lo - offset)) > 1e-9:
         ladder = "a natural number" if sector.epsilon == 1 else "a positive half-odd number"
         raise ValueError(f"--n {text!r}: n must be {ladder} in sector ({sector})")
@@ -229,12 +233,16 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 def cmd_wavefunction(args: argparse.Namespace) -> int:
     out = sys.stdout
     params, config = _system(args)
-    n = _parse_n_values(args.n, args.sector)[0]
-    mode = AngularMode(args.sector, n, 1 if args.branch == "+" else -1, params)
+    n_values = _parse_n_values(args.n, args.sector)
+    if len(n_values) != 1:
+        raise ValueError(f"--n {args.n!r} selects {len(n_values)} mode indices; wavefunction exports one")
+    mode = AngularMode(args.sector, n_values[0], 1 if args.branch == "+" else -1, params)
     if classify_regime(config) is Regime.CRITICAL:
         if args.energy is None:
             raise ValueError("critical regime: supply --energy E >= m c^2")
         sol = free_particle(mode.sector, mode, args.energy, params, config)
+    elif args.energy is not None:
+        raise ValueError("--energy applies only at the critical point")
     else:
         sol = build_spinor(mode.sector, mode, args.k, config, 1)
     grid = GridSpec(args.grid_rho, args.grid_phi)
@@ -290,8 +298,7 @@ def main(argv=None) -> int:
         # Point fd 1 at devnull so the interpreter's final flush cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ValueError, IntegralityError, InvalidPairError, NegativeRadicandError,
-            RegimeError) as exc:
+    except ValueError as exc:  # every configuration error of the package is one
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,7 +23,7 @@ which pins the discrepancy on the closed forms rather than the operators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -84,7 +84,10 @@ class CheckRecord:
     inputs: dict
     residual: float
     tol: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.residual <= self.tol
 
     def to_dict(self) -> dict:
         return {
@@ -99,7 +102,7 @@ class CheckRecord:
 @dataclass
 class VerificationReport:
     suite: str
-    records: list[CheckRecord] = field(default_factory=list)
+    records: list[CheckRecord]
 
     @property
     def passed(self) -> bool:
@@ -144,11 +147,25 @@ def _length_scale(solution: SpinorSolution) -> float:
     return config.length_scale
 
 
-def _state_tag(solution: SpinorSolution) -> str:
+def _state_record(
+    suite: str,
+    solution: SpinorSolution,
+    residual: float,
+    tol: float,
+    h: float,
+    component: Component | None = None,
+) -> CheckRecord:
+    """The record of one check on a built state; kg records also name the
+    component. A free state, which has no k, is tagged by its energy."""
     mode = solution.mode
-    k = solution.quantum.k if solution.quantum is not None else None
-    ktag = f" k={k}" if k is not None else f" E={solution.energy:.6g}"
-    return f"[{mode.sector}] n={mode.n:g} b={mode.branch:+d}{ktag}"
+    tag = f" E={solution.energy:.6g}" if solution.quantum is None else f" k={solution.quantum.k}"
+    name = f"{suite}[{mode.sector}] n={mode.n:g} b={mode.branch:+d}{tag}"
+    inputs = {"sector": str(mode.sector), "n": mode.n, "branch": mode.branch}
+    if component is not None:
+        name += f" {component.value}"
+        inputs["component"] = component.value
+    inputs.update(energy=solution.energy, h=h)
+    return CheckRecord(name=name, inputs=inputs, residual=residual, tol=tol)
 
 
 def reduced_energy(solution: SpinorSolution) -> float:
@@ -173,7 +190,7 @@ def check_kg_eigen(
     config = solution.config
     tilde_e = reduced_energy(solution)
     rho, phi = grid_spec.polar_points(_length_scale(solution))
-    report = VerificationReport("kg")
+    records = []
     for component, fld in ((Component.UPPER, solution.upper), (Component.LOWER, solution.lower)):
         vals = fld.eval_polar(rho, phi)
         scale = float(np.max(np.abs(vals)))
@@ -182,24 +199,8 @@ def check_kg_eigen(
         else:
             applied = kg_apply(component, fld, params, config, (rho, phi), h)
             residual = float(np.max(np.abs(applied - tilde_e * vals)) / scale)
-        name = f"kg{_state_tag(solution)} {component.value}"
-        report.records.append(
-            CheckRecord(
-                name=name,
-                inputs={
-                    "sector": str(solution.mode.sector),
-                    "n": solution.mode.n,
-                    "branch": solution.mode.branch,
-                    "component": component.value,
-                    "energy": solution.energy,
-                    "h": h,
-                },
-                residual=residual,
-                tol=tol,
-                passed=residual <= tol,
-            )
-        )
-    return report
+        records.append(_state_record("kg", solution, residual, tol, h, component))
+    return VerificationReport("kg", records)
 
 
 def check_angular_eigen(
@@ -217,27 +218,23 @@ def check_angular_eigen(
     applied = angular_j(fld, (rho, phi), mode.params, h)
     residual = float(np.max(np.abs(applied - lam * vals)))
     scale = float(np.max(np.abs(vals)))
-    report = VerificationReport("angular")
-    report.records.append(
-        CheckRecord(
-            name=f"angular[{mode.sector}] n={mode.n:g} b={mode.branch:+d} "
-            f"mu=({mode.params.mu_x:g},{mode.params.mu_y:g})",
-            inputs={
-                "sector": str(mode.sector),
-                "n": mode.n,
-                "branch": mode.branch,
-                "mu_x": mode.params.mu_x,
-                "mu_y": mode.params.mu_y,
-                "lambda": lam,
-                "relative_residual": residual / max(scale * max(abs(lam), 1.0), 1e-300),
-                "h": h,
-            },
-            residual=residual,
-            tol=tol,
-            passed=residual <= tol,
-        )
+    record = CheckRecord(
+        name=f"angular[{mode.sector}] n={mode.n:g} b={mode.branch:+d} "
+        f"mu=({mode.params.mu_x:g},{mode.params.mu_y:g})",
+        inputs={
+            "sector": str(mode.sector),
+            "n": mode.n,
+            "branch": mode.branch,
+            "mu_x": mode.params.mu_x,
+            "mu_y": mode.params.mu_y,
+            "lambda": lam,
+            "relative_residual": residual / max(scale * max(abs(lam), 1.0), 1e-300),
+            "h": h,
+        },
+        residual=residual,
+        tol=tol,
     )
-    return report
+    return VerificationReport("angular", [record])
 
 
 def check_orthonormality(
@@ -258,18 +255,14 @@ def check_orthonormality(
                 gram[i, j] = weighted_inner_product(fi, fj, params, rule)
     deviation = float(np.max(np.abs(gram - np.eye(len(modes)))))
     labels = ";".join(f"{m.sector}|{m.n:g}|{m.branch:+d}" for m in modes)
-    report = VerificationReport("ortho")
-    report.records.append(
-        CheckRecord(
-            name=f"ortho[{modes[0].sector}] {len(modes)} modes "
-            f"mu=({params.mu_x:g},{params.mu_y:g})",
-            inputs={"modes": labels, "mu_x": params.mu_x, "mu_y": params.mu_y},
-            residual=deviation,
-            tol=tol,
-            passed=deviation <= tol,
-        )
+    record = CheckRecord(
+        name=f"ortho[{modes[0].sector}] {len(modes)} modes "
+        f"mu=({params.mu_x:g},{params.mu_y:g})",
+        inputs={"modes": labels, "mu_x": params.mu_x, "mu_y": params.mu_y},
+        residual=deviation,
+        tol=tol,
     )
-    return report
+    return VerificationReport("ortho", [record])
 
 
 def check_dirac_system(
@@ -293,23 +286,7 @@ def check_dirac_system(
     )
     scale = (abs(solution.energy) + config.rest_energy) * amp
     residual = float(max(np.max(np.abs(r1)), np.max(np.abs(r2))) / scale)
-    report = VerificationReport("dirac")
-    report.records.append(
-        CheckRecord(
-            name=f"dirac{_state_tag(solution)}",
-            inputs={
-                "sector": str(solution.mode.sector),
-                "n": solution.mode.n,
-                "branch": solution.mode.branch,
-                "energy": solution.energy,
-                "h": h,
-            },
-            residual=residual,
-            tol=tol,
-            passed=residual <= tol,
-        )
-    )
-    return report
+    return VerificationReport("dirac", [_state_record("dirac", solution, residual, tol, h)])
 
 
 def matrix_oracle_lambda(
@@ -383,20 +360,19 @@ def check_nonrelativistic_limit(
     target = nonrelativistic_target(sector, mode, k, base_config)
     errs = []
     for c in c_values:
-        cfg = OscillatorConfig(
-            omega=base_config.omega,
-            omega_c=base_config.omega_c,
-            m=base_config.m,
-            hbar=base_config.hbar,
-            c=c,
-        )
+        cfg = replace(base_config, c=c)
         delta = energy(Component.UPPER, sector, mode, k, cfg, 1) - cfg.rest_energy
         errs.append(abs(delta - target))
     errs_arr = np.asarray(errs)
     scale = max(abs(target), base_config.hbar * base_config.effective_frequency)
     mismatch = errs_arr[-1] / scale
+    if np.all(errs_arr < 1e-13 * scale):
+        # exact cancellation (target 0 and spectrum flat in c): no rate to fit
+        rate, rate_residual = None, 0.0
+    else:
+        rate = -float(np.polyfit(np.log(np.asarray(c_values)), np.log(errs_arr), 1)[0])
+        rate_residual = abs(rate - 2.0)
 
-    report = VerificationReport("nrlimit")
     tag = f"nrlimit[{sector}] n={mode.n:g} b={mode.branch:+d} k={k}"
     inputs = {
         "sector": str(sector),
@@ -406,39 +382,11 @@ def check_nonrelativistic_limit(
         "target": target,
         "c_values": list(c_values),
     }
-    report.records.append(
-        CheckRecord(
-            name=f"{tag} match",
-            inputs=inputs,
-            residual=float(mismatch),
-            tol=tol,
-            passed=bool(mismatch <= tol),
-        )
+    match = CheckRecord(name=f"{tag} match", inputs=inputs, residual=float(mismatch), tol=tol)
+    rate_record = CheckRecord(
+        name=f"{tag} rate", inputs={**inputs, "rate": rate}, residual=rate_residual, tol=0.2
     )
-    if np.all(errs_arr < 1e-13 * scale):
-        # exact cancellation (target 0 and spectrum flat in c): no rate to fit
-        report.records.append(
-            CheckRecord(
-                name=f"{tag} rate",
-                inputs={**inputs, "rate": None},
-                residual=0.0,
-                tol=0.4,
-                passed=True,
-            )
-        )
-        return report
-    slope = np.polyfit(np.log(np.asarray(c_values)), np.log(errs_arr), 1)[0]
-    rate = -float(slope)
-    report.records.append(
-        CheckRecord(
-            name=f"{tag} rate",
-            inputs={**inputs, "rate": rate},
-            residual=abs(rate - 2.0),
-            tol=0.2,
-            passed=bool(1.8 <= rate <= 2.2),
-        )
-    )
-    return report
+    return VerificationReport("nrlimit", [match, rate_record])
 
 
 # ---------------------------------------------------------------------------

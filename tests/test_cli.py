@@ -246,6 +246,19 @@ class TestNLadder:
         assert code == 0
         assert sorted({ln.split(",")[1] for ln in text.splitlines()[1:]}) == ["0.5", "1.5"]
 
+    @pytest.mark.parametrize(
+        "argv, n",
+        [
+            (["wavefunction", "--sector=1,-1"], "1.5"),  # the default --n 1
+            (["spectrum", "--sector=1,-1", "--n", "0"], "0.5"),
+            (["spectrum", "--sector=1,-1", "--n", "2"], "2.5"),
+        ],
+    )
+    def test_mixed_sector_single_integer_means_n_plus_half(self, argv, n):
+        code, text = _run(argv)
+        assert code == 0 and text
+        assert (code, text) == _run([*argv[:2], "--n", n])
+
     def test_export_range_accepted(self):
         code, text = _run(["spectrum", "--n", "0:30", "--k-max", "300"])
         assert code == 0
@@ -358,6 +371,8 @@ class TestArgparse:
         ["spectrum", "--precision", "5"],
         ["wavefunction", "--k", "1", "--precision", "18"],
         ["verify", "--suite", "kg", "--n-max", "0", "--k-max", "201"],
+        ["wavefunction", "--energy", "1.5"],
+        ["wavefunction", "--n", "0:3"],
     ],
 )
 def test_invalid_input_exits_2(argv, capsys):

@@ -54,11 +54,34 @@ CFG_NEG = OscillatorConfig(omega=0.25, omega_c=2.5)
 
 class TestReportMechanics:
     def test_aggregate_pass_iff_all_records_pass(self):
-        rep = VerificationReport("demo")
-        rep.records.append(CheckRecord("a", {}, 0.0, 1.0, True))
-        assert rep.passed
-        rep.records.append(CheckRecord("b", {}, 2.0, 1.0, False))
-        assert not rep.passed
+        good, bad = CheckRecord("a", {}, 0.0, 1.0), CheckRecord("b", {}, 2.0, 1.0)
+        assert VerificationReport("demo", [good]).passed
+        assert not VerificationReport("demo", [good, bad]).passed
+
+    def test_nan_residual_fails(self):
+        assert CheckRecord("a", {}, math.nan, 1.0).passed is False
+
+    def test_inputs_keys_of_every_suite(self):
+        state = {"sector", "n", "branch"}
+        nrlimit = state | {"k", "target", "c_values"}
+        expected = {
+            "kg": state | {"component", "energy", "h"},
+            "dirac": state | {"energy", "h"},
+            "angular": state | {"mu_x", "mu_y", "lambda", "relative_residual", "h"},
+            "ortho": {"modes", "mu_x", "mu_y"},
+            "nrlimit match": nrlimit,
+            "nrlimit rate": nrlimit | {"rate"},
+        }
+        critical = run_suite(P11, OscillatorConfig(omega=1.0, omega_c=2.0), "kg", n_max=1).records
+        assert critical and all(" E=" in r.name for r in critical)
+        seen = set()
+        for rec in run_suite(P11, CFG, "all", n_max=1, k_max=1).records + critical:
+            suite = rec.name.split("[")[0]
+            if suite == "nrlimit":
+                suite += " " + rec.name.rsplit(" ", 1)[1]
+            assert set(rec.inputs) == expected[suite], rec.name
+            seen.add(suite)
+        assert seen == set(expected)
 
     def test_to_dict_schema(self):
         rep = check_angular_eigen(AngularMode(SectorLabel(1, 1), 0, 1, P11))
