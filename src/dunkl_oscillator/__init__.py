@@ -30,6 +30,7 @@ from .solution_builder import (
     IntegralityError,
     InvalidPairError,
     NegativeRadicandError,
+    NormRangeError,
     OscillatorConfig,
     QuantumNumbers,
     RadialProfile,

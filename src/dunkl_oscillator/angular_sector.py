@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -83,6 +84,12 @@ class AngularMode:
     integer for epsilon = -1. n = 0 has lambda = 0 and only a single
     eigenfunction (the odd-odd partner vanishes identically), so it lives
     in the (+1, +1) sector with branch +1 only.
+
+    A mode object also holds the factors built on it: its eigenfunction
+    and, per radial scale, the radial row table of ``build_spinor``. Every
+    state built on one mode object shares them, so F(phi) and the Laguerre
+    recurrence run once per mode, not once per (mode, k). An equal mode
+    built apart shares nothing, and the factors go with the object.
     """
 
     sector: SectorLabel
@@ -104,6 +111,19 @@ class AngularMode:
         else:
             if not _is_half_odd(self.n) or self.n < 0.5:
                 raise ValueError(f"epsilon=-1 requires half-odd n >= 1/2, got n={self.n}")
+
+    @cached_property
+    def eigenfunction(self) -> ScalarField2D:
+        """F of this mode object, built on first use (see ``f_eigenfunction``)."""
+        eps = self.sector.epsilon
+        angular = remember_last(mixed_pair(eps, self.n, self.params, eps * self.branch))
+        return ScalarField2D(lambda rho, phi: angular(phi))
+
+    @cached_property
+    def radial_tables(self) -> dict:
+        """Radial row tables of the states built on this mode object, by
+        radial scale (filled by ``solution_builder.build_spinor``)."""
+        return {}
 
 
 def _basis(s_x: int, s_y: int, n: float, params: DunklParams):
@@ -188,14 +208,13 @@ def lambda_eigenvalue(mode: AngularMode) -> float:
 def f_eigenfunction(mode: AngularMode) -> ScalarField2D:
     """The (unit-normalized, purely angular) J eigenfunction of a mode.
 
-    Both basis families are built, with their constants, when the field
-    is. Each returned field remembers its last few angle arrays, so the
-    two components of a spinor, which share this field, evaluate F once
-    per distinct angle array.
+    Both basis families are built, with their constants, the first time a
+    mode object is asked; later calls return the same field. The field
+    remembers its last few angle arrays, so the two components of every
+    state built on the mode, for every k, evaluate F once per distinct
+    angle array.
     """
-    eps = mode.sector.epsilon
-    angular = remember_last(mixed_pair(eps, mode.n, mode.params, eps * mode.branch))
-    return ScalarField2D(lambda rho, phi: angular(phi))
+    return mode.eigenfunction
 
 
 def modes_for_sector(sector: SectorLabel, params: DunklParams, n_max: float):

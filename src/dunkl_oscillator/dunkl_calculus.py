@@ -30,6 +30,7 @@ broadcasts; the verification grids rely on this.
 from __future__ import annotations
 
 import enum
+import functools
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
@@ -394,11 +395,13 @@ def _gauss_on(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (b - a) * t + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
+@functools.lru_cache(maxsize=8)
 def angular_quadrature(n_per_panel: int = 48) -> QuadratureRule:
     """Composite Gauss-Legendre rule on [0, 2pi), split at the axis angles.
 
     The deformation weight |cos|^{2mu_x} |sin|^{2mu_y} is non-smooth at
-    multiples of pi/2, so each quarter is integrated separately.
+    multiples of pi/2, so each quarter is integrated separately. The rule
+    is built once per panel size; its arrays are read-only.
     """
     nodes, weights = [], []
     for k in range(4):
@@ -406,7 +409,10 @@ def angular_quadrature(n_per_panel: int = 48) -> QuadratureRule:
         nodes.append(x)
         weights.append(w)
     phi = np.concatenate(nodes)
-    return QuadratureRule(np.ones_like(phi), phi, np.concatenate(weights))
+    rule = QuadratureRule(np.ones_like(phi), phi, np.concatenate(weights))
+    for arr in (rule.rho, rule.phi, rule.weights):
+        arr.flags.writeable = False
+    return rule
 
 
 def polar_quadrature(

@@ -37,7 +37,7 @@ import numpy as np
 
 from .angular_sector import AngularMode, SectorLabel, f_eigenfunction, lambda_eigenvalue
 from .dunkl_calculus import Component, DunklParams, ScalarField2D, remember_last
-from .special_functions import bessel_j, laguerre_l, log_gamma
+from .special_functions import MAX_DEGREE, DomainError, bessel_j, laguerre_rows, log_gamma
 
 
 class RegimeError(ValueError):
@@ -54,6 +54,10 @@ class IntegralityError(ValueError):
 
 class NegativeRadicandError(ValueError):
     """Energy radicand negative: unphysical parameter combination."""
+
+
+class NormRangeError(ValueError):
+    """A state's normalization constant lies outside the double-precision range."""
 
 
 class Regime(enum.Enum):
@@ -210,6 +214,36 @@ def energy(
     return sign * mc2 * math.sqrt(radicand)
 
 
+class RadialRows:
+    """R_k(rho) = rho^{A-mu_+} e^{-s rho^2 / 2} L_k^A(s rho^2) of one order A,
+    exponent A - mu_+ and scale s, for every radial index k.
+
+    Per distinct radius array (the last few are kept, as by
+    ``remember_last``) the prefactor is computed once and the Laguerre
+    recurrence runs once, extended as higher k are asked for, so the upper
+    k and the lower k' of every state of a mode read rows of one table.
+    Rows are read-only.
+    """
+
+    def __init__(self, order: float, exponent: float, scale: float) -> None:
+        def start(rho):  # a closure, not a bound method: no cycle through self
+            u = scale * rho * rho
+            return rho**exponent * np.exp(-0.5 * u), laguerre_rows(order, u), []
+
+        self._per_radius = remember_last(start)
+
+    def __call__(self, rho, k: int):
+        if k > MAX_DEGREE:
+            raise DomainError(f"laguerre_l degree out of range: {k}")
+        prefactor, recurrence, rows = self._per_radius(rho)
+        while len(rows) <= k:
+            row = prefactor * next(recurrence)
+            if isinstance(row, np.ndarray):
+                row.flags.writeable = False
+            rows.append(row)
+        return rows[k]
+
+
 @dataclass(frozen=True)
 class RadialProfile:
     """Evaluable radial factor rho^{A-mu_+} e^{-s rho^2 / 2} L_k^A(s rho^2)."""
@@ -220,23 +254,21 @@ class RadialProfile:
     index: int
 
     def __call__(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        u = self.scale * rho * rho
-        return rho**self.exponent * np.exp(-0.5 * u) * laguerre_l(self.index, self.order, u)
+        return RadialRows(self.order, self.exponent, self.scale)(rho, self.index)
 
-    def norm_squared(self) -> float:
-        """Exact squared norm against the radial measure rho^{2 mu_+ + 1} drho.
+    def log_norm_squared(self) -> float:
+        """Log of the exact squared norm against the radial measure
+        rho^{2 mu_+ + 1} drho.
 
         Substituting u = s rho^2 turns the integral into the classical
         Laguerre orthogonality integral Gamma(k + A + 1) / k!.
         """
         a, k, s = self.order, self.index, self.scale
-        return math.exp(
-            log_gamma(k + a + 1.0)
-            - log_gamma(k + 1.0)
-            - (a + 1.0) * math.log(s)
-            - math.log(2.0)
-        )
+        return log_gamma(k + a + 1.0) - log_gamma(k + 1.0) - (a + 1.0) * math.log(s) - math.log(2.0)
+
+    def norm_squared(self) -> float:
+        """The exact squared norm; it overflows a double for high orders."""
+        return math.exp(self.log_norm_squared())
 
 
 def build_radial(mode: AngularMode, k: int, config: OscillatorConfig) -> RadialProfile:
@@ -267,10 +299,37 @@ class SpinorSolution:
     norm_lower: float | None = None
 
 
+# |log x| below this: x and 1 / x are normal doubles.
+_LOG_NORMAL = 700.0
+
+
+def _amplitude(share: float, radial: RadialProfile) -> float:
+    """sqrt(share / <R|R>), the constant that gives a component its share
+    of the probability.
+
+    While the norm is a normal double this is the plain quotient. Past
+    that (high radial orders, or extreme units) the quotient is formed in
+    log space, so an amplitude that is itself a normal double is still
+    found; one that is not raises ``NormRangeError`` rather than turn the
+    state into zeros or infinities.
+    """
+    if share <= 0.0:
+        return 0.0
+    log_norm = radial.log_norm_squared()
+    if abs(log_norm) < _LOG_NORMAL:
+        return math.sqrt(share / math.exp(log_norm))
+    log_amp = 0.5 * (math.log(share) - log_norm)
+    if abs(log_amp) >= _LOG_NORMAL:
+        raise NormRangeError(
+            f"the normalization constant e^{log_amp:.6g} of radial index {radial.index} "
+            "is outside the double-precision range"
+        )
+    return math.exp(log_amp)
+
+
 def _product_field(radial: Callable, angular: ScalarField2D, scale: complex) -> ScalarField2D:
-    """scale * radial(rho) * angular(phi), evaluating the radial factor
-    once per distinct radius array (the angular field remembers its own)."""
-    radial = remember_last(radial)
+    """scale * radial(rho) * angular(phi). Both factors remember their
+    recent coordinate arrays, so each is evaluated once per distinct array."""
     return ScalarField2D(lambda rho, phi: scale * radial(rho) * angular.eval_polar(rho, phi))
 
 
@@ -287,7 +346,9 @@ def build_spinor(
     <2|2> = (E - mc^2)/(2E); their sum is 1. Both components carry the
     mode's angular eigenfunction times a real, non-negative constant,
     which fixes the relative phase by convention (see the module
-    docstring for why the coupled equations cannot fix it).
+    docstring for why the coupled equations cannot fix it). The angular
+    field and the radial row table are the mode object's own, shared with
+    every other state built on it.
     """
     if sector != mode.sector:
         raise ValueError(f"sector ({sector}) disagrees with the mode {mode}")
@@ -299,15 +360,22 @@ def build_spinor(
     angular = f_eigenfunction(mode)
     rad_u = build_radial(mode, k, config)
     rad_l = build_radial(mode, k_prime, config)
+    rows = mode.radial_tables.get(rad_u.scale)
+    if rows is None:
+        rows = mode.radial_tables[rad_u.scale] = RadialRows(rad_u.order, rad_u.exponent, rad_u.scale)
 
     nu2 = (e_val + mc2) / (2.0 * e_val)
     nl2 = (e_val - mc2) / (2.0 * e_val)
-    cu = math.sqrt(max(nu2, 0.0) / rad_u.norm_squared())
-    cl = math.sqrt(max(nl2, 0.0) / rad_l.norm_squared())
+    cu = _amplitude(nu2, rad_u)
+    cl = _amplitude(nl2, rad_l)
 
-    lower = ScalarField2D.zero() if cl == 0.0 else _product_field(rad_l, angular, cl)
+    upper = _product_field(lambda rho: rows(rho, k), angular, cu)
+    if cl == 0.0:
+        lower = ScalarField2D.zero()
+    else:
+        lower = _product_field(lambda rho: rows(rho, k_prime), angular, cl)
     return SpinorSolution(
-        upper=_product_field(rad_u, angular, cu),
+        upper=upper,
         lower=lower,
         energy=e_val,
         quantum=QuantumNumbers(k, k_prime),
@@ -347,7 +415,7 @@ def free_particle(
     def radial(rho):
         return rho ** (-mu_p) * bessel_j(a_ord, wavenumber * rho)
 
-    field = _product_field(radial, f_eigenfunction(mode), 1.0)
+    field = _product_field(remember_last(radial), f_eigenfunction(mode), 1.0)
     return SpinorSolution(
         upper=field,
         lower=field,

@@ -22,6 +22,7 @@ which pins the discrepancy on the closed forms rather than the operators.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -131,9 +132,15 @@ class GridSpec:
     def radii(self, length_scale: float) -> np.ndarray:
         return np.geomspace(0.1 * length_scale, 4.0 * length_scale, self.n_rho)
 
+    @functools.lru_cache(maxsize=16)
     def polar_points(self, length_scale: float) -> tuple[np.ndarray, np.ndarray]:
+        """The grid's (rho, phi) points, flattened. Built once per (spec,
+        length scale), since every state of a run shares its grid; the
+        arrays are read-only."""
         rr, pp = np.meshgrid(self.radii(length_scale), self.angles(), indexing="ij")
-        return rr.ravel(), pp.ravel()
+        rho, phi = rr.ravel(), pp.ravel()
+        rho.flags.writeable = phi.flags.writeable = False
+        return rho, phi
 
 
 def _length_scale(solution: SpinorSolution) -> float:

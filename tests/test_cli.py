@@ -10,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dunkl_oscillator.cli import build_parser, main
 
@@ -183,6 +185,21 @@ class TestWavefunction:
         code, text = _run(args)
         assert code == 0 and len(text.splitlines()) == 1 + 35
         assert shapes == [(7,)] * 10
+
+    @pytest.mark.parametrize("argv", [["--n", "100"], ["--n", "150"], ["--n", "200"],
+                                      ["--sector=1,-1", "--n", "199.5"]])
+    def test_large_n_exports_or_exits_2(self, argv, capsys):
+        # the radial norm of these states overflows a double; the amplitude
+        # is formed in log space, and one below the double range exits 2
+        code = main(["wavefunction", *argv, "--grid-rho", "3", "--grid-phi", "2"])
+        captured = capsys.readouterr()
+        assert code in (0, 2)
+        assert "Traceback" not in captured.err
+        if code == 2:
+            assert captured.out == "" and captured.err.startswith("error: ")
+        else:
+            values = [float(t) for ln in captured.out.splitlines()[1:] for t in ln.split(",")]
+            assert all(math.isfinite(v) for v in values) and any(values[2:6] + values[-4:])
 
     def test_invalid_pair_exits_2(self):
         assert main(["wavefunction", "--mu-x", "1", "--mu-y", "1",
@@ -380,3 +397,34 @@ def test_invalid_input_exits_2(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip()
+
+
+def _floats(cells):
+    for cell in cells:
+        try:
+            yield float(cell)
+        except ValueError:  # sector, branch, "invalid", "unphysical", regime
+            continue
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.one_of(st.integers(0, 400).map(lambda i: i / 2), st.floats(0.0, 200.0)),
+       sector=st.sampled_from(["1,1", "-1,-1", "1,-1", "-1,1"]), k=st.integers(0, 3),
+       command=st.sampled_from(["wavefunction", "spectrum"]))
+def test_any_n_exits_0_with_finite_floats_or_2_with_one_error_line(n, sector, k, command):
+    if command == "wavefunction":
+        argv = ["wavefunction", f"--sector={sector}", "--n", repr(n), "--k", str(k),
+                "--grid-rho", "2", "--grid-phi", "2"]
+    else:
+        argv = ["spectrum", f"--sector={sector}", "--n", repr(n), "--k-max", str(k)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    else:
+        values = list(_floats(t for ln in out.getvalue().splitlines()[1:] for t in ln.split(",")))
+        assert all(math.isfinite(v) for v in values)  # a table may have no rows

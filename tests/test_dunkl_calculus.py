@@ -233,6 +233,13 @@ class TestWeightedInnerProduct:
         pol = polar_quadrature(5.0, 64, 32)
         assert np.sum(pol.weights) == pytest.approx(10 * np.pi, rel=1e-13)
 
+    def test_angular_rule_is_built_once_and_read_only(self):
+        rule = angular_quadrature()
+        assert angular_quadrature() is rule
+        for arr in (rule.rho, rule.phi, rule.weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
     def test_normalized_angular_mode(self):
         params = DunklParams(1.0, 1.0)
         mode = AngularMode(SectorLabel(1, 1), 0, 1, params)

@@ -21,6 +21,7 @@ from dunkl_oscillator.angular_sector import (
 from dunkl_oscillator.dunkl_calculus import (
     Component,
     DunklParams,
+    ScalarField2D,
     polar_quadrature,
     weighted_inner_product,
 )
@@ -40,7 +41,12 @@ from dunkl_oscillator.solution_builder import (
     pair_radial_indices,
     radial_order,
 )
-from dunkl_oscillator.verification import GridSpec, classical_oscillator_b_energy, sweep_bound_states
+from dunkl_oscillator.verification import (
+    GridSpec,
+    classical_oscillator_b_energy,
+    run_suite,
+    sweep_bound_states,
+)
 
 P11 = DunklParams(1.0, 1.0)
 P00 = DunklParams(0.0, 0.0)
@@ -400,7 +406,7 @@ class TestFactorReuse:
 
     def test_components_share_angular_evaluations(self, monkeypatch):
         sol = self._state()
-        calls = {"jacobi_p": 0, "laguerre_l": 0}
+        calls = {"jacobi_p": 0, "laguerre_rows": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -410,8 +416,8 @@ class TestFactorReuse:
 
         monkeypatch.setattr(angular_sector, "jacobi_p",
                             counted("jacobi_p", angular_sector.jacobi_p))
-        monkeypatch.setattr(solution_builder, "laguerre_l",
-                            counted("laguerre_l", solution_builder.laguerre_l))
+        monkeypatch.setattr(solution_builder, "laguerre_rows",
+                            counted("laguerre_rows", solution_builder.laguerre_rows))
         rho, phi = GridSpec().polar_points(1.0)
         angles = (phi, np.pi - phi, -phi)
         for fld in (sol.upper, sol.lower):
@@ -419,7 +425,7 @@ class TestFactorReuse:
                 fld.eval_polar(rho, a)
                 fld.eval_polar(rho.copy(), a.copy())
         assert calls["jacobi_p"] == 2 * len(angles)  # Phi^{++} and Phi^{--}
-        assert calls["laguerre_l"] == 2  # one radius array per component
+        assert calls["laguerre_rows"] == 1  # one radius array, shared by both components
 
     @pytest.mark.parametrize("mode", [AngularMode(SectorLabel(1, 1), 0, 1, P11),
                                       AngularMode(SectorLabel(-1, -1), 2, -1, P11),
@@ -469,3 +475,115 @@ class TestFactorReuse:
         ang = f_eigenfunction(sol.mode).eval_polar(rho, phi)
         with pytest.raises(ValueError):
             ang[0] = 0.0
+
+
+def _counting(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls[name] = calls.get(name, 0) + 1
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def _kg_stencil(rho, phi, h=1e-4):
+    return [(rho, phi), (rho + h, phi), (rho - h, phi), (rho, np.pi - phi),
+            (rho, -phi), (rho, phi + h), (rho, phi - h)]
+
+
+def _dirac_stencil(rho, phi, h=1e-4):
+    x, y = rho * np.cos(phi), rho * np.sin(phi)
+    return [(x, y), (x + h, y), (x - h, y), (-x, y), (x, y + h), (x, y - h), (x, -y)]
+
+
+class TestModeFactorSharing:
+    """The states of one mode object share its angular field and its radial
+    row table; sharing changes no bit of any state."""
+
+    @pytest.mark.parametrize("config", [CFG_POS, CFG_NEG], ids=["w+", "w-"])
+    def test_sweep_states_match_states_built_alone(self, config):
+        rho, phi = GridSpec().polar_points(config.length_scale)
+        states = list(sweep_bound_states(P11, config, 4, 4))
+        assert len({id(st.mode) for st in states}) < len(states)  # modes do carry several k
+        for stencil, evaluate in ((_kg_stencil(rho, phi), ScalarField2D.eval_polar),
+                                  (_dirac_stencil(rho, phi), ScalarField2D.__call__)):
+            for st in states:  # in sweep order, so each table grows as k rises
+                for point in stencil:
+                    evaluate(st.upper, *point)
+                    evaluate(st.lower, *point)
+            for st in states:
+                mode = st.mode
+                alone = build_spinor(mode.sector, AngularMode(mode.sector, mode.n, mode.branch, P11),
+                                     st.quantum.k, config, 1)
+                for point in stencil:
+                    assert np.array_equal(evaluate(st.upper, *point), evaluate(alone.upper, *point))
+                    assert np.array_equal(evaluate(st.lower, *point), evaluate(alone.lower, *point))
+
+    @pytest.mark.parametrize("params, k_low", [(P00, 0), (P11, 1)])
+    def test_kg_sweep_jacobi_calls_do_not_grow_with_k(self, monkeypatch, params, k_low):
+        # at w~ < 0 every mode of these systems has a state at k = k_low
+        counts = []
+        for k_max in (k_low, 4):
+            calls = {}
+            _counting(monkeypatch, angular_sector, "jacobi_p", calls)
+            run_suite(params, CFG_NEG, "kg", n_max=2, k_max=k_max)
+            monkeypatch.undo()
+            counts.append(calls["jacobi_p"])
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("suite, radius_arrays", [("kg", 3), ("dirac", 5)])
+    @pytest.mark.parametrize("config", [CFG_POS, CFG_NEG], ids=["w+", "w-"])
+    def test_laguerre_recurrence_runs_once_per_mode_and_radius_array(
+            self, monkeypatch, suite, radius_arrays, config):
+        # kg asks for rho and rho +/- h; dirac for rho, hypot(x +/- h, y), hypot(x, y +/- h)
+        modes = {(st.mode.sector, st.mode.n, st.mode.branch)
+                 for st in sweep_bound_states(P11, config, 2, 4)}
+        calls = {}
+        _counting(monkeypatch, solution_builder, "laguerre_rows", calls)
+        run_suite(P11, config, suite, n_max=2, k_max=4)
+        assert calls["laguerre_rows"] == radius_arrays * len(modes)
+
+    def test_identical_sweeps_make_identical_call_counts(self, monkeypatch):
+        def counts():
+            calls = {}
+            _counting(monkeypatch, angular_sector, "jacobi_p", calls)
+            _counting(monkeypatch, angular_sector, "log_gamma", calls)
+            _counting(monkeypatch, solution_builder, "laguerre_rows", calls)
+            _counting(monkeypatch, solution_builder, "log_gamma", calls)
+            run_suite(P11, CFG_POS, "all", n_max=2, k_max=2)
+            monkeypatch.undo()
+            return calls
+
+        first = counts()
+        assert len(first) == 3 and all(first.values())  # both log_gamma names count as one key
+        assert counts() == first
+
+    def test_radial_rows_are_read_only_and_equal_the_profile(self):
+        mode = AngularMode(SectorLabel(1, 1), 1, 1, P11)
+        rows = solution_builder.RadialRows(radial_order(mode), radial_order(mode) - P11.mu_plus, 1.0)
+        rho = GridSpec().radii(1.0)
+        for k in (3, 0, 5):
+            row = rows(rho, k)
+            assert np.array_equal(row, build_radial(mode, k, CFG_POS)(rho))
+            with pytest.raises(ValueError):
+                row[0] = 0.0
+
+
+class TestNormRange:
+    """A high radial order overflows the norm, not the amplitude."""
+
+    def test_norm_folded_in_log_space_keeps_a_large_n_state(self):
+        mode = AngularMode(SectorLabel(1, 1), 100, 1, P00)
+        assert build_radial(mode, 1, CFG_POS).log_norm_squared() > 710.0  # exp would overflow
+        sol = build_spinor(SectorLabel(1, 1), mode, 1, CFG_POS, 1)
+        vals = sol.upper.eval_polar(np.array([3.0, 4.0]), np.array([0.3, 0.3]))
+        assert np.all(np.isfinite(vals)) and np.all(vals != 0.0)
+
+    @pytest.mark.parametrize("sector, n", [(SectorLabel(1, 1), 150), (SectorLabel(1, 1), 200),
+                                           (SectorLabel(1, -1), 199.5)])
+    def test_amplitude_below_the_double_range_raises(self, sector, n):
+        mode = AngularMode(sector, n, 1, P00)
+        with pytest.raises(solution_builder.NormRangeError):
+            build_spinor(sector, mode, 1, CFG_POS, 1)
+        assert issubclass(solution_builder.NormRangeError, ValueError)

@@ -304,6 +304,15 @@ class TestReferenceEigenstates:
 
 
 class TestSweepAndSuite:
+    def test_grid_is_built_once_per_length_scale_and_read_only(self):
+        rho, phi = GridSpec().polar_points(1.5)
+        again = GridSpec().polar_points(1.5)
+        assert again[0] is rho and again[1] is phi
+        assert np.array_equal(rho[::16], GridSpec().radii(1.5))
+        for arr in (rho, phi):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
     def test_sweep_counts(self):
         assert len(list(sweep_bound_states(P11, CFG, 2, 2))) == 28
         assert len(list(sweep_bound_states(P00, CFG, 2, 2))) == 34
