@@ -33,6 +33,7 @@ from .solution_builder import (
     OscillatorConfig,
     Regime,
     build_spinor,
+    check_norm_range,
     classify_regime,
     energy,
     free_particle,
@@ -266,6 +267,10 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     params, config = _system(args)
+    if args.suite in ("kg", "dirac", "all"):
+        # the sweep builds its states lazily: a norm out of range fails here,
+        # before the first check, not halfway through the records
+        check_norm_range(params, config, args.n_max, args.k_max)
     report = run_suite(
         params,
         config,

@@ -35,7 +35,14 @@ from typing import Callable
 
 import numpy as np
 
-from .angular_sector import AngularMode, SectorLabel, f_eigenfunction, lambda_eigenvalue
+from .angular_sector import (
+    ALL_SECTORS,
+    AngularMode,
+    SectorLabel,
+    f_eigenfunction,
+    lambda_eigenvalue,
+    modes_for_sector,
+)
 from .dunkl_calculus import Component, DunklParams, ScalarField2D, remember_last
 from .special_functions import MAX_DEGREE, DomainError, bessel_j, laguerre_rows, log_gamma
 
@@ -232,16 +239,25 @@ class RadialRows:
 
         self._per_radius = remember_last(start)
 
-    def __call__(self, rho, k: int):
-        if k > MAX_DEGREE:
-            raise DomainError(f"laguerre_l degree out of range: {k}")
+    def _rows_through(self, rho, k_top: int) -> list:
+        if k_top > MAX_DEGREE:
+            raise DomainError(f"laguerre_l degree out of range: {k_top}")
         prefactor, recurrence, rows = self._per_radius(rho)
-        while len(rows) <= k:
+        while len(rows) <= k_top:
             row = prefactor * next(recurrence)
             if isinstance(row, np.ndarray):
                 row.flags.writeable = False
             rows.append(row)
-        return rows[k]
+        return rows
+
+    def __call__(self, rho, k: int):
+        return self._rows_through(rho, k)[k]
+
+    def stack(self, rho: np.ndarray, ks) -> np.ndarray:
+        """Rows ``ks`` at one radius array, as a (len(ks), P) array: one
+        table lookup for all of them."""
+        rows = self._rows_through(rho, max(ks))
+        return np.stack([rows[k] for k in ks])
 
 
 @dataclass(frozen=True)
@@ -297,6 +313,8 @@ class SpinorSolution:
     config: OscillatorConfig
     norm_upper: float | None = None
     norm_lower: float | None = None
+    # (c_u, c_l) of a state built on its mode's shared factors (build_spinor)
+    amplitudes: tuple[float, float] | None = None
 
 
 # |log x| below this: x and 1 / x are normal doubles.
@@ -325,6 +343,45 @@ def _amplitude(share: float, radial: RadialProfile) -> float:
             "is outside the double-precision range"
         )
     return math.exp(log_amp)
+
+
+def _mode_rows(mode: AngularMode, radial: RadialProfile) -> RadialRows:
+    """The mode object's radial row table at the profile's scale, made on
+    first use; every state built on the mode reads its rows from it."""
+    rows = mode.radial_tables.get(radial.scale)
+    if rows is None:
+        rows = mode.radial_tables[radial.scale] = RadialRows(radial.order, radial.exponent, radial.scale)
+    return rows
+
+
+def check_norm_range(params: DunklParams, config: OscillatorConfig, n_max: float, k_max: int) -> None:
+    """Raise ``NormRangeError`` if a bound state with n <= n_max and
+    k <= k_max has a radial factor whose normalization constant, at unit
+    share, lies outside the double range. No field is built.
+
+    log <R|R> = lgamma(k + A + 1) - lgamma(k + 1) - (A + 1) log s - log 2
+    grows with k at fixed order A (each step adds log((k + A + 1) / (k + 1))
+    >= 0) and k' moves with k, so each order's extremes are at the first
+    pairable k and at k_max. In A it is convex, so its largest value sits
+    at a sector's smallest or largest order, but its smallest need not:
+    every mode is checked, four ``log_gamma`` pairs each. A state's share
+    (E +/- m c^2) / (2E) moves its log amplitude by half the share's log,
+    so a state within that of the edge can still fail when it is built.
+    """
+    regime = classify_regime(config)
+    if regime is Regime.CRITICAL:
+        return
+    for sector in ALL_SECTORS:
+        pairs = []
+        for k in range(k_max + 1):
+            try:
+                pairs.append((k, pair_radial_indices(sector, regime, k, params)))
+            except InvalidPairError:
+                continue
+        for mode in modes_for_sector(sector, params, n_max):
+            for k, k_prime in pairs[:1] + pairs[-1:]:
+                for index in (k, k_prime):
+                    _amplitude(1.0, build_radial(mode, index, config))
 
 
 def _product_field(radial: Callable, angular: ScalarField2D, scale: complex) -> ScalarField2D:
@@ -360,9 +417,7 @@ def build_spinor(
     angular = f_eigenfunction(mode)
     rad_u = build_radial(mode, k, config)
     rad_l = build_radial(mode, k_prime, config)
-    rows = mode.radial_tables.get(rad_u.scale)
-    if rows is None:
-        rows = mode.radial_tables[rad_u.scale] = RadialRows(rad_u.order, rad_u.exponent, rad_u.scale)
+    rows = _mode_rows(mode, rad_u)
 
     nu2 = (e_val + mc2) / (2.0 * e_val)
     nl2 = (e_val - mc2) / (2.0 * e_val)
@@ -383,6 +438,45 @@ def build_spinor(
         config=config,
         norm_upper=nu2,
         norm_lower=nl2,
+        amplitudes=(cu, cl),
+    )
+
+
+def _with_leading_axis(field: ScalarField2D) -> ScalarField2D:
+    return ScalarField2D(lambda rho, phi: np.expand_dims(field.eval_polar(rho, phi), 0))
+
+
+def stacked_components(states) -> tuple[ScalarField2D, ScalarField2D]:
+    """The upper and lower components of ``states`` as (K, P)-valued
+    fields, row i holding state i.
+
+    States that ``build_spinor`` made on one mode object and one config
+    stack on the mode's own factors: row i is (c_i R_{k_i}(rho)) F(phi),
+    with one radial table lookup per radius array and one F evaluation
+    for all rows. That is the operation order of ``_product_field``, so
+    every row equals its state's own field bit for bit; a zero lower
+    amplitude gives a zero row. Any other state (hand-built, classical or
+    free) stacks only alone, as its own fields with a leading axis of 1.
+    """
+    first = states[0]
+    if len(states) == 1 and first.amplitudes is None:
+        return _with_leading_axis(first.upper), _with_leading_axis(first.lower)
+    mode, config = first.mode, first.config
+    for st in states:
+        if st.amplitudes is None:
+            raise ValueError("only states built by build_spinor stack with others")
+        if st.mode is not mode or st.config != config:
+            raise ValueError(f"states of {mode} and {st.mode} do not share a mode object and config")
+    rows = _mode_rows(mode, build_radial(mode, first.quantum.k, config))
+    angular = f_eigenfunction(mode)
+
+    def stacked(ks, amplitudes) -> ScalarField2D:
+        column = np.array(amplitudes)[:, None]
+        return ScalarField2D(lambda rho, phi: column * rows.stack(rho, ks) * angular.eval_polar(rho, phi))
+
+    return (
+        stacked([st.quantum.k for st in states], [st.amplitudes[0] for st in states]),
+        stacked([st.quantum.k_prime for st in states], [st.amplitudes[1] for st in states]),
     )
 
 

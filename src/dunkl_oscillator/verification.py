@@ -23,6 +23,7 @@ which pins the discrepancy on the closed forms rather than the operators.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -62,6 +63,7 @@ from .solution_builder import (
     energy,
     free_particle,
     radial_order,
+    stacked_components,
 )
 from .special_functions import laguerre_l
 
@@ -186,27 +188,43 @@ def reduced_energy(solution: SpinorSolution) -> float:
 # checks
 # ---------------------------------------------------------------------------
 
+def _as_states(states) -> list[SpinorSolution]:
+    return [states] if isinstance(states, SpinorSolution) else list(states)
+
+
 def check_kg_eigen(
-    solution: SpinorSolution,
+    states,
     grid_spec: GridSpec = GridSpec(),
     tol: float = DEFAULT_TOLS["kg"],
     h: float = DEFAULT_STEP,
 ) -> VerificationReport:
-    """Pointwise residual of the decoupled second-order equations."""
-    params = solution.mode.params
-    config = solution.config
-    tilde_e = reduced_energy(solution)
-    rho, phi = grid_spec.polar_points(_length_scale(solution))
-    records = []
-    for component, fld in ((Component.UPPER, solution.upper), (Component.LOWER, solution.lower)):
+    """Pointwise residual of the decoupled second-order equations.
+
+    ``states`` is one state or the states of one mode object; each
+    component of all of them is checked in one operator application on
+    (K, P) fields (see ``stacked_components``). Each residual keeps its
+    own state's scale, and a component that is zero on the grid has
+    residual 0. The records come per state, upper then lower, in input
+    order.
+    """
+    states = _as_states(states)
+    fields = stacked_components(states)
+    params, config = states[0].mode.params, states[0].config
+    rho, phi = grid_spec.polar_points(_length_scale(states[0]))
+    tilde_e = np.array([[reduced_energy(st)] for st in states])
+    residuals = []
+    for component, fld in zip((Component.UPPER, Component.LOWER), fields):
         vals = fld.eval_polar(rho, phi)
-        scale = float(np.max(np.abs(vals)))
-        if scale == 0.0:
-            residual = 0.0
-        else:
-            applied = kg_apply(component, fld, params, config, (rho, phi), h)
-            residual = float(np.max(np.abs(applied - tilde_e * vals)) / scale)
-        records.append(_state_record("kg", solution, residual, tol, h, component))
+        scale = np.max(np.abs(vals), axis=1)
+        applied = kg_apply(component, fld, params, config, (rho, phi), h)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            residual = np.max(np.abs(applied - tilde_e * vals), axis=1) / scale
+        residuals.append((component, np.where(scale == 0.0, 0.0, residual)))
+    records = [
+        _state_record("kg", st, float(residual[i]), tol, h, component)
+        for i, st in enumerate(states)
+        for component, residual in residuals
+    ]
     return VerificationReport("kg", records)
 
 
@@ -273,27 +291,33 @@ def check_orthonormality(
 
 
 def check_dirac_system(
-    solution: SpinorSolution,
+    states,
     grid_spec: GridSpec = GridSpec(),
     tol: float = DEFAULT_TOLS["dirac"],
     h: float = DEFAULT_STEP,
 ) -> VerificationReport:
-    """Max residual of the coupled first-order system on an off-axis grid."""
-    params = solution.mode.params
-    config = solution.config
-    rho, phi = grid_spec.polar_points(_length_scale(solution))
+    """Max residual of the coupled first-order system on an off-axis grid.
+
+    ``states`` is one state or the states of one mode object, checked in
+    one operator application with their energies as a (K, 1) column. Each
+    residual is scaled by its own state's (|E| + m c^2) times its largest
+    component value. One record per state, in input order.
+    """
+    states = _as_states(states)
+    upper, lower = stacked_components(states)
+    params, config = states[0].mode.params, states[0].config
+    rho, phi = grid_spec.polar_points(_length_scale(states[0]))
     xs, ys = rho * np.cos(phi), rho * np.sin(phi)
-    r1, r2 = dirac_apply(
-        (solution.upper, solution.lower), solution.energy, params, config, (xs, ys), h
-    )
-    amp = max(
-        float(np.max(np.abs(solution.upper(xs, ys)))),
-        float(np.max(np.abs(solution.lower(xs, ys)))),
+    energies = np.array([[st.energy] for st in states])
+    r1, r2 = dirac_apply((upper, lower), energies, params, config, (xs, ys), h)
+    amp = np.maximum(
+        np.maximum(np.max(np.abs(upper(xs, ys)), axis=1), np.max(np.abs(lower(xs, ys)), axis=1)),
         1e-300,
     )
-    scale = (abs(solution.energy) + config.rest_energy) * amp
-    residual = float(max(np.max(np.abs(r1)), np.max(np.abs(r2))) / scale)
-    return VerificationReport("dirac", [_state_record("dirac", solution, residual, tol, h)])
+    scale = (np.abs(energies[:, 0]) + config.rest_energy) * amp
+    residual = np.maximum(np.max(np.abs(r1), axis=1), np.max(np.abs(r2), axis=1)) / scale
+    records = [_state_record("dirac", st, float(residual[i]), tol, h) for i, st in enumerate(states)]
+    return VerificationReport("dirac", records)
 
 
 def matrix_oracle_lambda(
@@ -610,6 +634,13 @@ def _critical_states(params: DunklParams, config: OscillatorConfig, n_max: float
                 yield free_particle(sector, mode, e_val, params, config)
 
 
+def _mode_groups(states):
+    """The sweep's states as one list per mode. The sweep yields a mode's
+    states in a row, so only one mode's states are alive at a time."""
+    for _, group in itertools.groupby(states, key=lambda st: st.mode):
+        yield list(group)
+
+
 def run_suite(
     params: DunklParams,
     config: OscillatorConfig,
@@ -652,17 +683,16 @@ def run_suite(
             modes = modes_for_sector(sector, params, ANGULAR_N_MAX)
             records.extend(check_orthonormality(modes, tol=tol_for("ortho")).records)
     if "kg" in wanted:
-        # states are built one at a time, so only one state's factor
-        # caches are alive at once
+        # a free state's grid follows its energy, so it is checked alone
         if regime is Regime.CRITICAL:
-            states = _critical_states(params, config, n_max)
+            groups = ([st] for st in _critical_states(params, config, n_max))
         else:
-            states = sweep_bound_states(params, config, n_max, k_max)
-        for st in states:
-            records.extend(check_kg_eigen(st, tol=tol_for("kg"), h=h).records)
+            groups = _mode_groups(sweep_bound_states(params, config, n_max, k_max))
+        for states in groups:
+            records.extend(check_kg_eigen(states, tol=tol_for("kg"), h=h).records)
     if "dirac" in wanted:
-        for st in sweep_bound_states(params, config, n_max, k_max):
-            records.extend(check_dirac_system(st, tol=tol_for("dirac"), h=h).records)
+        for states in _mode_groups(sweep_bound_states(params, config, n_max, k_max)):
+            records.extend(check_dirac_system(states, tol=tol_for("dirac"), h=h).records)
     if "nrlimit" in wanted:
         for sector in ALL_SECTORS:
             mode = modes_for_sector(sector, params, 1.5)[-1]

@@ -245,6 +245,18 @@ class TestVerify:
         _, small = _run(["verify", "--suite", "kg", "--n-max", "0"])
         assert 0 < len(json.loads(small)["checks"]) < len(json.loads(default)["checks"])
 
+    def test_norm_out_of_range_exits_2_before_any_check(self, monkeypatch, capsys):
+        from dunkl_oscillator import verification
+
+        calls = []
+        original = verification.kg_apply
+        monkeypatch.setattr(verification, "kg_apply", lambda *a: calls.append(a) or original(*a))
+        code = main(["verify", "--suite", "kg", "--n-max", "150", "--k-max", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and calls == []
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: the normalization constant")
+
     def test_records_carry_schema(self):
         _, text = _run(["verify", "--suite", "angular"])
         payload = json.loads(text)

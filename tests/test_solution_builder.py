@@ -587,3 +587,17 @@ class TestNormRange:
         with pytest.raises(solution_builder.NormRangeError):
             build_spinor(sector, mode, 1, CFG_POS, 1)
         assert issubclass(solution_builder.NormRangeError, ValueError)
+
+    @pytest.mark.parametrize("n_max, k_max", [(100, 1), (150, 1), (140, 3), (2, 200)])
+    @pytest.mark.parametrize("params", [P00, P11])
+    def test_up_front_check_agrees_with_building_the_sweep(self, params, n_max, k_max):
+        def raises(run) -> bool:
+            try:
+                run()
+            except solution_builder.NormRangeError:
+                return True
+            return False
+
+        up_front = raises(lambda: solution_builder.check_norm_range(params, CFG_POS, n_max, k_max))
+        assert up_front == (n_max == 150)
+        assert raises(lambda: list(sweep_bound_states(params, CFG_POS, n_max, k_max))) == up_front
