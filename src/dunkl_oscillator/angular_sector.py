@@ -85,11 +85,10 @@ class AngularMode:
     eigenfunction (the odd-odd partner vanishes identically), so it lives
     in the (+1, +1) sector with branch +1 only.
 
-    A mode object also holds the factors built on it: its eigenfunction
-    and, per radial scale, the radial row table of ``build_spinor``. Every
-    state built on one mode object shares them, so F(phi) and the Laguerre
-    recurrence run once per mode, not once per (mode, k). An equal mode
-    built apart shares nothing, and the factors go with the object.
+    A mode object also holds its eigenfunction F, built on first use:
+    every state built on one mode object shares it, so F(phi) runs once
+    per mode, not once per (mode, k). An equal mode built apart shares
+    nothing, and F goes with the object.
     """
 
     sector: SectorLabel
@@ -118,12 +117,6 @@ class AngularMode:
         eps = self.sector.epsilon
         angular = remember_last(mixed_pair(eps, self.n, self.params, eps * self.branch))
         return ScalarField2D(lambda rho, phi: angular(phi))
-
-    @cached_property
-    def radial_tables(self) -> dict:
-        """Radial row tables of the states built on this mode object, by
-        radial scale (filled by ``solution_builder.build_spinor``)."""
-        return {}
 
 
 def _basis(s_x: int, s_y: int, n: float, params: DunklParams):

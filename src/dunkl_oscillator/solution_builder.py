@@ -44,7 +44,7 @@ from .angular_sector import (
     modes_for_sector,
 )
 from .dunkl_calculus import Component, DunklParams, ScalarField2D, remember_last
-from .special_functions import MAX_DEGREE, DomainError, bessel_j, laguerre_rows, log_gamma
+from .special_functions import bessel_j, laguerre_rows, log_gamma
 
 
 class RegimeError(ValueError):
@@ -221,43 +221,21 @@ def energy(
     return sign * mc2 * math.sqrt(radicand)
 
 
-class RadialRows:
-    """R_k(rho) = rho^{A-mu_+} e^{-s rho^2 / 2} L_k^A(s rho^2) of one order A,
-    exponent A - mu_+ and scale s, for every radial index k.
+def radial_rows(order: float, exponent: float, scale: float, k_top: int):
+    """rho -> the (k_top + 1, *rho.shape) table of
+    R_k(rho) = rho^{A-mu_+} e^{-s rho^2 / 2} L_k^A(s rho^2), k = 0..k_top,
+    of one order A, exponent A - mu_+ and scale s.
 
-    Per distinct radius array (the last few are kept, as by
-    ``remember_last``) the prefactor is computed once and the Laguerre
-    recurrence runs once, extended as higher k are asked for, so the upper
-    k and the lower k' of every state of a mode read rows of one table.
-    Rows are read-only.
+    The prefactor and the Laguerre recurrence run once per distinct radius
+    array (the last few are kept, by ``remember_last``); tables are
+    read-only.
     """
 
-    def __init__(self, order: float, exponent: float, scale: float) -> None:
-        def start(rho):  # a closure, not a bound method: no cycle through self
-            u = scale * rho * rho
-            return rho**exponent * np.exp(-0.5 * u), laguerre_rows(order, u), []
+    def table(rho):
+        u = scale * rho * rho
+        return rho**exponent * np.exp(-0.5 * u) * laguerre_rows(order, u, k_top)
 
-        self._per_radius = remember_last(start)
-
-    def _rows_through(self, rho, k_top: int) -> list:
-        if k_top > MAX_DEGREE:
-            raise DomainError(f"laguerre_l degree out of range: {k_top}")
-        prefactor, recurrence, rows = self._per_radius(rho)
-        while len(rows) <= k_top:
-            row = prefactor * next(recurrence)
-            if isinstance(row, np.ndarray):
-                row.flags.writeable = False
-            rows.append(row)
-        return rows
-
-    def __call__(self, rho, k: int):
-        return self._rows_through(rho, k)[k]
-
-    def stack(self, rho: np.ndarray, ks) -> np.ndarray:
-        """Rows ``ks`` at one radius array, as a (len(ks), P) array: one
-        table lookup for all of them."""
-        rows = self._rows_through(rho, max(ks))
-        return np.stack([rows[k] for k in ks])
+    return remember_last(table)
 
 
 @dataclass(frozen=True)
@@ -270,7 +248,7 @@ class RadialProfile:
     index: int
 
     def __call__(self, rho):
-        return RadialRows(self.order, self.exponent, self.scale)(rho, self.index)
+        return radial_rows(self.order, self.exponent, self.scale, self.index)(rho)[self.index]
 
     def log_norm_squared(self) -> float:
         """Log of the exact squared norm against the radial measure
@@ -345,15 +323,6 @@ def _amplitude(share: float, radial: RadialProfile) -> float:
     return math.exp(log_amp)
 
 
-def _mode_rows(mode: AngularMode, radial: RadialProfile) -> RadialRows:
-    """The mode object's radial row table at the profile's scale, made on
-    first use; every state built on the mode reads its rows from it."""
-    rows = mode.radial_tables.get(radial.scale)
-    if rows is None:
-        rows = mode.radial_tables[radial.scale] = RadialRows(radial.order, radial.exponent, radial.scale)
-    return rows
-
-
 def check_norm_range(params: DunklParams, config: OscillatorConfig, n_max: float, k_max: int) -> None:
     """Raise ``NormRangeError`` if a bound state with n <= n_max and
     k <= k_max has a radial factor whose normalization constant, at unit
@@ -404,8 +373,8 @@ def build_spinor(
     mode's angular eigenfunction times a real, non-negative constant,
     which fixes the relative phase by convention (see the module
     docstring for why the coupled equations cannot fix it). The angular
-    field and the radial row table are the mode object's own, shared with
-    every other state built on it.
+    field is the mode object's own, shared with every other state built
+    on it; both components read one radial table of rows 0..max(k, k').
     """
     if sector != mode.sector:
         raise ValueError(f"sector ({sector}) disagrees with the mode {mode}")
@@ -417,18 +386,18 @@ def build_spinor(
     angular = f_eigenfunction(mode)
     rad_u = build_radial(mode, k, config)
     rad_l = build_radial(mode, k_prime, config)
-    rows = _mode_rows(mode, rad_u)
+    rows = radial_rows(rad_u.order, rad_u.exponent, rad_u.scale, max(k, k_prime))
 
     nu2 = (e_val + mc2) / (2.0 * e_val)
     nl2 = (e_val - mc2) / (2.0 * e_val)
     cu = _amplitude(nu2, rad_u)
     cl = _amplitude(nl2, rad_l)
 
-    upper = _product_field(lambda rho: rows(rho, k), angular, cu)
+    upper = _product_field(lambda rho: rows(rho)[k], angular, cu)
     if cl == 0.0:
         lower = ScalarField2D.zero()
     else:
-        lower = _product_field(lambda rho: rows(rho, k_prime), angular, cl)
+        lower = _product_field(lambda rho: rows(rho)[k_prime], angular, cl)
     return SpinorSolution(
         upper=upper,
         lower=lower,
@@ -451,12 +420,12 @@ def stacked_components(states) -> tuple[ScalarField2D, ScalarField2D]:
     fields, row i holding state i.
 
     States that ``build_spinor`` made on one mode object and one config
-    stack on the mode's own factors: row i is (c_i R_{k_i}(rho)) F(phi),
-    with one radial table lookup per radius array and one F evaluation
-    for all rows. That is the operation order of ``_product_field``, so
-    every row equals its state's own field bit for bit; a zero lower
-    amplitude gives a zero row. Any other state (hand-built, classical or
-    free) stacks only alone, as its own fields with a leading axis of 1.
+    stack on the mode's F and one radial table of every k and k' they
+    need: row i is (c_i R_{k_i}(rho)) F(phi), with one F evaluation for
+    all rows. That is the operation order of ``_product_field``, so every
+    row equals its state's own field bit for bit; a zero lower amplitude
+    gives a zero row. Any other state (hand-built, classical or free)
+    stacks only alone, as its own fields with a leading axis of 1.
     """
     first = states[0]
     if len(states) == 1 and first.amplitudes is None:
@@ -467,12 +436,14 @@ def stacked_components(states) -> tuple[ScalarField2D, ScalarField2D]:
             raise ValueError("only states built by build_spinor stack with others")
         if st.mode is not mode or st.config != config:
             raise ValueError(f"states of {mode} and {st.mode} do not share a mode object and config")
-    rows = _mode_rows(mode, build_radial(mode, first.quantum.k, config))
+    radial = build_radial(mode, first.quantum.k, config)
+    k_top = max(max(st.quantum.k, st.quantum.k_prime) for st in states)
+    rows = radial_rows(radial.order, radial.exponent, radial.scale, k_top)
     angular = f_eigenfunction(mode)
 
     def stacked(ks, amplitudes) -> ScalarField2D:
         column = np.array(amplitudes)[:, None]
-        return ScalarField2D(lambda rho, phi: column * rows.stack(rho, ks) * angular.eval_polar(rho, phi))
+        return ScalarField2D(lambda rho, phi: column * rows(rho)[ks] * angular.eval_polar(rho, phi))
 
     return (
         stacked([st.quantum.k for st in states], [st.amplitudes[0] for st in states]),

@@ -15,7 +15,6 @@ and return matching shapes.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -64,34 +63,32 @@ def jacobi_p(n: int, alpha: float, beta: float, x):
 
 def laguerre_l(k: int, alpha: float, x):
     """Generalized Laguerre polynomial L_k^{alpha}(x) for x >= 0, 0 <= k <= 200."""
-    if k < 0 or k > MAX_DEGREE:
-        raise DomainError(f"laguerre_l degree out of range: {k}")
     arr, scalar = _as_array(x)
-    row = next(itertools.islice(laguerre_rows(alpha, arr), k, None))
+    row = laguerre_rows(alpha, arr, k)[k]
     return float(row) if scalar else row
 
 
-def laguerre_rows(alpha: float, x):
-    """Generator of L_0^{alpha}(x), L_1^{alpha}(x), ..., L_200^{alpha}(x),
-    one array per degree, by the forward three-term recurrence.
+def laguerre_rows(alpha: float, x, k_top: int) -> np.ndarray:
+    """L_0^{alpha}(x), ..., L_{k_top}^{alpha}(x) as one (k_top + 1, *x.shape)
+    array, filled by the forward three-term recurrence.
 
-    ``laguerre_l`` reads one degree from it; a caller that needs several
-    degrees of one argument array runs the recurrence once. The domain is
-    checked when the first row is asked for.
+    ``laguerre_l`` reads one row of it; a caller that needs several
+    degrees of one argument array runs the recurrence once.
     """
+    if k_top < 0 or k_top > MAX_DEGREE:
+        raise DomainError(f"laguerre_l degree out of range: {k_top}")
     if alpha <= -1.0:
         raise DomainError(f"laguerre_l requires alpha > -1, got {alpha}")
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0.0):
         raise DomainError("laguerre_l argument must be >= 0")
-    l_prev = np.ones_like(arr)
-    yield l_prev
-    l_cur = 1.0 + alpha - arr
-    yield l_cur
-    for m in range(1, MAX_DEGREE):
-        l_next = ((2.0 * m + 1.0 + alpha - arr) * l_cur - (m + alpha) * l_prev) / (m + 1.0)
-        l_prev, l_cur = l_cur, l_next
-        yield l_cur
+    rows = np.empty((k_top + 1, *arr.shape))
+    rows[0] = 1.0
+    if k_top > 0:
+        rows[1] = 1.0 + alpha - arr
+    for m in range(1, k_top):
+        rows[m + 1] = ((2.0 * m + 1.0 + alpha - arr) * rows[m] - (m + alpha) * rows[m - 1]) / (m + 1.0)
+    return rows
 
 
 def bessel_j(nu: float, x):

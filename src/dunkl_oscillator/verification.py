@@ -682,17 +682,18 @@ def run_suite(
         for sector in ALL_SECTORS:
             modes = modes_for_sector(sector, params, ANGULAR_N_MAX)
             records.extend(check_orthonormality(modes, tol=tol_for("ortho")).records)
-    if "kg" in wanted:
-        # a free state's grid follows its energy, so it is checked alone
+    # kg and dirac check each group of states together, in one walk of the sweep
+    checks = [(name, check) for name, check in (("kg", check_kg_eigen), ("dirac", check_dirac_system))
+              if name in wanted]
+    if checks:
         if regime is Regime.CRITICAL:
+            # a free state's grid follows its energy, so it is checked alone
             groups = ([st] for st in _critical_states(params, config, n_max))
         else:
             groups = _mode_groups(sweep_bound_states(params, config, n_max, k_max))
         for states in groups:
-            records.extend(check_kg_eigen(states, tol=tol_for("kg"), h=h).records)
-    if "dirac" in wanted:
-        for states in _mode_groups(sweep_bound_states(params, config, n_max, k_max)):
-            records.extend(check_dirac_system(states, tol=tol_for("dirac"), h=h).records)
+            for name, check in checks:
+                records.extend(check(states, tol=tol_for(name), h=h).records)
     if "nrlimit" in wanted:
         for sector in ALL_SECTORS:
             mode = modes_for_sector(sector, params, 1.5)[-1]

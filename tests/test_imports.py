@@ -55,3 +55,29 @@ def test_every_import_is_used(path):
     used = _used(tree)
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert not unused, f"{path.name}: imported but never used: {unused}"
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update({t.id: node.lineno for t in targets if isinstance(t, ast.Name)})
+    return {name: line for name, line in names.items()
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def _loaded(tree: ast.Module) -> set[str]:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+            and not isinstance(node.ctx, ast.Store)} | {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def test_every_private_helper_is_referenced():
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))}
+    referenced = set().union(*map(_loaded, trees.values()))
+    dead = {f"{p.name}:{line} {name}" for p, tree in trees.items()
+            for name, line in _private_definitions(tree).items() if name not in referenced}
+    assert not dead, f"module-level private names never referenced in the package: {sorted(dead)}"

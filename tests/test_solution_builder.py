@@ -498,8 +498,8 @@ def _dirac_stencil(rho, phi, h=1e-4):
 
 
 class TestModeFactorSharing:
-    """The states of one mode object share its angular field and its radial
-    row table; sharing changes no bit of any state."""
+    """The states of one mode object share its angular field, and a mode
+    stack reads one radial table; sharing changes no bit of any state."""
 
     @pytest.mark.parametrize("config", [CFG_POS, CFG_NEG], ids=["w+", "w-"])
     def test_sweep_states_match_states_built_alone(self, config):
@@ -561,13 +561,18 @@ class TestModeFactorSharing:
 
     def test_radial_rows_are_read_only_and_equal_the_profile(self):
         mode = AngularMode(SectorLabel(1, 1), 1, 1, P11)
-        rows = solution_builder.RadialRows(radial_order(mode), radial_order(mode) - P11.mu_plus, 1.0)
+        a_ord = radial_order(mode)
+        rows3 = solution_builder.radial_rows(a_ord, a_ord - P11.mu_plus, 1.0, 3)
+        rows8 = solution_builder.radial_rows(a_ord, a_ord - P11.mu_plus, 1.0, 8)
         rho = GridSpec().radii(1.0)
-        for k in (3, 0, 5):
-            row = rows(rho, k)
-            assert np.array_equal(row, build_radial(mode, k, CFG_POS)(rho))
-            with pytest.raises(ValueError):
-                row[0] = 0.0
+        table = rows8(rho)
+        assert table.shape == (9, rho.size)
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+        for k in range(9):
+            assert np.array_equal(table[k], build_radial(mode, k, CFG_POS)(rho))
+        for k in range(4):
+            assert np.array_equal(rows3(rho)[k], table[k])
 
 
 class TestNormRange:

@@ -18,6 +18,7 @@ from dunkl_oscillator.special_functions import (
     bessel_j,
     jacobi_p,
     laguerre_l,
+    laguerre_rows,
     log_gamma,
 )
 
@@ -102,6 +103,18 @@ class TestLaguerre:
             laguerre_l(201, 0.0, 0.5)
         with pytest.raises(DomainError):
             laguerre_l(-1, 0.0, 0.5)
+
+    @pytest.mark.parametrize("x", [np.linspace(0.0, 30.0, 40), 2.5], ids=["array", "scalar"])
+    def test_rows_equal_laguerre_l_for_every_degree(self, x):
+        rows = laguerre_rows(1.5, x, 12)
+        assert rows.shape == (13, *np.shape(x))
+        for k in range(13):
+            assert np.array_equal(rows[k], laguerre_l(k, 1.5, x))
+
+    def test_rows_past_the_top_degree_raise(self):
+        assert laguerre_rows(0.0, 0.5, 200).shape == (201,)
+        with pytest.raises(DomainError):
+            laguerre_rows(0.0, 0.5, 201)
 
 
 class TestBessel:

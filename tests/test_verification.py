@@ -496,6 +496,25 @@ class TestModeStacks:
         assert sum(calls["check_dirac_system"]) == len(dirac.records)
 
 
+    @pytest.mark.parametrize("config", STACK_CONFIGS, ids=["w+", "w-"])
+    def test_all_suite_walks_the_sweep_once_for_kg_and_dirac(self, monkeypatch, config):
+        calls = []
+        original = verification.build_spinor
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(verification, "build_spinor", counted)
+        list(sweep_bound_states(P11, config, 3, 3))
+        candidates = len(calls)
+        calls.clear()
+        both = run_suite(P11, config, "all", n_max=3, k_max=3).records
+        assert len(calls) == candidates
+        for name in ("kg", "dirac"):
+            alone = run_suite(P11, config, name, n_max=3, k_max=3).records
+            assert _signature([r for r in both if r.name.startswith(name + "[")]) == _signature(alone)
+
 @settings(max_examples=12, deadline=None)
 @given(mu=st.one_of(st.tuples(st.integers(0, 2), st.integers(0, 2)),
                     st.tuples(st.sampled_from([0.5, 1.5]), st.sampled_from([0.5, 1.5]))),
