@@ -223,24 +223,26 @@ def energy(
 
 def radial_rows(order: float, exponent: float, scale: float, k_top: int):
     """rho -> the (k_top + 1, *rho.shape) table of
-    R_k(rho) = rho^{A-mu_+} e^{-s rho^2 / 2} L_k^A(s rho^2), k = 0..k_top,
-    of one order A, exponent A - mu_+ and scale s.
+    R_k = t^{A-mu_+} e^{-t^2 / 2} L_k^A(t^2), k = 0..k_top, of one order A,
+    exponent A - mu_+ and scale s, in the unit-free radius t = rho sqrt(s).
 
     The prefactor and the Laguerre recurrence run once per distinct radius
     array (the last few are kept, by ``remember_last``); tables are
     read-only.
     """
+    root_s = math.sqrt(scale)
 
     def table(rho):
-        u = scale * rho * rho
-        return rho**exponent * np.exp(-0.5 * u) * laguerre_rows(order, u, k_top)
+        t = root_s * rho
+        u = t * t
+        return t**exponent * np.exp(-0.5 * u) * laguerre_rows(order, u, k_top)
 
     return remember_last(table)
 
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Evaluable radial factor rho^{A-mu_+} e^{-s rho^2 / 2} L_k^A(s rho^2)."""
+    """Evaluable radial factor t^{A-mu_+} e^{-t^2 / 2} L_k^A(t^2), t = rho sqrt(s)."""
 
     order: float
     exponent: float
@@ -254,15 +256,13 @@ class RadialProfile:
         """Log of the exact squared norm against the radial measure
         rho^{2 mu_+ + 1} drho.
 
-        Substituting u = s rho^2 turns the integral into the classical
-        Laguerre orthogonality integral Gamma(k + A + 1) / k!.
+        Substituting u = t^2 = s rho^2 turns the integral into the classical
+        Laguerre orthogonality integral Gamma(k + A + 1) / k!, times
+        s^{-(mu_+ + 1)} from the measure: the only unit-dependent factor.
         """
         a, k, s = self.order, self.index, self.scale
-        return log_gamma(k + a + 1.0) - log_gamma(k + 1.0) - (a + 1.0) * math.log(s) - math.log(2.0)
-
-    def norm_squared(self) -> float:
-        """The exact squared norm; it overflows a double for high orders."""
-        return math.exp(self.log_norm_squared())
+        mu_plus = a - self.exponent
+        return log_gamma(k + a + 1.0) - log_gamma(k + 1.0) - math.log(2.0) - (mu_plus + 1.0) * math.log(s)
 
 
 def build_radial(mode: AngularMode, k: int, config: OscillatorConfig) -> RadialProfile:
@@ -328,7 +328,7 @@ def check_norm_range(params: DunklParams, config: OscillatorConfig, n_max: float
     k <= k_max has a radial factor whose normalization constant, at unit
     share, lies outside the double range. No field is built.
 
-    log <R|R> = lgamma(k + A + 1) - lgamma(k + 1) - (A + 1) log s - log 2
+    log <R|R> = lgamma(k + A + 1) - lgamma(k + 1) - log 2 - (mu_+ + 1) log s
     grows with k at fixed order A (each step adds log((k + A + 1) / (k + 1))
     >= 0) and k' moves with k, so each order's extremes are at the first
     pairable k and at k_max. In A it is convex, so its largest value sits

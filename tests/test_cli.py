@@ -201,6 +201,17 @@ class TestWavefunction:
             values = [float(t) for ln in captured.out.splitlines()[1:] for t in ln.split(",")]
             assert all(math.isfinite(v) for v in values) and any(values[2:6] + values[-4:])
 
+    def test_large_n_cut_off_does_not_depend_on_the_units(self, capsys):
+        # the radial factor is evaluated in rho / length scale, so only the
+        # state decides whether its constant fits a double
+        for omega in ("0.001", "1", "1000"):
+            code = main(["wavefunction", "--n", "100", "--omega", omega, "--grid-rho", "3", "--grid-phi", "2"])
+            out = capsys.readouterr().out
+            values = [float(t) for ln in out.splitlines()[1:] for t in ln.split(",")]
+            assert code == 0 and values and all(math.isfinite(v) for v in values), omega
+            assert main(["wavefunction", "--n", "150", "--omega", omega]) == 2
+            assert capsys.readouterr().out == ""
+
     def test_invalid_pair_exits_2(self):
         assert main(["wavefunction", "--mu-x", "1", "--mu-y", "1",
                      "--sector", "1,1", "--n", "1", "--k", "0"]) == 2

@@ -283,12 +283,49 @@ class TestRadialProfile:
         nodes, weights = 0.5 * r_max * t + 0.5 * r_max, 0.5 * r_max * w
         vals = prof(nodes)
         quad = np.sum(weights * vals * vals * nodes ** (2 * P11.mu_plus + 1))
-        assert quad == pytest.approx(prof.norm_squared(), rel=1e-12)
+        assert quad == pytest.approx(math.exp(prof.log_norm_squared()), rel=1e-12)
+
+    @pytest.mark.parametrize("config", [OscillatorConfig(omega=0.02), OscillatorConfig(omega=0.5, omega_c=60.0)],
+                             ids=["s=0.02", "s=29.5"])
+    def test_log_norm_matches_quadrature_in_other_units(self, config):
+        mode = AngularMode(SectorLabel(1, -1), 1.5, 1, P11)
+        prof = build_radial(mode, 2, config)
+        r_max = 10.838109195829931 * config.length_scale
+        t, w = np.polynomial.legendre.leggauss(220)
+        nodes, weights = 0.5 * r_max * t + 0.5 * r_max, 0.5 * r_max * w
+        vals = prof(nodes)
+        quad = np.sum(weights * vals * vals * nodes ** (2 * P11.mu_plus + 1))
+        assert math.log(quad) == pytest.approx(prof.log_norm_squared(), abs=1e-11)
 
     def test_field_dominated_regime_uses_omega_bar(self):
         mode = AngularMode(SectorLabel(1, 1), 1, 1, P11)
         prof = build_radial(mode, 0, CFG_NEG)
         assert prof.scale == pytest.approx(CFG_NEG.effective_frequency, rel=1e-15)
+
+
+
+@settings(max_examples=20, deadline=None)
+@given(mu=st.sampled_from([(0.0, 0.0), (1.0, 1.0), (0.5, 1.5), (2.0, 1.0)]),
+       log_a=st.floats(-3.0, 3.0), ratio=st.sampled_from([0.0, 4.0]),
+       pick=st.integers(0, 10**6), phi=st.floats(0.05, 1.5))
+def test_state_values_are_invariant_to_the_length_unit(mu, log_a, ratio, pick, phi):
+    # hbar = a and omega, omega_c proportional to 1 / a leave q = 2 hbar w~ / (m c^2)
+    # alone and stretch lengths by a, so psi(t L_a, phi) L_a^(mu_+ + 1) is unit-free
+    params = DunklParams(*mu)
+    t = np.linspace(0.2, 3.0, 8)
+
+    def scaled_values(a):
+        config = OscillatorConfig(omega=1.0 / a, omega_c=ratio / a, hbar=a)
+        states = list(sweep_bound_states(params, config, 2, 2))
+        state = states[pick % len(states)]
+        rho, factor = t * config.length_scale, config.length_scale ** (params.mu_plus + 1.0)
+        return len(states), [factor * f.eval_polar(rho, phi) for f in (state.upper, state.lower)]
+
+    count, reference = scaled_values(1.0)
+    other_count, values = scaled_values(10.0**log_a)
+    assert other_count == count
+    for ref, val in zip(reference, values):
+        assert np.max(np.abs(val - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestBuildSpinor:
@@ -460,7 +497,7 @@ class TestFactorReuse:
         for fld, k, norm2 in ((sol.upper, sol.quantum.k, sol.norm_upper),
                               (sol.lower, sol.quantum.k_prime, sol.norm_lower)):
             rad = build_radial(mode, k, CFG_NEG)
-            c = math.sqrt(norm2 / rad.norm_squared())
+            c = math.sqrt(norm2 / math.exp(rad.log_norm_squared()))
             assert np.array_equal(fld.eval_polar(rho, phi), c * rad(rho) * ang)
 
     def test_scalar_point_gives_scalar(self):
