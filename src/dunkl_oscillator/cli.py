@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     sector_and_precision(p_wf)
     p_wf.add_argument("--n", type=str, default="1")
     p_wf.add_argument("--branch", choices=("+", "-"), default="+")
-    p_wf.add_argument("--k", type=int, default=1)
+    p_wf.add_argument("--k", type=_bounded(int, 0, MAX_DEGREE), default=1)
     p_wf.add_argument("--grid-rho", type=_bounded(int, 1), default=12)
     p_wf.add_argument("--grid-phi", type=_bounded(int, 1), default=16)
     p_wf.add_argument("--energy", type=float, default=None,

@@ -359,6 +359,8 @@ class TestArgparse:
             ["verify", "--n-max", "nan"],
             ["verify", "--k-max", "201"],
             ["spectrum", "--k-max", "-1"],
+            ["wavefunction", "--k", "-1"],
+            ["wavefunction", "--k", "201"],
             ["wavefunction", "--grid-rho", "0"],
             ["spectrum", "--sector", "2,1"],
         ],
