@@ -274,34 +274,24 @@ class TestRadialProfile:
         assert prof0.exponent == pytest.approx(0.0, abs=1e-14)
         assert prof0(0.0) == pytest.approx(1.0)
 
-    def test_norm_squared_matches_quadrature(self):
+    @pytest.mark.parametrize("config", [CFG_POS, OscillatorConfig(omega=0.02),
+                                        OscillatorConfig(omega=0.5, omega_c=60.0)],
+                             ids=["s=1", "s=0.02", "s=29.5"])
+    def test_norm_squared_matches_quadrature(self, config):
         mode = AngularMode(SectorLabel(1, -1), 1.5, 1, P11)
-        prof = build_radial(mode, 2, CFG_POS)
-        # Gauss-Legendre on [0, R], R where rho^30 exp(-rho^2) < 1e-18 at scale 1
-        r_max = 10.838109195829931
+        prof = build_radial(mode, 2, config)
+        # Gauss-Legendre on [0, R], R where t^30 exp(-t^2) < 1e-18 for t = rho / length scale
+        r_max = 10.838109195829931 * config.length_scale
         t, w = np.polynomial.legendre.leggauss(220)
         nodes, weights = 0.5 * r_max * t + 0.5 * r_max, 0.5 * r_max * w
         vals = prof(nodes)
         quad = np.sum(weights * vals * vals * nodes ** (2 * P11.mu_plus + 1))
         assert quad == pytest.approx(math.exp(prof.log_norm_squared()), rel=1e-12)
 
-    @pytest.mark.parametrize("config", [OscillatorConfig(omega=0.02), OscillatorConfig(omega=0.5, omega_c=60.0)],
-                             ids=["s=0.02", "s=29.5"])
-    def test_log_norm_matches_quadrature_in_other_units(self, config):
-        mode = AngularMode(SectorLabel(1, -1), 1.5, 1, P11)
-        prof = build_radial(mode, 2, config)
-        r_max = 10.838109195829931 * config.length_scale
-        t, w = np.polynomial.legendre.leggauss(220)
-        nodes, weights = 0.5 * r_max * t + 0.5 * r_max, 0.5 * r_max * w
-        vals = prof(nodes)
-        quad = np.sum(weights * vals * vals * nodes ** (2 * P11.mu_plus + 1))
-        assert math.log(quad) == pytest.approx(prof.log_norm_squared(), abs=1e-11)
-
     def test_field_dominated_regime_uses_omega_bar(self):
         mode = AngularMode(SectorLabel(1, 1), 1, 1, P11)
         prof = build_radial(mode, 0, CFG_NEG)
         assert prof.scale == pytest.approx(CFG_NEG.effective_frequency, rel=1e-15)
-
 
 
 @settings(max_examples=20, deadline=None)

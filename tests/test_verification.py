@@ -495,7 +495,6 @@ class TestModeStacks:
         assert sum(calls["check_kg_eigen"]) == len(kg.records) // 2
         assert sum(calls["check_dirac_system"]) == len(dirac.records)
 
-
     @pytest.mark.parametrize("config", STACK_CONFIGS, ids=["w+", "w-"])
     def test_all_suite_walks_the_sweep_once_for_kg_and_dirac(self, monkeypatch, config):
         calls = []
@@ -514,6 +513,7 @@ class TestModeStacks:
         for name in ("kg", "dirac"):
             alone = run_suite(P11, config, name, n_max=3, k_max=3).records
             assert _signature([r for r in both if r.name.startswith(name + "[")]) == _signature(alone)
+
 
 @settings(max_examples=12, deadline=None)
 @given(mu=st.one_of(st.tuples(st.integers(0, 2), st.integers(0, 2)),
