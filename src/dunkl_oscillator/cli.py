@@ -20,31 +20,29 @@ outside the critical regime). In a mixed-parity sector a single integer
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
 
-from .angular_sector import AngularMode, SectorLabel
+import numpy as np
+
+from .angular_sector import ALL_SECTORS, AngularMode, SectorLabel
 from .dunkl_calculus import DEFAULT_STEP, Component, DunklParams
 from .solution_builder import (
     InvalidPairError,
-    NegativeRadicandError,
     OscillatorConfig,
     Regime,
     build_spinor,
     check_norm_range,
     classify_regime,
-    energy,
+    energy_column,
     free_particle,
     pair_radial_indices,
 )
 from .special_functions import MAX_DEGREE
 from .verification import GridSpec, run_suite
-
-
-def _fmt(value: float, precision: int) -> str:
-    return format(value, f".{precision}g")
 
 
 def _bounded(kind, low, high=math.inf, *, strict=False):
@@ -102,6 +100,19 @@ def _system(args: argparse.Namespace) -> tuple[DunklParams, OscillatorConfig]:
     return params, OscillatorConfig(omega=args.omega, omega_c=args.omega_c)
 
 
+def _check_partner_index(params: DunklParams, config: OscillatorConfig, sectors, k: int, flag: str) -> None:
+    """Raise ``ValueError`` if upper radial index k pairs, in one of
+    ``sectors``, with a lower index k' past ``MAX_DEGREE``. k' grows with
+    k, so a sweep over k <= k_max checks k_max."""
+    regime = classify_regime(config)
+    for sector in sectors if regime is not Regime.CRITICAL else ():
+        with contextlib.suppress(InvalidPairError):  # then no k <= k pairs in this sector
+            k_prime = pair_radial_indices(sector, regime, k, params)
+            if k_prime > MAX_DEGREE:
+                raise ValueError(f"{flag} {k} pairs with the lower radial index k'={k_prime} in sector "
+                                 f"({sector}); k' must be at most {MAX_DEGREE}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dunkl-oscillator",
@@ -156,36 +167,55 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _spectrum_rows(args: argparse.Namespace, params: DunklParams, config: OscillatorConfig,
-                   n_values: list[float]):
-    """Yield the table's rows one at a time, in output order."""
+# Radial indices per energy column: memory stays flat in --k-max.
+_K_BLOCK = 4096
+
+
+def _spectrum_blocks(args: argparse.Namespace, params: DunklParams, config: OscillatorConfig,
+                     n_values: list[float]):
+    """Yield the table's row texts, one list per mode and block of k, in
+    output order. Each block's energies are one ``energy_column`` call. The
+    k and k' cells depend on the sector, the regime and mu only: the first
+    block's are made once per table, later blocks' once per mode."""
     sector, regime = args.sector, classify_regime(config)
-    for n in n_values:
-        for branch in {"+": [1], "-": [-1], "both": [1, -1]}[args.branch]:
-            if n == 0 and (branch == -1 or sector != SectorLabel(1, 1)):
-                continue  # n = 0 is a single mode, in sector (+1,+1) only
-            mode = AngularMode(sector, n, branch, params)
-            for k in range(args.k_max + 1):
-                try:
-                    e_up = energy(Component.UPPER, sector, mode, k, config, 1)
-                except NegativeRadicandError:
-                    e_up = None  # unphysical combination: marked, not dropped
-                try:
-                    kp_txt = str(pair_radial_indices(sector, regime, k, params))
-                except InvalidPairError:
-                    kp_txt = "invalid"
-                row = {
-                    "sector": f"{sector.s_x:+d}{sector.s_y:+d}",
-                    "n": n,
-                    "branch": "+" if branch == 1 else "-",
-                    "k": k,
-                    "k_prime": kp_txt,
-                    "E_plus": e_up,
-                    "regime": regime.value,
-                }
+    modes = [AngularMode(sector, n, branch, params) for n in n_values
+             for branch in {"+": [1], "-": [-1], "both": [1, -1]}[args.branch]
+             if n != 0 or (branch == 1 and sector == SectorLabel(1, 1))]  # n = 0 is a single mode
+    json_out, spec, sx = args.fmt == "json", f".{args.precision}g", f"{sector.s_x:+d}{sector.s_y:+d}"
+    if json_out:  # json.dumps prints the rounded float's repr
+        text = lambda v: '"unphysical"' if math.isnan(v) else repr(float(format(v, spec)))
+    else:
+        text = lambda v: "unphysical" if math.isnan(v) else format(v, spec)
+
+    def k_cells(lo: int, hi: int) -> list[str]:
+        cells = []
+        for k in range(lo, hi):
+            try:
+                kp = str(pair_radial_indices(sector, regime, k, params))
+            except InvalidPairError:
+                kp = "invalid"
+            cells.append(f'{k}, "k_prime": "{kp}"' if json_out else f"{k},{kp},")
+        return cells
+
+    first = k_cells(0, min(_K_BLOCK, args.k_max + 1)) if modes else []
+    for mode in modes:
+        b = "+" if mode.branch == 1 else "-"
+        for lo in range(0, args.k_max + 1, _K_BLOCK):
+            hi = min(lo + _K_BLOCK, args.k_max + 1)
+            ks = first if lo == 0 else k_cells(lo, hi)
+            column = energy_column(Component.UPPER, mode, np.arange(lo, hi), config, 1).tolist()
+            es = [text(v) for v in column]
+            if json_out:  # keys in sorted order, as json.dumps(row, sort_keys=True)
+                es = [f'"E_plus": {e}' for e in es]
                 if args.negative_energies:
-                    row["E_minus"] = None if e_up is None else -e_up
-                yield row
+                    es = [f'"E_minus": {text(-v)}, {e}' for v, e in zip(column, es)]
+                tail = f', "n": {json.dumps(mode.n)}, "regime": "{regime.value}", "sector": "{sx}"}}'
+                yield [f'{{{e}, "branch": "{b}", "k": {kc}{tail}' for e, kc in zip(es, ks)]
+            else:
+                if args.negative_energies:
+                    es = [f"{e},{text(-v)}" for v, e in zip(column, es)]
+                head, tail = f"{sx},{format(mode.n, spec)},{b},", f",{regime.value}\n"
+                yield [f"{head}{kc}{e}{tail}" for kc, e in zip(ks, es)]
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
@@ -196,36 +226,20 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         print("regime=critical: no discrete spectrum; use "
               "'wavefunction --energy E' for free-particle states", file=sys.stderr)
         n_values = []  # the table has no rows
-    rows = _spectrum_rows(args, params, config, n_values)
-    # Rows go out as they are produced, so memory stays flat in --k-max. The CSV
-    # header or JSON "[" goes with the first row: an error before it prints nothing.
+    blocks = _spectrum_blocks(args, params, config, n_values)
+    # Each block goes out in one write as it is produced, so memory stays
+    # flat in --k-max. The CSV header or JSON "[" goes with the first block:
+    # an error before it prints nothing.
     if args.fmt == "json":
         sep = "["
-        for row in rows:
-            for key in ("E_plus", "E_minus"):
-                if key in row:
-                    v = row[key]
-                    row[key] = "unphysical" if v is None else float(_fmt(v, args.precision))
-            out.write(sep + json.dumps(row, sort_keys=True))
+        for rows in blocks:
+            out.write(sep + ", ".join(rows))
             sep = ", "
         out.write("[]\n" if sep == "[" else "]\n")
         return 0
-    cols = ["sector", "n", "branch", "k", "k_prime", "E_plus"]
-    if args.negative_energies:
-        cols.append("E_minus")
-    cols.append("regime")
-    header = ",".join(cols) + "\n"
-    for row in rows:
-        cells = []
-        for col in cols:
-            v = row[col]
-            if v is None:
-                cells.append("unphysical")
-            elif isinstance(v, float):
-                cells.append(_fmt(v, args.precision))
-            else:
-                cells.append(str(v))
-        out.write(header + ",".join(cells) + "\n")
+    header = ",".join(["sector,n,branch,k,k_prime,E_plus", *["E_minus"] * args.negative_energies, "regime\n"])
+    for rows in blocks:
+        out.write(header + "".join(rows))
         header = ""
     out.write(header)  # a table with no rows is its header alone
     return 0
@@ -245,21 +259,24 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
     elif args.energy is not None:
         raise ValueError("--energy applies only at the critical point")
     else:
+        _check_partner_index(params, config, [mode.sector], args.k, "--k")
         sol = build_spinor(mode.sector, mode, args.k, config, 1)
     grid = GridSpec(args.grid_rho, args.grid_phi)
     rho, phi = grid.radii(config.length_scale), grid.angles()
-    p = args.precision
+    spec = f".{args.precision}g"
     # One rho row at a time keeps memory linear in the grid sides; phi is
-    # the same array on every row, so F(phi) is evaluated once. The header
-    # goes out with the first row, so an evaluation error leaves stdout empty.
+    # the same array on every row, so F(phi) is evaluated, and its column
+    # formatted, once. The header goes out with the first row, so an
+    # evaluation error leaves stdout empty.
+    phi_cells = [format(f, spec) for f in phi.tolist()]
     header = "rho,phi,re_upper,im_upper,re_lower,im_lower\n"
-    for r in rho:
+    for r in rho.tolist():
         upper, lower = sol.upper.eval_polar(r, phi), sol.lower.eval_polar(r, phi)
-        rs = _fmt(r, p)
+        rs = format(r, spec)
         out.write(header + "".join(
-            f"{rs},{_fmt(f, p)},{_fmt(u.real, p)},{_fmt(u.imag, p)},"
-            f"{_fmt(lo.real, p)},{_fmt(lo.imag, p)}\n"
-            for f, u, lo in zip(phi, upper, lower)
+            f"{rs},{fs},{ur:{spec}},{ui:{spec}},{lr:{spec}},{li:{spec}}\n"
+            for fs, ur, ui, lr, li in zip(phi_cells, upper.real.tolist(), upper.imag.tolist(),
+                                          lower.real.tolist(), lower.imag.tolist())
         ))
         header = ""
     return 0
@@ -271,6 +288,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         # the sweep builds its states lazily: a norm out of range fails here,
         # before the first check, not halfway through the records
         check_norm_range(params, config, args.n_max, args.k_max)
+        _check_partner_index(params, config, ALL_SECTORS, args.k_max, "--k-max")
     report = run_suite(
         params,
         config,

@@ -173,52 +173,51 @@ def pair_radial_indices(
     return int(round(kp))
 
 
-def energy(
-    component: Component,
-    sector: SectorLabel,
-    mode: AngularMode,
-    k: int,
-    config: OscillatorConfig,
-    sign: int = 1,
-) -> float:
-    """Closed-form bound energy of one spinor component.
-
-    ``sign`` selects the particle (+1) or antiparticle (-1) branch.
-    """
+def energy_column(component: Component, mode: AngularMode, ks, config: OscillatorConfig, sign: int = 1):
+    """Closed-form bound energies of one spinor component of ``mode`` at
+    each radial index of ``ks``, an array of natural numbers (or one), with
+    lambda, A, sigma, q and the regime found once. NaN marks a negative
+    radicand (an unphysical combination). ``sign`` selects the particle
+    (+1) or antiparticle (-1) branch."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if sector != mode.sector:
-        raise ValueError(f"sector ({sector}) disagrees with the mode {mode}")
     regime = classify_regime(config)
     if regime is Regime.CRITICAL:
         raise RegimeError("no discrete spectrum at the critical frequency")
     lam = lambda_eigenvalue(mode)
     a_ord = radial_order(mode)
-    sigma = mode.params.signed_sum(sector.s_x, sector.s_y)
+    sigma = mode.params.signed_sum(mode.sector.s_x, mode.sector.s_y)
     mc2 = config.rest_energy
     q = 2.0 * config.hbar * config.effective_frequency / mc2
     if regime is Regime.POSITIVE:
-        s_num = 2.0 * k + a_ord + lam - sigma
+        s_num = 2.0 * ks + a_ord + lam - sigma
         if component is Component.LOWER:
-            s_num = 2.0 * k + a_ord + lam + sigma + 2.0
+            s_num = 2.0 * ks + a_ord + lam + sigma + 2.0
     else:
-        s_num = 2.0 * k + a_ord - lam + sigma + 2.0
+        s_num = 2.0 * ks + a_ord - lam + sigma + 2.0
         if component is Component.LOWER:
-            s_num = 2.0 * k + a_ord - lam - sigma
+            s_num = 2.0 * ks + a_ord - lam - sigma
     radicand = 1.0 + q * s_num
     # Some states have a radicand of exactly 0 (E = 0); rounding of q and of
     # the terms of s_num must not turn it into a tiny E in some units and an
     # error in others, so a radicand within a few ulps of those terms is 0.
-    scale = 1.0 + q * (2.0 * k + a_ord + abs(lam) + abs(sigma) + 2.0)
-    if abs(radicand) <= 8.0 * math.ulp(1.0) * scale:
-        radicand = 0.0
-    if radicand < 0.0:
-        raise NegativeRadicandError(
-            f"negative energy radicand {radicand} for sector ({sector}), n={mode.n}, k={k}"
-        )
-    return sign * mc2 * math.sqrt(radicand)
+    scale = 1.0 + q * (2.0 * ks + a_ord + abs(lam) + abs(sigma) + 2.0)
+    radicand = np.where(abs(radicand) <= 8.0 * math.ulp(1.0) * scale, 0.0, radicand)
+    return sign * mc2 * np.sqrt(np.where(radicand < 0.0, np.nan, radicand))
+
+
+def energy(component: Component, sector: SectorLabel, mode: AngularMode, k: int,
+           config: OscillatorConfig, sign: int = 1) -> float:
+    """Closed-form bound energy of one spinor component: the one-element
+    ``energy_column``, with a negative radicand raised as an error."""
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    if sector != mode.sector:
+        raise ValueError(f"sector ({sector}) disagrees with the mode {mode}")
+    e_val = float(energy_column(component, mode, k, config, sign))
+    if math.isnan(e_val):
+        raise NegativeRadicandError(f"negative energy radicand for sector ({sector}), n={mode.n}, k={k}")
+    return e_val
 
 
 def radial_rows(order: float, exponent: float, scale: float, k_top: int):

@@ -47,6 +47,7 @@ from .dunkl_calculus import (
     angular_quadrature,
     dirac_apply,
     kg_apply,
+    remember_last,
     weighted_inner_product,
 )
 from .solution_builder import (
@@ -594,9 +595,9 @@ def coupled_reflection_eigenstate(
         # eigenvector Phi_A + i weight Phi_B of the 2x2 coupling
         toward = mu_e if upper else -mu_e
         weight = (kappa + toward) / lam0 if epsilon == 1 else -(kappa - toward) / lam0
-    ang = mixed_pair(epsilon, n, params, weight)
-
-    radial = RadialProfile(order=a_ord, exponent=a_ord - mu_p, scale=abs_w, index=k)
+    # each factor runs once per distinct coordinate array of a stencil
+    ang = remember_last(mixed_pair(epsilon, n, params, weight))
+    radial = remember_last(RadialProfile(order=a_ord, exponent=a_ord - mu_p, scale=abs_w, index=k))
     shift = -1.0 if upper else 1.0
     tilde_e = abs_w * (2.0 * k + 1.0 + a_ord) + w * (kappa + shift)
 

@@ -7,10 +7,12 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dunkl_oscillator.cli import build_parser, main
@@ -69,30 +71,32 @@ class TestSpectrum:
         assert any(row["k_prime"] == "0" and row["k"] == 3 for row in payload)
 
     def test_rows_are_written_as_they_are_produced(self, monkeypatch):
-        # Memory must stay flat in --k-max: the first data row goes out
-        # before the last energy of the table is computed.
+        # Memory must stay flat in --k-max: the energies are one column per
+        # mode and block of k, and the first data row goes out before the
+        # last column of the table is computed.
         from dunkl_oscillator import cli
 
         calls, writes = [], []
-        energy = cli.energy
+        energy_column = cli.energy_column
 
         def counting(*args):
             calls.append(args)
-            return energy(*args)
+            return energy_column(*args)
 
         class Sink(io.StringIO):
             def write(self, text):
                 writes.append(len(calls))
                 return super().write(text)
 
-        monkeypatch.setattr(cli, "energy", counting)
+        monkeypatch.setattr(cli, "energy_column", counting)
         for fmt in ("csv", "json"):
             calls.clear()
             writes.clear()
             sink = Sink()
             with contextlib.redirect_stdout(sink):
                 assert main(["spectrum", "--n", "0:2", "--k-max", "3", "--format", fmt]) == 0
-            assert len(calls) == 5 * 4
+            assert len(calls) == 5  # one column of k = 0..3 per mode
+            assert [list(args[2]) for args in calls] == [[0, 1, 2, 3]] * 5
             assert writes[0] < len(calls)
         # the streamed JSON is the one json.dumps gives for the whole list
         text = sink.getvalue()
@@ -415,6 +419,11 @@ class TestArgparse:
         ["verify", "--suite", "kg", "--n-max", "0", "--k-max", "201"],
         ["wavefunction", "--energy", "1.5"],
         ["wavefunction", "--n", "0:3"],
+        # w~ < 0 pairs k = 200 with k' = k + sigma + 1 = 203, past the largest degree
+        ["verify", "--suite", "kg", "--n-max", "1", "--k-max", "200", "--omega", "0.25",
+         "--omega-c", "2.5", "--mu-x", "1", "--mu-y", "1"],
+        ["wavefunction", "--k", "200", "--omega", "0.25", "--omega-c", "2.5", "--mu-x", "1",
+         "--mu-y", "1"],
     ],
 )
 def test_invalid_input_exits_2(argv, capsys):
@@ -422,6 +431,26 @@ def test_invalid_input_exits_2(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "--suite", "kg", "--n-max", "1", "--k-max", "200"], "--k-max 200"),
+    (["verify", "--suite", "dirac", "--n-max", "0", "--k-max", "199"], "--k-max 199"),
+    (["wavefunction", "--k", "200"], "--k 200"),
+])
+def test_partner_index_past_the_largest_degree_is_named_in_flag_terms(argv, flag, capsys):
+    from dunkl_oscillator import verification
+
+    calls = []
+    original = verification.kg_apply
+    system = ["--omega", "0.25", "--omega-c", "2.5", "--mu-x", "1", "--mu-y", "1"]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verification, "kg_apply", lambda *a: calls.append(a) or original(*a))
+        assert main([*argv, *system]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and calls == []
+    assert captured.err.startswith(f"error: {flag} pairs with the lower radial index k'=")
+    assert "laguerre" not in captured.err
 
 
 def _floats(cells):
@@ -453,3 +482,174 @@ def test_any_n_exits_0_with_finite_floats_or_2_with_one_error_line(n, sector, k,
     else:
         values = list(_floats(t for ln in out.getvalue().splitlines()[1:] for t in ln.split(",")))
         assert all(math.isfinite(v) for v in values)  # a table may have no rows
+
+
+def _reference_spectrum(argv) -> str:
+    """The spectrum table built one row at a time from the scalar
+    ``energy()`` and ``pair_radial_indices()``, formatted one value at a
+    time: the output the column path must reproduce byte for byte."""
+    from dunkl_oscillator import cli
+    from dunkl_oscillator.angular_sector import AngularMode, SectorLabel
+    from dunkl_oscillator.dunkl_calculus import Component, DunklParams
+    from dunkl_oscillator.solution_builder import (
+        InvalidPairError,
+        NegativeRadicandError,
+        OscillatorConfig,
+        classify_regime,
+        energy,
+        pair_radial_indices,
+    )
+
+    args = build_parser().parse_args(argv)
+    params, config = DunklParams(args.mu_x, args.mu_y), OscillatorConfig(args.omega, args.omega_c)
+    sector, regime = args.sector, classify_regime(config)
+    spec = f".{args.precision}g"
+    rows = []
+    for n in cli._parse_n_values(args.n, sector):
+        for branch in {"+": [1], "-": [-1], "both": [1, -1]}[args.branch]:
+            if n == 0 and (branch == -1 or sector != SectorLabel(1, 1)):
+                continue
+            mode = AngularMode(sector, n, branch, params)
+            for k in range(args.k_max + 1):
+                try:
+                    e_up = energy(Component.UPPER, sector, mode, k, config, 1)
+                except NegativeRadicandError:
+                    e_up = None
+                try:
+                    kp = str(pair_radial_indices(sector, regime, k, params))
+                except InvalidPairError:
+                    kp = "invalid"
+                row = {"sector": f"{sector.s_x:+d}{sector.s_y:+d}", "n": n,
+                       "branch": "+" if branch == 1 else "-", "k": k, "k_prime": kp,
+                       "E_plus": e_up, "regime": regime.value}
+                if args.negative_energies:
+                    row["E_minus"] = None if e_up is None else -e_up
+                rows.append(row)
+    if args.fmt == "json":
+        for row in rows:
+            for key in ("E_plus", "E_minus"):
+                if key in row:
+                    v = row[key]
+                    row[key] = "unphysical" if v is None else float(format(v, spec))
+        return json.dumps(rows, sort_keys=True) + "\n"
+    cols = ["sector", "n", "branch", "k", "k_prime", "E_plus"]
+    cols += ["E_minus"] * args.negative_energies + ["regime"]
+    lines = [",".join(cols)]
+    for row in rows:
+        lines.append(",".join("unphysical" if row[c] is None else
+                              format(row[c], spec) if isinstance(row[c], float) else str(row[c])
+                              for c in cols))
+    return "\n".join(lines) + "\n"
+
+
+_SPINOR_MU = st.one_of(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.tuples(st.integers(0, 2), st.integers(0, 2)).map(lambda t: (t[0] + 0.5, t[1] + 0.5)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mu=_SPINOR_MU, sector=st.sampled_from(["1,1", "-1,-1", "1,-1", "-1,1"]),
+       omega=st.sampled_from([0.3, 1.0, 1.7]), ratio=st.sampled_from([0.0, 1.0, 3.0, 4.0, 8.0]),
+       branch=st.sampled_from(["+", "-", "both"]), precision=st.integers(6, 17),
+       fmt=st.sampled_from(["csv", "json"]), negative=st.booleans(), lo=st.integers(0, 3),
+       width=st.integers(0, 2), k_max=st.integers(0, 6), block=st.sampled_from([1, 2, 3, 4096]))
+@example(mu=(3, 3), sector="-1,-1", omega=1.0, ratio=4.0, branch="both", precision=17, fmt="csv",
+         negative=True, lo=1, width=1, k_max=3, block=2)
+@example(mu=(3, 3), sector="-1,-1", omega=1.0, ratio=4.0, branch="+", precision=9, fmt="json",
+         negative=True, lo=1, width=0, k_max=1, block=4096)
+def test_spectrum_equals_the_per_k_reference(mu, sector, omega, ratio, branch, precision, fmt,
+                                             negative, lo, width, k_max, block):
+    # the column path (one energy column per mode and block of k, k' cells
+    # made once per table) prints what the per-k path printed; blocks of 1-3
+    # rows take the path that --k-max above 4095 takes
+    from dunkl_oscillator import cli
+
+    argv = ["spectrum", "--mu-x", repr(float(mu[0])), "--mu-y", repr(float(mu[1])),
+            "--omega", repr(omega), "--omega-c", repr(ratio * omega), f"--sector={sector}",
+            "--branch", branch, "--precision", str(precision), "--format", fmt,
+            "--n", f"{lo}:{lo + width + (sector in ('1,-1', '-1,1')) / 2}", "--k-max", str(k_max)]
+    if negative:
+        argv.append("--negative-energies")
+    with mock.patch.object(cli, "_K_BLOCK", block):
+        code, text = _run(argv)
+    assert code == 0
+    assert text == _reference_spectrum(argv)
+    if (mu, sector, ratio, lo) == ((3, 3), "-1,-1", 4.0, 1):
+        assert "unphysical" in text  # k = 0 of the + branch
+
+
+def test_spectrum_memory_is_flat_in_k_max():
+    # one block of at most 4096 rows is alive at a time: the peak of a
+    # 200001-row table (49 blocks, about 10 MB of text) is that of 2 blocks
+    class Discard(io.TextIOBase):
+        rows = 0
+
+        def write(self, text):
+            self.rows += text.count("\n")
+            return len(text)
+
+    peaks = []
+    for k_max in (8191, 200000):
+        sink = Discard()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                assert main(["spectrum", "--n", "0", "--k-max", str(k_max)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert sink.rows == 1 + k_max + 1
+    assert peaks[1] < 4 * 2**20
+    assert peaks[1] < 1.5 * peaks[0]
+
+
+def _reference_wavefunction(argv) -> str:
+    """The wavefunction grid formatted one value at a time, as the CSV
+    writer did before the phi column was formatted once per grid."""
+    from dunkl_oscillator import cli
+    from dunkl_oscillator.angular_sector import AngularMode
+    from dunkl_oscillator.dunkl_calculus import DunklParams
+    from dunkl_oscillator.solution_builder import (
+        OscillatorConfig,
+        Regime,
+        build_spinor,
+        classify_regime,
+        free_particle,
+    )
+    from dunkl_oscillator.verification import GridSpec
+
+    args = build_parser().parse_args(argv)
+    params, config = DunklParams(args.mu_x, args.mu_y), OscillatorConfig(args.omega, args.omega_c)
+    (n,) = cli._parse_n_values(args.n, args.sector)
+    mode = AngularMode(args.sector, n, 1 if args.branch == "+" else -1, params)
+    if classify_regime(config) is Regime.CRITICAL:
+        sol = free_particle(mode.sector, mode, args.energy, params, config)
+    else:
+        sol = build_spinor(mode.sector, mode, args.k, config, 1)
+    grid = GridSpec(args.grid_rho, args.grid_phi)
+    rho, phi = grid.radii(config.length_scale), grid.angles()
+
+    def fmt(value):
+        return format(value, f".{args.precision}g")
+
+    lines = ["rho,phi,re_upper,im_upper,re_lower,im_lower\n"]
+    for r in rho:
+        upper, lower = sol.upper.eval_polar(r, phi), sol.lower.eval_polar(r, phi)
+        lines += [f"{fmt(r)},{fmt(f)},{fmt(u.real)},{fmt(u.imag)},{fmt(lo.real)},{fmt(lo.imag)}\n"
+                  for f, u, lo in zip(phi, upper, lower)]
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("precision", ["6", "12", "17"])
+@pytest.mark.parametrize("system", [
+    ["--mu-x", "1", "--mu-y", "1", "--sector", "1,-1", "--n", "0.5", "--k", "1"],
+    ["--mu-x", "1.5", "--mu-y", "0.5", "--omega", "0.9", "--omega-c", "3.6", "--sector=-1,-1",
+     "--n", "1", "--k", "1"],
+    ["--mu-x", "1", "--mu-y", "1", "--omega", "1", "--omega-c", "2", "--n", "2", "--energy", "1.5"],
+], ids=["w+", "w-", "critical"])
+def test_wavefunction_equals_the_per_value_formatting(system, precision):
+    argv = ["wavefunction", *system, "--precision", precision, "--grid-rho", "9", "--grid-phi", "11"]
+    code, text = _run(argv)
+    assert code == 0
+    assert text == _reference_wavefunction(argv)

@@ -308,6 +308,31 @@ class TestReferenceEigenstates:
         applied = kg_apply(Component.UPPER, fld, P11, CFG, (rho, phi))
         assert np.max(np.abs(applied - tilde_e * vals)) <= 1e-5 * np.max(np.abs(vals))
 
+    @pytest.mark.parametrize("component", [Component.UPPER, Component.LOWER])
+    def test_factors_run_once_per_coordinate_array(self, monkeypatch, component):
+        # kg_apply evaluates the field 15 times on 3 radius arrays and 5
+        # angle arrays; each factor remembers them, so the Laguerre
+        # recurrence runs once per radius array
+        from dunkl_oscillator import angular_sector, solution_builder
+
+        calls = {"laguerre_rows": 0, "jacobi_p": 0}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(solution_builder, "laguerre_rows")
+        counted(angular_sector, "jacobi_p")
+        fld, _ = coupled_reflection_eigenstate(component, 1, 2, 1, 1, P11, CFG)
+        rho, phi = GridSpec().polar_points(1.0)
+        kg_apply(component, fld, P11, CFG, (rho, phi))
+        assert calls["laguerre_rows"] == 3
+        assert calls["jacobi_p"] == 2 * 5  # Phi^{++} and Phi^{--} per angle array
+
     def test_classical_pair_kg_consistency(self):
         sol = classical_pair_solution(-1, 1, CFG, 1)
         rep = check_kg_eigen(sol, tol=1e-5)
