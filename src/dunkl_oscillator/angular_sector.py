@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .dunkl_calculus import DunklParams, ScalarField2D, remember_last
-from .special_functions import DomainError, jacobi_p, log_gamma
+from .special_functions import DomainError, jacobi_p, jacobi_rows, log_gamma
 
 _HALF_TOL = 1e-9
 
@@ -85,10 +85,14 @@ class AngularMode:
     eigenfunction (the odd-odd partner vanishes identically), so it lives
     in the (+1, +1) sector with branch +1 only.
 
-    A mode object also holds its eigenfunction F, built on first use:
-    every state built on one mode object shares it, so F(phi) runs once
-    per mode, not once per (mode, k). An equal mode built apart shares
-    nothing, and F goes with the object.
+    A mode object also holds its basis constants (``families``) and its
+    eigenfunction F, each built on first use: every state built on one
+    mode object shares them, so evaluating the states' own fields runs
+    F(phi) once per mode, not once per (mode, k). An equal mode built apart
+    shares nothing, and both go with the object. The checks read F instead
+    from ``eigenfunction_rows``: a block of states, or a sector's modes,
+    shares one Jacobi table per parity family, built from the modes'
+    constants, and each row equals its mode's F bit for bit.
     """
 
     sector: SectorLabel
@@ -112,23 +116,27 @@ class AngularMode:
                 raise ValueError(f"epsilon=-1 requires half-odd n >= 1/2, got n={self.n}")
 
     @cached_property
+    def families(self) -> tuple:
+        """The (Phi_A, Phi_B) constants of this mode object (see ``_pair``),
+        found on first use and shared by its F and every block it is in."""
+        return _pair(self.sector.epsilon, self.n, self.params)
+
+    @cached_property
     def eigenfunction(self) -> ScalarField2D:
         """F of this mode object, built on first use (see ``f_eigenfunction``)."""
-        eps = self.sector.epsilon
-        angular = remember_last(mixed_pair(eps, self.n, self.params, eps * self.branch))
+        angular = remember_last(_mixed(*self.families, self.sector.epsilon * self.branch))
         return ScalarField2D(lambda rho, phi: angular(phi))
 
 
-def _basis(s_x: int, s_y: int, n: float, params: DunklParams):
-    """Phi^{s_x s_y}_n as a function of phi, by the Jacobi rule of the
-    module docstring. The constant c and the domain check are computed
-    here, once; the returned function evaluates only trig x Jacobi.
-    """
+def _family(s_x: int, s_y: int, n: float, params: DunklParams):
+    """(e_x, e_y, a, b, j, c) of Phi^{s_x s_y}_n by the Jacobi rule of the
+    module docstring, with the domain checked; None where j < 0 (Phi^{--}_0
+    vanishes identically)."""
     e_x, e_y = (1 - s_x) // 2, (1 - s_y) // 2
     a, b = params.mu_x - 0.5 + e_x, params.mu_y - 0.5 + e_y
     j = int(round(n - 0.5 * (e_x + e_y)))
-    if j < 0:  # Phi^{--}_0 vanishes identically
-        return lambda phi: np.zeros_like(np.asarray(phi, dtype=float))
+    if j < 0:
+        return None
     if a <= -1.0 or b <= -1.0:
         raise DomainError(f"Phi^({s_x:+d},{s_y:+d}) needs Jacobi parameters > -1, got {a}, {b}")
     # c^2 = (2j+a+b+1) Gamma(j+a+b+1) j! / (2 Gamma(j+a+1) Gamma(j+b+1)); at
@@ -138,7 +146,21 @@ def _basis(s_x: int, s_y: int, n: float, params: DunklParams):
     else:
         log_num = math.log(2.0 * j + a + b + 1.0) + log_gamma(j + a + b + 1.0) + log_gamma(j + 1.0)
     log_den = math.log(2.0) + log_gamma(j + a + 1.0) + log_gamma(j + b + 1.0)
-    c = math.exp(0.5 * (log_num - log_den))
+    return e_x, e_y, a, b, j, math.exp(0.5 * (log_num - log_den))
+
+
+def _basis(s_x: int, s_y: int, n: float, params: DunklParams):
+    """Phi^{s_x s_y}_n as a function of phi (see ``_basis_rule``)."""
+    return _basis_rule(_family(s_x, s_y, n, params))
+
+
+def _basis_rule(family):
+    """Phi as a function of phi from its ``_family`` constants, found
+    before: the returned function evaluates only trig x Jacobi. None gives
+    the zero function."""
+    if family is None:
+        return lambda phi: np.zeros_like(np.asarray(phi, dtype=float))
+    e_x, e_y, a, b, j, c = family
 
     def basis(phi):
         phi = np.asarray(phi, dtype=float)
@@ -172,6 +194,28 @@ def phi_pm(n: float, params: DunklParams, phi):
     return _basis(1, -1, n, params)(phi)
 
 
+# (Phi_A, Phi_B) families of each epsilon
+_PAIR_FAMILIES = {1: ((1, 1), (-1, -1)), -1: ((-1, 1), (1, -1))}
+
+
+def _pair(epsilon: int, n: float, params: DunklParams) -> tuple:
+    """The ``_family`` constants of (Phi_A, Phi_B) for (epsilon, n); Phi_B
+    is None at n = 0, where it vanishes and the mode is Phi_A alone."""
+    sa, sb = _PAIR_FAMILIES[epsilon]
+    return _family(*sa, n, params), None if n == 0 else _family(*sb, n, params)
+
+
+def _mixed(family_a, family_b, weight: float):
+    """(Phi_A + i w Phi_B) / sqrt(1 + w^2) as a function of phi, from the
+    constants of ``_pair``; Phi_A + 0j where Phi_B is None, whatever the weight."""
+    phi_a = _basis_rule(family_a)
+    if family_b is None:
+        return lambda phi: phi_a(phi) + 0j
+    phi_b = _basis_rule(family_b)
+    c = 1.0 / math.sqrt(1.0 + weight * weight)
+    return lambda phi: c * (phi_a(phi) + 1j * weight * phi_b(phi))
+
+
 def mixed_pair(epsilon: int, n: float, params: DunklParams, weight: float):
     """(Phi_A + i w Phi_B) / sqrt(1 + w^2) as a function of phi.
 
@@ -179,13 +223,60 @@ def mixed_pair(epsilon: int, n: float, params: DunklParams, weight: float):
     At n = 0 Phi^{--} vanishes, and the mode is Phi^{++}_0 alone,
     whatever the weight.
     """
-    (sa, sb) = ((1, 1), (-1, -1)) if epsilon == 1 else ((-1, 1), (1, -1))
-    phi_a = _basis(*sa, n, params)
-    if n == 0:
-        return lambda phi: phi_a(phi) + 0j
-    phi_b = _basis(*sb, n, params)
-    c = 1.0 / math.sqrt(1.0 + weight * weight)
-    return lambda phi: c * (phi_a(phi) + 1j * weight * phi_b(phi))
+    return _mixed(*_pair(epsilon, n, params), weight)
+
+
+def eigenfunction_rows(modes):
+    """phi -> F of every mode of ``modes`` (one set of parameters) as one
+    (K, *phi.shape) array, row i holding modes[i].
+
+    Per distinct angle array (the last few are kept, by ``remember_last``)
+    each parity family present runs one ``jacobi_rows`` recurrence, up to
+    the highest degree its rows need, since its parameters (a, b) do not
+    depend on n; the constants are the modes' own (``AngularMode.families``).
+    The rows are then formed in the operation order of ``_basis_rule`` and
+    ``_mixed`` (c P, then times cos, then times sin, then
+    c_n (Phi_A + i w Phi_B)), so each equals its mode's own F bit for bit.
+    Tables are read-only.
+    """
+    params = modes[0].params
+    if any(m.params != params for m in modes):
+        raise ValueError("modes of different deformation parameters do not share Jacobi tables")
+    members: dict = {}  # (0 for Phi_A or 1 for Phi_B, family signature) -> [(row, constants)]
+    for i, mode in enumerate(modes):
+        for key, family in zip(enumerate(_PAIR_FAMILIES[mode.sector.epsilon]), mode.families):
+            if family is not None:
+                members.setdefault(key, []).append((i, family))
+    families = []
+    for (slot, _), rows in members.items():
+        e_x, e_y, a, b, _, _ = rows[0][1]
+        index = np.array([i for i, _ in rows])
+        degrees = np.array([family[4] for _, family in rows])
+        consts = np.array([family[5] for _, family in rows])
+        families.append((slot, e_x, e_y, a, b, index, degrees, consts))
+    weights = np.array([mode.sector.epsilon * mode.branch for mode in modes], dtype=float)
+    alone = [i for i, mode in enumerate(modes) if mode.families[1] is None]
+    i_weight = np.array([1j * w for w in weights])
+    c_n = 1.0 / np.sqrt(1.0 + weights * weights)
+
+    def table(phi):
+        phi = np.asarray(phi, dtype=float)
+        col = (-1,) + (1,) * phi.ndim
+        x = -np.cos(2.0 * phi)
+        phi_ab = np.zeros((2, len(modes), *phi.shape))
+        for slot, e_x, e_y, a, b, index, degrees, consts in families:
+            out = consts.reshape(col) * jacobi_rows(a, b, x, int(degrees.max()))[degrees]
+            if e_x:
+                out = out * np.cos(phi)
+            if e_y:
+                out = out * np.sin(phi)
+            phi_ab[slot][index] = out
+        phi_a, phi_b = phi_ab
+        f = c_n.reshape(col) * (phi_a + i_weight.reshape(col) * phi_b)
+        f[alone] = phi_a[alone] + 0j
+        return f
+
+    return remember_last(table)
 
 
 def lambda_eigenvalue(mode: AngularMode) -> float:

@@ -39,6 +39,7 @@ from .angular_sector import (
     ALL_SECTORS,
     AngularMode,
     SectorLabel,
+    eigenfunction_rows,
     f_eigenfunction,
     lambda_eigenvalue,
     modes_for_sector,
@@ -220,21 +221,28 @@ def energy(component: Component, sector: SectorLabel, mode: AngularMode, k: int,
     return e_val
 
 
-def radial_rows(order: float, exponent: float, scale: float, k_top: int):
+def radial_rows(order, exponent, scale: float, k_top: int):
     """rho -> the (k_top + 1, *rho.shape) table of
     R_k = t^{A-mu_+} e^{-t^2 / 2} L_k^A(t^2), k = 0..k_top, of one order A,
     exponent A - mu_+ and scale s, in the unit-free radius t = rho sqrt(s).
 
-    The prefactor and the Laguerre recurrence run once per distinct radius
-    array (the last few are kept, by ``remember_last``); tables are
-    read-only.
+    ``order`` and ``exponent`` may instead be (M, 1) columns of orders and
+    their exponents: the table is then (k_top + 1, M, *rho.shape), one
+    Laguerre recurrence for all M, each element equal to its own order's.
+    The prefactor and the recurrence run once per distinct radius array
+    (the last few are kept, by ``remember_last``); tables are read-only.
     """
     root_s = math.sqrt(scale)
+    # a column's powers are taken one scalar exponent at a time: numpy squares
+    # t for a scalar 2 but calls pow for an exponent array, and the two can
+    # differ in the last bit
+    exponents = None if np.ndim(exponent) == 0 else np.ravel(exponent).tolist()
 
     def table(rho):
         t = root_s * rho
         u = t * t
-        return t**exponent * np.exp(-0.5 * u) * laguerre_rows(order, u, k_top)
+        power = t**exponent if exponents is None else np.array([t**e for e in exponents])
+        return power * np.exp(-0.5 * u) * laguerre_rows(order, u, k_top)
 
     return remember_last(table)
 
@@ -290,7 +298,8 @@ class SpinorSolution:
     config: OscillatorConfig
     norm_upper: float | None = None
     norm_lower: float | None = None
-    # (c_u, c_l) of a state built on its mode's shared factors (build_spinor)
+    # (c_u, c_l) of a state built on its mode's shared factors: build_spinor's
+    # amplitudes, or (1, 1) for free_particle; None for a hand-built state
     amplitudes: tuple[float, float] | None = None
 
 
@@ -324,21 +333,25 @@ def _amplitude(share: float, radial: RadialProfile) -> float:
 
 def check_norm_range(params: DunklParams, config: OscillatorConfig, n_max: float, k_max: int) -> None:
     """Raise ``NormRangeError`` if a bound state with n <= n_max and
-    k <= k_max has a radial factor whose normalization constant, at unit
-    share, lies outside the double range. No field is built.
+    k <= k_max has a component whose normalization constant, for its share
+    (E +/- m c^2) / (2E) of the probability, lies outside the double range.
+    No field is built; the energies come from one ``energy_column`` call
+    per mode, and a zero share passes, as it builds a zero component.
 
     log <R|R> = lgamma(k + A + 1) - lgamma(k + 1) - log 2 - (mu_+ + 1) log s
     grows with k at fixed order A (each step adds log((k + A + 1) / (k + 1))
-    >= 0) and k' moves with k, so each order's extremes are at the first
-    pairable k and at k_max. In A it is convex, so its largest value sits
-    at a sector's smallest or largest order, but its smallest need not:
-    every mode is checked, four ``log_gamma`` pairs each. A state's share
-    (E +/- m c^2) / (2E) moves its log amplitude by half the share's log,
-    so a state within that of the edge can still fail when it is built.
+    >= 0) and k' moves with k; E grows with k too, so the upper share falls
+    toward 1/2 and the lower one rises toward it. Each mode's extremes are
+    therefore taken at its first and last buildable k: the upper log
+    amplitude falls with k, and the lower one is half the difference of
+    two terms that both rise with k. In A the log norm is convex, so its
+    largest value sits at a sector's smallest or largest order, but its
+    smallest need not: every mode is checked.
     """
     regime = classify_regime(config)
     if regime is Regime.CRITICAL:
         return
+    mc2 = config.rest_energy
     for sector in ALL_SECTORS:
         pairs = []
         for k in range(k_max + 1):
@@ -346,10 +359,16 @@ def check_norm_range(params: DunklParams, config: OscillatorConfig, n_max: float
                 pairs.append((k, pair_radial_indices(sector, regime, k, params)))
             except InvalidPairError:
                 continue
+        if not pairs:
+            continue
+        ks = np.array([k for k, _ in pairs])
         for mode in modes_for_sector(sector, params, n_max):
-            for k, k_prime in pairs[:1] + pairs[-1:]:
-                for index in (k, k_prime):
-                    _amplitude(1.0, build_radial(mode, index, config))
+            e_vals = energy_column(Component.UPPER, mode, ks, config).tolist()
+            # a negative radicand (NaN) is a state the sweep skips
+            built = [(pair, e) for pair, e in zip(pairs, e_vals) if not math.isnan(e)]
+            for (k, k_prime), e_val in built[:1] + built[-1:]:
+                _amplitude((e_val + mc2) / (2.0 * e_val), build_radial(mode, k, config))
+                _amplitude((e_val - mc2) / (2.0 * e_val), build_radial(mode, k_prime, config))
 
 
 def _product_field(radial: Callable, angular: ScalarField2D, scale: complex) -> ScalarField2D:
@@ -418,36 +437,59 @@ def stacked_components(states) -> tuple[ScalarField2D, ScalarField2D]:
     """The upper and lower components of ``states`` as (K, P)-valued
     fields, row i holding state i.
 
-    States that ``build_spinor`` made on one mode object and one config
-    stack on the mode's F and one radial table of every k and k' they
-    need: row i is (c_i R_{k_i}(rho)) F(phi), with one F evaluation for
-    all rows. That is the operation order of ``_product_field``, so every
-    row equals its state's own field bit for bit; a zero lower amplitude
-    gives a zero row. Any other state (hand-built, classical or free)
-    stacks only alone, as its own fields with a leading axis of 1.
+    States that ``build_spinor`` made, of any modes of one config and one
+    set of parameters, stack on the F rows of ``eigenfunction_rows`` and
+    one radial table: one Laguerre recurrence over the block's distinct
+    orders and every k and k' they need, per radius array. Free states
+    (``free_particle``) of one energy, which share a grid, stack the same
+    way on one ``bessel_j`` call over their orders. Row i is
+    (c_i R_i(rho)) F_i(phi), the operation order of ``_product_field``, so
+    every row equals its state's own field bit for bit; a zero lower
+    amplitude gives a zero row. A hand-built or classical state stacks
+    only alone, as its own fields with a leading axis of 1.
     """
     first = states[0]
     if len(states) == 1 and first.amplitudes is None:
         return _with_leading_axis(first.upper), _with_leading_axis(first.lower)
-    mode, config = first.mode, first.config
+    config, params, free = first.config, first.mode.params, first.quantum is None
     for st in states:
         if st.amplitudes is None:
-            raise ValueError("only states built by build_spinor stack with others")
-        if st.mode is not mode or st.config != config:
-            raise ValueError(f"states of {mode} and {st.mode} do not share a mode object and config")
-    radial = build_radial(mode, first.quantum.k, config)
-    k_top = max(max(st.quantum.k, st.quantum.k_prime) for st in states)
-    rows = radial_rows(radial.order, radial.exponent, radial.scale, k_top)
-    angular = f_eigenfunction(mode)
+            raise ValueError("only states built by build_spinor or free_particle stack with others")
+        if st.config != config or st.mode.params != params:
+            raise ValueError(f"states of {first.mode} and {st.mode} do not share a config and parameters")
+        if (st.quantum is None) != free or (free and st.energy != first.energy):
+            raise ValueError("free states stack only with free states of one energy")
+    orders: dict = {}  # distinct radial order -> its row in the radial table
+    rows = [orders.setdefault(radial_order(st.mode), len(orders)) for st in states]
+    order = np.array(list(orders))[:, None]
+    angular = eigenfunction_rows([st.mode for st in states])
+    if free:
+        wavenumber, mu_p = _wavenumber(first.energy, config), params.mu_plus
+        bessel = remember_last(lambda rho: rho ** (-mu_p) * bessel_j(order, wavenumber * rho))
+        radial_u = radial_l = lambda rho: bessel(rho)[rows]
+    else:
+        k_top = max(max(st.quantum.k, st.quantum.k_prime) for st in states)
+        table = radial_rows(order, order - params.mu_plus, build_radial(first.mode, 0, config).scale, k_top)
+        ks = [st.quantum.k for st in states]
+        ks_prime = [st.quantum.k_prime for st in states]
+        radial_u = lambda rho: table(rho)[ks, rows]
+        radial_l = lambda rho: table(rho)[ks_prime, rows]
 
-    def stacked(ks, amplitudes) -> ScalarField2D:
+    def stacked(radial, amplitudes) -> ScalarField2D:
         column = np.array(amplitudes)[:, None]
-        return ScalarField2D(lambda rho, phi: column * rows(rho)[ks] * angular.eval_polar(rho, phi))
+        return ScalarField2D(lambda rho, phi: column * radial(rho) * angular(phi))
 
     return (
-        stacked([st.quantum.k for st in states], [st.amplitudes[0] for st in states]),
-        stacked([st.quantum.k_prime for st in states], [st.amplitudes[1] for st in states]),
+        stacked(radial_u, [st.amplitudes[0] for st in states]),
+        stacked(radial_l, [st.amplitudes[1] for st in states]),
     )
+
+
+def _wavenumber(e_val: float, config: OscillatorConfig) -> float:
+    """sqrt(2 Et) of a free state, Et = (E^2 - m^2 c^4) / (2 hbar^2 c^2)."""
+    mc2 = config.rest_energy
+    tilde_e = (e_val * e_val - mc2 * mc2) / (2.0 * config.hbar**2 * config.c**2)
+    return math.sqrt(2.0 * tilde_e)
 
 
 def free_particle(
@@ -471,8 +513,7 @@ def free_particle(
     mc2 = config.rest_energy
     if not (math.isfinite(e_val) and e_val >= mc2):
         raise ValueError(f"free-particle energy must be finite and >= m c^2, got {e_val}")
-    tilde_e = (e_val * e_val - mc2 * mc2) / (2.0 * config.hbar**2 * config.c**2)
-    wavenumber = math.sqrt(2.0 * tilde_e)
+    wavenumber = _wavenumber(e_val, config)
     a_ord = radial_order(mode)
     mu_p = mode.params.mu_plus
 
@@ -487,4 +528,5 @@ def free_particle(
         quantum=None,
         mode=mode,
         config=config,
+        amplitudes=(1.0, 1.0),
     )

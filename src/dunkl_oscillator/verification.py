@@ -33,6 +33,7 @@ from .angular_sector import (
     ALL_SECTORS,
     AngularMode,
     SectorLabel,
+    eigenfunction_rows,
     f_eigenfunction,
     lambda_eigenvalue,
     mixed_pair,
@@ -80,6 +81,11 @@ SUITE_NAMES = ("kg", "angular", "ortho", "dirac", "nrlimit")
 
 # Highest mode index n of the angular and ortho suites.
 ANGULAR_N_MAX = 4
+
+# Most states that run_suite checks in one kg or dirac operator application:
+# enough to share each table among a few modes, few enough that the (K, P)
+# stencil arrays stay small.
+_STATE_BLOCK = 24
 
 
 @dataclass(frozen=True)
@@ -201,11 +207,12 @@ def check_kg_eigen(
 ) -> VerificationReport:
     """Pointwise residual of the decoupled second-order equations.
 
-    ``states`` is one state or the states of one mode object; each
-    component of all of them is checked in one operator application on
-    (K, P) fields (see ``stacked_components``). Each residual keeps its
-    own state's scale, and a component that is zero on the grid has
-    residual 0. The records come per state, upper then lower, in input
+    ``states`` is one state or a block of states that stack (see
+    ``stacked_components``: ``build_spinor`` states of any modes of one
+    config, or free states of one energy); each component of all of them
+    is checked in one operator application on (K, P) fields. Each residual
+    keeps its own state's scale, and a component that is zero on the grid
+    has residual 0. The records come per state, upper then lower, in input
     order.
     """
     states = _as_states(states)
@@ -230,37 +237,48 @@ def check_kg_eigen(
 
 
 def check_angular_eigen(
-    mode: AngularMode,
+    modes,
     n_phi: int = 64,
     tol: float = DEFAULT_TOLS["angular"],
     h: float = DEFAULT_STEP,
 ) -> VerificationReport:
-    """Max |J F - lambda F| over an axis-avoiding angle grid (absolute)."""
-    fld = f_eigenfunction(mode)
-    lam = lambda_eigenvalue(mode)
+    """Max |J F - lambda F| over an axis-avoiding angle grid (absolute).
+
+    ``modes`` is one mode or the modes of one sector: their F rows come
+    from one set of ``eigenfunction_rows`` tables and take one ``angular_j``
+    call. One record per mode, in input order.
+    """
+    modes = [modes] if isinstance(modes, AngularMode) else list(modes)
+    params = modes[0].params
+    rows = eigenfunction_rows(modes)
+    fld = ScalarField2D(lambda rho, phi: rows(phi))
+    lams = [lambda_eigenvalue(mode) for mode in modes]
     phi = GridSpec(n_phi=n_phi).angles()
     rho = np.ones_like(phi)
     vals = fld.eval_polar(rho, phi)
-    applied = angular_j(fld, (rho, phi), mode.params, h)
-    residual = float(np.max(np.abs(applied - lam * vals)))
-    scale = float(np.max(np.abs(vals)))
-    record = CheckRecord(
-        name=f"angular[{mode.sector}] n={mode.n:g} b={mode.branch:+d} "
-        f"mu=({mode.params.mu_x:g},{mode.params.mu_y:g})",
-        inputs={
-            "sector": str(mode.sector),
-            "n": mode.n,
-            "branch": mode.branch,
-            "mu_x": mode.params.mu_x,
-            "mu_y": mode.params.mu_y,
-            "lambda": lam,
-            "relative_residual": residual / max(scale * max(abs(lam), 1.0), 1e-300),
-            "h": h,
-        },
-        residual=residual,
-        tol=tol,
-    )
-    return VerificationReport("angular", [record])
+    applied = angular_j(fld, (rho, phi), params, h)
+    residuals = np.max(np.abs(applied - np.array(lams)[:, None] * vals), axis=1).tolist()
+    scales = np.max(np.abs(vals), axis=1).tolist()
+    records = [
+        CheckRecord(
+            name=f"angular[{mode.sector}] n={mode.n:g} b={mode.branch:+d} "
+            f"mu=({params.mu_x:g},{params.mu_y:g})",
+            inputs={
+                "sector": str(mode.sector),
+                "n": mode.n,
+                "branch": mode.branch,
+                "mu_x": params.mu_x,
+                "mu_y": params.mu_y,
+                "lambda": lam,
+                "relative_residual": residual / max(scale * max(abs(lam), 1.0), 1e-300),
+                "h": h,
+            },
+            residual=residual,
+            tol=tol,
+        )
+        for mode, lam, residual, scale in zip(modes, lams, residuals, scales)
+    ]
+    return VerificationReport("angular", records)
 
 
 def check_orthonormality(
@@ -299,10 +317,11 @@ def check_dirac_system(
 ) -> VerificationReport:
     """Max residual of the coupled first-order system on an off-axis grid.
 
-    ``states`` is one state or the states of one mode object, checked in
-    one operator application with their energies as a (K, 1) column. Each
-    residual is scaled by its own state's (|E| + m c^2) times its largest
-    component value. One record per state, in input order.
+    ``states`` is one state or a block of states that stack (see
+    ``stacked_components``), checked in one operator application with
+    their energies as a (K, 1) column. Each residual is scaled by its own
+    state's (|E| + m c^2) times its largest component value. One record
+    per state, in input order.
     """
     states = _as_states(states)
     upper, lower = stacked_components(states)
@@ -628,18 +647,22 @@ def sweep_bound_states(
 
 
 def _critical_states(params: DunklParams, config: OscillatorConfig, n_max: float):
+    """Free states of every mode, one energy after the other; both
+    energies share each mode object."""
     mc2 = config.rest_energy
-    for sector in ALL_SECTORS:
-        for mode in modes_for_sector(sector, params, n_max):
-            for e_val in (1.25 * mc2, 2.0 * mc2):
-                yield free_particle(sector, mode, e_val, params, config)
+    modes = [(sector, mode) for sector in ALL_SECTORS for mode in modes_for_sector(sector, params, n_max)]
+    for e_val in (1.25 * mc2, 2.0 * mc2):
+        for sector, mode in modes:
+            yield free_particle(sector, mode, e_val, params, config)
 
 
-def _mode_groups(states):
-    """The sweep's states as one list per mode. The sweep yields a mode's
-    states in a row, so only one mode's states are alive at a time."""
-    for _, group in itertools.groupby(states, key=lambda st: st.mode):
-        yield list(group)
+def _blocks(states):
+    """Consecutive states in lists of at most ``_STATE_BLOCK``, across
+    modes and sectors; only one list is alive at a time. A free state's
+    grid follows its energy, so a list holds free states of one energy."""
+    for _, group in itertools.groupby(states, key=lambda st: st.energy if st.quantum is None else None):
+        while block := list(itertools.islice(group, _STATE_BLOCK)):
+            yield block
 
 
 def run_suite(
@@ -654,10 +677,16 @@ def run_suite(
 ) -> VerificationReport:
     """Run one named verification suite (or 'all') and collect the records.
 
-    The checks run one after another. ``threads`` accepts only 1: it is
-    kept so that existing callers passing ``threads=1`` keep working; a
-    thread pool gave no speed-up, as the numpy work per check is too small
-    to release the interpreter lock for long.
+    The checks run one after another. kg and dirac walk the sweep once and
+    check its states in blocks of at most ``_STATE_BLOCK`` consecutive
+    states, across modes and sectors (critical regime: free states of one
+    energy), one operator application per block and component; the
+    angular suite checks each sector's modes in one application. Records
+    come sorted by name, so the blocking does not show in the report.
+    ``threads`` accepts only 1: it is kept so that existing callers passing
+    ``threads=1`` keep working; a thread pool gave no speed-up, as the
+    numpy work per check is too small to release the interpreter lock for
+    long.
     """
     if threads != 1:
         raise ValueError(f"threads must be 1, got {threads}")
@@ -677,24 +706,23 @@ def run_suite(
     records: list[CheckRecord] = []
     if "angular" in wanted:
         for sector in ALL_SECTORS:
-            for mode in modes_for_sector(sector, params, ANGULAR_N_MAX):
-                records.extend(check_angular_eigen(mode, tol=tol_for("angular"), h=h).records)
+            modes = modes_for_sector(sector, params, ANGULAR_N_MAX)
+            records.extend(check_angular_eigen(modes, tol=tol_for("angular"), h=h).records)
     if "ortho" in wanted:
         for sector in ALL_SECTORS:
             modes = modes_for_sector(sector, params, ANGULAR_N_MAX)
             records.extend(check_orthonormality(modes, tol=tol_for("ortho")).records)
-    # kg and dirac check each group of states together, in one walk of the sweep
+    # kg and dirac check each block of states together, in one walk of the sweep
     checks = [(name, check) for name, check in (("kg", check_kg_eigen), ("dirac", check_dirac_system))
               if name in wanted]
     if checks:
         if regime is Regime.CRITICAL:
-            # a free state's grid follows its energy, so it is checked alone
-            groups = ([st] for st in _critical_states(params, config, n_max))
+            states = _critical_states(params, config, n_max)
         else:
-            groups = _mode_groups(sweep_bound_states(params, config, n_max, k_max))
-        for states in groups:
+            states = sweep_bound_states(params, config, n_max, k_max)
+        for block in _blocks(states):
             for name, check in checks:
-                records.extend(check(states, tol=tol_for(name), h=h).records)
+                records.extend(check(block, tol=tol_for(name), h=h).records)
     if "nrlimit" in wanted:
         for sector in ALL_SECTORS:
             mode = modes_for_sector(sector, params, 1.5)[-1]

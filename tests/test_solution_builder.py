@@ -42,6 +42,7 @@ from dunkl_oscillator.solution_builder import (
     radial_order,
 )
 from dunkl_oscillator.verification import (
+    _STATE_BLOCK,
     GridSpec,
     classical_oscillator_b_energy,
     run_suite,
@@ -547,34 +548,62 @@ class TestModeFactorSharing:
                     assert np.array_equal(evaluate(st.upper, *point), evaluate(alone.upper, *point))
                     assert np.array_equal(evaluate(st.lower, *point), evaluate(alone.lower, *point))
 
+    @pytest.mark.parametrize("config", [CFG_POS, CFG_NEG], ids=["w+", "w-"])
+    @pytest.mark.parametrize("mu", [(1.0, 1.0), (0.5, 1.5), (0.0, 0.0), (2.0, 1.0)])
+    def test_block_rows_equal_the_fields_of_their_states(self, mu, config):
+        # blocks as run_suite forms them: consecutive sweep states across modes and sectors
+        rho, phi = GridSpec().polar_points(config.length_scale)
+        states = list(sweep_bound_states(DunklParams(*mu), config, 3, 3))
+        blocks = [states[i:i + _STATE_BLOCK] for i in range(0, len(states), _STATE_BLOCK)]
+        assert any(len({st.mode.sector for st in block}) > 1 for block in blocks)
+        for block in blocks:
+            upper, lower = solution_builder.stacked_components(block)
+            for stencil, evaluate in ((_kg_stencil(rho, phi), ScalarField2D.eval_polar),
+                                      (_dirac_stencil(rho, phi), ScalarField2D.__call__)):
+                for point in stencil:
+                    rows_u, rows_l = evaluate(upper, *point), evaluate(lower, *point)
+                    for j, st in enumerate(block):
+                        assert np.array_equal(rows_u[j], evaluate(st.upper, *point))
+                        assert np.array_equal(rows_l[j], evaluate(st.lower, *point))
+
     @pytest.mark.parametrize("params, k_low", [(P00, 0), (P11, 1)])
-    def test_kg_sweep_jacobi_calls_do_not_grow_with_k(self, monkeypatch, params, k_low):
-        # at w~ < 0 every mode of these systems has a state at k = k_low
-        counts = []
+    def test_kg_sweep_jacobi_calls_per_block_do_not_grow_with_k(self, monkeypatch, params, k_low):
+        # at w~ < 0 every mode of these systems has a state at k = k_low; a
+        # block runs one Jacobi recurrence per parity family it holds and per
+        # angle array of the kg stencil (5), however many k its states carry
+        def families(state):
+            if state.mode.sector.epsilon == -1:
+                return {(-1, 1), (1, -1)}
+            return {(1, 1), (-1, -1)} if state.mode.n >= 1 else {(1, 1)}
+
         for k_max in (k_low, 4):
+            states = list(sweep_bound_states(params, CFG_NEG, 2, k_max))
+            blocks = [states[i:i + _STATE_BLOCK] for i in range(0, len(states), _STATE_BLOCK)]
             calls = {}
-            _counting(monkeypatch, angular_sector, "jacobi_p", calls)
+            _counting(monkeypatch, angular_sector, "jacobi_rows", calls)
             run_suite(params, CFG_NEG, "kg", n_max=2, k_max=k_max)
             monkeypatch.undo()
-            counts.append(calls["jacobi_p"])
-        assert counts[0] == counts[1]
+            assert calls["jacobi_rows"] == sum(5 * len(set().union(*map(families, b))) for b in blocks)
+            assert calls["jacobi_rows"] <= 4 * 5 * len(blocks)
 
     @pytest.mark.parametrize("suite, radius_arrays", [("kg", 3), ("dirac", 5)])
     @pytest.mark.parametrize("config", [CFG_POS, CFG_NEG], ids=["w+", "w-"])
-    def test_laguerre_recurrence_runs_once_per_mode_and_radius_array(
+    def test_laguerre_recurrence_runs_once_per_block_and_radius_array(
             self, monkeypatch, suite, radius_arrays, config):
         # kg asks for rho and rho +/- h; dirac for rho, hypot(x +/- h, y), hypot(x, y +/- h)
-        modes = {(st.mode.sector, st.mode.n, st.mode.branch)
-                 for st in sweep_bound_states(P11, config, 2, 4)}
+        states = len(list(sweep_bound_states(P11, config, 2, 4)))
+        blocks = -(-states // _STATE_BLOCK)
+        assert blocks > 1
         calls = {}
         _counting(monkeypatch, solution_builder, "laguerre_rows", calls)
         run_suite(P11, config, suite, n_max=2, k_max=4)
-        assert calls["laguerre_rows"] == radius_arrays * len(modes)
+        assert calls["laguerre_rows"] == radius_arrays * blocks
 
     def test_identical_sweeps_make_identical_call_counts(self, monkeypatch):
         def counts():
             calls = {}
             _counting(monkeypatch, angular_sector, "jacobi_p", calls)
+            _counting(monkeypatch, angular_sector, "jacobi_rows", calls)
             _counting(monkeypatch, angular_sector, "log_gamma", calls)
             _counting(monkeypatch, solution_builder, "laguerre_rows", calls)
             _counting(monkeypatch, solution_builder, "log_gamma", calls)
@@ -583,7 +612,7 @@ class TestModeFactorSharing:
             return calls
 
         first = counts()
-        assert len(first) == 3 and all(first.values())  # both log_gamma names count as one key
+        assert len(first) == 4 and all(first.values())  # both log_gamma names count as one key
         assert counts() == first
 
     def test_radial_rows_are_read_only_and_equal_the_profile(self):
@@ -620,9 +649,14 @@ class TestNormRange:
             build_spinor(sector, mode, 1, CFG_POS, 1)
         assert issubclass(solution_builder.NormRangeError, ValueError)
 
-    @pytest.mark.parametrize("n_max, k_max", [(100, 1), (150, 1), (140, 3), (2, 200)])
-    @pytest.mark.parametrize("params", [P00, P11])
-    def test_up_front_check_agrees_with_building_the_sweep(self, params, n_max, k_max):
+    @pytest.mark.parametrize("params, config, n_max, k_max, out_of_range", [
+        *[(params, CFG_POS, n_max, k_max, n_max == 150) for params in (P00, P11)
+          for n_max, k_max in ((100, 1), (150, 1), (140, 3), (2, 200))],
+        # at c = 1000 the lower share (E - m c^2) / (2E) is about 1e-6, which
+        # takes the k' = 2 amplitude of n = 146 just past the double range
+        (P11, OscillatorConfig(omega=1.0, c=1000.0), 146, 1, True),
+    ])
+    def test_up_front_check_agrees_with_building_the_sweep(self, params, config, n_max, k_max, out_of_range):
         def raises(run) -> bool:
             try:
                 run()
@@ -630,6 +664,6 @@ class TestNormRange:
                 return True
             return False
 
-        up_front = raises(lambda: solution_builder.check_norm_range(params, CFG_POS, n_max, k_max))
-        assert up_front == (n_max == 150)
-        assert raises(lambda: list(sweep_bound_states(params, CFG_POS, n_max, k_max))) == up_front
+        up_front = raises(lambda: solution_builder.check_norm_range(params, config, n_max, k_max))
+        assert up_front == out_of_range
+        assert raises(lambda: list(sweep_bound_states(params, config, n_max, k_max))) == up_front

@@ -17,6 +17,7 @@ from dunkl_oscillator.special_functions import (
     DomainError,
     bessel_j,
     jacobi_p,
+    jacobi_rows,
     laguerre_l,
     laguerre_rows,
     log_gamma,
@@ -64,6 +65,30 @@ class TestJacobi:
             jacobi_p(201, 0.0, 0.0, 0.5)
         with pytest.raises(DomainError):
             jacobi_p(-1, 0.7, 0.1, 0.3)
+
+
+class TestJacobiRows:
+    """jacobi_rows is the one Jacobi recurrence; jacobi_p reads one row."""
+
+    @pytest.mark.parametrize("x", [np.linspace(-1.0, 1.0, 41), 0.3], ids=["array", "scalar"])
+    @pytest.mark.parametrize("alpha, beta", [(0.5, 0.5), (1.5, -0.5), (-0.5, 2.5)])
+    def test_rows_equal_jacobi_p_for_every_degree(self, x, alpha, beta):
+        rows = jacobi_rows(alpha, beta, x, 12)
+        assert rows.shape == (13, *np.shape(x))
+        for n in range(13):
+            assert np.array_equal(rows[n], jacobi_p(n, alpha, beta, x))
+
+    def test_rows_do_not_depend_on_the_top_degree(self):
+        x = np.linspace(-1.0, 1.0, 33)
+        full = jacobi_rows(0.7, 1.3, x, 200)
+        for j_top in (0, 1, 2, 7, 150):
+            assert np.array_equal(jacobi_rows(0.7, 1.3, x, j_top), full[: j_top + 1])
+
+    def test_domain_errors(self):
+        for args in ((-1.0, 0.0, 0.5, 2), (0.0, -1.5, 0.5, 2), (0.0, 0.0, np.array([0.2, 1.1]), 2),
+                     (0.0, 0.0, 0.5, 201), (0.7, 0.1, 0.3, -1)):
+            with pytest.raises(DomainError):
+                jacobi_rows(*args)
 
 
 class TestLaguerre:
@@ -116,6 +141,16 @@ class TestLaguerre:
         with pytest.raises(DomainError):
             laguerre_rows(0.0, 0.5, 201)
 
+    def test_order_column_equals_each_order_alone(self):
+        orders = np.array([0.0, 0.5, 2.0, 4.47213595499958, 7.25])
+        x = np.linspace(0.0, 30.0, 40)
+        rows = laguerre_rows(orders[:, None], x, 9)
+        assert rows.shape == (10, orders.size, x.size)
+        for i, alpha in enumerate(orders):
+            assert np.array_equal(rows[:, i], laguerre_rows(alpha, x, 9))
+        with pytest.raises(DomainError):
+            laguerre_rows(np.array([[0.5], [-1.0]]), x, 3)
+
 
 class TestBessel:
     def test_at_origin(self):
@@ -154,6 +189,18 @@ class TestBessel:
             bessel_j(1.0, -1.0)
         with pytest.raises(DomainError):
             bessel_j(1.0, 1.1e4)
+
+    def test_order_column_equals_each_order_alone(self):
+        orders = np.array([0.0, 0.5, 2.0, 4.47213595499958, 7.25])
+        x = np.geomspace(0.01, 50.0, 64)
+        table = bessel_j(orders[:, None], x)
+        assert table.shape == (orders.size, x.size)
+        for i, nu in enumerate(orders):
+            assert np.array_equal(table[i], bessel_j(nu, x))
+        assert bessel_j(orders, 2.0).shape == orders.shape
+        for bad in (np.array([[1.0], [-0.1]]), np.array([[1.0], [201.0]]), np.array([[np.nan]])):
+            with pytest.raises(DomainError):
+                bessel_j(bad, x)
 
 
 class TestLogGamma:

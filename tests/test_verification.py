@@ -146,6 +146,37 @@ class TestAngularCheck:
         applied = angular_j(fld, (ones, phi), P11)
         assert np.max(np.abs(applied + lam * vals)) > 0.1  # -lambda is wrong
 
+    @pytest.mark.parametrize("mu", [(1.0, 1.0), (0.5, 1.5), (0.0, 0.0), (2.0, 1.0)])
+    def test_modes_of_a_sector_in_one_call_keep_each_records_bits(self, monkeypatch, mu):
+        params = DunklParams(*mu)
+        phi = GridSpec(n_phi=64).angles()
+        rho = np.ones_like(phi)
+
+        def alone(mode):  # one mode on its own F, as the check ran before sectors were batched
+            fld, lam = f_eigenfunction(mode), lambda_eigenvalue(mode)
+            vals = fld.eval_polar(rho, phi)
+            residual = float(np.max(np.abs(angular_j(fld, (rho, phi), params) - lam * vals)))
+            relative = residual / max(float(np.max(np.abs(vals))) * max(abs(lam), 1.0), 1e-300)
+            return residual.hex(), relative.hex()
+
+        calls = []
+        original = verification.angular_j
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for sector in ALL_SECTORS:
+            modes = modes_for_sector(sector, params, 4)
+            expected = [alone(mode) for mode in modes]
+            names = [check_angular_eigen(mode).records[0].name for mode in modes]
+            monkeypatch.setattr(verification, "angular_j", counted)
+            records = check_angular_eigen(modes).records
+            monkeypatch.undo()
+            assert [r.name for r in records] == names
+            assert [(r.residual.hex(), r.inputs["relative_residual"].hex()) for r in records] == expected
+        assert len(calls) == len(ALL_SECTORS)
+
 
 class TestOrthonormality:
     def test_within_sector(self):
@@ -474,18 +505,29 @@ class TestModeStacks:
         kg = check_kg_eigen(stack).records
         assert kg[1].name.endswith(" lower") and kg[1].residual == 0.0
 
-    def test_states_of_two_mode_objects_raise(self):
+    def test_states_of_two_modes_stack_and_hand_built_or_mixed_states_raise(self):
         states = list(sweep_bound_states(P11, CFG, 2, 2))
-        a, b = states[0], next(st for st in states if st.mode is not states[0].mode)
+        a, b = states[0], next(st for st in states if st.mode.sector != states[0].mode.sector)
         twin = build_spinor(a.mode.sector, AngularMode(a.mode.sector, a.mode.n, a.mode.branch, P11),
                             a.quantum.k, CFG, 1)  # an equal mode, built apart
         for check in (check_kg_eigen, check_dirac_system):
-            for pair in ([a, b], [a, twin], [a, _alone(a)]):
+            for pair in ([a, b], [a, twin]):
+                alone = [r for st in pair for r in check(_alone(st)).records]
+                assert _signature(check(pair).records) == _signature(alone)
+        other_config = build_spinor(a.mode.sector, a.mode, a.quantum.k, OscillatorConfig(omega=1.3), 1)
+        other_params = next(sweep_bound_states(P00, CFG, 2, 2))
+        crit = OscillatorConfig(omega=1.0, omega_c=2.0)
+        free = [free_particle(SectorLabel(1, 1), AngularMode(SectorLabel(1, 1), 1, 1, P11), e_val, P11, crit)
+                for e_val in (1.25, 2.0)]
+        for check in (check_kg_eigen, check_dirac_system):
+            for pair in ([a, _alone(a)], [a, other_config], [a, other_params], [a, free[0]]):
                 with pytest.raises(ValueError):
                     check(pair)
+        with pytest.raises(ValueError):  # a free state's grid follows its energy
+            check_kg_eigen(free)
 
     @pytest.mark.parametrize("config", STACK_CONFIGS, ids=["w+", "w-"])
-    def test_operators_run_once_per_component_per_mode(self, monkeypatch, config):
+    def test_operators_run_once_per_component_per_block(self, monkeypatch, config):
         calls = {"kg_apply": 0, "dirac_apply": 0}
         for name in calls:
             original = getattr(verification, name)
@@ -495,13 +537,14 @@ class TestModeStacks:
                 return original(*args)
 
             monkeypatch.setattr(verification, name, counted)
-        modes = _buildable_modes(P11, config, 2, 3)
-        assert modes > 0
+        states = len(list(sweep_bound_states(P11, config, 2, 3)))
+        blocks = -(-states // verification._STATE_BLOCK)
+        assert blocks > 1
         run_suite(P11, config, "kg", n_max=2, k_max=3)
         run_suite(P11, config, "dirac", n_max=2, k_max=3)
-        assert calls == {"kg_apply": 2 * modes, "dirac_apply": modes}
+        assert calls == {"kg_apply": 2 * blocks, "dirac_apply": blocks}
 
-    def test_suite_calls_the_public_checks_once_per_mode(self, monkeypatch):
+    def test_suite_calls_the_public_checks_once_per_block(self, monkeypatch):
         # perfbench's span recorder counts these two names in the module
         # namespace; a check path that bypassed them would trace as 0 calls
         calls = {"check_kg_eigen": [], "check_dirac_system": []}
@@ -515,10 +558,32 @@ class TestModeStacks:
             monkeypatch.setattr(verification, name, counted)
         kg = run_suite(P11, CFG, "kg")
         dirac = run_suite(P11, CFG, "dirac")
-        modes = _buildable_modes(P11, CFG, 2, 2)
-        assert len(calls["check_kg_eigen"]) == len(calls["check_dirac_system"]) == modes
+        states = len(list(sweep_bound_states(P11, CFG, 2, 2)))
+        block = verification._STATE_BLOCK
+        sizes = [min(block, states - i) for i in range(0, states, block)]
+        assert len(sizes) > 1
+        assert calls["check_kg_eigen"] == calls["check_dirac_system"] == sizes
         assert sum(calls["check_kg_eigen"]) == len(kg.records) // 2
         assert sum(calls["check_dirac_system"]) == len(dirac.records)
+
+    def test_no_check_receives_more_than_a_block(self, monkeypatch):
+        seen = []
+        for name in ("check_kg_eigen", "check_dirac_system"):
+            original = getattr(verification, name)
+
+            def counted(states, *args, original=original, **kwargs):
+                seen.append(states)
+                return original(states, *args, **kwargs)
+
+            monkeypatch.setattr(verification, name, counted)
+        run_suite(P11, CFG, "all", n_max=8, k_max=8)
+        assert max(map(len, seen)) == verification._STATE_BLOCK
+        assert sum(map(len, seen)) == 2 * len(list(sweep_bound_states(P11, CFG, 8, 8)))
+        seen.clear()
+        run_suite(P11, OscillatorConfig(omega=1.0, omega_c=2.0), "kg", n_max=8)
+        assert max(map(len, seen)) <= verification._STATE_BLOCK
+        assert all(len({st.energy for st in block}) == 1 for block in seen)
+        assert sum(map(len, seen)) == 2 * sum(len(modes_for_sector(s, P11, 8)) for s in ALL_SECTORS)
 
     @pytest.mark.parametrize("config", STACK_CONFIGS, ids=["w+", "w-"])
     def test_all_suite_walks_the_sweep_once_for_kg_and_dirac(self, monkeypatch, config):
@@ -551,3 +616,31 @@ def test_random_mode_stack_matches_its_states_bit_for_bit(mu, omega, ratio, pick
     for check in (check_kg_eigen, check_dirac_system):
         alone = [float(r.residual).hex() for st in group for r in check(_alone(st)).records]
         assert [float(r.residual).hex() for r in check(group).records] == alone
+
+
+_MU = st.one_of(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                st.tuples(st.sampled_from([0.5, 1.5]), st.sampled_from([0.5, 1.5])))
+_PICKS = st.lists(st.integers(0, 10**6), min_size=2, max_size=verification._STATE_BLOCK)
+
+
+@settings(max_examples=12, deadline=None)
+@given(mu=_MU, omega=st.floats(0.5, 2.0), ratio=st.sampled_from([0.0, 4.0]), picks=_PICKS)
+def test_random_cross_mode_block_matches_its_states_bit_for_bit(mu, omega, ratio, picks):
+    config = OscillatorConfig(omega=omega, omega_c=ratio * omega)
+    states = list(sweep_bound_states(DunklParams(*map(float, mu)), config, 2, 3))
+    block = [states[p % len(states)] for p in picks]  # any modes and sectors, in any order
+    for check in (check_kg_eigen, check_dirac_system):
+        alone = [r for st in block for r in check(_alone(st)).records]
+        assert _signature(check(block).records) == _signature(alone)
+
+
+@settings(max_examples=12, deadline=None)
+@given(mu=_MU, omega=st.floats(0.5, 2.0), e_ratio=st.floats(1.0, 3.0), picks=_PICKS)
+def test_random_block_of_free_states_of_one_energy_matches_its_states_bit_for_bit(mu, omega, e_ratio, picks):
+    params = DunklParams(*map(float, mu))
+    config = OscillatorConfig(omega=omega, omega_c=2.0 * omega)
+    states = [free_particle(sector, mode, e_ratio * config.rest_energy, params, config)
+              for sector in ALL_SECTORS for mode in modes_for_sector(sector, params, 2)]
+    block = [states[p % len(states)] for p in picks]
+    alone = [r for st in block for r in check_kg_eigen(_alone(st)).records]
+    assert _signature(check_kg_eigen(block).records) == _signature(alone)
