@@ -25,6 +25,10 @@ where b = +/-1 is the branch sign of lambda. The sign pairing (+i with
 +lambda for epsilon = +1, -i with +lambda for epsilon = -1) is fixed
 numerically by the eigen-residual tests. The 1/sqrt(2) makes the modes
 orthonormal under the reflection-symmetric angular weight.
+
+Every Phi and F is a row of one table builder (``_family_rows``, mixed
+by ``_mixed_rows``): a mode's own F, ``mixed_pair`` and ``phi_*`` are
+one-row tables, and ``eigenfunction_rows`` is the table of many modes.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .dunkl_calculus import DunklParams, ScalarField2D, remember_last
-from .special_functions import DomainError, jacobi_p, jacobi_rows, log_gamma
+from .special_functions import DomainError, jacobi_rows, log_gamma
 
 _HALF_TOL = 1e-9
 
@@ -86,13 +90,13 @@ class AngularMode:
     in the (+1, +1) sector with branch +1 only.
 
     A mode object also holds its basis constants (``families``) and its
-    eigenfunction F, each built on first use: every state built on one
-    mode object shares them, so evaluating the states' own fields runs
-    F(phi) once per mode, not once per (mode, k). An equal mode built apart
-    shares nothing, and both go with the object. The checks read F instead
-    from ``eigenfunction_rows``: a block of states, or a sector's modes,
-    shares one Jacobi table per parity family, built from the modes'
-    constants, and each row equals its mode's F bit for bit.
+    eigenfunction F (row 0 of its own ``eigenfunction_rows`` table), each
+    built on first use: every state built on one mode object shares them,
+    so evaluating the states' own fields runs F(phi) once per mode, not
+    once per (mode, k). An equal mode built apart shares nothing, and both
+    go with the object. The checks read F from ``eigenfunction_rows`` of
+    many modes: a block of states, or a sector's modes, shares one Jacobi
+    table per parity family, and each row equals its mode's F bit for bit.
     """
 
     sector: SectorLabel
@@ -123,9 +127,10 @@ class AngularMode:
 
     @cached_property
     def eigenfunction(self) -> ScalarField2D:
-        """F of this mode object, built on first use (see ``f_eigenfunction``)."""
-        angular = remember_last(_mixed(*self.families, self.sector.epsilon * self.branch))
-        return ScalarField2D(lambda rho, phi: angular(phi))
+        """F of this mode object, row 0 of ``eigenfunction_rows([self])``,
+        built on first use (see ``f_eigenfunction``)."""
+        rows = eigenfunction_rows([self])
+        return ScalarField2D(lambda rho, phi: rows(phi)[0])
 
 
 def _family(s_x: int, s_y: int, n: float, params: DunklParams):
@@ -150,28 +155,10 @@ def _family(s_x: int, s_y: int, n: float, params: DunklParams):
 
 
 def _basis(s_x: int, s_y: int, n: float, params: DunklParams):
-    """Phi^{s_x s_y}_n as a function of phi (see ``_basis_rule``)."""
-    return _basis_rule(_family(s_x, s_y, n, params))
-
-
-def _basis_rule(family):
-    """Phi as a function of phi from its ``_family`` constants, found
-    before: the returned function evaluates only trig x Jacobi. None gives
-    the zero function."""
-    if family is None:
-        return lambda phi: np.zeros_like(np.asarray(phi, dtype=float))
-    e_x, e_y, a, b, j, c = family
-
-    def basis(phi):
-        phi = np.asarray(phi, dtype=float)
-        out = c * jacobi_p(j, a, b, -np.cos(2.0 * phi))
-        if e_x:
-            out = out * np.cos(phi)
-        if e_y:
-            out = out * np.sin(phi)
-        return out
-
-    return basis
+    """Phi^{s_x s_y}_n as a real function of phi: the one row of a
+    ``_family_rows`` table (a zero row where Phi vanishes)."""
+    rows = _family_rows([(_family(s_x, s_y, n, params), None)])
+    return lambda phi: rows(phi)[0, 0]
 
 
 def phi_pp(n: int, params: DunklParams, phi):
@@ -205,78 +192,85 @@ def _pair(epsilon: int, n: float, params: DunklParams) -> tuple:
     return _family(*sa, n, params), None if n == 0 else _family(*sb, n, params)
 
 
-def _mixed(family_a, family_b, weight: float):
-    """(Phi_A + i w Phi_B) / sqrt(1 + w^2) as a function of phi, from the
-    constants of ``_pair``; Phi_A + 0j where Phi_B is None, whatever the weight."""
-    phi_a = _basis_rule(family_a)
-    if family_b is None:
-        return lambda phi: phi_a(phi) + 0j
-    phi_b = _basis_rule(family_b)
-    c = 1.0 / math.sqrt(1.0 + weight * weight)
-    return lambda phi: c * (phi_a(phi) + 1j * weight * phi_b(phi))
+def _family_rows(pairs):
+    """phi -> the (2, K, *phi.shape) real array of Phi_A (slot 0) and Phi_B
+    (slot 1) of each pair of ``_family`` constants (None: a zero row).
+
+    The package's one angular Jacobi path: rows with the same constants
+    (slot, e_x, e_y, a, b), which do not depend on n, share one
+    ``jacobi_rows`` recurrence per angle array. Each row is c P_j^{(a,b)}(x),
+    then times cos(phi) if e_x, then times sin(phi) if e_y, so it does not
+    depend, bit for bit, on the other rows of its table.
+    """
+    members: dict = {}  # (slot, e_x, e_y, a, b) -> [(row, j, c)]
+    for i, pair in enumerate(pairs):
+        for slot, family in enumerate(pair):
+            if family is not None:
+                e_x, e_y, a, b, j, c = family
+                members.setdefault((slot, e_x, e_y, a, b), []).append((i, j, c))
+    groups = [(key, *map(np.array, zip(*rows)), max(j for _, j, _ in rows))
+              for key, rows in members.items()]
+
+    def rows(phi):
+        phi = np.asarray(phi, dtype=float)
+        col = (-1,) + (1,) * phi.ndim
+        x = -np.cos(2.0 * phi)
+        out = np.zeros((2, len(pairs), *phi.shape))
+        for (slot, e_x, e_y, a, b), index, degrees, consts, top in groups:
+            basis = consts.reshape(col) * jacobi_rows(a, b, x, top)[degrees]
+            if e_x:
+                basis = basis * np.cos(phi)
+            if e_y:
+                basis = basis * np.sin(phi)
+            out[slot, index] = basis
+        return out
+
+    return rows
+
+
+def _mixed_rows(pairs, weights):
+    """phi -> the (K, *phi.shape) complex array whose row i is
+    (Phi_A + i w Phi_B) / sqrt(1 + w^2) of the ``_pair`` constants pairs[i]
+    and w = weights[i] (Phi_A + 0j where Phi_B is None). The last few angle
+    arrays' tables are kept, by ``remember_last``, and are read-only."""
+    family_rows = _family_rows(pairs)
+    weights = np.array(weights, dtype=float)
+    i_weight = 1j * weights
+    c_n = 1.0 / np.sqrt(1.0 + weights * weights)
+    alone = [i for i, (_, family_b) in enumerate(pairs) if family_b is None]
+
+    def table(phi):
+        phi_a, phi_b = family_rows(phi)
+        col = (-1,) + (1,) * (phi_a.ndim - 1)
+        f = c_n.reshape(col) * (phi_a + i_weight.reshape(col) * phi_b)
+        if alone:
+            f[alone] = phi_a[alone] + 0j
+        return f
+
+    return remember_last(table)
 
 
 def mixed_pair(epsilon: int, n: float, params: DunklParams, weight: float):
-    """(Phi_A + i w Phi_B) / sqrt(1 + w^2) as a function of phi.
+    """(Phi_A + i w Phi_B) / sqrt(1 + w^2) as a function of phi: the one
+    row of a ``_mixed_rows`` table, so it remembers its last few angle
+    arrays.
 
     (A, B) is (++, --) for epsilon = +1 and (-+, +-) for epsilon = -1.
     At n = 0 Phi^{--} vanishes, and the mode is Phi^{++}_0 alone,
     whatever the weight.
     """
-    return _mixed(*_pair(epsilon, n, params), weight)
+    rows = _mixed_rows([_pair(epsilon, n, params)], [weight])
+    return lambda phi: rows(phi)[0]
 
 
 def eigenfunction_rows(modes):
-    """phi -> F of every mode of ``modes`` (one set of parameters) as one
-    (K, *phi.shape) array, row i holding modes[i].
-
-    Per distinct angle array (the last few are kept, by ``remember_last``)
-    each parity family present runs one ``jacobi_rows`` recurrence, up to
-    the highest degree its rows need, since its parameters (a, b) do not
-    depend on n; the constants are the modes' own (``AngularMode.families``).
-    The rows are then formed in the operation order of ``_basis_rule`` and
-    ``_mixed`` (c P, then times cos, then times sin, then
-    c_n (Phi_A + i w Phi_B)), so each equals its mode's own F bit for bit.
-    Tables are read-only.
+    """phi -> F of every mode of ``modes`` (any sectors and parameters) as
+    one (K, *phi.shape) array, row i holding modes[i]: the ``_mixed_rows``
+    table of the modes' constants (``AngularMode.families``) and weights
+    epsilon b. Each row equals its mode's own F bit for bit.
     """
-    params = modes[0].params
-    if any(m.params != params for m in modes):
-        raise ValueError("modes of different deformation parameters do not share Jacobi tables")
-    members: dict = {}  # (0 for Phi_A or 1 for Phi_B, family signature) -> [(row, constants)]
-    for i, mode in enumerate(modes):
-        for key, family in zip(enumerate(_PAIR_FAMILIES[mode.sector.epsilon]), mode.families):
-            if family is not None:
-                members.setdefault(key, []).append((i, family))
-    families = []
-    for (slot, _), rows in members.items():
-        e_x, e_y, a, b, _, _ = rows[0][1]
-        index = np.array([i for i, _ in rows])
-        degrees = np.array([family[4] for _, family in rows])
-        consts = np.array([family[5] for _, family in rows])
-        families.append((slot, e_x, e_y, a, b, index, degrees, consts))
-    weights = np.array([mode.sector.epsilon * mode.branch for mode in modes], dtype=float)
-    alone = [i for i, mode in enumerate(modes) if mode.families[1] is None]
-    i_weight = np.array([1j * w for w in weights])
-    c_n = 1.0 / np.sqrt(1.0 + weights * weights)
-
-    def table(phi):
-        phi = np.asarray(phi, dtype=float)
-        col = (-1,) + (1,) * phi.ndim
-        x = -np.cos(2.0 * phi)
-        phi_ab = np.zeros((2, len(modes), *phi.shape))
-        for slot, e_x, e_y, a, b, index, degrees, consts in families:
-            out = consts.reshape(col) * jacobi_rows(a, b, x, int(degrees.max()))[degrees]
-            if e_x:
-                out = out * np.cos(phi)
-            if e_y:
-                out = out * np.sin(phi)
-            phi_ab[slot][index] = out
-        phi_a, phi_b = phi_ab
-        f = c_n.reshape(col) * (phi_a + i_weight.reshape(col) * phi_b)
-        f[alone] = phi_a[alone] + 0j
-        return f
-
-    return remember_last(table)
+    return _mixed_rows([mode.families for mode in modes],
+                       [mode.sector.epsilon * mode.branch for mode in modes])
 
 
 def lambda_eigenvalue(mode: AngularMode) -> float:
@@ -292,11 +286,11 @@ def lambda_eigenvalue(mode: AngularMode) -> float:
 def f_eigenfunction(mode: AngularMode) -> ScalarField2D:
     """The (unit-normalized, purely angular) J eigenfunction of a mode.
 
-    Both basis families are built, with their constants, the first time a
-    mode object is asked; later calls return the same field. The field
-    remembers its last few angle arrays, so the two components of every
-    state built on the mode, for every k, evaluate F once per distinct
-    angle array.
+    The field is row 0 of the mode's one-row ``eigenfunction_rows`` table,
+    built, with the basis constants, the first time a mode object is
+    asked; later calls return the same field. The table remembers its last
+    few angle arrays, so the two components of every state built on the
+    mode, for every k, evaluate F once per distinct angle array.
     """
     return mode.eigenfunction
 

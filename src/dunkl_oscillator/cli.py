@@ -122,8 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def system(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--mu-x", type=float, default=0.0)
-        p.add_argument("--mu-y", type=float, default=0.0)
+        p.add_argument("--mu-x", type=_bounded(float, -0.5), default=0.0)
+        p.add_argument("--mu-y", type=_bounded(float, -0.5), default=0.0)
         p.add_argument("--omega", type=float, default=1.0)
         p.add_argument("--omega-c", type=float, default=0.0)
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
@@ -70,6 +71,8 @@ class DunklParams:
     mu_y: float
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in (self.mu_x, self.mu_y, self.mu_x + self.mu_y)):
+            raise ValueError(f"deformation parameters and their sum must be finite, got {self}")
         if self.mu_x < -0.5 or self.mu_y < -0.5:
             raise ValueError(f"deformation parameters must be >= -1/2, got {self}")
 
@@ -122,7 +125,7 @@ class ScalarField2D:
 
     @staticmethod
     def zero() -> "ScalarField2D":
-        return ScalarField2D(lambda rho, phi: np.zeros_like(np.asarray(rho, dtype=float) + 0j))
+        return ScalarField2D(lambda rho, phi: np.zeros(np.broadcast(rho, phi).shape, dtype=complex))
 
 
 # Distinct arguments a remembered factor keeps: dirac_apply asks one shared
@@ -283,7 +286,9 @@ def b_phi_apply(
     fm = field.eval_polar(rho, phi - h)
     d1 = (fp - fm) / (2.0 * h)
     d2 = (fp - 2.0 * f0 + fm) / (h * h)
+    del fp, fm
     out = -0.5 * d2 + (params.mu_x * np.tan(phi) - params.mu_y / np.tan(phi)) * d1
+    del d1, d2
     if params.mu_x != 0.0:
         out = out + params.mu_x * (f0 - frx) / (2.0 * np.cos(phi) ** 2)
     if params.mu_y != 0.0:
@@ -313,27 +318,21 @@ def kg_apply(
     w = config.m * config.omega_tilde / config.hbar
     mu_p = params.mu_plus
 
+    # The terms are summed left to right as they are formed, and each
+    # stencil value is released once used, so few (K, P) arrays are alive.
     f0 = field.eval_polar(rho, phi)
     frp = field.eval_polar(rho + h, phi)
     frm = field.eval_polar(rho - h, phi)
     d1r = (frp - frm) / (2.0 * h)
     d2r = (frp - 2.0 * f0 + frm) / (h * h)
-
-    bphi = b_phi_apply(field, (rho, phi), params, h)
-    jf = angular_j(field, (rho, phi), params, h)
-    frx = field.eval_polar(rho, np.pi - phi)
-    fry = field.eval_polar(rho, -phi)
-    refl = f0 + params.mu_x * frx + params.mu_y * fry
+    del frp, frm
+    out = -0.5 * d2r - (0.5 + mu_p) * d1r / rho
+    del d1r, d2r
+    out = out + b_phi_apply(field, (rho, phi), params, h) / rho**2
+    out = out + w * angular_j(field, (rho, phi), params, h)
+    refl = f0 + params.mu_x * field.eval_polar(rho, np.pi - phi) + params.mu_y * field.eval_polar(rho, -phi)
     sign = -1.0 if component is Component.UPPER else 1.0
-
-    return (
-        -0.5 * d2r
-        - (0.5 + mu_p) * d1r / rho
-        + bphi / rho**2
-        + w * jf
-        + sign * w * refl
-        + 0.5 * w * w * rho**2 * f0
-    )
+    return out + sign * w * refl + 0.5 * w * w * rho**2 * f0
 
 
 def dirac_apply(

@@ -40,7 +40,6 @@ from .angular_sector import (
     AngularMode,
     SectorLabel,
     eigenfunction_rows,
-    f_eigenfunction,
     lambda_eigenvalue,
     modes_for_sector,
 )
@@ -371,10 +370,11 @@ def check_norm_range(params: DunklParams, config: OscillatorConfig, n_max: float
                 _amplitude((e_val - mc2) / (2.0 * e_val), build_radial(mode, k_prime, config))
 
 
-def _product_field(radial: Callable, angular: ScalarField2D, scale: complex) -> ScalarField2D:
-    """scale * radial(rho) * angular(phi). Both factors remember their
-    recent coordinate arrays, so each is evaluated once per distinct array."""
-    return ScalarField2D(lambda rho, phi: scale * radial(rho) * angular.eval_polar(rho, phi))
+def _product_field(radial: Callable, mode: AngularMode, scale: complex) -> ScalarField2D:
+    """scale * radial(rho) * F(phi), with the mode object's own F, reached
+    on the first evaluation. Both factors remember their recent coordinate
+    arrays, so each is evaluated once per distinct array."""
+    return ScalarField2D(lambda rho, phi: scale * radial(rho) * mode.eigenfunction.eval_polar(rho, phi))
 
 
 def build_spinor(
@@ -392,7 +392,9 @@ def build_spinor(
     which fixes the relative phase by convention (see the module
     docstring for why the coupled equations cannot fix it). The angular
     field is the mode object's own, shared with every other state built
-    on it; both components read one radial table of rows 0..max(k, k').
+    on it and built on the first evaluation (a state checked through
+    ``stacked_components`` never builds it); both components read one
+    radial table of rows 0..max(k, k').
     """
     if sector != mode.sector:
         raise ValueError(f"sector ({sector}) disagrees with the mode {mode}")
@@ -401,7 +403,6 @@ def build_spinor(
     e_val = energy(Component.UPPER, sector, mode, k, config, sign)
     mc2 = config.rest_energy
 
-    angular = f_eigenfunction(mode)
     rad_u = build_radial(mode, k, config)
     rad_l = build_radial(mode, k_prime, config)
     rows = radial_rows(rad_u.order, rad_u.exponent, rad_u.scale, max(k, k_prime))
@@ -411,11 +412,11 @@ def build_spinor(
     cu = _amplitude(nu2, rad_u)
     cl = _amplitude(nl2, rad_l)
 
-    upper = _product_field(lambda rho: rows(rho)[k], angular, cu)
+    upper = _product_field(lambda rho: rows(rho)[k], mode, cu)
     if cl == 0.0:
         lower = ScalarField2D.zero()
     else:
-        lower = _product_field(lambda rho: rows(rho)[k_prime], angular, cl)
+        lower = _product_field(lambda rho: rows(rho)[k_prime], mode, cl)
     return SpinorSolution(
         upper=upper,
         lower=lower,
@@ -520,7 +521,7 @@ def free_particle(
     def radial(rho):
         return rho ** (-mu_p) * bessel_j(a_ord, wavenumber * rho)
 
-    field = _product_field(remember_last(radial), f_eigenfunction(mode), 1.0)
+    field = _product_field(remember_last(radial), mode, 1.0)
     return SpinorSolution(
         upper=field,
         lower=field,

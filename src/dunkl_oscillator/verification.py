@@ -34,7 +34,6 @@ from .angular_sector import (
     AngularMode,
     SectorLabel,
     eigenfunction_rows,
-    f_eigenfunction,
     lambda_eigenvalue,
     mixed_pair,
     modes_for_sector,
@@ -286,10 +285,12 @@ def check_orthonormality(
     tol: float = DEFAULT_TOLS["ortho"],
 ) -> VerificationReport:
     """Gram matrix of the modes against the identity, by the weighted
-    angular quadrature."""
+    angular quadrature. The modes' F rows come from one
+    ``eigenfunction_rows`` table."""
     rule = angular_quadrature()
     params = modes[0].params
-    fields = [f_eigenfunction(m) for m in modes]
+    rows = eigenfunction_rows(modes)
+    fields = [ScalarField2D(lambda rho, phi, i=i: rows(phi)[i]) for i in range(len(modes))]
     gram = np.empty((len(modes), len(modes)), dtype=complex)
     for i, fi in enumerate(fields):
         for j, fj in enumerate(fields):
@@ -615,7 +616,7 @@ def coupled_reflection_eigenstate(
         toward = mu_e if upper else -mu_e
         weight = (kappa + toward) / lam0 if epsilon == 1 else -(kappa - toward) / lam0
     # each factor runs once per distinct coordinate array of a stencil
-    ang = remember_last(mixed_pair(epsilon, n, params, weight))
+    ang = mixed_pair(epsilon, n, params, weight)
     radial = remember_last(RadialProfile(order=a_ord, exponent=a_ord - mu_p, scale=abs_w, index=k))
     shift = -1.0 if upper else 1.0
     tilde_e = abs_w * (2.0 * k + 1.0 + a_ord) + w * (kappa + shift)

@@ -9,13 +9,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dunkl_oscillator.angular_sector import (
     ALL_SECTORS,
     AngularMode,
     SectorLabel,
+    eigenfunction_rows,
     f_eigenfunction,
     lambda_eigenvalue,
+    mixed_pair,
     modes_for_sector,
     phi_mm,
     phi_mp,
@@ -212,3 +216,63 @@ class TestEigenfunctions:
                         vals = fld.eval_polar(ones, phis)
                         res = np.max(np.abs(angular_j(fld, (ones, phis), params, h) - lam * vals))
                         assert res <= 100.0 * h * h, (mode, res)
+
+
+def _reference_phi(s_x, s_y, n, params, phi):
+    """Phi^{s_x s_y}_n by the module docstring's rule, from scipy's Jacobi
+    polynomial and a math.lgamma normalization: no code of the package."""
+    from scipy.special import eval_jacobi
+
+    e_x, e_y = (1 - s_x) // 2, (1 - s_y) // 2
+    a, b = params.mu_x - 0.5 + e_x, params.mu_y - 0.5 + e_y
+    j = round(n - 0.5 * (e_x + e_y))
+    if j < 0:
+        return np.zeros_like(phi)
+    log_num = (math.lgamma(a + b + 2.0) if j == 0 else
+               math.log(2 * j + a + b + 1.0) + math.lgamma(j + a + b + 1.0) + math.lgamma(j + 1.0))
+    c = math.exp(0.5 * (log_num - math.log(2.0) - math.lgamma(j + a + 1.0) - math.lgamma(j + b + 1.0)))
+    return c * np.cos(phi) ** e_x * np.sin(phi) ** e_y * eval_jacobi(j, a, b, -np.cos(2.0 * phi))
+
+
+class TestOneJacobiPath:
+    """Every Phi and F is a row of the one angular table builder; checked
+    against an independent reference, and row against row."""
+
+    PHIS = np.linspace(-3.1, 3.1, 41)
+
+    @pytest.mark.parametrize("params", [DunklParams(0.3, 0.7), DunklParams(1.0, 0.5)], ids=str)
+    def test_phi_and_f_equal_a_scipy_reference(self, params):
+        phis = self.PHIS
+        for n in range(7):
+            for fn, (s_x, s_y), m in ((phi_pp, (1, 1), n), (phi_mm, (-1, -1), n),
+                                      (phi_mp, (-1, 1), n + 0.5), (phi_pm, (1, -1), n + 0.5)):
+                np.testing.assert_allclose(fn(m, params, phis), _reference_phi(s_x, s_y, m, params, phis),
+                                           rtol=0, atol=1e-13)
+        pairs = {1: ((1, 1), (-1, -1)), -1: ((-1, 1), (1, -1))}
+        for sector in ALL_SECTORS:
+            for mode in modes_for_sector(sector, params, 6):
+                (sa, sb), eps = pairs[sector.epsilon], sector.epsilon
+                for weight in (eps * mode.branch, 0.3, -1.7):
+                    ref = (_reference_phi(*sa, mode.n, params, phis)
+                           + 1j * weight * _reference_phi(*sb, mode.n, params, phis))
+                    ref = ref if mode.n == 0 else ref / math.sqrt(1.0 + weight * weight)
+                    np.testing.assert_allclose(mixed_pair(eps, mode.n, params, weight)(phis), ref,
+                                               rtol=0, atol=1e-13)
+                    if weight == eps * mode.branch:
+                        np.testing.assert_allclose(f_eigenfunction(mode).eval_polar(1.0, phis), ref,
+                                                   rtol=0, atol=1e-13)
+
+    POOL = [mode for mu in ((0.0, 0.0), (1.0, 1.0), (0.3, 0.7), (1.0, 0.5), (2.0, 1.0))
+            for sector in ALL_SECTORS for mode in modes_for_sector(sector, DunklParams(*mu), 4)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(picks=st.lists(st.integers(0, len(POOL) - 1), min_size=1, max_size=16),
+           angles=st.sampled_from(["grid", "scalar", "matrix"]))
+    def test_a_row_of_any_table_is_the_mode_f_bit_for_bit(self, picks, angles):
+        # random subsets across sectors and mu, in any order and with repeats
+        phi = {"grid": self.PHIS, "scalar": 0.37, "matrix": self.PHIS[:40].reshape(5, 8)}[angles]
+        modes = [self.POOL[i] for i in picks]
+        rows = eigenfunction_rows(modes)(phi)
+        assert rows.shape == (len(modes), *np.shape(phi))
+        for row, mode in zip(rows, modes):
+            assert np.array_equal(row, f_eigenfunction(mode).eval_polar(1.0, phi))

@@ -216,6 +216,14 @@ class TestWavefunction:
             assert main(["wavefunction", "--n", "150", "--omega", omega]) == 2
             assert capsys.readouterr().out == ""
 
+    def test_zero_lower_component_is_written_as_zeros(self):
+        # at omega = 1e-17, E rounds to m c^2, so the lower amplitude is 0
+        code, text = _run(["wavefunction", "--omega", "1e-17", "--grid-rho", "2", "--grid-phi", "3"])
+        assert code == 0
+        rows = [[float(t) for t in ln.split(",")] for ln in text.strip().splitlines()[1:]]
+        assert len(rows) == 6
+        assert all(row[4:] == [0.0, 0.0] and any(row[2:4]) for row in rows)
+
     def test_invalid_pair_exits_2(self):
         assert main(["wavefunction", "--mu-x", "1", "--mu-y", "1",
                      "--sector", "1,1", "--n", "1", "--k", "0"]) == 2
@@ -424,6 +432,14 @@ class TestArgparse:
          "--omega-c", "2.5", "--mu-x", "1", "--mu-y", "1"],
         ["wavefunction", "--k", "200", "--omega", "0.25", "--omega-c", "2.5", "--mu-x", "1",
          "--mu-y", "1"],
+        # non-finite or overflowing deformation parameters
+        ["spectrum", "--mu-x", "inf"],
+        ["wavefunction", "--mu-x", "inf"],
+        ["spectrum", "--mu-y", "nan"],
+        ["spectrum", "--mu-x", "1e308", "--mu-y", "1e308"],
+        ["wavefunction", "--mu-x", "1e308", "--mu-y", "1e308"],
+        ["verify", "--suite", "angular", "--mu-x", "nan"],
+        ["verify", "--suite", "angular", "--mu-y=-0.6"],
     ],
 )
 def test_invalid_input_exits_2(argv, capsys):

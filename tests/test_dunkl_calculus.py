@@ -45,12 +45,26 @@ class TestDunklParams:
         with pytest.raises(ValueError):
             DunklParams(-0.6, 0.0)
 
+    @pytest.mark.parametrize("mu", [(math.inf, 0.0), (0.0, math.nan), (1e308, 1e308)])
+    def test_non_finite_parameters_or_sum_rejected(self, mu):
+        with pytest.raises(ValueError, match="finite"):
+            DunklParams(*mu)
+
     def test_spinor_compatibility(self):
         assert DunklParams(0.0, 0.0).is_spinor_compatible()
         assert DunklParams(1.0, 2.0).is_spinor_compatible()
         assert DunklParams(0.5, 1.5).is_spinor_compatible()
         assert not DunklParams(0.3, 1.0).is_spinor_compatible()
         assert not DunklParams(1.0, 0.5).is_spinor_compatible()
+
+
+class TestZeroField:
+    @pytest.mark.parametrize("rho, phi", [(0.5, np.linspace(0.1, 1.0, 4)), (np.ones((2, 1)), np.zeros(3)),
+                                          (np.ones(3), 0.2), (0.5, 0.2)])
+    def test_zero_has_the_broadcast_shape_of_its_coordinates(self, rho, phi):
+        vals = ScalarField2D.zero().eval_polar(rho, phi)
+        assert vals.shape == np.broadcast(rho, phi).shape and vals.dtype == complex
+        assert not vals.any()
 
 
 class TestReflect:

@@ -81,3 +81,29 @@ def test_every_private_helper_is_referenced():
     dead = {f"{p.name}:{line} {name}" for p, tree in trees.items()
             for name, line in _private_definitions(tree).items() if name not in referenced}
     assert not dead, f"module-level private names never referenced in the package: {sorted(dead)}"
+
+
+JACOBI = {"jacobi_rows", "jacobi_p"}
+
+
+def _jacobi_users(tree: ast.Module) -> set[str]:
+    """Module-level definitions that name a Jacobi evaluator (a call, or a
+    reference that could become one), each by its own name."""
+    users = set()
+    for node in tree.body:
+        for sub in ast.walk(node):
+            named = (sub.id if isinstance(sub, ast.Name) else
+                     sub.attr if isinstance(sub, ast.Attribute) else None)
+            if named in JACOBI:
+                users.add(getattr(node, "name", f"line {node.lineno}"))
+    return users
+
+
+def test_one_angular_jacobi_path():
+    # every angular factor is a row of one table builder; a second Jacobi
+    # path (a per-mode twin of it) would have to name the evaluator again
+    users = {p.stem: _jacobi_users(ast.parse(p.read_text(encoding="utf-8")))
+             for p in MODULES if p.stem != "special_functions"}
+    elsewhere = {stem: names for stem, names in users.items() if names and stem != "angular_sector"}
+    assert not elsewhere, f"Jacobi evaluators named outside angular_sector: {elsewhere}"
+    assert len(users["angular_sector"]) == 1, users["angular_sector"]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dunkl_oscillator import angular_sector, solution_builder
+from dunkl_oscillator import angular_sector, solution_builder, verification
 from dunkl_oscillator.angular_sector import (
     ALL_SECTORS,
     AngularMode,
@@ -434,7 +434,7 @@ class TestFactorReuse:
 
     def test_components_share_angular_evaluations(self, monkeypatch):
         sol = self._state()
-        calls = {"jacobi_p": 0, "laguerre_rows": 0}
+        calls = {"jacobi_rows": 0, "laguerre_rows": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -442,8 +442,8 @@ class TestFactorReuse:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(angular_sector, "jacobi_p",
-                            counted("jacobi_p", angular_sector.jacobi_p))
+        monkeypatch.setattr(angular_sector, "jacobi_rows",
+                            counted("jacobi_rows", angular_sector.jacobi_rows))
         monkeypatch.setattr(solution_builder, "laguerre_rows",
                             counted("laguerre_rows", solution_builder.laguerre_rows))
         rho, phi = GridSpec().polar_points(1.0)
@@ -452,7 +452,7 @@ class TestFactorReuse:
             for a in angles:
                 fld.eval_polar(rho, a)
                 fld.eval_polar(rho.copy(), a.copy())
-        assert calls["jacobi_p"] == 2 * len(angles)  # Phi^{++} and Phi^{--}
+        assert calls["jacobi_rows"] == 2 * len(angles)  # Phi^{++} and Phi^{--}
         assert calls["laguerre_rows"] == 1  # one radius array, shared by both components
 
     @pytest.mark.parametrize("mode", [AngularMode(SectorLabel(1, 1), 0, 1, P11),
@@ -599,10 +599,22 @@ class TestModeFactorSharing:
         run_suite(P11, config, suite, n_max=2, k_max=4)
         assert calls["laguerre_rows"] == radius_arrays * blocks
 
+    @pytest.mark.parametrize("config", [CFG_POS, CFG_CRIT], ids=["bound", "free"])
+    def test_states_build_their_own_f_on_first_evaluation_only(self, config):
+        # a checked block reads eigenfunction_rows; the mode's own F waits
+        # for the first evaluation of a state's own field
+        if config is CFG_CRIT:
+            states = [st for st in verification._critical_states(P11, config, 2) if st.energy == 1.25]
+        else:
+            states = list(sweep_bound_states(P11, config, 2, 2))[:_STATE_BLOCK]
+        verification.check_kg_eigen(states)
+        assert not any("eigenfunction" in vars(st.mode) for st in states)
+        states[0].upper.eval_polar(1.0, 0.3)
+        assert "eigenfunction" in vars(states[0].mode)
+
     def test_identical_sweeps_make_identical_call_counts(self, monkeypatch):
         def counts():
             calls = {}
-            _counting(monkeypatch, angular_sector, "jacobi_p", calls)
             _counting(monkeypatch, angular_sector, "jacobi_rows", calls)
             _counting(monkeypatch, angular_sector, "log_gamma", calls)
             _counting(monkeypatch, solution_builder, "laguerre_rows", calls)
@@ -612,7 +624,7 @@ class TestModeFactorSharing:
             return calls
 
         first = counts()
-        assert len(first) == 4 and all(first.values())  # both log_gamma names count as one key
+        assert len(first) == 3 and all(first.values())  # both log_gamma names count as one key
         assert counts() == first
 
     def test_radial_rows_are_read_only_and_equal_the_profile(self):

@@ -187,6 +187,20 @@ class TestOrthonormality:
         rep = check_orthonormality([AngularMode(SectorLabel(1, 1), 1, 1, P11)])
         assert rep.records[0].residual <= 1e-12
 
+    @pytest.mark.parametrize("params", [P00, P11, DunklParams(0.3, 0.7)], ids=str)
+    def test_one_jacobi_recurrence_per_family_sector_and_angle_array(self, monkeypatch, params):
+        # each sector's modes read one eigenfunction_rows table on the one
+        # quadrature angle array: a recurrence for Phi_A and one for Phi_B
+        from dunkl_oscillator import angular_sector
+
+        calls = []
+        original = angular_sector.jacobi_rows
+        monkeypatch.setattr(angular_sector, "jacobi_rows", lambda *a: calls.append(a[:2]) or original(*a))
+        rep = run_suite(params, CFG, suite="ortho")
+        assert len(rep.records) == 4
+        assert len(calls) == 4 * 2
+        assert len(set(calls)) == 4  # the four parity families' (a, b)
+
     def test_cross_parity_classes_orthogonal(self):
         from dunkl_oscillator.dunkl_calculus import angular_quadrature, weighted_inner_product
 
@@ -346,7 +360,7 @@ class TestReferenceEigenstates:
         # recurrence runs once per radius array
         from dunkl_oscillator import angular_sector, solution_builder
 
-        calls = {"laguerre_rows": 0, "jacobi_p": 0}
+        calls = {"laguerre_rows": 0, "jacobi_rows": 0}
 
         def counted(module, name):
             fn = getattr(module, name)
@@ -357,12 +371,12 @@ class TestReferenceEigenstates:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(solution_builder, "laguerre_rows")
-        counted(angular_sector, "jacobi_p")
+        counted(angular_sector, "jacobi_rows")
         fld, _ = coupled_reflection_eigenstate(component, 1, 2, 1, 1, P11, CFG)
         rho, phi = GridSpec().polar_points(1.0)
         kg_apply(component, fld, P11, CFG, (rho, phi))
         assert calls["laguerre_rows"] == 3
-        assert calls["jacobi_p"] == 2 * 5  # Phi^{++} and Phi^{--} per angle array
+        assert calls["jacobi_rows"] == 2 * 5  # Phi^{++} and Phi^{--} per angle array
 
     def test_classical_pair_kg_consistency(self):
         sol = classical_pair_solution(-1, 1, CFG, 1)
