@@ -432,11 +432,13 @@ def weighted_inner_product(
     g: ScalarField2D,
     params: DunklParams,
     rule: QuadratureRule,
-) -> complex:
+):
     """<f, g> against the weight |x|^{2mu_x} |y|^{2mu_y}.
 
     The measure picks up rho^{2(mu_x+mu_y)+1}, which is exactly 1 on an
-    angular rule, so there the integral runs over the unit circle.
+    angular rule, so there the integral runs over the unit circle. Fields
+    of K rows give the (K, K) matrix of <f_i, g_j>, summed elementwise over
+    the nodes (a BLAS matrix product would cost memory).
     """
     rho, phi = rule.rho, rule.phi
     wgt = (
@@ -444,5 +446,7 @@ def weighted_inner_product(
         * np.abs(np.sin(phi)) ** (2.0 * params.mu_y)
         * rho ** (2.0 * params.mu_plus + 1.0)
     )
-    vals = np.conjugate(f.eval_polar(rho, phi)) * g.eval_polar(rho, phi)
-    return complex(np.sum(rule.weights * wgt * vals))
+    f_vals, g_vals = np.conjugate(f.eval_polar(rho, phi)), g.eval_polar(rho, phi)
+    if np.ndim(f_vals) == 1:
+        return complex(np.sum(rule.weights * wgt * (f_vals * g_vals)))
+    return np.sum(rule.weights * wgt * (f_vals[:, None] * g_vals[None]), axis=-1)

@@ -28,9 +28,10 @@ phase can be read off the coupled equations.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -220,12 +221,17 @@ def energy(component: Component, sector: SectorLabel, mode: AngularMode, k: int,
     return e_val
 
 
+def _column(values, ndim: int) -> np.ndarray:
+    """``values`` as a (K, 1, ..., 1) column against ``ndim`` coordinate axes."""
+    return np.reshape(values, (-1,) + (1,) * ndim)
+
+
 def radial_rows(order, exponent, scale: float, k_top: int):
     """rho -> the (k_top + 1, *rho.shape) table of
     R_k = t^{A-mu_+} e^{-t^2 / 2} L_k^A(t^2), k = 0..k_top, of one order A,
     exponent A - mu_+ and scale s, in the unit-free radius t = rho sqrt(s).
 
-    ``order`` and ``exponent`` may instead be (M, 1) columns of orders and
+    ``order`` and ``exponent`` may instead be sequences of M orders and
     their exponents: the table is then (k_top + 1, M, *rho.shape), one
     Laguerre recurrence for all M, each element equal to its own order's.
     The prefactor and the recurrence run once per distinct radius array
@@ -241,7 +247,8 @@ def radial_rows(order, exponent, scale: float, k_top: int):
         t = root_s * rho
         u = t * t
         power = t**exponent if exponents is None else np.array([t**e for e in exponents])
-        return power * np.exp(-0.5 * u) * laguerre_rows(order, u, k_top)
+        alpha = order if exponents is None else _column(order, t.ndim)
+        return power * np.exp(-0.5 * u) * laguerre_rows(alpha, u, k_top)
 
     return remember_last(table)
 
@@ -297,7 +304,7 @@ class SpinorSolution:
     config: OscillatorConfig
     norm_upper: float | None = None
     norm_lower: float | None = None
-    # (c_u, c_l) of a state built on its mode's shared factors: build_spinor's
+    # (c_u, c_l) of a state built on its mode's shared factors: mode_states'
     # amplitudes, or (1, 1) for free_particle; None for a hand-built state
     amplitudes: tuple[float, float] | None = None
 
@@ -330,6 +337,19 @@ def _amplitude(share: float, radial: RadialProfile) -> float:
     return math.exp(log_amp)
 
 
+def bound_pairs(params: DunklParams, config: OscillatorConfig, k_max: int):
+    """Yield each sector with the (k, k') of every k <= k_max that has a
+    bound partner index there, in k order; a sector with none is left out."""
+    regime = classify_regime(config)
+    for sector in ALL_SECTORS:
+        pairs = []
+        for k in range(k_max + 1):
+            with contextlib.suppress(InvalidPairError):
+                pairs.append((k, pair_radial_indices(sector, regime, k, params)))
+        if pairs:
+            yield sector, pairs
+
+
 def check_norm_range(params: DunklParams, config: OscillatorConfig, n_max: float, k_max: int) -> None:
     """Raise ``NormRangeError`` if a bound state with n <= n_max and
     k <= k_max has a component whose normalization constant, for its share
@@ -347,19 +367,10 @@ def check_norm_range(params: DunklParams, config: OscillatorConfig, n_max: float
     largest value sits at a sector's smallest or largest order, but its
     smallest need not: every mode is checked.
     """
-    regime = classify_regime(config)
-    if regime is Regime.CRITICAL:
+    if classify_regime(config) is Regime.CRITICAL:
         return
     mc2 = config.rest_energy
-    for sector in ALL_SECTORS:
-        pairs = []
-        for k in range(k_max + 1):
-            try:
-                pairs.append((k, pair_radial_indices(sector, regime, k, params)))
-            except InvalidPairError:
-                continue
-        if not pairs:
-            continue
+    for sector, pairs in bound_pairs(params, config, k_max):
         ks = np.array([k for k, _ in pairs])
         for mode in modes_for_sector(sector, params, n_max):
             e_vals = energy_column(Component.UPPER, mode, ks, config).tolist()
@@ -377,57 +388,52 @@ def _product_field(radial: Callable, mode: AngularMode, scale: complex) -> Scala
     return ScalarField2D(lambda rho, phi: scale * radial(rho) * mode.eigenfunction.eval_polar(rho, phi))
 
 
-def build_spinor(
-    sector: SectorLabel,
-    mode: AngularMode,
-    k: int,
-    config: OscillatorConfig,
-    sign: int = 1,
-) -> SpinorSolution:
-    """Assemble the paired two-component state for upper radial index k.
+def mode_states(mode: AngularMode, pairs, config: OscillatorConfig, sign: int = 1) -> list[SpinorSolution]:
+    """The paired two-component states of ``mode`` for the (k, k') of
+    ``pairs`` (at least one), in order, from one ``energy_column`` call and
+    one radial table of rows 0..max(k, k'); a NaN energy (a negative
+    radicand) skips its k.
 
     Component norms are set to <1|1> = (E + mc^2)/(2E) and
     <2|2> = (E - mc^2)/(2E); their sum is 1. Both components carry the
     mode's angular eigenfunction times a real, non-negative constant,
     which fixes the relative phase by convention (see the module
     docstring for why the coupled equations cannot fix it). The angular
-    field is the mode object's own, shared with every other state built
-    on it and built on the first evaluation (a state checked through
-    ``stacked_components`` never builds it); both components read one
-    radial table of rows 0..max(k, k').
+    field is the mode object's own, built on the first evaluation (a state
+    checked through ``stacked_components`` never builds it); every
+    component reads its row of the mode's one radial table.
     """
+    mc2 = config.rest_energy
+    e_vals = energy_column(Component.UPPER, mode, np.array([k for k, _ in pairs]), config, sign).tolist()
+    base = build_radial(mode, 0, config)
+    rows = radial_rows(base.order, base.exponent, base.scale, max(max(pair) for pair in pairs))
+    states = []
+    for (k, k_prime), e_val in zip(pairs, e_vals):
+        if math.isnan(e_val):
+            continue
+        nu2, nl2 = (e_val + mc2) / (2.0 * e_val), (e_val - mc2) / (2.0 * e_val)
+        cu, cl = _amplitude(nu2, replace(base, index=k)), _amplitude(nl2, replace(base, index=k_prime))
+        upper = _product_field(lambda rho, k=k: rows(rho)[k], mode, cu)
+        lower = (_product_field(lambda rho, k=k_prime: rows(rho)[k], mode, cl) if cl != 0.0
+                 else ScalarField2D.zero())
+        states.append(SpinorSolution(upper, lower, e_val, QuantumNumbers(k, k_prime), mode, config,
+                                     nu2, nl2, (cu, cl)))
+    return states
+
+
+def build_spinor(sector: SectorLabel, mode: AngularMode, k: int, config: OscillatorConfig,
+                 sign: int = 1) -> SpinorSolution:
+    """The paired two-component state for upper radial index k: the
+    one-pair ``mode_states`` call, with a missing partner index raised as
+    ``InvalidPairError`` and a negative energy radicand as
+    ``NegativeRadicandError``."""
     if sector != mode.sector:
         raise ValueError(f"sector ({sector}) disagrees with the mode {mode}")
-    regime = classify_regime(config)
-    k_prime = pair_radial_indices(sector, regime, k, mode.params)
-    e_val = energy(Component.UPPER, sector, mode, k, config, sign)
-    mc2 = config.rest_energy
-
-    rad_u = build_radial(mode, k, config)
-    rad_l = build_radial(mode, k_prime, config)
-    rows = radial_rows(rad_u.order, rad_u.exponent, rad_u.scale, max(k, k_prime))
-
-    nu2 = (e_val + mc2) / (2.0 * e_val)
-    nl2 = (e_val - mc2) / (2.0 * e_val)
-    cu = _amplitude(nu2, rad_u)
-    cl = _amplitude(nl2, rad_l)
-
-    upper = _product_field(lambda rho: rows(rho)[k], mode, cu)
-    if cl == 0.0:
-        lower = ScalarField2D.zero()
-    else:
-        lower = _product_field(lambda rho: rows(rho)[k_prime], mode, cl)
-    return SpinorSolution(
-        upper=upper,
-        lower=lower,
-        energy=e_val,
-        quantum=QuantumNumbers(k, k_prime),
-        mode=mode,
-        config=config,
-        norm_upper=nu2,
-        norm_lower=nl2,
-        amplitudes=(cu, cl),
-    )
+    k_prime = pair_radial_indices(sector, classify_regime(config), k, mode.params)
+    states = mode_states(mode, [(k, k_prime)], config, sign)
+    if not states:
+        raise NegativeRadicandError(f"negative energy radicand for sector ({sector}), n={mode.n}, k={k}")
+    return states[0]
 
 
 def _with_leading_axis(field: ScalarField2D) -> ScalarField2D:
@@ -435,10 +441,12 @@ def _with_leading_axis(field: ScalarField2D) -> ScalarField2D:
 
 
 def stacked_components(states) -> tuple[ScalarField2D, ScalarField2D]:
-    """The upper and lower components of ``states`` as (K, P)-valued
-    fields, row i holding state i.
+    """The upper and lower components of ``states`` as fields with one
+    leading row per state, row i holding state i: (K, *shape) on points
+    of a broadcast shape, such as a (n_rho, 1) radius column against a
+    (1, n_phi) angle row, where each factor runs on its own coordinates.
 
-    States that ``build_spinor`` made, of any modes of one config and one
+    States that ``mode_states`` made, of any modes of one config and one
     set of parameters, stack on the F rows of ``eigenfunction_rows`` and
     one radial table: one Laguerre recurrence over the block's distinct
     orders and every k and k' they need, per radius array. Free states
@@ -462,11 +470,11 @@ def stacked_components(states) -> tuple[ScalarField2D, ScalarField2D]:
             raise ValueError("free states stack only with free states of one energy")
     orders: dict = {}  # distinct radial order -> its row in the radial table
     rows = [orders.setdefault(radial_order(st.mode), len(orders)) for st in states]
-    order = np.array(list(orders))[:, None]
+    order = np.array(list(orders))
     angular = eigenfunction_rows([st.mode for st in states])
     if free:
         wavenumber, mu_p = _wavenumber(first.energy, config), params.mu_plus
-        bessel = remember_last(lambda rho: rho ** (-mu_p) * bessel_j(order, wavenumber * rho))
+        bessel = remember_last(lambda rho: rho**-mu_p * bessel_j(_column(order, rho.ndim), wavenumber * rho))
         radial_u = radial_l = lambda rho: bessel(rho)[rows]
     else:
         k_top = max(max(st.quantum.k, st.quantum.k_prime) for st in states)
@@ -477,12 +485,11 @@ def stacked_components(states) -> tuple[ScalarField2D, ScalarField2D]:
         radial_l = lambda rho: table(rho)[ks_prime, rows]
 
     def stacked(radial, amplitudes) -> ScalarField2D:
-        column = np.array(amplitudes)[:, None]
-        return ScalarField2D(lambda rho, phi: column * radial(rho) * angular(phi))
+        return ScalarField2D(lambda rho, phi: _column(amplitudes, np.ndim(rho)) * radial(rho) * angular(phi))
 
     return (
-        stacked(radial_u, [st.amplitudes[0] for st in states]),
-        stacked(radial_l, [st.amplitudes[1] for st in states]),
+        stacked(radial_u, np.array([st.amplitudes[0] for st in states])),
+        stacked(radial_l, np.array([st.amplitudes[1] for st in states])),
     )
 
 

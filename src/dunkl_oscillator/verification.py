@@ -51,18 +51,17 @@ from .dunkl_calculus import (
     weighted_inner_product,
 )
 from .solution_builder import (
-    InvalidPairError,
-    NegativeRadicandError,
     OscillatorConfig,
     QuantumNumbers,
     RadialProfile,
     Regime,
     RegimeError,
     SpinorSolution,
-    build_spinor,
+    bound_pairs,
     classify_regime,
     energy,
     free_particle,
+    mode_states,
     radial_order,
     stacked_components,
 )
@@ -80,6 +79,9 @@ SUITE_NAMES = ("kg", "angular", "ortho", "dirac", "nrlimit")
 
 # Highest mode index n of the angular and ortho suites.
 ANGULAR_N_MAX = 4
+
+# Energies of the critical regime's free states, in units of m c^2.
+_FREE_ENERGIES = (1.25, 2.0)
 
 # Most states that run_suite checks in one kg or dirac operator application:
 # enough to share each table among a few modes, few enough that the (K, P)
@@ -142,24 +144,30 @@ class GridSpec:
 
     @functools.lru_cache(maxsize=16)
     def polar_points(self, length_scale: float) -> tuple[np.ndarray, np.ndarray]:
-        """The grid's (rho, phi) points, flattened. Built once per (spec,
-        length scale), since every state of a run shares its grid; the
-        arrays are read-only."""
-        rr, pp = np.meshgrid(self.radii(length_scale), self.angles(), indexing="ij")
-        rho, phi = rr.ravel(), pp.ravel()
+        """The grid as a (n_rho, 1) radius column and a (1, n_phi) angle
+        row, which broadcast to its points, so a separable factor runs on
+        n_rho radii and n_phi angles. Built once per (spec, length scale),
+        since every state of a run shares its grid; read-only arrays."""
+        rho, phi = self.radii(length_scale)[:, None], self.angles()[None, :]
         rho.flags.writeable = phi.flags.writeable = False
         return rho, phi
 
 
-def _length_scale(solution: SpinorSolution) -> float:
-    """The oscillator length for bound states; the inverse wavenumber of
-    a free state at the critical point (its Compton length at rest)."""
-    config = solution.config
+def _length_scale(config: OscillatorConfig, e_val: float) -> float:
+    """The oscillator length for bound states; the inverse wavenumber of a
+    free state of energy ``e_val`` at the critical point (its Compton length at rest)."""
     if classify_regime(config) is Regime.CRITICAL:
-        tilde_e = reduced_energy(solution)
+        tilde_e = reduced_energy(config, e_val)
         if tilde_e > 0.0:
             return 1.0 / math.sqrt(2.0 * tilde_e)
     return config.length_scale
+
+
+def check_length_scale(config: OscillatorConfig) -> float:
+    """The smallest length scale of the kg and dirac grids of ``run_suite``,
+    whose smallest radius is 0.1 of it: the oscillator length, or at the
+    critical point that of the larger free-state energy."""
+    return _length_scale(config, max(_FREE_ENERGIES) * config.rest_energy)
 
 
 def _state_record(
@@ -183,11 +191,10 @@ def _state_record(
     return CheckRecord(name=name, inputs=inputs, residual=residual, tol=tol)
 
 
-def reduced_energy(solution: SpinorSolution) -> float:
-    """(E^2 - m^2 c^4) / (2 hbar^2 c^2) for the solution's energy."""
-    config = solution.config
+def reduced_energy(config: OscillatorConfig, e_val: float) -> float:
+    """(E^2 - m^2 c^4) / (2 hbar^2 c^2) of the energy E = ``e_val``."""
     mc2 = config.rest_energy
-    return (solution.energy**2 - mc2**2) / (2.0 * config.hbar**2 * config.c**2)
+    return (e_val**2 - mc2**2) / (2.0 * config.hbar**2 * config.c**2)
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +214,10 @@ def check_kg_eigen(
     """Pointwise residual of the decoupled second-order equations.
 
     ``states`` is one state or a block of states that stack (see
-    ``stacked_components``: ``build_spinor`` states of any modes of one
+    ``stacked_components``: ``mode_states`` states of any modes of one
     config, or free states of one energy); each component of all of them
-    is checked in one operator application on (K, P) fields. Each residual
+    is checked in one operator application on (K, n_rho, n_phi) fields,
+    reduced over every axis but the first. Each residual
     keeps its own state's scale, and a component that is zero on the grid
     has residual 0. The records come per state, upper then lower, in input
     order.
@@ -217,15 +225,15 @@ def check_kg_eigen(
     states = _as_states(states)
     fields = stacked_components(states)
     params, config = states[0].mode.params, states[0].config
-    rho, phi = grid_spec.polar_points(_length_scale(states[0]))
-    tilde_e = np.array([[reduced_energy(st)] for st in states])
+    rho, phi = grid_spec.polar_points(_length_scale(states[0].config, states[0].energy))
+    tilde_e = np.array([reduced_energy(st.config, st.energy) for st in states])[:, None, None]
     residuals = []
     for component, fld in zip((Component.UPPER, Component.LOWER), fields):
         vals = fld.eval_polar(rho, phi)
-        scale = np.max(np.abs(vals), axis=1)
+        scale = np.max(np.abs(vals), axis=(1, 2))
         applied = kg_apply(component, fld, params, config, (rho, phi), h)
         with np.errstate(divide="ignore", invalid="ignore"):
-            residual = np.max(np.abs(applied - tilde_e * vals), axis=1) / scale
+            residual = np.max(np.abs(applied - tilde_e * vals), axis=(1, 2)) / scale
         residuals.append((component, np.where(scale == 0.0, 0.0, residual)))
     records = [
         _state_record("kg", st, float(residual[i]), tol, h, component)
@@ -285,19 +293,12 @@ def check_orthonormality(
     tol: float = DEFAULT_TOLS["ortho"],
 ) -> VerificationReport:
     """Gram matrix of the modes against the identity, by the weighted
-    angular quadrature. The modes' F rows come from one
-    ``eigenfunction_rows`` table."""
-    rule = angular_quadrature()
+    angular quadrature: one ``weighted_inner_product`` of the modes' F
+    rows, which come from one ``eigenfunction_rows`` table."""
     params = modes[0].params
     rows = eigenfunction_rows(modes)
-    fields = [ScalarField2D(lambda rho, phi, i=i: rows(phi)[i]) for i in range(len(modes))]
-    gram = np.empty((len(modes), len(modes)), dtype=complex)
-    for i, fi in enumerate(fields):
-        for j, fj in enumerate(fields):
-            if j < i:
-                gram[i, j] = np.conjugate(gram[j, i])
-            else:
-                gram[i, j] = weighted_inner_product(fi, fj, params, rule)
+    fld = ScalarField2D(lambda rho, phi: rows(phi))
+    gram = weighted_inner_product(fld, fld, params, angular_quadrature())
     deviation = float(np.max(np.abs(gram - np.eye(len(modes)))))
     labels = ";".join(f"{m.sector}|{m.n:g}|{m.branch:+d}" for m in modes)
     record = CheckRecord(
@@ -319,24 +320,25 @@ def check_dirac_system(
     """Max residual of the coupled first-order system on an off-axis grid.
 
     ``states`` is one state or a block of states that stack (see
-    ``stacked_components``), checked in one operator application with
-    their energies as a (K, 1) column. Each residual is scaled by its own
+    ``stacked_components``), checked in one operator application on the
+    grid's (n_rho, n_phi) Cartesian points with their energies as a
+    (K, 1, 1) column. Each residual is scaled by its own
     state's (|E| + m c^2) times its largest component value. One record
     per state, in input order.
     """
     states = _as_states(states)
     upper, lower = stacked_components(states)
     params, config = states[0].mode.params, states[0].config
-    rho, phi = grid_spec.polar_points(_length_scale(states[0]))
+    rho, phi = grid_spec.polar_points(_length_scale(states[0].config, states[0].energy))
     xs, ys = rho * np.cos(phi), rho * np.sin(phi)
-    energies = np.array([[st.energy] for st in states])
-    r1, r2 = dirac_apply((upper, lower), energies, params, config, (xs, ys), h)
+    energies = np.array([st.energy for st in states])
+    r1, r2 = dirac_apply((upper, lower), energies[:, None, None], params, config, (xs, ys), h)
     amp = np.maximum(
-        np.maximum(np.max(np.abs(upper(xs, ys)), axis=1), np.max(np.abs(lower(xs, ys)), axis=1)),
+        np.maximum(np.max(np.abs(upper(xs, ys)), axis=(1, 2)), np.max(np.abs(lower(xs, ys)), axis=(1, 2))),
         1e-300,
     )
-    scale = (np.abs(energies[:, 0]) + config.rest_energy) * amp
-    residual = np.maximum(np.max(np.abs(r1), axis=1), np.max(np.abs(r2), axis=1)) / scale
+    scale = (np.abs(energies) + config.rest_energy) * amp
+    residual = np.maximum(np.max(np.abs(r1), axis=(1, 2)), np.max(np.abs(r2), axis=(1, 2))) / scale
     records = [_state_record("dirac", st, float(residual[i]), tol, h) for i, st in enumerate(states)]
     return VerificationReport("dirac", records)
 
@@ -634,25 +636,21 @@ def sweep_bound_states(
     n_max: float = 2,
     k_max: int = 2,
 ):
-    """Yield every buildable bound state of the sweep, skipping invalid pairs."""
-    regime = classify_regime(config)
-    if regime is Regime.CRITICAL:
+    """Yield every buildable bound state of the sweep, mode by mode in k
+    order: each sector's (k, k') pairs are found once, each mode's states
+    come from one ``mode_states`` call (no partner or a NaN energy: skipped)."""
+    if classify_regime(config) is Regime.CRITICAL:
         raise RegimeError("bound-state sweep requires a non-critical regime")
-    for sector in ALL_SECTORS:
+    for sector, pairs in bound_pairs(params, config, k_max):
         for mode in modes_for_sector(sector, params, n_max):
-            for k in range(k_max + 1):
-                try:
-                    yield build_spinor(sector, mode, k, config, 1)
-                except (InvalidPairError, NegativeRadicandError):
-                    continue
+            yield from mode_states(mode, pairs, config, 1)
 
 
 def _critical_states(params: DunklParams, config: OscillatorConfig, n_max: float):
     """Free states of every mode, one energy after the other; both
     energies share each mode object."""
-    mc2 = config.rest_energy
     modes = [(sector, mode) for sector in ALL_SECTORS for mode in modes_for_sector(sector, params, n_max)]
-    for e_val in (1.25 * mc2, 2.0 * mc2):
+    for e_val in (ratio * config.rest_energy for ratio in _FREE_ENERGIES):
         for sector, mode in modes:
             yield free_particle(sector, mode, e_val, params, config)
 

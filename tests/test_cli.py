@@ -469,6 +469,32 @@ def test_partner_index_past_the_largest_degree_is_named_in_flag_terms(argv, flag
     assert "laguerre" not in captured.err
 
 
+@pytest.mark.parametrize("argv, h, limit, length", [
+    (["--suite", "kg", "--h", "0.02"], "0.02", "0.01", "1"),
+    (["--suite", "all", "--omega", "1e300"], "0.0001", "1e-152", "1e-150"),
+    # critical point: the free state of energy 2 m c^2 has the smaller length 1 / sqrt(3)
+    (["--suite", "kg", "--omega", "1", "--omega-c", "2", "--h", "0.006"], "0.006", "0.0057735", "0.57735"),
+])
+def test_h_past_the_grid_is_named_before_any_check(argv, h, limit, length, capsys):
+    from dunkl_oscillator import verification
+
+    calls = []
+    original = verification.kg_apply
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verification, "kg_apply", lambda *a: calls.append(a) or original(*a))
+        assert main(["verify", *argv, "--n-max", "0", "--k-max", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and calls == []
+    assert captured.err.startswith(f"error: --h {h} must be at most {limit} ")
+    assert captured.err.rstrip().endswith(f"length scale {length}") and "kg_apply" not in captured.err
+
+
+def test_h_at_the_grid_limit_runs():
+    # 10 h equal to the smallest radius, 0.1 length scale, is what kg_apply accepts
+    code, text = _run(["verify", "--suite", "kg", "--h", "0.01", "--n-max", "0", "--k-max", "1"])
+    assert code in (0, 1) and json.loads(text)["checks"]
+
+
 def _floats(cells):
     for cell in cells:
         try:

@@ -627,6 +627,40 @@ class TestModeFactorSharing:
         assert len(first) == 3 and all(first.values())  # both log_gamma names count as one key
         assert counts() == first
 
+    @pytest.mark.parametrize("config", [CFG_POS, CFG_NEG], ids=["w+", "w-"])
+    def test_sweep_makes_one_energy_column_call_per_mode_and_no_energy_call(self, monkeypatch, config):
+        calls = {}
+        _counting(monkeypatch, solution_builder, "energy_column", calls)
+        _counting(monkeypatch, solution_builder, "energy", calls)
+        states = list(sweep_bound_states(P11, config, 3, 3))
+        modes = sum(len(modes_for_sector(s, P11, 3)) for s in ALL_SECTORS)  # every sector pairs some k
+        assert calls == {"energy_column": modes}
+        assert len({id(st.mode) for st in states}) == modes
+
+    def test_build_spinor_is_the_one_pair_call_of_mode_states(self, monkeypatch):
+        mode = AngularMode(SectorLabel(1, 1), 1, 1, P11)
+        column = solution_builder.mode_states(mode, [(3, 0), (4, 1), (5, 2)], CFG_POS)
+        calls = []
+        original = solution_builder.mode_states
+        monkeypatch.setattr(solution_builder, "mode_states", lambda *a: calls.append(a) or original(*a))
+        alone = build_spinor(SectorLabel(1, 1), mode, 4, CFG_POS, 1)
+        assert calls == [(mode, [(4, 1)], CFG_POS, 1)]
+        rho, phi = GridSpec().polar_points(1.0)
+        for st in (alone, column[1]):
+            assert (st.energy, st.quantum, st.norm_upper, st.norm_lower, st.amplitudes) == (
+                column[1].energy, column[1].quantum, column[1].norm_upper, column[1].norm_lower,
+                column[1].amplitudes)
+        for a, b in ((alone.upper, column[1].upper), (alone.lower, column[1].lower)):
+            assert np.array_equal(a.eval_polar(rho, phi), b.eval_polar(rho, phi))
+
+    def test_mode_states_skips_a_negative_radicand(self):
+        # the upper radicand of this mode is negative at k = 0 and positive at k = 7
+        mode = AngularMode(SectorLabel(1, 1), 1, -1, DunklParams(3.0, 3.0))
+        cfg = OscillatorConfig(omega=50.0)
+        states = solution_builder.mode_states(mode, [(0, 0), (7, 0)], cfg)
+        assert [st.quantum.k for st in states] == [7]
+        assert states[0].energy == energy(Component.UPPER, SectorLabel(1, 1), mode, 7, cfg, 1)
+
     def test_radial_rows_are_read_only_and_equal_the_profile(self):
         mode = AngularMode(SectorLabel(1, 1), 1, 1, P11)
         a_ord = radial_order(mode)

@@ -25,6 +25,7 @@ from dunkl_oscillator.dunkl_calculus import (
     ScalarField2D,
     angular_j,
     b_phi_apply,
+    dirac_apply,
     kg_apply,
 )
 from dunkl_oscillator.solution_builder import (
@@ -200,6 +201,29 @@ class TestOrthonormality:
         assert len(rep.records) == 4
         assert len(calls) == 4 * 2
         assert len(set(calls)) == 4  # the four parity families' (a, b)
+
+    @pytest.mark.parametrize("mu, passes", [((1.0, 1.0), True), ((0.0, 0.0), True),
+                                            ((0.3, 0.7), False), ((0.25, 0.25), False)], ids=str)
+    def test_gram_matrix_is_one_product_equal_to_the_pairwise_one(self, monkeypatch, mu, passes):
+        from dunkl_oscillator.angular_sector import eigenfunction_rows
+        from dunkl_oscillator.dunkl_calculus import angular_quadrature, weighted_inner_product
+
+        params, rule = DunklParams(*mu), angular_quadrature()
+        for sector in ALL_SECTORS:
+            rows = eigenfunction_rows(modes_for_sector(sector, params, verification.ANGULAR_N_MAX))
+            fields = [ScalarField2D(lambda rho, phi, i=i: rows(phi)[i]) for i in range(len(rows(0.3)))]
+            pairwise = np.array([[weighted_inner_product(a, b, params, rule) for b in fields] for a in fields])
+            stacked = ScalarField2D(lambda rho, phi: rows(phi))
+            gram = weighted_inner_product(stacked, stacked, params, rule)
+            assert gram.shape == pairwise.shape
+            assert np.max(np.abs(gram - pairwise)) <= 1e-15
+            assert np.max(np.abs(gram - gram.conj().T)) <= 1e-15  # Hermitian to rounding
+        calls = []
+        monkeypatch.setattr(verification, "weighted_inner_product",
+                            lambda *a: calls.append(a) or weighted_inner_product(*a))
+        rep = run_suite(params, CFG, suite="ortho")
+        assert len(calls) == len(rep.records) == 4  # one product per sector
+        assert rep.passed is passes  # a 2 mu off the integers needs another rule (ROADMAP)
 
     def test_cross_parity_classes_orthogonal(self):
         from dunkl_oscillator.dunkl_calculus import angular_quadrature, weighted_inner_product
@@ -389,10 +413,12 @@ class TestSweepAndSuite:
         rho, phi = GridSpec().polar_points(1.5)
         again = GridSpec().polar_points(1.5)
         assert again[0] is rho and again[1] is phi
-        assert np.array_equal(rho[::16], GridSpec().radii(1.5))
+        assert rho.shape == (12, 1) and phi.shape == (1, 16)
+        assert np.array_equal(rho[:, 0], GridSpec().radii(1.5))
+        assert np.array_equal(phi[0], GridSpec().angles())
         for arr in (rho, phi):
             with pytest.raises(ValueError):
-                arr[0] = 0.0
+                arr[0, 0] = 0.0
 
     def test_sweep_counts(self):
         assert len(list(sweep_bound_states(P11, CFG, 2, 2))) == 28
@@ -602,18 +628,19 @@ class TestModeStacks:
     @pytest.mark.parametrize("config", STACK_CONFIGS, ids=["w+", "w-"])
     def test_all_suite_walks_the_sweep_once_for_kg_and_dirac(self, monkeypatch, config):
         calls = []
-        original = verification.build_spinor
+        original = verification.mode_states
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(verification, "build_spinor", counted)
+        monkeypatch.setattr(verification, "mode_states", counted)
         list(sweep_bound_states(P11, config, 3, 3))
-        candidates = len(calls)
+        modes = len(calls)
+        assert modes == sum(len(modes_for_sector(s, P11, 3)) for s in ALL_SECTORS)
         calls.clear()
         both = run_suite(P11, config, "all", n_max=3, k_max=3).records
-        assert len(calls) == candidates
+        assert len(calls) == modes
         for name in ("kg", "dirac"):
             alone = run_suite(P11, config, name, n_max=3, k_max=3).records
             assert _signature([r for r in both if r.name.startswith(name + "[")]) == _signature(alone)
@@ -630,6 +657,59 @@ def test_random_mode_stack_matches_its_states_bit_for_bit(mu, omega, ratio, pick
     for check in (check_kg_eigen, check_dirac_system):
         alone = [float(r.residual).hex() for st in group for r in check(_alone(st)).records]
         assert [float(r.residual).hex() for r in check(group).records] == alone
+
+
+def _flat_points(state):
+    """The state's check grid as flattened meshgrid points, one (rho, phi)
+    per point, as ``GridSpec.polar_points`` gave them before it split the
+    grid into a radius column and an angle row."""
+    grid = GridSpec()
+    length = verification._length_scale(state.config, state.energy)
+    rr, pp = np.meshgrid(grid.radii(length), grid.angles(), indexing="ij")
+    return rr.ravel(), pp.ravel()
+
+
+def _kg_residual_on_flat_points(state, component):
+    fld = state.upper if component is Component.UPPER else state.lower
+    rho, phi = _flat_points(state)
+    vals = fld.eval_polar(rho, phi)
+    scale = np.max(np.abs(vals))
+    if scale == 0.0:
+        return 0.0
+    applied = kg_apply(component, fld, state.mode.params, state.config, (rho, phi))
+    return float(np.max(np.abs(applied - verification.reduced_energy(state.config, state.energy) * vals)) / scale)
+
+
+def _dirac_residual_on_flat_points(state):
+    rho, phi = _flat_points(state)
+    xs, ys = rho * np.cos(phi), rho * np.sin(phi)
+    config = state.config
+    r1, r2 = dirac_apply((state.upper, state.lower), state.energy, state.mode.params, config, (xs, ys))
+    amp = max(np.max(np.abs(state.upper(xs, ys))), np.max(np.abs(state.lower(xs, ys))), 1e-300)
+    return float(max(np.max(np.abs(r1)), np.max(np.abs(r2))) / ((abs(state.energy) + config.rest_energy) * amp))
+
+
+@settings(max_examples=24, deadline=None)
+@given(mu=st.sampled_from([(1.0, 1.0), (0.5, 1.5), (1.5, 0.5), (0.0, 0.0)]),
+       ratio=st.sampled_from([0.0, 2.0, 4.0]), e_ratio=st.sampled_from([1.25, 2.0]),
+       picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=verification._STATE_BLOCK))
+def test_separable_grid_records_equal_the_flattened_grid_residuals_bit_for_bit(mu, ratio, e_ratio, picks):
+    # a block checked on the radius column x angle row against each of its
+    # states alone on every (rho, phi) point: bound states at w~ = +1 and
+    # w~ = -1, free states of one energy at the critical point (kg only)
+    params, config = DunklParams(*mu), OscillatorConfig(omega=1.0, omega_c=ratio)
+    if ratio == 2.0:
+        states = [free_particle(sector, mode, e_ratio, params, config)
+                  for sector in ALL_SECTORS for mode in modes_for_sector(sector, params, 2)]
+    else:
+        states = list(sweep_bound_states(params, config, 2, 3))
+    block = [states[p % len(states)] for p in picks]
+    kg = [float(r.residual).hex() for r in check_kg_eigen(block).records]
+    assert kg == [float(_kg_residual_on_flat_points(st, c)).hex()
+                  for st in block for c in (Component.UPPER, Component.LOWER)]
+    if ratio != 2.0:
+        dirac = [float(r.residual).hex() for r in check_dirac_system(block).records]
+        assert dirac == [float(_dirac_residual_on_flat_points(st)).hex() for st in block]
 
 
 _MU = st.one_of(st.tuples(st.integers(0, 2), st.integers(0, 2)),
