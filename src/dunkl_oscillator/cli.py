@@ -42,7 +42,7 @@ from .solution_builder import (
     pair_radial_indices,
 )
 from .special_functions import MAX_DEGREE
-from .verification import GridSpec, check_length_scale, run_suite
+from .verification import GridSpec, kg_step_limit, run_suite
 
 
 def _bounded(kind, low, high=math.inf, *, strict=False):
@@ -289,11 +289,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         # before the first check, not halfway through the records
         check_norm_range(params, config, args.n_max, args.k_max)
         _check_partner_index(params, config, ALL_SECTORS, args.k_max, "--k-max")
-    if args.suite in ("kg", "all"):  # kg_apply's radial stencil needs rho >= 10 h
-        length = check_length_scale(config)
-        if 10.0 * args.h > GridSpec().radii(length)[0]:
-            raise ValueError(f"--h {args.h:g} must be at most {0.01 * length:g} for the kg check: 10*h must "
-                             f"not pass the grid's smallest radius, 0.1 x its length scale {length:g}")
+    if args.suite in ("kg", "all"):
+        limit, length = kg_step_limit(config)
+        if args.h > limit:
+            raise ValueError(f"--h {args.h:g} must be at most {limit:g} for the kg check, "
+                             f"whose radial stencil must stay off the origin on a grid of length scale {length:g}")
     report = run_suite(
         params,
         config,

@@ -42,6 +42,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from .solution_builder import OscillatorConfig
 
 DEFAULT_STEP = 1e-4
+# kg_apply's radial stencil needs every radius to be this many steps h or more.
+KG_RADIUS_STEPS = 10.0
 # Reflection differences smaller than this (relative to the local field
 # magnitude) are treated as identically zero near a singular locus.
 SYMMETRY_TOL = 1e-10
@@ -313,8 +315,8 @@ def kg_apply(
     derivatives are central differences of step ``h``.
     """
     rho, phi = np.asarray(point_polar[0], dtype=float), np.asarray(point_polar[1], dtype=float)
-    if np.any(rho < 10.0 * h):
-        raise SingularPointError("kg_apply requires rho >= 10*h")
+    if np.any(rho < KG_RADIUS_STEPS * h):
+        raise SingularPointError(f"kg_apply requires rho >= {KG_RADIUS_STEPS:g}*h")
     w = config.m * config.omega_tilde / config.hbar
     mu_p = params.mu_plus
 
@@ -432,13 +434,13 @@ def weighted_inner_product(
     g: ScalarField2D,
     params: DunklParams,
     rule: QuadratureRule,
-):
+) -> complex | np.ndarray:
     """<f, g> against the weight |x|^{2mu_x} |y|^{2mu_y}.
 
     The measure picks up rho^{2(mu_x+mu_y)+1}, which is exactly 1 on an
-    angular rule, so there the integral runs over the unit circle. Fields
-    of K rows give the (K, K) matrix of <f_i, g_j>, summed elementwise over
-    the nodes (a BLAS matrix product would cost memory).
+    angular rule, so there the integral runs over the unit circle. Two
+    fields of K rows give the (K, K) matrix of <f_i, g_j>, summed elementwise
+    over the nodes (a BLAS matrix product costs memory), two scalar ones its one value.
     """
     rho, phi = rule.rho, rule.phi
     wgt = (
@@ -447,6 +449,7 @@ def weighted_inner_product(
         * rho ** (2.0 * params.mu_plus + 1.0)
     )
     f_vals, g_vals = np.conjugate(f.eval_polar(rho, phi)), g.eval_polar(rho, phi)
-    if np.ndim(f_vals) == 1:
-        return complex(np.sum(rule.weights * wgt * (f_vals * g_vals)))
-    return np.sum(rule.weights * wgt * (f_vals[:, None] * g_vals[None]), axis=-1)
+    if (rows := np.ndim(f_vals) > 1) != (np.ndim(g_vals) > 1):
+        raise ValueError("f and g must both be scalar fields or both have rows")
+    gram = np.sum(rule.weights * wgt * (np.atleast_2d(f_vals)[:, None] * np.atleast_2d(g_vals)[None]), axis=-1)
+    return gram if rows else complex(gram[0, 0])

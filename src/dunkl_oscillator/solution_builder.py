@@ -339,15 +339,14 @@ def _amplitude(share: float, radial: RadialProfile) -> float:
 
 def bound_pairs(params: DunklParams, config: OscillatorConfig, k_max: int):
     """Yield each sector with the (k, k') of every k <= k_max that has a
-    bound partner index there, in k order; a sector with none is left out."""
+    bound partner index there, in k order."""
     regime = classify_regime(config)
     for sector in ALL_SECTORS:
         pairs = []
         for k in range(k_max + 1):
             with contextlib.suppress(InvalidPairError):
                 pairs.append((k, pair_radial_indices(sector, regime, k, params)))
-        if pairs:
-            yield sector, pairs
+        yield sector, pairs
 
 
 def check_norm_range(params: DunklParams, config: OscillatorConfig, n_max: float, k_max: int) -> None:
@@ -388,26 +387,21 @@ def _product_field(radial: Callable, mode: AngularMode, scale: complex) -> Scala
     return ScalarField2D(lambda rho, phi: scale * radial(rho) * mode.eigenfunction.eval_polar(rho, phi))
 
 
-def mode_states(mode: AngularMode, pairs, config: OscillatorConfig, sign: int = 1) -> list[SpinorSolution]:
+def mode_states(mode: AngularMode, pairs, config: OscillatorConfig, sign: int = 1) -> dict:
     """The paired two-component states of ``mode`` for the (k, k') of
-    ``pairs`` (at least one), in order, from one ``energy_column`` call and
-    one radial table of rows 0..max(k, k'); a NaN energy (a negative
-    radicand) skips its k.
+    ``pairs``, keyed by k in order, from one ``energy_column`` call and one
+    radial table of rows 0..max(k, k'); a NaN energy (a negative radicand)
+    skips its k.
 
-    Component norms are set to <1|1> = (E + mc^2)/(2E) and
-    <2|2> = (E - mc^2)/(2E); their sum is 1. Both components carry the
-    mode's angular eigenfunction times a real, non-negative constant,
-    which fixes the relative phase by convention (see the module
-    docstring for why the coupled equations cannot fix it). The angular
-    field is the mode object's own, built on the first evaluation (a state
-    checked through ``stacked_components`` never builds it); every
-    component reads its row of the mode's one radial table.
+    Component norms are (E +/- mc^2)/(2E), summing to 1. Both components
+    are a real constant >= 0 (the phase convention of the module docstring)
+    times the mode object's own F, built on its first evaluation.
     """
     mc2 = config.rest_energy
     e_vals = energy_column(Component.UPPER, mode, np.array([k for k, _ in pairs]), config, sign).tolist()
     base = build_radial(mode, 0, config)
-    rows = radial_rows(base.order, base.exponent, base.scale, max(max(pair) for pair in pairs))
-    states = []
+    rows = radial_rows(base.order, base.exponent, base.scale, max(map(max, pairs), default=0))
+    states = {}
     for (k, k_prime), e_val in zip(pairs, e_vals):
         if math.isnan(e_val):
             continue
@@ -416,24 +410,26 @@ def mode_states(mode: AngularMode, pairs, config: OscillatorConfig, sign: int = 
         upper = _product_field(lambda rho, k=k: rows(rho)[k], mode, cu)
         lower = (_product_field(lambda rho, k=k_prime: rows(rho)[k], mode, cl) if cl != 0.0
                  else ScalarField2D.zero())
-        states.append(SpinorSolution(upper, lower, e_val, QuantumNumbers(k, k_prime), mode, config,
-                                     nu2, nl2, (cu, cl)))
+        states[k] = SpinorSolution(upper, lower, e_val, QuantumNumbers(k, k_prime), mode, config,
+                                   nu2, nl2, (cu, cl))
     return states
 
 
 def build_spinor(sector: SectorLabel, mode: AngularMode, k: int, config: OscillatorConfig,
-                 sign: int = 1) -> SpinorSolution:
-    """The paired two-component state for upper radial index k: the
-    one-pair ``mode_states`` call, with a missing partner index raised as
-    ``InvalidPairError`` and a negative energy radicand as
-    ``NegativeRadicandError``."""
+                 sign: int = 1, made: dict | None = None) -> SpinorSolution:
+    """The paired two-component state for upper radial index k: the one-pair
+    ``mode_states`` call, or a read of ``made``, the ``mode_states`` of this
+    mode, config and sign over many pairs. A missing partner index raises
+    ``InvalidPairError``, a negative energy radicand ``NegativeRadicandError``."""
     if sector != mode.sector:
         raise ValueError(f"sector ({sector}) disagrees with the mode {mode}")
-    k_prime = pair_radial_indices(sector, classify_regime(config), k, mode.params)
-    states = mode_states(mode, [(k, k_prime)], config, sign)
-    if not states:
+    if made is None or k not in made:
+        k_prime = pair_radial_indices(sector, classify_regime(config), k, mode.params)
+    if made is None:
+        made = mode_states(mode, [(k, k_prime)], config, sign)
+    if k not in made:
         raise NegativeRadicandError(f"negative energy radicand for sector ({sector}), n={mode.n}, k={k}")
-    return states[0]
+    return made[k]
 
 
 def _with_leading_axis(field: ScalarField2D) -> ScalarField2D:
@@ -441,10 +437,9 @@ def _with_leading_axis(field: ScalarField2D) -> ScalarField2D:
 
 
 def stacked_components(states) -> tuple[ScalarField2D, ScalarField2D]:
-    """The upper and lower components of ``states`` as fields with one
-    leading row per state, row i holding state i: (K, *shape) on points
-    of a broadcast shape, such as a (n_rho, 1) radius column against a
-    (1, n_phi) angle row, where each factor runs on its own coordinates.
+    """The upper and lower components of ``states`` as fields with row i
+    holding state i: (K, *shape) on points of any broadcast shape, such as
+    a radius column against an angle row, each factor on its own axis.
 
     States that ``mode_states`` made, of any modes of one config and one
     set of parameters, stack on the F rows of ``eigenfunction_rows`` and

@@ -40,6 +40,7 @@ from .angular_sector import (
 )
 from .dunkl_calculus import (
     DEFAULT_STEP,
+    KG_RADIUS_STEPS,
     Component,
     DunklParams,
     ScalarField2D,
@@ -51,6 +52,8 @@ from .dunkl_calculus import (
     weighted_inner_product,
 )
 from .solution_builder import (
+    InvalidPairError,
+    NegativeRadicandError,
     OscillatorConfig,
     QuantumNumbers,
     RadialProfile,
@@ -58,6 +61,7 @@ from .solution_builder import (
     RegimeError,
     SpinorSolution,
     bound_pairs,
+    build_spinor,
     classify_regime,
     energy,
     free_particle,
@@ -144,10 +148,9 @@ class GridSpec:
 
     @functools.lru_cache(maxsize=16)
     def polar_points(self, length_scale: float) -> tuple[np.ndarray, np.ndarray]:
-        """The grid as a (n_rho, 1) radius column and a (1, n_phi) angle
-        row, which broadcast to its points, so a separable factor runs on
-        n_rho radii and n_phi angles. Built once per (spec, length scale),
-        since every state of a run shares its grid; read-only arrays."""
+        """The grid as a (n_rho, 1) radius column and a (1, n_phi) angle row,
+        so a separable factor runs on each axis alone. Built once per (spec,
+        length scale), since every state of a run shares its grid; read-only."""
         rho, phi = self.radii(length_scale)[:, None], self.angles()[None, :]
         rho.flags.writeable = phi.flags.writeable = False
         return rho, phi
@@ -163,11 +166,11 @@ def _length_scale(config: OscillatorConfig, e_val: float) -> float:
     return config.length_scale
 
 
-def check_length_scale(config: OscillatorConfig) -> float:
-    """The smallest length scale of the kg and dirac grids of ``run_suite``,
-    whose smallest radius is 0.1 of it: the oscillator length, or at the
-    critical point that of the larger free-state energy."""
-    return _length_scale(config, max(_FREE_ENERGIES) * config.rest_energy)
+def kg_step_limit(config: OscillatorConfig) -> tuple[float, float]:
+    """The largest step h that ``kg_apply`` takes on the smallest radius of
+    ``run_suite``'s kg grids, and the smallest length scale of those grids."""
+    length = _length_scale(config, max(_FREE_ENERGIES) * config.rest_energy)
+    return GridSpec().radii(length)[0] / KG_RADIUS_STEPS, length
 
 
 def _state_record(
@@ -216,10 +219,9 @@ def check_kg_eigen(
     ``states`` is one state or a block of states that stack (see
     ``stacked_components``: ``mode_states`` states of any modes of one
     config, or free states of one energy); each component of all of them
-    is checked in one operator application on (K, n_rho, n_phi) fields,
-    reduced over every axis but the first. Each residual
-    keeps its own state's scale, and a component that is zero on the grid
-    has residual 0. The records come per state, upper then lower, in input
+    is checked in one operator application on (K, n_rho, n_phi) fields.
+    Each residual keeps its own state's scale, and a component that is zero
+    on the grid has residual 0. The records come per state, upper then lower, in input
     order.
     """
     states = _as_states(states)
@@ -321,9 +323,9 @@ def check_dirac_system(
 
     ``states`` is one state or a block of states that stack (see
     ``stacked_components``), checked in one operator application on the
-    grid's (n_rho, n_phi) Cartesian points with their energies as a
-    (K, 1, 1) column. Each residual is scaled by its own
-    state's (|E| + m c^2) times its largest component value. One record
+    grid's Cartesian points with their energies as a (K, 1, 1) column. Each
+    residual is scaled by its own state's (|E| + m c^2) times its largest
+    component value. One record
     per state, in input order.
     """
     states = _as_states(states)
@@ -333,10 +335,7 @@ def check_dirac_system(
     xs, ys = rho * np.cos(phi), rho * np.sin(phi)
     energies = np.array([st.energy for st in states])
     r1, r2 = dirac_apply((upper, lower), energies[:, None, None], params, config, (xs, ys), h)
-    amp = np.maximum(
-        np.maximum(np.max(np.abs(upper(xs, ys)), axis=(1, 2)), np.max(np.abs(lower(xs, ys)), axis=(1, 2))),
-        1e-300,
-    )
+    amp = np.maximum(np.max(np.maximum(np.abs(upper(xs, ys)), np.abs(lower(xs, ys))), axis=(1, 2)), 1e-300)
     scale = (np.abs(energies) + config.rest_energy) * amp
     residual = np.maximum(np.max(np.abs(r1), axis=(1, 2)), np.max(np.abs(r2), axis=(1, 2))) / scale
     records = [_state_record("dirac", st, float(residual[i]), tol, h) for i, st in enumerate(states)]
@@ -636,14 +635,18 @@ def sweep_bound_states(
     n_max: float = 2,
     k_max: int = 2,
 ):
-    """Yield every buildable bound state of the sweep, mode by mode in k
-    order: each sector's (k, k') pairs are found once, each mode's states
-    come from one ``mode_states`` call (no partner or a NaN energy: skipped)."""
+    """Yield every buildable bound state of the sweep, skipping invalid pairs:
+    each (mode, k) is a ``build_spinor`` read of the mode's ``mode_states``."""
     if classify_regime(config) is Regime.CRITICAL:
         raise RegimeError("bound-state sweep requires a non-critical regime")
     for sector, pairs in bound_pairs(params, config, k_max):
         for mode in modes_for_sector(sector, params, n_max):
-            yield from mode_states(mode, pairs, config, 1)
+            made = mode_states(mode, pairs, config)
+            for k in range(k_max + 1):
+                try:
+                    yield build_spinor(sector, mode, k, config, 1, made)
+                except (InvalidPairError, NegativeRadicandError):
+                    continue
 
 
 def _critical_states(params: DunklParams, config: OscillatorConfig, n_max: float):

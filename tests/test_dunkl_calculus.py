@@ -274,6 +274,21 @@ class TestWeightedInnerProduct:
         val = weighted_inner_product(z, z, DunklParams(1.0, 1.0), angular_quadrature())
         assert val == 0.0
 
+    def test_scalar_fields_give_the_plain_weighted_sum_and_rows_do_not_mix_with_them(self):
+        params, rule = DunklParams(0.5, 1.5), angular_quadrature()
+        modes = [AngularMode(SectorLabel(1, 1), n, 1, params) for n in (1, 2)]
+        f, g = (f_eigenfunction(m) for m in modes)
+        wgt = np.abs(np.cos(rule.phi)) ** 1.0 * np.abs(np.sin(rule.phi)) ** 3.0 * rule.rho ** 5.0
+        plain = complex(np.sum(rule.weights * wgt * (np.conjugate(f.eval_polar(rule.rho, rule.phi))
+                                                     * g.eval_polar(rule.rho, rule.phi))))
+        val = weighted_inner_product(f, g, params, rule)
+        assert type(val) is complex and val == plain
+        rows = ScalarField2D(lambda rho, phi: np.stack([f.eval_polar(rho, phi), g.eval_polar(rho, phi)]))
+        assert weighted_inner_product(rows, rows, params, rule)[0, 1] == plain
+        for a, b in ((f, rows), (rows, g)):
+            with pytest.raises(ValueError, match="both"):
+                weighted_inner_product(a, b, params, rule)
+
     def test_anti_hermiticity_of_dunkl_derivative(self):
         # <f | D g> = -<g | D f>* for decaying smooth fields; the step is
         # small because quadrature nodes approach the axes and the

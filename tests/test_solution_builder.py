@@ -637,6 +637,16 @@ class TestModeFactorSharing:
         assert calls == {"energy_column": modes}
         assert len({id(st.mode) for st in states}) == modes
 
+    @pytest.mark.parametrize("config, yielded", [(CFG_POS, 28), (CFG_NEG, 47)], ids=["w+", "w-"])
+    def test_every_sweep_candidate_is_one_build_spinor_read(self, monkeypatch, config, yielded):
+        calls = {}
+        _counting(monkeypatch, verification, "build_spinor", calls)
+        _counting(monkeypatch, solution_builder, "mode_states", calls)  # build_spinor's own calls
+        states = list(sweep_bound_states(P11, config, 2, 2))
+        modes = sum(len(modes_for_sector(s, P11, 2)) for s in ALL_SECTORS)
+        assert calls == {"build_spinor": modes * 3}  # each (mode, k), k <= 2, read from its mode's states
+        assert len(states) == yielded
+
     def test_build_spinor_is_the_one_pair_call_of_mode_states(self, monkeypatch):
         mode = AngularMode(SectorLabel(1, 1), 1, 1, P11)
         column = solution_builder.mode_states(mode, [(3, 0), (4, 1), (5, 2)], CFG_POS)
@@ -646,11 +656,11 @@ class TestModeFactorSharing:
         alone = build_spinor(SectorLabel(1, 1), mode, 4, CFG_POS, 1)
         assert calls == [(mode, [(4, 1)], CFG_POS, 1)]
         rho, phi = GridSpec().polar_points(1.0)
-        for st in (alone, column[1]):
+        for st in (alone, column[4]):
             assert (st.energy, st.quantum, st.norm_upper, st.norm_lower, st.amplitudes) == (
-                column[1].energy, column[1].quantum, column[1].norm_upper, column[1].norm_lower,
-                column[1].amplitudes)
-        for a, b in ((alone.upper, column[1].upper), (alone.lower, column[1].lower)):
+                column[4].energy, column[4].quantum, column[4].norm_upper, column[4].norm_lower,
+                column[4].amplitudes)
+        for a, b in ((alone.upper, column[4].upper), (alone.lower, column[4].lower)):
             assert np.array_equal(a.eval_polar(rho, phi), b.eval_polar(rho, phi))
 
     def test_mode_states_skips_a_negative_radicand(self):
@@ -658,8 +668,8 @@ class TestModeFactorSharing:
         mode = AngularMode(SectorLabel(1, 1), 1, -1, DunklParams(3.0, 3.0))
         cfg = OscillatorConfig(omega=50.0)
         states = solution_builder.mode_states(mode, [(0, 0), (7, 0)], cfg)
-        assert [st.quantum.k for st in states] == [7]
-        assert states[0].energy == energy(Component.UPPER, SectorLabel(1, 1), mode, 7, cfg, 1)
+        assert list(states) == [7]
+        assert states[7].energy == energy(Component.UPPER, SectorLabel(1, 1), mode, 7, cfg, 1)
 
     def test_radial_rows_are_read_only_and_equal_the_profile(self):
         mode = AngularMode(SectorLabel(1, 1), 1, 1, P11)
