@@ -439,8 +439,8 @@ def weighted_inner_product(
 
     The measure picks up rho^{2(mu_x+mu_y)+1}, which is exactly 1 on an
     angular rule, so there the integral runs over the unit circle. Two
-    fields of K rows give the (K, K) matrix of <f_i, g_j>, summed elementwise
-    over the nodes (a BLAS matrix product costs memory), two scalar ones its one value.
+    fields of K rows give the (K, K) matrix of <f_i, g_j>, summed over the
+    nodes elementwise (a BLAS product costs memory); two scalar ones, a value.
     """
     rho, phi = rule.rho, rule.phi
     wgt = (

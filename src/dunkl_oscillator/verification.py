@@ -221,8 +221,8 @@ def check_kg_eigen(
     config, or free states of one energy); each component of all of them
     is checked in one operator application on (K, n_rho, n_phi) fields.
     Each residual keeps its own state's scale, and a component that is zero
-    on the grid has residual 0. The records come per state, upper then lower, in input
-    order.
+    on the grid has residual 0. The records come per state, upper then
+    lower, in input order.
     """
     states = _as_states(states)
     fields = stacked_components(states)
@@ -325,8 +325,7 @@ def check_dirac_system(
     ``stacked_components``), checked in one operator application on the
     grid's Cartesian points with their energies as a (K, 1, 1) column. Each
     residual is scaled by its own state's (|E| + m c^2) times its largest
-    component value. One record
-    per state, in input order.
+    component value. One record per state, in input order.
     """
     states = _as_states(states)
     upper, lower = stacked_components(states)
