@@ -20,7 +20,6 @@ outside the critical regime). In a mixed-parity sector a single integer
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import os
@@ -31,7 +30,6 @@ import numpy as np
 from .angular_sector import ALL_SECTORS, AngularMode, SectorLabel
 from .dunkl_calculus import DEFAULT_STEP, Component, DunklParams
 from .solution_builder import (
-    InvalidPairError,
     OscillatorConfig,
     Regime,
     build_spinor,
@@ -39,7 +37,7 @@ from .solution_builder import (
     classify_regime,
     energy_column,
     free_particle,
-    pair_radial_indices,
+    partner_offset,
 )
 from .special_functions import MAX_DEGREE
 from .verification import GridSpec, kg_step_limit, run_suite
@@ -106,11 +104,10 @@ def _check_partner_index(params: DunklParams, config: OscillatorConfig, sectors,
     k, so a sweep over k <= k_max checks k_max."""
     regime = classify_regime(config)
     for sector in sectors if regime is not Regime.CRITICAL else ():
-        with contextlib.suppress(InvalidPairError):  # then no k <= k pairs in this sector
-            k_prime = pair_radial_indices(sector, regime, k, params)
-            if k_prime > MAX_DEGREE:
-                raise ValueError(f"{flag} {k} pairs with the lower radial index k'={k_prime} in sector "
-                                 f"({sector}); k' must be at most {MAX_DEGREE}")
+        k_prime = k + partner_offset(sector, regime, params)
+        if k_prime > MAX_DEGREE:
+            raise ValueError(f"{flag} {k} pairs with the lower radial index k'={k_prime} in sector "
+                             f"({sector}); k' must be at most {MAX_DEGREE}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -124,8 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     def system(p: argparse.ArgumentParser) -> None:
         p.add_argument("--mu-x", type=_bounded(float, -0.5), default=0.0)
         p.add_argument("--mu-y", type=_bounded(float, -0.5), default=0.0)
-        p.add_argument("--omega", type=float, default=1.0)
-        p.add_argument("--omega-c", type=float, default=0.0)
+        p.add_argument("--omega", type=_bounded(float, 0.0), default=1.0)
+        p.add_argument("--omega-c", type=_bounded(float, 0.0), default=0.0)
 
     def sector_and_precision(p: argparse.ArgumentParser) -> None:
         p.add_argument("--sector", type=_parse_sector, default="1,1", help="SX,SY with values +1/-1")
@@ -150,8 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_wf.add_argument("--n", type=str, default="1")
     p_wf.add_argument("--branch", choices=("+", "-"), default="+")
     p_wf.add_argument("--k", type=_bounded(int, 0, MAX_DEGREE), default=1)
-    p_wf.add_argument("--grid-rho", type=_bounded(int, 1), default=12)
-    p_wf.add_argument("--grid-phi", type=_bounded(int, 1), default=16)
+    p_wf.add_argument("--grid-rho", type=_bounded(int, 1, MAX_GRID_SIDE), default=12)
+    p_wf.add_argument("--grid-phi", type=_bounded(int, 1, MAX_GRID_SIDE), default=16)
     p_wf.add_argument("--energy", type=float, default=None,
                       help="free-particle energy (critical regime only)")
 
@@ -169,6 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Radial indices per energy column: memory stays flat in --k-max.
 _K_BLOCK = 4096
+# Largest number of radii or angles of a wavefunction grid.
+MAX_GRID_SIDE = 10**6
 
 
 def _spectrum_blocks(args: argparse.Namespace, params: DunklParams, config: OscillatorConfig,
@@ -188,14 +187,9 @@ def _spectrum_blocks(args: argparse.Namespace, params: DunklParams, config: Osci
         text = lambda v: "unphysical" if math.isnan(v) else format(v, spec)
 
     def k_cells(lo: int, hi: int) -> list[str]:
-        cells = []
-        for k in range(lo, hi):
-            try:
-                kp = str(pair_radial_indices(sector, regime, k, params))
-            except InvalidPairError:
-                kp = "invalid"
-            cells.append(f'{k}, "k_prime": "{kp}"' if json_out else f"{k},{kp},")
-        return cells
+        offset = partner_offset(sector, regime, params)
+        pairs = ((k, k + offset if k + offset >= 0 else "invalid") for k in range(lo, hi))
+        return [f'{k}, "k_prime": "{kp}"' if json_out else f"{k},{kp}," for k, kp in pairs]
 
     first = k_cells(0, min(_K_BLOCK, args.k_max + 1)) if modes else []
     for mode in modes:

@@ -28,10 +28,9 @@ phase can be read off the coupled equations.
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -147,39 +146,38 @@ def radial_order(mode: AngularMode) -> float:
     return math.sqrt(lam * lam + mu * mu)
 
 
-def pair_radial_indices(
-    sector: SectorLabel,
-    regime: Regime,
-    k: int,
-    params: DunklParams,
-) -> int:
-    """Partner (lower-component) radial index for upper index k."""
+def partner_offset(sector: SectorLabel, regime: Regime, params: DunklParams) -> int:
+    """k' - k, the lower component's radial index less the upper one's:
+    -sigma - 1 at w~ > 0 and sigma + 1 at w~ < 0, sigma = s_x mu_x + s_y mu_y,
+    an integer for spinor-compatible parameters."""
     if not params.is_spinor_compatible():
-        raise IntegralityError(
-            "spinor pairing requires both deformation parameters in N or both in N+1/2"
-        )
+        raise IntegralityError("spinor pairing requires both deformation parameters in N or both in N+1/2")
+    sigma = round(params.signed_sum(sector.s_x, sector.s_y))
+    if regime is Regime.POSITIVE:
+        return -sigma - 1
+    if regime is Regime.NEGATIVE:
+        return sigma + 1
+    raise RegimeError("the critical regime has no bound pairs; use free_particle")
+
+
+def pair_radial_indices(sector: SectorLabel, regime: Regime, k: int, params: DunklParams) -> int:
+    """Partner (lower-component) radial index k + ``partner_offset`` of upper index k."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    sigma = params.signed_sum(sector.s_x, sector.s_y)
-    if regime is Regime.POSITIVE:
-        kp = k - sigma - 1.0
-    elif regime is Regime.NEGATIVE:
-        kp = k + sigma + 1.0
-    else:
-        raise RegimeError("the critical regime has no bound pairs; use free_particle")
-    if abs(kp - round(kp)) > 1e-9 or round(kp) < 0:
-        raise InvalidPairError(
-            f"no partner index for sector ({sector}), k={k}: k'={kp} is not a natural number"
-        )
-    return int(round(kp))
+    k_prime = k + partner_offset(sector, regime, params)
+    if k_prime < 0:
+        raise InvalidPairError(f"no partner index for sector ({sector}), k={k}: "
+                               f"k'={k_prime} is not a natural number")
+    return k_prime
 
 
 def energy_column(component: Component, mode: AngularMode, ks, config: OscillatorConfig, sign: int = 1):
     """Closed-form bound energies of one spinor component of ``mode`` at
     each radial index of ``ks``, an array of natural numbers (or one), with
     lambda, A, sigma, q and the regime found once. NaN marks a negative
-    radicand (an unphysical combination). ``sign`` selects the particle
-    (+1) or antiparticle (-1) branch."""
+    radicand (an unphysical combination, which no bound pair has).
+    ``sign`` selects the particle (+1) or antiparticle (-1) branch. Energies
+    that a double cannot resolve, at a huge q, raise ``ValueError``."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     regime = classify_regime(config)
@@ -198,13 +196,20 @@ def energy_column(component: Component, mode: AngularMode, ks, config: Oscillato
         s_num = 2.0 * ks + a_ord - lam + sigma + 2.0
         if component is Component.LOWER:
             s_num = 2.0 * ks + a_ord - lam - sigma
-    radicand = 1.0 + q * s_num
     # Some states have a radicand of exactly 0 (E = 0); rounding of q and of
     # the terms of s_num must not turn it into a tiny E in some units and an
     # error in others, so a radicand within a few ulps of those terms is 0.
-    scale = 1.0 + q * (2.0 * ks + a_ord + abs(lam) + abs(sigma) + 2.0)
-    radicand = np.where(abs(radicand) <= 8.0 * math.ulp(1.0) * scale, 0.0, radicand)
-    return sign * mc2 * np.sqrt(np.where(radicand < 0.0, np.nan, radicand))
+    # A bound of 1 or more cannot tell E = 0 from E >= m c^2, and one that
+    # overflows snaps every radicand: such energies raise instead.
+    with np.errstate(over="ignore", invalid="ignore"):  # no overflow warning; sqrt of < 0 is NaN
+        radicand = 1.0 + q * s_num
+        bound = 8.0 * math.ulp(1.0) * (1.0 + q * (2.0 * ks + a_ord + abs(lam) + abs(sigma) + 2.0))
+        snap = abs(radicand) <= bound
+        if not np.logical_and.reduce(bound < 1.0, axis=None) and (
+                np.any(snap & (bound >= 1.0)) or np.any(bound == math.inf)):
+            raise ValueError(f"the energies of sector ({mode.sector}), n={mode.n:g}, b={mode.branch:+d} are "
+                             f"not resolved in double precision at q = 2 hbar |w~| / (m c^2) = {q:g}")
+        return sign * mc2 * np.sqrt(np.where(snap, 0.0, radicand))
 
 
 def energy(component: Component, sector: SectorLabel, mode: AngularMode, k: int,
@@ -339,45 +344,50 @@ def _amplitude(share: float, radial: RadialProfile) -> float:
 
 def bound_pairs(params: DunklParams, config: OscillatorConfig, k_max: int):
     """Yield each sector with the (k, k') of every k <= k_max that has a
-    bound partner index there, in k order."""
+    bound partner index k' = k + ``partner_offset`` >= 0 there, in k order."""
     regime = classify_regime(config)
     for sector in ALL_SECTORS:
-        pairs = []
-        for k in range(k_max + 1):
-            with contextlib.suppress(InvalidPairError):
-                pairs.append((k, pair_radial_indices(sector, regime, k, params)))
-        yield sector, pairs
+        offset = partner_offset(sector, regime, params)
+        yield sector, [(k, k + offset) for k in range(max(0, -offset), k_max + 1)]
+
+
+def _pair_amplitudes(base: RadialProfile, mode: AngularMode, pairs, config: OscillatorConfig, sign: int = 1):
+    """Yield (k, k', E, (upper share, lower share), (c_u, c_l)) of each pair in turn, on the
+    mode's radial profile ``base``, the energies from one ``energy_column`` call; a pair's
+    E is finite, |E| >= m c^2 sqrt(1 + q) (README, "Physics summary")."""
+    mc2 = config.rest_energy
+    radial = lambda index: RadialProfile(base.order, base.exponent, base.scale, index)
+    e_vals = energy_column(Component.UPPER, mode, np.array([k for k, _ in pairs]), config, sign).tolist()
+    for (k, k_prime), e_val in zip(pairs, e_vals):
+        shares = (e_val + mc2) / (2.0 * e_val), (e_val - mc2) / (2.0 * e_val)
+        amplitudes = _amplitude(shares[0], radial(k)), _amplitude(shares[1], radial(k_prime))
+        yield k, k_prime, e_val, shares, amplitudes
 
 
 def check_norm_range(params: DunklParams, config: OscillatorConfig, n_max: float, k_max: int) -> None:
     """Raise ``NormRangeError`` if a bound state with n <= n_max and
     k <= k_max has a component whose normalization constant, for its share
     (E +/- m c^2) / (2E) of the probability, lies outside the double range.
-    No field is built; the energies come from one ``energy_column`` call
-    per mode, and a zero share passes, as it builds a zero component.
+    No field is built: each mode's first and last pair go through the
+    amplitude loop of ``mode_states``, and a zero share passes, as it
+    builds a zero component.
 
     log <R|R> = lgamma(k + A + 1) - lgamma(k + 1) - log 2 - (mu_+ + 1) log s
     grows with k at fixed order A (each step adds log((k + A + 1) / (k + 1))
     >= 0) and k' moves with k; E grows with k too, so the upper share falls
     toward 1/2 and the lower one rises toward it. Each mode's extremes are
-    therefore taken at its first and last buildable k: the upper log
-    amplitude falls with k, and the lower one is half the difference of
-    two terms that both rise with k. In A the log norm is convex, so its
-    largest value sits at a sector's smallest or largest order, but its
-    smallest need not: every mode is checked.
+    therefore taken at its first and last pair: the upper log amplitude
+    falls with k, and the lower one is half the difference of two terms
+    that both rise with k. In A the log norm is convex, so its largest
+    value sits at a sector's smallest or largest order, but its smallest
+    need not: every mode is checked.
     """
     if classify_regime(config) is Regime.CRITICAL:
         return
-    mc2 = config.rest_energy
     for sector, pairs in bound_pairs(params, config, k_max):
-        ks = np.array([k for k, _ in pairs])
         for mode in modes_for_sector(sector, params, n_max):
-            e_vals = energy_column(Component.UPPER, mode, ks, config).tolist()
-            # a negative radicand (NaN) is a state the sweep skips
-            built = [(pair, e) for pair, e in zip(pairs, e_vals) if not math.isnan(e)]
-            for (k, k_prime), e_val in built[:1] + built[-1:]:
-                _amplitude((e_val + mc2) / (2.0 * e_val), build_radial(mode, k, config))
-                _amplitude((e_val - mc2) / (2.0 * e_val), build_radial(mode, k_prime, config))
+            for _ in _pair_amplitudes(build_radial(mode, 0, config), mode, pairs[:1] + pairs[-1:], config):
+                pass
 
 
 def _product_field(radial: Callable, mode: AngularMode, scale: complex) -> ScalarField2D:
@@ -390,23 +400,16 @@ def _product_field(radial: Callable, mode: AngularMode, scale: complex) -> Scala
 def mode_states(mode: AngularMode, pairs, config: OscillatorConfig, sign: int = 1) -> dict:
     """The paired two-component states of ``mode`` for the (k, k') of
     ``pairs``, keyed by k in order, from one ``energy_column`` call and one
-    radial table of rows 0..max(k, k'); a NaN energy (a negative radicand)
-    skips its k.
+    radial table of rows 0..max(k, k').
 
     Component norms are (E +/- mc^2)/(2E), summing to 1. Both components
     are a real constant >= 0 (the phase convention of the module docstring)
     times the mode object's own F, built on its first evaluation.
     """
-    mc2 = config.rest_energy
-    e_vals = energy_column(Component.UPPER, mode, np.array([k for k, _ in pairs]), config, sign).tolist()
     base = build_radial(mode, 0, config)
     rows = radial_rows(base.order, base.exponent, base.scale, max(map(max, pairs), default=0))
     states = {}
-    for (k, k_prime), e_val in zip(pairs, e_vals):
-        if math.isnan(e_val):
-            continue
-        nu2, nl2 = (e_val + mc2) / (2.0 * e_val), (e_val - mc2) / (2.0 * e_val)
-        cu, cl = _amplitude(nu2, replace(base, index=k)), _amplitude(nl2, replace(base, index=k_prime))
+    for k, k_prime, e_val, (nu2, nl2), (cu, cl) in _pair_amplitudes(base, mode, pairs, config, sign):
         upper = _product_field(lambda rho, k=k: rows(rho)[k], mode, cu)
         lower = (_product_field(lambda rho, k=k_prime: rows(rho)[k], mode, cl) if cl != 0.0
                  else ScalarField2D.zero())
@@ -417,18 +420,15 @@ def mode_states(mode: AngularMode, pairs, config: OscillatorConfig, sign: int = 
 
 def build_spinor(sector: SectorLabel, mode: AngularMode, k: int, config: OscillatorConfig,
                  sign: int = 1, made: dict | None = None) -> SpinorSolution:
-    """The paired two-component state for upper radial index k: the one-pair
-    ``mode_states`` call, or a read of ``made``, the ``mode_states`` of this
-    mode, config and sign over many pairs. A missing partner index raises
-    ``InvalidPairError``, a negative energy radicand ``NegativeRadicandError``."""
+    """The paired two-component state for upper radial index k: a read of
+    ``made``, the ``mode_states`` of this mode, config and sign over many
+    pairs, or else the one-pair ``mode_states`` call. A missing partner
+    index raises ``InvalidPairError``."""
     if sector != mode.sector:
         raise ValueError(f"sector ({sector}) disagrees with the mode {mode}")
     if made is None or k not in made:
         k_prime = pair_radial_indices(sector, classify_regime(config), k, mode.params)
-    if made is None:
         made = mode_states(mode, [(k, k_prime)], config, sign)
-    if k not in made:
-        raise NegativeRadicandError(f"negative energy radicand for sector ({sector}), n={mode.n}, k={k}")
     return made[k]
 
 

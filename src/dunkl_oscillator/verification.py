@@ -53,7 +53,6 @@ from .dunkl_calculus import (
 )
 from .solution_builder import (
     InvalidPairError,
-    NegativeRadicandError,
     OscillatorConfig,
     QuantumNumbers,
     RadialProfile,
@@ -391,7 +390,10 @@ def nonrelativistic_target(
         s_num = 2.0 * k + radial_order(mode) - lam + sigma + 2.0
     else:
         s_num = 2.0 * k + radial_order(mode) + lam - sigma
-    return base_config.hbar * base_config.effective_frequency * s_num
+    target = base_config.hbar * base_config.effective_frequency * s_num
+    if not math.isfinite(target):
+        raise ValueError(f"the nonrelativistic target of sector ({sector}), n={mode.n:g}, k={k} overflows")
+    return target
 
 
 def check_nonrelativistic_limit(
@@ -644,7 +646,7 @@ def sweep_bound_states(
             for k in range(k_max + 1):
                 try:
                     yield build_spinor(sector, mode, k, config, 1, made)
-                except (InvalidPairError, NegativeRadicandError):
+                except InvalidPairError:
                     continue
 
 

@@ -375,6 +375,9 @@ class TestArgparse:
             ["wavefunction", "--k", "201"],
             ["wavefunction", "--grid-rho", "0"],
             ["spectrum", "--sector", "2,1"],
+            ["spectrum", "--omega", "-1"],
+            ["spectrum", "--omega-c", "nan"],
+            ["wavefunction", "--grid-phi", "1000001"],
         ],
     )
     def test_parser_rejects_out_of_range_values(self, argv, capsys):
@@ -440,6 +443,13 @@ class TestArgparse:
         ["wavefunction", "--mu-x", "1e308", "--mu-y", "1e308"],
         ["verify", "--suite", "angular", "--mu-x", "nan"],
         ["verify", "--suite", "angular", "--mu-y=-0.6"],
+        # energies a double cannot resolve: at q = 2e15 the rounding bound of
+        # the E = m c^2 radicand passes 1, and at omega_c = 1e308 it overflows
+        ["spectrum", "--omega", "1e15", "--n", "0", "--k-max", "0"],
+        ["spectrum", "--omega-c", "1e308"],
+        ["wavefunction", "--omega-c", "1e308"],
+        ["verify", "--suite", "kg", "--omega-c", "1e308"],
+        ["verify", "--suite", "nrlimit", "--omega-c", "1e308"],
     ],
 )
 def test_invalid_input_exits_2(argv, capsys):

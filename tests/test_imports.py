@@ -107,3 +107,27 @@ def test_one_angular_jacobi_path():
     elsewhere = {stem: names for stem, names in users.items() if names and stem != "angular_sector"}
     assert not elsewhere, f"Jacobi evaluators named outside angular_sector: {elsewhere}"
     assert len(users["angular_sector"]) == 1, users["angular_sector"]
+
+
+def _names(tree: ast.AST) -> set[str]:
+    return {sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(tree)
+            if isinstance(sub, (ast.Name, ast.Attribute))}
+
+
+def _suppressed(tree: ast.AST) -> set[str]:
+    """The exception names of every ``contextlib.suppress(...)`` / ``suppress(...)`` call."""
+    calls = [sub for sub in ast.walk(tree) if isinstance(sub, ast.Call)
+             and (getattr(sub.func, "attr", None) or getattr(sub.func, "id", None)) == "suppress"]
+    return set().union(*(_names(arg) for call in calls for arg in call.args))
+
+
+def test_one_pairing_path():
+    # k' - k is partner_offset's alone: no other module derives a pair one
+    # k at a time, and no loop skips unpaired k by suppressing the error
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
+    elsewhere = sorted(stem for stem, tree in trees.items()
+                       if stem != "solution_builder" and "pair_radial_indices" in _names(tree))
+    assert not elsewhere, f"pair_radial_indices named outside solution_builder: {elsewhere}"
+    suppressing = sorted(p.name for p in PACKAGE.glob("*.py")
+                         if "InvalidPairError" in _suppressed(ast.parse(p.read_text(encoding="utf-8"))))
+    assert not suppressing, f"contextlib.suppress(InvalidPairError) in {suppressing}"

@@ -39,6 +39,7 @@ from dunkl_oscillator.solution_builder import (
     energy,
     free_particle,
     pair_radial_indices,
+    partner_offset,
     radial_order,
 )
 from dunkl_oscillator.verification import (
@@ -118,6 +119,25 @@ class TestPairing:
     def test_critical_regime_has_no_pairs(self):
         with pytest.raises(RegimeError):
             pair_radial_indices(SectorLabel(1, 1), Regime.CRITICAL, 0, P11)
+        with pytest.raises(RegimeError):
+            partner_offset(SectorLabel(1, 1), Regime.CRITICAL, P11)
+
+    @pytest.mark.parametrize("params", [P00, P11, DunklParams(2.0, 1.0), DunklParams(0.5, 1.5)])
+    def test_every_pair_is_k_plus_the_sector_offset(self, params):
+        # pair_radial_indices and bound_pairs read k' - k from partner_offset:
+        # each sector's pairs are one range, from the first k whose k' >= 0
+        for regime, config in ((Regime.POSITIVE, CFG_POS), (Regime.NEGATIVE, CFG_NEG)):
+            pairs = dict(solution_builder.bound_pairs(params, config, 8))
+            for sector in ALL_SECTORS:
+                offset = partner_offset(sector, regime, params)
+                assert type(offset) is int
+                for k in range(9):
+                    if k + offset < 0:
+                        with pytest.raises(InvalidPairError, match=f"k'={k + offset} is not"):
+                            pair_radial_indices(sector, regime, k, params)
+                    else:
+                        assert pair_radial_indices(sector, regime, k, params) == k + offset
+                assert pairs[sector] == [(k, k + offset) for k in range(9) if k + offset >= 0]
 
 
 class TestEnergy:
@@ -237,6 +257,22 @@ class TestEnergyProperties:
         e_plus = _energy_or_none(component, sector, mode, k, config, 1)
         assume(e_plus is not None)
         assert energy(component, sector, mode, k, config, -1) == -e_plus
+
+
+@given(params=_SPINOR_PARAMS, omega=st.floats(0.05, 5.0),
+       ratio=st.one_of(st.floats(0.0, 1.9), st.floats(2.1, 8.0)))
+@settings(max_examples=40, deadline=None)
+def test_every_bound_pair_has_an_energy_of_at_least_mc2_sqrt_1_plus_q(params, omega, ratio):
+    # every paired upper index has s_num >= 1, since A >= |lambda| (README,
+    # "Physics summary"): no pair of the sweep meets a negative radicand
+    config = OscillatorConfig(omega=omega, omega_c=ratio * omega)
+    mc2 = config.rest_energy
+    floor = mc2 * math.sqrt(1.0 + 2.0 * config.hbar * config.effective_frequency / mc2)
+    for sector, pairs in solution_builder.bound_pairs(params, config, 20):
+        ks = np.array([k for k, _ in pairs])
+        for mode in modes_for_sector(sector, params, 6):
+            e_vals = solution_builder.energy_column(Component.UPPER, mode, ks, config)
+            assert np.all(np.isfinite(e_vals)) and np.all(e_vals >= floor * (1.0 - 1e-12)), (sector, mode)
 
 
 class TestClassicalReduction:
@@ -662,14 +698,6 @@ class TestModeFactorSharing:
                 column[4].amplitudes)
         for a, b in ((alone.upper, column[4].upper), (alone.lower, column[4].lower)):
             assert np.array_equal(a.eval_polar(rho, phi), b.eval_polar(rho, phi))
-
-    def test_mode_states_skips_a_negative_radicand(self):
-        # the upper radicand of this mode is negative at k = 0 and positive at k = 7
-        mode = AngularMode(SectorLabel(1, 1), 1, -1, DunklParams(3.0, 3.0))
-        cfg = OscillatorConfig(omega=50.0)
-        states = solution_builder.mode_states(mode, [(0, 0), (7, 0)], cfg)
-        assert list(states) == [7]
-        assert states[7].energy == energy(Component.UPPER, SectorLabel(1, 1), mode, 7, cfg, 1)
 
     def test_radial_rows_are_read_only_and_equal_the_profile(self):
         mode = AngularMode(SectorLabel(1, 1), 1, 1, P11)

@@ -23,6 +23,7 @@ from dunkl_oscillator.dunkl_calculus import (
     Component,
     DunklParams,
     ScalarField2D,
+    SingularPointError,
     angular_j,
     b_phi_apply,
     dirac_apply,
@@ -32,11 +33,15 @@ from dunkl_oscillator.solution_builder import (
     InvalidPairError,
     NegativeRadicandError,
     OscillatorConfig,
+    QuantumNumbers,
+    Regime,
     RegimeError,
     SpinorSolution,
+    build_radial,
     build_spinor,
     classify_regime,
     energy,
+    energy_column,
     free_particle,
     pair_radial_indices,
 )
@@ -50,6 +55,7 @@ from dunkl_oscillator.verification import (
     check_kg_eigen,
     check_nonrelativistic_limit,
     check_orthonormality,
+    classical_oscillator_b_energy,
     classical_pair_solution,
     coupled_reflection_eigenstate,
     matrix_oracle_lambda,
@@ -62,6 +68,8 @@ P11 = DunklParams(1.0, 1.0)
 P00 = DunklParams(0.0, 0.0)
 CFG = OscillatorConfig(omega=1.0)
 CFG_NEG = OscillatorConfig(omega=0.25, omega_c=2.5)
+CFG_CRIT = OscillatorConfig(omega=1.0, omega_c=2.0)
+MODE11 = AngularMode(SectorLabel(1, 1), 1, 1, P11)
 
 
 class TestReportMechanics:
@@ -738,3 +746,27 @@ def test_random_block_of_free_states_of_one_energy_matches_its_states_bit_for_bi
     block = [states[p % len(states)] for p in picks]
     alone = [r for st in block for r in check_kg_eigen(_alone(st)).records]
     assert _signature(check_kg_eigen(block).records) == _signature(alone)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: AngularMode(SectorLabel(1, 1), 1, 0, P11), ValueError),
+    (lambda: kg_apply(Component.UPPER, ScalarField2D.zero(), P11, CFG, (np.array([1e-4]), np.array([0.3])),
+                      h=1e-4), SingularPointError),
+    (lambda: QuantumNumbers(-1, 0), ValueError),
+    (lambda: pair_radial_indices(SectorLabel(1, 1), Regime.POSITIVE, -1, P11), ValueError),
+    (lambda: energy(Component.UPPER, SectorLabel(1, 1), MODE11, -1, CFG, 1), ValueError),
+    (lambda: build_radial(MODE11, -1, CFG), ValueError),
+    (lambda: energy_column(Component.UPPER, MODE11, 0, CFG, sign=2), ValueError),
+    (lambda: matrix_oracle_lambda(SectorLabel(1, 1), P11, basis_size=0), ValueError),
+    (lambda: classical_oscillator_b_energy(Component.UPPER, 0, 0, CFG_CRIT), RegimeError),
+    (lambda: classical_pair_solution(0, 1, CFG_NEG), RegimeError),
+    (lambda: coupled_reflection_eigenstate(Component.UPPER, 0, 1, 1, 0, P11, CFG), ValueError),
+    (lambda: coupled_reflection_eigenstate(Component.UPPER, 1, 1, 1, 0, P11, CFG_CRIT), RegimeError),
+    (lambda: next(sweep_bound_states(P11, CFG_CRIT)), RegimeError),
+], ids=["branch", "kg-origin", "quantum", "pair-k", "energy-k", "radial-k", "energy-sign", "basis-size",
+        "classical-critical", "classical-pair-negative", "coupled-epsilon", "coupled-critical",
+        "sweep-critical"])
+def test_each_input_guard_raises_its_own_error(call, error):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert exc.type is error
