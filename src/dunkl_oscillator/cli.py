@@ -149,8 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_wf.add_argument("--k", type=_bounded(int, 0, MAX_DEGREE), default=1)
     p_wf.add_argument("--grid-rho", type=_bounded(int, 1, MAX_GRID_SIDE), default=12)
     p_wf.add_argument("--grid-phi", type=_bounded(int, 1, MAX_GRID_SIDE), default=16)
-    p_wf.add_argument("--energy", type=float, default=None,
-                      help="free-particle energy (critical regime only)")
+    p_wf.add_argument("--energy", type=_bounded(float, 0.0, strict=True), default=None,
+                      help="free-particle energy, >= m c^2 (critical regime only)")
 
     p_ver = sub.add_parser("verify", help="run a verification suite, emit JSON")
     system(p_ver)

@@ -38,6 +38,8 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
+from .special_functions import DomainError
+
 if TYPE_CHECKING:  # pragma: no cover
     from .solution_builder import OscillatorConfig
 
@@ -379,77 +381,74 @@ def dirac_apply(
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Polar nodes ``(rho, phi)`` and weights that integrate drho dphi.
-
-    The Jacobian rho is part of the deformation weight applied by
-    ``weighted_inner_product``. An angular rule puts every node on the
-    unit circle (rho = 1), where its weights integrate dphi.
-    """
+    """Polar nodes ``(rho, phi)`` and weights that hold the measure
+    |x|^{2mu_x} |y|^{2mu_y} dx dy of one ``DunklParams``. An angular rule
+    puts every node on the unit circle (rho = 1)."""
 
     rho: np.ndarray
     phi: np.ndarray
     weights: np.ndarray
 
 
-def _gauss_on(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    t, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (b - a) * t + 0.5 * (a + b), 0.5 * (b - a) * w
+ANGULAR_NODES = 40  # Gauss-Jacobi nodes per quarter turn
 
 
 @functools.lru_cache(maxsize=8)
-def angular_quadrature(n_per_panel: int = 48) -> QuadratureRule:
-    """Composite Gauss-Legendre rule on [0, 2pi), split at the axis angles.
+def angular_quadrature(params: DunklParams) -> QuadratureRule:
+    """Gauss-Jacobi rule for |cos phi|^{2mu_x} |sin phi|^{2mu_y} dphi on [0, 2pi).
 
-    The deformation weight |cos|^{2mu_x} |sin|^{2mu_y} is non-smooth at
-    multiples of pi/2, so each quarter is integrated separately. The rule
-    is built once per panel size; its arrays are read-only.
+    On a quarter turn, x = -cos 2phi makes the measure the Jacobi weight
+    (1-x)^a (1+x)^b dx / 2^{a+b+2}, a = mu_x - 1/2, b = mu_y - 1/2, whose
+    Golub-Welsch rule integrates products of one sector's modes exactly;
+    mirrored into the four quarters, it sums odd cross terms to zero. Built
+    once per ``params``, with read-only arrays.
     """
-    nodes, weights = [], []
-    for k in range(4):
-        x, w = _gauss_on(k * np.pi / 2.0, (k + 1) * np.pi / 2.0, n_per_panel)
-        nodes.append(x)
-        weights.append(w)
-    phi = np.concatenate(nodes)
-    rule = QuadratureRule(np.ones_like(phi), phi, np.concatenate(weights))
+    a, b = params.mu_x - 0.5, params.mu_y - 0.5
+    if a <= -1.0 or b <= -1.0:
+        raise DomainError(f"angular_quadrature needs Jacobi parameters > -1, got {a}, {b}")
+    # The monic recurrence, its k = 0 and k = 1 terms in closed form: a + b
+    # may round to a tiny nonzero value where it is 0, and they divide by it.
+    k = np.arange(1, ANGULAR_NODES)
+    s = 2.0 * k + a + b
+    diag = np.concatenate(([(b - a) / (a + b + 2.0)], (b * b - a * a) / (s * (s + 2.0))))
+    k, s = k[1:], s[1:]
+    off2 = 4.0 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0))
+    off = np.sqrt(np.concatenate(([4.0 * (a + 1.0) * (b + 1.0) / ((a + b + 2.0) ** 2 * (a + b + 3.0))], off2)))
+    x, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    mass = math.exp(math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0)) / 2.0
+    phi = 0.5 * np.arccos(-x)
+    phi = np.concatenate((phi, np.pi - phi, np.pi + phi, 2.0 * np.pi - phi))
+    rule = QuadratureRule(np.ones_like(phi), phi, np.tile(mass * vecs[0] ** 2, 4))
     for arr in (rule.rho, rule.phi, rule.weights):
         arr.flags.writeable = False
     return rule
 
 
 def polar_quadrature(
+    params: DunklParams,
     r_max: float,
     n_radial: int = 200,
-    n_per_panel: int = 48,
     r_min: float = 0.0,
 ) -> QuadratureRule:
-    """Gauss-Legendre radii on [r_min, r_max] times the angular rule."""
-    r, wr = _gauss_on(r_min, r_max, n_radial)
-    ang = angular_quadrature(n_per_panel)
+    """Gauss-Legendre radii on [r_min, r_max], with rho^{2mu_+ + 1} in their
+    weights, times the angular rule of ``params``."""
+    t, wt = np.polynomial.legendre.leggauss(n_radial)
+    r = 0.5 * (r_max - r_min) * t + 0.5 * (r_max + r_min)
+    wr = 0.5 * (r_max - r_min) * wt * r ** (2.0 * params.mu_plus + 1.0)
+    ang = angular_quadrature(params)
     rr, pp = np.meshgrid(r, ang.phi, indexing="ij")
     return QuadratureRule(rr.ravel(), pp.ravel(), np.outer(wr, ang.weights).ravel())
 
 
-def weighted_inner_product(
-    f: ScalarField2D,
-    g: ScalarField2D,
-    params: DunklParams,
-    rule: QuadratureRule,
-) -> complex | np.ndarray:
-    """<f, g> against the weight |x|^{2mu_x} |y|^{2mu_y}.
+def weighted_inner_product(f: ScalarField2D, g: ScalarField2D, rule: QuadratureRule) -> complex | np.ndarray:
+    """<f, g> as the plain weighted sum of the rule, which holds the measure.
 
-    The measure picks up rho^{2(mu_x+mu_y)+1}, which is exactly 1 on an
-    angular rule, so there the integral runs over the unit circle. Two
-    fields of K rows give the (K, K) matrix of <f_i, g_j>, summed over the
-    nodes elementwise (a BLAS product costs memory); two scalar ones, a value.
+    Two fields of K rows give the (K, K) matrix of <f_i, g_j>, summed over
+    the nodes elementwise (a BLAS product costs memory); two scalar ones, a
+    value.
     """
-    rho, phi = rule.rho, rule.phi
-    wgt = (
-        np.abs(np.cos(phi)) ** (2.0 * params.mu_x)
-        * np.abs(np.sin(phi)) ** (2.0 * params.mu_y)
-        * rho ** (2.0 * params.mu_plus + 1.0)
-    )
-    f_vals, g_vals = np.conjugate(f.eval_polar(rho, phi)), g.eval_polar(rho, phi)
+    f_vals, g_vals = np.conjugate(f.eval_polar(rule.rho, rule.phi)), g.eval_polar(rule.rho, rule.phi)
     if (rows := np.ndim(f_vals) > 1) != (np.ndim(g_vals) > 1):
         raise ValueError("f and g must both be scalar fields or both have rows")
-    gram = np.sum(rule.weights * wgt * (np.atleast_2d(f_vals)[:, None] * np.atleast_2d(g_vals)[None]), axis=-1)
+    gram = np.sum(rule.weights * (np.atleast_2d(f_vals)[:, None] * np.atleast_2d(g_vals)[None]), axis=-1)
     return gram if rows else complex(gram[0, 0])

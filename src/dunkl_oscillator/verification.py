@@ -299,7 +299,7 @@ def check_orthonormality(
     params = modes[0].params
     rows = eigenfunction_rows(modes)
     fld = ScalarField2D(lambda rho, phi: rows(phi))
-    gram = weighted_inner_product(fld, fld, params, angular_quadrature())
+    gram = weighted_inner_product(fld, fld, angular_quadrature(params))
     deviation = float(np.max(np.abs(gram - np.eye(len(modes)))))
     labels = ";".join(f"{m.sector}|{m.n:g}|{m.branch:+d}" for m in modes)
     record = CheckRecord(

@@ -88,7 +88,7 @@ class TestPhiFamilies:
 
     @pytest.mark.parametrize("params", [P11, P21, DunklParams(0.5, 0.5)])
     def test_normalization_all_families(self, params):
-        rule = angular_quadrature()
+        rule = angular_quadrature(params)
         cases = [
             (lambda phi: phi_pp(2, params, phi)),
             (lambda phi: phi_mm(3, params, phi)),
@@ -97,7 +97,7 @@ class TestPhiFamilies:
         ]
         for fn in cases:
             fld = _angular_field(fn)
-            val = weighted_inner_product(fld, fld, params, rule)
+            val = weighted_inner_product(fld, fld, rule)
             assert val.real == pytest.approx(1.0, abs=1e-10)
 
     def test_reflection_signatures(self):
@@ -190,12 +190,12 @@ class TestEigenfunctions:
         assert np.allclose(vals, expect, atol=1e-12)
 
     def test_orthonormal_within_sector(self):
-        rule = angular_quadrature()
+        rule = angular_quadrature(P11)
         for sector in ALL_SECTORS:
             modes = modes_for_sector(sector, P11, 4)
             fields = [f_eigenfunction(m) for m in modes]
             gram = np.array(
-                [[weighted_inner_product(a, b, P11, rule) for b in fields] for a in fields]
+                [[weighted_inner_product(a, b, rule) for b in fields] for a in fields]
             )
             assert np.max(np.abs(gram - np.eye(len(modes)))) <= 1e-8
 

@@ -243,6 +243,12 @@ class TestVerify:
             assert set(payload) == {"suite", "checks", "pass"}
             assert payload["pass"] is True and code == 0
 
+    def test_ortho_passes_where_two_mu_is_not_an_integer(self):
+        code, text = _run(["verify", "--suite", "ortho", "--mu-x", "0.3", "--mu-y", "0.7"])
+        checks = json.loads(text)["checks"]
+        assert code == 0
+        assert len(checks) == 4 and all(rec["pass"] for rec in checks)
+
     def test_dirac_suite_reports_coupling_failure(self):
         # the shared-angular closed-form pairs do not satisfy the coupled
         # first-order system; the suite reports that honestly (exit 1)
@@ -378,6 +384,8 @@ class TestArgparse:
             ["spectrum", "--omega", "-1"],
             ["spectrum", "--omega-c", "nan"],
             ["wavefunction", "--grid-phi", "1000001"],
+            ["wavefunction", "--energy", "nan"],
+            ["wavefunction", "--energy", "0"],
         ],
     )
     def test_parser_rejects_out_of_range_values(self, argv, capsys):

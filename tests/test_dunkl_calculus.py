@@ -12,6 +12,7 @@ import pytest
 
 from dunkl_oscillator.angular_sector import AngularMode, SectorLabel, f_eigenfunction
 from dunkl_oscillator.dunkl_calculus import (
+    ANGULAR_NODES,
     Axis,
     Component,
     DunklParams,
@@ -28,6 +29,7 @@ from dunkl_oscillator.dunkl_calculus import (
     weighted_inner_product,
 )
 from dunkl_oscillator.solution_builder import OscillatorConfig, build_spinor
+from dunkl_oscillator.special_functions import DomainError
 from dunkl_oscillator.verification import classical_pair_solution
 
 F_X = ScalarField2D.from_xy(lambda x, y: x + 0j)
@@ -239,17 +241,56 @@ class TestDiracApply:
         assert r1a[0] == pytest.approx(complex(expect[0]), rel=1e-5)
 
 
+class TestAngularQuadrature:
+    # (0, 0): a + b = -1; (0.3, 0.7): a + b rounds to about -3e-17, not 0
+    @pytest.mark.parametrize("mu", [(0.0, 0.0), (0.3, 0.7), (3.0, 0.0)], ids=str)
+    def test_first_quarter_is_the_gauss_jacobi_rule(self, mu):
+        from scipy.special import roots_jacobi
+
+        a, b = mu[0] - 0.5, mu[1] - 0.5
+        x_ref, w_ref = roots_jacobi(ANGULAR_NODES, a, b)
+        rule = angular_quadrature(DunklParams(*mu))
+        quarter = slice(0, ANGULAR_NODES)
+        # x = -cos 2phi maps the Jacobi weight dx onto 2^{a+b+2} times the measure dphi
+        w = rule.weights[quarter] * 2.0 ** (a + b + 2.0)
+        assert np.max(np.abs(-np.cos(2.0 * rule.phi[quarter]) - x_ref)) <= 1e-12
+        assert np.max(np.abs(w - w_ref)) <= 1e-12 * np.sum(w_ref)
+
+    @pytest.mark.parametrize("mu", [(0.0, 0.0), (0.3, 0.7), (3.0, 0.0), (0.25, 2.5)], ids=str)
+    def test_mass_is_twice_the_beta_function(self, mu):
+        a, b = mu[0] + 0.5, mu[1] + 0.5
+        mass = 2.0 * math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+        rule = angular_quadrature(DunklParams(*mu))
+        assert np.sum(rule.weights) == pytest.approx(mass, rel=1e-13)
+
+    def test_nodes_fill_the_four_quarters_by_mirroring(self):
+        phi = angular_quadrature(DunklParams(0.3, 0.7)).phi
+        assert phi.shape == (4 * ANGULAR_NODES,)
+        assert np.all((phi > 0.0) & (phi < 2.0 * np.pi))
+        quarter = phi[:ANGULAR_NODES]
+        assert np.array_equal(phi[ANGULAR_NODES:], np.concatenate(
+            (np.pi - quarter, np.pi + quarter, 2.0 * np.pi - quarter)))
+
+    def test_mu_minus_one_half_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="Jacobi parameters"):
+            angular_quadrature(DunklParams(-0.5, 1.0))
+
+
 class TestWeightedInnerProduct:
     def test_rules_integrate_plain_measure(self):
-        ang = angular_quadrature()
+        # |cos|^{2mu_x} |sin|^{2mu_y} dphi has mass 2 B(mu_x + 1/2, mu_y + 1/2);
+        # the disk of radius 5 adds rho^{2mu_+ + 1} drho, 5^{2mu_+ + 2} / (2mu_+ + 2)
+        params = DunklParams(0.3, 0.7)
+        mass = 2 * math.gamma(0.8) * math.gamma(1.2) / math.gamma(2.0)
+        ang = angular_quadrature(params)
         assert np.all(ang.weights > 0)
-        assert np.sum(ang.weights) == pytest.approx(2 * np.pi, rel=1e-13)
-        pol = polar_quadrature(5.0, 64, 32)
-        assert np.sum(pol.weights) == pytest.approx(10 * np.pi, rel=1e-13)
+        assert np.sum(ang.weights) == pytest.approx(mass, rel=1e-13)
+        pol = polar_quadrature(params, 5.0, 64)
+        assert np.sum(pol.weights) == pytest.approx(mass * 5.0**4 / 4.0, rel=1e-13)
 
     def test_angular_rule_is_built_once_and_read_only(self):
-        rule = angular_quadrature()
-        assert angular_quadrature() is rule
+        rule = angular_quadrature(DunklParams(1.0, 1.0))
+        assert angular_quadrature(DunklParams(1.0, 1.0)) is rule
         for arr in (rule.rho, rule.phi, rule.weights):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
@@ -258,7 +299,7 @@ class TestWeightedInnerProduct:
         params = DunklParams(1.0, 1.0)
         mode = AngularMode(SectorLabel(1, 1), 0, 1, params)
         fld = f_eigenfunction(mode)
-        val = weighted_inner_product(fld, fld, params, angular_quadrature())
+        val = weighted_inner_product(fld, fld, angular_quadrature(params))
         assert val.real == pytest.approx(1.0, abs=1e-10)
         assert abs(val.imag) <= 1e-12
 
@@ -266,28 +307,28 @@ class TestWeightedInnerProduct:
         params = DunklParams(1.0, 1.0)
         f1 = f_eigenfunction(AngularMode(SectorLabel(1, 1), 1, 1, params))
         f2 = f_eigenfunction(AngularMode(SectorLabel(1, 1), 2, 1, params))
-        val = weighted_inner_product(f1, f2, params, angular_quadrature())
+        val = weighted_inner_product(f1, f2, angular_quadrature(params))
         assert abs(val) <= 1e-10
 
     def test_zero_fields(self):
         z = ScalarField2D.zero()
-        val = weighted_inner_product(z, z, DunklParams(1.0, 1.0), angular_quadrature())
+        val = weighted_inner_product(z, z, angular_quadrature(DunklParams(1.0, 1.0)))
         assert val == 0.0
 
     def test_scalar_fields_give_the_plain_weighted_sum_and_rows_do_not_mix_with_them(self):
-        params, rule = DunklParams(0.5, 1.5), angular_quadrature()
+        params = DunklParams(0.5, 1.5)
+        rule = angular_quadrature(params)
         modes = [AngularMode(SectorLabel(1, 1), n, 1, params) for n in (1, 2)]
         f, g = (f_eigenfunction(m) for m in modes)
-        wgt = np.abs(np.cos(rule.phi)) ** 1.0 * np.abs(np.sin(rule.phi)) ** 3.0 * rule.rho ** 5.0
-        plain = complex(np.sum(rule.weights * wgt * (np.conjugate(f.eval_polar(rule.rho, rule.phi))
-                                                     * g.eval_polar(rule.rho, rule.phi))))
-        val = weighted_inner_product(f, g, params, rule)
+        plain = complex(np.sum(rule.weights * (np.conjugate(f.eval_polar(rule.rho, rule.phi))
+                                               * g.eval_polar(rule.rho, rule.phi))))
+        val = weighted_inner_product(f, g, rule)
         assert type(val) is complex and val == plain
         rows = ScalarField2D(lambda rho, phi: np.stack([f.eval_polar(rho, phi), g.eval_polar(rho, phi)]))
-        assert weighted_inner_product(rows, rows, params, rule)[0, 1] == plain
+        assert weighted_inner_product(rows, rows, rule)[0, 1] == plain
         for a, b in ((f, rows), (rows, g)):
             with pytest.raises(ValueError, match="both"):
-                weighted_inner_product(a, b, params, rule)
+                weighted_inner_product(a, b, rule)
 
     def test_anti_hermiticity_of_dunkl_derivative(self):
         # <f | D g> = -<g | D f>* for decaying smooth fields; the step is
@@ -299,7 +340,7 @@ class TestWeightedInnerProduct:
         g = ScalarField2D.from_xy(lambda x, y: (y * y + 1j * x - 0.2) * np.exp(-(x * x + y * y)))
         # r_min > 0 keeps every node coordinate outside the operators'
         # 10*h axis guard; the dropped disk contributes O(r_min^5) here
-        rule = polar_quadrature(7.0, 180, 48, r_min=0.02)
+        rule = polar_quadrature(params, 7.0, 180, r_min=0.02)
 
         def d_of(fld, axis):
             return ScalarField2D.from_xy(
@@ -307,8 +348,8 @@ class TestWeightedInnerProduct:
             )
 
         for axis in (Axis.X, Axis.Y):
-            lhs = weighted_inner_product(f, d_of(g, axis), params, rule)
-            rhs = -np.conjugate(weighted_inner_product(g, d_of(f, axis), params, rule))
+            lhs = weighted_inner_product(f, d_of(g, axis), rule)
+            rhs = -np.conjugate(weighted_inner_product(g, d_of(f, axis), rule))
             assert lhs == pytest.approx(rhs, abs=1e-8)
 
 

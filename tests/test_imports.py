@@ -131,3 +131,28 @@ def test_one_pairing_path():
     suppressing = sorted(p.name for p in PACKAGE.glob("*.py")
                          if "InvalidPairError" in _suppressed(ast.parse(p.read_text(encoding="utf-8"))))
     assert not suppressing, f"contextlib.suppress(InvalidPairError) in {suppressing}"
+
+
+def _callee(node: ast.AST) -> str | None:
+    """The name a call calls: ``abs(...)`` -> "abs", ``np.cos(...)`` -> "cos"."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+    return None
+
+
+def _angular_weights(tree: ast.Module) -> list[int]:
+    """Lines that raise ``abs(cos(.))`` or ``abs(sin(.))`` to a power."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and _callee(node.left) in {"abs", "absolute"} and node.left.args
+            and _callee(node.left.args[0]) in {"cos", "sin"}]
+
+
+def test_one_angular_measure():
+    # the deformation weight |cos|^{2mu_x} |sin|^{2mu_y} lives in the weights
+    # of angular_quadrature; evaluating it anywhere else would apply it twice
+    found = {p.name: lines for p in MODULES
+             if (lines := _angular_weights(ast.parse(p.read_text(encoding="utf-8"))))}
+    assert not found, f"|cos|**p or |sin|**p evaluated outside the quadrature rule: {found}"
+    assert _angular_weights(ast.parse("w = np.abs(np.cos(phi)) ** 2")) == [1]
+    assert _angular_weights(ast.parse("w = np.cos(phi) ** 2")) == []

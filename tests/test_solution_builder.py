@@ -367,9 +367,9 @@ class TestBuildSpinor:
     def test_quadrature_norms_match_split(self):
         mode = AngularMode(SectorLabel(1, -1), 0.5, 1, P11)
         sol = build_spinor(SectorLabel(1, -1), mode, 1, CFG_POS, 1)
-        rule = polar_quadrature(10.838109195829931, 180, 48)  # rho^30 exp(-rho^2) < 1e-18
-        nu = weighted_inner_product(sol.upper, sol.upper, P11, rule)
-        nl = weighted_inner_product(sol.lower, sol.lower, P11, rule)
+        rule = polar_quadrature(P11, 10.838109195829931, 180)  # rho^30 exp(-rho^2) < 1e-18
+        nu = weighted_inner_product(sol.upper, sol.upper, rule)
+        nl = weighted_inner_product(sol.lower, sol.lower, rule)
         assert nu.real == pytest.approx(sol.norm_upper, abs=1e-6)
         assert nl.real == pytest.approx(sol.norm_lower, abs=1e-6)
 
