@@ -165,9 +165,11 @@ def remember_last(fn: Callable[[np.ndarray], np.ndarray]):
     return remembered
 
 
-def _check_symmetric_near_axis(coord, diff, scale, h: float, what: str) -> None:
-    coord = np.asarray(coord, dtype=float)
-    near = np.abs(coord) < 10.0 * h
+def _check_symmetric_near_axis(distance, diff, scale, h: float, what: str) -> None:
+    """Raise ``SingularPointError`` where a point lies within 10 h of a
+    singular locus (``distance``, or a signed coordinate, to it) and the
+    reflection difference ``diff`` there does not vanish."""
+    near = np.abs(np.asarray(distance, dtype=float)) < 10.0 * h
     if not np.any(near):
         return
     bad = near & (np.abs(diff) > SYMMETRY_TOL * np.maximum(1.0, scale))
@@ -204,49 +206,36 @@ def dunkl_derivative(
     reflection-difference term is exact.
     """
     x, y = np.asarray(point[0], dtype=float), np.asarray(point[1], dtype=float)
-    f0 = field(x, y)
     if axis is Axis.X:
-        central = (field(x + h, y) - field(x - h, y)) / (2.0 * h)
-        mu = params.mu_x
-        if mu == 0.0:
-            return central
-        diff = f0 - field(-x, y)
-        coord = x
+        plus, minus, mirror, coord, mu = (x + h, y), (x - h, y), (-x, y), x, params.mu_x
     else:
-        central = (field(x, y + h) - field(x, y - h)) / (2.0 * h)
-        mu = params.mu_y
-        if mu == 0.0:
-            return central
-        diff = f0 - field(x, -y)
-        coord = y
+        plus, minus, mirror, coord, mu = (x, y + h), (x, y - h), (x, -y), y, params.mu_y
+    f0 = field(x, y)
+    central = (field(*plus) - field(*minus)) / (2.0 * h)
+    if mu == 0.0:
+        return central
+    diff = f0 - field(*mirror)
     _check_symmetric_near_axis(coord, diff, np.abs(f0), h, "dunkl_derivative")
     return central + _reflection_quotient(coord, diff, central, mu)
 
 
-def _angular_reflections(field: ScalarField2D, rho, phi):
-    """Field values at phi, pi - phi (R_x) and -phi (R_y)."""
+def _angular_stencil(field: ScalarField2D, point_polar, params: DunklParams, h: float, what: str):
+    """phi and the field at phi, pi - phi (R_x), -phi (R_y), phi + h and
+    phi - h. Before phi +/- h, a reflection with mu != 0 is checked at
+    the angles within 10 h of its singular locus: R_x near pi/2 and 3pi/2,
+    R_y near 0 and pi."""
+    rho, phi = np.asarray(point_polar[0], dtype=float), np.asarray(point_polar[1], dtype=float)
     f0 = field.eval_polar(rho, phi)
     frx = field.eval_polar(rho, np.pi - phi)
     fry = field.eval_polar(rho, -phi)
-    return f0, frx, fry
-
-
-def _guard_angle(phi, f0, frx, fry, params: DunklParams, h: float, what: str) -> None:
-    phi = np.asarray(phi, dtype=float)
     # distance to the nearest multiple of pi/2
     d = np.abs(phi / (0.5 * np.pi) - np.round(phi / (0.5 * np.pi))) * 0.5 * np.pi
-    near = d < 10.0 * h
-    if not np.any(near):
-        return
-    scale = np.maximum(1.0, np.abs(f0))
-    on_y_axis = np.abs(np.cos(phi)) < np.abs(np.sin(phi))  # phi near pi/2, 3pi/2
-    bad_x = near & on_y_axis & (params.mu_x != 0.0) & (np.abs(f0 - frx) > SYMMETRY_TOL * scale)
-    bad_y = near & ~on_y_axis & (params.mu_y != 0.0) & (np.abs(f0 - fry) > SYMMETRY_TOL * scale)
-    if np.any(bad_x) or np.any(bad_y):
-        raise SingularPointError(
-            f"{what} applied within 10*h of an axis angle where the "
-            "reflection difference does not vanish"
-        )
+    if np.any(d < 10.0 * h):
+        on_y_axis = np.abs(np.cos(phi)) < np.abs(np.sin(phi))  # phi near pi/2, 3pi/2
+        for on_locus, mu, mirrored in ((on_y_axis, params.mu_x, frx), (~on_y_axis, params.mu_y, fry)):
+            if mu != 0.0:
+                _check_symmetric_near_axis(np.where(on_locus, d, np.inf), f0 - mirrored, np.abs(f0), h, what)
+    return phi, f0, frx, fry, field.eval_polar(rho, phi + h), field.eval_polar(rho, phi - h)
 
 
 def angular_j(
@@ -260,11 +249,9 @@ def angular_j(
     Only d/dphi is discretized; the reflection differences and the
     cot/tan factors are exact.
     """
-    rho, phi = np.asarray(point_polar[0], dtype=float), np.asarray(point_polar[1], dtype=float)
-    f0, frx, fry = _angular_reflections(field, rho, phi)
-    _guard_angle(phi, f0, frx, fry, params, h, "angular_j")
-    dphi = (field.eval_polar(rho, phi + h) - field.eval_polar(rho, phi - h)) / (2.0 * h)
-    out = dphi
+    phi, f0, frx, fry, fp, fm = _angular_stencil(field, point_polar, params, h, "angular_j")
+    out = (fp - fm) / (2.0 * h)
+    del fp, fm
     if params.mu_y != 0.0:
         out = out + params.mu_y * (f0 - fry) / np.tan(phi)
     if params.mu_x != 0.0:
@@ -283,11 +270,7 @@ def b_phi_apply(
     This is the operator whose double relation to J reads
     ``J^2 = 2 B_phi + 2 mu_x mu_y (1 - R_x R_y)``.
     """
-    rho, phi = np.asarray(point_polar[0], dtype=float), np.asarray(point_polar[1], dtype=float)
-    f0, frx, fry = _angular_reflections(field, rho, phi)
-    _guard_angle(phi, f0, frx, fry, params, h, "b_phi_apply")
-    fp = field.eval_polar(rho, phi + h)
-    fm = field.eval_polar(rho, phi - h)
+    phi, f0, frx, fry, fp, fm = _angular_stencil(field, point_polar, params, h, "b_phi_apply")
     d1 = (fp - fm) / (2.0 * h)
     d2 = (fp - 2.0 * f0 + fm) / (h * h)
     del fp, fm

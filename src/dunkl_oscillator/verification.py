@@ -382,8 +382,11 @@ def nonrelativistic_target(
     """First-order term of the upper energy's expansion in 1/c^2.
 
     hbar w~ (2k + A + lambda - sigma) for w~ > 0 and
-    hbar |w~| (2k + A - lambda + sigma + 2) for w~ < 0.
+    hbar |w~| (2k + A - lambda + sigma + 2) for w~ < 0. ``sector`` must be
+    the mode's own.
     """
+    if sector != mode.sector:
+        raise ValueError(f"sector ({sector}) disagrees with the mode {mode}")
     lam = lambda_eigenvalue(mode)
     sigma = mode.params.signed_sum(sector.s_x, sector.s_y)
     if classify_regime(base_config) is Regime.NEGATIVE:
@@ -684,7 +687,8 @@ def run_suite(
     check its states in blocks of at most ``_STATE_BLOCK`` consecutive
     states, across modes and sectors (critical regime: free states of one
     energy), one operator application per block and component; the
-    angular suite checks each sector's modes in one application. Records
+    angular suite checks each sector's modes in one application, on the
+    mode list that the ortho suite shares. Records
     come sorted by name, so the blocking does not show in the report.
     ``threads`` accepts only 1: it is kept so that existing callers passing
     ``threads=1`` keep working; a thread pool gave no speed-up, as the
@@ -707,14 +711,13 @@ def run_suite(
         return DEFAULT_TOLS[name] if tol is None else tol
 
     records: list[CheckRecord] = []
-    if "angular" in wanted:
+    if "angular" in wanted or "ortho" in wanted:
         for sector in ALL_SECTORS:
             modes = modes_for_sector(sector, params, ANGULAR_N_MAX)
-            records.extend(check_angular_eigen(modes, tol=tol_for("angular"), h=h).records)
-    if "ortho" in wanted:
-        for sector in ALL_SECTORS:
-            modes = modes_for_sector(sector, params, ANGULAR_N_MAX)
-            records.extend(check_orthonormality(modes, tol=tol_for("ortho")).records)
+            if "angular" in wanted:
+                records.extend(check_angular_eigen(modes, tol=tol_for("angular"), h=h).records)
+            if "ortho" in wanted:
+                records.extend(check_orthonormality(modes, tol=tol_for("ortho")).records)
     # kg and dirac check each block of states together, in one walk of the sweep
     checks = [(name, check) for name, check in (("kg", check_kg_eigen), ("dirac", check_dirac_system))
               if name in wanted]

@@ -165,6 +165,42 @@ class TestAngularOperator:
             angular_j(fld, (1.0, 1e-6), DunklParams(1.0, 1.0))
 
 
+_ODD_XY = ScalarField2D.from_xy(lambda x, y: x + y + 0j)  # odd under both reflections
+_EVEN_X = ScalarField2D.from_xy(lambda x, y: x * x + y + 0j)
+_EVEN_Y = ScalarField2D.from_xy(lambda x, y: x + y * y + 0j)
+
+
+def _polar(op, phi):
+    return lambda fld, params: op(fld, (1.0, phi), params)
+
+
+# (operator at a point near one singular locus, the params that switch off
+# that locus' reflection, a field even under that reflection)
+_GUARDED = {
+    "derivative-x-at-x0": (lambda fld, params: dunkl_derivative(fld, Axis.X, (1e-6, 0.4), params),
+                           DunklParams(0.0, 1.0), _EVEN_X),
+    "derivative-y-at-y0": (lambda fld, params: dunkl_derivative(fld, Axis.Y, (0.4, 1e-6), params),
+                           DunklParams(1.0, 0.0), _EVEN_Y),
+    **{f"{op.__name__}-at-{label}": (_polar(op, phi + 1e-6), zero_mu, even)
+       for op in (angular_j, b_phi_apply)
+       for label, phi, zero_mu, even in (
+           ("0", 0.0, DunklParams(1.0, 0.0), _EVEN_Y),
+           ("pi/2", 0.5 * np.pi, DunklParams(0.0, 1.0), _EVEN_X),
+           ("pi", np.pi, DunklParams(1.0, 0.0), _EVEN_Y),
+           ("3pi/2", 1.5 * np.pi, DunklParams(0.0, 1.0), _EVEN_X))},
+}
+
+
+class TestSingularLocusGuard:
+    @pytest.mark.parametrize("case", _GUARDED.values(), ids=_GUARDED.keys())
+    def test_raises_only_where_the_reflection_difference_and_its_mu_are_nonzero(self, case):
+        apply, zero_mu, even = case
+        with pytest.raises(SingularPointError):
+            apply(_ODD_XY, DunklParams(1.0, 1.0))
+        assert np.isfinite(apply(_ODD_XY, zero_mu))
+        assert np.isfinite(apply(even, DunklParams(1.0, 1.0)))
+
+
 class TestKgApply:
     def test_exact_eigenstate_mixed_parity_sector(self):
         # mu_x = mu_y makes the mixed-parity closed forms exact eigenstates

@@ -156,3 +156,21 @@ def test_one_angular_measure():
     assert not found, f"|cos|**p or |sin|**p evaluated outside the quadrature rule: {found}"
     assert _angular_weights(ast.parse("w = np.abs(np.cos(phi)) ** 2")) == [1]
     assert _angular_weights(ast.parse("w = np.cos(phi) ** 2")) == []
+
+
+def _raisers(tree: ast.Module, error: str) -> list[str]:
+    """The function around each ``raise error(...)``, once per raise."""
+    found = []
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += [func.name for node in ast.walk(func) if isinstance(node, ast.Raise)
+                      and node.exc is not None and error in _names(node.exc)]
+    return found
+
+
+def test_one_singular_locus_guard():
+    # the reflection-difference guard of Cartesian and polar points is one
+    # helper; only kg_apply's radius check raises the error besides it
+    found = {p.stem: names for p in MODULES
+             if (names := _raisers(ast.parse(p.read_text(encoding="utf-8")), "SingularPointError"))}
+    assert found == {"dunkl_calculus": ["_check_symmetric_near_axis", "kg_apply"]}, found
