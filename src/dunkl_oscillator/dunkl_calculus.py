@@ -49,6 +49,10 @@ KG_RADIUS_STEPS = 10.0
 # Reflection differences smaller than this (relative to the local field
 # magnitude) are treated as identically zero near a singular locus.
 SYMMETRY_TOL = 1e-10
+# |sin phi| or |cos phi| at most this puts an angle on an axis: the double
+# nearest an axis angle is off by its rounding (sin of float(pi) is 1.2e-16,
+# cos of float(3pi/2) is -1.8e-16).
+AXIS_ROUNDING = 1e-15
 
 
 class SingularPointError(ValueError):
@@ -220,22 +224,29 @@ def dunkl_derivative(
 
 
 def _angular_stencil(field: ScalarField2D, point_polar, params: DunklParams, h: float, what: str):
-    """phi and the field at phi, pi - phi (R_x), -phi (R_y), phi + h and
-    phi - h. Before phi +/- h, a reflection with mu != 0 is checked at
-    the angles within 10 h of its singular locus: R_x near pi/2 and 3pi/2,
-    R_y near 0 and pi."""
+    """phi, the field at phi, pi - phi (R_x), -phi (R_y), phi + h and
+    phi - h, and the masks of the angles on the x and on the y axis (both
+    None unless some angle is).
+
+    Before phi +/- h, a reflection with mu != 0 is checked at the angles
+    within 10 h of its singular locus: R_x near pi/2 and 3pi/2, R_y near
+    0 and pi."""
     rho, phi = np.asarray(point_polar[0], dtype=float), np.asarray(point_polar[1], dtype=float)
     f0 = field.eval_polar(rho, phi)
     frx = field.eval_polar(rho, np.pi - phi)
     fry = field.eval_polar(rho, -phi)
     # distance to the nearest multiple of pi/2
     d = np.abs(phi / (0.5 * np.pi) - np.round(phi / (0.5 * np.pi))) * 0.5 * np.pi
+    on_x_axis = on_y_axis = None
     if np.any(d < 10.0 * h):
-        on_y_axis = np.abs(np.cos(phi)) < np.abs(np.sin(phi))  # phi near pi/2, 3pi/2
-        for on_locus, mu, mirrored in ((on_y_axis, params.mu_x, frx), (~on_y_axis, params.mu_y, fry)):
+        sin, cos = np.abs(np.sin(phi)), np.abs(np.cos(phi))
+        near_y_axis = cos < sin  # phi near pi/2, 3pi/2
+        for on_locus, mu, mirrored in ((near_y_axis, params.mu_x, frx), (~near_y_axis, params.mu_y, fry)):
             if mu != 0.0:
                 _check_symmetric_near_axis(np.where(on_locus, d, np.inf), f0 - mirrored, np.abs(f0), h, what)
-    return phi, f0, frx, fry, field.eval_polar(rho, phi + h), field.eval_polar(rho, phi - h)
+        if np.any(np.minimum(sin, cos) <= AXIS_ROUNDING):
+            on_x_axis, on_y_axis = sin <= AXIS_ROUNDING, cos <= AXIS_ROUNDING
+    return phi, f0, frx, fry, field.eval_polar(rho, phi + h), field.eval_polar(rho, phi - h), on_x_axis, on_y_axis
 
 
 def angular_j(
@@ -247,16 +258,26 @@ def angular_j(
     """Apply J = i (x D_y - y D_x) at a polar point ``(rho, phi)``.
 
     Only d/dphi is discretized; the reflection differences and the
-    cot/tan factors are exact.
+    cot/tan factors are exact. On an axis, where one of them is 0/0, its
+    term takes the limit: mu_y (f - R_y f) / tan(phi) -> 2 mu_y df/dphi on
+    the x axis, -mu_x tan(phi) (f - R_x f) -> 2 mu_x df/dphi on the y axis.
     """
-    phi, f0, frx, fry, fp, fm = _angular_stencil(field, point_polar, params, h, "angular_j")
-    out = (fp - fm) / (2.0 * h)
+    phi, f0, frx, fry, fp, fm, on_x_axis, on_y_axis = _angular_stencil(
+        field, point_polar, params, h, "angular_j")
+    out = d1 = (fp - fm) / (2.0 * h)
     del fp, fm
-    if params.mu_y != 0.0:
-        out = out + params.mu_y * (f0 - fry) / np.tan(phi)
-    if params.mu_x != 0.0:
-        out = out - params.mu_x * np.tan(phi) * (f0 - frx)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on an axis, replaced by its limit
+        if params.mu_y != 0.0:
+            out = out + _on_axis(on_x_axis, params.mu_y * (f0 - fry) / np.tan(phi), lambda: 2.0 * params.mu_y * d1)
+        if params.mu_x != 0.0:
+            out = out - _on_axis(on_y_axis, params.mu_x * np.tan(phi) * (f0 - frx), lambda: -2.0 * params.mu_x * d1)
     return 1j * out
+
+
+def _on_axis(on_axis, value, limit: Callable[[], np.ndarray]):
+    """``value``, with ``limit()`` at the angles ``on_axis`` (None: no angle
+    lies on one)."""
+    return value if on_axis is None else np.where(on_axis, limit(), value)
 
 
 def b_phi_apply(
@@ -268,18 +289,31 @@ def b_phi_apply(
     """Apply the angular part of the deformed Laplacian at ``(rho, phi)``.
 
     This is the operator whose double relation to J reads
-    ``J^2 = 2 B_phi + 2 mu_x mu_y (1 - R_x R_y)``.
+    ``J^2 = 2 B_phi + 2 mu_x mu_y (1 - R_x R_y)``. On an axis, the two
+    terms of the reflection singular there take their joint limit:
+    -mu_y d1 / tan(phi) + mu_y (f - R_y f) / (2 sin^2 phi) -> -mu_y d2 on
+    the x axis, mu_x d1 tan(phi) + mu_x (f - R_x f) / (2 cos^2 phi) ->
+    -mu_x d2 on the y axis, with d1, d2 the first and second phi
+    derivatives.
     """
-    phi, f0, frx, fry, fp, fm = _angular_stencil(field, point_polar, params, h, "b_phi_apply")
+    phi, f0, frx, fry, fp, fm, on_x_axis, on_y_axis = _angular_stencil(
+        field, point_polar, params, h, "b_phi_apply")
     d1 = (fp - fm) / (2.0 * h)
     d2 = (fp - 2.0 * f0 + fm) / (h * h)
     del fp, fm
-    out = -0.5 * d2 + (params.mu_x * np.tan(phi) - params.mu_y / np.tan(phi)) * d1
-    del d1, d2
-    if params.mu_x != 0.0:
-        out = out + params.mu_x * (f0 - frx) / (2.0 * np.cos(phi) ** 2)
-    if params.mu_y != 0.0:
-        out = out + params.mu_y * (f0 - fry) / (2.0 * np.sin(phi) ** 2)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on an axis, replaced by its limit
+        tan = np.tan(phi)
+        slope = params.mu_x * tan - params.mu_y / tan
+        if on_x_axis is not None:
+            slope = np.where(on_x_axis, params.mu_x * tan, np.where(on_y_axis, -params.mu_y / tan, slope))
+        out = -0.5 * d2 + slope * d1
+        del d1
+        if params.mu_x != 0.0:
+            out = out + _on_axis(on_y_axis, params.mu_x * (f0 - frx) / (2.0 * np.cos(phi) ** 2),
+                                 lambda: -params.mu_x * d2)
+        if params.mu_y != 0.0:
+            out = out + _on_axis(on_x_axis, params.mu_y * (f0 - fry) / (2.0 * np.sin(phi) ** 2),
+                                 lambda: -params.mu_y * d2)
     return out
 
 

@@ -343,15 +343,20 @@ def test_closed_stdout_exits_1_quietly():
 
 
 def test_spectrum_does_not_import_scipy():
-    # scipy is imported lazily, and only by the Bessel evaluator: neither
-    # the spectrum table nor the matrix oracle needs it
+    # the package runs on numpy and the standard library: neither the
+    # spectrum table, the matrix oracle, a free-state wavefunction (Bessel
+    # J) nor the critical-regime kg suite imports scipy
     code = (
         "import contextlib, io, sys\n"
-        "from dunkl_oscillator import DunklParams, SectorLabel, matrix_oracle_lambda\n"
+        "from dunkl_oscillator import DunklParams, OscillatorConfig, SectorLabel, matrix_oracle_lambda, run_suite\n"
         "from dunkl_oscillator.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert main(['spectrum']) == 0\n"
+        "    assert main(['wavefunction', '--omega', '1', '--omega-c', '2', '--n', '1', '--energy', '1.5']) == 0\n"
         "assert len(matrix_oracle_lambda(SectorLabel(1, 1), DunklParams(1, 1))) == 47\n"
+        "report = run_suite(DunklParams(1, 1), OscillatorConfig(omega=1.0, omega_c=2.0), suite='kg', threads=1,\n"
+        "                   n_max=2, k_max=2)\n"
+        "assert report.records\n"
         "print('scipy' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(),

@@ -6,6 +6,7 @@ finite-difference path.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -199,6 +200,34 @@ class TestSingularLocusGuard:
             apply(_ODD_XY, DunklParams(1.0, 1.0))
         assert np.isfinite(apply(_ODD_XY, zero_mu))
         assert np.isfinite(apply(even, DunklParams(1.0, 1.0)))
+
+
+class TestOnAxisLimits:
+    # exactly on an axis a reflection term is 0/0; a field even under that
+    # reflection passes the guard and gets the term's limit
+    @pytest.mark.parametrize("op", [angular_j, b_phi_apply], ids=lambda op: op.__name__)
+    @pytest.mark.parametrize("phi, field", [(0.0, _EVEN_Y), (0.5 * np.pi, _EVEN_X), (np.pi, _EVEN_Y),
+                                            (1.5 * np.pi, _EVEN_X)], ids=["0", "pi/2", "pi", "3pi/2"])
+    def test_finite_without_warnings_and_equal_to_the_nearby_mean(self, op, phi, field):
+        params = DunklParams(1.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            on_axis = op(field, (1.0, phi), params)
+            # either side of the axis the phi-linear part cancels in the
+            # mean; what is left is the rounding of the reflection
+            # quotient, about eps |f| / 1e-12
+            beside = 0.5 * (op(field, (1.0, phi + 1e-6), params) + op(field, (1.0, phi - 1e-6), params))
+        assert np.isfinite(on_axis)
+        assert abs(on_axis - beside) <= 1e-5
+
+    def test_array_with_one_angle_on_the_axis(self):
+        params = DunklParams(1.0, 1.0)
+        phi = np.array([0.3, 0.0, 2.0])
+        for op in (angular_j, b_phi_apply):
+            vals = op(_EVEN_Y, (1.0, phi), params)
+            assert vals[0] == op(_EVEN_Y, (1.0, 0.3), params)
+            assert vals[1] == op(_EVEN_Y, (1.0, 0.0), params)
+            assert vals[2] == op(_EVEN_Y, (1.0, 2.0), params)
 
 
 class TestKgApply:

@@ -174,3 +174,23 @@ def test_one_singular_locus_guard():
     found = {p.stem: names for p in MODULES
              if (names := _raisers(ast.parse(p.read_text(encoding="utf-8")), "SingularPointError"))}
     assert found == {"dunkl_calculus": ["_check_symmetric_near_axis", "kg_apply"]}, found
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """The top-level package of every module an ``import`` names."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_no_module_imports_scipy():
+    # scipy is a test dependency only: the package runs on numpy and the
+    # standard library, Bessel J included
+    found = sorted(p.name for p in PACKAGE.glob("*.py")
+                   if "scipy" in _imported_modules(ast.parse(p.read_text(encoding="utf-8"))))
+    assert not found, f"scipy imported in {found}"
+    assert _imported_modules(ast.parse("def f():\n    from scipy import special")) == {"scipy"}

@@ -7,6 +7,7 @@ additional independent cross-checks.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,6 +190,10 @@ class TestBessel:
             bessel_j(1.0, -1.0)
         with pytest.raises(DomainError):
             bessel_j(1.0, 1.1e4)
+        with pytest.raises(DomainError):
+            bessel_j(1.0, math.nan)
+        with pytest.raises(DomainError):
+            bessel_j(1.0, np.array([0.5, math.nan]))
 
     def test_order_column_equals_each_order_alone(self):
         orders = np.array([0.0, 0.5, 2.0, 4.47213595499958, 7.25])
@@ -201,6 +206,63 @@ class TestBessel:
         for bad in (np.array([[1.0], [-0.1]]), np.array([[1.0], [201.0]]), np.array([[np.nan]])):
             with pytest.raises(DomainError):
                 bessel_j(bad, x)
+
+
+# orders of the mpmath comparison: the fixed ones below and six drawn once
+BESSEL_ORDERS = [0.0, 0.5, 1.0, 2.0 * math.sqrt(2.0), math.sqrt(20.0), 10.0, 50.0, 99.5, 200.0,
+                 *np.random.default_rng(20).uniform(0.0, 200.0, 6).tolist()]
+
+
+def _branch_edges(nu: float) -> list[float]:
+    """Both sides of the series/recurrence edge x = 8 and of the
+    recurrence/Hankel edge x = max(25, nu^2), where that is in range."""
+    hankel = max(25.0, nu * nu)
+    edges = [8.0, math.nextafter(8.0, math.inf)]
+    if hankel <= 1e4:
+        edges += [math.nextafter(hankel, 0.0), hankel]
+    return edges
+
+
+class TestBesselAgainstMpmath:
+    @pytest.mark.parametrize("nu", BESSEL_ORDERS, ids=lambda v: f"{v:.6g}")
+    def test_declared_range(self, nu):
+        # relative 1e-10 where |J| stands above 1e-3 of its envelope
+        # min(1, x^-1/2), absolute 1e-10 of the envelope elsewhere (near a
+        # zero, or where J underflows towards 0)
+        x = np.sort(np.concatenate([np.geomspace(1e-3, 1e4, 57), _branch_edges(nu)]))
+        got = bessel_j(nu, x)
+        with mpmath.workdps(30):
+            ref = np.array([float(mpmath.besselj(nu, v)) for v in x.tolist()])
+        envelope = np.minimum(1.0, x**-0.5)
+        scale = np.where(np.abs(ref) > 1e-3 * envelope, np.abs(ref), envelope)
+        err = np.abs(got - ref) / scale
+        assert err.max() <= 1e-10, (x[err.argmax()], got[err.argmax()], ref[err.argmax()])
+        # each point alone equals its place in the array
+        for i in range(0, x.size, 7):
+            assert bessel_j(nu, float(x[i])) == got[i]
+
+    @given(
+        orders=st.lists(st.one_of(st.floats(0.0, 6.0), st.floats(0.0, 200.0), st.sampled_from([0.0, 0.5, 2.0])),
+                        min_size=1, max_size=4),
+        x=st.lists(st.one_of(st.floats(0.0, 8.0), st.floats(8.0, 40.0), st.floats(25.0, 1000.0)),
+                   min_size=1, max_size=6),
+        scalar_x=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_order_column_equals_each_order_alone(self, orders, x, scalar_x):
+        # arguments from the series (x <= 8), recurrence and Hankel branches
+        arg = np.asarray(x[0] if scalar_x else x)
+        column = np.reshape(orders, (-1,) + (1,) * arg.ndim)
+        table = bessel_j(column, arg)
+        assert table.shape == (len(orders), *arg.shape)
+        for row, nu in zip(table, orders):
+            assert np.array_equal(row, bessel_j(nu, arg))
+
+    def test_orders_that_are_not_a_column_are_rejected(self):
+        for nu, x in [(np.array([0.5, 2.0]), np.array([1.0, 30.0])), (np.array([[0.5, 2.0]]), 1.0),
+                      (np.array([[0.5], [2.0]]), np.ones((2, 3)))]:
+            with pytest.raises(ValueError, match="not a column"):
+                bessel_j(nu, x)
 
 
 class TestLogGamma:
