@@ -126,8 +126,9 @@ def bessel_j(nu, x):
     """Bessel function of the first kind J_nu(x), 0 <= nu <= 200, 0 <= x <= 1e4.
 
     ``nu`` may be a column of orders: every axis after the first of
-    length 1, and one more axis than ``x``. The result then has one row
-    per order, each equal to its own order's call, bit for bit."""
+    length 1, and more axes than ``x``. The result then has one row
+    per order, each equal to its own order's call, bit for bit. Any
+    other order array raises ``ValueError``."""
     nu_arr = np.asarray(nu, dtype=float)
     if not ((0.0 <= nu_arr) & (nu_arr <= MAX_BESSEL_ORDER)).all():
         raise DomainError(f"bessel_j order out of range: {nu}")
@@ -166,7 +167,7 @@ def _bessel_rows(nu: np.ndarray, x: np.ndarray):
     orders = nu.ravel().tolist()
     if x.max(initial=0.0) <= _SERIES_MAX_ARG:
         return _series(nu, orders, x)
-    val = np.array(_series(nu, orders, np.minimum(x, _SERIES_MAX_ARG)))
+    val = _series(nu, orders, np.minimum(x, _SERIES_MAX_ARG))
     far = np.broadcast_to(x > _SERIES_MAX_ARG, val.shape)
     nu_far, x_far = np.broadcast_to(nu, val.shape)[far], np.broadcast_to(x, val.shape)[far]
     hankel = x_far >= np.maximum(25.0, nu_far * nu_far)
@@ -180,13 +181,15 @@ def _bessel_rows(nu: np.ndarray, x: np.ndarray):
 
 
 @functools.lru_cache(maxsize=64)
-def _series_constants(orders: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Per order (one row each): the ratios -1 / (k (nu + k)), k = 1..23,
-    of consecutive power series terms over (x/2)^2, as a (23, M, 1) array,
-    and exp(-lgamma(nu + 1) / 2), as an (M, 1) column."""
-    k = np.arange(1.0, _SERIES_TERMS)[:, None, None]
-    ratios = -1.0 / (k * (np.array(orders)[:, None] + k))
-    roots = np.array([[math.exp(-0.5 * math.lgamma(v + 1.0))] for v in orders])
+def _series_constants(orders: tuple, ndim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per order (one row each) against arguments of ``ndim`` axes: the
+    ratios -1 / (k (nu + k)), k = 1..23, of consecutive power series terms
+    over (x/2)^2, as a (23, M, 1, ...) array, and exp(-lgamma(nu + 1) / 2),
+    as an (M, 1, ...) column."""
+    column = (-1,) + (1,) * ndim
+    k = np.arange(1.0, _SERIES_TERMS).reshape((-1, 1) + (1,) * ndim)
+    ratios = -1.0 / (k * (np.reshape(orders, column) + k))
+    roots = np.reshape([math.exp(-0.5 * math.lgamma(v + 1.0)) for v in orders], column)
     ratios.flags.writeable = roots.flags.writeable = False  # shared by every call of these orders
     return ratios, roots
 
@@ -201,23 +204,12 @@ def _series(nu: np.ndarray, orders: list, x: np.ndarray):
     unlike exp(nu log(x/2) - lgamma(nu + 1)) it adds no noise from point
     to point, which a finite-difference stencil would amplify.
     """
-    ratios, roots = _series_constants(tuple(orders))
-    if nu.ndim == 0:  # numpy scalars for a scalar argument: the export's per-point path
-        half = 0.5 * x
-        ratios, root = ratios.reshape((-1,) + (1,) * x.ndim), roots[0, 0]
-        power = np.power(half, orders[0])
-    else:  # one row per order against the flat arguments
-        half = 0.5 * x.ravel()
-        root = roots
-        power = np.empty((len(orders), half.size))
-        for row, v in zip(power, orders):
-            np.power(half, v, out=row)
+    ratios, roots = _series_constants(tuple(orders), x.ndim)
+    half = 0.5 * x
+    power = np.array([np.power(half, v) for v in orders])  # one row per order
     terms = np.multiply.accumulate((half * half) * ratios, axis=0)
-    # summed over the first axis, rows are added in order once each holds
-    # two or more elements (a single run would be summed pairwise)
-    total = np.add.reduce(terms, axis=0) if terms[0].size > 1 else np.add.accumulate(terms, axis=0)[-1]
-    val = power * root * root * (1.0 + total)
-    return val if nu.ndim == 0 else val.reshape(nu.shape[:1] + (1,) * (nu.ndim - 1 - x.ndim) + x.shape)
+    val = power * roots * roots * (1.0 + np.add.accumulate(terms, axis=0)[-1])
+    return val.reshape(nu.shape[:1] + (1,) * (nu.ndim - 1 - x.ndim) + x.shape)
 
 
 def _hankel(nu: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -223,23 +223,35 @@ def _branch_edges(nu: float) -> list[float]:
     return edges
 
 
+def _error_against_mpmath(nu: float, x: np.ndarray, got: np.ndarray) -> np.ndarray:
+    """|got - J_nu(x)| relative to |J| where |J| stands above 1e-3 of its
+    envelope min(1, x^-1/2), and relative to the envelope elsewhere (near
+    a zero, or where J underflows towards 0)."""
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.besselj(nu, v)) for v in x.tolist()])
+    envelope = np.minimum(1.0, x**-0.5)
+    return np.abs(got - ref) / np.where(np.abs(ref) > 1e-3 * envelope, np.abs(ref), envelope)
+
+
 class TestBesselAgainstMpmath:
     @pytest.mark.parametrize("nu", BESSEL_ORDERS, ids=lambda v: f"{v:.6g}")
     def test_declared_range(self, nu):
-        # relative 1e-10 where |J| stands above 1e-3 of its envelope
-        # min(1, x^-1/2), absolute 1e-10 of the envelope elsewhere (near a
-        # zero, or where J underflows towards 0)
         x = np.sort(np.concatenate([np.geomspace(1e-3, 1e4, 57), _branch_edges(nu)]))
         got = bessel_j(nu, x)
-        with mpmath.workdps(30):
-            ref = np.array([float(mpmath.besselj(nu, v)) for v in x.tolist()])
-        envelope = np.minimum(1.0, x**-0.5)
-        scale = np.where(np.abs(ref) > 1e-3 * envelope, np.abs(ref), envelope)
-        err = np.abs(got - ref) / scale
-        assert err.max() <= 1e-10, (x[err.argmax()], got[err.argmax()], ref[err.argmax()])
+        err = _error_against_mpmath(nu, x, got)
+        assert err.max() <= 1e-10, x[err.argmax()]
         # each point alone equals its place in the array
         for i in range(0, x.size, 7):
             assert bessel_j(nu, float(x[i])) == got[i]
+
+    @pytest.mark.parametrize("nu, x", [(145.12418328330284, 9763.973492976183),
+                                       (88.92222346333551, 7690.765905889186), (200.0, 1e4)])
+    def test_below_the_turning_point_at_large_argument(self, nu, x):
+        # 25 <= x < nu^2 and nu <= x: the forward recurrence from Hankel's
+        # J_mu and J_mu+1 holds 4e-13 here, where Miller's backward
+        # recurrence misses 1e-10 next to a zero of J (2.3e-10 and 1.5e-10
+        # at the first two points)
+        assert _error_against_mpmath(nu, np.array([x]), np.array([bessel_j(nu, x)]))[0] <= 1e-10
 
     @given(
         orders=st.lists(st.one_of(st.floats(0.0, 6.0), st.floats(0.0, 200.0), st.sampled_from([0.0, 0.5, 2.0])),
