@@ -49,13 +49,13 @@ from .verification import (
     CheckRecord,
     GridSpec,
     VerificationReport,
+    cartesian_states,
     check_angular_eigen,
     check_dirac_system,
     check_kg_eigen,
     check_nonrelativistic_limit,
     check_orthonormality,
     classical_oscillator_b_energy,
-    classical_pair_solution,
     coupled_reflection_eigenstate,
     matrix_oracle_lambda,
     run_suite,

@@ -336,7 +336,7 @@ def kg_apply(
     rho, phi = np.asarray(point_polar[0], dtype=float), np.asarray(point_polar[1], dtype=float)
     if np.any(rho < KG_RADIUS_STEPS * h):
         raise SingularPointError(f"kg_apply requires rho >= {KG_RADIUS_STEPS:g}*h")
-    w = config.m * config.omega_tilde / config.hbar
+    w = config.oscillator_scale
     mu_p = params.mu_plus
 
     # The terms are summed left to right as they are formed, and each

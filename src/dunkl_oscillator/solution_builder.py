@@ -100,6 +100,12 @@ class OscillatorConfig:
         return self.omega - 0.5 * self.omega_c
 
     @property
+    def oscillator_scale(self) -> float:
+        """w = m w~ / hbar, with its sign: the bound regimes' Gaussian is
+        exp(-|w| rho^2 / 2), and w multiplies J and the reflection term."""
+        return self.m * self.omega_tilde / self.hbar
+
+    @property
     def effective_frequency(self) -> float:
         """|w~|, the frequency of the bound regimes' Gaussian."""
         if classify_regime(self) is Regime.CRITICAL:
@@ -442,8 +448,8 @@ def stacked_components(states) -> tuple[ScalarField2D, ScalarField2D]:
     way on one ``bessel_j`` call over their orders. Row i is
     (c_i R_i(rho)) F_i(phi), the operation order of ``_product_field``, so
     every row equals its state's own field bit for bit; a zero lower
-    amplitude gives a zero row. A hand-built or classical state stacks
-    only alone, as its own fields with a leading axis of 1.
+    amplitude gives a zero row. A hand-built state, such as an oracle's,
+    stacks only alone, as its own fields with a leading axis of 1.
     """
     first = states[0]
     if len(states) == 1 and first.amplitudes is None:
@@ -461,7 +467,7 @@ def stacked_components(states) -> tuple[ScalarField2D, ScalarField2D]:
     order = np.array(list(orders))
     angular = eigenfunction_rows([st.mode for st in states])
     if free:
-        wavenumber, mu_p = _wavenumber(first.energy, config), params.mu_plus
+        wavenumber, mu_p = math.sqrt(2.0 * reduced_energy(config, first.energy)), params.mu_plus
         bessel = remember_last(lambda rho: rho**-mu_p * bessel_j(_column(order, rho.ndim), wavenumber * rho))
         radial_u = radial_l = lambda rho: bessel(rho)[rows]
     else:
@@ -481,11 +487,10 @@ def stacked_components(states) -> tuple[ScalarField2D, ScalarField2D]:
     )
 
 
-def _wavenumber(e_val: float, config: OscillatorConfig) -> float:
-    """sqrt(2 Et) of a free state, Et = (E^2 - m^2 c^4) / (2 hbar^2 c^2)."""
+def reduced_energy(config: OscillatorConfig, e_val: float) -> float:
+    """Et = (E^2 - m^2 c^4) / (2 hbar^2 c^2) of the energy E = ``e_val``."""
     mc2 = config.rest_energy
-    tilde_e = (e_val * e_val - mc2 * mc2) / (2.0 * config.hbar**2 * config.c**2)
-    return math.sqrt(2.0 * tilde_e)
+    return (e_val**2 - mc2**2) / (2.0 * config.hbar**2 * config.c**2)
 
 
 def free_particle(
@@ -497,10 +502,10 @@ def free_particle(
 ) -> SpinorSolution:
     """Critical-regime state: both components rho^{-mu_+} J_A(sqrt(2 Et) rho) F(phi).
 
-    Et = (E^2 - m^2 c^4) / (2 hbar^2 c^2) >= 0 is the reduced energy; the
-    Bessel order equals the radial order A of the mode (the small-rho
-    behavior rho^{A - mu_+} forces this choice). Free states carry no
-    normalization split. ``sector`` and ``params`` must be the mode's own.
+    Et = ``reduced_energy`` >= 0; the Bessel order equals the radial order
+    A of the mode (the small-rho behavior rho^{A - mu_+} forces this
+    choice). Free states carry no normalization split. ``sector`` and
+    ``params`` must be the mode's own.
     """
     if sector != mode.sector or params != mode.params:
         raise ValueError(f"sector ({sector}) or {params} disagrees with the mode {mode}")
@@ -509,7 +514,7 @@ def free_particle(
     mc2 = config.rest_energy
     if not (math.isfinite(e_val) and e_val >= mc2):
         raise ValueError(f"free-particle energy must be finite and >= m c^2, got {e_val}")
-    wavenumber = _wavenumber(e_val, config)
+    wavenumber = math.sqrt(2.0 * reduced_energy(config, e_val))
     a_ord = radial_order(mode)
     mu_p = mode.params.mu_plus
 

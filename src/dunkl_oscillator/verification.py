@@ -8,7 +8,10 @@ matrix of the angular operator on one shell of the Cartesian ladder,
 the undeformed limit against an independently coded textbook spectrum,
 and the deformed operators against reference eigenstates constructed
 here by explicitly diagonalizing the 2x2 reflection coupling on each
-branch pair.
+branch pair. The same shell block, with the oscillator and reflection
+terms added, gives exact eigenspinors of both the second- and the
+first-order equations for any mu >= 0 in both bound regimes
+(:func:`cartesian_states`); they are the oracle of ``dirac_apply``.
 
 A finding the suite makes visible (see README): for nonzero deformation
 the builder's closed-form bound states with n >= 1 are exact solutions
@@ -17,7 +20,8 @@ with mu_x = mu_y; elsewhere the reflection term swaps the lambda branches
 instead of acting as a scalar, and the residual checks report O(1)
 failures. The reference eigenstates built by
 :func:`coupled_reflection_eigenstate` pass the same checks at O(h^2),
-which pins the discrepancy on the closed forms rather than the operators.
+and the shell eigenspinors pass the first-order check, which pins the
+discrepancy on the closed forms rather than the operators.
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ from .dunkl_calculus import (
 from .solution_builder import (
     InvalidPairError,
     OscillatorConfig,
-    QuantumNumbers,
     RadialProfile,
     Regime,
     RegimeError,
@@ -66,9 +69,10 @@ from .solution_builder import (
     free_particle,
     mode_states,
     radial_order,
+    reduced_energy,
     stacked_components,
 )
-from .special_functions import laguerre_l
+from .special_functions import laguerre_rows
 
 DEFAULT_TOLS = {
     "kg": 1e-5,
@@ -139,7 +143,8 @@ class GridSpec:
     n_phi: int = 16
 
     def angles(self) -> np.ndarray:
-        # offset so every angle is at least pi/n_phi from a multiple of pi/2
+        # half a step off 0: when 4 divides n_phi every angle is pi/n_phi from
+        # the axes, but otherwise one can lie on an axis (n_phi = 6 gives pi/2)
         return (np.arange(self.n_phi) + 0.5) * 2.0 * np.pi / self.n_phi
 
     def radii(self, length_scale: float) -> np.ndarray:
@@ -191,12 +196,6 @@ def _state_record(
         inputs["component"] = component.value
     inputs.update(energy=solution.energy, h=h)
     return CheckRecord(name=name, inputs=inputs, residual=residual, tol=tol)
-
-
-def reduced_energy(config: OscillatorConfig, e_val: float) -> float:
-    """(E^2 - m^2 c^4) / (2 hbar^2 c^2) of the energy E = ``e_val``."""
-    mc2 = config.rest_energy
-    return (e_val**2 - mc2**2) / (2.0 * config.hbar**2 * config.c**2)
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +365,96 @@ def matrix_oracle_lambda(
         shell -= 1
     if shell < 0:
         raise ValueError("basis_size 1 holds no odd shell (epsilon = -1)")
-    # [n_x+1]_{mu_x} [N-n_x]_{mu_y}, where [n]_mu is n for even n, n + 2 mu for odd n
+    return np.linalg.eigvalsh(_shell_ladder(shell, params)[0])
+
+
+def _shell_ladder(shell: int, params: DunklParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The real symmetric tridiagonal T_N of J on shell N, with off-diagonal
+    sqrt([n_x+1]_{mu_x} [N-n_x]_{mu_y}), and those two factors, n_x = 0..N-1:
+    [n]_mu is n + 2 mu (n mod 2), and A^- |n> = sqrt([n]_mu) |n-1>."""
     up = np.arange(1, shell + 1)
     down = shell + 1 - up
-    off = np.sqrt((up + 2.0 * params.mu_x * (up % 2)) * (down + 2.0 * params.mu_y * (down % 2)))
-    return np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    up, down = up + 2.0 * params.mu_x * (up % 2), down + 2.0 * params.mu_y * (down % 2)
+    off = np.sqrt(up * down)
+    return np.diag(off, 1) + np.diag(off, -1), up, down
+
+
+def _hermite_rows(t: np.ndarray, params: DunklParams, n_top: int) -> np.ndarray:
+    """psi_n(t) e^(t^2/2), n = 0..n_top, of t = (t_x, t_y) of shape (2, *shape)
+    as a (n_top + 1, 2, *shape) array, with mu_x on t_x and mu_y on t_y. The
+    generalized Hermite functions of unit norm on |t|^(2 mu) dt (Rosenblum 1994)
+    are psi_2m = (-1)^m sqrt(m! / Gamma(m + mu + 1/2)) L_m^(mu-1/2)(t^2) e^(-t^2/2)
+    and psi_2m+1 = (-1)^m sqrt(m! / Gamma(m + mu + 3/2)) t L_m^(mu+1/2)(t^2) e^(-t^2/2);
+    one Laguerre table per parity covers both axes."""
+    column = (2,) + (1,) * (t.ndim - 1)
+    rows = np.empty((n_top + 1, *t.shape))
+    for parity in range(min(n_top, 1) + 1):
+        m_top = (n_top - parity) // 2
+        alphas = (params.mu_x + parity - 0.5, params.mu_y + parity - 0.5)
+        laguerre = laguerre_rows(np.reshape(alphas, column), t * t, m_top)
+        norms = [[(-1) ** m * math.exp(0.5 * (math.lgamma(m + 1.0) - math.lgamma(m + a + 1.0))) for a in alphas]
+                 for m in range(m_top + 1)]
+        rows[parity::2] = np.reshape(norms, (m_top + 1,) + column) * laguerre * (t if parity else 1.0)
+    return rows
+
+
+def cartesian_states(
+    shell: int,
+    params: DunklParams,
+    config: OscillatorConfig,
+) -> list[tuple[ScalarField2D, ScalarField2D, float]]:
+    """The exact positive-energy eigenspinors (upper, lower, E) of shell
+    N = n_x + n_y, in rising energy, for any mu >= 0 in both bound regimes.
+
+    On the products |n_x, N - n_x> of ``_hermite_rows``, t = sqrt|w| (x, y)
+    and w = m w~ / hbar, the upper component's operator is the block
+    M = |w| (N + 1 + mu_+) I + w T_N - w diag(1 + mu_x (-1)^n_x + mu_y (-1)^n_y),
+    T_N as in ``matrix_oracle_lambda``. An eigenpair (Et, v) gives the upper
+    component sum i^n_x v_n_x |n_x, N - n_x> and E = sqrt(m^2 c^4 + 2 hbar^2 c^2 Et).
+    The lower one is hbar c Pi+ psi_upper / (E + m c^2), exact on the
+    coefficients: Pi+ = -i sqrt(2|w|) (A_x^- + i A_y^-), to shell N - 1, at
+    w~ > 0 and +i sqrt(2|w|) (A_x^+ + i A_y^+), to N + 1, at w~ < 0. As
+    |Pi+ psi|^2 = 2 Et, an Et within rounding of 0 is 0: that state (one per
+    shell at w~ > 0) has E = m c^2 and a zero lower component. The
+    polynomials are Cartesian: at the check grid's innermost radius (0.1
+    length scales) their terms cancel, and with mu != 0 the kg residual can
+    reach its rounding floor, about 1e-5 at h = 1e-4, which grows as h falls.
+    """
+    if shell < 0:
+        raise ValueError(f"the shell must be a natural number, got {shell}")
+    if classify_regime(config) is Regime.CRITICAL:
+        raise RegimeError("the critical point has no Gaussian, so no shells")
+    w = config.oscillator_scale
+    abs_w, n_x = abs(w), np.arange(shell + 1)
+    tridiagonal = _shell_ladder(shell, params)[0]
+    reflection = 1.0 + params.mu_x * (-1.0) ** n_x + params.mu_y * (-1.0) ** (shell - n_x)
+    floor = abs_w * (shell + 1.0 + params.mu_plus)
+    ets, vecs = np.linalg.eigh(floor * np.eye(shell + 1) + w * tridiagonal - w * np.diag(reflection))
+    # A_x^- + i A_y^- from the shell above to the one below: at w~ < 0 its transpose is A_x^+ + i A_y^+
+    top = shell if w > 0 else shell + 1
+    _, up, down = _shell_ladder(top, params)
+    lowering = np.diag(np.sqrt(up), 1)[:-1] + 1j * np.eye(top, top + 1) * np.sqrt(down)[:, None]
+    pi_plus = -1j * lowering if w > 0 else 1j * lowering.T
+    mc2, root, phases = config.rest_energy, math.sqrt(abs_w), np.array([1, 1j, -1, -1j])[n_x % 4]
+
+    def field(coef: np.ndarray) -> ScalarField2D:
+        # the Gaussian e^(-t^2/2) of both axes is a polar factor; only the polynomials see t_x, t_y
+        def rule(rho, phi):
+            t = root * np.asarray(rho, dtype=float)
+            rows = _hermite_rows(np.stack(np.broadcast_arrays(t * np.cos(phi), t * np.sin(phi))), params,
+                                 len(coef) - 1)
+            return np.exp(-0.5 * t * t) * np.tensordot(coef, rows[:, 0] * rows[::-1, 1], axes=1)
+        return ScalarField2D(rule)
+
+    states = []
+    for et, v in zip(ets.tolist(), vecs.T):
+        upper = phases * v  # i^n_x v_n_x
+        et = 0.0 if et <= 1e-12 * floor else et
+        e_val = math.sqrt(mc2 * mc2 + 2.0 * config.hbar**2 * config.c**2 * et)
+        lower = (ScalarField2D.zero() if et == 0.0 else
+                 field(config.hbar * config.c * math.sqrt(2.0 * abs_w) / (e_val + mc2) * (pi_plus @ upper)))
+        states.append((field(upper), lower, e_val))
+    return states
 
 
 def nonrelativistic_target(
@@ -480,102 +564,6 @@ def classical_oscillator_b_energy(
     return sign * mc2 * math.sqrt(1.0 + 2.0 * config.hbar * abs(wt) / mc2 * s_num)
 
 
-def classical_pair_solution(
-    m_angular: int,
-    k: int,
-    config: OscillatorConfig,
-    sign: int = 1,
-) -> SpinorSolution:
-    """Exact undeformed eigenspinor with correctly laddered components.
-
-    The first-order system raises the orbital index of the lower
-    component by one: for m >= 0 the pair is
-
-        psi_1 = z^m exp(-u/2) L_k^m(u),
-        psi_2 = 2 i hbar c w z^{m+1} exp(-u/2) L_{k-1}^{m+1}(u) / (E + mc^2)
-
-    with z = x + iy, u = w rho^2, w = m w~ / hbar, and for m < 0 (a = |m|)
-
-        psi_1 = zbar^a exp(-u/2) L_k^a(u),
-        psi_2 = -2 i hbar c (k + a) zbar^{a-1} exp(-u/2) L_k^{a-1}(u) / (E + mc^2).
-
-    Both coupled first-order residuals vanish identically, which makes
-    these states the oracle for ``dirac_apply``.
-    """
-    if classify_regime(config) is not Regime.POSITIVE:
-        raise RegimeError("classical pair oracle implemented for omega_tilde > 0")
-    hbar, c, m = config.hbar, config.c, config.m
-    w = m * config.omega_tilde / hbar
-    mc2 = config.rest_energy
-    if m_angular >= 0:
-        tilde_e = 2.0 * w * k
-    else:
-        tilde_e = w * (2.0 * k + 2.0 * abs(m_angular))
-    e_val = sign * math.sqrt(mc2 * mc2 + 2.0 * hbar**2 * c**2 * tilde_e)
-
-    def gaussian(rho):
-        return np.exp(-0.5 * w * rho * rho)
-
-    if m_angular >= 0:
-        ma = m_angular
-
-        def upper_fn(x, y):
-            z = x + 1j * y
-            rho2 = x * x + y * y
-            return z**ma * gaussian(np.sqrt(rho2)) * laguerre_l(k, ma, w * rho2)
-
-        if k == 0:
-            lower = ScalarField2D.zero()
-        else:
-            coeff = 2j * hbar * c * w / (e_val + mc2)
-
-            def lower_fn(x, y):
-                z = x + 1j * y
-                rho2 = x * x + y * y
-                return coeff * z ** (ma + 1) * gaussian(np.sqrt(rho2)) * laguerre_l(
-                    k - 1, ma + 1, w * rho2
-                )
-
-            lower = ScalarField2D.from_xy(lower_fn)
-    else:
-        a = abs(m_angular)
-
-        def upper_fn(x, y):
-            zb = x - 1j * y
-            rho2 = x * x + y * y
-            return zb**a * gaussian(np.sqrt(rho2)) * laguerre_l(k, a, w * rho2)
-
-        coeff = -2j * hbar * c * (k + a) / (e_val + mc2)
-
-        def lower_fn(x, y):
-            zb = x - 1j * y
-            rho2 = x * x + y * y
-            return coeff * zb ** (a - 1) * gaussian(np.sqrt(rho2)) * laguerre_l(
-                k, a - 1, w * rho2
-            )
-
-        lower = ScalarField2D.from_xy(lower_fn)
-
-    upper = ScalarField2D.from_xy(upper_fn)
-    params = DunklParams(0.0, 0.0)
-    epsilon = 1 if m_angular % 2 == 0 else -1
-    n_label = abs(m_angular) / 2.0
-    if epsilon == 1:
-        sector = SectorLabel(1, 1)
-        mode = AngularMode(sector, int(n_label), 1 if n_label == 0 else (1 if m_angular <= 0 else -1), params)
-    else:
-        sector = SectorLabel(1, -1)
-        mode = AngularMode(sector, n_label, 1 if m_angular < 0 else -1, params)
-    return SpinorSolution(
-        upper=upper,
-        lower=lower,
-        energy=e_val,
-        quantum=QuantumNumbers(k, max(k - 1, 0)),
-        mode=mode,
-        config=config,
-    )
-
-
 def coupled_reflection_eigenstate(
     component: Component,
     epsilon: int,
@@ -601,8 +589,8 @@ def coupled_reflection_eigenstate(
     mu_p = params.mu_plus
     if classify_regime(config) is Regime.CRITICAL:
         raise RegimeError("bound reference states need a non-critical regime")
-    w = config.m * config.omega_tilde / config.hbar
-    abs_w = config.m * config.effective_frequency / config.hbar
+    w = config.oscillator_scale
+    abs_w = abs(w)
     upper = component is Component.UPPER
 
     if epsilon == 1:

@@ -31,7 +31,7 @@ from dunkl_oscillator.dunkl_calculus import (
 )
 from dunkl_oscillator.solution_builder import OscillatorConfig, build_spinor
 from dunkl_oscillator.special_functions import DomainError
-from dunkl_oscillator.verification import classical_pair_solution
+from dunkl_oscillator.verification import cartesian_states
 
 F_X = ScalarField2D.from_xy(lambda x, y: x + 0j)
 F_X2 = ScalarField2D.from_xy(lambda x, y: x * x + 0j)
@@ -283,26 +283,25 @@ class TestDiracApply:
                              config, (0.8, 0.5))
         assert r1 == 0.0 and r2 == 0.0
 
-    def test_classical_pair_is_exact(self):
-        config = OscillatorConfig(omega=1.0)
-        sol = classical_pair_solution(2, 1, config, 1)
+    @pytest.mark.parametrize("omega_c", [0.0, 5.0], ids=["w>0", "w<0"])
+    def test_shell_pair_is_exact(self, omega_c):
+        config, params = OscillatorConfig(omega=1.0, omega_c=omega_c), DunklParams(1.0, 0.5)
         xs = np.array([0.4, 0.9, 1.6])
         ys = np.array([0.6, -0.8, 0.3])
-        r1, r2 = dirac_apply((sol.upper, sol.lower), sol.energy,
-                             DunklParams(0.0, 0.0), config, (xs, ys))
-        scale = np.max(np.abs(sol.upper(xs, ys)))
-        assert np.max(np.abs(r1)) <= 1e-6 * scale
-        assert np.max(np.abs(r2)) <= 1e-6 * scale
+        for upper, lower, e_val in cartesian_states(2, params, config):
+            r1, r2 = dirac_apply((upper, lower), e_val, params, config, (xs, ys))
+            scale = np.max(np.abs(upper(xs, ys)))
+            assert np.max(np.abs(r1)) <= 1e-6 * scale
+            assert np.max(np.abs(r2)) <= 1e-6 * scale
 
     def test_scaling_component_scales_residual(self):
-        config = OscillatorConfig(omega=1.0)
-        sol = classical_pair_solution(2, 1, config, 1)
+        config, params = OscillatorConfig(omega=1.0), DunklParams(1.0, 0.5)
+        upper, lower, e_val = cartesian_states(2, params, config)[-1]
         pt = (np.array([0.9]), np.array([0.4]))
-        doubled = ScalarField2D(lambda rho, phi: 2.0 * sol.upper.eval_polar(rho, phi))
-        r1a, _ = dirac_apply((doubled, sol.lower), sol.energy,
-                             DunklParams(0.0, 0.0), config, pt)
+        doubled = ScalarField2D(lambda rho, phi: 2.0 * upper.eval_polar(rho, phi))
+        r1a, _ = dirac_apply((doubled, lower), e_val, params, config, pt)
         # doubling psi_1 leaves a residual -(E - mc^2) psi_1 in r1
-        expect = -(sol.energy - 1.0) * sol.upper(*pt)
+        expect = -(e_val - 1.0) * upper(*pt)
         assert r1a[0] == pytest.approx(complex(expect[0]), rel=1e-5)
 
 

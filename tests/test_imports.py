@@ -194,3 +194,58 @@ def test_no_module_imports_scipy():
                    if "scipy" in _imported_modules(ast.parse(p.read_text(encoding="utf-8"))))
     assert not found, f"scipy imported in {found}"
     assert _imported_modules(ast.parse("def f():\n    from scipy import special")) == {"scipy"}
+
+
+def _definitions(tree: ast.Module):
+    """(name, node) of every module-level function and class."""
+    return [(node.name, node) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+
+
+def _is_mu(node: ast.AST) -> bool:
+    named = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else ""
+    return named.startswith("mu")
+
+
+def _parity_term(node: ast.AST) -> bool:
+    """``n % 2`` or ``1 - (-1) ** n``: the odd-n indicator of [n]_mu."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+        return isinstance(node.right, ast.Constant) and node.right.value == 2
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub) and isinstance(node.right, ast.BinOp):
+        base = node.right.left
+        return isinstance(node.right.op, ast.Pow) and (
+            isinstance(base, ast.UnaryOp) and isinstance(base.op, ast.USub)
+            or isinstance(base, ast.Constant) and base.value == -1)
+    return False
+
+
+def _bracket_formers(tree: ast.Module) -> list[str]:
+    """Module-level definitions that form [n]_mu = n + 2 mu (n mod 2): a
+    product of a deformation parameter and the odd-n indicator."""
+    return [name for name, node in _definitions(tree)
+            if any(isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Mult)
+                   and any(map(_is_mu, ast.walk(sub))) and any(map(_parity_term, ast.walk(sub)))
+                   for sub in ast.walk(node))]
+
+
+def test_one_shell_block():
+    # the ladder factors of the Cartesian shell, and the off-diagonal of J
+    # made from them, come from one helper that both shell oracles call
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
+    formers = {f"{stem}.{name}" for stem, tree in trees.items() for name in _bracket_formers(tree)}
+    assert formers == {"verification._shell_ladder"}, formers
+    calls = {name: {_callee(sub) for sub in ast.walk(node)} for name, node in _definitions(trees["verification"])}
+    for oracle in ("matrix_oracle_lambda", "cartesian_states"):
+        assert "_shell_ladder" in calls.get(oracle, set()), oracle
+    assert _bracket_formers(ast.parse("def f(n, p):\n    return n + 2.0 * p.mu_x * (n % 2)")) == ["f"]
+    assert _bracket_formers(ast.parse("def f(n, mu):\n    return n + mu * (1 - (-1) ** n)")) == ["f"]
+    assert _bracket_formers(ast.parse("def f(n, p):\n    return 1 + p.mu_x * (-1.0) ** n")) == []
+
+
+def test_omega_tilde_readers():
+    # w~ itself is read only where the regime, the scales (w = m w~ / hbar,
+    # |w~|), the first-order operator and the textbook oracle are defined;
+    # everything else reads OscillatorConfig's derived scales
+    readers = {name for p in MODULES for name, node in _definitions(ast.parse(p.read_text(encoding="utf-8")))
+               if "omega_tilde" in {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}}
+    assert readers == {"OscillatorConfig", "classify_regime", "dirac_apply", "classical_oscillator_b_energy"}, readers

@@ -45,18 +45,17 @@ from dunkl_oscillator.solution_builder import (
     free_particle,
     pair_radial_indices,
 )
-from dunkl_oscillator.special_functions import laguerre_l
 from dunkl_oscillator.verification import (
     GridSpec,
     VerificationReport,
     CheckRecord,
+    cartesian_states,
     check_angular_eigen,
     check_dirac_system,
     check_kg_eigen,
     check_nonrelativistic_limit,
     check_orthonormality,
     classical_oscillator_b_energy,
-    classical_pair_solution,
     coupled_reflection_eigenstate,
     matrix_oracle_lambda,
     nonrelativistic_target,
@@ -70,6 +69,17 @@ CFG = OscillatorConfig(omega=1.0)
 CFG_NEG = OscillatorConfig(omega=0.25, omega_c=2.5)
 CFG_CRIT = OscillatorConfig(omega=1.0, omega_c=2.0)
 MODE11 = AngularMode(SectorLabel(1, 1), 1, 1, P11)
+
+
+def _shell_solution(shell, params, config, index, lower_of=None):
+    """State ``index`` of the shell's ``cartesian_states`` as a check input,
+    labelled by an n = 0 mode of the same parameters; ``lower_of`` swaps in
+    the lower component of another state of the shell."""
+    states = cartesian_states(shell, params, config)
+    upper, lower, e_val = states[index]
+    if lower_of is not None:
+        lower = states[lower_of][1]
+    return SpinorSolution(upper, lower, e_val, None, AngularMode(SectorLabel(1, 1), 0, 1, params), config)
 
 
 class TestReportMechanics:
@@ -130,7 +140,8 @@ class TestKgCheck:
         assert max(r.residual for r in rep.records) > 0.01
 
     def test_zero_component_passes_with_zero_residual(self):
-        sol = classical_pair_solution(2, 0, CFG, 1)  # lower component is zero
+        sol = _shell_solution(2, P11, CFG, 0)  # Et = 0: E = mc^2 and the lower component is zero
+        assert sol.energy == CFG.rest_energy
         rep = check_kg_eigen(sol, tol=1e-5)
         lower_rec = [r for r in rep.records if "lower" in r.name][0]
         assert lower_rec.residual == 0.0
@@ -251,25 +262,16 @@ class TestOrthonormality:
 
 
 class TestDiracCheck:
-    def test_classical_pair_passes(self):
-        rep = check_dirac_system(classical_pair_solution(1, 2, CFG, 1), tol=1e-5)
-        assert rep.passed
-        rep2 = check_dirac_system(classical_pair_solution(-2, 1, CFG, 1), tol=1e-5)
-        assert rep2.passed
+    @pytest.mark.parametrize("mu", [(0.0, 0.0), (1.0, 1.0), (0.3, 0.7)], ids=str)
+    @pytest.mark.parametrize("config", [CFG, CFG_NEG], ids=["w>0", "w<0"])
+    def test_shell_pair_passes(self, mu, config):
+        for index in range(4):
+            assert check_dirac_system(_shell_solution(3, DunklParams(*mu), config, index), tol=1e-5).passed
 
     def test_wrong_partner_index_fails(self):
-        sol = classical_pair_solution(1, 2, CFG, 1)
-        w = CFG.m * CFG.omega_tilde / CFG.hbar
-        wrong_lower = ScalarField2D.from_xy(
-            lambda x, y: (x + 1j * y) ** 2
-            * np.exp(-0.5 * w * (x * x + y * y))
-            * laguerre_l(2, 2.0, w * (x * x + y * y))  # should be degree 1
-        )
-        bad = SpinorSolution(
-            upper=sol.upper, lower=wrong_lower, energy=sol.energy,
-            quantum=sol.quantum, mode=sol.mode, config=sol.config,
-        )
-        assert not check_dirac_system(bad, tol=1e-4).passed
+        # the lower component of another eigenvector of the same shell
+        assert check_dirac_system(_shell_solution(2, P11, CFG, 1), tol=1e-4).passed
+        assert not check_dirac_system(_shell_solution(2, P11, CFG, 1, lower_of=2), tol=1e-4).passed
 
     def test_same_angular_closed_form_fails_coupling(self):
         # the built pair shares one angular factor; the first-order system
@@ -323,6 +325,52 @@ class TestMatrixOracle:
     def test_no_odd_shell_at_basis_one(self):
         with pytest.raises(ValueError):
             matrix_oracle_lambda(SectorLabel(1, -1), P11, 1)
+
+
+def _outer_kg_residual(field, component, params, config, e_val, h):
+    """kg residual of a field on the check grid's radii of 0.27 length
+    scales or more, relative to its largest value there."""
+    length = config.length_scale
+    radii = GridSpec().radii(length)
+    rho, phi = radii[radii >= 0.27 * length][:, None], GridSpec().angles()[None, :]
+    vals = field.eval_polar(rho, phi)
+    applied = kg_apply(component, field, params, config, (rho, phi), h)
+    return np.max(np.abs(applied - verification.reduced_energy(config, e_val) * vals)) / np.max(np.abs(vals))
+
+
+class TestCartesianStates:
+    @pytest.mark.parametrize("wt", [1.0, -1.0, 0.55])
+    def test_undeformed_energies_are_the_textbook_spectrum(self, wt):
+        config = OscillatorConfig(omega=1.0, omega_c=2.0 * (1.0 - wt))
+        for shell in range(8):
+            got = sorted(e for _, _, e in cartesian_states(shell, P00, config))
+            want = sorted(classical_oscillator_b_energy(Component.UPPER, (shell - abs(m)) // 2, m, config)
+                          for m in range(-shell, shell + 1, 2))
+            assert np.allclose(got, want, rtol=1e-14, atol=0.0), (shell, got, want)
+
+    @pytest.mark.parametrize("params", [P00, P11, DunklParams(0.3, 2.7)], ids=str)
+    def test_one_rest_energy_state_per_shell_at_positive_frequency(self, params):
+        for shell in range(6):
+            for config, count in ((CFG, 1), (CFG_NEG, 0)):
+                at_rest = [(lower, e) for _, lower, e in cartesian_states(shell, params, config)
+                           if e == config.rest_energy]
+                assert len(at_rest) == count
+                for lower, _ in at_rest:
+                    assert not np.any(lower.eval_polar(np.array([0.5, 1.5]), np.array([0.3, 2.0])))
+
+    @settings(max_examples=16, deadline=None)
+    @given(mu=st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0)), shell=st.integers(0, 4),
+           wt=st.sampled_from([1.0, 0.55, -0.5, -1.5]))
+    def test_states_solve_both_equations_at_second_order(self, mu, shell, wt):
+        params, config = DunklParams(*mu), OscillatorConfig(omega=1.0, omega_c=2.0 * (1.0 - wt))
+        for index, (upper, lower, e_val) in enumerate(cartesian_states(shell, params, config)):
+            assert check_dirac_system(_shell_solution(shell, params, config, index), tol=1e-6).passed
+            for component, field in ((Component.UPPER, upper), (Component.LOWER, lower)):
+                if e_val == config.rest_energy and component is Component.LOWER:
+                    continue  # the zero lower component of an Et = 0 state
+                coarse, fine = (_outer_kg_residual(field, component, params, config, e_val, h)
+                                for h in (1e-3, 5e-4))
+                assert 3.5 <= coarse / fine <= 4.5, (index, component, coarse, fine)
 
 
 class TestNonrelativisticLimit:
@@ -418,10 +466,14 @@ class TestReferenceEigenstates:
         assert calls["laguerre_rows"] == 3
         assert calls["jacobi_rows"] == 2 * 5  # Phi^{++} and Phi^{--} per angle array
 
-    def test_classical_pair_kg_consistency(self):
-        sol = classical_pair_solution(-1, 1, CFG, 1)
-        rep = check_kg_eigen(sol, tol=1e-5)
-        assert rep.passed
+    # with mu != 0 some shells sit at the rounding floor of their Cartesian
+    # polynomials at the innermost grid radius (see ``cartesian_states``)
+    @pytest.mark.parametrize("mu, config", [((0.0, 0.0), CFG), ((0.0, 0.0), CFG_NEG), ((1.0, 0.5), CFG)],
+                             ids=["mu=0 w>0", "mu=0 w<0", "mu=(1,1/2) w>0"])
+    def test_shell_pair_kg_consistency(self, mu, config):
+        for index in range(4):
+            rep = check_kg_eigen(_shell_solution(3, DunklParams(*mu), config, index), tol=1e-5)
+            assert rep.passed
 
 
 class TestSweepAndSuite:
@@ -767,13 +819,14 @@ def test_random_block_of_free_states_of_one_energy_matches_its_states_bit_for_bi
     (lambda: energy_column(Component.UPPER, MODE11, 0, CFG, sign=2), ValueError),
     (lambda: matrix_oracle_lambda(SectorLabel(1, 1), P11, basis_size=0), ValueError),
     (lambda: classical_oscillator_b_energy(Component.UPPER, 0, 0, CFG_CRIT), RegimeError),
-    (lambda: classical_pair_solution(0, 1, CFG_NEG), RegimeError),
+    (lambda: cartesian_states(1, P11, CFG_CRIT), RegimeError),
+    (lambda: cartesian_states(-1, P11, CFG), ValueError),
     (lambda: coupled_reflection_eigenstate(Component.UPPER, 0, 1, 1, 0, P11, CFG), ValueError),
     (lambda: coupled_reflection_eigenstate(Component.UPPER, 1, 1, 1, 0, P11, CFG_CRIT), RegimeError),
     (lambda: next(sweep_bound_states(P11, CFG_CRIT)), RegimeError),
     (lambda: nonrelativistic_target(SectorLabel(-1, -1), MODE11, 2, CFG), ValueError),
 ], ids=["branch", "kg-origin", "quantum", "pair-k", "energy-k", "radial-k", "energy-sign", "basis-size",
-        "classical-critical", "classical-pair-negative", "coupled-epsilon", "coupled-critical",
+        "classical-critical", "shell-critical", "shell-negative", "coupled-epsilon", "coupled-critical",
         "sweep-critical", "nrlimit-sector"])
 def test_each_input_guard_raises_its_own_error(call, error):
     with pytest.raises(ValueError) as exc:
