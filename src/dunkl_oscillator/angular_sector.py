@@ -26,13 +26,15 @@ where b = +/-1 is the branch sign of lambda. The sign pairing (+i with
 numerically by the eigen-residual tests. The 1/sqrt(2) makes the modes
 orthonormal under the reflection-symmetric angular weight.
 
-Every Phi and F is a row of one table builder (``_family_rows``, mixed
-by ``_mixed_rows``): a mode's own F, ``mixed_pair`` and ``phi_*`` are
-one-row tables, and ``eigenfunction_rows`` is the table of many modes.
+Every Phi and F is a row of one table builder, ``_mixed_rows``: a mode's
+own F, ``mixed_pair`` and ``phi_*`` (the real part of a row that mixes in
+no Phi_B) are one-row tables, and ``eigenfunction_rows`` is the table of
+many modes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -155,10 +157,11 @@ def _family(s_x: int, s_y: int, n: float, params: DunklParams):
 
 
 def _basis(s_x: int, s_y: int, n: float, params: DunklParams):
-    """Phi^{s_x s_y}_n as a real function of phi: the one row of a
-    ``_family_rows`` table (a zero row where Phi vanishes)."""
-    rows = _family_rows([(_family(s_x, s_y, n, params), None)])
-    return lambda phi: rows(phi)[0, 0]
+    """Phi^{s_x s_y}_n as a real function of phi: the real part of the one
+    row of a ``_mixed_rows`` table that mixes in no Phi_B (a zero row where
+    Phi vanishes)."""
+    rows = _mixed_rows([(_family(s_x, s_y, n, params), None)], [0.0])
+    return lambda phi: rows(phi)[0].real
 
 
 def phi_pp(n: int, params: DunklParams, phi):
@@ -187,20 +190,24 @@ _PAIR_FAMILIES = {1: ((1, 1), (-1, -1)), -1: ((-1, 1), (1, -1))}
 
 def _pair(epsilon: int, n: float, params: DunklParams) -> tuple:
     """The ``_family`` constants of (Phi_A, Phi_B) for (epsilon, n); Phi_B
-    is None at n = 0, where it vanishes and the mode is Phi_A alone."""
+    is None at n = 0, where j < 0: it vanishes and the mode is Phi_A alone."""
     sa, sb = _PAIR_FAMILIES[epsilon]
-    return _family(*sa, n, params), None if n == 0 else _family(*sb, n, params)
+    return _family(*sa, n, params), _family(*sb, n, params)
 
 
-def _family_rows(pairs):
-    """phi -> the (2, K, *phi.shape) real array of Phi_A (slot 0) and Phi_B
-    (slot 1) of each pair of ``_family`` constants (None: a zero row).
+def _mixed_rows(pairs, weights):
+    """phi -> the (K, *phi.shape) complex array whose row i is
+    (Phi_A + i w Phi_B) / sqrt(1 + w^2) of the ``_pair`` constants pairs[i]
+    and w = weights[i]; a pair whose Phi_B is None mixes with w = -0.0,
+    so its row is Phi_A + 0j with the real part Phi_A bit for bit, signed
+    zeros included (a +0.0 weight would add +0.0 to a -0.0). The last few
+    angle arrays' tables are kept, by ``remember_last``, and are read-only.
 
-    The package's one angular Jacobi path: rows with the same constants
+    The package's one angular Jacobi path: families with the same constants
     (slot, e_x, e_y, a, b), which do not depend on n, share one
-    ``jacobi_rows`` recurrence per angle array. Each row is c P_j^{(a,b)}(x),
-    then times cos(phi) if e_x, then times sin(phi) if e_y, so it does not
-    depend, bit for bit, on the other rows of its table.
+    ``jacobi_rows`` recurrence per angle array. Each Phi is c P_j^{(a,b)}(x),
+    then times cos(phi) if e_x, then times sin(phi) if e_y, so a row does
+    not depend, bit for bit, on the other rows of its table.
     """
     members: dict = {}  # (slot, e_x, e_y, a, b) -> [(row, j, c)]
     for i, pair in enumerate(pairs):
@@ -210,42 +217,25 @@ def _family_rows(pairs):
                 members.setdefault((slot, e_x, e_y, a, b), []).append((i, j, c))
     groups = [(key, *map(np.array, zip(*rows)), max(j for _, j, _ in rows))
               for key, rows in members.items()]
+    weights = np.array([-0.0 if family_b is None else w for (_, family_b), w in zip(pairs, weights)],
+                       dtype=float)
+    i_weight = 1j * weights
+    c_n = 1.0 / np.sqrt(1.0 + weights * weights)
 
-    def rows(phi):
+    def table(phi):
         phi = np.asarray(phi, dtype=float)
         col = (-1,) + (1,) * phi.ndim
         x = -np.cos(2.0 * phi)
-        out = np.zeros((2, len(pairs), *phi.shape))
+        families = np.zeros((2, len(pairs), *phi.shape))
         for (slot, e_x, e_y, a, b), index, degrees, consts, top in groups:
             basis = consts.reshape(col) * jacobi_rows(a, b, x, top)[degrees]
             if e_x:
                 basis = basis * np.cos(phi)
             if e_y:
                 basis = basis * np.sin(phi)
-            out[slot, index] = basis
-        return out
-
-    return rows
-
-
-def _mixed_rows(pairs, weights):
-    """phi -> the (K, *phi.shape) complex array whose row i is
-    (Phi_A + i w Phi_B) / sqrt(1 + w^2) of the ``_pair`` constants pairs[i]
-    and w = weights[i] (Phi_A + 0j where Phi_B is None). The last few angle
-    arrays' tables are kept, by ``remember_last``, and are read-only."""
-    family_rows = _family_rows(pairs)
-    weights = np.array(weights, dtype=float)
-    i_weight = 1j * weights
-    c_n = 1.0 / np.sqrt(1.0 + weights * weights)
-    alone = [i for i, (_, family_b) in enumerate(pairs) if family_b is None]
-
-    def table(phi):
-        phi_a, phi_b = family_rows(phi)
-        col = (-1,) + (1,) * (phi_a.ndim - 1)
-        f = c_n.reshape(col) * (phi_a + i_weight.reshape(col) * phi_b)
-        if alone:
-            f[alone] = phi_a[alone] + 0j
-        return f
+            families[slot, index] = basis
+        phi_a, phi_b = families
+        return c_n.reshape(col) * (phi_a + i_weight.reshape(col) * phi_b)
 
     return remember_last(table)
 
@@ -256,8 +246,8 @@ def mixed_pair(epsilon: int, n: float, params: DunklParams, weight: float):
     arrays.
 
     (A, B) is (++, --) for epsilon = +1 and (-+, +-) for epsilon = -1.
-    At n = 0 Phi^{--} vanishes, and the mode is Phi^{++}_0 alone,
-    whatever the weight.
+    At n = 0 Phi^{--} vanishes and mixes with weight 0, so the mode is
+    Phi^{++}_0 + 0j (``phi_pp`` bit for bit), whatever the weight.
     """
     rows = _mixed_rows([_pair(epsilon, n, params)], [weight])
     return lambda phi: rows(phi)[0]
@@ -297,19 +287,8 @@ def f_eigenfunction(mode: AngularMode) -> ScalarField2D:
 
 def modes_for_sector(sector: SectorLabel, params: DunklParams, n_max: float):
     """All modes of a sector with n <= n_max, both branches where they exist."""
-    out: list[AngularMode] = []
     if sector.epsilon == 1:
-        n_start = 0 if sector == SectorLabel(1, 1) else 1
-        for n in range(n_start, int(math.floor(n_max)) + 1):
-            if n == 0:
-                out.append(AngularMode(sector, 0, 1, params))
-            else:
-                out.append(AngularMode(sector, n, 1, params))
-                out.append(AngularMode(sector, n, -1, params))
+        ladder = range(0 if sector == SectorLabel(1, 1) else 1, int(math.floor(n_max)) + 1)
     else:
-        n = 0.5
-        while n <= n_max + _HALF_TOL:
-            out.append(AngularMode(sector, n, 1, params))
-            out.append(AngularMode(sector, n, -1, params))
-            n += 1.0
-    return out
+        ladder = itertools.takewhile(lambda n: n <= n_max + _HALF_TOL, itertools.count(0.5))
+    return [AngularMode(sector, n, branch, params) for n in ladder for branch in ((1, -1) if n else (1,))]

@@ -175,7 +175,12 @@ def _spectrum_blocks(args: argparse.Namespace, params: DunklParams, config: Osci
     """Yield the table's row texts, one list per mode and block of k, in
     output order. Each block's energies are one ``energy_column`` call. The
     k and k' cells depend on the sector, the regime and mu only: the first
-    block's are made once per table, later blocks' once per mode."""
+    block's are made once per table, later blocks' once per mode.
+
+    Every energy is resolved before the first list is yielded, so an
+    energy that a double cannot resolve raises before any row is written.
+    A table of one block per mode keeps its columns; a longer one is
+    checked in a pass of its own, so memory stays flat in ``--k-max``."""
     sector, regime = args.sector, classify_regime(config)
     modes = [AngularMode(sector, n, branch, params) for n in n_values
              for branch in {"+": [1], "-": [-1], "both": [1, -1]}[args.branch]
@@ -191,13 +196,21 @@ def _spectrum_blocks(args: argparse.Namespace, params: DunklParams, config: Osci
         pairs = ((k, k + offset if k + offset >= 0 else "invalid") for k in range(lo, hi))
         return [f'{k}, "k_prime": "{kp}"' if json_out else f"{k},{kp}," for k, kp in pairs]
 
-    first = k_cells(0, min(_K_BLOCK, args.k_max + 1)) if modes else []
-    for mode in modes:
+    spans = [(lo, min(lo + _K_BLOCK, args.k_max + 1)) for lo in range(0, args.k_max + 1, _K_BLOCK)]
+
+    def columns(mode: AngularMode):
+        return (energy_column(Component.UPPER, mode, np.arange(lo, hi), config, 1) for lo, hi in spans)
+
+    kept = [list(columns(mode)) for mode in modes] if len(spans) == 1 else None
+    for mode in modes if kept is None else ():
+        for _ in columns(mode):
+            pass
+    first = k_cells(*spans[0]) if modes else []
+    for i, mode in enumerate(modes):
         b = "+" if mode.branch == 1 else "-"
-        for lo in range(0, args.k_max + 1, _K_BLOCK):
-            hi = min(lo + _K_BLOCK, args.k_max + 1)
+        for (lo, hi), column in zip(spans, columns(mode) if kept is None else kept[i]):
             ks = first if lo == 0 else k_cells(lo, hi)
-            column = energy_column(Component.UPPER, mode, np.arange(lo, hi), config, 1).tolist()
+            column = column.tolist()
             es = [text(v) for v in column]
             if json_out:  # keys in sorted order, as json.dumps(row, sort_keys=True)
                 es = [f'"E_plus": {e}' for e in es]
@@ -222,8 +235,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         n_values = []  # the table has no rows
     blocks = _spectrum_blocks(args, params, config, n_values)
     # Each block goes out in one write as it is produced, so memory stays
-    # flat in --k-max. The CSV header or JSON "[" goes with the first block:
-    # an error before it prints nothing.
+    # flat in --k-max. The CSV header or JSON "[" goes with the first block,
+    # which comes after every energy is resolved: an error prints nothing.
     if args.fmt == "json":
         sep = "["
         for rows in blocks:

@@ -290,17 +290,14 @@ class RadialProfile:
 
 
 def build_radial(mode: AngularMode, k: int, config: OscillatorConfig) -> RadialProfile:
-    """Radial profile of one component (the index is the caller's k or k')."""
-    omega_eff = config.effective_frequency
+    """Radial profile of one component (the index is the caller's k or k'),
+    of scale |w| = m |w~| / hbar."""
+    if classify_regime(config) is Regime.CRITICAL:
+        raise RegimeError("no bound radial profile at the critical point")
     if k < 0:
         raise ValueError("radial index must be non-negative")
     a_ord = radial_order(mode)
-    return RadialProfile(
-        order=a_ord,
-        exponent=a_ord - mode.params.mu_plus,
-        scale=config.m * omega_eff / config.hbar,
-        index=k,
-    )
+    return RadialProfile(a_ord, a_ord - mode.params.mu_plus, abs(config.oscillator_scale), k)
 
 
 @dataclass(frozen=True)
@@ -445,7 +442,7 @@ def stacked_components(states) -> tuple[ScalarField2D, ScalarField2D]:
     one radial table: one Laguerre recurrence over the block's distinct
     orders and every k and k' they need, per radius array. Free states
     (``free_particle``) of one energy, which share a grid, stack the same
-    way on one ``bessel_j`` call over their orders. Row i is
+    way on one ``free_rows`` table over their orders. Row i is
     (c_i R_i(rho)) F_i(phi), the operation order of ``_product_field``, so
     every row equals its state's own field bit for bit; a zero lower
     amplitude gives a zero row. A hand-built state, such as an oracle's,
@@ -467,12 +464,11 @@ def stacked_components(states) -> tuple[ScalarField2D, ScalarField2D]:
     order = np.array(list(orders))
     angular = eigenfunction_rows([st.mode for st in states])
     if free:
-        wavenumber, mu_p = math.sqrt(2.0 * reduced_energy(config, first.energy)), params.mu_plus
-        bessel = remember_last(lambda rho: rho**-mu_p * bessel_j(_column(order, rho.ndim), wavenumber * rho))
+        bessel = free_rows(order, params.mu_plus, config, first.energy)
         radial_u = radial_l = lambda rho: bessel(rho)[rows]
     else:
         k_top = max(max(st.quantum.k, st.quantum.k_prime) for st in states)
-        table = radial_rows(order, order - params.mu_plus, build_radial(first.mode, 0, config).scale, k_top)
+        table = radial_rows(order, order - params.mu_plus, abs(config.oscillator_scale), k_top)
         ks = [st.quantum.k for st in states]
         ks_prime = [st.quantum.k_prime for st in states]
         radial_u = lambda rho: table(rho)[ks, rows]
@@ -491,6 +487,16 @@ def reduced_energy(config: OscillatorConfig, e_val: float) -> float:
     """Et = (E^2 - m^2 c^4) / (2 hbar^2 c^2) of the energy E = ``e_val``."""
     mc2 = config.rest_energy
     return (e_val**2 - mc2**2) / (2.0 * config.hbar**2 * config.c**2)
+
+
+def free_rows(orders, mu_plus: float, config: OscillatorConfig, e_val: float):
+    """rho -> the (M, *rho.shape) table of rho^{-mu_+} J_A(sqrt(2 Et) rho),
+    one row per order A of ``orders``, of the free state of energy ``e_val``
+    (Et = ``reduced_energy``). One ``bessel_j`` call per distinct radius
+    array (the last few are kept, by ``remember_last``), and each row equals
+    its own order's value bit for bit; tables are read-only."""
+    wavenumber = math.sqrt(2.0 * reduced_energy(config, e_val))
+    return remember_last(lambda rho: rho**-mu_plus * bessel_j(_column(orders, rho.ndim), wavenumber * rho))
 
 
 def free_particle(
@@ -514,14 +520,8 @@ def free_particle(
     mc2 = config.rest_energy
     if not (math.isfinite(e_val) and e_val >= mc2):
         raise ValueError(f"free-particle energy must be finite and >= m c^2, got {e_val}")
-    wavenumber = math.sqrt(2.0 * reduced_energy(config, e_val))
-    a_ord = radial_order(mode)
-    mu_p = mode.params.mu_plus
-
-    def radial(rho):
-        return rho ** (-mu_p) * bessel_j(a_ord, wavenumber * rho)
-
-    field = _product_field(remember_last(radial), mode, 1.0)
+    rows = free_rows([radial_order(mode)], params.mu_plus, config, e_val)
+    field = _product_field(lambda rho: rows(rho)[0], mode, 1.0)
     return SpinorSolution(
         upper=field,
         lower=field,

@@ -8,9 +8,12 @@ matrix of the angular operator on one shell of the Cartesian ladder,
 the undeformed limit against an independently coded textbook spectrum,
 and the deformed operators against reference eigenstates constructed
 here by explicitly diagonalizing the 2x2 reflection coupling on each
-branch pair. The same shell block, with the oscillator and reflection
-terms added, gives exact eigenspinors of both the second- and the
-first-order equations for any mu >= 0 in both bound regimes
+branch pair. A reference eigenstate takes lambda, the radial order A
+and the radial profile from the builder (``build_radial``); its 2x2
+weights, kappa, its n = 0 case and its reduced energy Et are its own,
+and they are what it checks. The same shell block, with the oscillator
+and reflection terms added, gives exact eigenspinors of both the second-
+and the first-order equations for any mu >= 0 in both bound regimes
 (:func:`cartesian_states`); they are the oracle of ``dirac_apply``.
 
 A finding the suite makes visible (see README): for nonzero deformation
@@ -58,11 +61,11 @@ from .dunkl_calculus import (
 from .solution_builder import (
     InvalidPairError,
     OscillatorConfig,
-    RadialProfile,
     Regime,
     RegimeError,
     SpinorSolution,
     bound_pairs,
+    build_radial,
     build_spinor,
     classify_regime,
     energy,
@@ -579,40 +582,30 @@ def coupled_reflection_eigenstate(
     part of the operator is a constant 2x2 Hermitian matrix; its
     eigenvalues are kappa = +/- (2n + mu_x + mu_y) and its eigenvectors
     mix the two parity families with lambda-dependent weights. The
-    returned field is the radial Laguerre profile times that eigenvector,
-    and the returned number is the exact reduced energy, so
-    ``kg_apply(field) - Et * field`` must vanish to O(h^2). Serves as the
-    machinery oracle for the deformed case.
+    returned field is the builder's radial Laguerre profile (``build_radial``
+    of the branch-+1 mode of (epsilon, n), so an n off the family's ladder
+    raises ``ValueError``) times that eigenvector, and the returned number
+    is the exact reduced energy, so ``kg_apply(field) - Et * field`` must
+    vanish to O(h^2). Serves as the machinery oracle for the deformed case.
     """
     if epsilon not in (1, -1):
         raise ValueError("epsilon must be +1 or -1")
-    mu_p = params.mu_plus
-    if classify_regime(config) is Regime.CRITICAL:
-        raise RegimeError("bound reference states need a non-critical regime")
-    w = config.oscillator_scale
-    abs_w = abs(w)
-    upper = component is Component.UPPER
-
-    if epsilon == 1:
-        lam0 = 2.0 * math.sqrt(n * (n + mu_p))
-        mu_e = mu_p
-    else:
-        lam0 = 2.0 * math.sqrt((n + params.mu_x) * (n + params.mu_y))
-        mu_e = params.mu_minus
-    a_ord = math.sqrt(lam0 * lam0 + mu_e * mu_e)
+    mode = AngularMode(SectorLabel(1, 1) if epsilon == 1 else SectorLabel(-1, 1), n, 1, params)
+    profile = build_radial(mode, k, config)  # a RegimeError at the critical point
+    lam0, a_ord, upper = lambda_eigenvalue(mode), profile.order, component is Component.UPPER
     if n == 0:
         # a single mode (epsilon = +1 only); the component fixes kappa
-        kappa, weight = (-mu_p if upper else mu_p), 0.0
+        kappa, weight = (-params.mu_plus if upper else params.mu_plus), 0.0
     else:
         kappa = kappa_sign * a_ord
         # eigenvector Phi_A + i weight Phi_B of the 2x2 coupling
+        mu_e = params.mu_plus if epsilon == 1 else params.mu_minus
         toward = mu_e if upper else -mu_e
         weight = (kappa + toward) / lam0 if epsilon == 1 else -(kappa - toward) / lam0
     # each factor runs once per distinct coordinate array of a stencil
-    ang = mixed_pair(epsilon, n, params, weight)
-    radial = remember_last(RadialProfile(order=a_ord, exponent=a_ord - mu_p, scale=abs_w, index=k))
+    ang, radial = mixed_pair(epsilon, n, params, weight), remember_last(profile)
     shift = -1.0 if upper else 1.0
-    tilde_e = abs_w * (2.0 * k + 1.0 + a_ord) + w * (kappa + shift)
+    tilde_e = profile.scale * (2.0 * k + 1.0 + a_ord) + config.oscillator_scale * (kappa + shift)
 
     return ScalarField2D(lambda rho, phi: radial(rho) * ang(phi)), tilde_e
 

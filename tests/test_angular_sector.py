@@ -246,8 +246,10 @@ class TestOneJacobiPath:
         for n in range(7):
             for fn, (s_x, s_y), m in ((phi_pp, (1, 1), n), (phi_mm, (-1, -1), n),
                                       (phi_mp, (-1, 1), n + 0.5), (phi_pm, (1, -1), n + 0.5)):
-                np.testing.assert_allclose(fn(m, params, phis), _reference_phi(s_x, s_y, m, params, phis),
-                                           rtol=0, atol=1e-13)
+                ref = _reference_phi(s_x, s_y, m, params, phis)
+                np.testing.assert_allclose(fn(m, params, phis), ref, rtol=0, atol=1e-13)
+                # signed zeros too: Phi at phi = 0 is -0.0 where sin(phi) meets a negative c P_j
+                assert np.array_equal(np.signbit(fn(m, params, phis)), np.signbit(ref))
         pairs = {1: ((1, 1), (-1, -1)), -1: ((-1, 1), (1, -1))}
         for sector in ALL_SECTORS:
             for mode in modes_for_sector(sector, params, 6):
@@ -258,6 +260,10 @@ class TestOneJacobiPath:
                     ref = ref if mode.n == 0 else ref / math.sqrt(1.0 + weight * weight)
                     np.testing.assert_allclose(mixed_pair(eps, mode.n, params, weight)(phis), ref,
                                                rtol=0, atol=1e-13)
+                    if mode.n == 0:
+                        # the n = 0 mode mixes in nothing, whatever the weight: Phi^{++}_0 bit for bit
+                        assert np.array_equal(mixed_pair(1, 0, params, weight)(phis),
+                                              phi_pp(0, params, phis) + 0j)
                     if weight == eps * mode.branch:
                         np.testing.assert_allclose(f_eigenfunction(mode).eval_polar(1.0, phis), ref,
                                                    rtol=0, atol=1e-13)

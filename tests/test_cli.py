@@ -70,10 +70,12 @@ class TestSpectrum:
         assert any(row["k_prime"] == "invalid" for row in payload)
         assert any(row["k_prime"] == "0" and row["k"] == 3 for row in payload)
 
-    def test_rows_are_written_as_they_are_produced(self, monkeypatch):
-        # Memory must stay flat in --k-max: the energies are one column per
-        # mode and block of k, and the first data row goes out before the
-        # last column of the table is computed.
+    def test_every_energy_is_resolved_once_before_the_first_write(self, monkeypatch):
+        # The energies are one column per mode and block of k. A table of one
+        # block per mode computes each column once, and all of them before
+        # its first write; a longer one checks every column in a pass of its
+        # own and computes it again as it writes, so memory stays flat in
+        # --k-max.
         from dunkl_oscillator import cli
 
         calls, writes = [], []
@@ -97,10 +99,28 @@ class TestSpectrum:
                 assert main(["spectrum", "--n", "0:2", "--k-max", "3", "--format", fmt]) == 0
             assert len(calls) == 5  # one column of k = 0..3 per mode
             assert [list(args[2]) for args in calls] == [[0, 1, 2, 3]] * 5
-            assert writes[0] < len(calls)
+            assert writes[0] == len(calls)
         # the streamed JSON is the one json.dumps gives for the whole list
         text = sink.getvalue()
         assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+        calls.clear()
+        writes.clear()
+        with contextlib.redirect_stdout(Sink()):
+            assert main(["spectrum", "--n", "1", "--k-max", str(cli._K_BLOCK)]) == 0
+        spans = [[0, cli._K_BLOCK], [cli._K_BLOCK, cli._K_BLOCK + 1]] * 2  # two modes of two blocks
+        assert [[args[2][0], args[2][-1] + 1] for args in calls] == spans * 2
+        assert writes[0] == len(spans) + 1  # the check pass, then the first block
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_an_unresolved_energy_leaves_stdout_empty(self, fmt):
+        # n = 1, branch + resolves at --omega 1e15 but branch - does not: the
+        # error comes before the first row of the table
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code, out = _run(["spectrum", "--omega", "1e15", "--n", "1:2", "--k-max", "3", "--format", fmt])
+        assert (code, out) == (2, "")
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "n=1, b=-1" in lines[0]
 
     def test_empty_table(self):
         argv = ["spectrum", "--sector=-1,-1", "--n", "0", "--k-max", "0"]

@@ -249,3 +249,32 @@ def test_omega_tilde_readers():
     readers = {name for p in MODULES for name, node in _definitions(ast.parse(p.read_text(encoding="utf-8")))
                if "omega_tilde" in {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}}
     assert readers == {"OscillatorConfig", "classify_regime", "dirac_apply", "classical_oscillator_b_energy"}, readers
+
+
+def _namers(name: str, skip: str = "") -> set[str]:
+    """``module.definition`` of every module-level function or class, outside
+    module ``skip``, whose body names ``name`` (a call, or a reference)."""
+    return {f"{p.stem}.{definition}" for p in MODULES if p.stem != skip
+            for definition, node in _definitions(ast.parse(p.read_text(encoding="utf-8")))
+            if name in _names(node)}
+
+
+def test_radial_profiles_are_built_by_the_builder():
+    # an oracle takes its radial factor from build_radial, not a copy of its rules
+    found = {p.stem for p in MODULES
+             if any(_callee(sub) == "RadialProfile" for sub in ast.walk(ast.parse(p.read_text(encoding="utf-8"))))}
+    assert found == {"solution_builder"}, found
+
+
+def test_effective_frequency_readers():
+    # |w~| is read where q and the nonrelativistic scale are formed; the
+    # radial scale |w| = |m w~ / hbar| comes from oscillator_scale
+    readers = {name.split(".")[1] for name in _namers("effective_frequency")}
+    assert readers == {"OscillatorConfig", "energy_column", "nonrelativistic_target",
+                       "check_nonrelativistic_limit"}, readers
+
+
+def test_one_free_radial_profile():
+    # rho^{-mu_+} J_A(sqrt(2 Et) rho) is one remembered table builder
+    found = _namers("bessel_j", skip="special_functions")
+    assert len(found) == 1, found

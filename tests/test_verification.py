@@ -823,11 +823,13 @@ def test_random_block_of_free_states_of_one_energy_matches_its_states_bit_for_bi
     (lambda: cartesian_states(-1, P11, CFG), ValueError),
     (lambda: coupled_reflection_eigenstate(Component.UPPER, 0, 1, 1, 0, P11, CFG), ValueError),
     (lambda: coupled_reflection_eigenstate(Component.UPPER, 1, 1, 1, 0, P11, CFG_CRIT), RegimeError),
+    (lambda: coupled_reflection_eigenstate(Component.UPPER, 1, 0.5, 1, 0, P11, CFG), ValueError),
+    (lambda: coupled_reflection_eigenstate(Component.UPPER, -1, 1.0, 1, 0, P11, CFG), ValueError),
     (lambda: next(sweep_bound_states(P11, CFG_CRIT)), RegimeError),
     (lambda: nonrelativistic_target(SectorLabel(-1, -1), MODE11, 2, CFG), ValueError),
 ], ids=["branch", "kg-origin", "quantum", "pair-k", "energy-k", "radial-k", "energy-sign", "basis-size",
         "classical-critical", "shell-critical", "shell-negative", "coupled-epsilon", "coupled-critical",
-        "sweep-critical", "nrlimit-sector"])
+        "coupled-off-ladder-plus", "coupled-off-ladder-minus", "sweep-critical", "nrlimit-sector"])
 def test_each_input_guard_raises_its_own_error(call, error):
     with pytest.raises(ValueError) as exc:
         call()
