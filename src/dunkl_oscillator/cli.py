@@ -33,14 +33,13 @@ from .solution_builder import (
     OscillatorConfig,
     Regime,
     build_spinor,
-    check_norm_range,
     classify_regime,
     energy_column,
     free_particle,
     partner_offset,
 )
 from .special_functions import MAX_DEGREE
-from .verification import GridSpec, kg_step_limit, run_suite
+from .verification import GridSpec, run_suite, step_limit, sweep_bound_states
 
 
 def _bounded(kind, low, high=math.inf, *, strict=False):
@@ -119,8 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def system(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--mu-x", type=_bounded(float, -0.5), default=0.0)
-        p.add_argument("--mu-y", type=_bounded(float, -0.5), default=0.0)
+        p.add_argument("--mu-x", type=_bounded(float, -0.5, MAX_MU), default=0.0)
+        p.add_argument("--mu-y", type=_bounded(float, -0.5, MAX_MU), default=0.0)
         p.add_argument("--omega", type=_bounded(float, 0.0), default=1.0)
         p.add_argument("--omega-c", type=_bounded(float, 0.0), default=0.0)
 
@@ -157,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--suite", choices=("kg", "angular", "ortho", "dirac", "nrlimit", "all"),
                        default="all")
     p_ver.add_argument("--tol", type=_bounded(float, 0.0), default=None)
-    p_ver.add_argument("--h", type=_bounded(float, 0.0, strict=True), default=DEFAULT_STEP)
+    p_ver.add_argument("--h", type=_bounded(float, MIN_STEP), default=DEFAULT_STEP)
     p_ver.add_argument("--n-max", type=_bounded(float, 0.0, MAX_DEGREE), default=2)
     p_ver.add_argument("--k-max", type=_bounded(int, 0, MAX_DEGREE), default=2)
 
@@ -168,6 +167,12 @@ def build_parser() -> argparse.ArgumentParser:
 _K_BLOCK = 4096
 # Largest number of radii or angles of a wavefunction grid.
 MAX_GRID_SIDE = 10**6
+# Largest --mu-x and --mu-y; every suite was measured finite up to it. F(phi)
+# grows like |cos phi|^-mu_x |sin phi|^-mu_y near the axes: from about
+# mu = (500, 500) the ortho products overflow.
+MAX_MU = 200.0
+# Smallest --h: the second differences divide by h^2, a normal double from 2^-511.
+MIN_STEP = 2.0**-511
 
 
 def _spectrum_blocks(args: argparse.Namespace, params: DunklParams, config: OscillatorConfig,
@@ -292,15 +297,17 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     params, config = _system(args)
     if args.suite in ("kg", "dirac", "all"):
-        # the sweep builds its states lazily: a norm out of range fails here,
-        # before the first check, not halfway through the records
-        check_norm_range(params, config, args.n_max, args.k_max)
+        # building the sweep's states evaluates no field: a norm out of range
+        # fails here, before the first check, not halfway through the records
+        if classify_regime(config) is not Regime.CRITICAL:
+            for _ in sweep_bound_states(params, config, args.n_max, args.k_max):
+                pass
         _check_partner_index(params, config, ALL_SECTORS, args.k_max, "--k-max")
-    if args.suite in ("kg", "all"):
-        limit, length = kg_step_limit(config)
+        limit, length = step_limit(config)
         if args.h > limit:
-            raise ValueError(f"--h {args.h:g} must be at most {limit:g} for the kg check, "
-                             f"whose radial stencil must stay off the origin on a grid of length scale {length:g}")
+            check, stencil = ("dirac", "Cartesian") if args.suite == "dirac" else ("kg", "radial")
+            raise ValueError(f"--h {args.h:g} must be at most {limit:g} for the {check} check, whose {stencil} "
+                             f"stencil must stay off the origin on a grid of length scale {length:g}")
     report = run_suite(
         params,
         config,

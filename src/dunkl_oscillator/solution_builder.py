@@ -41,7 +41,6 @@ from .angular_sector import (
     SectorLabel,
     eigenfunction_rows,
     lambda_eigenvalue,
-    modes_for_sector,
 )
 from .dunkl_calculus import Component, DunklParams, ScalarField2D, remember_last
 from .special_functions import bessel_j, laguerre_rows, log_gamma
@@ -177,6 +176,25 @@ def pair_radial_indices(sector: SectorLabel, regime: Regime, k: int, params: Dun
     return k_prime
 
 
+def spectral_terms(mode: AngularMode) -> tuple[float, float, float]:
+    """(lambda, A, sigma) of ``mode``, sigma = s_x mu_x + s_y mu_y: the
+    mode's terms of ``spectral_sum``."""
+    return lambda_eigenvalue(mode), radial_order(mode), mode.params.signed_sum(mode.sector.s_x, mode.sector.s_y)
+
+
+def spectral_sum(component: Component, regime: Regime, ks, lam: float, a_ord: float, sigma: float):
+    """The sum s of E = s m c^2 sqrt(1 + q s) (module docstring) of one
+    spinor component in a bound regime, at each radial index of ``ks``,
+    from a mode's ``spectral_terms``."""
+    if regime is Regime.POSITIVE:
+        if component is Component.UPPER:
+            return 2.0 * ks + a_ord + lam - sigma
+        return 2.0 * ks + a_ord + lam + sigma + 2.0
+    if component is Component.UPPER:
+        return 2.0 * ks + a_ord - lam + sigma + 2.0
+    return 2.0 * ks + a_ord - lam - sigma
+
+
 def energy_column(component: Component, mode: AngularMode, ks, config: OscillatorConfig, sign: int = 1):
     """Closed-form bound energies of one spinor component of ``mode`` at
     each radial index of ``ks``, an array of natural numbers (or one), with
@@ -189,19 +207,10 @@ def energy_column(component: Component, mode: AngularMode, ks, config: Oscillato
     regime = classify_regime(config)
     if regime is Regime.CRITICAL:
         raise RegimeError("no discrete spectrum at the critical frequency")
-    lam = lambda_eigenvalue(mode)
-    a_ord = radial_order(mode)
-    sigma = mode.params.signed_sum(mode.sector.s_x, mode.sector.s_y)
+    lam, a_ord, sigma = spectral_terms(mode)
     mc2 = config.rest_energy
     q = 2.0 * config.hbar * config.effective_frequency / mc2
-    if regime is Regime.POSITIVE:
-        s_num = 2.0 * ks + a_ord + lam - sigma
-        if component is Component.LOWER:
-            s_num = 2.0 * ks + a_ord + lam + sigma + 2.0
-    else:
-        s_num = 2.0 * ks + a_ord - lam + sigma + 2.0
-        if component is Component.LOWER:
-            s_num = 2.0 * ks + a_ord - lam - sigma
+    s_num = spectral_sum(component, regime, ks, lam, a_ord, sigma)
     # Some states have a radicand of exactly 0 (E = 0); rounding of q and of
     # the terms of s_num must not turn it into a tiny E in some units and an
     # error in others, so a radicand within a few ulps of those terms is 0.
@@ -354,31 +363,6 @@ def bound_pairs(params: DunklParams, config: OscillatorConfig, k_max: int):
         yield sector, [(k, k + offset) for k in range(max(0, -offset), k_max + 1)]
 
 
-def check_norm_range(params: DunklParams, config: OscillatorConfig, n_max: float, k_max: int) -> None:
-    """Raise ``NormRangeError`` if a bound state with n <= n_max and
-    k <= k_max has a component whose normalization constant, for its share
-    (E +/- m c^2) / (2E) of the probability, lies outside the double range.
-    Each mode's ``mode_states`` of its first and last pair finds their
-    amplitudes and evaluates no field; a zero share passes, as it builds a
-    zero component.
-
-    The shortcut rests on a measured property, not a proof: over both
-    components together, a mode's largest and smallest log amplitude sit
-    at its first or last pair. One component alone need not be monotone in
-    k (at mu = (1, 0), w~ = -0.005 the lower one of (+1,+1), n = 0 rises to
-    k = 6 and then falls), but a scan of 9 mu, q = 2 hbar |w~| / (m c^2)
-    from 1e-8 to 1e6, both regimes, n <= 40 and every k_max <= 200 found
-    the joint extremes at the end pairs throughout. In A the log norm is
-    convex, so its largest value sits at a sector's smallest or largest
-    order, but its smallest need not: every mode is checked.
-    """
-    if classify_regime(config) is Regime.CRITICAL:
-        return
-    for sector, pairs in bound_pairs(params, config, k_max):
-        for mode in modes_for_sector(sector, params, n_max):
-            mode_states(mode, pairs[:1] + pairs[-1:], config)
-
-
 def _product_field(radial: Callable, mode: AngularMode, scale: complex) -> ScalarField2D:
     """scale * radial(rho) * F(phi), with the mode object's own F, reached
     on the first evaluation. Both factors remember their recent coordinate
@@ -484,9 +468,13 @@ def stacked_components(states) -> tuple[ScalarField2D, ScalarField2D]:
 
 
 def reduced_energy(config: OscillatorConfig, e_val: float) -> float:
-    """Et = (E^2 - m^2 c^4) / (2 hbar^2 c^2) of the energy E = ``e_val``."""
+    """Et = (E^2 - m^2 c^4) / (2 hbar^2 c^2) of the energy E = ``e_val``;
+    an E whose square overflows a double raises ``ValueError``."""
     mc2 = config.rest_energy
-    return (e_val**2 - mc2**2) / (2.0 * config.hbar**2 * config.c**2)
+    try:
+        return (e_val**2 - mc2**2) / (2.0 * config.hbar**2 * config.c**2)
+    except OverflowError:
+        raise ValueError(f"the energy {e_val:g} is too large: its square overflows a double") from None
 
 
 def free_rows(orders, mu_plus: float, config: OscillatorConfig, e_val: float):

@@ -130,8 +130,9 @@ def bessel_j(nu, x):
     per order, each equal to its own order's call, bit for bit. Any
     other order array raises ``ValueError``."""
     nu_arr = np.asarray(nu, dtype=float)
-    if not ((0.0 <= nu_arr) & (nu_arr <= MAX_BESSEL_ORDER)).all():
-        raise DomainError(f"bessel_j order out of range: {nu}")
+    outside = ~((0.0 <= nu_arr) & (nu_arr <= MAX_BESSEL_ORDER))
+    if outside.any():
+        raise DomainError(f"bessel_j order {np.max(nu_arr[outside]):g} is outside [0, {MAX_BESSEL_ORDER:g}]")
     arr, scalar = _as_array(x)
     if not ((0.0 <= arr) & (arr <= MAX_BESSEL_ARG)).all():
         raise DomainError("bessel_j argument outside [0, 1e4]")

@@ -71,8 +71,9 @@ from .solution_builder import (
     energy,
     free_particle,
     mode_states,
-    radial_order,
     reduced_energy,
+    spectral_sum,
+    spectral_terms,
     stacked_components,
 )
 from .special_functions import laguerre_rows
@@ -173,9 +174,11 @@ def _length_scale(config: OscillatorConfig, e_val: float) -> float:
     return config.length_scale
 
 
-def kg_step_limit(config: OscillatorConfig) -> tuple[float, float]:
-    """The largest step h that ``kg_apply`` takes on the smallest radius of
-    ``run_suite``'s kg grids, and the smallest length scale of those grids."""
+def step_limit(config: OscillatorConfig) -> tuple[float, float]:
+    """The largest step h of ``run_suite``'s kg and dirac checks, which keeps
+    ``kg_apply``'s radial stencil, and ``dirac_apply``'s Cartesian one, off
+    the origin on the smallest radius of their grids; and the smallest
+    length scale of those grids."""
     length = _length_scale(config, max(_FREE_ENERGIES) * config.rest_energy)
     return GridSpec().radii(length)[0] / KG_RADIUS_STEPS, length
 
@@ -466,20 +469,15 @@ def nonrelativistic_target(
     k: int,
     base_config: OscillatorConfig,
 ) -> float:
-    """First-order term of the upper energy's expansion in 1/c^2.
-
-    hbar w~ (2k + A + lambda - sigma) for w~ > 0 and
-    hbar |w~| (2k + A - lambda + sigma + 2) for w~ < 0. ``sector`` must be
-    the mode's own.
+    """First-order term of the upper energy's expansion in 1/c^2:
+    hbar |w~| s, with s the builder's ``spectral_sum`` of the upper
+    component (2k + A + lambda - sigma for w~ > 0 and
+    2k + A - lambda + sigma + 2 for w~ < 0). ``sector`` must be the mode's
+    own.
     """
     if sector != mode.sector:
         raise ValueError(f"sector ({sector}) disagrees with the mode {mode}")
-    lam = lambda_eigenvalue(mode)
-    sigma = mode.params.signed_sum(sector.s_x, sector.s_y)
-    if classify_regime(base_config) is Regime.NEGATIVE:
-        s_num = 2.0 * k + radial_order(mode) - lam + sigma + 2.0
-    else:
-        s_num = 2.0 * k + radial_order(mode) + lam - sigma
+    s_num = spectral_sum(Component.UPPER, classify_regime(base_config), k, *spectral_terms(mode))
     target = base_config.hbar * base_config.effective_frequency * s_num
     if not math.isfinite(target):
         raise ValueError(f"the nonrelativistic target of sector ({sector}), n={mode.n:g}, k={k} overflows")

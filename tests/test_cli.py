@@ -25,6 +25,13 @@ def _run(argv):
     return code, out.getvalue()
 
 
+def _strict_json(text):
+    """``text`` as JSON, with NaN and Infinity rejected, as a strict parser does."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
 class TestSpectrum:
     def test_classical_table_contains_frozen_energies(self):
         code, text = _run(
@@ -306,6 +313,54 @@ class TestVerify:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: the normalization constant")
 
+    @pytest.mark.parametrize("mu", ["0", "1"])
+    @pytest.mark.parametrize("n_max, k_max", [(100, 1), (150, 1), (140, 3), (2, 200)])
+    def test_norm_preflight_exits_2_exactly_where_the_sweep_fails(self, mu, n_max, k_max, monkeypatch, capsys):
+        # the preflight builds every state of the sweep, evaluating no field;
+        # only n_max = 150 reaches a normalization constant past the double
+        # range. At mu = (1,1), k = 200 passes that check and pairs with
+        # k' = 201 in sector (-1,-1), which the next preflight check names.
+        from dunkl_oscillator import cli
+        from dunkl_oscillator.verification import VerificationReport
+
+        calls = []
+        monkeypatch.setattr(cli, "run_suite", lambda *a, **kw: calls.append(a) or VerificationReport("kg", []))
+        code = main(["verify", "--suite", "kg", "--mu-x", mu, "--mu-y", mu, "--omega", "1",
+                     "--n-max", str(n_max), "--k-max", str(k_max)])
+        captured = capsys.readouterr()
+        if n_max == 150:
+            assert (code, captured.out, calls) == (2, "", [])
+            assert captured.err.startswith("error: the normalization constant")
+        elif (mu, k_max) == ("1", 200):
+            assert (code, captured.out, calls) == (2, "", [])
+            assert captured.err.startswith("error: --k-max 200 pairs with the lower radial index k'=201")
+        else:
+            assert (code, len(calls), captured.err) == (0, 1, "")
+
+    @pytest.mark.parametrize("suite", ["kg", "angular", "ortho", "dirac", "nrlimit"])
+    def test_smallest_h_gives_finite_residuals(self, suite):
+        code, text = _run(["verify", "--suite", suite, "--mu-x", "1", "--mu-y", "1", "--n-max", "1",
+                           "--k-max", "1", "--h", "1.5e-154"])
+        assert code in (0, 1) and "NaN" not in text and "Infinity" not in text
+        assert _strict_json(text)["checks"]
+
+    @pytest.mark.parametrize("suite", ["angular", "ortho"])
+    def test_mu_at_its_cap_gives_strict_json(self, suite):
+        # F(phi) grows like |cos|^-mu_x |sin|^-mu_y near the axes; past the
+        # cap (a usage error) these suites read NaN from about mu = (500, 500)
+        from dunkl_oscillator.cli import MAX_MU
+
+        code, text = _run(["verify", "--suite", suite, "--mu-x", repr(MAX_MU), "--mu-y", repr(MAX_MU)])
+        assert code in (0, 1) and _strict_json(text)["checks"]
+
+    def test_bessel_order_out_of_range_is_one_line(self, capsys):
+        # n = 101 needs the free radial order 202, past the largest Bessel order
+        assert main(["verify", "--suite", "kg", "--omega", "1", "--omega-c", "2", "--n-max", "101",
+                     "--k-max", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: bessel_j order 202 is outside [0, 200]"]
+
     def test_records_carry_schema(self):
         _, text = _run(["verify", "--suite", "angular"])
         payload = json.loads(text)
@@ -411,6 +466,11 @@ class TestArgparse:
             ["wavefunction", "--grid-phi", "1000001"],
             ["wavefunction", "--energy", "nan"],
             ["wavefunction", "--energy", "0"],
+            # h^2, the second differences' divisor, is subnormal below 2^-511
+            ["verify", "--h", "1e-155"],
+            ["verify", "--h", "1e-320"],
+            ["verify", "--mu-x", "200.00000000000003"],
+            ["spectrum", "--mu-y", "1e52"],
         ],
     )
     def test_parser_rejects_out_of_range_values(self, argv, capsys):
@@ -483,6 +543,8 @@ class TestArgparse:
         ["wavefunction", "--omega-c", "1e308"],
         ["verify", "--suite", "kg", "--omega-c", "1e308"],
         ["verify", "--suite", "nrlimit", "--omega-c", "1e308"],
+        # E^2 overflows a double past about 1.34e154
+        ["wavefunction", "--omega", "1", "--omega-c", "2", "--energy", "1e155"],
     ],
 )
 def test_invalid_input_exits_2(argv, capsys):
@@ -517,6 +579,9 @@ def test_partner_index_past_the_largest_degree_is_named_in_flag_terms(argv, flag
     (["--suite", "all", "--omega", "1e300"], "0.0001", "1e-152", "1e-150"),
     # critical point: the free state of energy 2 m c^2 has the smaller length 1 / sqrt(3)
     (["--suite", "kg", "--omega", "1", "--omega-c", "2", "--h", "0.006"], "0.006", "0.0057735", "0.57735"),
+    # dirac takes the same bound: at about 1e154 length scales its radial factors overflowed to NaN
+    (["--suite", "dirac", "--h", "0.02"], "0.02", "0.01", "1"),
+    (["--suite", "dirac", "--h", "1e300"], "1e+300", "0.01", "1"),
 ])
 def test_h_past_the_grid_is_named_before_any_check(argv, h, limit, length, capsys):
     from dunkl_oscillator import verification
@@ -532,9 +597,10 @@ def test_h_past_the_grid_is_named_before_any_check(argv, h, limit, length, capsy
     assert captured.err.rstrip().endswith(f"length scale {length}") and "kg_apply" not in captured.err
 
 
-def test_h_at_the_grid_limit_runs():
+@pytest.mark.parametrize("suite", ["kg", "dirac"])
+def test_h_at_the_grid_limit_runs(suite):
     # 10 h equal to the smallest radius, 0.1 length scale, is what kg_apply accepts
-    code, text = _run(["verify", "--suite", "kg", "--h", "0.01", "--n-max", "0", "--k-max", "1"])
+    code, text = _run(["verify", "--suite", suite, "--h", "0.01", "--n-max", "0", "--k-max", "1"])
     assert code in (0, 1) and json.loads(text)["checks"]
 
 
@@ -738,3 +804,77 @@ def test_wavefunction_equals_the_per_value_formatting(system, precision):
     code, text = _run(argv)
     assert code == 0
     assert text == _reference_wavefunction(argv)
+
+
+def _edges(cap: float, toward: float) -> list[str]:
+    """``cap`` and the next double past it (toward ``toward``), as flag values."""
+    return [repr(cap), repr(math.nextafter(cap, toward))]
+
+
+# Each subcommand's numeric flags, drawn from boundary lists: 0, a tiny and
+# a huge value, each cap and one past it. n and k stay at most 1 (or past
+# their cap) and grids at most 2 x 2, so one run is a few milliseconds.
+_TINY, _HUGE = "5e-324", "1e308"
+_SYSTEM_FLAGS = {
+    "--mu-x": ["0", _TINY, "1", _HUGE, *_edges(-0.5, -math.inf), *_edges(200.0, math.inf)],
+    "--mu-y": ["0", _TINY, "0.5", "1", *_edges(200.0, math.inf)],
+    "--omega": ["0", _TINY, "1", "1e15", _HUGE, "inf"],
+    "--omega-c": ["0", _TINY, "2", "2.5", _HUGE, "nan"],
+}
+_INDEX = ["-1", "0", "1", "201"]
+_PRECISION = ["5", "6", "17", "18"]
+_OWN_FLAGS = {
+    "spectrum": {"--n": ["0", "1", "0:1", "1e308", "201"], "--k-max": _INDEX[:3], "--precision": _PRECISION},
+    "wavefunction": {"--n": ["0", "1", "0.5", "201"], "--k": _INDEX, "--precision": _PRECISION,
+                     "--grid-rho": ["0", "1", "2", "1000001"], "--grid-phi": ["0", "1", "2", "1000001"],
+                     "--energy": ["0", _TINY, "1", "1.5", "1e154", "1e155", _HUGE]},
+    "verify": {"--n-max": _INDEX, "--k-max": _INDEX, "--tol": ["0", _TINY, _HUGE, "inf"],
+               "--h": ["0", _TINY, "1e-155", *_edges(2.0**-511, 0.0), "1e-4", "0.01", "1", "1e300"]},
+}
+_CHOICES = {
+    "spectrum": {"--sector": ["1,1", "1,-1", "-1,-1"], "--format": ["csv", "json"], "--branch": ["+", "-", "both"]},
+    "wavefunction": {"--sector": ["1,1", "1,-1"], "--branch": ["+", "-"]},
+    "verify": {"--suite": ["kg", "angular", "ortho", "dirac", "nrlimit", "all"]},
+}
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    command = draw(st.sampled_from(sorted(_OWN_FLAGS)))
+    flags = {**_SYSTEM_FLAGS, **_OWN_FLAGS[command], **_CHOICES[command]}
+    argv = [command]
+    for flag, values in flags.items():
+        value = draw(st.none() | st.sampled_from(values))  # None keeps the default
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    if command == "spectrum" and draw(st.booleans()):
+        argv.append("--negative-energies")
+    return argv
+
+
+@settings(max_examples=120, deadline=None)
+@given(argv=_argv())
+@example(argv=["wavefunction", "--omega", "1", "--omega-c", "2", "--energy", "1e155"])
+@example(argv=["verify", "--suite", "kg", "--mu-x", "1", "--mu-y", "1", "--n-max", "1", "--k-max", "1",
+               "--h", "1e-155"])
+@example(argv=["verify", "--suite", "ortho", "--mu-x", "1e155"])
+@example(argv=["verify", "--suite", "kg", "--omega", "1", "--omega-c", "2", "--n-max", "101", "--k-max", "0"])
+@example(argv=["verify", "--suite", "dirac", "--n-max", "1", "--k-max", "1", "--h", "1e300"])
+def test_any_flag_values_exit_0_1_or_2_with_clean_output(argv):
+    # no traceback (an exception out of main), strict JSON, finite CSV cells,
+    # and an exit 2 that prints only its message: a usage error of the
+    # parser, or one `error:` line
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    text, lines = out.getvalue(), err.getvalue().splitlines()
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert text == ""
+        assert lines[0].startswith("usage: ") or len(lines) == 1 and lines[0].startswith("error: "), lines
+        return
+    if argv[0] == "verify" or "--format=json" in argv:
+        _strict_json(text)
+    else:
+        cells = [cell for ln in text.splitlines()[1:] for cell in ln.split(",")]
+        assert all(math.isfinite(v) for v in _floats(cells)), cells  # "unphysical" is not a float

@@ -278,3 +278,25 @@ def test_one_free_radial_profile():
     # rho^{-mu_+} J_A(sqrt(2 Et) rho) is one remembered table builder
     found = _namers("bessel_j", skip="special_functions")
     assert len(found) == 1, found
+
+
+def _callers(name: str) -> set[str]:
+    """``module.definition`` of every module-level function or class that calls ``name``."""
+    return {f"{p.stem}.{definition}" for p in MODULES
+            for definition, node in _definitions(ast.parse(p.read_text(encoding="utf-8")))
+            if name in {_callee(sub) for sub in ast.walk(node)}}
+
+
+def test_the_sweep_and_build_spinor_alone_call_mode_states():
+    # a state is built by build_spinor or by the sweep; a check on the
+    # sweep's norms walks the sweep itself, with no shortcut of its own
+    assert _callers("mode_states") == {"solution_builder.build_spinor", "verification.sweep_bound_states"}
+
+
+def test_one_spectral_sum():
+    # 2k + A + lambda - sigma and its partners are spectral_sum's alone: the
+    # nonrelativistic target reads it, and finds neither lambda nor A itself
+    assert {"solution_builder.energy_column", "verification.nonrelativistic_target"} <= _callers("spectral_sum")
+    target = dict(_definitions(ast.parse((PACKAGE / "verification.py").read_text(encoding="utf-8"))))
+    named = _names(target["nonrelativistic_target"]) & {"lambda_eigenvalue", "radial_order"}
+    assert not named, named
