@@ -303,11 +303,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             for _ in sweep_bound_states(params, config, args.n_max, args.k_max):
                 pass
         _check_partner_index(params, config, ALL_SECTORS, args.k_max, "--k-max")
-        limit, length = step_limit(config)
-        if args.h > limit:
-            check, stencil = ("dirac", "Cartesian") if args.suite == "dirac" else ("kg", "radial")
-            raise ValueError(f"--h {args.h:g} must be at most {limit:g} for the {check} check, whose {stencil} "
-                             f"stencil must stay off the origin on a grid of length scale {length:g}")
+    limit, why = step_limit(args.suite, params, config)
+    if args.h > limit:
+        raise ValueError(f"--h {args.h:g} must be at most {limit:g} for --suite {args.suite}: the {why}")
     report = run_suite(
         params,
         config,

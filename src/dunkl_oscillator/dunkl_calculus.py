@@ -44,8 +44,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from .solution_builder import OscillatorConfig
 
 DEFAULT_STEP = 1e-4
-# kg_apply's radial stencil needs every radius to be this many steps h or more.
-KG_RADIUS_STEPS = 10.0
+# Steps h that a stencil keeps from each singular locus: kg_apply's radii from
+# the origin, and the points of a reflection with mu != 0 from its axis.
+CLEARANCE_STEPS = 10.0
 # Reflection differences smaller than this (relative to the local field
 # magnitude) are treated as identically zero near a singular locus.
 SYMMETRY_TOL = 1e-10
@@ -170,16 +171,17 @@ def remember_last(fn: Callable[[np.ndarray], np.ndarray]):
 
 
 def _check_symmetric_near_axis(distance, diff, scale, h: float, what: str) -> None:
-    """Raise ``SingularPointError`` where a point lies within 10 h of a
-    singular locus (``distance``, or a signed coordinate, to it) and the
-    reflection difference ``diff`` there does not vanish."""
-    near = np.abs(np.asarray(distance, dtype=float)) < 10.0 * h
+    """Raise ``SingularPointError`` where a point lies within
+    ``CLEARANCE_STEPS`` steps h of a singular locus (``distance``, or a
+    signed coordinate, to it) and the reflection difference ``diff`` there
+    does not vanish."""
+    near = np.abs(np.asarray(distance, dtype=float)) < CLEARANCE_STEPS * h
     if not np.any(near):
         return
     bad = near & (np.abs(diff) > SYMMETRY_TOL * np.maximum(1.0, scale))
     if np.any(bad):
         raise SingularPointError(
-            f"{what} applied within 10*h of its singular locus where the "
+            f"{what} applied within {CLEARANCE_STEPS:g}*h of its singular locus where the "
             "reflection difference does not vanish"
         )
 
@@ -223,22 +225,26 @@ def dunkl_derivative(
     return central + _reflection_quotient(coord, diff, central, mu)
 
 
+def axis_distance(phi):
+    """The distance of each angle of ``phi`` to the nearest axis, a multiple of pi/2."""
+    return np.abs(phi / (0.5 * np.pi) - np.round(phi / (0.5 * np.pi))) * 0.5 * np.pi
+
+
 def _angular_stencil(field: ScalarField2D, point_polar, params: DunklParams, h: float, what: str):
     """phi, the field at phi, pi - phi (R_x), -phi (R_y), phi + h and
     phi - h, and the masks of the angles on the x and on the y axis (both
     None unless some angle is).
 
     Before phi +/- h, a reflection with mu != 0 is checked at the angles
-    within 10 h of its singular locus: R_x near pi/2 and 3pi/2, R_y near
-    0 and pi."""
+    within ``CLEARANCE_STEPS`` steps h of its singular locus: R_x near pi/2
+    and 3pi/2, R_y near 0 and pi."""
     rho, phi = np.asarray(point_polar[0], dtype=float), np.asarray(point_polar[1], dtype=float)
     f0 = field.eval_polar(rho, phi)
     frx = field.eval_polar(rho, np.pi - phi)
     fry = field.eval_polar(rho, -phi)
-    # distance to the nearest multiple of pi/2
-    d = np.abs(phi / (0.5 * np.pi) - np.round(phi / (0.5 * np.pi))) * 0.5 * np.pi
+    d = axis_distance(phi)
     on_x_axis = on_y_axis = None
-    if np.any(d < 10.0 * h):
+    if np.any(d < CLEARANCE_STEPS * h):
         sin, cos = np.abs(np.sin(phi)), np.abs(np.cos(phi))
         near_y_axis = cos < sin  # phi near pi/2, 3pi/2
         for on_locus, mu, mirrored in ((near_y_axis, params.mu_x, frx), (~near_y_axis, params.mu_y, fry)):
@@ -334,8 +340,8 @@ def kg_apply(
     derivatives are central differences of step ``h``.
     """
     rho, phi = np.asarray(point_polar[0], dtype=float), np.asarray(point_polar[1], dtype=float)
-    if np.any(rho < KG_RADIUS_STEPS * h):
-        raise SingularPointError(f"kg_apply requires rho >= {KG_RADIUS_STEPS:g}*h")
+    if np.any(rho < CLEARANCE_STEPS * h):
+        raise SingularPointError(f"kg_apply requires rho >= {CLEARANCE_STEPS:g}*h")
     w = config.oscillator_scale
     mu_p = params.mu_plus
 

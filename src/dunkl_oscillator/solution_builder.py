@@ -31,6 +31,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -246,29 +247,26 @@ def _column(values, ndim: int) -> np.ndarray:
     return np.reshape(values, (-1,) + (1,) * ndim)
 
 
-def radial_rows(order, exponent, scale: float, k_top: int):
-    """rho -> the (k_top + 1, *rho.shape) table of
-    R_k = t^{A-mu_+} e^{-t^2 / 2} L_k^A(t^2), k = 0..k_top, of one order A,
-    exponent A - mu_+ and scale s, in the unit-free radius t = rho sqrt(s).
-
-    ``order`` and ``exponent`` may instead be sequences of M orders and
-    their exponents: the table is then (k_top + 1, M, *rho.shape), one
-    Laguerre recurrence for all M, each element equal to its own order's.
+def radial_rows(orders, mu_plus: float, scale: float, k_top: int):
+    """rho -> the (k_top + 1, M, *rho.shape) table of
+    R_k = t^{A-mu_+} e^{-t^2 / 2} L_k^A(t^2), k = 0..k_top, of each of the M
+    orders A of ``orders``, at scale s, in the unit-free radius t = rho sqrt(s):
+    one Laguerre recurrence for all M, each element equal to its own order's.
     The prefactor and the recurrence run once per distinct radius array
     (the last few are kept, by ``remember_last``); tables are read-only.
     """
     root_s = math.sqrt(scale)
-    # a column's powers are taken one scalar exponent at a time: numpy squares
+    orders = np.ravel(orders).tolist()
+    # the powers are taken one Python-float exponent at a time: numpy squares
     # t for a scalar 2 but calls pow for an exponent array, and the two can
     # differ in the last bit
-    exponents = None if np.ndim(exponent) == 0 else np.ravel(exponent).tolist()
+    exponents = [a - mu_plus for a in orders]
 
     def table(rho):
         t = root_s * rho
         u = t * t
-        power = t**exponent if exponents is None else np.array([t**e for e in exponents])
-        alpha = order if exponents is None else _column(order, t.ndim)
-        return power * np.exp(-0.5 * u) * laguerre_rows(alpha, u, k_top)
+        power = np.array([t**e for e in exponents])
+        return power * np.exp(-0.5 * u) * laguerre_rows(_column(orders, t.ndim), u, k_top)
 
     return remember_last(table)
 
@@ -278,12 +276,17 @@ class RadialProfile:
     """Evaluable radial factor t^{A-mu_+} e^{-t^2 / 2} L_k^A(t^2), t = rho sqrt(s)."""
 
     order: float
-    exponent: float
+    mu_plus: float
     scale: float
     index: int
 
+    @cached_property
+    def rows(self):
+        """The one-order ``radial_rows`` table of rows 0..index, built on first use."""
+        return radial_rows([self.order], self.mu_plus, self.scale, self.index)
+
     def __call__(self, rho):
-        return radial_rows(self.order, self.exponent, self.scale, self.index)(rho)[self.index]
+        return self.rows(rho)[self.index, 0]
 
     def log_norm_squared(self) -> float:
         """Log of the exact squared norm against the radial measure
@@ -294,8 +297,7 @@ class RadialProfile:
         s^{-(mu_+ + 1)} from the measure: the only unit-dependent factor.
         """
         a, k, s = self.order, self.index, self.scale
-        mu_plus = a - self.exponent
-        return log_gamma(k + a + 1.0) - log_gamma(k + 1.0) - math.log(2.0) - (mu_plus + 1.0) * math.log(s)
+        return log_gamma(k + a + 1.0) - log_gamma(k + 1.0) - math.log(2.0) - (self.mu_plus + 1.0) * math.log(s)
 
 
 def build_radial(mode: AngularMode, k: int, config: OscillatorConfig) -> RadialProfile:
@@ -305,8 +307,7 @@ def build_radial(mode: AngularMode, k: int, config: OscillatorConfig) -> RadialP
         raise RegimeError("no bound radial profile at the critical point")
     if k < 0:
         raise ValueError("radial index must be non-negative")
-    a_ord = radial_order(mode)
-    return RadialProfile(a_ord, a_ord - mode.params.mu_plus, abs(config.oscillator_scale), k)
+    return RadialProfile(radial_order(mode), mode.params.mu_plus, abs(config.oscillator_scale), k)
 
 
 @dataclass(frozen=True)
@@ -372,26 +373,25 @@ def _product_field(radial: Callable, mode: AngularMode, scale: complex) -> Scala
 
 def mode_states(mode: AngularMode, pairs, config: OscillatorConfig, sign: int = 1) -> dict:
     """The paired two-component states of ``mode`` for the (k, k') of
-    ``pairs``, keyed by k in order, from one ``energy_column`` call and one
-    radial table of rows 0..max(k, k'); a pair's E is finite, |E| >= m c^2
-    sqrt(1 + q) (README, "Physics summary").
+    ``pairs``, keyed by k in order, from one ``energy_column`` call and the
+    one radial table of the mode's profile at max(k, k'), read at [k, 0]; a
+    pair's E is finite, |E| >= m c^2 sqrt(1 + q) (README, "Physics summary").
 
     Component norms are (E +/- mc^2)/(2E), summing to 1. Both components
     are a real constant >= 0 (the phase convention of the module docstring)
     times the mode object's own F, built on its first evaluation: the
     constants are found here, and no field is evaluated.
     """
-    base = build_radial(mode, 0, config)
-    rows = radial_rows(base.order, base.exponent, base.scale, max(map(max, pairs), default=0))
+    top = build_radial(mode, max(map(max, pairs), default=0), config)
     mc2 = config.rest_energy
     e_vals = energy_column(Component.UPPER, mode, np.array([k for k, _ in pairs]), config, sign).tolist()
     states = {}
     for (k, k_prime), e_val in zip(pairs, e_vals):
         nu2, nl2 = (e_val + mc2) / (2.0 * e_val), (e_val - mc2) / (2.0 * e_val)
-        cu = _amplitude(nu2, RadialProfile(base.order, base.exponent, base.scale, k))
-        cl = _amplitude(nl2, RadialProfile(base.order, base.exponent, base.scale, k_prime))
-        upper = _product_field(lambda rho, k=k: rows(rho)[k], mode, cu)
-        lower = (_product_field(lambda rho, k=k_prime: rows(rho)[k], mode, cl) if cl != 0.0
+        cu = _amplitude(nu2, RadialProfile(top.order, top.mu_plus, top.scale, k))
+        cl = _amplitude(nl2, RadialProfile(top.order, top.mu_plus, top.scale, k_prime))
+        upper = _product_field(lambda rho, k=k: top.rows(rho)[k, 0], mode, cu)
+        lower = (_product_field(lambda rho, k=k_prime: top.rows(rho)[k, 0], mode, cl) if cl != 0.0
                  else ScalarField2D.zero())
         states[k] = SpinorSolution(upper, lower, e_val, QuantumNumbers(k, k_prime), mode, config,
                                    nu2, nl2, (cu, cl))
@@ -426,7 +426,8 @@ def stacked_components(states) -> tuple[ScalarField2D, ScalarField2D]:
     one radial table: one Laguerre recurrence over the block's distinct
     orders and every k and k' they need, per radius array. Free states
     (``free_particle``) of one energy, which share a grid, stack the same
-    way on one ``free_rows`` table over their orders. Row i is
+    way on one ``free_rows`` table over their orders, at k = k' = 0: one
+    layout (k, order, *rho.shape) and one read. Row i is
     (c_i R_i(rho)) F_i(phi), the operation order of ``_product_field``, so
     every row equals its state's own field bit for bit; a zero lower
     amplitude gives a zero row. A hand-built state, such as an oracle's,
@@ -445,25 +446,23 @@ def stacked_components(states) -> tuple[ScalarField2D, ScalarField2D]:
             raise ValueError("free states stack only with free states of one energy")
     orders: dict = {}  # distinct radial order -> its row in the radial table
     rows = [orders.setdefault(radial_order(st.mode), len(orders)) for st in states]
-    order = np.array(list(orders))
     angular = eigenfunction_rows([st.mode for st in states])
-    if free:
-        bessel = free_rows(order, params.mu_plus, config, first.energy)
-        radial_u = radial_l = lambda rho: bessel(rho)[rows]
+    if free:  # a free state reads k = k' = 0 of its one-row table
+        table = free_rows(list(orders), params.mu_plus, config, first.energy)
+        ks = ks_prime = [0] * len(states)
     else:
         k_top = max(max(st.quantum.k, st.quantum.k_prime) for st in states)
-        table = radial_rows(order, order - params.mu_plus, abs(config.oscillator_scale), k_top)
+        table = radial_rows(list(orders), params.mu_plus, abs(config.oscillator_scale), k_top)
         ks = [st.quantum.k for st in states]
         ks_prime = [st.quantum.k_prime for st in states]
-        radial_u = lambda rho: table(rho)[ks, rows]
-        radial_l = lambda rho: table(rho)[ks_prime, rows]
 
-    def stacked(radial, amplitudes) -> ScalarField2D:
-        return ScalarField2D(lambda rho, phi: _column(amplitudes, np.ndim(rho)) * radial(rho) * angular(phi))
+    def stacked(radial_ks, amplitudes) -> ScalarField2D:
+        return ScalarField2D(lambda rho, phi: _column(amplitudes, np.ndim(rho)) * table(rho)[radial_ks, rows]
+                             * angular(phi))
 
     return (
-        stacked(radial_u, np.array([st.amplitudes[0] for st in states])),
-        stacked(radial_l, np.array([st.amplitudes[1] for st in states])),
+        stacked(ks, np.array([st.amplitudes[0] for st in states])),
+        stacked(ks_prime, np.array([st.amplitudes[1] for st in states])),
     )
 
 
@@ -478,13 +477,14 @@ def reduced_energy(config: OscillatorConfig, e_val: float) -> float:
 
 
 def free_rows(orders, mu_plus: float, config: OscillatorConfig, e_val: float):
-    """rho -> the (M, *rho.shape) table of rho^{-mu_+} J_A(sqrt(2 Et) rho),
+    """rho -> the (1, M, *rho.shape) table of rho^{-mu_+} J_A(sqrt(2 Et) rho),
     one row per order A of ``orders``, of the free state of energy ``e_val``
-    (Et = ``reduced_energy``). One ``bessel_j`` call per distinct radius
-    array (the last few are kept, by ``remember_last``), and each row equals
-    its own order's value bit for bit; tables are read-only."""
+    (Et = ``reduced_energy``), with ``radial_rows``' layout at k = 0 alone.
+    One ``bessel_j`` call per distinct radius array (the last few are kept,
+    by ``remember_last``); each row equals its own order's value bit for
+    bit, and tables are read-only."""
     wavenumber = math.sqrt(2.0 * reduced_energy(config, e_val))
-    return remember_last(lambda rho: rho**-mu_plus * bessel_j(_column(orders, rho.ndim), wavenumber * rho))
+    return remember_last(lambda rho: (rho**-mu_plus * bessel_j(_column(orders, rho.ndim), wavenumber * rho))[None])
 
 
 def free_particle(
@@ -509,7 +509,7 @@ def free_particle(
     if not (math.isfinite(e_val) and e_val >= mc2):
         raise ValueError(f"free-particle energy must be finite and >= m c^2, got {e_val}")
     rows = free_rows([radial_order(mode)], params.mu_plus, config, e_val)
-    field = _product_field(lambda rho: rows(rho)[0], mode, 1.0)
+    field = _product_field(lambda rho: rows(rho)[0, 0], mode, 1.0)
     return SpinorSolution(
         upper=field,
         lower=field,

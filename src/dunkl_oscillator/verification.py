@@ -47,15 +47,15 @@ from .angular_sector import (
 )
 from .dunkl_calculus import (
     DEFAULT_STEP,
-    KG_RADIUS_STEPS,
+    CLEARANCE_STEPS,
     Component,
     DunklParams,
     ScalarField2D,
     angular_j,
     angular_quadrature,
+    axis_distance,
     dirac_apply,
     kg_apply,
-    remember_last,
     weighted_inner_product,
 )
 from .solution_builder import (
@@ -90,6 +90,8 @@ SUITE_NAMES = ("kg", "angular", "ortho", "dirac", "nrlimit")
 
 # Highest mode index n of the angular and ortho suites.
 ANGULAR_N_MAX = 4
+# Angles of the angular suite's grid.
+ANGULAR_N_PHI = 64
 
 # Energies of the critical regime's free states, in units of m c^2.
 _FREE_ENERGIES = (1.25, 2.0)
@@ -174,13 +176,36 @@ def _length_scale(config: OscillatorConfig, e_val: float) -> float:
     return config.length_scale
 
 
-def step_limit(config: OscillatorConfig) -> tuple[float, float]:
-    """The largest step h of ``run_suite``'s kg and dirac checks, which keeps
-    ``kg_apply``'s radial stencil, and ``dirac_apply``'s Cartesian one, off
-    the origin on the smallest radius of their grids; and the smallest
-    length scale of those grids."""
+def step_limit(suite: str, params: DunklParams, config: OscillatorConfig) -> tuple[float, str]:
+    """The largest step h of ``run_suite(params, config, suite)``, at which
+    every stencil of its checks stays ``CLEARANCE_STEPS`` steps from its
+    singular locus on its grid, and the check and grid that set it ('all':
+    the smallest of its suites' limits). The origin bounds kg's radial and
+    dirac's Cartesian stencil (dirac runs off the critical point only); with
+    mu != 0 the axes bound kg's and angular's angle stencils and dirac's
+    Cartesian one. A suite that takes no step, or angular at mu = 0, has no
+    limit: (inf, "")."""
+    wanted = SUITE_NAMES if suite == "all" else (suite,)
     length = _length_scale(config, max(_FREE_ENERGIES) * config.rest_energy)
-    return GridSpec().radii(length)[0] / KG_RADIUS_STEPS, length
+    rho, phi = GridSpec().polar_points(length)
+    grid = f"on a grid of length scale {length:g}"
+    axes = params.mu_x != 0.0 or params.mu_y != 0.0
+    bounds = [(math.inf, "")]
+    if "kg" in wanted:
+        bounds.append((rho.min(), f"kg check, whose radial stencil must stay off the origin {grid}"))
+        if axes:
+            bounds.append((axis_distance(phi).min(), f"kg check, whose angle stencil must stay off the axes {grid}"))
+    if "dirac" in wanted and classify_regime(config) is not Regime.CRITICAL:
+        bounds.append((rho.min(), f"dirac check, whose Cartesian stencil must stay off the origin {grid}"))
+        if axes:
+            bounds.append((np.minimum(np.abs(rho * np.cos(phi)), np.abs(rho * np.sin(phi))).min(),
+                           f"dirac check, whose Cartesian stencil must stay off the axes {grid}"))
+    if "angular" in wanted and axes:
+        angles = GridSpec(n_phi=ANGULAR_N_PHI).angles()
+        bounds.append((axis_distance(angles).min(),
+                       f"angular check, whose angle stencil must stay off the axes on {angles.size} angles"))
+    clearance, why = min(bounds, key=lambda bound: bound[0])
+    return clearance / CLEARANCE_STEPS, why
 
 
 def _state_record(
@@ -251,7 +276,7 @@ def check_kg_eigen(
 
 def check_angular_eigen(
     modes,
-    n_phi: int = 64,
+    n_phi: int = ANGULAR_N_PHI,
     tol: float = DEFAULT_TOLS["angular"],
     h: float = DEFAULT_STEP,
 ) -> VerificationReport:
@@ -600,12 +625,11 @@ def coupled_reflection_eigenstate(
         mu_e = params.mu_plus if epsilon == 1 else params.mu_minus
         toward = mu_e if upper else -mu_e
         weight = (kappa + toward) / lam0 if epsilon == 1 else -(kappa - toward) / lam0
-    # each factor runs once per distinct coordinate array of a stencil
-    ang, radial = mixed_pair(epsilon, n, params, weight), remember_last(profile)
+    ang = mixed_pair(epsilon, n, params, weight)
     shift = -1.0 if upper else 1.0
     tilde_e = profile.scale * (2.0 * k + 1.0 + a_ord) + config.oscillator_scale * (kappa + shift)
-
-    return ScalarField2D(lambda rho, phi: radial(rho) * ang(phi)), tilde_e
+    # both factors remember their tables, so each runs once per distinct coordinate array of a stencil
+    return ScalarField2D(lambda rho, phi: profile(rho) * ang(phi)), tilde_e
 
 
 # ---------------------------------------------------------------------------

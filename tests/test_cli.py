@@ -597,11 +597,32 @@ def test_h_past_the_grid_is_named_before_any_check(argv, h, limit, length, capsy
     assert captured.err.rstrip().endswith(f"length scale {length}") and "kg_apply" not in captured.err
 
 
-@pytest.mark.parametrize("suite", ["kg", "dirac"])
-def test_h_at_the_grid_limit_runs(suite):
-    # 10 h equal to the smallest radius, 0.1 length scale, is what kg_apply accepts
-    code, text = _run(["verify", "--suite", suite, "--h", "0.01", "--n-max", "0", "--k-max", "1"])
+@pytest.mark.parametrize("suite, h", [("kg", "0.01"), ("dirac", "0.01"), ("angular", "1")],
+                         ids=["kg", "dirac", "angular"])
+def test_h_at_the_grid_limit_runs(suite, h):
+    # 10 h equal to the smallest radius, 0.1 length scale, is what kg_apply
+    # accepts; at mu = 0 the angular check has no singular locus, so no limit
+    code, text = _run(["verify", "--suite", suite, "--h", h, "--n-max", "0", "--k-max", "1"])
     assert code in (0, 1) and json.loads(text)["checks"]
+
+
+@pytest.mark.parametrize("argv, over, under, limit", [
+    (["--suite", "dirac", "--n-max", "1", "--k-max", "1"], "0.002", "0.0019", "0.0019509"),
+    (["--suite", "angular"], "0.005", "0.0049", "0.00490874"),
+    (["--suite", "kg", "--omega", "0.1", "--n-max", "1", "--k-max", "1"], "0.02", "0.019", "0.019635"),
+    (["--suite", "all", "--n-max", "0", "--k-max", "0"], "0.002", "0.0019", "0.0019509"),
+])
+def test_h_past_an_axis_limit_is_named_before_any_check(argv, over, under, limit, capsys):
+    # at mu != 0 the reflection guards keep each stencil 10 steps off the axes:
+    # 0.1 L sin(pi/16) for dirac's Cartesian points, the angle half-step
+    # pi/16 for kg and pi/64 for angular; all takes the smallest
+    system = ["verify", "--mu-x", "1", "--mu-y", "1", *argv]
+    assert main([*system, "--h", over]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --h {over} must be at most {limit} for --suite {argv[1]}: ")
+    assert main([*system, "--h", under]) in (0, 1)
+    assert "singular locus" not in capsys.readouterr().err
 
 
 def _floats(cells):
@@ -806,30 +827,35 @@ def test_wavefunction_equals_the_per_value_formatting(system, precision):
     assert text == _reference_wavefunction(argv)
 
 
-def _edges(cap: float, toward: float) -> list[str]:
-    """``cap`` and the next double past it (toward ``toward``), as flag values."""
-    return [repr(cap), repr(math.nextafter(cap, toward))]
+def _past(cap: float, toward: float) -> str:
+    """The next double past ``cap`` (toward ``toward``), as a flag value."""
+    return repr(math.nextafter(cap, toward))
 
 
-# Each subcommand's numeric flags, drawn from boundary lists: 0, a tiny and
-# a huge value, each cap and one past it. n and k stay at most 1 (or past
-# their cap) and grids at most 2 x 2, so one run is a few milliseconds.
+# Each subcommand's numeric flags as (in range, past the parser's cap):
+# values the parser accepts (0, a tiny and a huge value, each cap, and the
+# steps on either side of each --h limit) and values one past it. n and k
+# stay at most 1 (or past their cap) and grids at most 2 x 2, so one run is
+# a few milliseconds.
 _TINY, _HUGE = "5e-324", "1e308"
 _SYSTEM_FLAGS = {
-    "--mu-x": ["0", _TINY, "1", _HUGE, *_edges(-0.5, -math.inf), *_edges(200.0, math.inf)],
-    "--mu-y": ["0", _TINY, "0.5", "1", *_edges(200.0, math.inf)],
-    "--omega": ["0", _TINY, "1", "1e15", _HUGE, "inf"],
-    "--omega-c": ["0", _TINY, "2", "2.5", _HUGE, "nan"],
+    "--mu-x": (["0", _TINY, "0.5", "1", "-0.5", "200.0"],
+               [_HUGE, _past(-0.5, -math.inf), _past(200.0, math.inf)]),
+    "--mu-y": (["0", _TINY, "0.5", "1", "200.0"], [_past(200.0, math.inf)]),
+    "--omega": (["0", _TINY, "0.1", "1", "1e15", _HUGE], ["inf"]),
+    "--omega-c": (["0", _TINY, "2", "2.5", _HUGE], ["nan"]),
 }
-_INDEX = ["-1", "0", "1", "201"]
-_PRECISION = ["5", "6", "17", "18"]
+_INDEX = (["0", "1"], ["-1", "201"])
+_PRECISION = (["6", "17"], ["5", "18"])
 _OWN_FLAGS = {
-    "spectrum": {"--n": ["0", "1", "0:1", "1e308", "201"], "--k-max": _INDEX[:3], "--precision": _PRECISION},
-    "wavefunction": {"--n": ["0", "1", "0.5", "201"], "--k": _INDEX, "--precision": _PRECISION,
-                     "--grid-rho": ["0", "1", "2", "1000001"], "--grid-phi": ["0", "1", "2", "1000001"],
-                     "--energy": ["0", _TINY, "1", "1.5", "1e154", "1e155", _HUGE]},
-    "verify": {"--n-max": _INDEX, "--k-max": _INDEX, "--tol": ["0", _TINY, _HUGE, "inf"],
-               "--h": ["0", _TINY, "1e-155", *_edges(2.0**-511, 0.0), "1e-4", "0.01", "1", "1e300"]},
+    "spectrum": {"--n": (["0", "1", "0:1", "1e308", "201"], []), "--k-max": (_INDEX[0], ["-1"]),
+                 "--precision": _PRECISION},
+    "wavefunction": {"--n": (["0", "1", "0.5", "201"], []), "--k": _INDEX, "--precision": _PRECISION,
+                     "--grid-rho": (["1", "2"], ["0", "1000001"]), "--grid-phi": (["1", "2"], ["0", "1000001"]),
+                     "--energy": ([_TINY, "1", "1.5", "1e154", "1e155", _HUGE], ["0"])},
+    "verify": {"--n-max": _INDEX, "--k-max": _INDEX, "--tol": (["0", _TINY, _HUGE], ["inf"]),
+               "--h": ([repr(2.0**-511), "1e-4", "0.0019", "0.002", "0.0049", "0.005", "0.01", "0.019", "0.02",
+                        "1", "1e300"], ["0", _TINY, "1e-155", _past(2.0**-511, 0.0)])},
 }
 _CHOICES = {
     "spectrum": {"--sector": ["1,1", "1,-1", "-1,-1"], "--format": ["csv", "json"], "--branch": ["+", "-", "both"]},
@@ -840,13 +866,16 @@ _CHOICES = {
 
 @st.composite
 def _argv(draw) -> list[str]:
+    # every flag in range, or left at its default; then at most one flag
+    # past its cap, so most draws reach the physics
     command = draw(st.sampled_from(sorted(_OWN_FLAGS)))
-    flags = {**_SYSTEM_FLAGS, **_OWN_FLAGS[command], **_CHOICES[command]}
-    argv = [command]
-    for flag, values in flags.items():
-        value = draw(st.none() | st.sampled_from(values))  # None keeps the default
-        if value is not None:
-            argv.append(f"{flag}={value}")
+    numeric = {**_SYSTEM_FLAGS, **_OWN_FLAGS[command]}
+    values = {flag: draw(st.none() | st.sampled_from(choices)) for flag, choices in _CHOICES[command].items()}
+    values.update((flag, draw(st.none() | st.sampled_from(ok))) for flag, (ok, _) in numeric.items())
+    if draw(st.sampled_from([False, False, False, True])):
+        past = draw(st.sampled_from([flag for flag, (_, bad) in numeric.items() if bad]))
+        values[past] = draw(st.sampled_from(numeric[past][1]))
+    argv = [command, *(f"{flag}={value}" for flag, value in values.items() if value is not None)]
     if command == "spectrum" and draw(st.booleans()):
         argv.append("--negative-energies")
     return argv
@@ -860,6 +889,13 @@ def _argv(draw) -> list[str]:
 @example(argv=["verify", "--suite", "ortho", "--mu-x", "1e155"])
 @example(argv=["verify", "--suite", "kg", "--omega", "1", "--omega-c", "2", "--n-max", "101", "--k-max", "0"])
 @example(argv=["verify", "--suite", "dirac", "--n-max", "1", "--k-max", "1", "--h", "1e300"])
+# --h past the reflection guards' axis clearance: each stopped a check partway through
+@example(argv=["verify", "--suite", "dirac", "--mu-x", "1", "--mu-y", "1", "--n-max", "1", "--k-max", "1",
+               "--h", "0.002"])
+@example(argv=["verify", "--suite", "angular", "--mu-x", "1", "--mu-y", "1", "--h", "0.005"])
+@example(argv=["verify", "--suite", "kg", "--mu-x", "1", "--mu-y", "1", "--omega", "0.1", "--n-max", "1",
+               "--k-max", "1", "--h", "0.02"])
+@example(argv=["verify", "--suite", "all", "--mu-x", "1", "--mu-y", "1", "--h", "0.005"])
 def test_any_flag_values_exit_0_1_or_2_with_clean_output(argv):
     # no traceback (an exception out of main), strict JSON, finite CSV cells,
     # and an exit 2 that prints only its message: a usage error of the
@@ -869,6 +905,7 @@ def test_any_flag_values_exit_0_1_or_2_with_clean_output(argv):
         code = main(argv)
     text, lines = out.getvalue(), err.getvalue().splitlines()
     assert code in (0, 1, 2)
+    assert not any("singular locus" in line for line in lines), lines  # --h is checked up front
     if code == 2:
         assert text == ""
         assert lines[0].startswith("usage: ") or len(lines) == 1 and lines[0].startswith("error: "), lines

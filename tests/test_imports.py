@@ -300,3 +300,27 @@ def test_one_spectral_sum():
     target = dict(_definitions(ast.parse((PACKAGE / "verification.py").read_text(encoding="utf-8"))))
     named = _names(target["nonrelativistic_target"]) & {"lambda_eigenvalue", "radial_order"}
     assert not named, named
+
+
+def test_remembered_tables_are_the_factor_builders():
+    # each radial or angular factor is a row of one remembered table; a
+    # caller reads the table, and wraps no factor of its own
+    assert _callers("remember_last") == {"solution_builder.radial_rows", "solution_builder.free_rows",
+                                         "angular_sector._mixed_rows"}
+
+
+def _mu_plus_subtracters(tree: ast.Module) -> set[str]:
+    """The module-level definitions of ``tree`` that form ``x - mu_plus``."""
+    return {name for name, node in _definitions(tree)
+            if any(isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Sub)
+                   and getattr(sub.right, "id", getattr(sub.right, "attr", None)) == "mu_plus"
+                   for sub in ast.walk(node))}
+
+
+def test_one_radial_exponent():
+    # the power A - mu_+ of a bound radial factor is formed in radial_rows alone
+    tree = ast.parse((PACKAGE / "solution_builder.py").read_text(encoding="utf-8"))
+    assert _mu_plus_subtracters(tree) == {"radial_rows"}
+    assert _mu_plus_subtracters(ast.parse("def f(a, p):\n    return a - p.mu_plus")) == {"f"}
+    assert _mu_plus_subtracters(ast.parse("def f(a, mu_plus):\n    return a - mu_plus")) == {"f"}
+    assert _mu_plus_subtracters(ast.parse("def f(a, p):\n    return a - 2 * p.mu_plus - p.mu_minus")) == set()

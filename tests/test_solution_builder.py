@@ -298,17 +298,17 @@ class TestRadialProfile:
         mode = AngularMode(SectorLabel(1, 1), 1, 1, P00)
         prof = build_radial(mode, 0, CFG_POS)
         assert prof.index == 0
-        assert prof.exponent == pytest.approx(2.0)  # A = |lambda| = 2 at mu = 0
+        assert prof.order - prof.mu_plus == pytest.approx(2.0)  # A = |lambda| = 2 at mu = 0
         rho = 1.3
         assert prof(rho) == pytest.approx(rho**2 * math.exp(-0.5 * rho**2), rel=1e-14)
 
     def test_value_at_origin(self):
         mode1 = AngularMode(SectorLabel(1, 1), 1, 1, P11)
         prof1 = build_radial(mode1, 0, CFG_POS)
-        assert prof1.exponent > 0 and prof1(0.0) == 0.0
+        assert prof1.order - prof1.mu_plus > 0 and prof1(0.0) == 0.0
         mode0 = AngularMode(SectorLabel(1, 1), 0, 1, P11)
         prof0 = build_radial(mode0, 0, CFG_POS)
-        assert prof0.exponent == pytest.approx(0.0, abs=1e-14)
+        assert prof0.order - prof0.mu_plus == pytest.approx(0.0, abs=1e-14)
         assert prof0(0.0) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("config", [CFG_POS, OscillatorConfig(omega=0.02),
@@ -702,17 +702,41 @@ class TestModeFactorSharing:
     def test_radial_rows_are_read_only_and_equal_the_profile(self):
         mode = AngularMode(SectorLabel(1, 1), 1, 1, P11)
         a_ord = radial_order(mode)
-        rows3 = solution_builder.radial_rows(a_ord, a_ord - P11.mu_plus, 1.0, 3)
-        rows8 = solution_builder.radial_rows(a_ord, a_ord - P11.mu_plus, 1.0, 8)
+        rows3 = solution_builder.radial_rows([a_ord], P11.mu_plus, 1.0, 3)
+        rows8 = solution_builder.radial_rows([a_ord], P11.mu_plus, 1.0, 8)
         rho = GridSpec().radii(1.0)
         table = rows8(rho)
-        assert table.shape == (9, rho.size)
+        assert table.shape == (9, 1, rho.size)
         with pytest.raises(ValueError):
-            table[0, 0] = 0.0
+            table[0, 0, 0] = 0.0
         for k in range(9):
-            assert np.array_equal(table[k], build_radial(mode, k, CFG_POS)(rho))
+            assert np.array_equal(table[k, 0], build_radial(mode, k, CFG_POS)(rho))
         for k in range(4):
-            assert np.array_equal(rows3(rho)[k], table[k])
+            assert np.array_equal(rows3(rho)[k, 0], table[k, 0])
+
+    def test_radial_tables_have_a_leading_k_axis(self):
+        # bound and free tables share one layout (k, order, *rho.shape): a
+        # free table's k axis holds k = 0 alone
+        orders = [radial_order(AngularMode(SectorLabel(1, 1), n, 1, P11)) for n in (0, 1, 2)]
+        rho = GridSpec().radii(1.0)
+        bound = solution_builder.radial_rows(orders, P11.mu_plus, 1.0, 4)(rho)
+        free = solution_builder.free_rows(orders, P11.mu_plus, CFG_CRIT, 1.5)(rho)
+        assert bound.shape == (5, 3, rho.size) and free.shape == (1, 3, rho.size)
+        for column, order in enumerate(orders):
+            alone = solution_builder.radial_rows([order], P11.mu_plus, 1.0, 4)(rho)
+            assert np.array_equal(bound[:, column], alone[:, 0])
+            assert np.array_equal(free[0, column], solution_builder.free_rows([order], P11.mu_plus, CFG_CRIT,
+                                                                              1.5)(rho)[0, 0])
+
+    def test_a_profile_keeps_its_table(self, monkeypatch):
+        # two calls of one profile on one radius array run one Laguerre recurrence
+        calls = {}
+        _counting(monkeypatch, solution_builder, "laguerre_rows", calls)
+        prof = build_radial(AngularMode(SectorLabel(1, 1), 1, 1, P11), 3, CFG_POS)
+        rho = GridSpec().radii(1.0)
+        first = prof(rho)
+        assert np.array_equal(prof(rho.copy()), first)
+        assert calls == {"laguerre_rows": 1}
 
 
 class TestNormRange:
