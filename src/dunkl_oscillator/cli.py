@@ -27,7 +27,7 @@ import sys
 
 import numpy as np
 
-from .angular_sector import ALL_SECTORS, AngularMode, SectorLabel
+from .angular_sector import AngularMode, SectorLabel
 from .dunkl_calculus import DEFAULT_STEP, Component, DunklParams
 from .solution_builder import (
     OscillatorConfig,
@@ -39,7 +39,7 @@ from .solution_builder import (
     partner_offset,
 )
 from .special_functions import MAX_DEGREE
-from .verification import GridSpec, run_suite, step_limit, sweep_bound_states
+from .verification import GridSpec, run_suite, sweep_bound_states
 
 
 def _bounded(kind, low, high=math.inf, *, strict=False):
@@ -97,18 +97,6 @@ def _system(args: argparse.Namespace) -> tuple[DunklParams, OscillatorConfig]:
     return params, OscillatorConfig(omega=args.omega, omega_c=args.omega_c)
 
 
-def _check_partner_index(params: DunklParams, config: OscillatorConfig, sectors, k: int, flag: str) -> None:
-    """Raise ``ValueError`` if upper radial index k pairs, in one of
-    ``sectors``, with a lower index k' past ``MAX_DEGREE``. k' grows with
-    k, so a sweep over k <= k_max checks k_max."""
-    regime = classify_regime(config)
-    for sector in sectors if regime is not Regime.CRITICAL else ():
-        k_prime = k + partner_offset(sector, regime, params)
-        if k_prime > MAX_DEGREE:
-            raise ValueError(f"{flag} {k} pairs with the lower radial index k'={k_prime} in sector "
-                             f"({sector}); k' must be at most {MAX_DEGREE}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dunkl-oscillator",
@@ -124,7 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--omega-c", type=_bounded(float, 0.0), default=0.0)
 
     def sector_and_precision(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--sector", type=_parse_sector, default="1,1", help="SX,SY with values +1/-1")
+        p.add_argument("--sector", type=_parse_sector, default="1,1",
+                       help="SX,SY with values +1/-1; a value that starts with '-' needs the '=' form, "
+                       "as in --sector=-1,-1")
         p.add_argument("--precision", type=int, choices=range(6, 18), default=17,
                        metavar="6..17", help="significant digits of printed floats")
 
@@ -264,14 +254,11 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
     if len(n_values) != 1:
         raise ValueError(f"--n {args.n!r} selects {len(n_values)} mode indices; wavefunction exports one")
     mode = AngularMode(args.sector, n_values[0], 1 if args.branch == "+" else -1, params)
-    if classify_regime(config) is Regime.CRITICAL:
-        if args.energy is None:
-            raise ValueError("critical regime: supply --energy E >= m c^2")
+    if args.energy is not None:  # free_particle rejects a non-critical regime
         sol = free_particle(mode.sector, mode, args.energy, params, config)
-    elif args.energy is not None:
-        raise ValueError("--energy applies only at the critical point")
+    elif classify_regime(config) is Regime.CRITICAL:
+        raise ValueError("critical regime: supply --energy E >= m c^2")
     else:
-        _check_partner_index(params, config, [mode.sector], args.k, "--k")
         sol = build_spinor(mode.sector, mode, args.k, config, 1)
     grid = GridSpec(args.grid_rho, args.grid_phi)
     rho, phi = grid.radii(config.length_scale), grid.angles()
@@ -296,16 +283,12 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     params, config = _system(args)
-    if args.suite in ("kg", "dirac", "all"):
-        # building the sweep's states evaluates no field: a norm out of range
-        # fails here, before the first check, not halfway through the records
-        if classify_regime(config) is not Regime.CRITICAL:
-            for _ in sweep_bound_states(params, config, args.n_max, args.k_max):
-                pass
-        _check_partner_index(params, config, ALL_SECTORS, args.k_max, "--k-max")
-    limit, why = step_limit(args.suite, params, config)
-    if args.h > limit:
-        raise ValueError(f"--h {args.h:g} must be at most {limit:g} for --suite {args.suite}: the {why}")
+    if args.suite in ("kg", "dirac", "all") and classify_regime(config) is not Regime.CRITICAL:
+        # building the sweep's states evaluates no field: a norm or radial
+        # index out of range fails here, before the first check, not halfway
+        # through the records
+        for _ in sweep_bound_states(params, config, args.n_max, args.k_max):
+            pass
     report = run_suite(
         params,
         config,

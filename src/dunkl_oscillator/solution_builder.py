@@ -44,7 +44,7 @@ from .angular_sector import (
     lambda_eigenvalue,
 )
 from .dunkl_calculus import Component, DunklParams, ScalarField2D, remember_last
-from .special_functions import bessel_j, laguerre_rows, log_gamma
+from .special_functions import MAX_DEGREE, DomainError, bessel_j, laguerre_rows, log_gamma
 
 
 class RegimeError(ValueError):
@@ -380,8 +380,14 @@ def mode_states(mode: AngularMode, pairs, config: OscillatorConfig, sign: int = 
     Component norms are (E +/- mc^2)/(2E), summing to 1. Both components
     are a real constant >= 0 (the phase convention of the module docstring)
     times the mode object's own F, built on its first evaluation: the
-    constants are found here, and no field is evaluated.
+    constants are found here, and no field is evaluated. A last pair (the
+    largest k and k' of pairs in k order) past ``MAX_DEGREE`` raises
+    ``DomainError`` before anything is built.
     """
+    if pairs and max(pairs[-1]) > MAX_DEGREE:
+        k, k_prime = pairs[-1]
+        raise DomainError(f"k={k} pairs with the lower radial index k'={k_prime} in sector ({mode.sector}); "
+                          f"radial indices must be at most {MAX_DEGREE}")
     top = build_radial(mode, max(map(max, pairs), default=0), config)
     mc2 = config.rest_energy
     e_vals = energy_column(Component.UPPER, mode, np.array([k for k, _ in pairs]), config, sign).tolist()
@@ -504,7 +510,7 @@ def free_particle(
     if sector != mode.sector or params != mode.params:
         raise ValueError(f"sector ({sector}) or {params} disagrees with the mode {mode}")
     if classify_regime(config) is not Regime.CRITICAL:
-        raise RegimeError("free_particle requires omega == omega_c / 2")
+        raise RegimeError("free states need the critical point, omega == omega_c / 2")
     mc2 = config.rest_energy
     if not (math.isfinite(e_val) and e_val >= mc2):
         raise ValueError(f"free-particle energy must be finite and >= m c^2, got {e_val}")

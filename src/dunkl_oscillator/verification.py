@@ -686,13 +686,14 @@ def run_suite(
 ) -> VerificationReport:
     """Run one named verification suite (or 'all') and collect the records.
 
-    The checks run one after another. kg and dirac walk the sweep once and
-    check its states in blocks of at most ``_STATE_BLOCK`` consecutive
-    states, across modes and sectors (critical regime: free states of one
-    energy), one operator application per block and component; the
-    angular suite checks each sector's modes in one application, on the
-    mode list that the ortho suite shares. Records
-    come sorted by name, so the blocking does not show in the report.
+    The suite names, then the regime, then h (at most ``step_limit``) are
+    checked before the first check runs. The checks run one after another.
+    kg and dirac walk the sweep once and check its states in blocks of at
+    most ``_STATE_BLOCK`` consecutive states, across modes and sectors
+    (critical regime: free states of one energy), one operator application
+    per block and component; the angular suite checks each sector's modes
+    in one application, on the mode list that the ortho suite shares.
+    Records come sorted by name, so the blocking does not show in the report.
     ``threads`` accepts only 1: it is kept so that existing callers passing
     ``threads=1`` keep working; a thread pool gave no speed-up, as the
     numpy work per check is too small to release the interpreter lock for
@@ -709,6 +710,9 @@ def run_suite(
         for name in ("dirac", "nrlimit"):
             if name in wanted:
                 raise RegimeError(f"the {name} suite needs a non-critical regime")
+    limit, why = step_limit(suite, params, config)
+    if h > limit:
+        raise ValueError(f"h {h:g} must be at most {limit:g} for suite {suite}: the {why}")
 
     def tol_for(name: str) -> float:
         return DEFAULT_TOLS[name] if tol is None else tol

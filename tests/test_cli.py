@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -318,8 +320,8 @@ class TestVerify:
     def test_norm_preflight_exits_2_exactly_where_the_sweep_fails(self, mu, n_max, k_max, monkeypatch, capsys):
         # the preflight builds every state of the sweep, evaluating no field;
         # only n_max = 150 reaches a normalization constant past the double
-        # range. At mu = (1,1), k = 200 passes that check and pairs with
-        # k' = 201 in sector (-1,-1), which the next preflight check names.
+        # range. At mu = (1,1), k = 200 pairs with k' = 201 in sector (-1,-1),
+        # which the builder names when it reaches that sector's modes.
         from dunkl_oscillator import cli
         from dunkl_oscillator.verification import VerificationReport
 
@@ -333,7 +335,8 @@ class TestVerify:
             assert captured.err.startswith("error: the normalization constant")
         elif (mu, k_max) == ("1", 200):
             assert (code, captured.out, calls) == (2, "", [])
-            assert captured.err.startswith("error: --k-max 200 pairs with the lower radial index k'=201")
+            assert captured.err.startswith("error: k=200 pairs with the lower radial index k'=201 in sector (-1,-1); "
+                                           "radial indices must be at most 200")
         else:
             assert (code, len(calls), captured.err) == (0, 1, "")
 
@@ -554,12 +557,15 @@ def test_invalid_input_exits_2(argv, capsys):
     assert captured.err.strip()
 
 
-@pytest.mark.parametrize("argv, flag", [
-    (["verify", "--suite", "kg", "--n-max", "1", "--k-max", "200"], "--k-max 200"),
-    (["verify", "--suite", "dirac", "--n-max", "0", "--k-max", "199"], "--k-max 199"),
-    (["wavefunction", "--k", "200"], "--k 200"),
+@pytest.mark.parametrize("argv, pair", [
+    # at w~ < 0 and mu = (1,1), k' = k + 3 in sector (+1,+1), the sweep's first
+    (["verify", "--suite", "kg", "--n-max", "1", "--k-max", "200"],
+     "k=200 pairs with the lower radial index k'=203"),
+    (["verify", "--suite", "dirac", "--n-max", "0", "--k-max", "199"],
+     "k=199 pairs with the lower radial index k'=202"),
+    (["wavefunction", "--k", "200"], "k=200 pairs with the lower radial index k'=203"),
 ])
-def test_partner_index_past_the_largest_degree_is_named_in_flag_terms(argv, flag, capsys):
+def test_partner_index_past_the_largest_degree_is_named_with_its_sector(argv, pair, capsys):
     from dunkl_oscillator import verification
 
     calls = []
@@ -570,7 +576,7 @@ def test_partner_index_past_the_largest_degree_is_named_in_flag_terms(argv, flag
         assert main([*argv, *system]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and calls == []
-    assert captured.err.startswith(f"error: {flag} pairs with the lower radial index k'=")
+    assert captured.err.startswith(f"error: {pair} in sector (+1,+1); radial indices must be at most 200")
     assert "laguerre" not in captured.err
 
 
@@ -593,8 +599,15 @@ def test_h_past_the_grid_is_named_before_any_check(argv, h, limit, length, capsy
         assert main(["verify", *argv, "--n-max", "0", "--k-max", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and calls == []
-    assert captured.err.startswith(f"error: --h {h} must be at most {limit} ")
+    assert captured.err.startswith(f"error: h {h} must be at most {limit} for suite {argv[1]}: ")
     assert captured.err.rstrip().endswith(f"length scale {length}") and "kg_apply" not in captured.err
+
+
+def test_the_regime_is_named_before_the_step(capsys):
+    # the default suite, all, holds dirac, which needs a bound regime at any h
+    assert main(["verify", "--omega", "1", "--omega-c", "2", "--h", "0.02"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: the dirac suite needs a non-critical regime\n")
 
 
 @pytest.mark.parametrize("suite, h", [("kg", "0.01"), ("dirac", "0.01"), ("angular", "1")],
@@ -620,7 +633,7 @@ def test_h_past_an_axis_limit_is_named_before_any_check(argv, over, under, limit
     assert main([*system, "--h", over]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: --h {over} must be at most {limit} for --suite {argv[1]}: ")
+    assert captured.err.startswith(f"error: h {over} must be at most {limit} for suite {argv[1]}: ")
     assert main([*system, "--h", under]) in (0, 1)
     assert "singular locus" not in capsys.readouterr().err
 
@@ -915,3 +928,21 @@ def test_any_flag_values_exit_0_1_or_2_with_clean_output(argv):
     else:
         cells = [cell for ln in text.splitlines()[1:] for cell in ln.split(",")]
         assert all(math.isfinite(v) for v in _floats(cells)), cells  # "unphysical" is not a float
+
+
+def _readme_commands():
+    """The ``dunkl-oscillator`` lines of the README's "Command line" block,
+    with continuations joined and ``> file`` redirections dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Command line\n+```sh\n(.*?)^```", text, re.M | re.S)
+    assert block, "README has no sh block under '## Command line'"
+    lines = block.group(1).replace("\\\n", " ").splitlines()
+    return [shlex.split(line.split(" > ")[0]) for line in lines if line.startswith("dunkl-oscillator ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: " ".join(argv[1:]))
+def test_readme_command_line_examples_run(argv, capsys):
+    code = main(argv[1:])
+    captured = capsys.readouterr()
+    assert captured.out and captured.err == ""
+    assert code in ((0, 1) if argv[1] == "verify" else (0,))

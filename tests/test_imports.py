@@ -324,3 +324,16 @@ def test_one_radial_exponent():
     assert _mu_plus_subtracters(ast.parse("def f(a, p):\n    return a - p.mu_plus")) == {"f"}
     assert _mu_plus_subtracters(ast.parse("def f(a, mu_plus):\n    return a - mu_plus")) == {"f"}
     assert _mu_plus_subtracters(ast.parse("def f(a, p):\n    return a - 2 * p.mu_plus - p.mu_minus")) == set()
+
+
+def test_run_suite_alone_checks_the_step():
+    # the largest step is run_suite's rule: every caller, the command line
+    # too, meets it there, before the first check
+    assert _callers("step_limit") == {"verification.run_suite"}
+
+
+def test_the_largest_degree_is_named_where_its_rules_are():
+    # a radial index past MAX_DEGREE is mode_states' to reject; the parser
+    # bounds its flags by it, and nothing else keeps a copy of the rule
+    assert _namers("MAX_DEGREE", skip="special_functions") == {
+        "cli.build_parser", "cli._parse_n_values", "solution_builder.mode_states"}

@@ -42,6 +42,7 @@ from dunkl_oscillator.solution_builder import (
     partner_offset,
     radial_order,
 )
+from dunkl_oscillator.special_functions import DomainError
 from dunkl_oscillator.verification import (
     _STATE_BLOCK,
     GridSpec,
@@ -698,6 +699,18 @@ class TestModeFactorSharing:
                 column[4].amplitudes)
         for a, b in ((alone.upper, column[4].upper), (alone.lower, column[4].lower)):
             assert np.array_equal(a.eval_polar(rho, phi), b.eval_polar(rho, phi))
+
+    def test_a_radial_index_past_the_largest_degree_is_named_before_any_build(self, monkeypatch):
+        # at w~ > 0 and mu = (1,1), k' = k + 1 in sector (-1,-1): k = 199 is the largest k
+        sector = SectorLabel(-1, -1)
+        mode = AngularMode(sector, 1, 1, P11)
+        assert build_spinor(sector, mode, 199, CFG_POS).quantum.k_prime == 200
+        calls = []
+        monkeypatch.setattr(solution_builder, "build_radial", lambda *a: calls.append(a))
+        with pytest.raises(DomainError) as exc:
+            build_spinor(sector, mode, 200, CFG_POS)
+        assert calls == [] and str(exc.value) == (
+            "k=200 pairs with the lower radial index k'=201 in sector (-1,-1); radial indices must be at most 200")
 
     def test_radial_rows_are_read_only_and_equal_the_profile(self):
         mode = AngularMode(SectorLabel(1, 1), 1, 1, P11)

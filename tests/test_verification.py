@@ -529,6 +529,27 @@ class TestSweepAndSuite:
         with pytest.raises(RegimeError):
             run_suite(P11, crit, suite="dirac")
 
+    @pytest.mark.parametrize("params, h, message", [
+        # unchecked, 1e300 overflows to NaN records, and 0.005 meets the axis
+        # guard of dunkl_derivative halfway through the run
+        (P00, 1e300, "h 1e+300 must be at most 0.01 for suite dirac: the dirac check, whose Cartesian "
+                     "stencil must stay off the origin on a grid of length scale 1"),
+        (P11, 0.005, "h 0.005 must be at most 0.0019509 for suite dirac: the dirac check, whose Cartesian "
+                     "stencil must stay off the axes on a grid of length scale 1"),
+    ], ids=["origin", "axes"])
+    def test_h_past_the_step_limit_raises_before_any_check(self, params, h, message, monkeypatch):
+        calls = []
+        monkeypatch.setattr(verification, "dirac_apply", lambda *a: calls.append(a))
+        with pytest.raises(ValueError) as exc:
+            run_suite(params, CFG, "dirac", h=h, n_max=1, k_max=1)
+        assert (exc.type, str(exc.value), calls) == (ValueError, message, [])
+
+    def test_suite_names_then_regime_then_h(self):
+        with pytest.raises(ValueError, match="unknown suite"):
+            run_suite(P11, CFG_CRIT, "nonsense", h=1e300)
+        with pytest.raises(RegimeError, match="the dirac suite needs a non-critical regime"):
+            run_suite(P11, CFG_CRIT, "all", h=1e300)
+
 
 class TestConstantAngularFactor:
     """An n = 0 state has a constant angular factor, so every angular
