@@ -364,6 +364,15 @@ def bound_pairs(params: DunklParams, config: OscillatorConfig, k_max: int):
         yield sector, [(k, k + offset) for k in range(max(0, -offset), k_max + 1)]
 
 
+def _check_last_pair(sector: SectorLabel, pairs) -> None:
+    """Raise ``DomainError`` if the last pair of ``pairs`` (the largest k
+    and k' of pairs in k order) of ``sector`` has an index past ``MAX_DEGREE``."""
+    if pairs and max(pairs[-1]) > MAX_DEGREE:
+        k, k_prime = pairs[-1]
+        raise DomainError(f"k={k} pairs with the lower radial index k'={k_prime} in sector ({sector}); "
+                          f"radial indices must be at most {MAX_DEGREE}")
+
+
 def _product_field(radial: Callable, mode: AngularMode, scale: complex) -> ScalarField2D:
     """scale * radial(rho) * F(phi), with the mode object's own F, reached
     on the first evaluation. Both factors remember their recent coordinate
@@ -382,12 +391,9 @@ def mode_states(mode: AngularMode, pairs, config: OscillatorConfig, sign: int = 
     times the mode object's own F, built on its first evaluation: the
     constants are found here, and no field is evaluated. A last pair (the
     largest k and k' of pairs in k order) past ``MAX_DEGREE`` raises
-    ``DomainError`` before anything is built.
+    ``DomainError`` (``_check_last_pair``) before anything is built.
     """
-    if pairs and max(pairs[-1]) > MAX_DEGREE:
-        k, k_prime = pairs[-1]
-        raise DomainError(f"k={k} pairs with the lower radial index k'={k_prime} in sector ({mode.sector}); "
-                          f"radial indices must be at most {MAX_DEGREE}")
+    _check_last_pair(mode.sector, pairs)
     top = build_radial(mode, max(map(max, pairs), default=0), config)
     mc2 = config.rest_energy
     e_vals = energy_column(Component.UPPER, mode, np.array([k for k, _ in pairs]), config, sign).tolist()

@@ -64,6 +64,7 @@ from .solution_builder import (
     Regime,
     RegimeError,
     SpinorSolution,
+    _check_last_pair,
     bound_pairs,
     build_radial,
     build_spinor,
@@ -208,33 +209,48 @@ def step_limit(suite: str, params: DunklParams, config: OscillatorConfig) -> tup
     return clearance / CLEARANCE_STEPS, why
 
 
-def _state_record(
-    suite: str,
-    solution: SpinorSolution,
-    residual: float,
-    tol: float,
-    h: float,
-    component: Component | None = None,
-) -> CheckRecord:
-    """The record of one check on a built state; kg records also name the
-    component. A free state, which has no k, is tagged by its energy."""
-    mode = solution.mode
-    tag = f" E={solution.energy:.6g}" if solution.quantum is None else f" k={solution.quantum.k}"
-    name = f"{suite}[{mode.sector}] n={mode.n:g} b={mode.branch:+d}{tag}"
-    inputs = {"sector": str(mode.sector), "n": mode.n, "branch": mode.branch}
-    if component is not None:
-        name += f" {component.value}"
-        inputs["component"] = component.value
-    inputs.update(energy=solution.energy, h=h)
-    return CheckRecord(name=name, inputs=inputs, residual=residual, tol=tol)
+def _mode_record(suite: str, mode: AngularMode, tag: str, inputs: dict, residual: float,
+                 tol: float) -> CheckRecord:
+    """The record of one check on ``mode``, named
+    ``<suite>[<sector>] n=<n> b=<branch><tag>``, with the mode's sector, n
+    and branch first among its inputs. Every record is made here but
+    ortho's, whose name lists a whole sector's modes."""
+    return CheckRecord(
+        name=f"{suite}[{mode.sector}] n={mode.n:g} b={mode.branch:+d}{tag}",
+        inputs={"sector": str(mode.sector), "n": mode.n, "branch": mode.branch, **inputs},
+        residual=residual,
+        tol=tol,
+    )
+
+
+def _state_tag(solution: SpinorSolution) -> str:
+    """A built state's k as a record-name tag; a free state, which has no k,
+    is tagged by its energy."""
+    return f" E={solution.energy:.6g}" if solution.quantum is None else f" k={solution.quantum.k}"
 
 
 # ---------------------------------------------------------------------------
 # checks
 # ---------------------------------------------------------------------------
 
-def _as_states(states) -> list[SpinorSolution]:
-    return [states] if isinstance(states, SpinorSolution) else list(states)
+def _state_block(states, grid_spec: GridSpec):
+    """One state or a block of states that stack, as (states, (upper, lower),
+    params, config, rho, phi): the ``stacked_components`` fields and the
+    grid's radius column and angle row at the first state's length scale."""
+    states = [states] if isinstance(states, SpinorSolution) else list(states)
+    fields = stacked_components(states)
+    first = states[0]
+    rho, phi = grid_spec.polar_points(_length_scale(first.config, first.energy))
+    return states, fields, first.mode.params, first.config, rho, phi
+
+
+def _mode_rows(modes) -> tuple[list[AngularMode], DunklParams, ScalarField2D]:
+    """One mode or the modes of one sector, their parameters, and their F
+    rows as one field (row i is mode i's F) from one set of
+    ``eigenfunction_rows`` tables."""
+    modes = [modes] if isinstance(modes, AngularMode) else list(modes)
+    rows = eigenfunction_rows(modes)
+    return modes, modes[0].params, ScalarField2D(lambda rho, phi: rows(phi))
 
 
 def check_kg_eigen(
@@ -253,10 +269,7 @@ def check_kg_eigen(
     on the grid has residual 0. The records come per state, upper then
     lower, in input order.
     """
-    states = _as_states(states)
-    fields = stacked_components(states)
-    params, config = states[0].mode.params, states[0].config
-    rho, phi = grid_spec.polar_points(_length_scale(states[0].config, states[0].energy))
+    states, fields, params, config, rho, phi = _state_block(states, grid_spec)
     tilde_e = np.array([reduced_energy(st.config, st.energy) for st in states])[:, None, None]
     residuals = []
     for component, fld in zip((Component.UPPER, Component.LOWER), fields):
@@ -267,7 +280,8 @@ def check_kg_eigen(
             residual = np.max(np.abs(applied - tilde_e * vals), axis=(1, 2)) / scale
         residuals.append((component, np.where(scale == 0.0, 0.0, residual)))
     records = [
-        _state_record("kg", st, float(residual[i]), tol, h, component)
+        _mode_record("kg", st.mode, f"{_state_tag(st)} {component.value}",
+                     {"component": component.value, "energy": st.energy, "h": h}, float(residual[i]), tol)
         for i, st in enumerate(states)
         for component, residual in residuals
     ]
@@ -286,10 +300,7 @@ def check_angular_eigen(
     from one set of ``eigenfunction_rows`` tables and take one ``angular_j``
     call. One record per mode, in input order.
     """
-    modes = [modes] if isinstance(modes, AngularMode) else list(modes)
-    params = modes[0].params
-    rows = eigenfunction_rows(modes)
-    fld = ScalarField2D(lambda rho, phi: rows(phi))
+    modes, params, fld = _mode_rows(modes)
     lams = [lambda_eigenvalue(mode) for mode in modes]
     phi = GridSpec(n_phi=n_phi).angles()
     rho = np.ones_like(phi)
@@ -297,23 +308,15 @@ def check_angular_eigen(
     applied = angular_j(fld, (rho, phi), params, h)
     residuals = np.max(np.abs(applied - np.array(lams)[:, None] * vals), axis=1).tolist()
     scales = np.max(np.abs(vals), axis=1).tolist()
+    tag = f" mu=({params.mu_x:g},{params.mu_y:g})"
     records = [
-        CheckRecord(
-            name=f"angular[{mode.sector}] n={mode.n:g} b={mode.branch:+d} "
-            f"mu=({params.mu_x:g},{params.mu_y:g})",
-            inputs={
-                "sector": str(mode.sector),
-                "n": mode.n,
-                "branch": mode.branch,
-                "mu_x": params.mu_x,
-                "mu_y": params.mu_y,
-                "lambda": lam,
-                "relative_residual": residual / max(scale * max(abs(lam), 1.0), 1e-300),
-                "h": h,
-            },
-            residual=residual,
-            tol=tol,
-        )
+        _mode_record("angular", mode, tag, {
+            "mu_x": params.mu_x,
+            "mu_y": params.mu_y,
+            "lambda": lam,
+            "relative_residual": residual / max(scale * max(abs(lam), 1.0), 1e-300),
+            "h": h,
+        }, residual, tol)
         for mode, lam, residual, scale in zip(modes, lams, residuals, scales)
     ]
     return VerificationReport("angular", records)
@@ -326,9 +329,7 @@ def check_orthonormality(
     """Gram matrix of the modes against the identity, by the weighted
     angular quadrature: one ``weighted_inner_product`` of the modes' F
     rows, which come from one ``eigenfunction_rows`` table."""
-    params = modes[0].params
-    rows = eigenfunction_rows(modes)
-    fld = ScalarField2D(lambda rho, phi: rows(phi))
+    modes, params, fld = _mode_rows(modes)
     gram = weighted_inner_product(fld, fld, angular_quadrature(params))
     deviation = float(np.max(np.abs(gram - np.eye(len(modes)))))
     labels = ";".join(f"{m.sector}|{m.n:g}|{m.branch:+d}" for m in modes)
@@ -356,17 +357,15 @@ def check_dirac_system(
     residual is scaled by its own state's (|E| + m c^2) times its largest
     component value. One record per state, in input order.
     """
-    states = _as_states(states)
-    upper, lower = stacked_components(states)
-    params, config = states[0].mode.params, states[0].config
-    rho, phi = grid_spec.polar_points(_length_scale(states[0].config, states[0].energy))
+    states, (upper, lower), params, config, rho, phi = _state_block(states, grid_spec)
     xs, ys = rho * np.cos(phi), rho * np.sin(phi)
     energies = np.array([st.energy for st in states])
     r1, r2 = dirac_apply((upper, lower), energies[:, None, None], params, config, (xs, ys), h)
     amp = np.maximum(np.max(np.maximum(np.abs(upper(xs, ys)), np.abs(lower(xs, ys))), axis=(1, 2)), 1e-300)
     scale = (np.abs(energies) + config.rest_energy) * amp
     residual = np.maximum(np.max(np.abs(r1), axis=(1, 2)), np.max(np.abs(r2), axis=(1, 2))) / scale
-    records = [_state_record("dirac", st, float(residual[i]), tol, h) for i, st in enumerate(states)]
+    records = [_mode_record("dirac", st.mode, _state_tag(st), {"energy": st.energy, "h": h}, float(residual[i]), tol)
+               for i, st in enumerate(states)]
     return VerificationReport("dirac", records)
 
 
@@ -489,7 +488,6 @@ def cartesian_states(
 
 
 def nonrelativistic_target(
-    sector: SectorLabel,
     mode: AngularMode,
     k: int,
     base_config: OscillatorConfig,
@@ -497,15 +495,12 @@ def nonrelativistic_target(
     """First-order term of the upper energy's expansion in 1/c^2:
     hbar |w~| s, with s the builder's ``spectral_sum`` of the upper
     component (2k + A + lambda - sigma for w~ > 0 and
-    2k + A - lambda + sigma + 2 for w~ < 0). ``sector`` must be the mode's
-    own.
+    2k + A - lambda + sigma + 2 for w~ < 0).
     """
-    if sector != mode.sector:
-        raise ValueError(f"sector ({sector}) disagrees with the mode {mode}")
     s_num = spectral_sum(Component.UPPER, classify_regime(base_config), k, *spectral_terms(mode))
     target = base_config.hbar * base_config.effective_frequency * s_num
     if not math.isfinite(target):
-        raise ValueError(f"the nonrelativistic target of sector ({sector}), n={mode.n:g}, k={k} overflows")
+        raise ValueError(f"the nonrelativistic target of sector ({mode.sector}), n={mode.n:g}, k={k} overflows")
     return target
 
 
@@ -521,10 +516,11 @@ def check_nonrelativistic_limit(
 
     The shift must approach the target like c^{-2} (the Taylor remainder
     of sqrt(1 + u)), so the fitted log-log rate should sit near 2.
+    ``sector`` must be the mode's own (``energy`` checks it).
     """
     if len(c_values) < 3 or any(b >= a for a, b in zip(c_values[1:], c_values)):
         raise ValueError("need at least 3 increasing light-speed values")
-    target = nonrelativistic_target(sector, mode, k, base_config)
+    target = nonrelativistic_target(mode, k, base_config)
     errs = []
     for c in c_values:
         cfg = replace(base_config, c=c)
@@ -540,20 +536,11 @@ def check_nonrelativistic_limit(
         rate = -float(np.polyfit(np.log(np.asarray(c_values)), np.log(errs_arr), 1)[0])
         rate_residual = abs(rate - 2.0)
 
-    tag = f"nrlimit[{sector}] n={mode.n:g} b={mode.branch:+d} k={k}"
-    inputs = {
-        "sector": str(sector),
-        "n": mode.n,
-        "branch": mode.branch,
-        "k": k,
-        "target": target,
-        "c_values": list(c_values),
-    }
-    match = CheckRecord(name=f"{tag} match", inputs=inputs, residual=float(mismatch), tol=tol)
-    rate_record = CheckRecord(
-        name=f"{tag} rate", inputs={**inputs, "rate": rate}, residual=rate_residual, tol=0.2
-    )
-    return VerificationReport("nrlimit", [match, rate_record])
+    inputs = {"k": k, "target": target, "c_values": list(c_values)}
+    return VerificationReport("nrlimit", [
+        _mode_record("nrlimit", mode, f" k={k} match", inputs, float(mismatch), tol),
+        _mode_record("nrlimit", mode, f" k={k} rate", {**inputs, "rate": rate}, rate_residual, 0.2),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -643,10 +630,16 @@ def sweep_bound_states(
     k_max: int = 2,
 ):
     """Yield every buildable bound state of the sweep, skipping invalid pairs:
-    each (mode, k) is a ``build_spinor`` read of the mode's ``mode_states``."""
+    each (mode, k) is a ``build_spinor`` read of the mode's ``mode_states``.
+    The last pair of every sector with modes is checked against the largest
+    degree before the first state is built."""
     if classify_regime(config) is Regime.CRITICAL:
         raise RegimeError("bound-state sweep requires a non-critical regime")
-    for sector, pairs in bound_pairs(params, config, k_max):
+    sectors = [(sector, pairs) for sector, pairs in bound_pairs(params, config, k_max)
+               if modes_for_sector(sector, params, n_max)]
+    for sector, pairs in sectors:
+        _check_last_pair(sector, pairs)
+    for sector, pairs in sectors:
         for mode in modes_for_sector(sector, params, n_max):
             made = mode_states(mode, pairs, config)
             for k in range(k_max + 1):

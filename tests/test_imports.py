@@ -333,7 +333,15 @@ def test_run_suite_alone_checks_the_step():
 
 
 def test_the_largest_degree_is_named_where_its_rules_are():
-    # a radial index past MAX_DEGREE is mode_states' to reject; the parser
+    # a radial index past MAX_DEGREE is _check_last_pair's to reject, for
+    # mode_states and for the sweep before its first state; the parser
     # bounds its flags by it, and nothing else keeps a copy of the rule
     assert _namers("MAX_DEGREE", skip="special_functions") == {
-        "cli.build_parser", "cli._parse_n_values", "solution_builder.mode_states"}
+        "cli.build_parser", "cli._parse_n_values", "solution_builder._check_last_pair"}
+    assert _callers("_check_last_pair") == {"solution_builder.mode_states", "verification.sweep_bound_states"}
+
+
+def test_one_record_constructor():
+    # every record names its suite, sector, n and branch in one place; only
+    # ortho's, whose name lists a whole sector's modes, is made apart
+    assert _callers("CheckRecord") == {"verification._mode_record", "verification.check_orthonormality"}

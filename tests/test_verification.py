@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ from dunkl_oscillator.solution_builder import (
     free_particle,
     pair_radial_indices,
 )
+from dunkl_oscillator.special_functions import DomainError
 from dunkl_oscillator.verification import (
     GridSpec,
     VerificationReport,
@@ -92,15 +94,19 @@ class TestReportMechanics:
         assert CheckRecord("a", {}, math.nan, 1.0).passed is False
 
     def test_inputs_keys_of_every_suite(self):
+        # the README's "Verify records" table gives these patterns and keys
         state = {"sector", "n", "branch"}
         nrlimit = state | {"k", "target", "c_values"}
+        mode = r"\[[+-]1,[+-]1\] n=\d+(\.5)? b=[+-]1"
         expected = {
-            "kg": state | {"component", "energy", "h"},
-            "dirac": state | {"energy", "h"},
-            "angular": state | {"mu_x", "mu_y", "lambda", "relative_residual", "h"},
-            "ortho": {"modes", "mu_x", "mu_y"},
-            "nrlimit match": nrlimit,
-            "nrlimit rate": nrlimit | {"rate"},
+            "kg": (state | {"component", "energy", "h"}, rf"kg{mode} k=\d+ (upper|lower)"),
+            "kg E": (state | {"component", "energy", "h"}, rf"kg{mode} E=[\d.]+ (upper|lower)"),
+            "dirac": (state | {"energy", "h"}, rf"dirac{mode} k=\d+"),
+            "angular": (state | {"mu_x", "mu_y", "lambda", "relative_residual", "h"},
+                        rf"angular{mode} mu=\(1,1\)"),
+            "ortho": ({"modes", "mu_x", "mu_y"}, r"ortho\[[+-]1,[+-]1\] \d+ modes mu=\(1,1\)"),
+            "nrlimit match": (nrlimit, rf"nrlimit{mode} k=2 match"),
+            "nrlimit rate": (nrlimit | {"rate"}, rf"nrlimit{mode} k=2 rate"),
         }
         critical = run_suite(P11, OscillatorConfig(omega=1.0, omega_c=2.0), "kg", n_max=1).records
         assert critical and all(" E=" in r.name for r in critical)
@@ -109,7 +115,15 @@ class TestReportMechanics:
             suite = rec.name.split("[")[0]
             if suite == "nrlimit":
                 suite += " " + rec.name.rsplit(" ", 1)[1]
-            assert set(rec.inputs) == expected[suite], rec.name
+            elif " E=" in rec.name:
+                suite += " E"
+            keys, pattern = expected[suite]
+            assert set(rec.inputs) == keys, rec.name
+            assert re.fullmatch(pattern, rec.name), (rec.name, pattern)
+            if suite != "ortho":
+                assert list(rec.inputs)[:3] == ["sector", "n", "branch"], rec.name
+                assert rec.name.startswith(f"{suite.split()[0]}[{rec.inputs['sector']}] n={rec.inputs['n']:g} "
+                                           f"b={rec.inputs['branch']:+d}"), rec.name
             seen.add(suite)
         assert seen == set(expected)
 
@@ -378,7 +392,7 @@ class TestNonrelativisticLimit:
         mode = AngularMode(SectorLabel(1, 1), 0, 1, P00)
         rep = check_nonrelativistic_limit(SectorLabel(1, 1), mode, 0, CFG)
         assert rep.passed
-        assert nonrelativistic_target(SectorLabel(1, 1), mode, 0, CFG) == 0.0
+        assert nonrelativistic_target(mode, 0, CFG) == 0.0
 
     def test_deformed_case_rate_and_match(self):
         mode = AngularMode(SectorLabel(1, 1), 1, 1, P11)
@@ -397,7 +411,7 @@ class TestNonrelativisticLimit:
         sector = SectorLabel(-1, 1)
         mode = AngularMode(sector, 1.5, -1, P11)
         k = 1
-        target = nonrelativistic_target(sector, mode, k, CFG)
+        target = nonrelativistic_target(mode, k, CFG)
         with mpmath.workdps(50):
             lam = -2 * mpmath.sqrt((mpmath.mpf("1.5") + 1) * (mpmath.mpf("1.5") + 1))
             a_ord = mpmath.sqrt(lam * lam)  # mu_x - mu_y = 0 here
@@ -543,6 +557,18 @@ class TestSweepAndSuite:
         with pytest.raises(ValueError) as exc:
             run_suite(params, CFG, "dirac", h=h, n_max=1, k_max=1)
         assert (exc.type, str(exc.value), calls) == (ValueError, message, [])
+
+    def test_a_radial_index_past_the_largest_degree_raises_before_any_check(self, monkeypatch):
+        # at mu = (1,1), k = 200 pairs with k' = 201 in sector (-1,-1), which
+        # the sweep reaches after (+1,+1): none of (+1,+1)'s states is checked
+        calls = []
+        original = verification.kg_apply
+        monkeypatch.setattr(verification, "kg_apply", lambda *a: calls.append(a) or original(*a))
+        with pytest.raises(DomainError) as exc:
+            run_suite(P11, CFG, "kg", n_max=1, k_max=200)
+        assert str(exc.value) == ("k=200 pairs with the lower radial index k'=201 in sector (-1,-1); "
+                                  "radial indices must be at most 200")
+        assert calls == []
 
     def test_suite_names_then_regime_then_h(self):
         with pytest.raises(ValueError, match="unknown suite"):
@@ -847,7 +873,7 @@ def test_random_block_of_free_states_of_one_energy_matches_its_states_bit_for_bi
     (lambda: coupled_reflection_eigenstate(Component.UPPER, 1, 0.5, 1, 0, P11, CFG), ValueError),
     (lambda: coupled_reflection_eigenstate(Component.UPPER, -1, 1.0, 1, 0, P11, CFG), ValueError),
     (lambda: next(sweep_bound_states(P11, CFG_CRIT)), RegimeError),
-    (lambda: nonrelativistic_target(SectorLabel(-1, -1), MODE11, 2, CFG), ValueError),
+    (lambda: check_nonrelativistic_limit(SectorLabel(-1, -1), MODE11, 2, CFG), ValueError),
 ], ids=["branch", "kg-origin", "quantum", "pair-k", "energy-k", "radial-k", "energy-sign", "basis-size",
         "classical-critical", "shell-critical", "shell-negative", "coupled-epsilon", "coupled-critical",
         "coupled-off-ladder-plus", "coupled-off-ladder-minus", "sweep-critical", "nrlimit-sector"])
