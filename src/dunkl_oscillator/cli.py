@@ -155,6 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Radial indices per energy column: memory stays flat in --k-max.
 _K_BLOCK = 4096
+# Grid points per wavefunction evaluation, a block of whole rho rows (one
+# row where a row alone is longer): memory stays linear in the grid sides.
+_GRID_BLOCK = 4096
 # Largest number of radii or angles of a wavefunction grid.
 MAX_GRID_SIDE = 10**6
 # Largest --mu-x and --mu-y; every suite was measured finite up to it. F(phi)
@@ -167,12 +170,15 @@ MIN_STEP = 2.0**-511
 
 def _spectrum_blocks(args: argparse.Namespace, params: DunklParams, config: OscillatorConfig,
                      n_values: list[float]):
-    """Yield the table's row texts, one list per mode and block of k, in
+    """Yield the table's text, one string per mode and block of k, in
     output order. Each block's energies are one ``energy_column`` call. The
     k and k' cells depend on the sector, the regime and mu only: the first
-    block's are made once per table, later blocks' once per mode.
+    block's are made once per table, later blocks' once per mode. A CSV
+    block is one %-template call over its interleaved (k cells, E) values,
+    whose rare NaN rows have a template of their own that prints
+    ``unphysical``.
 
-    Every energy is resolved before the first list is yielded, so an
+    Every energy is resolved before the first block is yielded, so an
     energy that a double cannot resolve raises before any row is written.
     A table of one block per mode keeps its columns; a longer one is
     checked in a pass of its own, so memory stays flat in ``--k-max``."""
@@ -181,10 +187,9 @@ def _spectrum_blocks(args: argparse.Namespace, params: DunklParams, config: Osci
              for branch in {"+": [1], "-": [-1], "both": [1, -1]}[args.branch]
              if n != 0 or (branch == 1 and sector == SectorLabel(1, 1))]  # n = 0 is a single mode
     json_out, spec, sx = args.fmt == "json", f".{args.precision}g", f"{sector.s_x:+d}{sector.s_y:+d}"
-    if json_out:  # json.dumps prints the rounded float's repr
-        text = lambda v: '"unphysical"' if math.isnan(v) else repr(float(format(v, spec)))
-    else:
-        text = lambda v: "unphysical" if math.isnan(v) else format(v, spec)
+    # json.dumps prints the rounded float's repr
+    text = lambda v: '"unphysical"' if math.isnan(v) else repr(float(format(v, spec)))
+    width = 2 + args.negative_energies  # CSV cells per row from k on: k cells, E_plus[, E_minus]
 
     def k_cells(lo: int, hi: int) -> list[str]:
         offset = partner_offset(sector, regime, params)
@@ -205,19 +210,25 @@ def _spectrum_blocks(args: argparse.Namespace, params: DunklParams, config: Osci
         b = "+" if mode.branch == 1 else "-"
         for (lo, hi), column in zip(spans, columns(mode) if kept is None else kept[i]):
             ks = first if lo == 0 else k_cells(lo, hi)
-            column = column.tolist()
-            es = [text(v) for v in column]
             if json_out:  # keys in sorted order, as json.dumps(row, sort_keys=True)
-                es = [f'"E_plus": {e}' for e in es]
+                column = column.tolist()
+                es = [f'"E_plus": {text(v)}' for v in column]
                 if args.negative_energies:
                     es = [f'"E_minus": {text(-v)}, {e}' for v, e in zip(column, es)]
                 tail = f', "n": {json.dumps(mode.n)}, "regime": "{regime.value}", "sector": "{sx}"}}'
-                yield [f'{{{e}, "branch": "{b}", "k": {kc}{tail}' for e, kc in zip(es, ks)]
-            else:
-                if args.negative_energies:
-                    es = [f"{e},{text(-v)}" for v, e in zip(column, es)]
-                head, tail = f"{sx},{format(mode.n, spec)},{b},", f",{regime.value}\n"
-                yield [f"{head}{kc}{e}{tail}" for kc, e in zip(ks, es)]
+                yield ", ".join([f'{{{e}, "branch": "{b}", "k": {kc}{tail}' for e, kc in zip(es, ks)])
+                continue
+            head, tail = f"{sx},{format(mode.n, spec)},{b},", f",{regime.value}\n"
+            cells = [None] * (width * len(ks))
+            cells[0::width], cells[1::width] = ks, column.tolist()
+            if args.negative_energies:
+                cells[2::width] = (-column).tolist()
+            # a NaN row's "%.0s" takes its value and prints nothing of it
+            row, nan_row = (head + "%s" + ",".join([e] * (width - 1)) + tail for e in (f"%{spec}", "unphysical%.0s"))
+            rows = [row] * len(ks)
+            for j in np.flatnonzero(np.isnan(column)).tolist():
+                rows[j] = nan_row
+            yield "".join(rows) % tuple(cells)
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
@@ -234,14 +245,14 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     # which comes after every energy is resolved: an error prints nothing.
     if args.fmt == "json":
         sep = "["
-        for rows in blocks:
-            out.write(sep + ", ".join(rows))
+        for block in blocks:
+            out.write(sep + block)
             sep = ", "
         out.write("[]\n" if sep == "[" else "]\n")
         return 0
     header = ",".join(["sector,n,branch,k,k_prime,E_plus", *["E_minus"] * args.negative_energies, "regime\n"])
-    for rows in blocks:
-        out.write(header + "".join(rows))
+    for block in blocks:
+        out.write(header + block)
         header = ""
     out.write(header)  # a table with no rows is its header alone
     return 0
@@ -263,21 +274,23 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
     grid = GridSpec(args.grid_rho, args.grid_phi)
     rho, phi = grid.radii(config.length_scale), grid.angles()
     spec = f".{args.precision}g"
-    # One rho row at a time keeps memory linear in the grid sides; phi is
-    # the same array on every row, so F(phi) is evaluated, and its column
-    # formatted, once. The header goes out with the first row, so an
-    # evaluation error leaves stdout empty.
-    phi_cells = [format(f, spec) for f in phi.tolist()]
+    # Each component is evaluated once per block of whole rho rows, the
+    # radius column against the angle row, so memory stays linear in the
+    # grid sides. The phi cells are formatted once per grid into a line
+    # template, so a rho row's lines are one %-template call and one write.
+    # The header goes out with the first row, after the first block is
+    # evaluated, so an evaluation error leaves stdout empty.
+    lines = [f",{format(f, spec)},%{spec},%{spec},%{spec},%{spec}\n" for f in phi.tolist()]
+    step = max(1, _GRID_BLOCK // phi.size)
     header = "rho,phi,re_upper,im_upper,re_lower,im_lower\n"
-    for r in rho.tolist():
-        upper, lower = sol.upper.eval_polar(r, phi), sol.lower.eval_polar(r, phi)
-        rs = format(r, spec)
-        out.write(header + "".join(
-            f"{rs},{fs},{ur:{spec}},{ui:{spec}},{lr:{spec}},{li:{spec}}\n"
-            for fs, ur, ui, lr, li in zip(phi_cells, upper.real.tolist(), upper.imag.tolist(),
-                                          lower.real.tolist(), lower.imag.tolist())
-        ))
-        header = ""
+    for lo in range(0, rho.size, step):
+        r = rho[lo:lo + step, None]
+        upper, lower = sol.upper.eval_polar(r, phi[None, :]), sol.lower.eval_polar(r, phi[None, :])
+        values = np.stack((upper.real, upper.imag, lower.real, lower.imag), axis=-1).reshape(len(r), -1)
+        for rv, row in zip(r[:, 0].tolist(), values):
+            rs = format(rv, spec)  # the rho cell opens each line
+            out.write(header + rs + (rs.join(lines) % tuple(row.tolist())))
+            header = ""
     return 0
 
 

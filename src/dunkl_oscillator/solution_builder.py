@@ -434,7 +434,8 @@ def stacked_components(states) -> tuple[ScalarField2D, ScalarField2D]:
     a radius column against an angle row, each factor on its own axis.
 
     States that ``mode_states`` made, of any modes of one config and one
-    set of parameters, stack on the F rows of ``eigenfunction_rows`` and
+    set of parameters, stack on one ``eigenfunction_rows`` table of the
+    block's distinct modes (one F row per mode, read once per state) and
     one radial table: one Laguerre recurrence over the block's distinct
     orders and every k and k' they need, per radius array. Free states
     (``free_particle``) of one energy, which share a grid, stack the same
@@ -458,7 +459,9 @@ def stacked_components(states) -> tuple[ScalarField2D, ScalarField2D]:
             raise ValueError("free states stack only with free states of one energy")
     orders: dict = {}  # distinct radial order -> its row in the radial table
     rows = [orders.setdefault(radial_order(st.mode), len(orders)) for st in states]
-    angular = eigenfunction_rows([st.mode for st in states])
+    modes: dict = {}  # distinct mode -> its row in the angular table
+    mode_rows = [modes.setdefault(st.mode, len(modes)) for st in states]
+    angular = eigenfunction_rows(list(modes))
     if free:  # a free state reads k = k' = 0 of its one-row table
         table = free_rows(list(orders), params.mu_plus, config, first.energy)
         ks = ks_prime = [0] * len(states)
@@ -470,7 +473,7 @@ def stacked_components(states) -> tuple[ScalarField2D, ScalarField2D]:
 
     def stacked(radial_ks, amplitudes) -> ScalarField2D:
         return ScalarField2D(lambda rho, phi: _column(amplitudes, np.ndim(rho)) * table(rho)[radial_ks, rows]
-                             * angular(phi))
+                             * angular(phi)[mode_rows])
 
     return (
         stacked(ks, np.array([st.amplitudes[0] for st in states])),

@@ -13,11 +13,14 @@ import tracemalloc
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dunkl_oscillator.cli import build_parser, main
+from dunkl_oscillator.solution_builder import OscillatorConfig
+from dunkl_oscillator.verification import GridSpec
 
 
 def _run(argv):
@@ -25,6 +28,31 @@ def _run(argv):
     with contextlib.redirect_stdout(out):
         code = main(argv)
     return code, out.getvalue()
+
+
+class _Discard(io.TextIOBase):
+    """A stdout that counts the lines written to it and keeps none."""
+
+    rows = 0
+
+    def write(self, text):
+        self.rows += text.count("\n")
+        return len(text)
+
+
+def _cell_bits(text) -> bytes:
+    """The cells of a wavefunction CSV, parsed, as the bytes of a float array."""
+    return np.array([[float(t) for t in ln.split(",")] for ln in text.splitlines()[1:]]).tobytes()
+
+
+def _grid_bits(sol, grid: GridSpec, config: OscillatorConfig) -> bytes:
+    """(rho, phi, re/im upper, re/im lower) of each grid point in CSV order,
+    each component evaluated once on the whole grid (the radius column
+    against the angle row, as verify evaluates it), as bytes."""
+    rho, phi = grid.radii(config.length_scale)[:, None], grid.angles()[None, :]
+    upper, lower = sol.upper.eval_polar(rho, phi), sol.lower.eval_polar(rho, phi)
+    cells = (*np.broadcast_arrays(rho, phi), upper.real, upper.imag, lower.real, lower.imag)
+    return np.stack(cells, axis=-1).tobytes()
 
 
 def _strict_json(text):
@@ -169,55 +197,96 @@ class TestWavefunction:
                 assert math.isfinite(float(tok))
 
     def test_round_trip(self):
+        # 17 digits print each cell exactly: the cells parse back to the
+        # array evaluation of the grid, the one that verify checks
         from dunkl_oscillator.angular_sector import AngularMode, SectorLabel
         from dunkl_oscillator.dunkl_calculus import DunklParams
-        from dunkl_oscillator.solution_builder import OscillatorConfig, build_spinor
+        from dunkl_oscillator.solution_builder import build_spinor
 
         _, text = _run(self.ARGS)
+        config = OscillatorConfig(omega=1.0)
         sol = build_spinor(
             SectorLabel(1, -1),
             AngularMode(SectorLabel(1, -1), 0.5, 1, DunklParams(1.0, 1.0)),
             1,
-            OscillatorConfig(omega=1.0),
+            config,
             1,
         )
-        for ln in text.strip().splitlines()[1:]:
-            rho, phi, ru, iu, rl, il = (float(t) for t in ln.split(","))
-            u = complex(sol.upper.eval_polar(rho, phi))
-            lo = complex(sol.lower.eval_polar(rho, phi))
-            assert u.real == pytest.approx(ru, rel=1e-12, abs=1e-15)
-            assert u.imag == pytest.approx(iu, rel=1e-12, abs=1e-15)
-            assert lo.real == pytest.approx(rl, rel=1e-12, abs=1e-15)
-            assert lo.imag == pytest.approx(il, rel=1e-12, abs=1e-15)
+        assert _cell_bits(text) == _grid_bits(sol, GridSpec(4, 4), config)
 
-    def test_grid_is_evaluated_one_rho_row_at_a_time(self, monkeypatch):
-        # Memory must stay linear in the grid sides: each evaluation covers
-        # one rho row, never the whole rho x phi grid.
+    def _spy_shapes(self, monkeypatch):
+        """Record (component, rho, phi) of every field evaluation."""
         import dataclasses
-
-        import numpy as np
 
         from dunkl_oscillator import cli
         from dunkl_oscillator.dunkl_calculus import ScalarField2D
 
-        shapes = []
+        calls = []
         build = cli.build_spinor
 
-        def spy(field):
+        def spy(field, name):
             def fn(rho, phi):
-                shapes.append(np.broadcast(rho, phi).shape)
+                calls.append((name, np.array(rho), np.array(phi)))
                 return field.eval_polar(rho, phi)
             return ScalarField2D(fn)
 
         def build_spy(*args):
             sol = build(*args)
-            return dataclasses.replace(sol, upper=spy(sol.upper), lower=spy(sol.lower))
+            return dataclasses.replace(sol, upper=spy(sol.upper, "upper"), lower=spy(sol.lower, "lower"))
 
         monkeypatch.setattr(cli, "build_spinor", build_spy)
-        args = self.ARGS[:-4] + ["--grid-rho", "5", "--grid-phi", "7"]
+        return calls
+
+    @pytest.mark.parametrize("block, heights", [(21, [3, 3, 3, 1]), (14, [2] * 5), (6, [1] * 10), (4096, [10])])
+    def test_grid_is_evaluated_in_blocks_of_whole_rho_rows(self, monkeypatch, block, heights):
+        # Memory must stay linear in the grid sides: each evaluation is a
+        # block of whole rho rows (a column of radii against the whole phi
+        # row) of at most _GRID_BLOCK points, or one row where a row alone is
+        # longer, and each component evaluates each rho row once.
+        from dunkl_oscillator import cli
+
+        calls = self._spy_shapes(monkeypatch)
+        monkeypatch.setattr(cli, "_GRID_BLOCK", block)
+        args = self.ARGS[:-4] + ["--grid-rho", "10", "--grid-phi", "7"]
         code, text = _run(args)
-        assert code == 0 and len(text.splitlines()) == 1 + 35
-        assert shapes == [(7,)] * 10
+        assert code == 0 and len(text.splitlines()) == 1 + 70
+        config = OscillatorConfig(omega=1.0)
+        rho, phi = GridSpec(10, 7).radii(config.length_scale), GridSpec(10, 7).angles()
+        for name in ("upper", "lower"):
+            mine = [(r, f) for kind, r, f in calls if kind == name]
+            assert [r.shape for r, _ in mine] == [(h, 1) for h in heights]
+            assert all(f.shape == (1, 7) and np.array_equal(f[0], phi) for _, f in mine)
+            assert np.array_equal(np.concatenate([r[:, 0] for r, _ in mine]), rho)
+            assert all(r.size * 7 <= max(block, 7) for r, _ in mine)
+
+    def test_a_grid_of_the_block_size_is_one_evaluation(self, monkeypatch):
+        from dunkl_oscillator import cli
+
+        calls = self._spy_shapes(monkeypatch)
+        assert cli._GRID_BLOCK == 64 * 64
+        code, _ = _run(self.ARGS[:-4] + ["--grid-rho", "64", "--grid-phi", "64"])
+        assert code == 0
+        assert [(kind, r.shape, f.shape) for kind, r, f in calls] == [
+            ("upper", (64, 1), (1, 64)), ("lower", (64, 1), (1, 64))]
+
+    def test_memory_is_flat_in_grid_rho(self):
+        # one block of at most _GRID_BLOCK points is alive at a time: the
+        # peak of a 1024-row grid (16 blocks, about 7 MB of text) is that of
+        # a 128-row one
+        sink_rows, peaks = [], []
+        for rows in (128, 1024):
+            sink = _Discard()
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(sink):
+                    assert main(self.ARGS[:-4] + ["--grid-rho", str(rows), "--grid-phi", "64"]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            sink_rows.append(sink.rows)
+        assert sink_rows == [1 + 128 * 64, 1 + 1024 * 64]
+        assert peaks[1] < 2 * 2**20
+        assert peaks[1] < 1.5 * peaks[0]
 
     @pytest.mark.parametrize("argv", [["--n", "100"], ["--n", "150"], ["--n", "200"],
                                       ["--sector=1,-1", "--n", "199.5"]])
@@ -767,16 +836,9 @@ def test_spectrum_equals_the_per_k_reference(mu, sector, omega, ratio, branch, p
 def test_spectrum_memory_is_flat_in_k_max():
     # one block of at most 4096 rows is alive at a time: the peak of a
     # 200001-row table (49 blocks, about 10 MB of text) is that of 2 blocks
-    class Discard(io.TextIOBase):
-        rows = 0
-
-        def write(self, text):
-            self.rows += text.count("\n")
-            return len(text)
-
     peaks = []
     for k_max in (8191, 200000):
-        sink = Discard()
+        sink = _Discard()
         tracemalloc.start()
         try:
             with contextlib.redirect_stdout(sink):
@@ -789,20 +851,13 @@ def test_spectrum_memory_is_flat_in_k_max():
     assert peaks[1] < 1.5 * peaks[0]
 
 
-def _reference_wavefunction(argv) -> str:
-    """The wavefunction grid formatted one value at a time, as the CSV
-    writer did before the phi column was formatted once per grid."""
+def _wavefunction_state(argv):
+    """(state, grid, config) of a ``wavefunction`` command line, built
+    without the command."""
     from dunkl_oscillator import cli
     from dunkl_oscillator.angular_sector import AngularMode
     from dunkl_oscillator.dunkl_calculus import DunklParams
-    from dunkl_oscillator.solution_builder import (
-        OscillatorConfig,
-        Regime,
-        build_spinor,
-        classify_regime,
-        free_particle,
-    )
-    from dunkl_oscillator.verification import GridSpec
+    from dunkl_oscillator.solution_builder import Regime, build_spinor, classify_regime, free_particle
 
     args = build_parser().parse_args(argv)
     params, config = DunklParams(args.mu_x, args.mu_y), OscillatorConfig(args.omega, args.omega_c)
@@ -812,17 +867,25 @@ def _reference_wavefunction(argv) -> str:
         sol = free_particle(mode.sector, mode, args.energy, params, config)
     else:
         sol = build_spinor(mode.sector, mode, args.k, config, 1)
-    grid = GridSpec(args.grid_rho, args.grid_phi)
+    return sol, GridSpec(args.grid_rho, args.grid_phi), config
+
+
+def _reference_wavefunction(argv) -> str:
+    """The wavefunction grid, evaluated on the whole grid at once and
+    formatted one value at a time."""
+    sol, grid, config = _wavefunction_state(argv)
     rho, phi = grid.radii(config.length_scale), grid.angles()
+    upper, lower = sol.upper.eval_polar(rho[:, None], phi[None, :]), sol.lower.eval_polar(rho[:, None], phi[None, :])
+
+    spec = f".{build_parser().parse_args(argv).precision}g"
 
     def fmt(value):
-        return format(value, f".{args.precision}g")
+        return format(value, spec)
 
     lines = ["rho,phi,re_upper,im_upper,re_lower,im_lower\n"]
-    for r in rho:
-        upper, lower = sol.upper.eval_polar(r, phi), sol.lower.eval_polar(r, phi)
+    for r, upper_row, lower_row in zip(rho, upper, lower):
         lines += [f"{fmt(r)},{fmt(f)},{fmt(u.real)},{fmt(u.imag)},{fmt(lo.real)},{fmt(lo.imag)}\n"
-                  for f, u, lo in zip(phi, upper, lower)]
+                  for f, u, lo in zip(phi, upper_row, lower_row)]
     return "".join(lines)
 
 
@@ -838,6 +901,40 @@ def test_wavefunction_equals_the_per_value_formatting(system, precision):
     code, text = _run(argv)
     assert code == 0
     assert text == _reference_wavefunction(argv)
+
+
+@pytest.mark.parametrize("system", [
+    ["--sector=-1,-1", "--n", "1", "--k", "1"],
+    ["--omega-c", "4", "--sector=-1,-1", "--n", "1", "--k", "1"],
+    ["--omega-c", "2", "--n", "1", "--energy", "1.5"],
+], ids=["w+", "w-", "critical"])
+def test_wavefunction_cells_are_the_array_evaluation(system):
+    # 17 digits print each cell exactly, and every cell is the one that
+    # evaluating the whole grid at once gives. A radius evaluated alone (a
+    # numpy scalar, through libm pow) differs from its array evaluation in
+    # the last bit on a row or two of these bound grids.
+    argv = ["wavefunction", "--mu-x", "1", "--mu-y", "1", *system,
+            "--precision", "17", "--grid-rho", "64", "--grid-phi", "64"]
+    code, text = _run(argv)
+    assert code == 0
+    assert _cell_bits(text) == _grid_bits(*_wavefunction_state(argv))
+
+
+@settings(max_examples=500, deadline=None)
+@given(x=st.floats(), precision=st.integers(6, 17))
+@example(x=math.nan, precision=17)
+@example(x=math.inf, precision=6)
+@example(x=-math.inf, precision=17)
+@example(x=0.0, precision=17)
+@example(x=-0.0, precision=17)
+@example(x=5e-324, precision=17)
+@example(x=2.2250738585072009e-308, precision=17)
+@example(x=-1.7976931348623157e308, precision=6)
+@example(x=1.7976931348623157e308, precision=17)
+def test_percent_template_prints_what_format_prints(x, precision):
+    # the CSV writers put a whole block of values through one "%.<p>g"
+    # template: it must print each value as format(value, ".<p>g") does
+    assert ("%%.%dg" % precision) % x == format(x, f".{precision}g")
 
 
 def _past(cap: float, toward: float) -> str:

@@ -603,6 +603,26 @@ class TestModeFactorSharing:
                         assert np.array_equal(rows_u[j], evaluate(st.upper, *point))
                         assert np.array_equal(rows_l[j], evaluate(st.lower, *point))
 
+    @pytest.mark.parametrize("config", [CFG_POS, CFG_NEG], ids=["w+", "w-"])
+    def test_a_block_builds_one_f_row_per_distinct_mode(self, monkeypatch, config):
+        # the states of one mode (one per k) read one F row: the block's
+        # angular table holds each of its distinct modes once, in block order
+        asked = []
+        rows = solution_builder.eigenfunction_rows
+
+        def spy(modes):
+            asked.append(list(modes))
+            return rows(modes)
+
+        monkeypatch.setattr(solution_builder, "eigenfunction_rows", spy)
+        states = list(sweep_bound_states(P11, config, 4, 4))
+        blocks = [states[i:i + _STATE_BLOCK] for i in range(0, len(states), _STATE_BLOCK)]
+        assert any(len({st.mode for st in block}) < len(block) for block in blocks)
+        for block in blocks:
+            asked.clear()
+            solution_builder.stacked_components(block)
+            assert asked == [list(dict.fromkeys(st.mode for st in block))]
+
     @pytest.mark.parametrize("params, k_low", [(P00, 0), (P11, 1)])
     def test_kg_sweep_jacobi_calls_per_block_do_not_grow_with_k(self, monkeypatch, params, k_low):
         # at w~ < 0 every mode of these systems has a state at k = k_low; a
