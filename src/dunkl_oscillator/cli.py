@@ -3,7 +3,13 @@
 Output is deterministic: floats are printed with a fixed number of
 significant digits (17 by default, enough to round-trip), rows come in a
 fixed order, and files use UTF-8 with LF line endings and '.' decimals.
-Stdout carries only the table or report; notes go to stderr. In the
+Stdout carries only the table or report; notes go to stderr. One writer
+sends each table and report out one block per write, the CSV header or
+JSON ``[`` with the first. ``spectrum`` resolves every energy in one pass
+before that write and keeps each mode's first block of k; its CSV and
+JSON blocks are one %-template call each over cells laid out in one cell
+order per format. So an unresolved energy leaves stdout empty, and memory
+stays flat in ``--k-max`` (at most 2^53) and linear in the grid sides. In the
 critical regime ``spectrum`` prints an empty table (the CSV header alone,
 or ``[]``), since there is no discrete spectrum.
 
@@ -20,6 +26,8 @@ outside the critical regime). In a mixed-parity sector a single integer
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import math
 import os
@@ -49,7 +57,7 @@ def _bounded(kind, low, high=math.inf, *, strict=False):
     def parse(text: str):
         value = kind(text)
         above = low < value if strict else low <= value
-        if not (math.isfinite(value) and above and value <= high):
+        if not (above and value <= high and math.isfinite(value)):  # an int past high never meets float()
             span = f"{'>' if strict else '>='} {low}" + (f" and <= {high}" if high < math.inf else "")
             raise argparse.ArgumentTypeError(f"must be finite and {span}, got {text!r}")
         return value
@@ -128,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="mode index or range lo:hi (snaps to the half-odd ladder in mixed-parity sectors)",
     )
     p_spec.add_argument("--branch", choices=("+", "-", "both"), default="both")
-    p_spec.add_argument("--k-max", type=_bounded(int, 0), default=2)
+    p_spec.add_argument("--k-max", type=_bounded(int, 0, _MAX_SPECTRUM_K), default=2)
 
     p_wf = sub.add_parser("wavefunction", help="export a state on a polar grid as CSV")
     system(p_wf)
@@ -153,8 +161,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # main builds the parser once per process
+
+
 # Radial indices per energy column: memory stays flat in --k-max.
 _K_BLOCK = 4096
+# Largest spectrum --k-max, 2^53: the largest k a double holds exactly, so
+# each row's energy is the one of its own k.
+_MAX_SPECTRUM_K = 2**53
 # Grid points per wavefunction evaluation, a block of whole rho rows (one
 # row where a row alone is longer): memory stays linear in the grid sides.
 _GRID_BLOCK = 4096
@@ -168,98 +182,89 @@ MAX_MU = 200.0
 MIN_STEP = 2.0**-511
 
 
-def _spectrum_blocks(args: argparse.Namespace, params: DunklParams, config: OscillatorConfig,
-                     n_values: list[float]):
-    """Yield the table's text, one string per mode and block of k, in
-    output order. Each block's energies are one ``energy_column`` call. The
-    k and k' cells depend on the sector, the regime and mu only: the first
-    block's are made once per table, later blocks' once per mode. A CSV
-    block is one %-template call over its interleaved (k cells, E) values,
-    whose rare NaN rows have a template of their own that prints
-    ``unphysical``.
+def _write(blocks, head: str = "", sep: str = "", tail: str = "") -> None:
+    """The module's one writer to stdout: ``head`` with the first block,
+    ``sep`` before each later block, ``tail`` at the end (``head + tail``
+    with no blocks). Each block is one write as it comes, so a table
+    streams and an error before the first block leaves stdout empty."""
+    out, lead = sys.stdout, head
+    for block in blocks:
+        out.write(lead + block)
+        lead, head = sep, ""
+    out.write(head + tail)
 
-    Every energy is resolved before the first block is yielded, so an
-    energy that a double cannot resolve raises before any row is written.
-    A table of one block per mode keeps its columns; a longer one is
-    checked in a pass of its own, so memory stays flat in ``--k-max``."""
+
+def _spectrum_blocks(args: argparse.Namespace, params: DunklParams, config: OscillatorConfig,
+                     n_values: list[float], names: list[str]):
+    """Yield the table's text, one string per mode and block of k, in
+    output order; ``names`` are the CSV columns, sorted as JSON keys.
+
+    Each block's energies are one ``energy_column`` call. One pass resolves
+    every energy, so one that a double cannot resolve raises before any row
+    is written, and keeps each mode's first block; the write pass computes
+    later blocks again. The k and k' cells are made once per table (later
+    blocks': once per mode). A block of either format is one %-template
+    call over its cells in the format's cell order; a NaN row has a
+    template of its own that prints ``unphysical``."""
     sector, regime = args.sector, classify_regime(config)
     modes = [AngularMode(sector, n, branch, params) for n in n_values
              for branch in {"+": [1], "-": [-1], "both": [1, -1]}[args.branch]
              if n != 0 or (branch == 1 and sector == SectorLabel(1, 1))]  # n = 0 is a single mode
-    json_out, spec, sx = args.fmt == "json", f".{args.precision}g", f"{sector.s_x:+d}{sector.s_y:+d}"
-    # json.dumps prints the rounded float's repr
-    text = lambda v: '"unphysical"' if math.isnan(v) else repr(float(format(v, spec)))
-    width = 2 + args.negative_energies  # CSV cells per row from k on: k cells, E_plus[, E_minus]
+    json_out, spec, end = args.fmt == "json", f".{args.precision}g", args.k_max + 1
+    if json_out:
+        names = sorted(names)  # as json.dumps(row, sort_keys=True)
+    order = [name for name in names if name in ("k", "E_plus", "E_minus")]  # a row's cells; k' rides in k's
+    # per format: a k cell, an energy's slot, a NaN energy's slot (its "%.0s"
+    # takes the value and prints nothing of it), a text cell, the row separator
+    k_text, e_slot, nan_slot, text, row_sep = (('%d, "k_prime": "%s"', "%r", '"unphysical"%.0s', '"%s"', ", ")
+                                               if json_out else ("%d,%s", f"%{spec}", "unphysical%.0s", "%s", ""))
 
     def k_cells(lo: int, hi: int) -> list[str]:
         offset = partner_offset(sector, regime, params)
-        pairs = ((k, k + offset if k + offset >= 0 else "invalid") for k in range(lo, hi))
-        return [f'{k}, "k_prime": "{kp}"' if json_out else f"{k},{kp}," for k, kp in pairs]
+        return [k_text % (k, k + offset if k + offset >= 0 else "invalid") for k in range(lo, hi)]
 
-    spans = [(lo, min(lo + _K_BLOCK, args.k_max + 1)) for lo in range(0, args.k_max + 1, _K_BLOCK)]
+    def columns(mode: AngularMode, start: int = 0):  # (lo, E_plus) per block of k from start, made lazily
+        return ((lo, energy_column(Component.UPPER, mode, np.arange(lo, min(lo + _K_BLOCK, end)), config, 1))
+                for lo in range(start, end, _K_BLOCK))
 
-    def columns(mode: AngularMode):
-        return (energy_column(Component.UPPER, mode, np.arange(lo, hi), config, 1) for lo, hi in spans)
-
-    kept = [list(columns(mode)) for mode in modes] if len(spans) == 1 else None
-    for mode in modes if kept is None else ():
-        for _ in columns(mode):
-            pass
-    first = k_cells(*spans[0]) if modes else []
-    for i, mode in enumerate(modes):
-        b = "+" if mode.branch == 1 else "-"
-        for (lo, hi), column in zip(spans, columns(mode) if kept is None else kept[i]):
-            ks = first if lo == 0 else k_cells(lo, hi)
-            if json_out:  # keys in sorted order, as json.dumps(row, sort_keys=True)
-                column = column.tolist()
-                es = [f'"E_plus": {text(v)}' for v in column]
-                if args.negative_energies:
-                    es = [f'"E_minus": {text(-v)}, {e}' for v, e in zip(column, es)]
-                tail = f', "n": {json.dumps(mode.n)}, "regime": "{regime.value}", "sector": "{sx}"}}'
-                yield ", ".join([f'{{{e}, "branch": "{b}", "k": {kc}{tail}' for e, kc in zip(es, ks)])
-                continue
-            head, tail = f"{sx},{format(mode.n, spec)},{b},", f",{regime.value}\n"
-            cells = [None] * (width * len(ks))
-            cells[0::width], cells[1::width] = ks, column.tolist()
-            if args.negative_energies:
-                cells[2::width] = (-column).tolist()
-            # a NaN row's "%.0s" takes its value and prints nothing of it
-            row, nan_row = (head + "%s" + ",".join([e] * (width - 1)) + tail for e in (f"%{spec}", "unphysical%.0s"))
-            rows = [row] * len(ks)
+    # every energy resolved before the first block is yielded; each mode's first block kept
+    firsts = [functools.reduce(lambda first, _: first, columns(mode)) for mode in modes]
+    first_ks = k_cells(0, min(_K_BLOCK, end)) if modes else []
+    for mode, first in zip(modes, firsts):
+        slots = {"sector": text % f"{sector.s_x:+d}{sector.s_y:+d}", "n": e_slot % mode.n, "k": "%s",
+                 "branch": text % ("+" if mode.branch == 1 else "-"), "regime": text % regime.value,
+                 "E_plus": e_slot, "E_minus": e_slot}
+        fields = [f'"{name}": {slots[name]}' if json_out else slots[name] for name in names if name != "k_prime"]
+        row = "{%s}" % ", ".join(fields) if json_out else ",".join(fields) + "\n"
+        nan_row = row.replace(e_slot, nan_slot)  # its fixed cells hold no "%"
+        for lo, column in itertools.chain([first], columns(mode, _K_BLOCK)):
+            # json.dumps prints the rounded float's repr
+            plus = [float(format(v, spec)) for v in column.tolist()] if json_out else column.tolist()
+            cells = {"k": first_ks if lo == 0 else k_cells(lo, lo + len(column)), "E_plus": plus,
+                     "E_minus": [-v for v in plus] if args.negative_energies else None}
+            flat = [None] * (len(order) * len(column))
+            for i, name in enumerate(order):
+                flat[i::len(order)] = cells[name]
+            rows = [row] * len(column)
             for j in np.flatnonzero(np.isnan(column)).tolist():
                 rows[j] = nan_row
-            yield "".join(rows) % tuple(cells)
+            yield row_sep.join(rows) % tuple(flat)
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    out = sys.stdout
     params, config = _system(args)
     n_values = _parse_n_values(args.n, args.sector)
     if classify_regime(config) is Regime.CRITICAL:
         print("regime=critical: no discrete spectrum; use "
               "'wavefunction --energy E' for free-particle states", file=sys.stderr)
         n_values = []  # the table has no rows
-    blocks = _spectrum_blocks(args, params, config, n_values)
-    # Each block goes out in one write as it is produced, so memory stays
-    # flat in --k-max. The CSV header or JSON "[" goes with the first block,
-    # which comes after every energy is resolved: an error prints nothing.
-    if args.fmt == "json":
-        sep = "["
-        for block in blocks:
-            out.write(sep + block)
-            sep = ", "
-        out.write("[]\n" if sep == "[" else "]\n")
-        return 0
-    header = ",".join(["sector,n,branch,k,k_prime,E_plus", *["E_minus"] * args.negative_energies, "regime\n"])
-    for block in blocks:
-        out.write(header + block)
-        header = ""
-    out.write(header)  # a table with no rows is its header alone
+    names = ["sector", "n", "branch", "k", "k_prime", "E_plus", *["E_minus"] * args.negative_energies, "regime"]
+    blocks = _spectrum_blocks(args, params, config, n_values, names)
+    _write(blocks, *(("[", ", ", "]\n") if args.fmt == "json" else (",".join(names) + "\n",)))
     return 0
 
 
 def cmd_wavefunction(args: argparse.Namespace) -> int:
-    out = sys.stdout
     params, config = _system(args)
     n_values = _parse_n_values(args.n, args.sector)
     if len(n_values) != 1:
@@ -278,19 +283,19 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
     # radius column against the angle row, so memory stays linear in the
     # grid sides. The phi cells are formatted once per grid into a line
     # template, so a rho row's lines are one %-template call and one write.
-    # The header goes out with the first row, after the first block is
-    # evaluated, so an evaluation error leaves stdout empty.
     lines = [f",{format(f, spec)},%{spec},%{spec},%{spec},%{spec}\n" for f in phi.tolist()]
     step = max(1, _GRID_BLOCK // phi.size)
-    header = "rho,phi,re_upper,im_upper,re_lower,im_lower\n"
-    for lo in range(0, rho.size, step):
-        r = rho[lo:lo + step, None]
-        upper, lower = sol.upper.eval_polar(r, phi[None, :]), sol.lower.eval_polar(r, phi[None, :])
-        values = np.stack((upper.real, upper.imag, lower.real, lower.imag), axis=-1).reshape(len(r), -1)
-        for rv, row in zip(r[:, 0].tolist(), values):
-            rs = format(rv, spec)  # the rho cell opens each line
-            out.write(header + rs + (rs.join(lines) % tuple(row.tolist())))
-            header = ""
+
+    def rho_rows():
+        for lo in range(0, rho.size, step):
+            r = rho[lo:lo + step, None]
+            upper, lower = sol.upper.eval_polar(r, phi[None, :]), sol.lower.eval_polar(r, phi[None, :])
+            values = np.stack((upper.real, upper.imag, lower.real, lower.imag), axis=-1).reshape(len(r), -1)
+            for rv, row in zip(r[:, 0].tolist(), values):
+                rs = format(rv, spec)  # the rho cell opens each line
+                yield rs + (rs.join(lines) % tuple(row.tolist()))
+
+    _write(rho_rows(), "rho,phi,re_upper,im_upper,re_lower,im_lower\n")
     return 0
 
 
@@ -302,23 +307,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         # through the records
         for _ in sweep_bound_states(params, config, args.n_max, args.k_max):
             pass
-    report = run_suite(
-        params,
-        config,
-        suite=args.suite,
-        tol=args.tol,
-        h=args.h,
-        n_max=args.n_max,
-        k_max=args.k_max,
-    )
-    sys.stdout.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
+    report = run_suite(params, config, suite=args.suite, tol=args.tol, h=args.h, n_max=args.n_max,
+                       k_max=args.k_max)
+    _write([json.dumps(report.to_dict(), sort_keys=True) + "\n"])
     return 0 if report.passed else 1
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors
         return int(exc.code or 0)
     try:

@@ -108,11 +108,10 @@ class TestSpectrum:
         assert any(row["k_prime"] == "0" and row["k"] == 3 for row in payload)
 
     def test_every_energy_is_resolved_once_before_the_first_write(self, monkeypatch):
-        # The energies are one column per mode and block of k. A table of one
-        # block per mode computes each column once, and all of them before
-        # its first write; a longer one checks every column in a pass of its
-        # own and computes it again as it writes, so memory stays flat in
-        # --k-max.
+        # The energies are one column per mode and block of k. One pass
+        # computes every column before the first write and keeps each mode's
+        # first; the write pass reuses it and computes later blocks again, so
+        # memory stays flat in --k-max.
         from dunkl_oscillator import cli
 
         calls, writes = [], []
@@ -145,8 +144,8 @@ class TestSpectrum:
         with contextlib.redirect_stdout(Sink()):
             assert main(["spectrum", "--n", "1", "--k-max", str(cli._K_BLOCK)]) == 0
         spans = [[0, cli._K_BLOCK], [cli._K_BLOCK, cli._K_BLOCK + 1]] * 2  # two modes of two blocks
-        assert [[args[2][0], args[2][-1] + 1] for args in calls] == spans * 2
-        assert writes[0] == len(spans) + 1  # the check pass, then the first block
+        assert [[args[2][0], args[2][-1] + 1] for args in calls] == spans + spans[1::2]
+        assert writes[0] == len(spans)  # every block resolved, then the first block goes out
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_an_unresolved_energy_leaves_stdout_empty(self, fmt):
@@ -475,14 +474,23 @@ def _src_env():
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
-def test_closed_stdout_exits_1_quietly():
-    # about 1.5 MB of rows, far more than a pipe buffers, so the writer
+@pytest.mark.parametrize(
+    ("argv", "head"),
+    [
+        (["spectrum", "--n", "0:30", "--k-max", "300"], b"sector,n,branch"),
+        (["spectrum", "--n", "0:30", "--k-max", "300", "--format", "json"], b'[{"E_plus": '),
+        (["wavefunction", "--grid-rho", "400", "--grid-phi", "64"], b"rho,phi,"),
+    ],
+    ids=["spectrum-csv", "spectrum-json", "wavefunction"],
+)
+def test_closed_stdout_exits_1_quietly(argv, head):
+    # 1.5 to 2.5 MB of output, far more than a pipe buffers, so the writer
     # meets the closed pipe while it is still writing
     proc = subprocess.Popen(
-        [sys.executable, "-m", "dunkl_oscillator.cli", "spectrum", "--n", "0:30", "--k-max", "300"],
+        [sys.executable, "-m", "dunkl_oscillator.cli", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env(),
     )
-    assert proc.stdout.readline().startswith(b"sector,n,branch")
+    assert proc.stdout.read(len(head)) == head
     proc.stdout.close()
     stderr = proc.stderr.read()
     assert proc.wait(timeout=120) == 1
@@ -529,6 +537,11 @@ class TestArgparse:
             ["verify", "--n-max", "nan"],
             ["verify", "--k-max", "201"],
             ["spectrum", "--k-max", "-1"],
+            # 2^53 + 1: past the largest k a double holds exactly
+            ["spectrum", "--k-max", "9007199254740993"],
+            # an int too large for float() is rejected by the bound, not by OverflowError
+            ["spectrum", "--k-max", "1" + "0" * 400],
+            ["wavefunction", "--grid-rho", "1" + "0" * 400],
             ["wavefunction", "--k", "-1"],
             ["wavefunction", "--k", "201"],
             ["wavefunction", "--grid-rho", "0"],
@@ -958,8 +971,8 @@ _SYSTEM_FLAGS = {
 _INDEX = (["0", "1"], ["-1", "201"])
 _PRECISION = (["6", "17"], ["5", "18"])
 _OWN_FLAGS = {
-    "spectrum": {"--n": (["0", "1", "0:1", "1e308", "201"], []), "--k-max": (_INDEX[0], ["-1"]),
-                 "--precision": _PRECISION},
+    "spectrum": {"--n": (["0", "1", "0:1", "1e308", "201"], []),
+                 "--k-max": (_INDEX[0], ["-1", "9007199254740993"]), "--precision": _PRECISION},
     "wavefunction": {"--n": (["0", "1", "0.5", "201"], []), "--k": _INDEX, "--precision": _PRECISION,
                      "--grid-rho": (["1", "2"], ["0", "1000001"]), "--grid-phi": (["1", "2"], ["0", "1000001"]),
                      "--energy": ([_TINY, "1", "1.5", "1e154", "1e155", _HUGE], ["0"])},

@@ -345,3 +345,25 @@ def test_one_record_constructor():
     # every record names its suite, sector, n and branch in one place; only
     # ortho's, whose name lists a whole sector's modes, is made apart
     assert _callers("CheckRecord") == {"verification._mode_record", "verification.check_orthonormality"}
+
+
+def test_one_stdout_writer_in_cli():
+    # every table and report goes out through _write, which writes the head
+    # only with the first block, so an error before it leaves stdout empty;
+    # main only flushes stdout, and every print goes to stderr
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    writers = {name for name, node in _definitions(tree) if "write" in {_callee(sub) for sub in ast.walk(node)}}
+    assert writers == {"_write"}, writers
+    assert {name for name, node in _definitions(tree) if "stdout" in _names(node)} == {"_write", "main"}
+    to_stdout = [sub.lineno for sub in ast.walk(tree)
+                 if _callee(sub) == "print" and "file" not in {kw.arg for kw in sub.keywords}]
+    assert not to_stdout, f"print() to stdout at lines {to_stdout}"
+
+
+def test_one_energy_column_call_in_cli():
+    # spectrum resolves every energy in one pass that keeps each mode's first
+    # block: one call site, so no second pass can fork on the table's length
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    calls = [sub.lineno for sub in ast.walk(tree) if _callee(sub) == "energy_column"]
+    assert len(calls) == 1, calls
+    assert {name for name in _callers("energy_column") if name.startswith("cli.")} == {"cli._spectrum_blocks"}
