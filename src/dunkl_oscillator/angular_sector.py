@@ -75,7 +75,9 @@ ALL_SECTORS = (
 
 
 def _is_integer(n: float) -> bool:
-    return abs(n - round(n)) <= _HALF_TOL
+    # exact: an n near but off its ladder would keep its typed value in
+    # lambda and A, while the single-mode rule tests n == 0
+    return float(n).is_integer()
 
 
 def _is_half_odd(n: float) -> bool:

@@ -5,13 +5,15 @@ significant digits (17 by default, enough to round-trip), rows come in a
 fixed order, and files use UTF-8 with LF line endings and '.' decimals.
 Stdout carries only the table or report; notes go to stderr. One writer
 sends each table and report out one block per write, the CSV header or
-JSON ``[`` with the first. ``spectrum`` resolves every energy in one pass
-before that write and keeps each mode's first block of k; its CSV and
-JSON blocks are one %-template call each over cells laid out in one cell
-order per format. So an unresolved energy leaves stdout empty, and memory
-stays flat in ``--k-max`` (at most 2^53) and linear in the grid sides. In the
-critical regime ``spectrum`` prints an empty table (the CSV header alone,
-or ``[]``), since there is no discrete spectrum.
+JSON ``[`` with the first. ``spectrum`` resolves each mode's first block
+of k and its last k before that write, which settles every energy, and
+keeps each first block; its CSV and JSON blocks are one %-template call
+each over cells laid out in one cell order per format. So an unresolved
+energy leaves stdout empty, the first byte does not wait on the table's
+length, and memory stays flat in ``--k-max`` (at most 2^53) and linear in
+the grid sides. In the critical regime ``spectrum`` prints an empty
+table (the CSV header alone, or ``[]``), since there is no discrete
+spectrum.
 
 Exit codes: 0 success, 1 at least one verification check failed or
 stdout was closed early, 2 configuration error. Each flag's range is
@@ -90,10 +92,10 @@ def _parse_n_values(text: str, sector: SectorLabel) -> list[float]:
         lo += offset  # half-odd family starts at 1/2
         if ":" not in text:
             hi = lo
-    if lo < 0.0 or abs(lo - offset - round(lo - offset)) > 1e-9:
+    if lo < 0.0 or not (lo - offset).is_integer():
         ladder = "a natural number" if sector.epsilon == 1 else "a positive half-odd number"
         raise ValueError(f"--n {text!r}: n must be {ladder} in sector ({sector})")
-    count = math.floor(hi - lo + 1e-9) + 1
+    count = math.floor(hi - lo) + 1
     if count < 1:
         raise ValueError(f"--n {text!r} selects no mode index")
     return [lo + i for i in range(count)]
@@ -199,13 +201,15 @@ def _spectrum_blocks(args: argparse.Namespace, params: DunklParams, config: Osci
     """Yield the table's text, one string per mode and block of k, in
     output order; ``names`` are the CSV columns, sorted as JSON keys.
 
-    Each block's energies are one ``energy_column`` call. One pass resolves
-    every energy, so one that a double cannot resolve raises before any row
-    is written, and keeps each mode's first block; the write pass computes
-    later blocks again. The k and k' cells are made once per table (later
-    blocks': once per mode). A block of either format is one %-template
-    call over its cells in the format's cell order; a NaN row has a
-    template of its own that prints ``unphysical``."""
+    Each block's energies are one ``energy_column`` call. Before any row is
+    written, each mode's first block and its last k are resolved, which
+    raises for every energy that a double cannot resolve: a radicand can
+    snap to 0 only at k <= (|mu_x| + |mu_y|)/2 + 1 <= 201, inside the first
+    block, and the overflow bound grows with k. The write pass keeps each
+    first block and computes each later block once. The k and k' cells are
+    made once per table (later blocks': once per mode). A block of either
+    format is one %-template call over its cells in the format's cell
+    order; a NaN row has a template of its own that prints ``unphysical``."""
     sector, regime = args.sector, classify_regime(config)
     modes = [AngularMode(sector, n, branch, params) for n in n_values
              for branch in {"+": [1], "-": [-1], "both": [1, -1]}[args.branch]
@@ -224,11 +228,16 @@ def _spectrum_blocks(args: argparse.Namespace, params: DunklParams, config: Osci
         return [k_text % (k, k + offset if k + offset >= 0 else "invalid") for k in range(lo, hi)]
 
     def columns(mode: AngularMode, start: int = 0):  # (lo, E_plus) per block of k from start, made lazily
-        return ((lo, energy_column(Component.UPPER, mode, np.arange(lo, min(lo + _K_BLOCK, end)), config, 1))
+        return ((lo, energy_column(Component.UPPER, mode, np.arange(lo, min(lo + _K_BLOCK, end)), config))
                 for lo in range(start, end, _K_BLOCK))
 
-    # every energy resolved before the first block is yielded; each mode's first block kept
-    firsts = [functools.reduce(lambda first, _: first, columns(mode)) for mode in modes]
+    def resolved(mode: AngularMode):  # the mode's first block, its last k resolved too
+        first = next(columns(mode))
+        if end > _K_BLOCK:
+            next(columns(mode, end - 1))
+        return first
+
+    firsts = [resolved(mode) for mode in modes]
     first_ks = k_cells(0, min(_K_BLOCK, end)) if modes else []
     for mode, first in zip(modes, firsts):
         slots = {"sector": text % f"{sector.s_x:+d}{sector.s_y:+d}", "n": e_slot % mode.n, "k": "%s",
@@ -271,11 +280,11 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
         raise ValueError(f"--n {args.n!r} selects {len(n_values)} mode indices; wavefunction exports one")
     mode = AngularMode(args.sector, n_values[0], 1 if args.branch == "+" else -1, params)
     if args.energy is not None:  # free_particle rejects a non-critical regime
-        sol = free_particle(mode.sector, mode, args.energy, params, config)
+        sol = free_particle(mode, args.energy, config)
     elif classify_regime(config) is Regime.CRITICAL:
         raise ValueError("critical regime: supply --energy E >= m c^2")
     else:
-        sol = build_spinor(mode.sector, mode, args.k, config, 1)
+        sol = build_spinor(mode, args.k, config)
     grid = GridSpec(args.grid_rho, args.grid_phi)
     rho, phi = grid.radii(config.length_scale), grid.angles()
     spec = f".{args.precision}g"

@@ -196,15 +196,12 @@ def spectral_sum(component: Component, regime: Regime, ks, lam: float, a_ord: fl
     return 2.0 * ks + a_ord - lam - sigma
 
 
-def energy_column(component: Component, mode: AngularMode, ks, config: OscillatorConfig, sign: int = 1):
-    """Closed-form bound energies of one spinor component of ``mode`` at
-    each radial index of ``ks``, an array of natural numbers (or one), with
-    lambda, A, sigma, q and the regime found once. NaN marks a negative
-    radicand (an unphysical combination, which no bound pair has).
-    ``sign`` selects the particle (+1) or antiparticle (-1) branch. Energies
-    that a double cannot resolve, at a huge q, raise ``ValueError``."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+def energy_column(component: Component, mode: AngularMode, ks, config: OscillatorConfig):
+    """Closed-form bound particle energies of one spinor component of
+    ``mode`` at each radial index of ``ks``, an array of natural numbers (or
+    one), with lambda, A, sigma, q and the regime found once. NaN marks a
+    negative radicand (an unphysical combination, which no bound pair has).
+    Energies that a double cannot resolve, at a huge q, raise ``ValueError``."""
     regime = classify_regime(config)
     if regime is Regime.CRITICAL:
         raise RegimeError("no discrete spectrum at the critical frequency")
@@ -225,18 +222,21 @@ def energy_column(component: Component, mode: AngularMode, ks, config: Oscillato
                 np.any(snap & (bound >= 1.0)) or np.any(bound == math.inf)):
             raise ValueError(f"the energies of sector ({mode.sector}), n={mode.n:g}, b={mode.branch:+d} are "
                              f"not resolved in double precision at q = 2 hbar |w~| / (m c^2) = {q:g}")
-        return sign * mc2 * np.sqrt(np.where(snap, 0.0, radicand))
+        return mc2 * np.sqrt(np.where(snap, 0.0, radicand))
 
 
 def energy(component: Component, sector: SectorLabel, mode: AngularMode, k: int,
            config: OscillatorConfig, sign: int = 1) -> float:
     """Closed-form bound energy of one spinor component: the one-element
-    ``energy_column``, with a negative radicand raised as an error."""
+    ``energy_column``, negated for the antiparticle branch (``sign`` -1),
+    with a negative radicand raised as an error."""
     if k < 0:
         raise ValueError("k must be non-negative")
     if sector != mode.sector:
         raise ValueError(f"sector ({sector}) disagrees with the mode {mode}")
-    e_val = float(energy_column(component, mode, k, config, sign))
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    e_val = sign * float(energy_column(component, mode, k, config))
     if math.isnan(e_val):
         raise NegativeRadicandError(f"negative energy radicand for sector ({sector}), n={mode.n}, k={k}")
     return e_val
@@ -380,11 +380,11 @@ def _product_field(radial: Callable, mode: AngularMode, scale: complex) -> Scala
     return ScalarField2D(lambda rho, phi: scale * radial(rho) * mode.eigenfunction.eval_polar(rho, phi))
 
 
-def mode_states(mode: AngularMode, pairs, config: OscillatorConfig, sign: int = 1) -> dict:
+def mode_states(mode: AngularMode, pairs, config: OscillatorConfig) -> dict:
     """The paired two-component states of ``mode`` for the (k, k') of
     ``pairs``, keyed by k in order, from one ``energy_column`` call and the
     one radial table of the mode's profile at max(k, k'), read at [k, 0]; a
-    pair's E is finite, |E| >= m c^2 sqrt(1 + q) (README, "Physics summary").
+    pair's E is finite, E >= m c^2 sqrt(1 + q) (README, "Physics summary").
 
     Component norms are (E +/- mc^2)/(2E), summing to 1. Both components
     are a real constant >= 0 (the phase convention of the module docstring)
@@ -396,7 +396,7 @@ def mode_states(mode: AngularMode, pairs, config: OscillatorConfig, sign: int = 
     _check_last_pair(mode.sector, pairs)
     top = build_radial(mode, max(map(max, pairs), default=0), config)
     mc2 = config.rest_energy
-    e_vals = energy_column(Component.UPPER, mode, np.array([k for k, _ in pairs]), config, sign).tolist()
+    e_vals = energy_column(Component.UPPER, mode, np.array([k for k, _ in pairs]), config).tolist()
     states = {}
     for (k, k_prime), e_val in zip(pairs, e_vals):
         nu2, nl2 = (e_val + mc2) / (2.0 * e_val), (e_val - mc2) / (2.0 * e_val)
@@ -410,17 +410,14 @@ def mode_states(mode: AngularMode, pairs, config: OscillatorConfig, sign: int = 
     return states
 
 
-def build_spinor(sector: SectorLabel, mode: AngularMode, k: int, config: OscillatorConfig,
-                 sign: int = 1, made: dict | None = None) -> SpinorSolution:
-    """The paired two-component state for upper radial index k: a read of
-    ``made``, the ``mode_states`` of this mode, config and sign over many
-    pairs, or else the one-pair ``mode_states`` call. A missing partner
+def build_spinor(mode: AngularMode, k: int, config: OscillatorConfig, made: dict | None = None) -> SpinorSolution:
+    """The paired two-component state of ``mode`` for upper radial index k:
+    a read of ``made``, the ``mode_states`` of this mode and config over
+    many pairs, or else the one-pair ``mode_states`` call. A missing partner
     index raises ``InvalidPairError``."""
-    if sector != mode.sector:
-        raise ValueError(f"sector ({sector}) disagrees with the mode {mode}")
     if made is None or k not in made:
-        k_prime = pair_radial_indices(sector, classify_regime(config), k, mode.params)
-        made = mode_states(mode, [(k, k_prime)], config, sign)
+        k_prime = pair_radial_indices(mode.sector, classify_regime(config), k, mode.params)
+        made = mode_states(mode, [(k, k_prime)], config)
     return made[k]
 
 
@@ -502,28 +499,19 @@ def free_rows(orders, mu_plus: float, config: OscillatorConfig, e_val: float):
     return remember_last(lambda rho: (rho**-mu_plus * bessel_j(_column(orders, rho.ndim), wavenumber * rho))[None])
 
 
-def free_particle(
-    sector: SectorLabel,
-    mode: AngularMode,
-    e_val: float,
-    params: DunklParams,
-    config: OscillatorConfig,
-) -> SpinorSolution:
+def free_particle(mode: AngularMode, e_val: float, config: OscillatorConfig) -> SpinorSolution:
     """Critical-regime state: both components rho^{-mu_+} J_A(sqrt(2 Et) rho) F(phi).
 
     Et = ``reduced_energy`` >= 0; the Bessel order equals the radial order
     A of the mode (the small-rho behavior rho^{A - mu_+} forces this
-    choice). Free states carry no normalization split. ``sector`` and
-    ``params`` must be the mode's own.
+    choice). Free states carry no normalization split.
     """
-    if sector != mode.sector or params != mode.params:
-        raise ValueError(f"sector ({sector}) or {params} disagrees with the mode {mode}")
     if classify_regime(config) is not Regime.CRITICAL:
         raise RegimeError("free states need the critical point, omega == omega_c / 2")
     mc2 = config.rest_energy
     if not (math.isfinite(e_val) and e_val >= mc2):
         raise ValueError(f"free-particle energy must be finite and >= m c^2, got {e_val}")
-    rows = free_rows([radial_order(mode)], params.mu_plus, config, e_val)
+    rows = free_rows([radial_order(mode)], mode.params.mu_plus, config, e_val)
     field = _product_field(lambda rho: rows(rho)[0, 0], mode, 1.0)
     return SpinorSolution(
         upper=field,

@@ -94,6 +94,9 @@ ANGULAR_N_MAX = 4
 # Angles of the angular suite's grid.
 ANGULAR_N_PHI = 64
 
+# Light speeds of the nonrelativistic limit's rate fit, increasing.
+NRLIMIT_C_VALUES = (10.0, 100.0, 1000.0)
+
 # Energies of the critical regime's free states, in units of m c^2.
 _FREE_ENERGIES = (1.25, 2.0)
 
@@ -233,14 +236,15 @@ def _state_tag(solution: SpinorSolution) -> str:
 # checks
 # ---------------------------------------------------------------------------
 
-def _state_block(states, grid_spec: GridSpec):
+def _state_block(states):
     """One state or a block of states that stack, as (states, (upper, lower),
     params, config, rho, phi): the ``stacked_components`` fields and the
-    grid's radius column and angle row at the first state's length scale."""
+    radius column and angle row of the check grid ``GridSpec()``, the one
+    ``step_limit`` bounds, at the first state's length scale."""
     states = [states] if isinstance(states, SpinorSolution) else list(states)
     fields = stacked_components(states)
     first = states[0]
-    rho, phi = grid_spec.polar_points(_length_scale(first.config, first.energy))
+    rho, phi = GridSpec().polar_points(_length_scale(first.config, first.energy))
     return states, fields, first.mode.params, first.config, rho, phi
 
 
@@ -255,7 +259,6 @@ def _mode_rows(modes) -> tuple[list[AngularMode], DunklParams, ScalarField2D]:
 
 def check_kg_eigen(
     states,
-    grid_spec: GridSpec = GridSpec(),
     tol: float = DEFAULT_TOLS["kg"],
     h: float = DEFAULT_STEP,
 ) -> VerificationReport:
@@ -269,7 +272,7 @@ def check_kg_eigen(
     on the grid has residual 0. The records come per state, upper then
     lower, in input order.
     """
-    states, fields, params, config, rho, phi = _state_block(states, grid_spec)
+    states, fields, params, config, rho, phi = _state_block(states)
     tilde_e = np.array([reduced_energy(st.config, st.energy) for st in states])[:, None, None]
     residuals = []
     for component, fld in zip((Component.UPPER, Component.LOWER), fields):
@@ -290,11 +293,10 @@ def check_kg_eigen(
 
 def check_angular_eigen(
     modes,
-    n_phi: int = ANGULAR_N_PHI,
     tol: float = DEFAULT_TOLS["angular"],
     h: float = DEFAULT_STEP,
 ) -> VerificationReport:
-    """Max |J F - lambda F| over an axis-avoiding angle grid (absolute).
+    """Max |J F - lambda F| over ``ANGULAR_N_PHI`` axis-avoiding angles (absolute).
 
     ``modes`` is one mode or the modes of one sector: their F rows come
     from one set of ``eigenfunction_rows`` tables and take one ``angular_j``
@@ -302,7 +304,7 @@ def check_angular_eigen(
     """
     modes, params, fld = _mode_rows(modes)
     lams = [lambda_eigenvalue(mode) for mode in modes]
-    phi = GridSpec(n_phi=n_phi).angles()
+    phi = GridSpec(n_phi=ANGULAR_N_PHI).angles()
     rho = np.ones_like(phi)
     vals = fld.eval_polar(rho, phi)
     applied = angular_j(fld, (rho, phi), params, h)
@@ -345,7 +347,6 @@ def check_orthonormality(
 
 def check_dirac_system(
     states,
-    grid_spec: GridSpec = GridSpec(),
     tol: float = DEFAULT_TOLS["dirac"],
     h: float = DEFAULT_STEP,
 ) -> VerificationReport:
@@ -357,7 +358,7 @@ def check_dirac_system(
     residual is scaled by its own state's (|E| + m c^2) times its largest
     component value. One record per state, in input order.
     """
-    states, (upper, lower), params, config, rho, phi = _state_block(states, grid_spec)
+    states, (upper, lower), params, config, rho, phi = _state_block(states)
     xs, ys = rho * np.cos(phi), rho * np.sin(phi)
     energies = np.array([st.energy for st in states])
     r1, r2 = dirac_apply((upper, lower), energies[:, None, None], params, config, (xs, ys), h)
@@ -505,26 +506,22 @@ def nonrelativistic_target(
 
 
 def check_nonrelativistic_limit(
-    sector: SectorLabel,
     mode: AngularMode,
     k: int,
     base_config: OscillatorConfig,
-    c_values=(10.0, 100.0, 1000.0),
     tol: float = DEFAULT_TOLS["nrlimit"],
 ) -> VerificationReport:
-    """delta E(c) = E(c) - m c^2 against the series target, with rate fit.
+    """delta E(c) = E(c) - m c^2 against the series target, with rate fit
+    over the light speeds ``NRLIMIT_C_VALUES``.
 
     The shift must approach the target like c^{-2} (the Taylor remainder
     of sqrt(1 + u)), so the fitted log-log rate should sit near 2.
-    ``sector`` must be the mode's own (``energy`` checks it).
     """
-    if len(c_values) < 3 or any(b >= a for a, b in zip(c_values[1:], c_values)):
-        raise ValueError("need at least 3 increasing light-speed values")
     target = nonrelativistic_target(mode, k, base_config)
     errs = []
-    for c in c_values:
+    for c in NRLIMIT_C_VALUES:
         cfg = replace(base_config, c=c)
-        delta = energy(Component.UPPER, sector, mode, k, cfg, 1) - cfg.rest_energy
+        delta = energy(Component.UPPER, mode.sector, mode, k, cfg) - cfg.rest_energy
         errs.append(abs(delta - target))
     errs_arr = np.asarray(errs)
     scale = max(abs(target), base_config.hbar * base_config.effective_frequency)
@@ -533,10 +530,10 @@ def check_nonrelativistic_limit(
         # exact cancellation (target 0 and spectrum flat in c): no rate to fit
         rate, rate_residual = None, 0.0
     else:
-        rate = -float(np.polyfit(np.log(np.asarray(c_values)), np.log(errs_arr), 1)[0])
+        rate = -float(np.polyfit(np.log(np.asarray(NRLIMIT_C_VALUES)), np.log(errs_arr), 1)[0])
         rate_residual = abs(rate - 2.0)
 
-    inputs = {"k": k, "target": target, "c_values": list(c_values)}
+    inputs = {"k": k, "target": target, "c_values": list(NRLIMIT_C_VALUES)}
     return VerificationReport("nrlimit", [
         _mode_record("nrlimit", mode, f" k={k} match", inputs, float(mismatch), tol),
         _mode_record("nrlimit", mode, f" k={k} rate", {**inputs, "rate": rate}, rate_residual, 0.2),
@@ -644,7 +641,7 @@ def sweep_bound_states(
             made = mode_states(mode, pairs, config)
             for k in range(k_max + 1):
                 try:
-                    yield build_spinor(sector, mode, k, config, 1, made)
+                    yield build_spinor(mode, k, config, made)
                 except InvalidPairError:
                     continue
 
@@ -652,10 +649,10 @@ def sweep_bound_states(
 def _critical_states(params: DunklParams, config: OscillatorConfig, n_max: float):
     """Free states of every mode, one energy after the other; both
     energies share each mode object."""
-    modes = [(sector, mode) for sector in ALL_SECTORS for mode in modes_for_sector(sector, params, n_max)]
+    modes = [mode for sector in ALL_SECTORS for mode in modes_for_sector(sector, params, n_max)]
     for e_val in (ratio * config.rest_energy for ratio in _FREE_ENERGIES):
-        for sector, mode in modes:
-            yield free_particle(sector, mode, e_val, params, config)
+        for mode in modes:
+            yield free_particle(mode, e_val, config)
 
 
 def _blocks(states):
@@ -732,7 +729,5 @@ def run_suite(
     if "nrlimit" in wanted:
         for sector in ALL_SECTORS:
             mode = modes_for_sector(sector, params, 1.5)[-1]
-            records.extend(
-                check_nonrelativistic_limit(sector, mode, 2, config, tol=tol_for("nrlimit")).records
-            )
+            records.extend(check_nonrelativistic_limit(mode, 2, config, tol=tol_for("nrlimit")).records)
     return VerificationReport(suite, sorted(records, key=lambda r: r.name))

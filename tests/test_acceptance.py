@@ -48,7 +48,6 @@ from dunkl_oscillator.solution_builder import (
     radial_order,
 )
 from dunkl_oscillator.verification import (
-    GridSpec,
     check_angular_eigen,
     check_dirac_system,
     check_kg_eigen,
@@ -86,7 +85,7 @@ def test_criterion_01_angular_eigen_residual():
     failures, worst, count = [], (0.0, None), 0
     for mode in _angular_mode_set():
         count += 1
-        rec = check_angular_eigen(mode, n_phi=64, tol=tol, h=h).records[0]
+        rec = check_angular_eigen(mode, tol=tol, h=h).records[0]
         if rec.residual > worst[0]:
             worst = (rec.residual, rec.name)
         if not rec.passed:
@@ -129,7 +128,7 @@ def test_criterion_03_kg_residual_sweep():
     failures, count = [], 0
     for params, cfg, sol in _bound_sweep():
         count += 1
-        rep = check_kg_eigen(sol, GridSpec(), tol, h)
+        rep = check_kg_eigen(sol, tol, h)
         res = max(r.residual for r in rep.records)
         if not rep.passed:
             failures.append(
@@ -152,7 +151,7 @@ def test_criterion_04_coupled_system_residual():
     failures, count = [], 0
     for params, cfg, sol in _bound_sweep():
         count += 1
-        rep = check_dirac_system(sol, GridSpec(), tol, h)
+        rep = check_dirac_system(sol, tol, h)
         if not rep.passed:
             failures.append(
                 f"  mu=({params.mu_x:g},{params.mu_y:g}) wt={cfg.omega_tilde:+g} "
@@ -226,8 +225,8 @@ def test_criterion_08_critical_regime():
     for sector in ALL_SECTORS:
         for mode in modes_for_sector(sector, params, 2):
             for e_val in (1.25, 2.0):
-                sol = free_particle(sector, mode, e_val, params, CFG_CRIT)
-                rep = check_kg_eigen(sol, GridSpec(), tol, h)
+                sol = free_particle(mode, e_val, CFG_CRIT)
+                rep = check_kg_eigen(sol, tol, h)
                 worst = max(worst, max(r.residual for r in rep.records))
                 # documented deviation: Bessel order is the radial order A
                 rho = np.array([1e-4, 2e-4])
@@ -242,9 +241,8 @@ def test_criterion_08_critical_regime():
 
 def test_criterion_09_nonrelativistic_limit():
     params = DunklParams(1.0, 1.0)
-    sector = SectorLabel(1, 1)
-    mode = AngularMode(sector, 1, 1, params)
-    rep = check_nonrelativistic_limit(sector, mode, 2, CFG_POS, (10.0, 100.0, 1000.0))
+    mode = AngularMode(SectorLabel(1, 1), 1, 1, params)
+    rep = check_nonrelativistic_limit(mode, 2, CFG_POS)
     rate = [r for r in rep.records if r.name.endswith("rate")][0].inputs["rate"]
     match = [r for r in rep.records if r.name.endswith("match")][0].residual
     _report(9, "energy shift converges to the series target at rate ~ c^-2",
@@ -255,7 +253,7 @@ def test_criterion_10_convergence_order():
     # criterion-1 residuals: measured at the criterion's own step
     def worst_angular(h):
         return max(
-            check_angular_eigen(m, n_phi=64, h=h).records[0].residual
+            check_angular_eigen(m, h=h).records[0].residual
             for m in _angular_mode_set()
         )
 
@@ -269,13 +267,13 @@ def test_criterion_10_convergence_order():
     passing = [
         sol
         for _, _, sol in _bound_sweep()
-        if check_kg_eigen(sol, GridSpec(), 1e-5, 1e-4).passed
+        if check_kg_eigen(sol, 1e-5, 1e-4).passed
     ]
     assert passing, "no criterion-3 states available for the convergence study"
 
     def worst_kg(h):
         return max(
-            max(r.residual for r in check_kg_eigen(sol, GridSpec(), 1.0, h).records)
+            max(r.residual for r in check_kg_eigen(sol, 1.0, h).records)
             for sol in passing
         )
 

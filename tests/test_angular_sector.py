@@ -59,6 +59,8 @@ class TestAngularMode:
             AngularMode(SectorLabel(1, 1), 0.5, 1, P11)
         with pytest.raises(ValueError):
             AngularMode(SectorLabel(1, -1), 1, 1, P11)
+        with pytest.raises(ValueError):  # 1e-10 off the ladder
+            AngularMode(SectorLabel(1, 1), 2.0000000001, 1, P11)
 
     def test_n_zero_is_single_even_mode(self):
         with pytest.raises(ValueError):

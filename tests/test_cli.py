@@ -108,10 +108,11 @@ class TestSpectrum:
         assert any(row["k_prime"] == "0" and row["k"] == 3 for row in payload)
 
     def test_every_energy_is_resolved_once_before_the_first_write(self, monkeypatch):
-        # The energies are one column per mode and block of k. One pass
-        # computes every column before the first write and keeps each mode's
-        # first; the write pass reuses it and computes later blocks again, so
-        # memory stays flat in --k-max.
+        # The energies are one column per mode and block of k. Before the
+        # first write each mode's first block is computed and kept, and its
+        # last k resolved, which settles every energy; the write pass
+        # computes each later block once, so memory stays flat in --k-max
+        # and the first byte does not wait on the table's length.
         from dunkl_oscillator import cli
 
         calls, writes = [], []
@@ -139,13 +140,18 @@ class TestSpectrum:
         # the streamed JSON is the one json.dumps gives for the whole list
         text = sink.getvalue()
         assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+        argv = ["spectrum", "--n", "1", "--k-max", "19"]
+        whole = _run(argv)
+        monkeypatch.setattr(cli, "_K_BLOCK", 4)
         calls.clear()
         writes.clear()
-        with contextlib.redirect_stdout(Sink()):
-            assert main(["spectrum", "--n", "1", "--k-max", str(cli._K_BLOCK)]) == 0
-        spans = [[0, cli._K_BLOCK], [cli._K_BLOCK, cli._K_BLOCK + 1]] * 2  # two modes of two blocks
-        assert [[args[2][0], args[2][-1] + 1] for args in calls] == spans + spans[1::2]
-        assert writes[0] == len(spans)  # every block resolved, then the first block goes out
+        with contextlib.redirect_stdout(Sink()) as sink:
+            assert main(argv) == 0
+        assert (0, sink.getvalue()) == whole
+        blocks = [[lo, lo + 4] for lo in range(0, 20, 4)]  # two modes of five blocks
+        resolve = [blocks[0], [19, 20]] * 2  # each mode's first block and its last k
+        assert [[args[2][0], args[2][-1] + 1] for args in calls] == resolve + blocks[1:] * 2
+        assert writes[0] == len(resolve)  # then the first block goes out
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_an_unresolved_energy_leaves_stdout_empty(self, fmt):
@@ -204,13 +210,7 @@ class TestWavefunction:
 
         _, text = _run(self.ARGS)
         config = OscillatorConfig(omega=1.0)
-        sol = build_spinor(
-            SectorLabel(1, -1),
-            AngularMode(SectorLabel(1, -1), 0.5, 1, DunklParams(1.0, 1.0)),
-            1,
-            config,
-            1,
-        )
+        sol = build_spinor(AngularMode(SectorLabel(1, -1), 0.5, 1, DunklParams(1.0, 1.0)), 1, config)
         assert _cell_bits(text) == _grid_bits(sol, GridSpec(4, 4), config)
 
     def _spy_shapes(self, monkeypatch):
@@ -445,6 +445,16 @@ class TestNLadder:
         assert code == 0
         assert [ln.split(",")[1] for ln in text.splitlines()[1:]] == ["1", "1"]
 
+    @pytest.mark.parametrize("argv, ns", [
+        (["--n", "0:2.9999999995"], ["0", "1", "2"]),
+        (["--sector=1,-1", "--n", "0:2.4999999995"], ["0.5", "1.5"]),
+    ])
+    def test_a_range_ends_at_its_upper_bound(self, argv, ns):
+        # the ladder's last n is the largest at most hi, however close the next one is
+        code, text = _run(["spectrum", *argv, "--k-max", "0"])
+        assert code == 0
+        assert sorted({ln.split(",")[1] for ln in text.splitlines()[1:]}) == ns
+
     def test_mixed_sector_snaps_integer_start(self):
         code, text = _run(["spectrum", "--sector=1,-1", "--n", "0:2", "--k-max", "0"])
         assert code == 0
@@ -584,6 +594,10 @@ class TestArgparse:
         ["spectrum", "--n=-1:2"],
         ["spectrum", "--sector", "1,1", "--n", "1.5", "--mu-x", "1", "--mu-y", "1", "--k-max", "0"],
         ["spectrum", "--sector=1,-1", "--n", "0.7:2"],
+        # an n 1e-10 off its ladder
+        ["spectrum", "--mu-x", "1", "--mu-y", "1", "--sector=-1,-1", "--n", "1e-10", "--k-max", "3"],
+        ["spectrum", "--n", "1e-10"],
+        ["spectrum", "--n", "2.0000000001"],
         ["wavefunction", "--sector=-1,-1", "--n", "0"],
         ["wavefunction", "--k", "1", "--grid-rho", "0"],
         ["wavefunction", "--k", "1", "--grid-phi", "0"],
@@ -625,6 +639,8 @@ class TestArgparse:
         # the E = m c^2 radicand passes 1, and at omega_c = 1e308 it overflows
         ["spectrum", "--omega", "1e15", "--n", "0", "--k-max", "0"],
         ["spectrum", "--omega-c", "1e308"],
+        # q = 1e304: the first block of k resolves, but the bound overflows by k = 100000
+        ["spectrum", "--omega", "5e303", "--n", "1", "--branch", "+", "--k-max", "100000"],
         ["wavefunction", "--omega-c", "1e308"],
         ["verify", "--suite", "kg", "--omega-c", "1e308"],
         ["verify", "--suite", "nrlimit", "--omega-c", "1e308"],
@@ -877,9 +893,9 @@ def _wavefunction_state(argv):
     (n,) = cli._parse_n_values(args.n, args.sector)
     mode = AngularMode(args.sector, n, 1 if args.branch == "+" else -1, params)
     if classify_regime(config) is Regime.CRITICAL:
-        sol = free_particle(mode.sector, mode, args.energy, params, config)
+        sol = free_particle(mode, args.energy, config)
     else:
-        sol = build_spinor(mode.sector, mode, args.k, config, 1)
+        sol = build_spinor(mode, args.k, config)
     return sol, GridSpec(args.grid_rho, args.grid_phi), config
 
 

@@ -236,7 +236,7 @@ class TestKgApply:
         params = DunklParams(1.0, 1.0)
         config = OscillatorConfig(omega=1.0)
         mode = AngularMode(SectorLabel(1, -1), 0.5, 1, params)
-        sol = build_spinor(SectorLabel(1, -1), mode, 1, config, 1)
+        sol = build_spinor(mode, 1, config)
         tilde_e = (sol.energy**2 - 1.0) / 2.0
         rho = np.array([0.5, 1.1, 2.0])
         phi = np.array([0.6, 2.3, 5.1])
@@ -266,7 +266,7 @@ class TestKgApply:
         params = DunklParams(1.0, 1.0)
         config = OscillatorConfig(omega=1.0)
         mode = AngularMode(SectorLabel(1, 1), 1, 1, params)
-        sol = build_spinor(SectorLabel(1, 1), mode, 3, config, 1)
+        sol = build_spinor(mode, 3, config)
         tilde_e = (sol.energy**2 - 1.0) / 2.0
         rho = np.array([0.8, 1.3])
         phi = np.array([0.7, 2.4])

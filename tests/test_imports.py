@@ -361,9 +361,44 @@ def test_one_stdout_writer_in_cli():
 
 
 def test_one_energy_column_call_in_cli():
-    # spectrum resolves every energy in one pass that keeps each mode's first
-    # block: one call site, so no second pass can fork on the table's length
+    # spectrum's resolve pass (each mode's first block and last k) and its
+    # write pass share one call site, so neither can fork on the table's length
     tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
     calls = [sub.lineno for sub in ast.walk(tree) if _callee(sub) == "energy_column"]
     assert len(calls) == 1, calls
     assert {name for name in _callers("energy_column") if name.startswith("cli.")} == {"cli._spectrum_blocks"}
+
+
+def _parameters(module: str) -> dict[str, set[str]]:
+    """Parameter names of every public module-level function of ``module``."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    return {name: {arg.arg for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs}
+            for name, node in _definitions(tree)
+            if isinstance(node, ast.FunctionDef) and not name.startswith("_")}
+
+
+# Parameters the builder and check calls took and no caller varied: the
+# mode gives the sector and parameters, and the others had one value.
+_DROPPED = {
+    "solution_builder.build_spinor": {"sector", "sign"},
+    "solution_builder.free_particle": {"sector", "params"},
+    "solution_builder.mode_states": {"sign"},
+    "solution_builder.energy_column": {"sign"},
+    "verification.check_nonrelativistic_limit": {"sector", "c_values"},
+    "verification.check_kg_eigen": {"grid_spec"},
+    "verification.check_dirac_system": {"grid_spec"},
+    "verification.check_angular_eigen": {"n_phi"},
+}
+
+
+def test_a_mode_brings_its_own_sector_and_parameters():
+    # a mode already carries its sector and parameters, so a call that takes
+    # a mode takes neither again; energy keeps the sector that
+    # perfbench/workloads.py passes it, and checks it against the mode
+    signatures = {f"{module}.{name}": params for module in ("solution_builder", "verification")
+                  for name, params in _parameters(module).items()}
+    doubled = {name for name, params in signatures.items() if "mode" in params and params & {"sector", "params"}}
+    assert doubled == {"solution_builder.energy"}, doubled
+    back = {name: signatures[name] & dropped for name, dropped in _DROPPED.items() if signatures[name] & dropped}
+    assert not back, back
+    assert sum(map(len, _DROPPED.values())) == 11

@@ -359,7 +359,7 @@ def test_state_values_are_invariant_to_the_length_unit(mu, log_a, ratio, pick, p
 class TestBuildSpinor:
     def test_component_norms_sum_to_one(self):
         mode = AngularMode(SectorLabel(1, -1), 0.5, 1, P11)
-        sol = build_spinor(SectorLabel(1, -1), mode, 1, CFG_POS, 1)
+        sol = build_spinor(mode, 1, CFG_POS)
         assert sol.norm_upper + sol.norm_lower == pytest.approx(1.0, rel=1e-14)
         e, mc2 = sol.energy, 1.0
         assert sol.norm_upper == pytest.approx((e + mc2) / (2 * e), rel=1e-14)
@@ -367,7 +367,7 @@ class TestBuildSpinor:
 
     def test_quadrature_norms_match_split(self):
         mode = AngularMode(SectorLabel(1, -1), 0.5, 1, P11)
-        sol = build_spinor(SectorLabel(1, -1), mode, 1, CFG_POS, 1)
+        sol = build_spinor(mode, 1, CFG_POS)
         rule = polar_quadrature(P11, 10.838109195829931, 180)  # rho^30 exp(-rho^2) < 1e-18
         nu = weighted_inner_product(sol.upper, sol.upper, rule)
         nl = weighted_inner_product(sol.lower, sol.lower, rule)
@@ -378,8 +378,7 @@ class TestBuildSpinor:
         # the lower component is c_l R_l F with c_l >= 0, so lower * conj(upper)
         # is real everywhere: the README state plus sweep states of both regimes
         rho, phi = GridSpec().polar_points(1.0)
-        readme = build_spinor(SectorLabel(1, -1), AngularMode(SectorLabel(1, -1), 0.5, 1, P11),
-                              1, CFG_POS, 1)
+        readme = build_spinor(AngularMode(SectorLabel(1, -1), 0.5, 1, P11), 1, CFG_POS)
         states = [readme]
         for cfg in (CFG_POS, CFG_NEG):
             states += [st for st in sweep_bound_states(P11, cfg, 2, 2) if st.norm_lower > 0][:4]
@@ -391,43 +390,34 @@ class TestBuildSpinor:
     def test_invalid_pair_propagates(self):
         mode = AngularMode(SectorLabel(1, 1), 1, 1, P11)
         with pytest.raises(InvalidPairError):
-            build_spinor(SectorLabel(1, 1), mode, 0, CFG_POS, 1)
+            build_spinor(mode, 0, CFG_POS)
 
     def test_quantum_numbers_recorded(self):
         mode = AngularMode(SectorLabel(1, 1), 1, 1, P11)
-        sol = build_spinor(SectorLabel(1, 1), mode, 3, CFG_POS, 1)
+        sol = build_spinor(mode, 3, CFG_POS)
         assert sol.quantum.k == 3 and sol.quantum.k_prime == 0
-
-    def test_antiparticle_branch_swaps_norms(self):
-        mode = AngularMode(SectorLabel(1, -1), 0.5, 1, P11)
-        sol = build_spinor(SectorLabel(1, -1), mode, 1, CFG_POS, -1)
-        assert sol.energy < 0
-        assert sol.norm_upper == pytest.approx(
-            (sol.energy + 1.0) / (2 * sol.energy), rel=1e-14
-        )
-        assert sol.norm_upper < sol.norm_lower
 
 
 class TestFreeParticle:
     def test_requires_critical_regime(self):
         mode = AngularMode(SectorLabel(1, 1), 1, 1, P11)
         with pytest.raises(RegimeError):
-            free_particle(SectorLabel(1, 1), mode, 2.0, P11, CFG_POS)
+            free_particle(mode, 2.0, CFG_POS)
 
     def test_requires_energy_above_rest(self):
         mode = AngularMode(SectorLabel(1, 1), 1, 1, P11)
         with pytest.raises(ValueError):
-            free_particle(SectorLabel(1, 1), mode, 0.5, P11, CFG_CRIT)
+            free_particle(mode, 0.5, CFG_CRIT)
 
     @pytest.mark.parametrize("e_val", [math.nan, math.inf])
     def test_non_finite_energy_rejected(self, e_val):
         mode = AngularMode(SectorLabel(1, 1), 1, 1, P11)
         with pytest.raises(ValueError):
-            free_particle(SectorLabel(1, 1), mode, e_val, P11, CFG_CRIT)
+            free_particle(mode, e_val, CFG_CRIT)
 
     def test_threshold_state_vanishes(self):
         mode = AngularMode(SectorLabel(1, 1), 1, 1, P11)
-        sol = free_particle(SectorLabel(1, 1), mode, 1.0, P11, CFG_CRIT)
+        sol = free_particle(mode, 1.0, CFG_CRIT)
         vals = sol.upper.eval_polar(np.array([0.5, 1.0, 2.0]), np.array([0.4, 1.1, 2.0]))
         assert np.max(np.abs(vals)) <= 1e-14
 
@@ -435,24 +425,13 @@ class TestFreeParticle:
         # field * rho^{mu_+} must scale like rho^A near the origin: the
         # Bessel order equals the radial order A of the mode
         mode = AngularMode(SectorLabel(1, 1), 1, 1, P11)
-        sol = free_particle(SectorLabel(1, 1), mode, 2.0, P11, CFG_CRIT)
+        sol = free_particle(mode, 2.0, CFG_CRIT)
         a_ord = radial_order(mode)
         rho = np.array([1e-4, 2e-4])
         phi = np.full_like(rho, 0.7)
         vals = np.abs(sol.upper.eval_polar(rho, phi)) * rho**P11.mu_plus
         slope = math.log(vals[1] / vals[0]) / math.log(2.0)
         assert slope == pytest.approx(a_ord, abs=1e-3)
-
-    def test_sector_and_params_must_match_the_mode(self):
-        mode = AngularMode(SectorLabel(1, 1), 1, 1, P11)
-        with pytest.raises(ValueError):
-            free_particle(SectorLabel(-1, -1), mode, 2.0, P00, CFG_CRIT)
-        with pytest.raises(ValueError):
-            free_particle(SectorLabel(1, 1), mode, 2.0, P00, CFG_CRIT)
-        with pytest.raises(ValueError):
-            free_particle(SectorLabel(-1, -1), mode, 2.0, P11, CFG_CRIT)
-        with pytest.raises(ValueError):
-            build_spinor(SectorLabel(-1, -1), mode, 3, CFG_POS, 1)
 
     def test_classical_order_two(self):
         mode = AngularMode(SectorLabel(1, 1), 1, 1, P00)
@@ -579,8 +558,7 @@ class TestModeFactorSharing:
                     evaluate(st.lower, *point)
             for st in states:
                 mode = st.mode
-                alone = build_spinor(mode.sector, AngularMode(mode.sector, mode.n, mode.branch, P11),
-                                     st.quantum.k, config, 1)
+                alone = build_spinor(AngularMode(mode.sector, mode.n, mode.branch, P11), st.quantum.k, config)
                 for point in stencil:
                     assert np.array_equal(evaluate(st.upper, *point), evaluate(alone.upper, *point))
                     assert np.array_equal(evaluate(st.lower, *point), evaluate(alone.lower, *point))
@@ -710,8 +688,8 @@ class TestModeFactorSharing:
         calls = []
         original = solution_builder.mode_states
         monkeypatch.setattr(solution_builder, "mode_states", lambda *a: calls.append(a) or original(*a))
-        alone = build_spinor(SectorLabel(1, 1), mode, 4, CFG_POS, 1)
-        assert calls == [(mode, [(4, 1)], CFG_POS, 1)]
+        alone = build_spinor(mode, 4, CFG_POS)
+        assert calls == [(mode, [(4, 1)], CFG_POS)]
         rho, phi = GridSpec().polar_points(1.0)
         for st in (alone, column[4]):
             assert (st.energy, st.quantum, st.norm_upper, st.norm_lower, st.amplitudes) == (
@@ -724,11 +702,11 @@ class TestModeFactorSharing:
         # at w~ > 0 and mu = (1,1), k' = k + 1 in sector (-1,-1): k = 199 is the largest k
         sector = SectorLabel(-1, -1)
         mode = AngularMode(sector, 1, 1, P11)
-        assert build_spinor(sector, mode, 199, CFG_POS).quantum.k_prime == 200
+        assert build_spinor(mode, 199, CFG_POS).quantum.k_prime == 200
         calls = []
         monkeypatch.setattr(solution_builder, "build_radial", lambda *a: calls.append(a))
         with pytest.raises(DomainError) as exc:
-            build_spinor(sector, mode, 200, CFG_POS)
+            build_spinor(mode, 200, CFG_POS)
         assert calls == [] and str(exc.value) == (
             "k=200 pairs with the lower radial index k'=201 in sector (-1,-1); radial indices must be at most 200")
 
@@ -778,7 +756,7 @@ class TestNormRange:
     def test_norm_folded_in_log_space_keeps_a_large_n_state(self):
         mode = AngularMode(SectorLabel(1, 1), 100, 1, P00)
         assert build_radial(mode, 1, CFG_POS).log_norm_squared() > 710.0  # exp would overflow
-        sol = build_spinor(SectorLabel(1, 1), mode, 1, CFG_POS, 1)
+        sol = build_spinor(mode, 1, CFG_POS)
         vals = sol.upper.eval_polar(np.array([3.0, 4.0]), np.array([0.3, 0.3]))
         assert np.all(np.isfinite(vals)) and np.all(vals != 0.0)
 
@@ -787,7 +765,7 @@ class TestNormRange:
     def test_amplitude_below_the_double_range_raises(self, sector, n):
         mode = AngularMode(sector, n, 1, P00)
         with pytest.raises(solution_builder.NormRangeError):
-            build_spinor(sector, mode, 1, CFG_POS, 1)
+            build_spinor(mode, 1, CFG_POS)
         assert issubclass(solution_builder.NormRangeError, ValueError)
 
     def test_a_tiny_lower_share_takes_the_sweep_past_the_double_range(self):

@@ -42,7 +42,6 @@ from dunkl_oscillator.solution_builder import (
     build_spinor,
     classify_regime,
     energy,
-    energy_column,
     free_particle,
     pair_radial_indices,
 )
@@ -137,13 +136,13 @@ class TestReportMechanics:
 class TestKgCheck:
     def test_valid_state_passes(self):
         mode = AngularMode(SectorLabel(-1, 1), 0.5, -1, P11)
-        sol = build_spinor(SectorLabel(-1, 1), mode, 2, CFG, 1)
+        sol = build_spinor(mode, 2, CFG)
         rep = check_kg_eigen(sol, tol=1e-5)
         assert rep.passed
 
     def test_perturbed_energy_fails(self):
         mode = AngularMode(SectorLabel(-1, 1), 0.5, -1, P11)
-        sol = build_spinor(SectorLabel(-1, 1), mode, 2, CFG, 1)
+        sol = build_spinor(mode, 2, CFG)
         bumped = SpinorSolution(
             upper=sol.upper, lower=sol.lower, energy=sol.energy + 0.1,
             quantum=sol.quantum, mode=sol.mode, config=sol.config,
@@ -292,7 +291,7 @@ class TestDiracCheck:
         # maps between the two parity classes, so the coupled residual is
         # O(1) even where both components solve the second-order checks
         mode = AngularMode(SectorLabel(1, -1), 0.5, 1, P11)
-        sol = build_spinor(SectorLabel(1, -1), mode, 1, CFG, 1)
+        sol = build_spinor(mode, 1, CFG)
         rep = check_dirac_system(sol, tol=1e-4)
         assert not rep.passed
         assert rep.records[0].residual > 0.1
@@ -390,13 +389,13 @@ class TestCartesianStates:
 class TestNonrelativisticLimit:
     def test_flat_case_handled(self):
         mode = AngularMode(SectorLabel(1, 1), 0, 1, P00)
-        rep = check_nonrelativistic_limit(SectorLabel(1, 1), mode, 0, CFG)
+        rep = check_nonrelativistic_limit(mode, 0, CFG)
         assert rep.passed
         assert nonrelativistic_target(mode, 0, CFG) == 0.0
 
     def test_deformed_case_rate_and_match(self):
         mode = AngularMode(SectorLabel(1, 1), 1, 1, P11)
-        rep = check_nonrelativistic_limit(SectorLabel(1, 1), mode, 2, CFG)
+        rep = check_nonrelativistic_limit(mode, 2, CFG)
         assert rep.passed
         rate_rec = [r for r in rep.records if r.name.endswith("rate")][0]
         assert 1.8 <= rate_rec.inputs["rate"] <= 2.2
@@ -421,11 +420,6 @@ class TestNonrelativisticLimit:
             q = 2 * CFG.omega_tilde / (c * c)
             delta = c * c * (mpmath.sqrt(1 + q * s_num) - 1)
             assert abs(float(delta) - target) <= 1e-12 * max(abs(target), 1.0)
-
-    def test_rejects_short_or_unsorted_ladders(self):
-        mode = AngularMode(SectorLabel(1, 1), 1, 1, P11)
-        with pytest.raises(ValueError):
-            check_nonrelativistic_limit(SectorLabel(1, 1), mode, 0, CFG, c_values=(10.0, 100.0))
 
 
 class TestReferenceEigenstates:
@@ -585,9 +579,9 @@ class TestConstantAngularFactor:
     def test_angular_operators_vanish_exactly(self, params):
         mode = AngularMode(SectorLabel(1, 1), 0, 1, params)
         k = round(params.mu_plus) + 1  # pairs with k' = 0
-        bound = build_spinor(SectorLabel(1, 1), mode, k, CFG, 1)
+        bound = build_spinor(mode, k, CFG)
         crit = OscillatorConfig(omega=1.0, omega_c=2.0)
-        free = free_particle(SectorLabel(1, 1), mode, 2.0, params, crit)
+        free = free_particle(mode, 2.0, crit)
         rho, phi = GridSpec().polar_points(1.0)
         for fld in (bound.upper, bound.lower, free.upper):
             assert np.all(b_phi_apply(fld, (rho, phi), params) == 0.0)
@@ -663,16 +657,16 @@ class TestModeStacks:
     def test_states_of_two_modes_stack_and_hand_built_or_mixed_states_raise(self):
         states = list(sweep_bound_states(P11, CFG, 2, 2))
         a, b = states[0], next(st for st in states if st.mode.sector != states[0].mode.sector)
-        twin = build_spinor(a.mode.sector, AngularMode(a.mode.sector, a.mode.n, a.mode.branch, P11),
-                            a.quantum.k, CFG, 1)  # an equal mode, built apart
+        twin = build_spinor(AngularMode(a.mode.sector, a.mode.n, a.mode.branch, P11),
+                            a.quantum.k, CFG)  # an equal mode, built apart
         for check in (check_kg_eigen, check_dirac_system):
             for pair in ([a, b], [a, twin]):
                 alone = [r for st in pair for r in check(_alone(st)).records]
                 assert _signature(check(pair).records) == _signature(alone)
-        other_config = build_spinor(a.mode.sector, a.mode, a.quantum.k, OscillatorConfig(omega=1.3), 1)
+        other_config = build_spinor(a.mode, a.quantum.k, OscillatorConfig(omega=1.3))
         other_params = next(sweep_bound_states(P00, CFG, 2, 2))
         crit = OscillatorConfig(omega=1.0, omega_c=2.0)
-        free = [free_particle(SectorLabel(1, 1), AngularMode(SectorLabel(1, 1), 1, 1, P11), e_val, P11, crit)
+        free = [free_particle(AngularMode(SectorLabel(1, 1), 1, 1, P11), e_val, crit)
                 for e_val in (1.25, 2.0)]
         for check in (check_kg_eigen, check_dirac_system):
             for pair in ([a, _alone(a)], [a, other_config], [a, other_params], [a, free[0]]):
@@ -814,7 +808,7 @@ def test_separable_grid_records_equal_the_flattened_grid_residuals_bit_for_bit(m
     # w~ = -1, free states of one energy at the critical point (kg only)
     params, config = DunklParams(*mu), OscillatorConfig(omega=1.0, omega_c=ratio)
     if ratio == 2.0:
-        states = [free_particle(sector, mode, e_ratio, params, config)
+        states = [free_particle(mode, e_ratio, config)
                   for sector in ALL_SECTORS for mode in modes_for_sector(sector, params, 2)]
     else:
         states = list(sweep_bound_states(params, config, 2, 3))
@@ -848,7 +842,7 @@ def test_random_cross_mode_block_matches_its_states_bit_for_bit(mu, omega, ratio
 def test_random_block_of_free_states_of_one_energy_matches_its_states_bit_for_bit(mu, omega, e_ratio, picks):
     params = DunklParams(*map(float, mu))
     config = OscillatorConfig(omega=omega, omega_c=2.0 * omega)
-    states = [free_particle(sector, mode, e_ratio * config.rest_energy, params, config)
+    states = [free_particle(mode, e_ratio * config.rest_energy, config)
               for sector in ALL_SECTORS for mode in modes_for_sector(sector, params, 2)]
     block = [states[p % len(states)] for p in picks]
     alone = [r for st in block for r in check_kg_eigen(_alone(st)).records]
@@ -863,7 +857,7 @@ def test_random_block_of_free_states_of_one_energy_matches_its_states_bit_for_bi
     (lambda: pair_radial_indices(SectorLabel(1, 1), Regime.POSITIVE, -1, P11), ValueError),
     (lambda: energy(Component.UPPER, SectorLabel(1, 1), MODE11, -1, CFG, 1), ValueError),
     (lambda: build_radial(MODE11, -1, CFG), ValueError),
-    (lambda: energy_column(Component.UPPER, MODE11, 0, CFG, sign=2), ValueError),
+    (lambda: energy(Component.UPPER, SectorLabel(1, 1), MODE11, 0, CFG, 2), ValueError),
     (lambda: matrix_oracle_lambda(SectorLabel(1, 1), P11, basis_size=0), ValueError),
     (lambda: classical_oscillator_b_energy(Component.UPPER, 0, 0, CFG_CRIT), RegimeError),
     (lambda: cartesian_states(1, P11, CFG_CRIT), RegimeError),
@@ -873,10 +867,9 @@ def test_random_block_of_free_states_of_one_energy_matches_its_states_bit_for_bi
     (lambda: coupled_reflection_eigenstate(Component.UPPER, 1, 0.5, 1, 0, P11, CFG), ValueError),
     (lambda: coupled_reflection_eigenstate(Component.UPPER, -1, 1.0, 1, 0, P11, CFG), ValueError),
     (lambda: next(sweep_bound_states(P11, CFG_CRIT)), RegimeError),
-    (lambda: check_nonrelativistic_limit(SectorLabel(-1, -1), MODE11, 2, CFG), ValueError),
 ], ids=["branch", "kg-origin", "quantum", "pair-k", "energy-k", "radial-k", "energy-sign", "basis-size",
         "classical-critical", "shell-critical", "shell-negative", "coupled-epsilon", "coupled-critical",
-        "coupled-off-ladder-plus", "coupled-off-ladder-minus", "sweep-critical", "nrlimit-sector"])
+        "coupled-off-ladder-plus", "coupled-off-ladder-minus", "sweep-critical"])
 def test_each_input_guard_raises_its_own_error(call, error):
     with pytest.raises(ValueError) as exc:
         call()
