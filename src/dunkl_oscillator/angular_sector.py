@@ -34,7 +34,6 @@ many modes.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -43,8 +42,6 @@ import numpy as np
 
 from .dunkl_calculus import DunklParams, ScalarField2D, remember_last
 from .special_functions import DomainError, jacobi_rows, log_gamma
-
-_HALF_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -99,8 +96,9 @@ class AngularMode:
     so evaluating the states' own fields runs F(phi) once per mode, not
     once per (mode, k). An equal mode built apart shares nothing, and both
     go with the object. The checks read F from ``eigenfunction_rows`` of
-    many modes: a block of states, or a sector's modes, shares one Jacobi
-    table per parity family, and each row equals its mode's F bit for bit.
+    many modes: the states of a kg or dirac check call, or a sector's
+    modes, share one Jacobi table per parity family, and each row equals
+    its mode's F bit for bit.
     """
 
     sector: SectorLabel
@@ -126,7 +124,7 @@ class AngularMode:
     @cached_property
     def families(self) -> tuple:
         """The (Phi_A, Phi_B) constants of this mode object (see ``_pair``),
-        found on first use and shared by its F and every block it is in."""
+        found on first use and shared by its F and every table it is in."""
         return _pair(self.sector.epsilon, self.n, self.params)
 
     @cached_property
@@ -288,9 +286,10 @@ def f_eigenfunction(mode: AngularMode) -> ScalarField2D:
 
 
 def modes_for_sector(sector: SectorLabel, params: DunklParams, n_max: float):
-    """All modes of a sector with n <= n_max, both branches where they exist."""
-    if sector.epsilon == 1:
-        ladder = range(0 if sector == SectorLabel(1, 1) else 1, int(math.floor(n_max)) + 1)
-    else:
-        ladder = itertools.takewhile(lambda n: n <= n_max + _HALF_TOL, itertools.count(0.5))
+    """All modes of a sector with n <= n_max, both branches where they exist.
+    One rule for both ladders (integer n from 0 or 1 at epsilon = +1,
+    half-odd n from 1/2 at epsilon = -1): n_max is compared exactly, so no
+    rung above it is let in."""
+    first = 0.5 if sector.epsilon == -1 else 0 if sector == SectorLabel(1, 1) else 1
+    ladder = [first + i for i in range(math.floor(n_max - first) + 1)]
     return [AngularMode(sector, n, branch, params) for n in ladder for branch in ((1, -1) if n else (1,))]

@@ -215,6 +215,7 @@ def _spectrum_blocks(args: argparse.Namespace, params: DunklParams, config: Osci
              for branch in {"+": [1], "-": [-1], "both": [1, -1]}[args.branch]
              if n != 0 or (branch == 1 and sector == SectorLabel(1, 1))]  # n = 0 is a single mode
     json_out, spec, end = args.fmt == "json", f".{args.precision}g", args.k_max + 1
+    rounded = json_out and args.precision < 17
     if json_out:
         names = sorted(names)  # as json.dumps(row, sort_keys=True)
     order = [name for name in names if name in ("k", "E_plus", "E_minus")]  # a row's cells; k' rides in k's
@@ -247,8 +248,9 @@ def _spectrum_blocks(args: argparse.Namespace, params: DunklParams, config: Osci
         row = "{%s}" % ", ".join(fields) if json_out else ",".join(fields) + "\n"
         nan_row = row.replace(e_slot, nan_slot)  # its fixed cells hold no "%"
         for lo, column in itertools.chain([first], columns(mode, _K_BLOCK)):
-            # json.dumps prints the rounded float's repr
-            plus = [float(format(v, spec)) for v in column.tolist()] if json_out else column.tolist()
+            # json.dumps prints the rounded float's repr; 17 digits round-trip
+            # every double, so there the rounding is the identity and is skipped
+            plus = [float(format(v, spec)) for v in column.tolist()] if rounded else column.tolist()
             cells = {"k": first_ks if lo == 0 else k_cells(lo, lo + len(column)), "E_plus": plus,
                      "E_minus": [-v for v in plus] if args.negative_energies else None}
             flat = [None] * (len(order) * len(column))

@@ -138,7 +138,10 @@ class ScalarField2D:
 
 
 # Distinct arguments a remembered factor keeps: dirac_apply asks one shared
-# factor for 7 distinct angle arrays, kg_apply for 5 angles and 3 radii.
+# factor for 7 distinct angle arrays and 5 radius arrays, kg_apply for 5
+# angles and 3 radii. The blocks of a kg or dirac check call share their
+# tables, so each recurrence runs once per table, not per block; the two
+# checks build separate tables, as together they ask for 12 angle arrays.
 _REMEMBERED = 8
 
 

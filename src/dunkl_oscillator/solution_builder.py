@@ -425,27 +425,66 @@ def _with_leading_axis(field: ScalarField2D) -> ScalarField2D:
     return ScalarField2D(lambda rho, phi: np.expand_dims(field.eval_polar(rho, phi), 0))
 
 
-def stacked_components(states) -> tuple[ScalarField2D, ScalarField2D]:
-    """The upper and lower components of ``states`` as fields with row i
-    holding state i: (K, *shape) on points of any broadcast shape, such as
-    a radius column against an angle row, each factor on its own axis.
+# Most (k, order) rows of one radial table that consecutive blocks of
+# ``stacked_blocks`` share: every sweep up to (n_max, k_max) = (8, 8) fits
+# in one table (at most 221 rows), while a larger run's tables, each held
+# on up to 5 radius arrays of a stencil, stay within a few times the size
+# of one block's own instead of growing with the run.
+_TABLE_ROWS = 256
 
-    States that ``mode_states`` made, of any modes of one config and one
-    set of parameters, stack on one ``eigenfunction_rows`` table of the
-    block's distinct modes (one F row per mode, read once per state) and
-    one radial table: one Laguerre recurrence over the block's distinct
-    orders and every k and k' they need, per radius array. Free states
-    (``free_particle``) of one energy, which share a grid, stack the same
-    way on one ``free_rows`` table over their orders, at k = k' = 0: one
-    layout (k, order, *rho.shape) and one read. Row i is
-    (c_i R_i(rho)) F_i(phi), the operation order of ``_product_field``, so
-    every row equals its state's own field bit for bit; a zero lower
-    amplitude gives a zero row. A hand-built state, such as an oracle's,
-    stacks only alone, as its own fields with a leading axis of 1.
+
+def _table_runs(orders: list, k_tops: list, size: int):
+    """(lo, hi, k_top) of each run of consecutive blocks of at most ``size``
+    states that share one set of tables: the blocks from lo on join the run
+    while its distinct orders times (k_top + 1), the rows of its radial
+    table, stay at most ``_TABLE_ROWS``; the first block joins whatever its
+    rows. ``orders`` and ``k_tops`` hold each state's radial order and
+    max(k, k')."""
+    lo = 0
+    while lo < len(orders):
+        hi, held, k_top = lo + size, set(orders[lo:lo + size]), max(k_tops[lo:lo + size])
+        while hi < len(orders):
+            grown, top = held | set(orders[hi:hi + size]), max(k_top, *k_tops[hi:hi + size])
+            if len(grown) * (top + 1) > _TABLE_ROWS:
+                break
+            hi, held, k_top = hi + size, grown, top
+        hi = min(hi, len(orders))
+        yield lo, hi, k_top
+        lo = hi
+
+
+def stacked_blocks(states, size: int):
+    """Yield each run of at most ``size`` consecutive states of ``states``
+    (a block) with its upper and lower components as fields with row i
+    holding the block's state i: (K, *shape) on points of any broadcast
+    shape, such as a radius column against an angle row, each factor on its
+    own axis.
+
+    Consecutive blocks read one set of tables, built here, while its radial
+    table holds at most ``_TABLE_ROWS`` rows (``_table_runs``); that is one
+    set for all of ``states`` up to sweeps of (n_max, k_max) = (8, 8).
+    States that ``mode_states`` made, of any modes of one config and one set
+    of parameters, read one ``eigenfunction_rows`` table of their distinct
+    modes (one F row per mode, read once per state) and one radial table:
+    one Laguerre recurrence over their distinct orders and every k and k'
+    they need, per radius array. Free states (``free_particle``) of one
+    energy, which share a grid, read one ``free_rows`` table over their
+    orders the same way, at k = k' = 0: one layout (k, order, *rho.shape)
+    and one read. The tables remember their last few coordinate arrays, so
+    blocks evaluated on one stencil share each recurrence, and only a
+    block's own rows are stacked. Row i is (c_i R_i(rho)) F_i(phi), the
+    operation order of ``_product_field``, and a table row does not depend
+    on the other rows, so every row equals its state's own field bit for
+    bit; a zero lower amplitude gives a zero row. A hand-built state, such
+    as an oracle's, stacks only alone, as its own fields with a leading axis
+    of 1. No states, no blocks.
     """
+    if not states:
+        return
     first = states[0]
     if len(states) == 1 and first.amplitudes is None:
-        return _with_leading_axis(first.upper), _with_leading_axis(first.lower)
+        yield states, (_with_leading_axis(first.upper), _with_leading_axis(first.lower))
+        return
     config, params, free = first.config, first.mode.params, first.quantum is None
     for st in states:
         if st.amplitudes is None:
@@ -454,28 +493,31 @@ def stacked_components(states) -> tuple[ScalarField2D, ScalarField2D]:
             raise ValueError(f"states of {first.mode} and {st.mode} do not share a config and parameters")
         if (st.quantum is None) != free or (free and st.energy != first.energy):
             raise ValueError("free states stack only with free states of one energy")
-    orders: dict = {}  # distinct radial order -> its row in the radial table
-    rows = [orders.setdefault(radial_order(st.mode), len(orders)) for st in states]
-    modes: dict = {}  # distinct mode -> its row in the angular table
-    mode_rows = [modes.setdefault(st.mode, len(modes)) for st in states]
-    angular = eigenfunction_rows(list(modes))
-    if free:  # a free state reads k = k' = 0 of its one-row table
-        table = free_rows(list(orders), params.mu_plus, config, first.energy)
-        ks = ks_prime = [0] * len(states)
-    else:
-        k_top = max(max(st.quantum.k, st.quantum.k_prime) for st in states)
-        table = radial_rows(list(orders), params.mu_plus, abs(config.oscillator_scale), k_top)
-        ks = [st.quantum.k for st in states]
-        ks_prime = [st.quantum.k_prime for st in states]
+    orders = [radial_order(st.mode) for st in states]
+    # a free state reads k = k' = 0 of its one-row table
+    ks = np.array([(0, 0) if free else (st.quantum.k, st.quantum.k_prime) for st in states])
+    amplitudes = np.array([st.amplitudes for st in states])
+    for lo, hi, k_top in _table_runs(orders, ks.max(axis=1).tolist(), size):
+        run, run_ks, run_amplitudes = states[lo:hi], ks[lo:hi], amplitudes[lo:hi]
+        distinct: dict = {}  # distinct radial order -> its row in the radial table
+        rows = [distinct.setdefault(order, len(distinct)) for order in orders[lo:hi]]
+        modes: dict = {}  # distinct mode -> its row in the angular table
+        mode_rows = [modes.setdefault(st.mode, len(modes)) for st in run]
+        angular = eigenfunction_rows(list(modes))
+        table = (free_rows(list(distinct), params.mu_plus, config, first.energy) if free else
+                 radial_rows(list(distinct), params.mu_plus, abs(config.oscillator_scale), k_top))
+        for start in range(0, hi - lo, size):
+            own = slice(start, start + size)
+            yield run[own], tuple(_stacked(table, angular, run_ks[own, c], rows[own], mode_rows[own],
+                                           run_amplitudes[own, c]) for c in (0, 1))
 
-    def stacked(radial_ks, amplitudes) -> ScalarField2D:
-        return ScalarField2D(lambda rho, phi: _column(amplitudes, np.ndim(rho)) * table(rho)[radial_ks, rows]
-                             * angular(phi)[mode_rows])
 
-    return (
-        stacked(ks, np.array([st.amplitudes[0] for st in states])),
-        stacked(ks_prime, np.array([st.amplitudes[1] for st in states])),
-    )
+def _stacked(table, angular, radial_ks, rows, angular_rows, amplitudes) -> ScalarField2D:
+    """The field whose row i is (amplitudes[i] R(rho)) F(phi), R row
+    (radial_ks[i], rows[i]) of the radial ``table`` and F row angular_rows[i]
+    of the ``angular`` one."""
+    return ScalarField2D(lambda rho, phi: _column(amplitudes, np.ndim(rho)) * table(rho)[radial_ks, rows]
+                         * angular(phi)[angular_rows])
 
 
 def reduced_energy(config: OscillatorConfig, e_val: float) -> float:

@@ -30,7 +30,6 @@ discrepancy on the closed forms rather than the operators.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -75,7 +74,7 @@ from .solution_builder import (
     reduced_energy,
     spectral_sum,
     spectral_terms,
-    stacked_components,
+    stacked_blocks,
 )
 from .special_functions import laguerre_rows
 
@@ -100,9 +99,9 @@ NRLIMIT_C_VALUES = (10.0, 100.0, 1000.0)
 # Energies of the critical regime's free states, in units of m c^2.
 _FREE_ENERGIES = (1.25, 2.0)
 
-# Most states that run_suite checks in one kg or dirac operator application:
-# enough to share each table among a few modes, few enough that the (K, P)
-# stencil arrays stay small.
+# Most states that the kg and dirac checks take in one operator application:
+# the (K, P) stencil arrays stay small, while the blocks of a check call
+# share their tables.
 _STATE_BLOCK = 24
 
 
@@ -236,16 +235,19 @@ def _state_tag(solution: SpinorSolution) -> str:
 # checks
 # ---------------------------------------------------------------------------
 
-def _state_block(states):
-    """One state or a block of states that stack, as (states, (upper, lower),
-    params, config, rho, phi): the ``stacked_components`` fields and the
-    radius column and angle row of the check grid ``GridSpec()``, the one
-    ``step_limit`` bounds, at the first state's length scale."""
+def _state_blocks(states):
+    """One state or any number of states that stack, in blocks of at most
+    ``_STATE_BLOCK`` consecutive states, as (block, (upper, lower), params,
+    config, rho, phi): the ``stacked_blocks`` fields, whose blocks share
+    their tables, and the radius column and angle row of the
+    check grid ``GridSpec()``, the one ``step_limit`` bounds, at the first
+    state's length scale. No states, no blocks."""
     states = [states] if isinstance(states, SpinorSolution) else list(states)
-    fields = stacked_components(states)
-    first = states[0]
-    rho, phi = GridSpec().polar_points(_length_scale(first.config, first.energy))
-    return states, fields, first.mode.params, first.config, rho, phi
+    if states:
+        first = states[0]
+        rho, phi = GridSpec().polar_points(_length_scale(first.config, first.energy))
+        for block, fields in stacked_blocks(states, _STATE_BLOCK):
+            yield block, fields, first.mode.params, first.config, rho, phi
 
 
 def _mode_rows(modes) -> tuple[list[AngularMode], DunklParams, ScalarField2D]:
@@ -264,30 +266,33 @@ def check_kg_eigen(
 ) -> VerificationReport:
     """Pointwise residual of the decoupled second-order equations.
 
-    ``states`` is one state or a block of states that stack (see
-    ``stacked_components``: ``mode_states`` states of any modes of one
-    config, or free states of one energy); each component of all of them
-    is checked in one operator application on (K, n_rho, n_phi) fields.
-    Each residual keeps its own state's scale, and a component that is zero
-    on the grid has residual 0. The records come per state, upper then
-    lower, in input order.
+    ``states`` is one state or any number of states that stack (see
+    ``stacked_blocks``: ``mode_states`` states of any modes of one config,
+    or free states of one energy). They share one set of tables (up to
+    sweeps of (n_max, k_max) = (8, 8); past that, one set per run of
+    consecutive blocks), and each component of a block of at most
+    ``_STATE_BLOCK`` of them is checked in one operator application on
+    (K, n_rho, n_phi) fields. Each residual keeps its own state's scale,
+    and a component that is zero on the grid has residual 0. The records
+    come per state, upper then lower, in input order.
     """
-    states, fields, params, config, rho, phi = _state_block(states)
-    tilde_e = np.array([reduced_energy(st.config, st.energy) for st in states])[:, None, None]
-    residuals = []
-    for component, fld in zip((Component.UPPER, Component.LOWER), fields):
-        vals = fld.eval_polar(rho, phi)
-        scale = np.max(np.abs(vals), axis=(1, 2))
-        applied = kg_apply(component, fld, params, config, (rho, phi), h)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            residual = np.max(np.abs(applied - tilde_e * vals), axis=(1, 2)) / scale
-        residuals.append((component, np.where(scale == 0.0, 0.0, residual)))
-    records = [
-        _mode_record("kg", st.mode, f"{_state_tag(st)} {component.value}",
-                     {"component": component.value, "energy": st.energy, "h": h}, float(residual[i]), tol)
-        for i, st in enumerate(states)
-        for component, residual in residuals
-    ]
+    records = []
+    for block, fields, params, config, rho, phi in _state_blocks(states):
+        tilde_e = np.array([reduced_energy(st.config, st.energy) for st in block])[:, None, None]
+        residuals = []
+        for component, fld in zip((Component.UPPER, Component.LOWER), fields):
+            vals = fld.eval_polar(rho, phi)
+            scale = np.max(np.abs(vals), axis=(1, 2))
+            applied = kg_apply(component, fld, params, config, (rho, phi), h)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                residual = np.max(np.abs(applied - tilde_e * vals), axis=(1, 2)) / scale
+            residuals.append((component, np.where(scale == 0.0, 0.0, residual)))
+        records += [
+            _mode_record("kg", st.mode, f"{_state_tag(st)} {component.value}",
+                         {"component": component.value, "energy": st.energy, "h": h}, float(residual[i]), tol)
+            for i, st in enumerate(block)
+            for component, residual in residuals
+        ]
     return VerificationReport("kg", records)
 
 
@@ -352,21 +357,24 @@ def check_dirac_system(
 ) -> VerificationReport:
     """Max residual of the coupled first-order system on an off-axis grid.
 
-    ``states`` is one state or a block of states that stack (see
-    ``stacked_components``), checked in one operator application on the
-    grid's Cartesian points with their energies as a (K, 1, 1) column. Each
-    residual is scaled by its own state's (|E| + m c^2) times its largest
-    component value. One record per state, in input order.
+    ``states`` is one state or any number of states that stack (see
+    ``stacked_blocks``). They share their tables as in ``check_kg_eigen``,
+    and a block of at most ``_STATE_BLOCK`` of them is checked in one
+    operator application on the grid's Cartesian points with their energies
+    as a (K, 1, 1) column.
+    Each residual is scaled by its own state's (|E| + m c^2) times its
+    largest component value. One record per state, in input order.
     """
-    states, (upper, lower), params, config, rho, phi = _state_block(states)
-    xs, ys = rho * np.cos(phi), rho * np.sin(phi)
-    energies = np.array([st.energy for st in states])
-    r1, r2 = dirac_apply((upper, lower), energies[:, None, None], params, config, (xs, ys), h)
-    amp = np.maximum(np.max(np.maximum(np.abs(upper(xs, ys)), np.abs(lower(xs, ys))), axis=(1, 2)), 1e-300)
-    scale = (np.abs(energies) + config.rest_energy) * amp
-    residual = np.maximum(np.max(np.abs(r1), axis=(1, 2)), np.max(np.abs(r2), axis=(1, 2))) / scale
-    records = [_mode_record("dirac", st.mode, _state_tag(st), {"energy": st.energy, "h": h}, float(residual[i]), tol)
-               for i, st in enumerate(states)]
+    records = []
+    for block, (upper, lower), params, config, rho, phi in _state_blocks(states):
+        xs, ys = rho * np.cos(phi), rho * np.sin(phi)
+        energies = np.array([st.energy for st in block])
+        r1, r2 = dirac_apply((upper, lower), energies[:, None, None], params, config, (xs, ys), h)
+        amp = np.maximum(np.max(np.maximum(np.abs(upper(xs, ys)), np.abs(lower(xs, ys))), axis=(1, 2)), 1e-300)
+        scale = (np.abs(energies) + config.rest_energy) * amp
+        residual = np.maximum(np.max(np.abs(r1), axis=(1, 2)), np.max(np.abs(r2), axis=(1, 2))) / scale
+        records += [_mode_record("dirac", st.mode, _state_tag(st), {"energy": st.energy, "h": h},
+                                 float(residual[i]), tol) for i, st in enumerate(block)]
     return VerificationReport("dirac", records)
 
 
@@ -646,22 +654,13 @@ def sweep_bound_states(
                     continue
 
 
-def _critical_states(params: DunklParams, config: OscillatorConfig, n_max: float):
-    """Free states of every mode, one energy after the other; both
-    energies share each mode object."""
+def _critical_states(params: DunklParams, config: OscillatorConfig, n_max: float) -> list[list[SpinorSolution]]:
+    """Free states of every mode, one list per energy of ``_FREE_ENERGIES``
+    (a free state's grid follows its energy); both energies share each
+    mode object."""
     modes = [mode for sector in ALL_SECTORS for mode in modes_for_sector(sector, params, n_max)]
-    for e_val in (ratio * config.rest_energy for ratio in _FREE_ENERGIES):
-        for mode in modes:
-            yield free_particle(mode, e_val, config)
-
-
-def _blocks(states):
-    """Consecutive states in lists of at most ``_STATE_BLOCK``, across
-    modes and sectors; only one list is alive at a time. A free state's
-    grid follows its energy, so a list holds free states of one energy."""
-    for _, group in itertools.groupby(states, key=lambda st: st.energy if st.quantum is None else None):
-        while block := list(itertools.islice(group, _STATE_BLOCK)):
-            yield block
+    return [[free_particle(mode, ratio * config.rest_energy, config) for mode in modes]
+            for ratio in _FREE_ENERGIES]
 
 
 def run_suite(
@@ -678,12 +677,13 @@ def run_suite(
 
     The suite names, then the regime, then h (at most ``step_limit``) are
     checked before the first check runs. The checks run one after another.
-    kg and dirac walk the sweep once and check its states in blocks of at
-    most ``_STATE_BLOCK`` consecutive states, across modes and sectors
-    (critical regime: free states of one energy), one operator application
-    per block and component; the angular suite checks each sector's modes
-    in one application, on the mode list that the ortho suite shares.
-    Records come sorted by name, so the blocking does not show in the report.
+    kg and dirac walk the sweep once, and each takes all its states in one
+    call (critical regime: one call per energy of the free states), which
+    builds their tables (one set up to (n_max, k_max) = (8, 8)) and checks
+    the states in blocks of at most ``_STATE_BLOCK``; the angular suite
+    checks each sector's modes in one application, on the mode list that
+    the ortho suite shares. Records come sorted by name, so the blocking
+    does not show in the report.
     ``threads`` accepts only 1: it is kept so that existing callers passing
     ``threads=1`` keep working; a thread pool gave no speed-up, as the
     numpy work per check is too small to release the interpreter lock for
@@ -715,17 +715,17 @@ def run_suite(
                 records.extend(check_angular_eigen(modes, tol=tol_for("angular"), h=h).records)
             if "ortho" in wanted:
                 records.extend(check_orthonormality(modes, tol=tol_for("ortho")).records)
-    # kg and dirac check each block of states together, in one walk of the sweep
+    # kg and dirac check the states of one walk of the sweep, each in one call
     checks = [(name, check) for name, check in (("kg", check_kg_eigen), ("dirac", check_dirac_system))
               if name in wanted]
     if checks:
         if regime is Regime.CRITICAL:
-            states = _critical_states(params, config, n_max)
+            runs = _critical_states(params, config, n_max)
         else:
-            states = sweep_bound_states(params, config, n_max, k_max)
-        for block in _blocks(states):
+            runs = [list(sweep_bound_states(params, config, n_max, k_max))]
+        for states in runs:
             for name, check in checks:
-                records.extend(check(block, tol=tol_for(name), h=h).records)
+                records.extend(check(states, tol=tol_for(name), h=h).records)
     if "nrlimit" in wanted:
         for sector in ALL_SECTORS:
             mode = modes_for_sector(sector, params, 1.5)[-1]

@@ -41,7 +41,6 @@ from dunkl_oscillator.solution_builder import (
     InvalidPairError,
     OscillatorConfig,
     Regime,
-    build_spinor,
     energy,
     free_particle,
     pair_radial_indices,

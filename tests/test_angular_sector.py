@@ -75,6 +75,15 @@ class TestAngularMode:
         assert len(modes_for_sector(SectorLabel(-1, -1), P11, 4)) == 8
         assert len(modes_for_sector(SectorLabel(1, -1), P11, 4)) == 8
 
+    @pytest.mark.parametrize("sector, n_max, top", [
+        (SectorLabel(1, -1), 1.4999999995, 0.5), (SectorLabel(1, -1), 1.5, 1.5),
+        (SectorLabel(1, 1), 1.9999999995, 1), (SectorLabel(1, 1), 2.0, 2),
+        (SectorLabel(-1, -1), 0.9999999995, None), (SectorLabel(-1, 1), 0.4999999995, None)])
+    def test_n_max_is_compared_exactly_on_both_ladders(self, sector, n_max, top):
+        # a rung 5e-10 above n_max is left out, half-odd or integer alike
+        modes = modes_for_sector(sector, P11, n_max)
+        assert (modes[-1].n if modes else None) == top
+
 
 class TestPhiFamilies:
     def test_constant_mode_value(self):

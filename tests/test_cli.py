@@ -862,6 +862,20 @@ def test_spectrum_equals_the_per_k_reference(mu, sector, omega, ratio, branch, p
         assert "unphysical" in text  # k = 0 of the + branch
 
 
+@pytest.mark.parametrize("precision", range(6, 18))
+@pytest.mark.parametrize("system", [
+    ["--mu-x", "3", "--mu-y", "3", "--omega-c", "4", "--sector=-1,-1", "--n", "1:2"],
+    ["--mu-x", "0.5", "--mu-y", "1.5", "--omega", "0.3", "--sector=1,-1", "--n", "0.5:2.5"]], ids=["w-", "w+"])
+def test_json_spectrum_is_byte_identical_at_every_precision(system, precision):
+    # the JSON path rounds each energy to --precision digits, except at 17,
+    # where the rounding is the identity: the bytes are the rounding reference's
+    argv = ["spectrum", *system, "--branch", "both", "--k-max", "5", "--negative-energies",
+            "--precision", str(precision), "--format", "json"]
+    code, text = _run(argv)
+    assert code == 0 and len(json.loads(text)) > 12
+    assert text == _reference_spectrum(argv)
+
+
 def test_spectrum_memory_is_flat_in_k_max():
     # one block of at most 4096 rows is alive at a time: the peak of a
     # 200001-row table (49 blocks, about 10 MB of text) is that of 2 blocks

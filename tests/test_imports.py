@@ -1,4 +1,4 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module or a test file imports is used in that file.
 
 The package's ``__init__`` re-exports names by importing them, so it is
 left out. Names used only in string annotations count as used.
@@ -11,6 +11,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dunkl_oscillator"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TEST_FILES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -49,7 +50,7 @@ def test_modules_found():
     assert len(MODULES) >= 6
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", MODULES + TEST_FILES, ids=lambda p: p.stem)
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = _used(tree)

@@ -30,7 +30,6 @@ from dunkl_oscillator.solution_builder import (
     InvalidPairError,
     NegativeRadicandError,
     OscillatorConfig,
-    RadialProfile,
     Regime,
     RegimeError,
     build_radial,
@@ -566,13 +565,14 @@ class TestModeFactorSharing:
     @pytest.mark.parametrize("config", [CFG_POS, CFG_NEG], ids=["w+", "w-"])
     @pytest.mark.parametrize("mu", [(1.0, 1.0), (0.5, 1.5), (0.0, 0.0), (2.0, 1.0)])
     def test_block_rows_equal_the_fields_of_their_states(self, mu, config):
-        # blocks as run_suite forms them: consecutive sweep states across modes and sectors
+        # blocks as the checks form them: consecutive sweep states across
+        # modes and sectors, every block reading the one set of tables of the run
         rho, phi = GridSpec().polar_points(config.length_scale)
         states = list(sweep_bound_states(DunklParams(*mu), config, 3, 3))
-        blocks = [states[i:i + _STATE_BLOCK] for i in range(0, len(states), _STATE_BLOCK)]
-        assert any(len({st.mode.sector for st in block}) > 1 for block in blocks)
-        for block in blocks:
-            upper, lower = solution_builder.stacked_components(block)
+        blocks = list(solution_builder.stacked_blocks(states, _STATE_BLOCK))
+        assert [st for block, _ in blocks for st in block] == states
+        assert any(len({st.mode.sector for st in block}) > 1 for block, _ in blocks)
+        for block, (upper, lower) in blocks:
             for stencil, evaluate in ((_kg_stencil(rho, phi), ScalarField2D.eval_polar),
                                       (_dirac_stencil(rho, phi), ScalarField2D.__call__)):
                 for point in stencil:
@@ -582,9 +582,10 @@ class TestModeFactorSharing:
                         assert np.array_equal(rows_l[j], evaluate(st.lower, *point))
 
     @pytest.mark.parametrize("config", [CFG_POS, CFG_NEG], ids=["w+", "w-"])
-    def test_a_block_builds_one_f_row_per_distinct_mode(self, monkeypatch, config):
-        # the states of one mode (one per k) read one F row: the block's
-        # angular table holds each of its distinct modes once, in block order
+    def test_a_check_run_builds_one_f_row_per_distinct_mode(self, monkeypatch, config):
+        # the states of one mode (one per k) read one F row: a check call's
+        # angular table holds each distinct mode of all its blocks once, in
+        # state order, and each check builds its own
         asked = []
         rows = solution_builder.eigenfunction_rows
 
@@ -594,52 +595,88 @@ class TestModeFactorSharing:
 
         monkeypatch.setattr(solution_builder, "eigenfunction_rows", spy)
         states = list(sweep_bound_states(P11, config, 4, 4))
-        blocks = [states[i:i + _STATE_BLOCK] for i in range(0, len(states), _STATE_BLOCK)]
-        assert any(len({st.mode for st in block}) < len(block) for block in blocks)
-        for block in blocks:
+        modes = list(dict.fromkeys(st.mode for st in states))
+        assert len(modes) < len(states) and len(states) > _STATE_BLOCK
+        for check in (verification.check_kg_eigen, verification.check_dirac_system):
             asked.clear()
-            solution_builder.stacked_components(block)
-            assert asked == [list(dict.fromkeys(st.mode for st in block))]
+            check(states)
+            assert asked == [modes]
 
     @pytest.mark.parametrize("params, k_low", [(P00, 0), (P11, 1)])
-    def test_kg_sweep_jacobi_calls_per_block_do_not_grow_with_k(self, monkeypatch, params, k_low):
+    def test_kg_sweep_jacobi_calls_per_run_do_not_grow_with_k(self, monkeypatch, params, k_low):
         # at w~ < 0 every mode of these systems has a state at k = k_low; a
-        # block runs one Jacobi recurrence per parity family it holds and per
-        # angle array of the kg stencil (5), however many k its states carry
+        # kg run makes one Jacobi recurrence per parity family it holds and
+        # per angle array of the kg stencil (5), however many k and blocks
         def families(state):
             if state.mode.sector.epsilon == -1:
                 return {(-1, 1), (1, -1)}
             return {(1, 1), (-1, -1)} if state.mode.n >= 1 else {(1, 1)}
 
+        blocks = []
         for k_max in (k_low, 4):
             states = list(sweep_bound_states(params, CFG_NEG, 2, k_max))
-            blocks = [states[i:i + _STATE_BLOCK] for i in range(0, len(states), _STATE_BLOCK)]
+            blocks.append(-(-len(states) // _STATE_BLOCK))
             calls = {}
             _counting(monkeypatch, angular_sector, "jacobi_rows", calls)
             run_suite(params, CFG_NEG, "kg", n_max=2, k_max=k_max)
             monkeypatch.undo()
-            assert calls["jacobi_rows"] == sum(5 * len(set().union(*map(families, b))) for b in blocks)
-            assert calls["jacobi_rows"] <= 4 * 5 * len(blocks)
+            assert calls["jacobi_rows"] == 5 * len(set().union(*map(families, states))) == 5 * 4
+        assert blocks[-1] > 1
 
     @pytest.mark.parametrize("suite, radius_arrays", [("kg", 3), ("dirac", 5)])
     @pytest.mark.parametrize("config", [CFG_POS, CFG_NEG], ids=["w+", "w-"])
-    def test_laguerre_recurrence_runs_once_per_block_and_radius_array(
+    def test_laguerre_recurrence_runs_once_per_run_and_radius_array(
             self, monkeypatch, suite, radius_arrays, config):
-        # kg asks for rho and rho +/- h; dirac for rho, hypot(x +/- h, y), hypot(x, y +/- h)
+        # kg asks for rho and rho +/- h; dirac for rho, hypot(x +/- h, y),
+        # hypot(x, y +/- h): once each per run, whatever its block count
         states = len(list(sweep_bound_states(P11, config, 2, 4)))
-        blocks = -(-states // _STATE_BLOCK)
-        assert blocks > 1
+        assert states > _STATE_BLOCK
         calls = {}
         _counting(monkeypatch, solution_builder, "laguerre_rows", calls)
         run_suite(P11, config, suite, n_max=2, k_max=4)
-        assert calls["laguerre_rows"] == radius_arrays * blocks
+        assert calls["laguerre_rows"] == radius_arrays
+
+    @pytest.mark.parametrize("config", [CFG_POS, CFG_NEG], ids=["w+", "w-"])
+    def test_a_run_past_the_table_bound_splits_its_tables_and_keeps_its_records(self, monkeypatch, config):
+        # consecutive blocks share one set of tables while its radial table
+        # holds at most _TABLE_ROWS rows, so a large run's tables stay small;
+        # the split changes no record
+        states = list(sweep_bound_states(P11, config, 12, 12))
+        shapes = []
+        original = solution_builder.radial_rows
+
+        def spy(orders, mu_plus, scale, k_top):
+            shapes.append(len(orders) * (k_top + 1))
+            return original(orders, mu_plus, scale, k_top)
+
+        def records():
+            return [(r.name, float(r.residual).hex()) for check in (verification.check_kg_eigen,
+                                                                    verification.check_dirac_system)
+                    for r in check(states).records]
+
+        monkeypatch.setattr(solution_builder, "radial_rows", spy)
+        split, bound = records(), solution_builder._TABLE_ROWS
+        assert len(shapes) > 2 and max(shapes) <= bound
+        shapes.clear()
+        monkeypatch.setattr(solution_builder, "_TABLE_ROWS", 10**9)
+        assert records() == split
+        assert len(shapes) == 2 and min(shapes) > bound  # one table per check call
+
+    def test_table_runs_join_whole_blocks_up_to_the_row_bound(self):
+        runs = solution_builder._table_runs
+        assert list(runs([1.0, 1.0, 2.0, 2.0, 3.0], [0, 1, 0, 1, 0], 2)) == [(0, 5, 1)]
+        # a block past the bound alone is a run of its own
+        assert list(runs([1.0] * 5, [300] * 5, 2)) == [(0, 2, 300), (2, 4, 300), (4, 5, 300)]
+        # 128 orders at k_top = 1 fill the bound; the next order starts a run
+        orders = [float(i) for i in range(130)]
+        assert list(runs(orders, [1] * 130, 4)) == [(0, 128, 1), (128, 130, 1)]
 
     @pytest.mark.parametrize("config", [CFG_POS, CFG_CRIT], ids=["bound", "free"])
     def test_states_build_their_own_f_on_first_evaluation_only(self, config):
         # a checked block reads eigenfunction_rows; the mode's own F waits
         # for the first evaluation of a state's own field
         if config is CFG_CRIT:
-            states = [st for st in verification._critical_states(P11, config, 2) if st.energy == 1.25]
+            states = verification._critical_states(P11, config, 2)[0]
         else:
             states = list(sweep_bound_states(P11, config, 2, 2))[:_STATE_BLOCK]
         verification.check_kg_eigen(states)

@@ -693,46 +693,69 @@ class TestModeStacks:
         run_suite(P11, config, "dirac", n_max=2, k_max=3)
         assert calls == {"kg_apply": 2 * blocks, "dirac_apply": blocks}
 
-    def test_suite_calls_the_public_checks_once_per_block(self, monkeypatch):
+    def test_suite_calls_the_public_checks_once_per_run(self, monkeypatch):
         # perfbench's span recorder counts these two names in the module
-        # namespace; a check path that bypassed them would trace as 0 calls
+        # namespace; a check path that bypassed them would trace as 0 calls.
+        # Each takes the whole sweep (critical regime: one call per energy)
         calls = {"check_kg_eigen": [], "check_dirac_system": []}
         for name in calls:
             original = getattr(verification, name)
 
             def counted(states, *args, name=name, original=original, **kwargs):
-                calls[name].append(len(states))
+                calls[name].append(states)
                 return original(states, *args, **kwargs)
 
             monkeypatch.setattr(verification, name, counted)
         kg = run_suite(P11, CFG, "kg")
         dirac = run_suite(P11, CFG, "dirac")
-        states = len(list(sweep_bound_states(P11, CFG, 2, 2)))
-        block = verification._STATE_BLOCK
-        sizes = [min(block, states - i) for i in range(0, states, block)]
-        assert len(sizes) > 1
-        assert calls["check_kg_eigen"] == calls["check_dirac_system"] == sizes
-        assert sum(calls["check_kg_eigen"]) == len(kg.records) // 2
-        assert sum(calls["check_dirac_system"]) == len(dirac.records)
+        states = list(sweep_bound_states(P11, CFG, 2, 2))
+        assert len(states) > verification._STATE_BLOCK
+        for name in calls:
+            assert [[(st.mode, st.quantum) for st in run] for run in calls[name]] == [
+                [(st.mode, st.quantum) for st in states]]
+        assert len(kg.records) == 2 * len(states) and len(dirac.records) == len(states)
+        calls["check_kg_eigen"].clear()
+        run_suite(P11, OscillatorConfig(omega=1.0, omega_c=2.0), "kg", n_max=8)
+        modes = sum(len(modes_for_sector(s, P11, 8)) for s in ALL_SECTORS)
+        assert [len(run) for run in calls["check_kg_eigen"]] == [modes, modes]
+        assert [{st.energy for st in run} for run in calls["check_kg_eigen"]] == [{1.25}, {2.0}]
 
-    def test_no_check_receives_more_than_a_block(self, monkeypatch):
-        seen = []
-        for name in ("check_kg_eigen", "check_dirac_system"):
+    def test_no_operator_application_receives_more_than_a_block(self, monkeypatch):
+        seen = {"kg_apply": [], "dirac_apply": []}
+        for name in seen:
             original = getattr(verification, name)
 
-            def counted(states, *args, original=original, **kwargs):
-                seen.append(states)
-                return original(states, *args, **kwargs)
+            def counted(*args, name=name, original=original):
+                out = original(*args)
+                seen[name].append(len(out[0] if name == "dirac_apply" else out))
+                return out
 
             monkeypatch.setattr(verification, name, counted)
         run_suite(P11, CFG, "all", n_max=8, k_max=8)
-        assert max(map(len, seen)) == verification._STATE_BLOCK
-        assert sum(map(len, seen)) == 2 * len(list(sweep_bound_states(P11, CFG, 8, 8)))
-        seen.clear()
+        states = len(list(sweep_bound_states(P11, CFG, 8, 8)))
+        assert max(seen["kg_apply"]) == max(seen["dirac_apply"]) == verification._STATE_BLOCK
+        assert sum(seen["kg_apply"]) == 2 * states and sum(seen["dirac_apply"]) == states
+        seen["kg_apply"].clear()
         run_suite(P11, OscillatorConfig(omega=1.0, omega_c=2.0), "kg", n_max=8)
-        assert max(map(len, seen)) <= verification._STATE_BLOCK
-        assert all(len({st.energy for st in block}) == 1 for block in seen)
-        assert sum(map(len, seen)) == 2 * sum(len(modes_for_sector(s, P11, 8)) for s in ALL_SECTORS)
+        assert max(seen["kg_apply"]) <= verification._STATE_BLOCK
+        assert sum(seen["kg_apply"]) == 2 * 2 * sum(len(modes_for_sector(s, P11, 8)) for s in ALL_SECTORS)
+
+    @pytest.mark.parametrize("check, operator, per_block", [
+        (check_kg_eigen, "kg_apply", 2), (check_dirac_system, "dirac_apply", 1)], ids=["kg", "dirac"])
+    def test_a_direct_check_call_runs_its_operator_once_per_block(self, monkeypatch, check, operator, per_block):
+        # any number of states: the check blocks them itself, and every
+        # state keeps the record it gets alone
+        states = list(sweep_bound_states(P11, CFG, 3, 3))
+        blocks = -(-len(states) // verification._STATE_BLOCK)
+        assert blocks > 2
+        calls = []
+        original = getattr(verification, operator)
+        monkeypatch.setattr(verification, operator, lambda *args: calls.append(args) or original(*args))
+        records = check(states).records
+        assert len(calls) == per_block * blocks
+        monkeypatch.undo()
+        alone = [r for st in states for r in check(_alone(st)).records]
+        assert _signature(records) == _signature(alone)
 
     @pytest.mark.parametrize("config", STACK_CONFIGS, ids=["w+", "w-"])
     def test_all_suite_walks_the_sweep_once_for_kg_and_dirac(self, monkeypatch, config):
