@@ -425,44 +425,20 @@ def _with_leading_axis(field: ScalarField2D) -> ScalarField2D:
     return ScalarField2D(lambda rho, phi: np.expand_dims(field.eval_polar(rho, phi), 0))
 
 
-# Most (k, order) rows of one radial table that consecutive blocks of
-# ``stacked_blocks`` share: every sweep up to (n_max, k_max) = (8, 8) fits
-# in one table (at most 221 rows), while a larger run's tables, each held
-# on up to 5 radius arrays of a stencil, stay within a few times the size
-# of one block's own instead of growing with the run.
-_TABLE_ROWS = 256
+# Most states in one block of ``stacked_blocks``: the checks apply their
+# operators once per block, so the (K, P) stencil arrays stay small, while
+# the blocks of one call share their tables.
+_STATE_BLOCK = 24
 
 
-def _table_runs(orders: list, k_tops: list, size: int):
-    """(lo, hi, k_top) of each run of consecutive blocks of at most ``size``
-    states that share one set of tables: the blocks from lo on join the run
-    while its distinct orders times (k_top + 1), the rows of its radial
-    table, stay at most ``_TABLE_ROWS``; the first block joins whatever its
-    rows. ``orders`` and ``k_tops`` hold each state's radial order and
-    max(k, k')."""
-    lo = 0
-    while lo < len(orders):
-        hi, held, k_top = lo + size, set(orders[lo:lo + size]), max(k_tops[lo:lo + size])
-        while hi < len(orders):
-            grown, top = held | set(orders[hi:hi + size]), max(k_top, *k_tops[hi:hi + size])
-            if len(grown) * (top + 1) > _TABLE_ROWS:
-                break
-            hi, held, k_top = hi + size, grown, top
-        hi = min(hi, len(orders))
-        yield lo, hi, k_top
-        lo = hi
-
-
-def stacked_blocks(states, size: int):
-    """Yield each run of at most ``size`` consecutive states of ``states``
+def stacked_blocks(states):
+    """Yield each run of at most ``_STATE_BLOCK`` consecutive states of ``states``
     (a block) with its upper and lower components as fields with row i
     holding the block's state i: (K, *shape) on points of any broadcast
     shape, such as a radius column against an angle row, each factor on its
     own axis.
 
-    Consecutive blocks read one set of tables, built here, while its radial
-    table holds at most ``_TABLE_ROWS`` rows (``_table_runs``); that is one
-    set for all of ``states`` up to sweeps of (n_max, k_max) = (8, 8).
+    All blocks read one set of tables, built here over all of ``states``.
     States that ``mode_states`` made, of any modes of one config and one set
     of parameters, read one ``eigenfunction_rows`` table of their distinct
     modes (one F row per mode, read once per state) and one radial table:
@@ -493,23 +469,20 @@ def stacked_blocks(states, size: int):
             raise ValueError(f"states of {first.mode} and {st.mode} do not share a config and parameters")
         if (st.quantum is None) != free or (free and st.energy != first.energy):
             raise ValueError("free states stack only with free states of one energy")
-    orders = [radial_order(st.mode) for st in states]
+    orders: dict = {}  # distinct radial order -> its row in the radial table
+    rows = [orders.setdefault(radial_order(st.mode), len(orders)) for st in states]
     # a free state reads k = k' = 0 of its one-row table
     ks = np.array([(0, 0) if free else (st.quantum.k, st.quantum.k_prime) for st in states])
     amplitudes = np.array([st.amplitudes for st in states])
-    for lo, hi, k_top in _table_runs(orders, ks.max(axis=1).tolist(), size):
-        run, run_ks, run_amplitudes = states[lo:hi], ks[lo:hi], amplitudes[lo:hi]
-        distinct: dict = {}  # distinct radial order -> its row in the radial table
-        rows = [distinct.setdefault(order, len(distinct)) for order in orders[lo:hi]]
-        modes: dict = {}  # distinct mode -> its row in the angular table
-        mode_rows = [modes.setdefault(st.mode, len(modes)) for st in run]
-        angular = eigenfunction_rows(list(modes))
-        table = (free_rows(list(distinct), params.mu_plus, config, first.energy) if free else
-                 radial_rows(list(distinct), params.mu_plus, abs(config.oscillator_scale), k_top))
-        for start in range(0, hi - lo, size):
-            own = slice(start, start + size)
-            yield run[own], tuple(_stacked(table, angular, run_ks[own, c], rows[own], mode_rows[own],
-                                           run_amplitudes[own, c]) for c in (0, 1))
+    modes: dict = {}  # distinct mode -> its row in the angular table
+    mode_rows = [modes.setdefault(st.mode, len(modes)) for st in states]
+    angular = eigenfunction_rows(list(modes))
+    table = (free_rows(list(orders), params.mu_plus, config, first.energy) if free else
+             radial_rows(list(orders), params.mu_plus, abs(config.oscillator_scale), int(ks.max())))
+    for lo in range(0, len(states), _STATE_BLOCK):
+        own = slice(lo, lo + _STATE_BLOCK)
+        yield states[own], tuple(_stacked(table, angular, ks[own, c], rows[own], mode_rows[own],
+                                          amplitudes[own, c]) for c in (0, 1))
 
 
 def _stacked(table, angular, radial_ks, rows, angular_rows, amplitudes) -> ScalarField2D:

@@ -30,6 +30,7 @@ discrepancy on the closed forms rather than the operators.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -63,6 +64,7 @@ from .solution_builder import (
     Regime,
     RegimeError,
     SpinorSolution,
+    _STATE_BLOCK,
     _check_last_pair,
     bound_pairs,
     build_radial,
@@ -99,10 +101,11 @@ NRLIMIT_C_VALUES = (10.0, 100.0, 1000.0)
 # Energies of the critical regime's free states, in units of m c^2.
 _FREE_ENERGIES = (1.25, 2.0)
 
-# Most states that the kg and dirac checks take in one operator application:
-# the (K, P) stencil arrays stay small, while the blocks of a check call
-# share their tables.
-_STATE_BLOCK = 24
+# Most states that run_suite hands to one kg or dirac check call, a whole
+# number of blocks: every sweep up to (n_max, k_max) = (8, 8) (at most 585
+# states) is one call with one set of tables, while a larger sweep's
+# states and tables stay bounded instead of growing with the sweep.
+_SWEEP_BATCH = 25 * _STATE_BLOCK
 
 
 @dataclass(frozen=True)
@@ -246,7 +249,7 @@ def _state_blocks(states):
     if states:
         first = states[0]
         rho, phi = GridSpec().polar_points(_length_scale(first.config, first.energy))
-        for block, fields in stacked_blocks(states, _STATE_BLOCK):
+        for block, fields in stacked_blocks(states):
             yield block, fields, first.mode.params, first.config, rho, phi
 
 
@@ -268,11 +271,9 @@ def check_kg_eigen(
 
     ``states`` is one state or any number of states that stack (see
     ``stacked_blocks``: ``mode_states`` states of any modes of one config,
-    or free states of one energy). They share one set of tables (up to
-    sweeps of (n_max, k_max) = (8, 8); past that, one set per run of
-    consecutive blocks), and each component of a block of at most
-    ``_STATE_BLOCK`` of them is checked in one operator application on
-    (K, n_rho, n_phi) fields. Each residual keeps its own state's scale,
+    or free states of one energy). They share one set of tables, and each
+    component of a block of at most ``_STATE_BLOCK`` of them is checked in
+    one operator application on (K, n_rho, n_phi) fields. Each residual keeps its own state's scale,
     and a component that is zero on the grid has residual 0. The records
     come per state, upper then lower, in input order.
     """
@@ -663,6 +664,14 @@ def _critical_states(params: DunklParams, config: OscillatorConfig, n_max: float
             for ratio in _FREE_ENERGIES]
 
 
+def _batches(states):
+    """Lists of at most ``_SWEEP_BATCH`` consecutive states of ``states``,
+    taken from it one batch at a time."""
+    states = iter(states)
+    while batch := list(itertools.islice(states, _SWEEP_BATCH)):
+        yield batch
+
+
 def run_suite(
     params: DunklParams,
     config: OscillatorConfig,
@@ -677,12 +686,13 @@ def run_suite(
 
     The suite names, then the regime, then h (at most ``step_limit``) are
     checked before the first check runs. The checks run one after another.
-    kg and dirac walk the sweep once, and each takes all its states in one
-    call (critical regime: one call per energy of the free states), which
-    builds their tables (one set up to (n_max, k_max) = (8, 8)) and checks
-    the states in blocks of at most ``_STATE_BLOCK``; the angular suite
-    checks each sector's modes in one application, on the mode list that
-    the ortho suite shares. Records come sorted by name, so the blocking
+    kg and dirac walk the sweep once (critical regime: the free states of
+    each energy) in batches of at most ``_SWEEP_BATCH`` states, one batch
+    at a time, and each check takes a batch in one call, which builds its
+    tables and checks the states in blocks of at most ``_STATE_BLOCK``
+    (every sweep up to (n_max, k_max) = (8, 8) is one batch); the angular
+    suite checks each sector's modes in one application, on the mode list
+    that the ortho suite shares. Records come sorted by name, so the blocking
     does not show in the report.
     ``threads`` accepts only 1: it is kept so that existing callers passing
     ``threads=1`` keep working; a thread pool gave no speed-up, as the
@@ -715,15 +725,16 @@ def run_suite(
                 records.extend(check_angular_eigen(modes, tol=tol_for("angular"), h=h).records)
             if "ortho" in wanted:
                 records.extend(check_orthonormality(modes, tol=tol_for("ortho")).records)
-    # kg and dirac check the states of one walk of the sweep, each in one call
+    # kg and dirac check the states of one walk of the sweep, each in one
+    # call per batch of at most _SWEEP_BATCH states
     checks = [(name, check) for name, check in (("kg", check_kg_eigen), ("dirac", check_dirac_system))
               if name in wanted]
     if checks:
         if regime is Regime.CRITICAL:
-            runs = _critical_states(params, config, n_max)
+            groups = _critical_states(params, config, n_max)
         else:
-            runs = [list(sweep_bound_states(params, config, n_max, k_max))]
-        for states in runs:
+            groups = [sweep_bound_states(params, config, n_max, k_max)]
+        for states in (batch for group in groups for batch in _batches(group)):
             for name, check in checks:
                 records.extend(check(states, tol=tol_for(name), h=h).records)
     if "nrlimit" in wanted:

@@ -569,7 +569,7 @@ class TestModeFactorSharing:
         # modes and sectors, every block reading the one set of tables of the run
         rho, phi = GridSpec().polar_points(config.length_scale)
         states = list(sweep_bound_states(DunklParams(*mu), config, 3, 3))
-        blocks = list(solution_builder.stacked_blocks(states, _STATE_BLOCK))
+        blocks = list(solution_builder.stacked_blocks(states))
         assert [st for block, _ in blocks for st in block] == states
         assert any(len({st.mode.sector for st in block}) > 1 for block, _ in blocks)
         for block, (upper, lower) in blocks:
@@ -635,41 +635,6 @@ class TestModeFactorSharing:
         _counting(monkeypatch, solution_builder, "laguerre_rows", calls)
         run_suite(P11, config, suite, n_max=2, k_max=4)
         assert calls["laguerre_rows"] == radius_arrays
-
-    @pytest.mark.parametrize("config", [CFG_POS, CFG_NEG], ids=["w+", "w-"])
-    def test_a_run_past_the_table_bound_splits_its_tables_and_keeps_its_records(self, monkeypatch, config):
-        # consecutive blocks share one set of tables while its radial table
-        # holds at most _TABLE_ROWS rows, so a large run's tables stay small;
-        # the split changes no record
-        states = list(sweep_bound_states(P11, config, 12, 12))
-        shapes = []
-        original = solution_builder.radial_rows
-
-        def spy(orders, mu_plus, scale, k_top):
-            shapes.append(len(orders) * (k_top + 1))
-            return original(orders, mu_plus, scale, k_top)
-
-        def records():
-            return [(r.name, float(r.residual).hex()) for check in (verification.check_kg_eigen,
-                                                                    verification.check_dirac_system)
-                    for r in check(states).records]
-
-        monkeypatch.setattr(solution_builder, "radial_rows", spy)
-        split, bound = records(), solution_builder._TABLE_ROWS
-        assert len(shapes) > 2 and max(shapes) <= bound
-        shapes.clear()
-        monkeypatch.setattr(solution_builder, "_TABLE_ROWS", 10**9)
-        assert records() == split
-        assert len(shapes) == 2 and min(shapes) > bound  # one table per check call
-
-    def test_table_runs_join_whole_blocks_up_to_the_row_bound(self):
-        runs = solution_builder._table_runs
-        assert list(runs([1.0, 1.0, 2.0, 2.0, 3.0], [0, 1, 0, 1, 0], 2)) == [(0, 5, 1)]
-        # a block past the bound alone is a run of its own
-        assert list(runs([1.0] * 5, [300] * 5, 2)) == [(0, 2, 300), (2, 4, 300), (4, 5, 300)]
-        # 128 orders at k_top = 1 fill the bound; the next order starts a run
-        orders = [float(i) for i in range(130)]
-        assert list(runs(orders, [1] * 130, 4)) == [(0, 128, 1), (128, 130, 1)]
 
     @pytest.mark.parametrize("config", [CFG_POS, CFG_CRIT], ids=["bound", "free"])
     def test_states_build_their_own_f_on_first_evaluation_only(self, config):

@@ -720,6 +720,35 @@ class TestModeStacks:
         assert [len(run) for run in calls["check_kg_eigen"]] == [modes, modes]
         assert [{st.energy for st in run} for run in calls["check_kg_eigen"]] == [{1.25}, {2.0}]
 
+    @pytest.mark.parametrize("config", [CFG, CFG_CRIT], ids=["bound", "free"])
+    def test_suite_hands_a_long_sweep_to_the_checks_in_batches(self, monkeypatch, config):
+        # run_suite takes the sweep one batch at a time, so states and
+        # tables stay bounded; the batching changes no record
+        suites = ("kg",) if config is CFG_CRIT else ("kg", "dirac")
+        whole = {name: run_suite(P11, config, name, n_max=3, k_max=3).records for name in suites}
+        sizes = []
+        original = verification.check_kg_eigen
+
+        def counted(states, *args, **kwargs):
+            sizes.append(len(states))
+            return original(states, *args, **kwargs)
+
+        monkeypatch.setattr(verification, "check_kg_eigen", counted)
+        monkeypatch.setattr(verification, "_SWEEP_BATCH", verification._STATE_BLOCK)
+        for name in suites:
+            assert _signature(run_suite(P11, config, name, n_max=3, k_max=3).records) == _signature(whole[name])
+        if config is CFG_CRIT:
+            groups = [len(group) for group in verification._critical_states(P11, config, 3)]
+        else:
+            groups = [len(list(sweep_bound_states(P11, config, 3, 3)))]
+        batch = verification._SWEEP_BATCH
+        assert sizes == [min(batch, n - lo) for n in groups for lo in range(0, n, batch)]
+        assert len(sizes) > len(groups)
+
+    def test_every_sweep_up_to_8_8_is_one_batch(self):
+        # the largest (8, 8) sweep: mu = (0, 0) at w~ < 0
+        assert len(list(sweep_bound_states(P00, CFG_NEG, 8, 8))) == 585 <= verification._SWEEP_BATCH
+
     def test_no_operator_application_receives_more_than_a_block(self, monkeypatch):
         seen = {"kg_apply": [], "dirac_apply": []}
         for name in seen:
