@@ -142,27 +142,31 @@ class ScalarField2D:
 # angles and 3 radii. The blocks of a kg or dirac check call share their
 # tables, so each recurrence runs once per table, not per block; the two
 # checks build separate tables, as together they ask for 12 angle arrays.
+# A block's stacked field keeps its products by (rho, phi) pair: kg_apply
+# and its check ask a component for 7 distinct pairs, dirac_apply and its
+# check each component for 7 (14 per block).
 _REMEMBERED = 8
 
 
-def remember_last(fn: Callable[[np.ndarray], np.ndarray]):
-    """Wrap a one-coordinate factor ``fn(a)`` so that repeated arguments
-    are evaluated once.
+def remember_last(fn: Callable[..., np.ndarray]):
+    """Wrap a factor ``fn(a, ...)`` of one or more coordinates so that
+    repeated arguments are evaluated once.
 
-    The last ``_REMEMBERED`` distinct arguments are kept, keyed by value (shape
-    and bytes), so a stencil that asks a factor for the same radii or
-    angles again gets the stored result. Stored arrays are read-only. The
+    The last ``_REMEMBERED`` distinct argument tuples are kept, keyed by the
+    value (shape and bytes) of every argument in order, so a stencil that
+    asks a factor for the same radii or angles, or a field for the same
+    points, again gets the stored result. Stored arrays are read-only. The
     cache belongs to the returned function: give each field its own.
     """
     cache: OrderedDict = OrderedDict()
 
-    def remembered(a):
-        a = np.asarray(a, dtype=float)
-        key = (a.shape, a.tobytes())
+    def remembered(*coords):
+        coords = tuple(np.asarray(a, dtype=float) for a in coords)
+        key = tuple((a.shape, a.tobytes()) for a in coords)
         if key in cache:
             cache.move_to_end(key)
             return cache[key]
-        out = fn(a)
+        out = fn(*coords)
         if isinstance(out, np.ndarray):
             out.flags.writeable = False
         cache[key] = out
@@ -173,15 +177,16 @@ def remember_last(fn: Callable[[np.ndarray], np.ndarray]):
     return remembered
 
 
-def _check_symmetric_near_axis(distance, diff, scale, h: float, what: str) -> None:
+def _check_symmetric_near_axis(distance, diff, scale: Callable[[], np.ndarray], h: float, what: str) -> None:
     """Raise ``SingularPointError`` where a point lies within
     ``CLEARANCE_STEPS`` steps h of a singular locus (``distance``, or a
     signed coordinate, to it) and the reflection difference ``diff`` there
-    does not vanish."""
+    does not vanish relative to the local field magnitude ``scale()``,
+    formed only when some point is that near."""
     near = np.abs(np.asarray(distance, dtype=float)) < CLEARANCE_STEPS * h
     if not np.any(near):
         return
-    bad = near & (np.abs(diff) > SYMMETRY_TOL * np.maximum(1.0, scale))
+    bad = near & (np.abs(diff) > SYMMETRY_TOL * np.maximum(1.0, scale()))
     if np.any(bad):
         raise SingularPointError(
             f"{what} applied within {CLEARANCE_STEPS:g}*h of its singular locus where the "
@@ -194,12 +199,14 @@ def _reflection_quotient(coord, diff, central, mu: float):
 
     At coord == 0 the odd part of the field vanishes, and
     (mu/x)(f - Rf) -> 2*mu*(d/dx f_odd)(0), which the central difference
-    already approximates, hence the 2*mu*central substitute.
+    already approximates, hence the 2*mu*central substitute. The patch is
+    built only when some coordinate is exactly 0.
     """
     coord = np.asarray(coord, dtype=float)
     zero = coord == 0.0
-    safe = np.where(zero, 1.0, coord)
-    return np.where(zero, 2.0 * mu * central, mu * diff / safe)
+    if not np.any(zero):
+        return mu * diff * (1.0 / coord)
+    return np.where(zero, 2.0 * mu * central, mu * diff * (1.0 / np.where(zero, 1.0, coord)))
 
 
 def dunkl_derivative(
@@ -220,11 +227,11 @@ def dunkl_derivative(
     else:
         plus, minus, mirror, coord, mu = (x, y + h), (x, y - h), (x, -y), y, params.mu_y
     f0 = field(x, y)
-    central = (field(*plus) - field(*minus)) / (2.0 * h)
+    central = (field(*plus) - field(*minus)) * (1.0 / (2.0 * h))
     if mu == 0.0:
         return central
     diff = f0 - field(*mirror)
-    _check_symmetric_near_axis(coord, diff, np.abs(f0), h, "dunkl_derivative")
+    _check_symmetric_near_axis(coord, diff, lambda: np.abs(f0), h, "dunkl_derivative")
     return central + _reflection_quotient(coord, diff, central, mu)
 
 
@@ -252,7 +259,7 @@ def _angular_stencil(field: ScalarField2D, point_polar, params: DunklParams, h: 
         near_y_axis = cos < sin  # phi near pi/2, 3pi/2
         for on_locus, mu, mirrored in ((near_y_axis, params.mu_x, frx), (~near_y_axis, params.mu_y, fry)):
             if mu != 0.0:
-                _check_symmetric_near_axis(np.where(on_locus, d, np.inf), f0 - mirrored, np.abs(f0), h, what)
+                _check_symmetric_near_axis(np.where(on_locus, d, np.inf), f0 - mirrored, lambda: np.abs(f0), h, what)
         if np.any(np.minimum(sin, cos) <= AXIS_ROUNDING):
             on_x_axis, on_y_axis = sin <= AXIS_ROUNDING, cos <= AXIS_ROUNDING
     return phi, f0, frx, fry, field.eval_polar(rho, phi + h), field.eval_polar(rho, phi - h), on_x_axis, on_y_axis
@@ -273,11 +280,12 @@ def angular_j(
     """
     phi, f0, frx, fry, fp, fm, on_x_axis, on_y_axis = _angular_stencil(
         field, point_polar, params, h, "angular_j")
-    out = d1 = (fp - fm) / (2.0 * h)
+    out = d1 = (fp - fm) * (1.0 / (2.0 * h))
     del fp, fm
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on an axis, replaced by its limit
         if params.mu_y != 0.0:
-            out = out + _on_axis(on_x_axis, params.mu_y * (f0 - fry) / np.tan(phi), lambda: 2.0 * params.mu_y * d1)
+            out = out + _on_axis(on_x_axis, params.mu_y * (f0 - fry) * (1.0 / np.tan(phi)),
+                                 lambda: 2.0 * params.mu_y * d1)
         if params.mu_x != 0.0:
             out = out - _on_axis(on_y_axis, params.mu_x * np.tan(phi) * (f0 - frx), lambda: -2.0 * params.mu_x * d1)
     return 1j * out
@@ -307,8 +315,8 @@ def b_phi_apply(
     """
     phi, f0, frx, fry, fp, fm, on_x_axis, on_y_axis = _angular_stencil(
         field, point_polar, params, h, "b_phi_apply")
-    d1 = (fp - fm) / (2.0 * h)
-    d2 = (fp - 2.0 * f0 + fm) / (h * h)
+    d1 = (fp - fm) * (1.0 / (2.0 * h))
+    d2 = (fp - 2.0 * f0 + fm) * (1.0 / (h * h))
     del fp, fm
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on an axis, replaced by its limit
         tan = np.tan(phi)
@@ -318,10 +326,10 @@ def b_phi_apply(
         out = -0.5 * d2 + slope * d1
         del d1
         if params.mu_x != 0.0:
-            out = out + _on_axis(on_y_axis, params.mu_x * (f0 - frx) / (2.0 * np.cos(phi) ** 2),
+            out = out + _on_axis(on_y_axis, params.mu_x * (f0 - frx) * (1.0 / (2.0 * np.cos(phi) ** 2)),
                                  lambda: -params.mu_x * d2)
         if params.mu_y != 0.0:
-            out = out + _on_axis(on_x_axis, params.mu_y * (f0 - fry) / (2.0 * np.sin(phi) ** 2),
+            out = out + _on_axis(on_x_axis, params.mu_y * (f0 - fry) * (1.0 / (2.0 * np.sin(phi) ** 2)),
                                  lambda: -params.mu_y * d2)
     return out
 
@@ -353,12 +361,12 @@ def kg_apply(
     f0 = field.eval_polar(rho, phi)
     frp = field.eval_polar(rho + h, phi)
     frm = field.eval_polar(rho - h, phi)
-    d1r = (frp - frm) / (2.0 * h)
-    d2r = (frp - 2.0 * f0 + frm) / (h * h)
+    d1r = (frp - frm) * (1.0 / (2.0 * h))
+    d2r = (frp - 2.0 * f0 + frm) * (1.0 / (h * h))
     del frp, frm
-    out = -0.5 * d2r - (0.5 + mu_p) * d1r / rho
+    out = -0.5 * d2r - (0.5 + mu_p) * d1r * (1.0 / rho)
     del d1r, d2r
-    out = out + b_phi_apply(field, (rho, phi), params, h) / rho**2
+    out = out + b_phi_apply(field, (rho, phi), params, h) * (1.0 / rho**2)
     out = out + w * angular_j(field, (rho, phi), params, h)
     refl = f0 + params.mu_x * field.eval_polar(rho, np.pi - phi) + params.mu_y * field.eval_polar(rho, -phi)
     sign = -1.0 if component is Component.UPPER else 1.0

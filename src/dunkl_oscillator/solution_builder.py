@@ -488,9 +488,11 @@ def stacked_blocks(states):
 def _stacked(table, angular, radial_ks, rows, angular_rows, amplitudes) -> ScalarField2D:
     """The field whose row i is (amplitudes[i] R(rho)) F(phi), R row
     (radial_ks[i], rows[i]) of the radial ``table`` and F row angular_rows[i]
-    of the ``angular`` one."""
-    return ScalarField2D(lambda rho, phi: _column(amplitudes, np.ndim(rho)) * table(rho)[radial_ks, rows]
-                         * angular(phi)[angular_rows])
+    of the ``angular`` one. The products of its last few (rho, phi) pairs
+    are kept (``remember_last``), so a stencil that asks the field at one
+    point again reads the stored product."""
+    return ScalarField2D(remember_last(lambda rho, phi: _column(amplitudes, np.ndim(rho)) * table(rho)[radial_ks, rows]
+                                       * angular(phi)[angular_rows]))
 
 
 def reduced_energy(config: OscillatorConfig, e_val: float) -> float:

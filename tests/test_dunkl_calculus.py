@@ -10,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dunkl_oscillator.angular_sector import AngularMode, SectorLabel, f_eigenfunction
 from dunkl_oscillator.dunkl_calculus import (
@@ -111,6 +113,16 @@ class TestDunklDerivative:
         # x == 0 exactly: even field has zero Dunkl x-derivative there
         val = dunkl_derivative(F_X2, Axis.X, (0.0, 0.4), DunklParams(1.0, 0.0))
         assert val == pytest.approx(0.0, abs=1e-12)
+
+    def test_odd_field_on_and_off_axis_in_one_array(self):
+        # x == 0 exactly takes the 2 mu_x central limit, the other entries
+        # the reflection quotient; D_x x = 1 + 2 mu_x at every point
+        params = DunklParams(1.0, 0.0)
+        xs, ys = np.array([-1.3, 0.0, 0.7, 2.0]), np.array([0.4, 0.4, -0.9, 1.1])
+        vals = dunkl_derivative(F_X, Axis.X, (xs, ys), params)
+        for x, y, val in zip(xs, ys, vals):
+            assert val == dunkl_derivative(F_X, Axis.X, (x, y), params)
+        assert np.allclose(vals, 1.0 + 2.0 * params.mu_x, rtol=0.0, atol=1e-9)
 
     def test_array_broadcast(self):
         xs = np.array([0.5, 1.0, 2.0])
@@ -417,6 +429,39 @@ class TestWeightedInnerProduct:
             assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
+_FINITE_COMPLEX = st.complex_numbers(allow_nan=False, allow_infinity=False)
+_NONZERO_REAL = st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: v != 0.0)
+
+
+def _assert_reciprocal_multiply_equals_division(x, c):
+    """x * (1.0 / c) equals x / c: real and imaginary parts elementwise, NaN
+    matching NaN (the reciprocal of a subnormal c overflows to inf in both)."""
+    with np.errstate(all="ignore"):
+        product, quotient = x * (1.0 / c), x / c
+    for u, v in ((product.real, quotient.real), (product.imag, quotient.imag)):
+        assert np.array_equal(u, v, equal_nan=True), (x, c)
+
+
+# The stencils multiply a complex array by 1.0 / c where they once divided it
+# by a real step or coordinate c: numpy divides by c + 0j as Smith's algorithm
+# does, which multiplies by fl(1 / c), so the two agree up to the sign of an
+# exact zero. The operators' values, and every record, rest on this identity.
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6), shape=st.sampled_from(["scalar", "column", "row"]))
+def test_reciprocal_multiply_equals_complex_division(data, n, shape):
+    x = np.array(data.draw(st.lists(_FINITE_COMPLEX, min_size=n * n, max_size=n * n)), dtype=complex)
+    c_shape = {"scalar": (), "column": (n, 1), "row": (1, n)}[shape]
+    c = np.array(data.draw(st.lists(_NONZERO_REAL, min_size=math.prod(c_shape), max_size=math.prod(c_shape))))
+    # a scalar c is a Python float, as the stencils hold their steps
+    _assert_reciprocal_multiply_equals_division(x.reshape(n, n), c.reshape(c_shape) if c_shape else float(c[0]))
+
+
+def test_reciprocal_multiply_equals_complex_division_at_the_extremes():
+    x = np.array([[5e-324 + 1e308j, -1e-310 - 0.0j], [1.7e308 - 2.2e-308j, 0.0 + 3.0j]])
+    for c in (1e-310, np.array([[1e-310], [-1.7e308]]), np.array([[5e-324, 1.7e308]])):
+        _assert_reciprocal_multiply_equals_division(x, c)
+
+
 class TestRememberLast:
     def _counted(self):
         seen = []
@@ -462,3 +507,46 @@ class TestRememberLast:
         with pytest.raises(ValueError):
             out[0] = 0.0
         assert f(np.array([0.1, 0.2]))[0] == np.cos(0.1)
+
+    def _counted_pair(self):
+        seen = []
+
+        def fn(rho, phi):
+            seen.append((rho.shape, phi.shape))
+            return rho * np.exp(1j * phi)
+
+        return remember_last(fn), seen
+
+    def test_pair_keys_on_both_arguments_in_order(self):
+        f, seen = self._counted_pair()
+        rho, phi = np.linspace(0.5, 2.0, 4)[:, None], np.linspace(0.1, 3.0, 5)[None, :]
+        first = f(rho, phi)
+        assert f(rho.copy(), phi.copy()) is first
+        assert len(seen) == 1
+        f(rho, phi + 1e-4)  # the same radii with other angles: a new key
+        assert len(seen) == 2
+        a = np.full(3, 0.4)
+        b = np.full(3, 0.9)
+        assert f(a, b)[0] == 0.4 * np.exp(0.9j)
+        assert f(b, a)[0] == 0.9 * np.exp(0.4j)  # swapped arguments: another key
+        assert len(seen) == 4
+
+    def test_pair_least_recently_used_is_dropped(self):
+        f, seen = self._counted_pair()
+        rho = np.full(3, 1.5)
+        a, b, *rest = (np.full(3, 0.1 * v) for v in range(1, 10))
+        f(rho, a), f(rho, b), f(rho, a)
+        for c in rest[:-1]:
+            f(rho, c)  # 8 distinct pairs kept so far
+        f(rho, rest[-1])  # the 9th evicts (rho, b), the least recently used
+        f(rho, a)
+        assert len(seen) == 9
+        f(rho, b)
+        assert len(seen) == 10
+
+    def test_pair_stored_arrays_are_read_only(self):
+        f, _ = self._counted_pair()
+        out = f(np.array([1.0, 2.0]), np.array([0.1, 0.2]))
+        with pytest.raises(ValueError):
+            out[0] = 0.0
+        assert f(np.array([1.0, 2.0]), np.array([0.1, 0.2]))[1] == 2.0 * np.exp(0.2j)

@@ -304,10 +304,11 @@ def test_one_spectral_sum():
 
 
 def test_remembered_tables_are_the_factor_builders():
-    # each radial or angular factor is a row of one remembered table; a
-    # caller reads the table, and wraps no factor of its own
+    # each radial or angular factor is a row of one remembered table, and a
+    # block's stacked field remembers its products of those rows; a caller
+    # reads the table or the field, and wraps nothing of its own
     assert _callers("remember_last") == {"solution_builder.radial_rows", "solution_builder.free_rows",
-                                         "angular_sector._mixed_rows"}
+                                         "angular_sector._mixed_rows", "solution_builder._stacked"}
 
 
 def _mu_plus_subtracters(tree: ast.Module) -> set[str]:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dunkl_oscillator import verification
+from dunkl_oscillator import solution_builder, verification
 
 from dunkl_oscillator.angular_sector import (
     ALL_SECTORS,
@@ -782,6 +782,42 @@ class TestModeStacks:
         monkeypatch.setattr(verification, operator, lambda *args: calls.append(args) or original(*args))
         records = check(states).records
         assert len(calls) == per_block * blocks
+        monkeypatch.undo()
+        alone = [r for st in states for r in check(_alone(st)).records]
+        assert _signature(records) == _signature(alone)
+
+    @pytest.mark.parametrize("check, asks, products", [
+        (check_kg_eigen, 16, 7), (check_dirac_system, 10, 7)], ids=["kg", "dirac"])
+    def test_a_block_computes_each_distinct_stencil_point_once(self, monkeypatch, check, asks, products):
+        # a block's stacked fields remember their products by (rho, phi):
+        # kg asks each component 16 times (the check's values and kg_apply's
+        # 15) for 7 distinct points, dirac each 10 times (dirac_apply's 9 and
+        # the check's scale) for 7, 20 asks and 14 products per block
+        original = solution_builder.remember_last
+        fields = []
+
+        def counted(fn):
+            seen = {"asks": 0, "products": 0, "coords": set()}
+            fields.append(seen)
+
+            def product(*coords):
+                seen["products"] += 1
+                return fn(*coords)
+
+            remembered = original(product)
+
+            def ask(*coords):
+                seen["asks"] += 1
+                seen["coords"].add(len(coords))
+                return remembered(*coords)
+
+            return ask
+
+        monkeypatch.setattr(solution_builder, "remember_last", counted)
+        states = list(sweep_bound_states(P11, CFG, 2, 2))[:verification._STATE_BLOCK]
+        records = check(states).records
+        stacked = [(seen["asks"], seen["products"]) for seen in fields if seen["coords"] == {2}]
+        assert stacked == [(asks, products)] * 2
         monkeypatch.undo()
         alone = [r for st in states for r in check(_alone(st)).records]
         assert _signature(records) == _signature(alone)
