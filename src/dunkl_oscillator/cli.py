@@ -37,7 +37,7 @@ import sys
 
 import numpy as np
 
-from .angular_sector import AngularMode, SectorLabel
+from .angular_sector import AngularMode, SectorLabel, modes_for_sector
 from .dunkl_calculus import DEFAULT_STEP, Component, DunklParams
 from .solution_builder import (
     OscillatorConfig,
@@ -197,9 +197,9 @@ def _write(blocks, head: str = "", sep: str = "", tail: str = "") -> None:
 
 
 def _spectrum_blocks(args: argparse.Namespace, params: DunklParams, config: OscillatorConfig,
-                     n_values: list[float], names: list[str]):
-    """Yield the table's text, one string per mode and block of k, in
-    output order; ``names`` are the CSV columns, sorted as JSON keys.
+                     modes: list[AngularMode], names: list[str]):
+    """Yield the table's text, one string per mode of ``modes`` and block
+    of k, in output order; ``names`` are the CSV columns, sorted as JSON keys.
 
     Each block's energies are one ``energy_column`` call. Before any row is
     written, each mode's first block and its last k are resolved, which
@@ -211,9 +211,6 @@ def _spectrum_blocks(args: argparse.Namespace, params: DunklParams, config: Osci
     format is one %-template call over its cells in the format's cell
     order; a NaN row has a template of its own that prints ``unphysical``."""
     sector, regime = args.sector, classify_regime(config)
-    modes = [AngularMode(sector, n, branch, params) for n in n_values
-             for branch in {"+": [1], "-": [-1], "both": [1, -1]}[args.branch]
-             if n != 0 or (branch == 1 and sector == SectorLabel(1, 1))]  # n = 0 is a single mode
     json_out, spec, end = args.fmt == "json", f".{args.precision}g", args.k_max + 1
     rounded = json_out and args.precision < 17
     if json_out:
@@ -241,7 +238,8 @@ def _spectrum_blocks(args: argparse.Namespace, params: DunklParams, config: Osci
     firsts = [resolved(mode) for mode in modes]
     first_ks = k_cells(0, min(_K_BLOCK, end)) if modes else []
     for mode, first in zip(modes, firsts):
-        slots = {"sector": text % f"{sector.s_x:+d}{sector.s_y:+d}", "n": e_slot % mode.n, "k": "%s",
+        # n prints as a float (JSON 0.0, not 0), as --n parses it
+        slots = {"sector": text % f"{sector.s_x:+d}{sector.s_y:+d}", "n": e_slot % float(mode.n), "k": "%s",
                  "branch": text % ("+" if mode.branch == 1 else "-"), "regime": text % regime.value,
                  "E_plus": e_slot, "E_minus": e_slot}
         fields = [f'"{name}": {slots[name]}' if json_out else slots[name] for name in names if name != "k_prime"]
@@ -265,12 +263,15 @@ def _spectrum_blocks(args: argparse.Namespace, params: DunklParams, config: Osci
 def cmd_spectrum(args: argparse.Namespace) -> int:
     params, config = _system(args)
     n_values = _parse_n_values(args.n, args.sector)
+    branches = {"+": (1,), "-": (-1,), "both": (1, -1)}[args.branch]
+    modes = [mode for mode in modes_for_sector(args.sector, params, n_values[-1])
+             if mode.n >= n_values[0] and mode.branch in branches]
     if classify_regime(config) is Regime.CRITICAL:
         print("regime=critical: no discrete spectrum; use "
               "'wavefunction --energy E' for free-particle states", file=sys.stderr)
-        n_values = []  # the table has no rows
+        modes = []  # the table has no rows
     names = ["sector", "n", "branch", "k", "k_prime", "E_plus", *["E_minus"] * args.negative_energies, "regime"]
-    blocks = _spectrum_blocks(args, params, config, n_values, names)
+    blocks = _spectrum_blocks(args, params, config, modes, names)
     _write(blocks, *(("[", ", ", "]\n") if args.fmt == "json" else (",".join(names) + "\n",)))
     return 0
 
@@ -312,14 +313,17 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     params, config = _system(args)
+    states = None  # the sweep's state count, where kg or dirac walks it
     if args.suite in ("kg", "dirac", "all") and classify_regime(config) is not Regime.CRITICAL:
         # building the sweep's states evaluates no field: a norm or radial
         # index out of range fails here, before the first check, not halfway
         # through the records
-        for _ in sweep_bound_states(params, config, args.n_max, args.k_max):
-            pass
+        states = sum(1 for _ in sweep_bound_states(params, config, args.n_max, args.k_max))
     report = run_suite(params, config, suite=args.suite, tol=args.tol, h=args.h, n_max=args.n_max,
                        k_max=args.k_max)
+    if states == 0:
+        print(f"note: the sweep to --n-max {args.n_max:g} --k-max {args.k_max} has no bound state, "
+              "so no kg or dirac check ran", file=sys.stderr)
     _write([json.dumps(report.to_dict(), sort_keys=True) + "\n"])
     return 0 if report.passed else 1
 

@@ -347,13 +347,14 @@ def kg_apply(
     Returns the full left-hand side whose eigenvalue on a bound state is
     ``(E^2 - m^2 c^4) / (2 hbar^2 c^2)``. The upper component carries
     ``-(m w~/hbar)(1 + mu_x R_x + mu_y R_y)``, the lower one the same
-    term with a plus sign. All reflection terms are exact; rho and phi
+    term with a plus sign. The code works in units hbar = m = 1, so it
+    multiplies by w~ alone. All reflection terms are exact; rho and phi
     derivatives are central differences of step ``h``.
     """
     rho, phi = np.asarray(point_polar[0], dtype=float), np.asarray(point_polar[1], dtype=float)
     if np.any(rho < CLEARANCE_STEPS * h):
         raise SingularPointError(f"kg_apply requires rho >= {CLEARANCE_STEPS:g}*h")
-    w = config.oscillator_scale
+    w = config.omega_tilde
     mu_p = params.mu_plus
 
     # The terms are summed left to right as they are formed, and each
@@ -390,12 +391,12 @@ def dirac_apply(
              - (E - m c^2) psi_1
         r2 = [-i hbar c (D_x + i D_y) - i m c w~ (x + i y)] psi_1
              - (E + m c^2) psi_2
+
+    The code works in units hbar = m = 1, so it drops both factors.
     """
     upper, lower = pair
     x, y = np.asarray(point[0], dtype=float), np.asarray(point[1], dtype=float)
-    hbar, c, m = config.hbar, config.c, config.m
-    wt = config.omega_tilde
-    mc2 = m * c * c
+    c, wt, mc2 = config.c, config.omega_tilde, config.rest_energy
 
     u0 = upper(x, y)
     l0 = lower(x, y)
@@ -404,8 +405,8 @@ def dirac_apply(
     dx_u = dunkl_derivative(upper, Axis.X, (x, y), params, h)
     dy_u = dunkl_derivative(upper, Axis.Y, (x, y), params, h)
 
-    r1 = -1j * hbar * c * (dx_l - 1j * dy_l) + 1j * m * c * wt * (x - 1j * y) * l0 - (energy - mc2) * u0
-    r2 = -1j * hbar * c * (dx_u + 1j * dy_u) - 1j * m * c * wt * (x + 1j * y) * u0 - (energy + mc2) * l0
+    r1 = -1j * c * (dx_l - 1j * dy_l) + 1j * c * wt * (x - 1j * y) * l0 - (energy - mc2) * u0
+    r2 = -1j * c * (dx_u + 1j * dy_u) - 1j * c * wt * (x + 1j * y) * u0 - (energy + mc2) * l0
     return r1, r2
 
 

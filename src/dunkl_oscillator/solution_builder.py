@@ -75,35 +75,27 @@ class Regime(enum.Enum):
 
 @dataclass(frozen=True)
 class OscillatorConfig:
-    """Physical constants and the two frequencies.
-
-    Defaults are natural units hbar = m = c = 1; all formulas keep
-    the symbolic constants so SI-like values work as well.
-    """
+    """The two frequencies and the speed of light c (default 1), in units
+    hbar = m = 1: states and spectra depend on hbar and m only through q
+    and the length sqrt(hbar / (m |w~|)), so the two only choose units."""
 
     omega: float
     omega_c: float = 0.0
-    m: float = 1.0
-    hbar: float = 1.0
     c: float = 1.0
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.omega, self.omega_c, self.m, self.hbar, self.c)):
-            raise ValueError(f"omega, omega_c, m, hbar, c must be finite, got {self}")
-        if self.m <= 0 or self.hbar <= 0 or self.c <= 0:
-            raise ValueError("m, hbar, c must be positive")
+        if not all(math.isfinite(v) for v in (self.omega, self.omega_c, self.c)):
+            raise ValueError(f"omega, omega_c, c must be finite, got {self}")
+        if self.c <= 0:
+            raise ValueError("c must be positive")
         if self.omega < 0 or self.omega_c < 0:
             raise ValueError("omega and omega_c must be non-negative")
 
     @property
     def omega_tilde(self) -> float:
+        """w~ = omega - omega_c / 2, with its sign: the bound regimes' Gaussian
+        is exp(-|w~| rho^2 / 2), and w~ multiplies J and the reflection term."""
         return self.omega - 0.5 * self.omega_c
-
-    @property
-    def oscillator_scale(self) -> float:
-        """w = m w~ / hbar, with its sign: the bound regimes' Gaussian is
-        exp(-|w| rho^2 / 2), and w multiplies J and the reflection term."""
-        return self.m * self.omega_tilde / self.hbar
 
     @property
     def effective_frequency(self) -> float:
@@ -116,12 +108,13 @@ class OscillatorConfig:
     def length_scale(self) -> float:
         """sqrt(hbar / (m |w~|)); the Compton length hbar / (m c) at the critical point."""
         if classify_regime(self) is Regime.CRITICAL:
-            return self.hbar / (self.m * self.c)
-        return math.sqrt(self.hbar / (self.m * self.effective_frequency))
+            return 1.0 / self.c
+        return math.sqrt(1.0 / self.effective_frequency)
 
     @property
     def rest_energy(self) -> float:
-        return self.m * self.c * self.c
+        """m c^2."""
+        return self.c * self.c
 
 
 def classify_regime(config: OscillatorConfig) -> Regime:
@@ -207,7 +200,7 @@ def energy_column(component: Component, mode: AngularMode, ks, config: Oscillato
         raise RegimeError("no discrete spectrum at the critical frequency")
     lam, a_ord, sigma = spectral_terms(mode)
     mc2 = config.rest_energy
-    q = 2.0 * config.hbar * config.effective_frequency / mc2
+    q = 2.0 * config.effective_frequency / mc2
     s_num = spectral_sum(component, regime, ks, lam, a_ord, sigma)
     # Some states have a radicand of exactly 0 (E = 0); rounding of q and of
     # the terms of s_num must not turn it into a tiny E in some units and an
@@ -302,12 +295,12 @@ class RadialProfile:
 
 def build_radial(mode: AngularMode, k: int, config: OscillatorConfig) -> RadialProfile:
     """Radial profile of one component (the index is the caller's k or k'),
-    of scale |w| = m |w~| / hbar."""
+    of scale m |w~| / hbar."""
     if classify_regime(config) is Regime.CRITICAL:
         raise RegimeError("no bound radial profile at the critical point")
     if k < 0:
         raise ValueError("radial index must be non-negative")
-    return RadialProfile(radial_order(mode), mode.params.mu_plus, abs(config.oscillator_scale), k)
+    return RadialProfile(radial_order(mode), mode.params.mu_plus, abs(config.omega_tilde), k)
 
 
 @dataclass(frozen=True)
@@ -478,7 +471,7 @@ def stacked_blocks(states):
     mode_rows = [modes.setdefault(st.mode, len(modes)) for st in states]
     angular = eigenfunction_rows(list(modes))
     table = (free_rows(list(orders), params.mu_plus, config, first.energy) if free else
-             radial_rows(list(orders), params.mu_plus, abs(config.oscillator_scale), int(ks.max())))
+             radial_rows(list(orders), params.mu_plus, abs(config.omega_tilde), int(ks.max())))
     for lo in range(0, len(states), _STATE_BLOCK):
         own = slice(lo, lo + _STATE_BLOCK)
         yield states[own], tuple(_stacked(table, angular, ks[own, c], rows[own], mode_rows[own],
@@ -500,7 +493,7 @@ def reduced_energy(config: OscillatorConfig, e_val: float) -> float:
     an E whose square overflows a double raises ``ValueError``."""
     mc2 = config.rest_energy
     try:
-        return (e_val**2 - mc2**2) / (2.0 * config.hbar**2 * config.c**2)
+        return (e_val**2 - mc2**2) / (2.0 * config.c**2)
     except OverflowError:
         raise ValueError(f"the energy {e_val:g} is too large: its square overflows a double") from None
 

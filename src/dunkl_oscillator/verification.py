@@ -447,7 +447,7 @@ def cartesian_states(
     N = n_x + n_y, in rising energy, for any mu >= 0 in both bound regimes.
 
     On the products |n_x, N - n_x> of ``_hermite_rows``, t = sqrt|w| (x, y)
-    and w = m w~ / hbar, the upper component's operator is the block
+    and w = m w~ / hbar = w~ (hbar = m = 1), the upper component's operator is the block
     M = |w| (N + 1 + mu_+) I + w T_N - w diag(1 + mu_x (-1)^n_x + mu_y (-1)^n_y),
     T_N as in ``matrix_oracle_lambda``. An eigenpair (Et, v) gives the upper
     component sum i^n_x v_n_x |n_x, N - n_x> and E = sqrt(m^2 c^4 + 2 hbar^2 c^2 Et).
@@ -464,7 +464,7 @@ def cartesian_states(
         raise ValueError(f"the shell must be a natural number, got {shell}")
     if classify_regime(config) is Regime.CRITICAL:
         raise RegimeError("the critical point has no Gaussian, so no shells")
-    w = config.oscillator_scale
+    w = config.omega_tilde
     abs_w, n_x = abs(w), np.arange(shell + 1)
     tridiagonal = _shell_ladder(shell, params)[0]
     reflection = 1.0 + params.mu_x * (-1.0) ** n_x + params.mu_y * (-1.0) ** (shell - n_x)
@@ -490,9 +490,9 @@ def cartesian_states(
     for et, v in zip(ets.tolist(), vecs.T):
         upper = phases * v  # i^n_x v_n_x
         et = 0.0 if et <= 1e-12 * floor else et
-        e_val = math.sqrt(mc2 * mc2 + 2.0 * config.hbar**2 * config.c**2 * et)
+        e_val = math.sqrt(mc2 * mc2 + 2.0 * config.c**2 * et)
         lower = (ScalarField2D.zero() if et == 0.0 else
-                 field(config.hbar * config.c * math.sqrt(2.0 * abs_w) / (e_val + mc2) * (pi_plus @ upper)))
+                 field(config.c * math.sqrt(2.0 * abs_w) / (e_val + mc2) * (pi_plus @ upper)))
         states.append((field(upper), lower, e_val))
     return states
 
@@ -508,7 +508,7 @@ def nonrelativistic_target(
     2k + A - lambda + sigma + 2 for w~ < 0).
     """
     s_num = spectral_sum(Component.UPPER, classify_regime(base_config), k, *spectral_terms(mode))
-    target = base_config.hbar * base_config.effective_frequency * s_num
+    target = base_config.effective_frequency * s_num
     if not math.isfinite(target):
         raise ValueError(f"the nonrelativistic target of sector ({mode.sector}), n={mode.n:g}, k={k} overflows")
     return target
@@ -533,7 +533,7 @@ def check_nonrelativistic_limit(
         delta = energy(Component.UPPER, mode.sector, mode, k, cfg) - cfg.rest_energy
         errs.append(abs(delta - target))
     errs_arr = np.asarray(errs)
-    scale = max(abs(target), base_config.hbar * base_config.effective_frequency)
+    scale = max(abs(target), base_config.effective_frequency)
     mismatch = errs_arr[-1] / scale
     if np.all(errs_arr < 1e-13 * scale):
         # exact cancellation (target 0 and spectrum flat in c): no rate to fit
@@ -580,7 +580,7 @@ def classical_oscillator_b_energy(
             s_num += 2.0
     else:
         raise RegimeError("no discrete spectrum at the critical frequency")
-    return sign * mc2 * math.sqrt(1.0 + 2.0 * config.hbar * abs(wt) / mc2 * s_num)
+    return sign * mc2 * math.sqrt(1.0 + 2.0 * abs(wt) / mc2 * s_num)
 
 
 def coupled_reflection_eigenstate(
@@ -620,7 +620,7 @@ def coupled_reflection_eigenstate(
         weight = (kappa + toward) / lam0 if epsilon == 1 else -(kappa - toward) / lam0
     ang = mixed_pair(epsilon, n, params, weight)
     shift = -1.0 if upper else 1.0
-    tilde_e = profile.scale * (2.0 * k + 1.0 + a_ord) + config.oscillator_scale * (kappa + shift)
+    tilde_e = profile.scale * (2.0 * k + 1.0 + a_ord) + config.omega_tilde * (kappa + shift)
     # both factors remember their tables, so each runs once per distinct coordinate array of a stencil
     return ScalarField2D(lambda rho, phi: profile(rho) * ang(phi)), tilde_e
 
@@ -641,12 +641,12 @@ def sweep_bound_states(
     degree before the first state is built."""
     if classify_regime(config) is Regime.CRITICAL:
         raise RegimeError("bound-state sweep requires a non-critical regime")
-    sectors = [(sector, pairs) for sector, pairs in bound_pairs(params, config, k_max)
-               if modes_for_sector(sector, params, n_max)]
-    for sector, pairs in sectors:
+    sectors = [(sector, pairs, modes) for sector, pairs in bound_pairs(params, config, k_max)
+               if (modes := modes_for_sector(sector, params, n_max))]
+    for sector, pairs, _ in sectors:
         _check_last_pair(sector, pairs)
-    for sector, pairs in sectors:
-        for mode in modes_for_sector(sector, params, n_max):
+    for _, pairs, modes in sectors:
+        for mode in modes:
             made = mode_states(mode, pairs, config)
             for k in range(k_max + 1):
                 try:

@@ -371,6 +371,21 @@ class TestVerify:
         _, small = _run(["verify", "--suite", "kg", "--n-max", "0"])
         assert 0 < len(json.loads(small)["checks"]) < len(json.loads(default)["checks"])
 
+    def test_an_empty_sweep_is_named_on_stderr(self, capsys):
+        # at mu = (1,1), w~ > 0 the one mode of n = 0 pairs k = 0 with no k'
+        # (k' = k - 3), so kg has no state to check: stdout and the exit code
+        # stay those of an empty passing report, and stderr says why
+        assert main(["verify", "--suite", "kg", "--mu-x", "1", "--mu-y", "1", "--n-max", "0", "--k-max", "0"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == '{"checks": [], "pass": true, "suite": "kg"}\n'
+        assert captured.err == ("note: the sweep to --n-max 0 --k-max 0 has no bound state, "
+                                "so no kg or dirac check ran\n")
+
+    def test_a_default_verify_writes_nothing_to_stderr(self, capsys):
+        main(["verify"])
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["checks"] and captured.err == ""
+
     def test_norm_out_of_range_exits_2_before_any_check(self, monkeypatch, capsys):
         from dunkl_oscillator import verification
 

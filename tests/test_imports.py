@@ -5,9 +5,12 @@ left out. Names used only in string annotations count as used.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
+
+from dunkl_oscillator.solution_builder import OscillatorConfig
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dunkl_oscillator"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -243,13 +246,30 @@ def test_one_shell_block():
     assert _bracket_formers(ast.parse("def f(n, p):\n    return 1 + p.mu_x * (-1.0) ** n")) == []
 
 
+def _attribute_readers(attr: str) -> set[str]:
+    """Module-level definitions of the package that read attribute ``attr``."""
+    return {name for p in MODULES for name, node in _definitions(ast.parse(p.read_text(encoding="utf-8")))
+            if attr in {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}}
+
+
 def test_omega_tilde_readers():
-    # w~ itself is read only where the regime, the scales (w = m w~ / hbar,
-    # |w~|), the first-order operator and the textbook oracle are defined;
-    # everything else reads OscillatorConfig's derived scales
-    readers = {name for p in MODULES for name, node in _definitions(ast.parse(p.read_text(encoding="utf-8")))
-               if "omega_tilde" in {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}}
-    assert readers == {"OscillatorConfig", "classify_regime", "dirac_apply", "classical_oscillator_b_energy"}, readers
+    # w~ itself is read where the regime and |w~| are defined, by the
+    # operators and states whose radial scale |w~| or signed w~ (of J and
+    # the reflection term) it is in units hbar = m = 1, and by the textbook
+    # oracle; everything else reads OscillatorConfig's derived scales
+    assert _attribute_readers("omega_tilde") == {
+        "OscillatorConfig", "classify_regime", "kg_apply", "dirac_apply", "build_radial", "stacked_blocks",
+        "cartesian_states", "coupled_reflection_eigenstate", "classical_oscillator_b_energy"}
+
+
+def test_oscillator_config_takes_what_callers_vary():
+    # hbar and m only choose units (q = 2 hbar |w~| / (m c^2)), so the
+    # package works in hbar = m = 1: the config holds the two frequencies
+    # and c, which the nonrelativistic check varies, and no module reads
+    # a unit constant or a rescaled copy of w~
+    assert [field.name for field in dataclasses.fields(OscillatorConfig)] == ["omega", "omega_c", "c"]
+    for attr in ("hbar", "m", "oscillator_scale"):
+        assert not _attribute_readers(attr), attr
 
 
 def _namers(name: str, skip: str = "") -> set[str]:
@@ -269,7 +289,7 @@ def test_radial_profiles_are_built_by_the_builder():
 
 def test_effective_frequency_readers():
     # |w~| is read where q and the nonrelativistic scale are formed; the
-    # radial scale |w| = |m w~ / hbar| comes from oscillator_scale
+    # radial scale |w~| is read with the signed w~ (test_omega_tilde_readers)
     readers = {name.split(".")[1] for name in _namers("effective_frequency")}
     assert readers == {"OscillatorConfig", "energy_column", "nonrelativistic_target",
                        "check_nonrelativistic_limit"}, readers

@@ -71,9 +71,9 @@ class TestRegime:
         with pytest.raises(ValueError):
             OscillatorConfig(omega=-1.0)
         with pytest.raises(ValueError):
-            OscillatorConfig(omega=1.0, m=0.0)
+            OscillatorConfig(omega=1.0, c=0.0)
 
-    @pytest.mark.parametrize("field", ["omega", "omega_c", "m", "hbar", "c"])
+    @pytest.mark.parametrize("field", ["omega", "omega_c", "c"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_constants_rejected(self, field, value):
         with pytest.raises(ValueError):
@@ -82,10 +82,11 @@ class TestRegime:
     def test_effective_frequency_and_length_scale(self):
         assert CFG_NEG.effective_frequency == 1.0
         assert CFG_NEG.length_scale == 1.0
-        cfg = OscillatorConfig(omega=4.0, m=2.0, hbar=0.5)
+        cfg = OscillatorConfig(omega=16.0, c=3.0)
         assert cfg.length_scale == pytest.approx(0.25, rel=1e-15)
-        crit = OscillatorConfig(omega=1.0, omega_c=2.0, m=2.0, hbar=3.0, c=5.0)
-        assert crit.length_scale == pytest.approx(0.3, rel=1e-15)
+        # at the critical point the length is the Compton length 1 / c
+        crit = OscillatorConfig(omega=1.0, omega_c=2.0, c=5.0)
+        assert crit.length_scale == pytest.approx(0.2, rel=1e-15)
         with pytest.raises(RegimeError):
             crit.effective_frequency
 
@@ -228,25 +229,25 @@ class TestEnergyProperties:
     @given(_bound_energy_args(), st.floats(0.1, 10.0))
     @settings(max_examples=200, deadline=None)
     def test_unchanged_when_units_are_rescaled(self, args, a):
-        # hbar -> a hbar with omega, omega_c -> omega / a, omega_c / a keeps
-        # every hbar * omega, so the spectrum is the same
+        # c -> a c with omega, omega_c -> a^2 omega, a^2 omega_c keeps
+        # q = 2 |w~| / c^2, so the spectrum scales with m c^2, as a^2
         component, sector, mode, k, omega, omega_c = args
         e1 = _energy_or_none(component, sector, mode, k, OscillatorConfig(omega=omega, omega_c=omega_c))
         e2 = _energy_or_none(component, sector, mode, k,
-                             OscillatorConfig(omega=omega / a, omega_c=omega_c / a, hbar=a))
+                             OscillatorConfig(omega=a * a * omega, omega_c=a * a * omega_c, c=a))
         assume(e1 is not None and e2 is not None)
         # where the radicand is near 0 (E near 0, reached exactly by some of
         # these states) its rounding enters E as sqrt(eps), not eps
         assume(abs(e1) > 1e-6)
-        assert e2 == pytest.approx(e1, rel=1e-12)
+        assert e2 == pytest.approx(a * a * e1, rel=1e-12)
 
     def test_exactly_zero_radicand_is_zero_in_any_units(self):
         # mu=(2,3), (+1,+1), n=4, b=+1: lambda=12, A=13, sigma=5, so the lower
-        # k=0 radicand at w~ = -omega/2 is 1 + (2 hbar |w~|)(13 - 12 - 5) = 0
+        # k=0 radicand at w~ = -omega/2 is 1 + (2 |w~| / c^2)(13 - 12 - 5) = 0
         mode = AngularMode(SectorLabel(1, 1), 4, 1, DunklParams(2.0, 3.0))
         for i in range(1, 200):
             a = 0.05 * i
-            config = OscillatorConfig(omega=0.25 / a, omega_c=0.75 / a, hbar=a)
+            config = OscillatorConfig(omega=0.25 * a * a, omega_c=0.75 * a * a, c=a)
             assert energy(Component.LOWER, SectorLabel(1, 1), mode, 0, config, 1) == 0.0, a
 
     @given(_bound_energy_args())
@@ -267,7 +268,7 @@ def test_every_bound_pair_has_an_energy_of_at_least_mc2_sqrt_1_plus_q(params, om
     # "Physics summary"): no pair of the sweep meets a negative radicand
     config = OscillatorConfig(omega=omega, omega_c=ratio * omega)
     mc2 = config.rest_energy
-    floor = mc2 * math.sqrt(1.0 + 2.0 * config.hbar * config.effective_frequency / mc2)
+    floor = mc2 * math.sqrt(1.0 + 2.0 * config.effective_frequency / mc2)
     for sector, pairs in solution_builder.bound_pairs(params, config, 20):
         ks = np.array([k for k, _ in pairs])
         for mode in modes_for_sector(sector, params, 6):
@@ -336,13 +337,13 @@ class TestRadialProfile:
        log_a=st.floats(-3.0, 3.0), ratio=st.sampled_from([0.0, 4.0]),
        pick=st.integers(0, 10**6), phi=st.floats(0.05, 1.5))
 def test_state_values_are_invariant_to_the_length_unit(mu, log_a, ratio, pick, phi):
-    # hbar = a and omega, omega_c proportional to 1 / a leave q = 2 hbar w~ / (m c^2)
+    # c = 1 / a and omega, omega_c proportional to 1 / a^2 leave q = 2 w~ / c^2
     # alone and stretch lengths by a, so psi(t L_a, phi) L_a^(mu_+ + 1) is unit-free
     params = DunklParams(*mu)
     t = np.linspace(0.2, 3.0, 8)
 
     def scaled_values(a):
-        config = OscillatorConfig(omega=1.0 / a, omega_c=ratio / a, hbar=a)
+        config = OscillatorConfig(omega=1.0 / (a * a), omega_c=ratio / (a * a), c=1.0 / a)
         states = list(sweep_bound_states(params, config, 2, 2))
         state = states[pick % len(states)]
         rho, factor = t * config.length_scale, config.length_scale ** (params.mu_plus + 1.0)
