@@ -488,6 +488,18 @@ class TestNLadder:
         assert code == 0 and text
         assert (code, text) == _run([*argv[:2], "--n", n])
 
+    @pytest.mark.parametrize("argv, rows", [
+        (["--n", "0:1"], [("0", "+"), ("1", "+"), ("1", "-")]),
+        (["--n", "0:1", "--branch", "-"], [("1", "-")]),  # n = 0 is the + mode alone
+        (["--n", "0", "--branch", "-"], []),
+        (["--sector=-1,-1", "--n", "0:2", "--branch", "+"], [("1", "+"), ("2", "+")]),
+        (["--sector=1,-1", "--n", "1:2"], [("1.5", "+"), ("1.5", "-")]),
+    ])
+    def test_rows_are_the_sectors_modes_from_the_lowest_n(self, argv, rows):
+        code, text = _run(["spectrum", *argv, "--k-max", "0"])
+        assert code == 0
+        assert [tuple(ln.split(",")[1:3]) for ln in text.splitlines()[1:]] == rows
+
     def test_export_range_accepted(self):
         code, text = _run(["spectrum", "--n", "0:30", "--k-max", "300"])
         assert code == 0

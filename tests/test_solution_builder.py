@@ -356,6 +356,21 @@ def test_state_values_are_invariant_to_the_length_unit(mu, log_a, ratio, pick, p
         assert np.max(np.abs(val - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def test_the_sweep_enumerates_each_sectors_modes_once(monkeypatch):
+    calls = []
+
+    def counted(sector, params, n_max):
+        calls.append(sector)
+        return modes_for_sector(sector, params, n_max)
+
+    reference = list(sweep_bound_states(P11, CFG_POS, 3, 2))
+    monkeypatch.setattr(verification, "modes_for_sector", counted)
+    states = list(sweep_bound_states(P11, CFG_POS, 3, 2))
+    assert len(calls) == len(set(calls)) == len(ALL_SECTORS)  # one call per sector
+    assert [(st.mode, st.quantum, st.energy, st.amplitudes) for st in states] == \
+        [(st.mode, st.quantum, st.energy, st.amplitudes) for st in reference]
+
+
 class TestBuildSpinor:
     def test_component_norms_sum_to_one(self):
         mode = AngularMode(SectorLabel(1, -1), 0.5, 1, P11)
