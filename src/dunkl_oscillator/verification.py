@@ -684,13 +684,18 @@ def run_suite(
 ) -> VerificationReport:
     """Run one named verification suite (or 'all') and collect the records.
 
-    The suite names, then the regime, then h (at most ``step_limit``) are
-    checked before the first check runs. The checks run one after another.
-    kg and dirac walk the sweep once (critical regime: the free states of
-    each energy) in batches of at most ``_SWEEP_BATCH`` states, one batch
-    at a time, and each check takes a batch in one call, which builds its
+    Before the first check of any suite it checks the suite names, then
+    the regime, then builds kg's and dirac's states, then checks h (at most
+    ``step_limit``), so a state that cannot be built (a norm or radial index
+    out of range) fails before any check. The states are the sweep's
+    (critical regime: the free states of each energy): its first batch of
+    ``_SWEEP_BATCH`` states is kept for the checks, and a longer sweep is
+    walked to its end, then built again batch by batch after the first.
+    The checks run one after another. kg and dirac take the states one
+    batch at a time, and each check takes a batch in one call, which builds its
     tables and checks the states in blocks of at most ``_STATE_BLOCK``
-    (every sweep up to (n_max, k_max) = (8, 8) is one batch); the angular
+    (every sweep up to (n_max, k_max) = (8, 8) is one batch, so each of its
+    states is built once); the angular
     suite checks each sector's modes in one application, on the mode list
     that the ortho suite shares. Records come sorted by name, so the blocking
     does not show in the report.
@@ -710,6 +715,16 @@ def run_suite(
         for name in ("dirac", "nrlimit"):
             if name in wanted:
                 raise RegimeError(f"the {name} suite needs a non-critical regime")
+    checks = [(name, check) for name, check in (("kg", check_kg_eigen), ("dirac", check_dirac_system))
+              if name in wanted]
+    groups = []  # kg's and dirac's states: lists, or a stream taken a batch at a time
+    if checks and regime is Regime.CRITICAL:
+        groups = _critical_states(params, config, n_max)
+    elif checks:
+        sweep = sweep_bound_states(params, config, n_max, k_max)
+        groups = [list(itertools.islice(sweep, _SWEEP_BATCH))]
+        if sum(1 for _ in sweep):  # longer than one batch: walked to its end, the rest built again
+            groups.append(itertools.islice(sweep_bound_states(params, config, n_max, k_max), _SWEEP_BATCH, None))
     limit, why = step_limit(suite, params, config)
     if h > limit:
         raise ValueError(f"h {h:g} must be at most {limit:g} for suite {suite}: the {why}")
@@ -725,18 +740,10 @@ def run_suite(
                 records.extend(check_angular_eigen(modes, tol=tol_for("angular"), h=h).records)
             if "ortho" in wanted:
                 records.extend(check_orthonormality(modes, tol=tol_for("ortho")).records)
-    # kg and dirac check the states of one walk of the sweep, each in one
-    # call per batch of at most _SWEEP_BATCH states
-    checks = [(name, check) for name, check in (("kg", check_kg_eigen), ("dirac", check_dirac_system))
-              if name in wanted]
-    if checks:
-        if regime is Regime.CRITICAL:
-            groups = _critical_states(params, config, n_max)
-        else:
-            groups = [sweep_bound_states(params, config, n_max, k_max)]
-        for states in (batch for group in groups for batch in _batches(group)):
-            for name, check in checks:
-                records.extend(check(states, tol=tol_for(name), h=h).records)
+    # kg and dirac each check a batch of at most _SWEEP_BATCH states in one call
+    for states in (batch for group in groups for batch in _batches(group)):
+        for name, check in checks:
+            records.extend(check(states, tol=tol_for(name), h=h).records)
     if "nrlimit" in wanted:
         for sector in ALL_SECTORS:
             mode = modes_for_sector(sector, params, 1.5)[-1]

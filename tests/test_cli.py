@@ -1,5 +1,6 @@
 """Command-line interface: output shape, determinism, exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -19,8 +20,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dunkl_oscillator.cli import build_parser, main
+from dunkl_oscillator.dunkl_calculus import DunklParams
 from dunkl_oscillator.solution_builder import OscillatorConfig
-from dunkl_oscillator.verification import GridSpec
+from dunkl_oscillator.verification import SUITE_NAMES, GridSpec
 
 
 def _run(argv):
@@ -400,16 +402,22 @@ class TestVerify:
 
     @pytest.mark.parametrize("mu", ["0", "1"])
     @pytest.mark.parametrize("n_max, k_max", [(100, 1), (150, 1), (140, 3), (2, 200)])
-    def test_norm_preflight_exits_2_exactly_where_the_sweep_fails(self, mu, n_max, k_max, monkeypatch, capsys):
-        # the preflight builds every state of the sweep, evaluating no field;
-        # only n_max = 150 reaches a normalization constant past the double
-        # range. At mu = (1,1), k = 200 pairs with k' = 201 in sector (-1,-1),
-        # which the builder names when it reaches that sector's modes.
-        from dunkl_oscillator import cli
-        from dunkl_oscillator.verification import VerificationReport
+    def test_verify_exits_2_exactly_where_the_sweep_fails(self, mu, n_max, k_max, monkeypatch, capsys):
+        # run_suite builds every state of the sweep before its first check,
+        # evaluating no field; only n_max = 150 reaches a normalization
+        # constant past the double range. At mu = (1,1), k = 200 pairs with
+        # k' = 201 in sector (-1,-1), which the builder names when it reaches
+        # that sector's modes.
+        from dunkl_oscillator import verification
+        from dunkl_oscillator.verification import CheckRecord, VerificationReport
 
-        calls = []
-        monkeypatch.setattr(cli, "run_suite", lambda *a, **kw: calls.append(a) or VerificationReport("kg", []))
+        calls = []  # the batch sizes the kg check is handed
+
+        def recorder(states, **kwargs):
+            calls.append(len(states))
+            return VerificationReport("kg", [CheckRecord("kg stub", {}, 0.0, 1.0)])
+
+        monkeypatch.setattr(verification, "check_kg_eigen", recorder)
         code = main(["verify", "--suite", "kg", "--mu-x", mu, "--mu-y", mu, "--omega", "1",
                      "--n-max", str(n_max), "--k-max", str(k_max)])
         captured = capsys.readouterr()
@@ -421,7 +429,26 @@ class TestVerify:
             assert captured.err.startswith("error: k=200 pairs with the lower radial index k'=201 in sector (-1,-1); "
                                            "radial indices must be at most 200")
         else:
-            assert (code, len(calls), captured.err) == (0, 1, "")
+            states = sum(1 for _ in verification.sweep_bound_states(
+                DunklParams(float(mu), float(mu)), OscillatorConfig(omega=1.0), n_max, k_max))
+            assert (code, captured.err, sum(calls)) == (0, "", states)
+            assert all(0 < size <= verification._SWEEP_BATCH for size in calls)
+
+    @pytest.mark.parametrize("argv, n_max, k_max", [([], 2, 2), (["--n-max", "4", "--k-max", "4"], 4, 4)])
+    def test_a_verify_builds_each_state_once(self, argv, n_max, k_max, monkeypatch):
+        # a sweep that fits in one batch is built once, before the first
+        # check, and its states are the ones checked
+        from dunkl_oscillator import verification
+
+        calls = []
+        original = verification.mode_states
+        monkeypatch.setattr(verification, "mode_states", lambda *a: calls.append(a) or original(*a))
+        states = list(verification.sweep_bound_states(DunklParams(0.0, 0.0), OscillatorConfig(omega=1.0),
+                                                      n_max, k_max))
+        sweep, calls[:] = len(calls), []
+        assert len(states) <= verification._SWEEP_BATCH
+        assert _run(["verify", *argv])[0] in (0, 1)
+        assert len(calls) == sweep > 0
 
     @pytest.mark.parametrize("suite", ["kg", "angular", "ortho", "dirac", "nrlimit"])
     def test_smallest_h_gives_finite_residuals(self, suite):
@@ -558,6 +585,12 @@ def test_spectrum_does_not_import_scipy():
 
 
 class TestArgparse:
+    def test_suite_choices_are_the_suite_names_and_all(self):
+        (verify,) = (action.choices["verify"] for action in build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction))
+        (suite,) = (action for action in verify._actions if action.dest == "suite")
+        assert suite.choices == (*SUITE_NAMES, "all")
+
     def test_unknown_suite_via_argparse(self):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["verify", "--suite", "wat"])

@@ -348,6 +348,12 @@ def test_one_radial_exponent():
     assert _mu_plus_subtracters(ast.parse("def f(a, p):\n    return a - 2 * p.mu_plus - p.mu_minus")) == set()
 
 
+def test_run_suite_alone_builds_the_sweep_for_verify():
+    # a state that cannot be built fails in run_suite before its first
+    # check, for every caller: the command line walks no sweep of its own
+    assert "sweep_bound_states" not in _names(ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8")))
+
+
 def test_run_suite_alone_checks_the_step():
     # the largest step is run_suite's rule: every caller, the command line
     # too, meets it there, before the first check

@@ -33,6 +33,7 @@ from dunkl_oscillator.dunkl_calculus import (
 from dunkl_oscillator.solution_builder import (
     InvalidPairError,
     NegativeRadicandError,
+    NormRangeError,
     OscillatorConfig,
     QuantumNumbers,
     Regime,
@@ -569,6 +570,24 @@ class TestSweepAndSuite:
             run_suite(P11, CFG_CRIT, "nonsense", h=1e300)
         with pytest.raises(RegimeError, match="the dirac suite needs a non-critical regime"):
             run_suite(P11, CFG_CRIT, "all", h=1e300)
+
+    def test_a_state_past_the_first_batch_fails_before_any_check(self, monkeypatch):
+        # this sweep yields 876 states, past the first batch, before one
+        # cannot be built: run_suite walks the sweep to its end before its
+        # first check, and before it checks h
+        count = 0
+        with pytest.raises(NormRangeError):
+            for _ in sweep_bound_states(P11, CFG, 150, 2):
+                count += 1
+        assert count == 876 > verification._SWEEP_BATCH
+        calls = []
+        original = verification.kg_apply
+        monkeypatch.setattr(verification, "kg_apply", lambda *a: calls.append(a) or original(*a))
+        with pytest.raises(NormRangeError):
+            run_suite(P11, CFG, "kg", n_max=150, k_max=2)
+        with pytest.raises(NormRangeError):
+            run_suite(P11, CFG, "kg", n_max=150, k_max=2, h=1e300)
+        assert calls == []
 
 
 class TestConstantAngularFactor:
