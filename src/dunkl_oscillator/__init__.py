@@ -43,6 +43,7 @@ from .solution_builder import (
     energy,
     free_particle,
     pair_radial_indices,
+    sweep_bound_states,
 )
 from .special_functions import DomainError, bessel_j, jacobi_p, laguerre_l, log_gamma
 from .verification import (
@@ -59,7 +60,6 @@ from .verification import (
     coupled_reflection_eigenstate,
     matrix_oracle_lambda,
     run_suite,
-    sweep_bound_states,
 )
 
 __version__ = "0.1.0"

@@ -38,7 +38,7 @@ import sys
 import numpy as np
 
 from .angular_sector import AngularMode, SectorLabel, modes_for_sector
-from .dunkl_calculus import DEFAULT_STEP, Component, DunklParams
+from .dunkl_calculus import DEFAULT_STEP, MIN_STEP, Component, DunklParams
 from .solution_builder import (
     OscillatorConfig,
     Regime,
@@ -179,8 +179,6 @@ MAX_GRID_SIDE = 10**6
 # grows like |cos phi|^-mu_x |sin phi|^-mu_y near the axes: from about
 # mu = (500, 500) the ortho products overflow.
 MAX_MU = 200.0
-# Smallest --h: the second differences divide by h^2, a normal double from 2^-511.
-MIN_STEP = 2.0**-511
 
 
 def _write(blocks, head: str = "", sep: str = "", tail: str = "") -> None:

@@ -44,6 +44,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from .solution_builder import OscillatorConfig
 
 DEFAULT_STEP = 1e-4
+# Smallest step h: the second differences divide by h^2, a normal double from 2^-511.
+MIN_STEP = 2.0**-511
 # Steps h that a stencil keeps from each singular locus: kg_apply's radii from
 # the origin, and the points of a reflection with mu != 0 from its axis.
 CLEARANCE_STEPS = 10.0

@@ -42,6 +42,7 @@ from .angular_sector import (
     SectorLabel,
     eigenfunction_rows,
     lambda_eigenvalue,
+    modes_for_sector,
 )
 from .dunkl_calculus import Component, DunklParams, ScalarField2D, remember_last
 from .special_functions import MAX_DEGREE, DomainError, bessel_j, laguerre_rows, log_gamma
@@ -313,8 +314,6 @@ class SpinorSolution:
     quantum: QuantumNumbers | None
     mode: AngularMode
     config: OscillatorConfig
-    norm_upper: float | None = None
-    norm_lower: float | None = None
     # (c_u, c_l) of a state built on its mode's shared factors: mode_states'
     # amplitudes, or (1, 1) for free_particle; None for a hand-built state
     amplitudes: tuple[float, float] | None = None
@@ -346,15 +345,6 @@ def _amplitude(share: float, radial: RadialProfile) -> float:
             "is outside the double-precision range"
         )
     return math.exp(log_amp)
-
-
-def bound_pairs(params: DunklParams, config: OscillatorConfig, k_max: int):
-    """Yield each sector with the (k, k') of every k <= k_max that has a
-    bound partner index k' = k + ``partner_offset`` >= 0 there, in k order."""
-    regime = classify_regime(config)
-    for sector in ALL_SECTORS:
-        offset = partner_offset(sector, regime, params)
-        yield sector, [(k, k + offset) for k in range(max(0, -offset), k_max + 1)]
 
 
 def _check_last_pair(sector: SectorLabel, pairs) -> None:
@@ -398,8 +388,7 @@ def mode_states(mode: AngularMode, pairs, config: OscillatorConfig) -> dict:
         upper = _product_field(lambda rho, k=k: top.rows(rho)[k, 0], mode, cu)
         lower = (_product_field(lambda rho, k=k_prime: top.rows(rho)[k, 0], mode, cl) if cl != 0.0
                  else ScalarField2D.zero())
-        states[k] = SpinorSolution(upper, lower, e_val, QuantumNumbers(k, k_prime), mode, config,
-                                   nu2, nl2, (cu, cl))
+        states[k] = SpinorSolution(upper, lower, e_val, QuantumNumbers(k, k_prime), mode, config, (cu, cl))
     return states
 
 
@@ -412,6 +401,32 @@ def build_spinor(mode: AngularMode, k: int, config: OscillatorConfig, made: dict
         k_prime = pair_radial_indices(mode.sector, classify_regime(config), k, mode.params)
         made = mode_states(mode, [(k, k_prime)], config)
     return made[k]
+
+
+def sweep_bound_states(params: DunklParams, config: OscillatorConfig, n_max: float = 2, k_max: int = 2):
+    """Yield every buildable bound state of the sweep: each mode of
+    ``modes_for_sector`` up to ``n_max``, sector by sector, with each
+    k <= k_max in order, a ``build_spinor`` read of the mode's one
+    ``mode_states`` call. A k whose partner index k + ``partner_offset`` is
+    negative is skipped (its read raises ``InvalidPairError``). The regime,
+    the pairing and the last pair of every sector with modes
+    (``_check_last_pair``) are checked, in that order, before the first state."""
+    regime = classify_regime(config)
+    if regime is Regime.CRITICAL:
+        raise RegimeError("bound-state sweep requires a non-critical regime")
+    offsets = {sector: partner_offset(sector, regime, params) for sector in ALL_SECTORS}
+    sectors = [(sector, [(k, k + offset) for k in range(max(0, -offset), k_max + 1)], modes)
+               for sector, offset in offsets.items() if (modes := modes_for_sector(sector, params, n_max))]
+    for sector, pairs, _ in sectors:
+        _check_last_pair(sector, pairs)
+    for _, pairs, modes in sectors:
+        for mode in modes:
+            made = mode_states(mode, pairs, config)
+            for k in range(k_max + 1):
+                try:
+                    yield build_spinor(mode, k, config, made)
+                except InvalidPairError:
+                    continue
 
 
 def _with_leading_axis(field: ScalarField2D) -> ScalarField2D:

@@ -48,6 +48,7 @@ from .angular_sector import (
 from .dunkl_calculus import (
     DEFAULT_STEP,
     CLEARANCE_STEPS,
+    MIN_STEP,
     Component,
     DunklParams,
     ScalarField2D,
@@ -59,24 +60,20 @@ from .dunkl_calculus import (
     weighted_inner_product,
 )
 from .solution_builder import (
-    InvalidPairError,
     OscillatorConfig,
     Regime,
     RegimeError,
     SpinorSolution,
     _STATE_BLOCK,
-    _check_last_pair,
-    bound_pairs,
     build_radial,
-    build_spinor,
     classify_regime,
     energy,
     free_particle,
-    mode_states,
     reduced_energy,
     spectral_sum,
     spectral_terms,
     stacked_blocks,
+    sweep_bound_states,
 )
 from .special_functions import laguerre_rows
 
@@ -253,13 +250,13 @@ def _state_blocks(states):
             yield block, fields, first.mode.params, first.config, rho, phi
 
 
-def _mode_rows(modes) -> tuple[list[AngularMode], DunklParams, ScalarField2D]:
-    """One mode or the modes of one sector, their parameters, and their F
-    rows as one field (row i is mode i's F) from one set of
-    ``eigenfunction_rows`` tables."""
+def _mode_rows(modes) -> tuple[list[AngularMode], DunklParams | None, ScalarField2D]:
+    """One mode or the modes of one sector, their parameters (None for no
+    modes), and their F rows as one field (row i is mode i's F) from one
+    set of ``eigenfunction_rows`` tables."""
     modes = [modes] if isinstance(modes, AngularMode) else list(modes)
     rows = eigenfunction_rows(modes)
-    return modes, modes[0].params, ScalarField2D(lambda rho, phi: rows(phi))
+    return modes, modes[0].params if modes else None, ScalarField2D(lambda rho, phi: rows(phi))
 
 
 def check_kg_eigen(
@@ -306,9 +303,11 @@ def check_angular_eigen(
 
     ``modes`` is one mode or the modes of one sector: their F rows come
     from one set of ``eigenfunction_rows`` tables and take one ``angular_j``
-    call. One record per mode, in input order.
+    call. One record per mode, in input order; no modes, no records.
     """
     modes, params, fld = _mode_rows(modes)
+    if not modes:
+        return VerificationReport("angular", [])
     lams = [lambda_eigenvalue(mode) for mode in modes]
     phi = GridSpec(n_phi=ANGULAR_N_PHI).angles()
     rho = np.ones_like(phi)
@@ -336,8 +335,11 @@ def check_orthonormality(
 ) -> VerificationReport:
     """Gram matrix of the modes against the identity, by the weighted
     angular quadrature: one ``weighted_inner_product`` of the modes' F
-    rows, which come from one ``eigenfunction_rows`` table."""
+    rows, which come from one ``eigenfunction_rows`` table. No modes, no
+    record."""
     modes, params, fld = _mode_rows(modes)
+    if not modes:
+        return VerificationReport("ortho", [])
     gram = weighted_inner_product(fld, fld, angular_quadrature(params))
     deviation = float(np.max(np.abs(gram - np.eye(len(modes)))))
     labels = ";".join(f"{m.sector}|{m.n:g}|{m.branch:+d}" for m in modes)
@@ -626,34 +628,8 @@ def coupled_reflection_eigenstate(
 
 
 # ---------------------------------------------------------------------------
-# sweeps and suite runner
+# suite runner
 # ---------------------------------------------------------------------------
-
-def sweep_bound_states(
-    params: DunklParams,
-    config: OscillatorConfig,
-    n_max: float = 2,
-    k_max: int = 2,
-):
-    """Yield every buildable bound state of the sweep, skipping invalid pairs:
-    each (mode, k) is a ``build_spinor`` read of the mode's ``mode_states``.
-    The last pair of every sector with modes is checked against the largest
-    degree before the first state is built."""
-    if classify_regime(config) is Regime.CRITICAL:
-        raise RegimeError("bound-state sweep requires a non-critical regime")
-    sectors = [(sector, pairs, modes) for sector, pairs in bound_pairs(params, config, k_max)
-               if (modes := modes_for_sector(sector, params, n_max))]
-    for sector, pairs, _ in sectors:
-        _check_last_pair(sector, pairs)
-    for _, pairs, modes in sectors:
-        for mode in modes:
-            made = mode_states(mode, pairs, config)
-            for k in range(k_max + 1):
-                try:
-                    yield build_spinor(mode, k, config, made)
-                except InvalidPairError:
-                    continue
-
 
 def _critical_states(params: DunklParams, config: OscillatorConfig, n_max: float) -> list[list[SpinorSolution]]:
     """Free states of every mode, one list per energy of ``_FREE_ENERGIES``
@@ -685,19 +661,20 @@ def run_suite(
     """Run one named verification suite (or 'all') and collect the records.
 
     Before the first check of any suite it checks the suite names, then
-    the regime, then builds kg's and dirac's states, then checks h (at most
-    ``step_limit``), so a state that cannot be built (a norm or radial index
-    out of range) fails before any check. The states are the sweep's
-    (critical regime: the free states of each energy): its first batch of
-    ``_SWEEP_BATCH`` states is kept for the checks, and a longer sweep is
-    walked to its end, then built again batch by batch after the first.
-    The checks run one after another. kg and dirac take the states one
-    batch at a time, and each check takes a batch in one call, which builds its
-    tables and checks the states in blocks of at most ``_STATE_BLOCK``
-    (every sweep up to (n_max, k_max) = (8, 8) is one batch, so each of its
-    states is built once); the angular
-    suite checks each sector's modes in one application, on the mode list
-    that the ortho suite shares. Records come sorted by name, so the blocking
+    the regime, then builds kg's and dirac's states, then checks h (finite,
+    at least ``MIN_STEP`` and at most ``step_limit``, as the command line's
+    parser does), so a state that cannot be built (a norm or radial index
+    out of range) fails before any check. The states are the builder's
+    ``sweep_bound_states`` (critical regime: the free states of each
+    energy): its first batch of ``_SWEEP_BATCH`` states is kept for the
+    checks, and a longer sweep is walked to its end, then built again batch
+    by batch after the first. The checks run one after another. kg and
+    dirac take the states one batch at a time, and each check takes a batch
+    in one call, which builds its tables and checks the states in blocks of
+    at most ``_STATE_BLOCK`` (every sweep up to (n_max, k_max) = (8, 8) is
+    one batch, so each of its states is built once); the angular suite
+    checks each sector's modes in one application, on the mode list that
+    the ortho suite shares. Records come sorted by name, so the blocking
     does not show in the report.
     ``threads`` accepts only 1: it is kept so that existing callers passing
     ``threads=1`` keep working; a thread pool gave no speed-up, as the
@@ -725,6 +702,8 @@ def run_suite(
         groups = [list(itertools.islice(sweep, _SWEEP_BATCH))]
         if sum(1 for _ in sweep):  # longer than one batch: walked to its end, the rest built again
             groups.append(itertools.islice(sweep_bound_states(params, config, n_max, k_max), _SWEEP_BATCH, None))
+    if not (math.isfinite(h) and h >= MIN_STEP):
+        raise ValueError(f"h {h:g} must be finite and at least {MIN_STEP:g}")
     limit, why = step_limit(suite, params, config)
     if h > limit:
         raise ValueError(f"h {h:g} must be at most {limit:g} for suite {suite}: the {why}")

@@ -438,11 +438,11 @@ class TestVerify:
     def test_a_verify_builds_each_state_once(self, argv, n_max, k_max, monkeypatch):
         # a sweep that fits in one batch is built once, before the first
         # check, and its states are the ones checked
-        from dunkl_oscillator import verification
+        from dunkl_oscillator import solution_builder, verification
 
         calls = []
-        original = verification.mode_states
-        monkeypatch.setattr(verification, "mode_states", lambda *a: calls.append(a) or original(*a))
+        original = solution_builder.mode_states
+        monkeypatch.setattr(solution_builder, "mode_states", lambda *a: calls.append(a) or original(*a))
         states = list(verification.sweep_bound_states(DunklParams(0.0, 0.0), OscillatorConfig(omega=1.0),
                                                       n_max, k_max))
         sweep, calls[:] = len(calls), []

@@ -87,6 +87,28 @@ def test_every_private_helper_is_referenced():
     assert not dead, f"module-level private names never referenced in the package: {sorted(dead)}"
 
 
+# Public functions that no module of the package calls or names. The four
+# angular basis families, f_eigenfunction and the scalar Jacobi and Laguerre
+# evaluators are layers that perfbench/tracer.py wraps; polar_quadrature is
+# the radial-angular rule that norms are integrated with; the last four are
+# the independent references (oracles) that the tests check the builder by.
+ENTRY_POINTS = {
+    "phi_pp", "phi_mm", "phi_mp", "phi_pm", "f_eigenfunction", "jacobi_p", "laguerre_l",
+    "polar_quadrature",
+    "matrix_oracle_lambda", "cartesian_states", "classical_oscillator_b_energy", "coupled_reflection_eigenstate",
+}
+
+
+def test_every_public_function_has_a_caller_or_is_an_entry_point():
+    # a public function that nothing calls is dead code unless it is one of
+    # the named entry points; an entry point that gains a caller leaves the list
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))]
+    referenced = set().union(*map(_loaded, trees))
+    public = {node.name for tree in trees for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")}
+    assert public - referenced == ENTRY_POINTS, sorted((public - referenced) ^ ENTRY_POINTS)
+
+
 JACOBI = {"jacobi_rows", "jacobi_p"}
 
 
@@ -311,7 +333,7 @@ def _callers(name: str) -> set[str]:
 def test_the_sweep_and_build_spinor_alone_call_mode_states():
     # a state is built by build_spinor or by the sweep; a check on the
     # sweep's norms walks the sweep itself, with no shortcut of its own
-    assert _callers("mode_states") == {"solution_builder.build_spinor", "verification.sweep_bound_states"}
+    assert _callers("mode_states") == {"solution_builder.build_spinor", "solution_builder.sweep_bound_states"}
 
 
 def test_one_spectral_sum():
@@ -366,7 +388,7 @@ def test_the_largest_degree_is_named_where_its_rules_are():
     # bounds its flags by it, and nothing else keeps a copy of the rule
     assert _namers("MAX_DEGREE", skip="special_functions") == {
         "cli.build_parser", "cli._parse_n_values", "solution_builder._check_last_pair"}
-    assert _callers("_check_last_pair") == {"solution_builder.mode_states", "verification.sweep_bound_states"}
+    assert _callers("_check_last_pair") == {"solution_builder.mode_states", "solution_builder.sweep_bound_states"}
 
 
 def test_one_record_constructor():

@@ -40,6 +40,7 @@ from dunkl_oscillator.solution_builder import (
     pair_radial_indices,
     partner_offset,
     radial_order,
+    sweep_bound_states,
 )
 from dunkl_oscillator.special_functions import DomainError
 from dunkl_oscillator.verification import (
@@ -47,7 +48,6 @@ from dunkl_oscillator.verification import (
     GridSpec,
     classical_oscillator_b_energy,
     run_suite,
-    sweep_bound_states,
 )
 
 P11 = DunklParams(1.0, 1.0)
@@ -55,6 +55,13 @@ P00 = DunklParams(0.0, 0.0)
 CFG_POS = OscillatorConfig(omega=1.0)
 CFG_NEG = OscillatorConfig(omega=0.25, omega_c=2.5)  # w~ = -1
 CFG_CRIT = OscillatorConfig(omega=1.0, omega_c=2.0)
+
+
+def _split(st) -> tuple[float, float]:
+    """(E + m c^2) / (2E) and (E - m c^2) / (2E): the shares of a built
+    state's probability that its upper and lower components carry."""
+    e, mc2 = st.energy, st.config.rest_energy
+    return (e + mc2) / (2.0 * e), (e - mc2) / (2.0 * e)
 
 
 class TestRegime:
@@ -125,20 +132,24 @@ class TestPairing:
 
     @pytest.mark.parametrize("params", [P00, P11, DunklParams(2.0, 1.0), DunklParams(0.5, 1.5)])
     def test_every_pair_is_k_plus_the_sector_offset(self, params):
-        # pair_radial_indices and bound_pairs read k' - k from partner_offset:
-        # each sector's pairs are one range, from the first k whose k' >= 0
+        # pair_radial_indices and the sweep read k' - k from partner_offset:
+        # each mode's states are one range of k, from the first k whose k' >= 0
         for regime, config in ((Regime.POSITIVE, CFG_POS), (Regime.NEGATIVE, CFG_NEG)):
-            pairs = dict(solution_builder.bound_pairs(params, config, 8))
+            swept: dict = {}
+            for st in sweep_bound_states(params, config, 1, 8):
+                swept.setdefault(st.mode, []).append((st.quantum.k, st.quantum.k_prime))
+            assert swept
             for sector in ALL_SECTORS:
                 offset = partner_offset(sector, regime, params)
                 assert type(offset) is int
+                for mode in modes_for_sector(sector, params, 1):
+                    assert swept[mode] == [(k, k + offset) for k in range(9) if k + offset >= 0]
                 for k in range(9):
                     if k + offset < 0:
                         with pytest.raises(InvalidPairError, match=f"k'={k + offset} is not"):
                             pair_radial_indices(sector, regime, k, params)
                     else:
                         assert pair_radial_indices(sector, regime, k, params) == k + offset
-                assert pairs[sector] == [(k, k + offset) for k in range(9) if k + offset >= 0]
 
 
 class TestEnergy:
@@ -269,8 +280,8 @@ def test_every_bound_pair_has_an_energy_of_at_least_mc2_sqrt_1_plus_q(params, om
     config = OscillatorConfig(omega=omega, omega_c=ratio * omega)
     mc2 = config.rest_energy
     floor = mc2 * math.sqrt(1.0 + 2.0 * config.effective_frequency / mc2)
-    for sector, pairs in solution_builder.bound_pairs(params, config, 20):
-        ks = np.array([k for k, _ in pairs])
+    for sector in ALL_SECTORS:
+        ks = np.arange(max(0, -partner_offset(sector, classify_regime(config), params)), 21)
         for mode in modes_for_sector(sector, params, 6):
             e_vals = solution_builder.energy_column(Component.UPPER, mode, ks, config)
             assert np.all(np.isfinite(e_vals)) and np.all(e_vals >= floor * (1.0 - 1e-12)), (sector, mode)
@@ -364,7 +375,7 @@ def test_the_sweep_enumerates_each_sectors_modes_once(monkeypatch):
         return modes_for_sector(sector, params, n_max)
 
     reference = list(sweep_bound_states(P11, CFG_POS, 3, 2))
-    monkeypatch.setattr(verification, "modes_for_sector", counted)
+    monkeypatch.setattr(solution_builder, "modes_for_sector", counted)
     states = list(sweep_bound_states(P11, CFG_POS, 3, 2))
     assert len(calls) == len(set(calls)) == len(ALL_SECTORS)  # one call per sector
     assert [(st.mode, st.quantum, st.energy, st.amplitudes) for st in states] == \
@@ -373,12 +384,13 @@ def test_the_sweep_enumerates_each_sectors_modes_once(monkeypatch):
 
 class TestBuildSpinor:
     def test_component_norms_sum_to_one(self):
+        # each amplitude c gives its component the norm c^2 <R|R> of its share
         mode = AngularMode(SectorLabel(1, -1), 0.5, 1, P11)
         sol = build_spinor(mode, 1, CFG_POS)
-        assert sol.norm_upper + sol.norm_lower == pytest.approx(1.0, rel=1e-14)
-        e, mc2 = sol.energy, 1.0
-        assert sol.norm_upper == pytest.approx((e + mc2) / (2 * e), rel=1e-14)
-        assert sol.norm_lower == pytest.approx((e - mc2) / (2 * e), rel=1e-14)
+        norms = [c * c * math.exp(build_radial(mode, k, CFG_POS).log_norm_squared())
+                 for c, k in zip(sol.amplitudes, (sol.quantum.k, sol.quantum.k_prime))]
+        assert sum(norms) == pytest.approx(1.0, rel=1e-14)
+        assert norms == pytest.approx(_split(sol), rel=1e-14)
 
     def test_quadrature_norms_match_split(self):
         mode = AngularMode(SectorLabel(1, -1), 0.5, 1, P11)
@@ -386,8 +398,7 @@ class TestBuildSpinor:
         rule = polar_quadrature(P11, 10.838109195829931, 180)  # rho^30 exp(-rho^2) < 1e-18
         nu = weighted_inner_product(sol.upper, sol.upper, rule)
         nl = weighted_inner_product(sol.lower, sol.lower, rule)
-        assert nu.real == pytest.approx(sol.norm_upper, abs=1e-6)
-        assert nl.real == pytest.approx(sol.norm_lower, abs=1e-6)
+        assert (nu.real, nl.real) == pytest.approx(_split(sol), abs=1e-6)
 
     def test_components_share_one_real_phase(self):
         # the lower component is c_l R_l F with c_l >= 0, so lower * conj(upper)
@@ -396,7 +407,7 @@ class TestBuildSpinor:
         readme = build_spinor(AngularMode(SectorLabel(1, -1), 0.5, 1, P11), 1, CFG_POS)
         states = [readme]
         for cfg in (CFG_POS, CFG_NEG):
-            states += [st for st in sweep_bound_states(P11, cfg, 2, 2) if st.norm_lower > 0][:4]
+            states += [st for st in sweep_bound_states(P11, cfg, 2, 2) if _split(st)[1] > 0][:4]
         for sol in states:
             prod = sol.lower.eval_polar(rho, phi) * np.conj(sol.upper.eval_polar(rho, phi))
             assert np.max(np.abs(prod)) > 0
@@ -461,7 +472,7 @@ class TestFactorReuse:
     def _state():
         # a (+1,+1) sweep state with both components nonzero (k' = k + 3)
         return next(st for st in sweep_bound_states(P11, CFG_NEG, 2, 2)
-                    if st.mode.sector == SectorLabel(1, 1) and st.mode.n >= 1 and st.norm_lower > 0)
+                    if st.mode.sector == SectorLabel(1, 1) and st.mode.n >= 1 and _split(st)[1] > 0)
 
     def test_components_share_angular_evaluations(self, monkeypatch):
         sol = self._state()
@@ -516,8 +527,7 @@ class TestFactorReuse:
         mode = sol.mode
         s, ni, b = 1.0 / math.sqrt(2.0), int(mode.n), mode.branch
         ang = s * (phi_pp(ni, P11, phi) + 1j * b * phi_mm(ni, P11, phi))
-        for fld, k, norm2 in ((sol.upper, sol.quantum.k, sol.norm_upper),
-                              (sol.lower, sol.quantum.k_prime, sol.norm_lower)):
+        for fld, k, norm2 in zip((sol.upper, sol.lower), (sol.quantum.k, sol.quantum.k_prime), _split(sol)):
             rad = build_radial(mode, k, CFG_NEG)
             c = math.sqrt(norm2 / math.exp(rad.log_norm_squared()))
             assert np.array_equal(fld.eval_polar(rho, phi), c * rad(rho) * ang)
@@ -693,11 +703,13 @@ class TestModeFactorSharing:
     @pytest.mark.parametrize("config, yielded", [(CFG_POS, 28), (CFG_NEG, 47)], ids=["w+", "w-"])
     def test_every_sweep_candidate_is_one_build_spinor_read(self, monkeypatch, config, yielded):
         calls = {}
-        _counting(monkeypatch, verification, "build_spinor", calls)
-        _counting(monkeypatch, solution_builder, "mode_states", calls)  # build_spinor's own calls
+        _counting(monkeypatch, solution_builder, "build_spinor", calls)
+        _counting(monkeypatch, solution_builder, "mode_states", calls)
         states = list(sweep_bound_states(P11, config, 2, 2))
         modes = sum(len(modes_for_sector(s, P11, 2)) for s in ALL_SECTORS)
-        assert calls == {"build_spinor": modes * 3}  # each (mode, k), k <= 2, read from its mode's states
+        # each (mode, k), k <= 2, read from its mode's states: one mode_states
+        # call per mode, the sweep's, and none from build_spinor
+        assert calls == {"build_spinor": modes * 3, "mode_states": modes}
         assert len(states) == yielded
 
     def test_build_spinor_is_the_one_pair_call_of_mode_states(self, monkeypatch):
@@ -710,9 +722,8 @@ class TestModeFactorSharing:
         assert calls == [(mode, [(4, 1)], CFG_POS)]
         rho, phi = GridSpec().polar_points(1.0)
         for st in (alone, column[4]):
-            assert (st.energy, st.quantum, st.norm_upper, st.norm_lower, st.amplitudes) == (
-                column[4].energy, column[4].quantum, column[4].norm_upper, column[4].norm_lower,
-                column[4].amplitudes)
+            assert (st.energy, st.quantum, st.amplitudes) == (column[4].energy, column[4].quantum,
+                                                              column[4].amplitudes)
         for a, b in ((alone.upper, column[4].upper), (alone.lower, column[4].lower)):
             assert np.array_equal(a.eval_polar(rho, phi), b.eval_polar(rho, phi))
 

@@ -24,6 +24,7 @@ from dunkl_oscillator.dunkl_calculus import (
     Component,
     DunklParams,
     ScalarField2D,
+    MIN_STEP,
     SingularPointError,
     angular_j,
     b_phi_apply,
@@ -147,7 +148,6 @@ class TestKgCheck:
         bumped = SpinorSolution(
             upper=sol.upper, lower=sol.lower, energy=sol.energy + 0.1,
             quantum=sol.quantum, mode=sol.mode, config=sol.config,
-            norm_upper=sol.norm_upper, norm_lower=sol.norm_lower,
         )
         rep = check_kg_eigen(bumped, tol=1e-5)
         assert not rep.passed
@@ -553,6 +553,20 @@ class TestSweepAndSuite:
             run_suite(params, CFG, "dirac", h=h, n_max=1, k_max=1)
         assert (exc.type, str(exc.value), calls) == (ValueError, message, [])
 
+    @pytest.mark.parametrize("h", [0.0, math.nan, -1e-4, 1e-200, math.inf])
+    @pytest.mark.parametrize("suite", [*verification.SUITE_NAMES, "all"])
+    def test_a_step_off_its_range_raises_for_every_suite_before_any_check(self, suite, h, monkeypatch):
+        # the command line's step range, for every suite: at h = 0 or 1e-200
+        # (whose h^2 is 0) the stencils divide by zero, NaN gives NaN
+        # residuals, and a negative h turns each stencil around
+        calls = []
+        original = verification.kg_apply
+        monkeypatch.setattr(verification, "kg_apply", lambda *a: calls.append(a) or original(*a))
+        with pytest.raises(ValueError) as exc:
+            run_suite(P11, CFG, suite, h=h, n_max=1, k_max=1)
+        message = f"h {h:g} must be finite and at least {MIN_STEP:g}"
+        assert (exc.type, str(exc.value), calls) == (ValueError, message, [])
+
     def test_a_radial_index_past_the_largest_degree_raises_before_any_check(self, monkeypatch):
         # at mu = (1,1), k = 200 pairs with k' = 201 in sector (-1,-1), which
         # the sweep reaches after (+1,+1): none of (+1,+1)'s states is checked
@@ -844,13 +858,13 @@ class TestModeStacks:
     @pytest.mark.parametrize("config", STACK_CONFIGS, ids=["w+", "w-"])
     def test_all_suite_walks_the_sweep_once_for_kg_and_dirac(self, monkeypatch, config):
         calls = []
-        original = verification.mode_states
+        original = solution_builder.mode_states
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(verification, "mode_states", counted)
+        monkeypatch.setattr(solution_builder, "mode_states", counted)
         list(sweep_bound_states(P11, config, 3, 3))
         modes = len(calls)
         assert modes == sum(len(modes_for_sector(s, P11, 3)) for s in ALL_SECTORS)
@@ -981,3 +995,10 @@ def test_each_input_guard_raises_its_own_error(call, error):
     with pytest.raises(ValueError) as exc:
         call()
     assert exc.type is error
+
+
+@pytest.mark.parametrize("check, suite", [(check_kg_eigen, "kg"), (check_angular_eigen, "angular"),
+                                          (check_orthonormality, "ortho"), (check_dirac_system, "dirac")],
+                         ids=["kg", "angular", "ortho", "dirac"])
+def test_no_modes_or_states_give_an_empty_report(check, suite):
+    assert check([]) == VerificationReport(suite, [])
