@@ -429,13 +429,12 @@ def sweep_bound_states(params: DunklParams, config: OscillatorConfig, n_max: flo
                     continue
 
 
-def _with_leading_axis(field: ScalarField2D) -> ScalarField2D:
-    return ScalarField2D(lambda rho, phi: np.expand_dims(field.eval_polar(rho, phi), 0))
-
-
 # Most states in one block of ``stacked_blocks``: the checks apply their
-# operators once per block, so the (K, P) stencil arrays stay small, while
-# the blocks of one call share their tables.
+# operators once per block, and the blocks of one call share their tables.
+# Memory, not speed, sets it: over 30 alternating pairs of whole perfbench
+# sweep passes (seed 0, 2-core VM) 48 and 96 took 1.01 and 1.02 of 24's time
+# (IQRs 0.95-1.08 and 0.97-1.11), and a pass peaked at 35, 38, 41 and 44 MB
+# at 24, 48, 96 and 600.
 _STATE_BLOCK = 24
 
 
@@ -459,20 +458,17 @@ def stacked_blocks(states):
     block's own rows are stacked. Row i is (c_i R_i(rho)) F_i(phi), the
     operation order of ``_product_field``, and a table row does not depend
     on the other rows, so every row equals its state's own field bit for
-    bit; a zero lower amplitude gives a zero row. A hand-built state, such
-    as an oracle's, stacks only alone, as its own fields with a leading axis
-    of 1. No states, no blocks.
+    bit; a zero lower amplitude gives a zero row. A hand-built state
+    (``amplitudes`` None) has no rows in these tables and raises
+    ``ValueError``. No states, no blocks.
     """
     if not states:
         return
     first = states[0]
-    if len(states) == 1 and first.amplitudes is None:
-        yield states, (_with_leading_axis(first.upper), _with_leading_axis(first.lower))
-        return
     config, params, free = first.config, first.mode.params, first.quantum is None
     for st in states:
         if st.amplitudes is None:
-            raise ValueError("only states built by build_spinor or free_particle stack with others")
+            raise ValueError("only states built by build_spinor or free_particle stack")
         if st.config != config or st.mode.params != params:
             raise ValueError(f"states of {first.mode} and {st.mode} do not share a config and parameters")
         if (st.quantum is None) != free or (free and st.energy != first.energy):
@@ -538,12 +534,4 @@ def free_particle(mode: AngularMode, e_val: float, config: OscillatorConfig) -> 
         raise ValueError(f"free-particle energy must be finite and >= m c^2, got {e_val}")
     rows = free_rows([radial_order(mode)], mode.params.mu_plus, config, e_val)
     field = _product_field(lambda rho: rows(rho)[0, 0], mode, 1.0)
-    return SpinorSolution(
-        upper=field,
-        lower=field,
-        energy=e_val,
-        quantum=None,
-        mode=mode,
-        config=config,
-        amplitudes=(1.0, 1.0),
-    )
+    return SpinorSolution(field, field, e_val, None, mode, config, (1.0, 1.0))

@@ -85,14 +85,15 @@ DEFAULT_TOLS = {
     "nrlimit": 1e-5,
 }
 
-SUITE_NAMES = ("kg", "angular", "ortho", "dirac", "nrlimit")
+SUITE_NAMES = tuple(DEFAULT_TOLS)
 
 # Highest mode index n of the angular and ortho suites.
 ANGULAR_N_MAX = 4
 # Angles of the angular suite's grid.
 ANGULAR_N_PHI = 64
 
-# Light speeds of the nonrelativistic limit's rate fit, increasing.
+# Light speeds of the nonrelativistic limit's rate fit, increasing, in units
+# of sqrt(|w~|): q = 2 |w~| / c^2 is then 2e-2, 2e-4 and 2e-6 at any frequency.
 NRLIMIT_C_VALUES = (10.0, 100.0, 1000.0)
 
 # Energies of the critical regime's free states, in units of m c^2.
@@ -241,12 +242,18 @@ def _state_blocks(states):
     config, rho, phi): the ``stacked_blocks`` fields, whose blocks share
     their tables, and the radius column and angle row of the
     check grid ``GridSpec()``, the one ``step_limit`` bounds, at the first
-    state's length scale. No states, no blocks."""
-    states = [states] if isinstance(states, SpinorSolution) else list(states)
+    state's length scale. A lone hand-built state (``amplitudes`` None),
+    such as an oracle's, is one block of its own fields with a leading axis
+    of 1. No states, no blocks."""
+    lone = isinstance(states, SpinorSolution)
+    states = [states] if lone else list(states)
     if states:
         first = states[0]
         rho, phi = GridSpec().polar_points(_length_scale(first.config, first.energy))
-        for block, fields in stacked_blocks(states):
+        blocks = ([(states, tuple(ScalarField2D(lambda rho, phi, f=f: np.expand_dims(f.eval_polar(rho, phi), 0))
+                                  for f in (first.upper, first.lower)))]
+                  if lone and first.amplitudes is None else stacked_blocks(states))
+        for block, fields in blocks:
             yield block, fields, first.mode.params, first.config, rho, phi
 
 
@@ -523,18 +530,21 @@ def check_nonrelativistic_limit(
     tol: float = DEFAULT_TOLS["nrlimit"],
 ) -> VerificationReport:
     """delta E(c) = E(c) - m c^2 against the series target, with rate fit
-    over the light speeds ``NRLIMIT_C_VALUES``.
+    over the light speeds sqrt(|w~|) ``NRLIMIT_C_VALUES`` (the factor only
+    shifts log c), so the check reads the same at any frequency; a |w~| whose
+    largest c^2 overflows a double raises ``ValueError`` before any energy.
 
     The shift must approach the target like c^{-2} (the Taylor remainder
     of sqrt(1 + u)), so the fitted log-log rate should sit near 2.
     """
     target = nonrelativistic_target(mode, k, base_config)
-    errs = []
-    for c in NRLIMIT_C_VALUES:
-        cfg = replace(base_config, c=c)
-        delta = energy(Component.UPPER, mode.sector, mode, k, cfg) - cfg.rest_energy
-        errs.append(abs(delta - target))
-    errs_arr = np.asarray(errs)
+    root = math.sqrt(base_config.effective_frequency)
+    c_values = [root * c for c in NRLIMIT_C_VALUES]
+    if not math.isfinite(c_values[-1] * c_values[-1]):
+        raise ValueError(f"the nonrelativistic check's largest light speed, {c_values[-1]:g}, "
+                         f"overflows a double when squared: |w~| = {base_config.effective_frequency:g}")
+    errs_arr = np.array([abs(energy(Component.UPPER, mode.sector, mode, k, cfg) - cfg.rest_energy - target)
+                         for cfg in (replace(base_config, c=c) for c in c_values)])
     scale = max(abs(target), base_config.effective_frequency)
     mismatch = errs_arr[-1] / scale
     if np.all(errs_arr < 1e-13 * scale):
@@ -544,7 +554,7 @@ def check_nonrelativistic_limit(
         rate = -float(np.polyfit(np.log(np.asarray(NRLIMIT_C_VALUES)), np.log(errs_arr), 1)[0])
         rate_residual = abs(rate - 2.0)
 
-    inputs = {"k": k, "target": target, "c_values": list(NRLIMIT_C_VALUES)}
+    inputs = {"k": k, "target": target, "c_values": c_values}
     return VerificationReport("nrlimit", [
         _mode_record("nrlimit", mode, f" k={k} match", inputs, float(mismatch), tol),
         _mode_record("nrlimit", mode, f" k={k} rate", {**inputs, "rate": rate}, rate_residual, 0.2),

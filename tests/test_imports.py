@@ -284,6 +284,14 @@ def test_omega_tilde_readers():
         "cartesian_states", "coupled_reflection_eigenstate", "classical_oscillator_b_energy"}
 
 
+def test_state_field_readers():
+    # every built state's residual comes from the shared tables: a state's own
+    # fields are read by the wavefunction export and, for a lone hand-built
+    # oracle state, by the checks' block helper
+    for attr in ("upper", "lower"):
+        assert _attribute_readers(attr) == {"cmd_wavefunction", "_state_blocks"}, attr
+
+
 def test_oscillator_config_takes_what_callers_vary():
     # hbar and m only choose units (q = 2 hbar |w~| / (m c^2)), so the
     # package works in hbar = m = 1: the config holds the two frequencies

@@ -422,6 +422,30 @@ class TestNonrelativisticLimit:
             delta = c * c * (mpmath.sqrt(1 + q * s_num) - 1)
             assert abs(float(delta) - target) <= 1e-12 * max(abs(target), 1.0)
 
+    @pytest.mark.parametrize("ratio", [0.0, 4.0], ids=["w+", "w-"])
+    @pytest.mark.parametrize("omega", [1e-300, 1e-8, 1e-6, 1e-3, 1.0, 1e3, 1e200, 1e300])
+    def test_every_record_passes_at_any_frequency(self, omega, ratio):
+        # the light speeds are sqrt(|w~|) (10, 100, 1000), so q = 2 |w~| / c^2
+        # and with it the rounding of E(c) - c^2 do not move with omega; at
+        # |w~| = 1 they are the constants themselves
+        config = OscillatorConfig(omega=omega, omega_c=ratio * omega)
+        records = run_suite(P11, config, "nrlimit").records
+        assert len(records) == 8 and all(r.passed for r in records), [(r.name, r.residual) for r in records]
+        root = math.sqrt(config.effective_frequency)
+        for rec in records:
+            assert rec.inputs["c_values"] == [root * 10.0, root * 100.0, root * 1000.0]
+
+    def test_a_frequency_whose_largest_c2_overflows_raises_before_any_energy(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(verification, "energy", lambda *args: calls.append(args))
+        mode = modes_for_sector(SectorLabel(1, 1), P11, 1.5)[-1]
+        for omega in (1e305, 1.8e302):
+            with pytest.raises(ValueError, match="overflows a double when squared"):
+                check_nonrelativistic_limit(mode, 2, OscillatorConfig(omega=omega))
+            with pytest.raises(ValueError, match="overflows a double when squared"):
+                run_suite(P11, OscillatorConfig(omega=omega, omega_c=4.0 * omega), "nrlimit")
+        assert calls == []
+
 
 class TestReferenceEigenstates:
     @pytest.mark.parametrize("component", [Component.UPPER, Component.LOWER])
@@ -707,6 +731,19 @@ class TestModeStacks:
                     check(pair)
         with pytest.raises(ValueError):  # a free state's grid follows its energy
             check_kg_eigen(free)
+
+    def test_the_builder_stacks_builder_states_only(self):
+        # a lone hand-built state is checked on its own fields by the checks'
+        # block helper; the builder's stacker refuses it, alone or in a list
+        state = next(sweep_bound_states(P11, CFG, 2, 2))
+        oracle = _shell_solution(2, P11, CFG, 1)
+        for hand_built in (_alone(state), oracle):
+            with pytest.raises(ValueError):
+                list(solution_builder.stacked_blocks([hand_built]))
+            for check in (check_kg_eigen, check_dirac_system):
+                assert check(hand_built).records
+                with pytest.raises(ValueError):
+                    check([hand_built])
 
     @pytest.mark.parametrize("config", STACK_CONFIGS, ids=["w+", "w-"])
     def test_operators_run_once_per_component_per_block(self, monkeypatch, config):
