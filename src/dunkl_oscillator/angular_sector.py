@@ -26,10 +26,10 @@ where b = +/-1 is the branch sign of lambda. The sign pairing (+i with
 numerically by the eigen-residual tests. The 1/sqrt(2) makes the modes
 orthonormal under the reflection-symmetric angular weight.
 
-Every Phi and F is a row of one table builder, ``_mixed_rows``: a mode's
-own F, ``mixed_pair`` and ``phi_*`` (the real part of a row that mixes in
-no Phi_B) are one-row tables, and ``eigenfunction_rows`` is the table of
-many modes.
+Every Phi and F is a row of one table builder, ``_mixed_rows``, of angular
+keys (``_pair`` constants and w): a mode's own F, ``mixed_pair`` and ``phi_*``
+(the real part of a row that mixes in no Phi_B) are one-row tables, and
+``eigenfunction_rows`` is the table of many modes.
 """
 
 from __future__ import annotations
@@ -90,13 +90,13 @@ class AngularMode:
     eigenfunction (the odd-odd partner vanishes identically), so it lives
     in the (+1, +1) sector with branch +1 only.
 
-    A mode object also holds its basis constants (``families``) and its
+    A mode object also holds its angular key (``angular_key``) and its
     eigenfunction F (row 0 of its own ``eigenfunction_rows`` table), each
     built on first use: every state built on one mode object shares them,
     so evaluating the states' own fields runs F(phi) once per mode, not
     once per (mode, k). An equal mode built apart shares nothing, and both
-    go with the object. The checks read F from ``eigenfunction_rows`` of
-    many modes: the states of a kg or dirac check call, or a sector's
+    go with the object. The checks read F from a ``_mixed_rows`` table of
+    many keys: the states of a kg or dirac check call, or a sector's
     modes, share one Jacobi table per parity family, and each row equals
     its mode's F bit for bit.
     """
@@ -122,10 +122,11 @@ class AngularMode:
                 raise ValueError(f"epsilon=-1 requires half-odd n >= 1/2, got n={self.n}")
 
     @cached_property
-    def families(self) -> tuple:
-        """The (Phi_A, Phi_B) constants of this mode object (see ``_pair``),
-        found on first use and shared by its F and every table it is in."""
-        return _pair(self.sector.epsilon, self.n, self.params)
+    def angular_key(self) -> tuple:
+        """The ``_mixed_rows`` key of F, the ``_pair`` constants and w = epsilon b,
+        found on first use and shared by its F and every table it is in; the
+        modes of a sector and its mirror (both signs flipped) share their keys."""
+        return _pair(self.sector.epsilon, self.n, self.params), self.sector.epsilon * self.branch
 
     @cached_property
     def eigenfunction(self) -> ScalarField2D:
@@ -160,7 +161,7 @@ def _basis(s_x: int, s_y: int, n: float, params: DunklParams):
     """Phi^{s_x s_y}_n as a real function of phi: the real part of the one
     row of a ``_mixed_rows`` table that mixes in no Phi_B (a zero row where
     Phi vanishes)."""
-    rows = _mixed_rows([(_family(s_x, s_y, n, params), None)], [0.0])
+    rows = _mixed_rows([((_family(s_x, s_y, n, params), None), 0.0)])
     return lambda phi: rows(phi)[0].real
 
 
@@ -195,10 +196,10 @@ def _pair(epsilon: int, n: float, params: DunklParams) -> tuple:
     return _family(*sa, n, params), _family(*sb, n, params)
 
 
-def _mixed_rows(pairs, weights):
+def _mixed_rows(keys):
     """phi -> the (K, *phi.shape) complex array whose row i is
-    (Phi_A + i w Phi_B) / sqrt(1 + w^2) of the ``_pair`` constants pairs[i]
-    and w = weights[i]; a pair whose Phi_B is None mixes with w = -0.0,
+    (Phi_A + i w Phi_B) / sqrt(1 + w^2) of the angular key keys[i], ``_pair``
+    constants and w; a pair whose Phi_B is None mixes with w = -0.0,
     so its row is Phi_A + 0j with the real part Phi_A bit for bit, signed
     zeros included (a +0.0 weight would add +0.0 to a -0.0). The last few
     angle arrays' tables are kept, by ``remember_last``, and are read-only.
@@ -210,15 +211,14 @@ def _mixed_rows(pairs, weights):
     not depend, bit for bit, on the other rows of its table.
     """
     members: dict = {}  # (slot, e_x, e_y, a, b) -> [(row, j, c)]
-    for i, pair in enumerate(pairs):
+    for i, (pair, _) in enumerate(keys):
         for slot, family in enumerate(pair):
             if family is not None:
                 e_x, e_y, a, b, j, c = family
                 members.setdefault((slot, e_x, e_y, a, b), []).append((i, j, c))
     groups = [(key, *map(np.array, zip(*rows)), max(j for _, j, _ in rows))
               for key, rows in members.items()]
-    weights = np.array([-0.0 if family_b is None else w for (_, family_b), w in zip(pairs, weights)],
-                       dtype=float)
+    weights = np.array([-0.0 if family_b is None else w for (_, family_b), w in keys], dtype=float)
     i_weight = 1j * weights
     c_n = 1.0 / np.sqrt(1.0 + weights * weights)
 
@@ -226,7 +226,7 @@ def _mixed_rows(pairs, weights):
         phi = np.asarray(phi, dtype=float)
         col = (-1,) + (1,) * phi.ndim
         x = -np.cos(2.0 * phi)
-        families = np.zeros((2, len(pairs), *phi.shape))
+        families = np.zeros((2, len(keys), *phi.shape))
         for (slot, e_x, e_y, a, b), index, degrees, consts, top in groups:
             basis = consts.reshape(col) * jacobi_rows(a, b, x, top)[degrees]
             if e_x:
@@ -249,18 +249,17 @@ def mixed_pair(epsilon: int, n: float, params: DunklParams, weight: float):
     At n = 0 Phi^{--} vanishes and mixes with weight 0, so the mode is
     Phi^{++}_0 + 0j (``phi_pp`` bit for bit), whatever the weight.
     """
-    rows = _mixed_rows([_pair(epsilon, n, params)], [weight])
+    rows = _mixed_rows([(_pair(epsilon, n, params), weight)])
     return lambda phi: rows(phi)[0]
 
 
 def eigenfunction_rows(modes):
     """phi -> F of every mode of ``modes`` (any sectors and parameters) as
     one (K, *phi.shape) array, row i holding modes[i]: the ``_mixed_rows``
-    table of the modes' constants (``AngularMode.families``) and weights
-    epsilon b. Each row equals its mode's own F bit for bit.
+    table of the modes' ``AngularMode.angular_key``. Each row equals its
+    mode's own F bit for bit.
     """
-    return _mixed_rows([mode.families for mode in modes],
-                       [mode.sector.epsilon * mode.branch for mode in modes])
+    return _mixed_rows([mode.angular_key for mode in modes])
 
 
 def lambda_eigenvalue(mode: AngularMode) -> float:

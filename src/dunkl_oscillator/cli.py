@@ -314,7 +314,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.suite in ("kg", "dirac", "all") and not any(r.name.startswith(("kg", "dirac")) for r in report.records):
         print(f"note: the sweep to --n-max {args.n_max:g} --k-max {args.k_max} has no bound state, "
               "so no kg or dirac check ran", file=sys.stderr)
-    _write([json.dumps(report.to_dict(), sort_keys=True) + "\n"])
+    _write([json.dumps(report.to_dict(), sort_keys=True, allow_nan=False) + "\n"])
     return 0 if report.passed else 1
 
 

@@ -32,7 +32,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .angular_sector import (
     ALL_SECTORS,
     AngularMode,
     SectorLabel,
-    eigenfunction_rows,
+    _mixed_rows,
     lambda_eigenvalue,
     modes_for_sector,
 )
@@ -107,10 +107,15 @@ class OscillatorConfig:
 
     @property
     def length_scale(self) -> float:
-        """sqrt(hbar / (m |w~|)); the Compton length hbar / (m c) at the critical point."""
+        """sqrt(hbar / (m |w~|)); the Compton length hbar / (m c) at the critical point.
+        A |w~| whose length is not a finite double (below about 5.6e-309) raises ``ValueError``."""
         if classify_regime(self) is Regime.CRITICAL:
             return 1.0 / self.c
-        return math.sqrt(1.0 / self.effective_frequency)
+        length = math.sqrt(1.0 / self.effective_frequency)
+        if not math.isfinite(length):
+            raise ValueError(f"the length scale sqrt(hbar / (m |w~|)) of |w~| = {self.effective_frequency:g} "
+                             "is not a finite double")
+        return length
 
     @property
     def rest_energy(self) -> float:
@@ -120,8 +125,9 @@ class OscillatorConfig:
 
 def classify_regime(config: OscillatorConfig) -> Regime:
     """Sign of the effective frequency; |w~| within 1e-14 of the larger
-    frequency counts as the critical point."""
-    scale = max(config.omega, 0.5 * config.omega_c, 1e-300)
+    frequency counts as the critical point, so omega = omega_c = 0 is
+    critical and any other |w~| that 1e-14 of it does not reach is bound."""
+    scale = max(config.omega, 0.5 * config.omega_c)
     wt = config.omega_tilde
     if abs(wt) <= 1e-14 * scale:
         return Regime.CRITICAL
@@ -304,6 +310,10 @@ def build_radial(mode: AngularMode, k: int, config: OscillatorConfig) -> RadialP
     return RadialProfile(radial_order(mode), mode.params.mu_plus, abs(config.omega_tilde), k)
 
 
+# The table rows one component of a built state reads: radial (index, order), angular key, and their amplitude.
+ComponentRow = NamedTuple("ComponentRow", [("order", float), ("index", int), ("angular", tuple), ("amplitude", float)])
+
+
 @dataclass(frozen=True)
 class SpinorSolution:
     """A paired two-component eigenstate with its energy and bookkeeping."""
@@ -314,9 +324,9 @@ class SpinorSolution:
     quantum: QuantumNumbers | None
     mode: AngularMode
     config: OscillatorConfig
-    # (c_u, c_l) of a state built on its mode's shared factors: mode_states'
-    # amplitudes, or (1, 1) for free_particle; None for a hand-built state
-    amplitudes: tuple[float, float] | None = None
+    # the (upper, lower) rows that stacked_blocks reads, named by mode_states
+    # or free_particle; None for a hand-built state, which has its own fields alone
+    rows: tuple[ComponentRow, ComponentRow] | None = None
 
 
 # |log x| below this: x and 1 / x are normal doubles.
@@ -388,7 +398,8 @@ def mode_states(mode: AngularMode, pairs, config: OscillatorConfig) -> dict:
         upper = _product_field(lambda rho, k=k: top.rows(rho)[k, 0], mode, cu)
         lower = (_product_field(lambda rho, k=k_prime: top.rows(rho)[k, 0], mode, cl) if cl != 0.0
                  else ScalarField2D.zero())
-        states[k] = SpinorSolution(upper, lower, e_val, QuantumNumbers(k, k_prime), mode, config, (cu, cl))
+        rows = tuple(ComponentRow(top.order, index, mode.angular_key, c) for index, c in ((k, cu), (k_prime, cl)))
+        states[k] = SpinorSolution(upper, lower, e_val, QuantumNumbers(k, k_prime), mode, config, rows)
     return states
 
 
@@ -445,48 +456,43 @@ def stacked_blocks(states):
     shape, such as a radius column against an angle row, each factor on its
     own axis.
 
-    All blocks read one set of tables, built here over all of ``states``.
-    States that ``mode_states`` made, of any modes of one config and one set
-    of parameters, read one ``eigenfunction_rows`` table of their distinct
-    modes (one F row per mode, read once per state) and one radial table:
-    one Laguerre recurrence over their distinct orders and every k and k'
-    they need, per radius array. Free states (``free_particle``) of one
-    energy, which share a grid, read one ``free_rows`` table over their
-    orders the same way, at k = k' = 0: one layout (k, order, *rho.shape)
-    and one read. The tables remember their last few coordinate arrays, so
-    blocks evaluated on one stencil share each recurrence, and only a
-    block's own rows are stacked. Row i is (c_i R_i(rho)) F_i(phi), the
-    operation order of ``_product_field``, and a table row does not depend
-    on the other rows, so every row equals its state's own field bit for
-    bit; a zero lower amplitude gives a zero row. A hand-built state
-    (``amplitudes`` None) has no rows in these tables and raises
-    ``ValueError``. No states, no blocks.
+    All blocks read one set of tables, built here over all of ``states``
+    (of any modes of one config and one set of parameters, or free states
+    of one energy, which share a grid) from the rows that each component
+    names (``SpinorSolution.rows``): one ``_mixed_rows`` table of their
+    distinct angular keys and one radial table of their distinct orders,
+    per coordinate array: one Laguerre recurrence up to the largest index,
+    or one ``free_rows`` Bessel call read at index 0, in one layout (k,
+    order, *rho.shape). The tables remember their last few coordinate
+    arrays, so blocks evaluated on one stencil share each recurrence, and
+    only a block's own rows are stacked. Row i is (c_i R_i(rho)) F_i(phi),
+    the operation order of ``_product_field``, and a table row does not
+    depend on the other rows, so every row equals its state's own field bit
+    for bit; a zero amplitude gives a zero row. A hand-built state (``rows``
+    None) raises ``ValueError``. No states, no blocks.
     """
     if not states:
         return
     first = states[0]
     config, params, free = first.config, first.mode.params, first.quantum is None
     for st in states:
-        if st.amplitudes is None:
+        if st.rows is None:
             raise ValueError("only states built by build_spinor or free_particle stack")
         if st.config != config or st.mode.params != params:
             raise ValueError(f"states of {first.mode} and {st.mode} do not share a config and parameters")
         if (st.quantum is None) != free or (free and st.energy != first.energy):
             raise ValueError("free states stack only with free states of one energy")
-    orders: dict = {}  # distinct radial order -> its row in the radial table
-    rows = [orders.setdefault(radial_order(st.mode), len(orders)) for st in states]
-    # a free state reads k = k' = 0 of its one-row table
-    ks = np.array([(0, 0) if free else (st.quantum.k, st.quantum.k_prime) for st in states])
-    amplitudes = np.array([st.amplitudes for st in states])
-    modes: dict = {}  # distinct mode -> its row in the angular table
-    mode_rows = [modes.setdefault(st.mode, len(modes)) for st in states]
-    angular = eigenfunction_rows(list(modes))
+    orders, keys = {}, {}  # each distinct radial order and angular key -> its row in its table
+    # per state and component: its radial index, radial table row and angular table row
+    layout = np.array([[(row.index, orders.setdefault(row.order, len(orders)), keys.setdefault(row.angular, len(keys)))
+                        for row in st.rows] for st in states])
+    amplitudes = np.array([[row.amplitude for row in st.rows] for st in states])
+    angular = _mixed_rows(list(keys))
     table = (free_rows(list(orders), params.mu_plus, config, first.energy) if free else
-             radial_rows(list(orders), params.mu_plus, abs(config.omega_tilde), int(ks.max())))
+             radial_rows(list(orders), params.mu_plus, abs(config.omega_tilde), int(layout[..., 0].max())))
     for lo in range(0, len(states), _STATE_BLOCK):
         own = slice(lo, lo + _STATE_BLOCK)
-        yield states[own], tuple(_stacked(table, angular, ks[own, c], rows[own], mode_rows[own],
-                                          amplitudes[own, c]) for c in (0, 1))
+        yield states[own], tuple(_stacked(table, angular, *layout[own, c].T, amplitudes[own, c]) for c in (0, 1))
 
 
 def _stacked(table, angular, radial_ks, rows, angular_rows, amplitudes) -> ScalarField2D:
@@ -532,6 +538,7 @@ def free_particle(mode: AngularMode, e_val: float, config: OscillatorConfig) -> 
     mc2 = config.rest_energy
     if not (math.isfinite(e_val) and e_val >= mc2):
         raise ValueError(f"free-particle energy must be finite and >= m c^2, got {e_val}")
-    rows = free_rows([radial_order(mode)], mode.params.mu_plus, config, e_val)
-    field = _product_field(lambda rho: rows(rho)[0, 0], mode, 1.0)
-    return SpinorSolution(field, field, e_val, None, mode, config, (1.0, 1.0))
+    row = ComponentRow(radial_order(mode), 0, mode.angular_key, 1.0)
+    table = free_rows([row.order], mode.params.mu_plus, config, e_val)
+    field = _product_field(lambda rho: table(rho)[0, 0], mode, 1.0)
+    return SpinorSolution(field, field, e_val, None, mode, config, (row, row))

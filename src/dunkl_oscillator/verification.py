@@ -188,11 +188,12 @@ def step_limit(suite: str, params: DunklParams, config: OscillatorConfig) -> tup
     dirac's Cartesian stencil (dirac runs off the critical point only); with
     mu != 0 the axes bound kg's and angular's angle stencils and dirac's
     Cartesian one. A suite that takes no step, or angular at mu = 0, has no
-    limit: (inf, "")."""
+    limit: (inf, ""). Only kg and dirac read the grid's length scale."""
     wanted = SUITE_NAMES if suite == "all" else (suite,)
-    length = _length_scale(config, max(_FREE_ENERGIES) * config.rest_energy)
-    rho, phi = GridSpec().polar_points(length)
-    grid = f"on a grid of length scale {length:g}"
+    if "kg" in wanted or "dirac" in wanted:
+        length = _length_scale(config, max(_FREE_ENERGIES) * config.rest_energy)
+        rho, phi = GridSpec().polar_points(length)
+        grid = f"on a grid of length scale {length:g}"
     axes = params.mu_x != 0.0 or params.mu_y != 0.0
     bounds = [(math.inf, "")]
     if "kg" in wanted:
@@ -242,7 +243,7 @@ def _state_blocks(states):
     config, rho, phi): the ``stacked_blocks`` fields, whose blocks share
     their tables, and the radius column and angle row of the
     check grid ``GridSpec()``, the one ``step_limit`` bounds, at the first
-    state's length scale. A lone hand-built state (``amplitudes`` None),
+    state's length scale. A lone hand-built state (``rows`` None),
     such as an oracle's, is one block of its own fields with a leading axis
     of 1. No states, no blocks."""
     lone = isinstance(states, SpinorSolution)
@@ -252,7 +253,7 @@ def _state_blocks(states):
         rho, phi = GridSpec().polar_points(_length_scale(first.config, first.energy))
         blocks = ([(states, tuple(ScalarField2D(lambda rho, phi, f=f: np.expand_dims(f.eval_polar(rho, phi), 0))
                                   for f in (first.upper, first.lower)))]
-                  if lone and first.amplitudes is None else stacked_blocks(states))
+                  if lone and first.rows is None else stacked_blocks(states))
         for block, fields in blocks:
             yield block, fields, first.mode.params, first.config, rho, phi
 
@@ -673,8 +674,9 @@ def run_suite(
     Before the first check of any suite it checks the suite names, then
     the regime, then builds kg's and dirac's states, then checks h (finite,
     at least ``MIN_STEP`` and at most ``step_limit``, as the command line's
-    parser does), so a state that cannot be built (a norm or radial index
-    out of range) fails before any check. The states are the builder's
+    parser does) and that kg's largest grid radius squared is a finite
+    double, so a state that cannot be built (a norm or radial index out of
+    range) or a grid that cannot be checked fails before any check. The states are the builder's
     ``sweep_bound_states`` (critical regime: the free states of each
     energy): its first batch of ``_SWEEP_BATCH`` states is kept for the
     checks, and a longer sweep is walked to its end, then built again batch
@@ -717,6 +719,10 @@ def run_suite(
     limit, why = step_limit(suite, params, config)
     if h > limit:
         raise ValueError(f"h {h:g} must be at most {limit:g} for suite {suite}: the {why}")
+    if "kg" in wanted:  # kg_apply squares each radius; the largest is on the lowest free energy's grid
+        top = float(GridSpec().radii(_length_scale(config, min(_FREE_ENERGIES) * config.rest_energy))[-1])
+        if not math.isfinite(top * top):
+            raise ValueError(f"the kg check's largest radius, {top:g}, overflows a double when squared")
 
     def tol_for(name: str) -> float:
         return DEFAULT_TOLS[name] if tol is None else tol

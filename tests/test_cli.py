@@ -16,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dunkl_oscillator.cli import build_parser, main
@@ -87,6 +87,13 @@ class TestSpectrum:
         assert "critical" in captured.err and "free-particle" in captured.err
         assert main(argv + ["--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out) == []
+
+    def test_a_tiny_frequency_is_bound(self, capsys):
+        # a spectrum needs no length scale: at |w~| = 1e-320, q underflows and every energy is m c^2
+        assert main(["spectrum", "--omega", "1e-320", "--n", "1:1", "--branch", "+", "--k-max", "1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[1:] == ["+1+1,1,+,0,invalid,1,positive", "+1+1,1,+,1,0,1,positive"]
 
     def test_negative_energy_column(self):
         code, text = _run(
@@ -327,6 +334,14 @@ class TestWavefunction:
         assert main(["wavefunction", "--mu-x", "1", "--mu-y", "1",
                      "--sector", "1,1", "--n", "1", "--k", "0"]) == 2
 
+    def test_a_length_scale_past_the_largest_double_exits_2(self, capsys):
+        # the grid's radii are length scales, and 1 / sqrt(1e-313) is past the largest double
+        assert main(["wavefunction", "--omega", "1e-313"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: the length scale sqrt(hbar / (m |w~|)) of |w~| = 1e-313 is not a finite double"]
+
     def test_critical_needs_energy(self):
         assert main(["wavefunction", "--omega", "1", "--omega-c", "2", "--n", "1"]) == 2
         code = main(["wavefunction", "--omega", "1", "--omega-c", "2", "--n", "1",
@@ -474,6 +489,18 @@ class TestVerify:
 
         code, text = _run(["verify", "--suite", suite, "--mu-x", repr(MAX_MU), "--mu-y", repr(MAX_MU)])
         assert code in (0, 1) and _strict_json(text)["checks"]
+
+    @pytest.mark.parametrize("omega, message", [
+        # bound, with no floor under the critical tolerance
+        ("1e-320", "the length scale sqrt(hbar / (m |w~|)) of |w~| = 9.99989e-321 is not a finite double"),
+        ("1e-313", "the length scale sqrt(hbar / (m |w~|)) of |w~| = 1e-313 is not a finite double"),
+        ("5e-308", "the kg check's largest radius, 1.78885e+154, overflows a double when squared"),
+    ])
+    def test_a_grid_past_the_double_range_is_one_line(self, omega, message, capsys):
+        # past the double range the grid's radii, or kg's squares of them, are infinite: no check can run
+        assert main(["verify", "--omega", omega]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err.splitlines()) == ("", [f"error: {message}"])
 
     def test_bessel_order_out_of_range_is_one_line(self, capsys):
         # n = 101 needs the free radial order 202, past the largest Bessel order
@@ -1139,6 +1166,45 @@ def test_any_flag_values_exit_0_1_or_2_with_clean_output(argv):
     else:
         cells = [cell for ln in text.splitlines()[1:] for cell in ln.split(",")]
         assert all(math.isfinite(v) for v in _floats(cells)), cells  # "unphysical" is not a float
+
+
+def _exit_2_is_one_error_line(code, text, err):
+    """Exit 2 prints one ``error:`` line and nothing to stdout."""
+    if code == 2:
+        assert (text, len(err.splitlines())) == ("", 1) and err.startswith("error: "), (text, err)
+    return code == 2
+
+
+@settings(max_examples=12, deadline=None)
+@given(log_omega=st.floats(-320.0, 308.0), ratio=st.sampled_from([0.0, 2.0, 4.0]),
+       suite=st.sampled_from([*SUITE_NAMES, "all"]))
+@example(log_omega=-320.0, ratio=0.0, suite="all")
+@example(log_omega=math.log10(1e-313), ratio=0.0, suite="all")
+@example(log_omega=math.log10(5e-308), ratio=0.0, suite="all")
+@example(log_omega=-320.0, ratio=2.0, suite="kg")
+@example(log_omega=308.0, ratio=2.0, suite="kg")
+@example(log_omega=308.0, ratio=0.0, suite="all")
+def test_any_frequency_gives_strict_json_or_one_error_line(log_omega, ratio, suite):
+    # log-uniform omega over the whole double range, in each regime: verify
+    # writes strict JSON or exits 2 with one error line, and a wavefunction
+    # (a free state at the critical point) has no NaN or infinite cell
+    omega = 10.0**log_omega
+    assume(math.isfinite(ratio * omega))
+    system = ["--omega", repr(omega), "--omega-c", repr(ratio * omega)]
+    for argv in (["verify", "--suite", suite, *system],
+                 ["wavefunction", *system, *(["--energy", "1.5"] if ratio == 2.0 else [])]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        text = out.getvalue()
+        assert code in ((0, 1, 2) if argv[0] == "verify" else (0, 2)), (argv, err.getvalue())
+        if _exit_2_is_one_error_line(code, text, err.getvalue()):
+            continue
+        if argv[0] == "verify":
+            assert _strict_json(text)["checks"]
+        else:
+            cells = [cell for ln in text.splitlines()[1:] for cell in ln.split(",")]
+            assert len(cells) == 12 * 16 * 6 and all(math.isfinite(float(cell)) for cell in cells), argv
 
 
 def _readme_commands():

@@ -361,6 +361,46 @@ def test_remembered_tables_are_the_factor_builders():
                                          "angular_sector._mixed_rows", "solution_builder._stacked"}
 
 
+def _rows_givers(tree: ast.Module) -> set[str]:
+    """Module-level definitions of ``tree`` that give a ``SpinorSolution`` its
+    rows: a ``SpinorSolution(...)`` call with a seventh argument or a ``rows=``
+    keyword, or a ``replace(..., rows=...)`` call."""
+    def gives(call: ast.AST) -> bool:
+        keywords = {kw.arg for kw in getattr(call, "keywords", ())}
+        return (_callee(call) == "SpinorSolution" and (len(call.args) >= 7 or "rows" in keywords)
+                or _callee(call) == "replace" and "rows" in keywords)
+    return {name for name, node in _definitions(tree) if any(map(gives, ast.walk(node)))}
+
+
+def _weight_formers(tree: ast.Module) -> set[str]:
+    """Module-level definitions of ``tree`` that form a product of an
+    ``epsilon`` and a ``branch``: the angular weight epsilon b."""
+    def named(node: ast.AST) -> str | None:
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    return {name for name, node in _definitions(tree)
+            if any(isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Mult)
+                   and {named(sub.left), named(sub.right)} == {"epsilon", "branch"} for sub in ast.walk(node))}
+
+
+def test_each_component_reads_the_rows_its_builder_named():
+    # the paper's pairing (one F row and one radial order for both
+    # components) is stated where a state is built, and nowhere else: the
+    # stacker reads each component's rows instead of deriving them from the
+    # mode, and the weight epsilon b of an angular key has one source
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
+    stacker = dict(_definitions(trees["solution_builder"]))["stacked_blocks"]
+    named = _names(stacker) & {"radial_order", "eigenfunction_rows"}
+    assert not named, named
+    givers = {f"{stem}.{name}" for stem, tree in trees.items() for name in _rows_givers(tree)}
+    assert givers == {"solution_builder.mode_states", "solution_builder.free_particle"}, givers
+    formers = {f"{stem}.{name}" for stem, tree in trees.items() for name in _weight_formers(tree)}
+    assert formers == {"angular_sector.AngularMode"}, formers
+    assert _rows_givers(ast.parse("def f(s):\n    return replace(s, rows=None)")) == {"f"}
+    assert _rows_givers(ast.parse("def f(*a):\n    return SpinorSolution(*a[:6])")) == set()
+    assert _weight_formers(ast.parse("def f(m):\n    return m.sector.epsilon * m.branch")) == {"f"}
+    assert _weight_formers(ast.parse("def f(m):\n    return m.branch * m.lam")) == set()
+
+
 def _mu_plus_subtracters(tree: ast.Module) -> set[str]:
     """The module-level definitions of ``tree`` that form ``x - mu_plus``."""
     return {name for name, node in _definitions(tree)

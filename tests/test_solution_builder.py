@@ -1,5 +1,6 @@
 """Spectra, pairing constraints, radial profiles, spinor assembly."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from dunkl_oscillator.dunkl_calculus import (
     weighted_inner_product,
 )
 from dunkl_oscillator.solution_builder import (
+    ComponentRow,
     IntegralityError,
     InvalidPairError,
     NegativeRadicandError,
@@ -73,6 +75,20 @@ class TestRegime:
     def test_near_zero_tolerance(self):
         cfg = OscillatorConfig(omega=1.0, omega_c=2.0 * (1.0 + 5e-15))
         assert classify_regime(cfg) is Regime.CRITICAL
+
+    def test_a_tiny_frequency_is_bound_and_zero_is_critical(self):
+        # the tolerance is relative to the larger frequency alone, with no floor
+        assert classify_regime(OscillatorConfig(omega=1e-320)) is Regime.POSITIVE
+        assert classify_regime(OscillatorConfig(omega=0.0, omega_c=1e-320)) is Regime.NEGATIVE
+        assert classify_regime(OscillatorConfig(omega=1e-320, omega_c=2e-320)) is Regime.CRITICAL
+        assert classify_regime(OscillatorConfig(omega=0.0)) is Regime.CRITICAL
+
+    @pytest.mark.parametrize("omega", [1e-320, 1e-313, 5.5e-309])
+    def test_a_length_scale_past_the_largest_double_raises(self, omega):
+        # 1 / sqrt(|w~|) is past the largest double below about 5.6e-309
+        with pytest.raises(ValueError, match="length scale"):
+            OscillatorConfig(omega=omega).length_scale
+        assert OscillatorConfig(omega=5.6e-309).length_scale == math.sqrt(1.0 / 5.6e-309)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -378,8 +394,8 @@ def test_the_sweep_enumerates_each_sectors_modes_once(monkeypatch):
     monkeypatch.setattr(solution_builder, "modes_for_sector", counted)
     states = list(sweep_bound_states(P11, CFG_POS, 3, 2))
     assert len(calls) == len(set(calls)) == len(ALL_SECTORS)  # one call per sector
-    assert [(st.mode, st.quantum, st.energy, st.amplitudes) for st in states] == \
-        [(st.mode, st.quantum, st.energy, st.amplitudes) for st in reference]
+    assert [(st.mode, st.quantum, st.energy, st.rows) for st in states] == \
+        [(st.mode, st.quantum, st.energy, st.rows) for st in reference]
 
 
 class TestBuildSpinor:
@@ -387,8 +403,10 @@ class TestBuildSpinor:
         # each amplitude c gives its component the norm c^2 <R|R> of its share
         mode = AngularMode(SectorLabel(1, -1), 0.5, 1, P11)
         sol = build_spinor(mode, 1, CFG_POS)
-        norms = [c * c * math.exp(build_radial(mode, k, CFG_POS).log_norm_squared())
-                 for c, k in zip(sol.amplitudes, (sol.quantum.k, sol.quantum.k_prime))]
+        ks = (sol.quantum.k, sol.quantum.k_prime)
+        assert [row.index for row in sol.rows] == list(ks)
+        norms = [row.amplitude * row.amplitude * math.exp(build_radial(mode, k, CFG_POS).log_norm_squared())
+                 for row, k in zip(sol.rows, ks)]
         assert sum(norms) == pytest.approx(1.0, rel=1e-14)
         assert norms == pytest.approx(_split(sol), rel=1e-14)
 
@@ -608,25 +626,46 @@ class TestModeFactorSharing:
                         assert np.array_equal(rows_l[j], evaluate(st.lower, *point))
 
     @pytest.mark.parametrize("config", [CFG_POS, CFG_NEG], ids=["w+", "w-"])
-    def test_a_check_run_builds_one_f_row_per_distinct_mode(self, monkeypatch, config):
-        # the states of one mode (one per k) read one F row: a check call's
-        # angular table holds each distinct mode of all its blocks once, in
-        # state order, and each check builds its own
+    def test_each_component_reads_its_own_rows(self, config):
+        # an exact eigenspinor's lower component reads its own pair, weight
+        # and radial order: a block takes whatever rows a component names
+        mode = AngularMode(SectorLabel(1, 1), 1, 1, P11)
+        state = build_spinor(mode, 4, config)
+        pair, _ = AngularMode(SectorLabel(-1, 1), 0.5, 1, P11).angular_key
+        lower = ComponentRow(radial_order(mode) - 1.0, 3, (pair, 0.37), 0.25)
+        assert lower.order != state.rows[1].order and lower.index != state.rows[1].index
+        hand = dataclasses.replace(state, rows=(state.rows[0], lower))
+        [(block, fields)] = list(solution_builder.stacked_blocks([hand]))
+        rho, phi = GridSpec().polar_points(config.length_scale)
+        radial = solution_builder.radial_rows([lower.order], P11.mu_plus, abs(config.omega_tilde), lower.index)
+        expected = lower.amplitude * radial(rho)[lower.index, 0] * angular_sector._mixed_rows([lower.angular])(phi)[0]
+        assert block == [hand]
+        assert np.array_equal(fields[1].eval_polar(rho, phi)[0], expected)
+        assert np.array_equal(fields[0].eval_polar(rho, phi)[0], state.upper.eval_polar(rho, phi))
+
+    @pytest.mark.parametrize("config", [CFG_POS, CFG_NEG], ids=["w+", "w-"])
+    def test_a_check_run_builds_one_f_row_per_distinct_angular_key(self, monkeypatch, config):
+        # the states of one mode (one per k), and of the modes of sectors
+        # (+1,+1) and (-1,-1), or (+1,-1) and (-1,+1), at one n and branch,
+        # read one F row: a check call's angular table holds each distinct
+        # angular key of all its blocks once, in state order, and each check
+        # builds its own
         asked = []
-        rows = solution_builder.eigenfunction_rows
+        rows = solution_builder._mixed_rows
 
-        def spy(modes):
-            asked.append(list(modes))
-            return rows(modes)
+        def spy(keys):
+            asked.append(list(keys))
+            return rows(keys)
 
-        monkeypatch.setattr(solution_builder, "eigenfunction_rows", spy)
+        monkeypatch.setattr(solution_builder, "_mixed_rows", spy)
         states = list(sweep_bound_states(P11, config, 4, 4))
         modes = list(dict.fromkeys(st.mode for st in states))
-        assert len(modes) < len(states) and len(states) > _STATE_BLOCK
+        keys = list(dict.fromkeys(mode.angular_key for mode in modes))
+        assert len(keys) < len(modes) < len(states) and len(states) > _STATE_BLOCK
         for check in (verification.check_kg_eigen, verification.check_dirac_system):
             asked.clear()
             check(states)
-            assert asked == [modes]
+            assert asked == [keys]
 
     @pytest.mark.parametrize("params, k_low", [(P00, 0), (P11, 1)])
     def test_kg_sweep_jacobi_calls_per_run_do_not_grow_with_k(self, monkeypatch, params, k_low):
@@ -722,8 +761,7 @@ class TestModeFactorSharing:
         assert calls == [(mode, [(4, 1)], CFG_POS)]
         rho, phi = GridSpec().polar_points(1.0)
         for st in (alone, column[4]):
-            assert (st.energy, st.quantum, st.amplitudes) == (column[4].energy, column[4].quantum,
-                                                              column[4].amplitudes)
+            assert (st.energy, st.quantum, st.rows) == (column[4].energy, column[4].quantum, column[4].rows)
         for a, b in ((alone.upper, column[4].upper), (alone.lower, column[4].lower)):
             assert np.array_equal(a.eval_polar(rho, phi), b.eval_polar(rho, phi))
 

@@ -603,6 +603,21 @@ class TestSweepAndSuite:
                                   "radial indices must be at most 200")
         assert calls == []
 
+    @pytest.mark.parametrize("omega, message", [
+        (1e-313, "the length scale sqrt(hbar / (m |w~|)) of |w~| = 1e-313 is not a finite double"),
+        # kg_apply squares radii up to 4 length scales: past the largest double below |w~| of about 8.9e-308
+        (5e-308, "the kg check's largest radius, 1.78885e+154, overflows a double when squared"),
+    ])
+    def test_a_grid_past_the_double_range_raises_before_any_check(self, omega, message, monkeypatch):
+        calls = []
+        monkeypatch.setattr(verification, "kg_apply", lambda *a: calls.append(a))
+        with pytest.raises(ValueError) as exc:
+            run_suite(P00, OscillatorConfig(omega=omega), "kg", n_max=1, k_max=1)
+        assert (str(exc.value), calls) == (message, [])
+        # the suites that run on no grid read no length
+        for suite in ("angular", "ortho", "nrlimit"):
+            assert run_suite(P00, OscillatorConfig(omega=omega), suite).records
+
     def test_suite_names_then_regime_then_h(self):
         with pytest.raises(ValueError, match="unknown suite"):
             run_suite(P11, CFG_CRIT, "nonsense", h=1e300)
@@ -652,7 +667,7 @@ def _by_mode(states):
 def _alone(state):
     """The state on its own fields, as the checks saw every state before
     states were stacked by mode."""
-    return dataclasses.replace(state, amplitudes=None)
+    return dataclasses.replace(state, rows=None)
 
 
 def _signature(records):
@@ -702,8 +717,9 @@ class TestModeStacks:
 
     def test_zero_lower_row_keeps_residual_zero(self):
         group = max(_by_mode(sweep_bound_states(P11, CFG, 2, 2)), key=len)
+        upper, lower = group[0].rows
         zeroed = dataclasses.replace(group[0], lower=ScalarField2D.zero(),
-                                     amplitudes=(group[0].amplitudes[0], 0.0))
+                                     rows=(upper, lower._replace(amplitude=0.0)))
         stack = [zeroed, *group[1:]]
         for check in (check_kg_eigen, check_dirac_system):
             alone = [r for st in stack for r in check(_alone(st)).records]
