@@ -27,9 +27,9 @@ numerically by the eigen-residual tests. The 1/sqrt(2) makes the modes
 orthonormal under the reflection-symmetric angular weight.
 
 Every Phi and F is a row of one table builder, ``_mixed_rows``, of angular
-keys (``_pair`` constants and w): a mode's own F, ``mixed_pair`` and ``phi_*``
-(the real part of a row that mixes in no Phi_B) are one-row tables, and
-``eigenfunction_rows`` is the table of many modes.
+keys (``_pair`` constants and w): ``f_eigenfunction``, ``mixed_pair`` and
+``phi_*`` (the real part of a row that mixes in no Phi_B) are one-row
+tables, and ``eigenfunction_rows`` is the table of many modes.
 """
 
 from __future__ import annotations
@@ -90,15 +90,12 @@ class AngularMode:
     eigenfunction (the odd-odd partner vanishes identically), so it lives
     in the (+1, +1) sector with branch +1 only.
 
-    A mode object also holds its angular key (``angular_key``) and its
-    eigenfunction F (row 0 of its own ``eigenfunction_rows`` table), each
-    built on first use: every state built on one mode object shares them,
-    so evaluating the states' own fields runs F(phi) once per mode, not
-    once per (mode, k). An equal mode built apart shares nothing, and both
-    go with the object. The checks read F from a ``_mixed_rows`` table of
-    many keys: the states of a kg or dirac check call, or a sector's
-    modes, share one Jacobi table per parity family, and each row equals
-    its mode's F bit for bit.
+    A mode object also holds its angular key (``angular_key``), built on
+    first use and shared by every state built on the object. F itself is a
+    row of a ``_mixed_rows`` table of many keys: the states of a kg or dirac
+    check call, or a sector's modes, share one Jacobi table per parity
+    family, and each row equals its mode's F (``f_eigenfunction``) bit for
+    bit.
     """
 
     sector: SectorLabel
@@ -127,13 +124,6 @@ class AngularMode:
         found on first use and shared by its F and every table it is in; the
         modes of a sector and its mirror (both signs flipped) share their keys."""
         return _pair(self.sector.epsilon, self.n, self.params), self.sector.epsilon * self.branch
-
-    @cached_property
-    def eigenfunction(self) -> ScalarField2D:
-        """F of this mode object, row 0 of ``eigenfunction_rows([self])``,
-        built on first use (see ``f_eigenfunction``)."""
-        rows = eigenfunction_rows([self])
-        return ScalarField2D(lambda rho, phi: rows(phi)[0])
 
 
 def _family(s_x: int, s_y: int, n: float, params: DunklParams):
@@ -276,12 +266,12 @@ def f_eigenfunction(mode: AngularMode) -> ScalarField2D:
     """The (unit-normalized, purely angular) J eigenfunction of a mode.
 
     The field is row 0 of the mode's one-row ``eigenfunction_rows`` table,
-    built, with the basis constants, the first time a mode object is
-    asked; later calls return the same field. The table remembers its last
-    few angle arrays, so the two components of every state built on the
-    mode, for every k, evaluate F once per distinct angle array.
+    built on each call (the basis constants on the mode object's first).
+    The table remembers its last few angle arrays, so the field evaluates
+    F once per distinct angle array.
     """
-    return mode.eigenfunction
+    rows = eigenfunction_rows([mode])
+    return ScalarField2D(lambda rho, phi: rows(phi)[0])
 
 
 def modes_for_sector(sector: SectorLabel, params: DunklParams, n_max: float):

@@ -144,9 +144,9 @@ class ScalarField2D:
 # angles and 3 radii. The blocks of a kg or dirac check call share their
 # tables, so each recurrence runs once per table, not per block; the two
 # checks build separate tables, as together they ask for 12 angle arrays.
-# A block's stacked field keeps its products by (rho, phi) pair: kg_apply
-# and its check ask a component for 7 distinct pairs, dirac_apply and its
-# check each component for 7 (14 per block).
+# A check block's fields (verification._state_blocks) keep their products
+# by (rho, phi) pair: kg_apply and its check ask a component for 7 distinct
+# pairs, dirac_apply and its check each component for 7 (14 per block).
 _REMEMBERED = 8
 
 

@@ -32,7 +32,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,7 +78,9 @@ class Regime(enum.Enum):
 class OscillatorConfig:
     """The two frequencies and the speed of light c (default 1), in units
     hbar = m = 1: states and spectra depend on hbar and m only through q
-    and the length sqrt(hbar / (m |w~|)), so the two only choose units."""
+    and the length sqrt(hbar / (m |w~|)), so the two only choose units.
+    A c whose square m c^2 underflows to 0 or overflows a double (c below
+    about 1.6e-162 or above about 1.34e154) raises ``ValueError``."""
 
     omega: float
     omega_c: float = 0.0
@@ -89,6 +91,9 @@ class OscillatorConfig:
             raise ValueError(f"omega, omega_c, c must be finite, got {self}")
         if self.c <= 0:
             raise ValueError("c must be positive")
+        if not 0.0 < self.c * self.c < math.inf:
+            raise ValueError(f"c = {self.c:g} {'overflows a double' if self.c > 1.0 else 'underflows to 0'} "
+                             "when squared")
         if self.omega < 0 or self.omega_c < 0:
             raise ValueError("omega and omega_c must be non-negative")
 
@@ -316,17 +321,33 @@ ComponentRow = NamedTuple("ComponentRow", [("order", float), ("index", int), ("a
 
 @dataclass(frozen=True)
 class SpinorSolution:
-    """A paired two-component eigenstate with its energy and bookkeeping."""
+    """A paired two-component eigenstate with its energy and bookkeeping.
 
-    upper: ScalarField2D
-    lower: ScalarField2D
+    ``rows`` holds, per component (upper, lower), the ``ComponentRow`` that
+    ``mode_states`` or ``free_particle`` named for a built state, or the
+    component's own ``ScalarField2D`` for a hand-built one (both of one kind).
+    ``upper`` and ``lower`` are a hand-built state's fields, or row 0 of a
+    built state's one-state ``stacked_blocks`` fields, built on first use
+    and kept on the object; a zero amplitude gives ``ScalarField2D.zero()``.
+    """
+
     energy: float
     quantum: QuantumNumbers | None
     mode: AngularMode
     config: OscillatorConfig
-    # the (upper, lower) rows that stacked_blocks reads, named by mode_states
-    # or free_particle; None for a hand-built state, which has its own fields alone
-    rows: tuple[ComponentRow, ComponentRow] | None = None
+    rows: tuple[ComponentRow | ScalarField2D, ComponentRow | ScalarField2D]
+
+    @cached_property
+    def _fields(self) -> tuple[ScalarField2D, ScalarField2D]:
+        if all(isinstance(row, ScalarField2D) for row in self.rows):
+            return self.rows
+        [(_, fields)] = stacked_blocks([self])
+        return tuple(ScalarField2D.zero() if row.amplitude == 0.0 else
+                     ScalarField2D(lambda rho, phi, f=f: f.eval_polar(rho, phi)[0])
+                     for row, f in zip(self.rows, fields))
+
+    upper = property(lambda self: self._fields[0])
+    lower = property(lambda self: self._fields[1])
 
 
 # |log x| below this: x and 1 / x are normal doubles.
@@ -366,40 +387,30 @@ def _check_last_pair(sector: SectorLabel, pairs) -> None:
                           f"radial indices must be at most {MAX_DEGREE}")
 
 
-def _product_field(radial: Callable, mode: AngularMode, scale: complex) -> ScalarField2D:
-    """scale * radial(rho) * F(phi), with the mode object's own F, reached
-    on the first evaluation. Both factors remember their recent coordinate
-    arrays, so each is evaluated once per distinct array."""
-    return ScalarField2D(lambda rho, phi: scale * radial(rho) * mode.eigenfunction.eval_polar(rho, phi))
-
-
 def mode_states(mode: AngularMode, pairs, config: OscillatorConfig) -> dict:
     """The paired two-component states of ``mode`` for the (k, k') of
     ``pairs``, keyed by k in order, from one ``energy_column`` call and the
-    one radial table of the mode's profile at max(k, k'), read at [k, 0]; a
-    pair's E is finite, E >= m c^2 sqrt(1 + q) (README, "Physics summary").
+    mode's radial profile (``build_radial``) at each index; a pair's E is
+    finite, E >= m c^2 sqrt(1 + q) (README, "Physics summary").
 
     Component norms are (E +/- mc^2)/(2E), summing to 1. Both components
     are a real constant >= 0 (the phase convention of the module docstring)
-    times the mode object's own F, built on its first evaluation: the
-    constants are found here, and no field is evaluated. A last pair (the
+    times the mode's F: each state names its rows (``ComponentRow``), with
+    the constants found here, and no field is evaluated. A last pair (the
     largest k and k' of pairs in k order) past ``MAX_DEGREE`` raises
     ``DomainError`` (``_check_last_pair``) before anything is built.
     """
     _check_last_pair(mode.sector, pairs)
-    top = build_radial(mode, max(map(max, pairs), default=0), config)
+    top = build_radial(mode, 0, config)
     mc2 = config.rest_energy
     e_vals = energy_column(Component.UPPER, mode, np.array([k for k, _ in pairs]), config).tolist()
     states = {}
     for (k, k_prime), e_val in zip(pairs, e_vals):
-        nu2, nl2 = (e_val + mc2) / (2.0 * e_val), (e_val - mc2) / (2.0 * e_val)
-        cu = _amplitude(nu2, RadialProfile(top.order, top.mu_plus, top.scale, k))
-        cl = _amplitude(nl2, RadialProfile(top.order, top.mu_plus, top.scale, k_prime))
-        upper = _product_field(lambda rho, k=k: top.rows(rho)[k, 0], mode, cu)
-        lower = (_product_field(lambda rho, k=k_prime: top.rows(rho)[k, 0], mode, cl) if cl != 0.0
-                 else ScalarField2D.zero())
-        rows = tuple(ComponentRow(top.order, index, mode.angular_key, c) for index, c in ((k, cu), (k_prime, cl)))
-        states[k] = SpinorSolution(upper, lower, e_val, QuantumNumbers(k, k_prime), mode, config, rows)
+        shares = ((k, (e_val + mc2) / (2.0 * e_val)), (k_prime, (e_val - mc2) / (2.0 * e_val)))
+        rows = tuple(ComponentRow(top.order, index, mode.angular_key,
+                                  _amplitude(share, RadialProfile(top.order, top.mu_plus, top.scale, index)))
+                     for index, share in shares)
+        states[k] = SpinorSolution(e_val, QuantumNumbers(k, k_prime), mode, config, rows)
     return states
 
 
@@ -456,27 +467,29 @@ def stacked_blocks(states):
     shape, such as a radius column against an angle row, each factor on its
     own axis.
 
-    All blocks read one set of tables, built here over all of ``states``
-    (of any modes of one config and one set of parameters, or free states
-    of one energy, which share a grid) from the rows that each component
-    names (``SpinorSolution.rows``): one ``_mixed_rows`` table of their
-    distinct angular keys and one radial table of their distinct orders,
-    per coordinate array: one Laguerre recurrence up to the largest index,
-    or one ``free_rows`` Bessel call read at index 0, in one layout (k,
-    order, *rho.shape). The tables remember their last few coordinate
-    arrays, so blocks evaluated on one stencil share each recurrence, and
-    only a block's own rows are stacked. Row i is (c_i R_i(rho)) F_i(phi),
-    the operation order of ``_product_field``, and a table row does not
-    depend on the other rows, so every row equals its state's own field bit
-    for bit; a zero amplitude gives a zero row. A hand-built state (``rows``
-    None) raises ``ValueError``. No states, no blocks.
+    The package's one row evaluator: a state's own ``upper`` and ``lower``
+    are row 0 of its one-state call. All blocks read one set of tables,
+    built here over all of ``states`` (of any modes of one config and one
+    set of parameters, or free states of one energy, which share a grid)
+    from the rows that each component names (``SpinorSolution.rows``): one
+    ``_mixed_rows`` table of their distinct angular keys and one radial
+    table of their distinct orders, per coordinate array: one Laguerre
+    recurrence up to the largest index, or one ``free_rows`` Bessel call
+    read at index 0, in one layout (k, order, *rho.shape). The tables
+    remember their last few coordinate arrays, so blocks evaluated on one
+    stencil share each recurrence; the products are not kept (the checks
+    keep theirs). Row i is (c_i R_i(rho)) F_i(phi), and a table row does
+    not depend on the other rows, so every row equals its state's own field
+    (its one-state row) bit for bit; a zero amplitude gives a zero row. A
+    hand-built state (``rows`` of fields) raises ``ValueError``. No states,
+    no blocks.
     """
     if not states:
         return
     first = states[0]
     config, params, free = first.config, first.mode.params, first.quantum is None
     for st in states:
-        if st.rows is None:
+        if not all(isinstance(row, ComponentRow) for row in st.rows):
             raise ValueError("only states built by build_spinor or free_particle stack")
         if st.config != config or st.mode.params != params:
             raise ValueError(f"states of {first.mode} and {st.mode} do not share a config and parameters")
@@ -498,11 +511,9 @@ def stacked_blocks(states):
 def _stacked(table, angular, radial_ks, rows, angular_rows, amplitudes) -> ScalarField2D:
     """The field whose row i is (amplitudes[i] R(rho)) F(phi), R row
     (radial_ks[i], rows[i]) of the radial ``table`` and F row angular_rows[i]
-    of the ``angular`` one. The products of its last few (rho, phi) pairs
-    are kept (``remember_last``), so a stencil that asks the field at one
-    point again reads the stored product."""
-    return ScalarField2D(remember_last(lambda rho, phi: _column(amplitudes, np.ndim(rho)) * table(rho)[radial_ks, rows]
-                                       * angular(phi)[angular_rows]))
+    of the ``angular`` one."""
+    return ScalarField2D(lambda rho, phi: _column(amplitudes, np.ndim(rho)) * table(rho)[radial_ks, rows]
+                         * angular(phi)[angular_rows])
 
 
 def reduced_energy(config: OscillatorConfig, e_val: float) -> float:
@@ -535,10 +546,8 @@ def free_particle(mode: AngularMode, e_val: float, config: OscillatorConfig) -> 
     """
     if classify_regime(config) is not Regime.CRITICAL:
         raise RegimeError("free states need the critical point, omega == omega_c / 2")
-    mc2 = config.rest_energy
-    if not (math.isfinite(e_val) and e_val >= mc2):
+    if not (math.isfinite(e_val) and e_val >= config.rest_energy):
         raise ValueError(f"free-particle energy must be finite and >= m c^2, got {e_val}")
+    reduced_energy(config, e_val)  # an E whose square overflows raises here, not at the first evaluation
     row = ComponentRow(radial_order(mode), 0, mode.angular_key, 1.0)
-    table = free_rows([row.order], mode.params.mu_plus, config, e_val)
-    field = _product_field(lambda rho: table(rho)[0, 0], mode, 1.0)
-    return SpinorSolution(field, field, e_val, None, mode, config, (row, row))
+    return SpinorSolution(e_val, None, mode, config, (row, row))

@@ -57,6 +57,7 @@ from .dunkl_calculus import (
     axis_distance,
     dirac_apply,
     kg_apply,
+    remember_last,
     weighted_inner_product,
 )
 from .solution_builder import (
@@ -243,19 +244,22 @@ def _state_blocks(states):
     config, rho, phi): the ``stacked_blocks`` fields, whose blocks share
     their tables, and the radius column and angle row of the
     check grid ``GridSpec()``, the one ``step_limit`` bounds, at the first
-    state's length scale. A lone hand-built state (``rows`` None),
+    state's length scale. A lone hand-built state (``rows`` of fields),
     such as an oracle's, is one block of its own fields with a leading axis
-    of 1. No states, no blocks."""
+    of 1. Each block field keeps the values of its last few (rho, phi)
+    pairs (``remember_last``), so a stencil that asks it at one point again
+    reads the stored product. No states, no blocks."""
     lone = isinstance(states, SpinorSolution)
     states = [states] if lone else list(states)
     if states:
         first = states[0]
         rho, phi = GridSpec().polar_points(_length_scale(first.config, first.energy))
         blocks = ([(states, tuple(ScalarField2D(lambda rho, phi, f=f: np.expand_dims(f.eval_polar(rho, phi), 0))
-                                  for f in (first.upper, first.lower)))]
-                  if lone and first.rows is None else stacked_blocks(states))
+                                  for f in first.rows))]
+                  if lone and all(isinstance(f, ScalarField2D) for f in first.rows) else stacked_blocks(states))
         for block, fields in blocks:
-            yield block, fields, first.mode.params, first.config, rho, phi
+            yield (block, tuple(ScalarField2D(remember_last(f.fn)) for f in fields), first.mode.params, first.config,
+                   rho, phi)
 
 
 def _mode_rows(modes) -> tuple[list[AngularMode], DunklParams | None, ScalarField2D]:
@@ -374,10 +378,14 @@ def check_dirac_system(
     operator application on the grid's Cartesian points with their energies
     as a (K, 1, 1) column.
     Each residual is scaled by its own state's (|E| + m c^2) times its
-    largest component value. One record per state, in input order.
+    largest component value; a block where that sum overflows a double
+    raises ``ValueError`` before its operator runs. One record per state,
+    in input order.
     """
     records = []
     for block, (upper, lower), params, config, rho, phi in _state_blocks(states):
+        if not math.isfinite(max(abs(st.energy) for st in block) + config.rest_energy):
+            raise ValueError(f"the dirac check's |E| + m c^2 overflows a double at m c^2 = {config.rest_energy:g}")
         xs, ys = rho * np.cos(phi), rho * np.sin(phi)
         energies = np.array([st.energy for st in block])
         r1, r2 = dirac_apply((upper, lower), energies[:, None, None], params, config, (xs, ys), h)
@@ -532,30 +540,32 @@ def check_nonrelativistic_limit(
 ) -> VerificationReport:
     """delta E(c) = E(c) - m c^2 against the series target, with rate fit
     over the light speeds sqrt(|w~|) ``NRLIMIT_C_VALUES`` (the factor only
-    shifts log c), so the check reads the same at any frequency; a |w~| whose
-    largest c^2 overflows a double raises ``ValueError`` before any energy.
+    shifts log c), so the check reads the same at any frequency. The three
+    configs are built before any energy, so a |w~| whose largest c^2
+    overflows a double (``OscillatorConfig``) raises ``ValueError`` first;
+    errors of which some, not all, are exactly 0 (at a |w~| near the
+    bottom of the double range) have no log-log fit and raise ``ValueError``.
 
     The shift must approach the target like c^{-2} (the Taylor remainder
     of sqrt(1 + u)), so the fitted log-log rate should sit near 2.
     """
     target = nonrelativistic_target(mode, k, base_config)
-    root = math.sqrt(base_config.effective_frequency)
-    c_values = [root * c for c in NRLIMIT_C_VALUES]
-    if not math.isfinite(c_values[-1] * c_values[-1]):
-        raise ValueError(f"the nonrelativistic check's largest light speed, {c_values[-1]:g}, "
-                         f"overflows a double when squared: |w~| = {base_config.effective_frequency:g}")
+    configs = [replace(base_config, c=math.sqrt(base_config.effective_frequency) * c) for c in NRLIMIT_C_VALUES]
     errs_arr = np.array([abs(energy(Component.UPPER, mode.sector, mode, k, cfg) - cfg.rest_energy - target)
-                         for cfg in (replace(base_config, c=c) for c in c_values)])
+                         for cfg in configs])
     scale = max(abs(target), base_config.effective_frequency)
     mismatch = errs_arr[-1] / scale
     if np.all(errs_arr < 1e-13 * scale):
         # exact cancellation (target 0 and spectrum flat in c): no rate to fit
         rate, rate_residual = None, 0.0
+    elif np.any(errs_arr == 0.0):
+        raise ValueError(f"the nonrelativistic rate of sector ({mode.sector}), n={mode.n:g}, k={k} has no fit at "
+                         f"|w~| = {base_config.effective_frequency:g}: some errors, not all, are exactly 0")
     else:
         rate = -float(np.polyfit(np.log(np.asarray(NRLIMIT_C_VALUES)), np.log(errs_arr), 1)[0])
         rate_residual = abs(rate - 2.0)
 
-    inputs = {"k": k, "target": target, "c_values": c_values}
+    inputs = {"k": k, "target": target, "c_values": [cfg.c for cfg in configs]}
     return VerificationReport("nrlimit", [
         _mode_record("nrlimit", mode, f" k={k} match", inputs, float(mismatch), tol),
         _mode_record("nrlimit", mode, f" k={k} rate", {**inputs, "rate": rate}, rate_residual, 0.2),

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from dunkl_oscillator.solution_builder import OscillatorConfig
+from dunkl_oscillator.angular_sector import AngularMode
+from dunkl_oscillator.solution_builder import OscillatorConfig, SpinorSolution
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dunkl_oscillator"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -286,10 +287,21 @@ def test_omega_tilde_readers():
 
 def test_state_field_readers():
     # every built state's residual comes from the shared tables: a state's own
-    # fields are read by the wavefunction export and, for a lone hand-built
-    # oracle state, by the checks' block helper
+    # fields are read by the wavefunction export alone, and the checks' block
+    # helper reads a lone hand-built oracle state's rows
     for attr in ("upper", "lower"):
-        assert _attribute_readers(attr) == {"cmd_wavefunction", "_state_blocks"}, attr
+        assert _attribute_readers(attr) == {"cmd_wavefunction"}, attr
+
+
+def test_a_built_state_is_its_rows():
+    # a state stores the rows it reads and nothing else: its upper and lower
+    # are read through stacked_blocks, and no mode or closure keeps a second
+    # copy of a component
+    assert [field.name for field in dataclasses.fields(SpinorSolution)] == [
+        "energy", "quantum", "mode", "config", "rows"]
+    assert all(isinstance(getattr(SpinorSolution, attr), property) for attr in ("upper", "lower"))
+    assert not hasattr(AngularMode, "eigenfunction")
+    assert not _namers("_product_field")
 
 
 def test_oscillator_config_takes_what_callers_vary():
@@ -354,20 +366,21 @@ def test_one_spectral_sum():
 
 
 def test_remembered_tables_are_the_factor_builders():
-    # each radial or angular factor is a row of one remembered table, and a
-    # block's stacked field remembers its products of those rows; a caller
-    # reads the table or the field, and wraps nothing of its own
+    # each radial or angular factor is a row of one remembered table, and
+    # the checks' block fields remember their products of those rows, which
+    # the stencils ask for again; a caller reads the table or the field, and
+    # wraps nothing of its own
     assert _callers("remember_last") == {"solution_builder.radial_rows", "solution_builder.free_rows",
-                                         "angular_sector._mixed_rows", "solution_builder._stacked"}
+                                         "angular_sector._mixed_rows", "verification._state_blocks"}
 
 
 def _rows_givers(tree: ast.Module) -> set[str]:
     """Module-level definitions of ``tree`` that give a ``SpinorSolution`` its
-    rows: a ``SpinorSolution(...)`` call with a seventh argument or a ``rows=``
+    rows: a ``SpinorSolution(...)`` call with a fifth argument or a ``rows=``
     keyword, or a ``replace(..., rows=...)`` call."""
     def gives(call: ast.AST) -> bool:
         keywords = {kw.arg for kw in getattr(call, "keywords", ())}
-        return (_callee(call) == "SpinorSolution" and (len(call.args) >= 7 or "rows" in keywords)
+        return (_callee(call) == "SpinorSolution" and (len(call.args) >= 5 or "rows" in keywords)
                 or _callee(call) == "replace" and "rows" in keywords)
     return {name for name, node in _definitions(tree) if any(map(gives, ast.walk(node)))}
 
@@ -395,8 +408,9 @@ def test_each_component_reads_the_rows_its_builder_named():
     assert givers == {"solution_builder.mode_states", "solution_builder.free_particle"}, givers
     formers = {f"{stem}.{name}" for stem, tree in trees.items() for name in _weight_formers(tree)}
     assert formers == {"angular_sector.AngularMode"}, formers
-    assert _rows_givers(ast.parse("def f(s):\n    return replace(s, rows=None)")) == {"f"}
-    assert _rows_givers(ast.parse("def f(*a):\n    return SpinorSolution(*a[:6])")) == set()
+    assert _rows_givers(ast.parse("def f(s):\n    return replace(s, rows=(s.upper, s.lower))")) == {"f"}
+    assert _rows_givers(ast.parse("def f(e, m, c, r):\n    return SpinorSolution(e, None, m, c, r)")) == {"f"}
+    assert _rows_givers(ast.parse("def f(*a):\n    return SpinorSolution(*a[:5])")) == set()
     assert _weight_formers(ast.parse("def f(m):\n    return m.sector.epsilon * m.branch")) == {"f"}
     assert _weight_formers(ast.parse("def f(m):\n    return m.branch * m.lam")) == set()
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -95,6 +96,16 @@ class TestRegime:
             OscillatorConfig(omega=-1.0)
         with pytest.raises(ValueError):
             OscillatorConfig(omega=1.0, c=0.0)
+
+    @pytest.mark.parametrize("c, why", [(1e-200, "underflows to 0"), (1.5e-162, "underflows to 0"),
+                                        (1.35e154, "overflows a double"), (1e155, "overflows a double")])
+    def test_a_c_whose_square_leaves_the_double_range_raises(self, c, why):
+        # m c^2 = 0 would divide q = 2 hbar |w~| / (m c^2) by zero, and an
+        # infinite one makes every energy infinite
+        with pytest.raises(ValueError, match=re.escape(f"c = {c:g} {why} when squared")):
+            OscillatorConfig(omega=1.0, c=c)
+        for c in (1.6e-162, 1e-160, 1e154, 1.34e154):
+            assert 0.0 < OscillatorConfig(omega=1.0, c=c).rest_energy < math.inf
 
     @pytest.mark.parametrize("field", ["omega", "omega_c", "c"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -459,6 +470,13 @@ class TestFreeParticle:
         with pytest.raises(ValueError):
             free_particle(mode, e_val, CFG_CRIT)
 
+    def test_an_energy_whose_square_overflows_raises_when_built(self):
+        # a free state that cannot be evaluated is not built: its rows are
+        # read only later, at the first evaluation
+        mode = AngularMode(SectorLabel(1, 1), 1, 1, P11)
+        with pytest.raises(ValueError, match="its square overflows a double"):
+            free_particle(mode, 1e155, CFG_CRIT)
+
     def test_threshold_state_vanishes(self):
         mode = AngularMode(SectorLabel(1, 1), 1, 1, P11)
         sol = free_particle(mode, 1.0, CFG_CRIT)
@@ -585,8 +603,8 @@ def _dirac_stencil(rho, phi, h=1e-4):
 
 
 class TestModeFactorSharing:
-    """The states of one mode object share its angular field, and a mode
-    stack reads one radial table; sharing changes no bit of any state."""
+    """A state's own fields read its one-state tables, and a check's blocks
+    read one set of tables; sharing changes no bit of any state."""
 
     @pytest.mark.parametrize("config", [CFG_POS, CFG_NEG], ids=["w+", "w-"])
     def test_sweep_states_match_states_built_alone(self, config):
@@ -595,7 +613,7 @@ class TestModeFactorSharing:
         assert len({id(st.mode) for st in states}) < len(states)  # modes do carry several k
         for stencil, evaluate in ((_kg_stencil(rho, phi), ScalarField2D.eval_polar),
                                   (_dirac_stencil(rho, phi), ScalarField2D.__call__)):
-            for st in states:  # in sweep order, so each table grows as k rises
+            for st in states:  # each state's own fields build their tables here
                 for point in stencil:
                     evaluate(st.upper, *point)
                     evaluate(st.lower, *point)
@@ -642,6 +660,8 @@ class TestModeFactorSharing:
         assert block == [hand]
         assert np.array_equal(fields[1].eval_polar(rho, phi)[0], expected)
         assert np.array_equal(fields[0].eval_polar(rho, phi)[0], state.upper.eval_polar(rho, phi))
+        # the state's own lower component is that row too: it has no other copy
+        assert np.array_equal(hand.lower.eval_polar(rho, phi), expected)
 
     @pytest.mark.parametrize("config", [CFG_POS, CFG_NEG], ids=["w+", "w-"])
     def test_a_check_run_builds_one_f_row_per_distinct_angular_key(self, monkeypatch, config):
@@ -702,17 +722,24 @@ class TestModeFactorSharing:
         assert calls["laguerre_rows"] == radius_arrays
 
     @pytest.mark.parametrize("config", [CFG_POS, CFG_CRIT], ids=["bound", "free"])
-    def test_states_build_their_own_f_on_first_evaluation_only(self, config):
-        # a checked block reads eigenfunction_rows; the mode's own F waits
-        # for the first evaluation of a state's own field
+    def test_states_build_their_own_f_on_first_evaluation_only(self, monkeypatch, config):
+        # a checked block reads its check call's tables; a state's own fields
+        # wait for their first evaluation, which builds the state's one-state
+        # tables once for both components
+        asked = []
+        rows = solution_builder._mixed_rows
+        monkeypatch.setattr(solution_builder, "_mixed_rows", lambda keys: asked.append(list(keys)) or rows(keys))
         if config is CFG_CRIT:
             states = verification._critical_states(P11, config, 2)[0]
         else:
             states = list(sweep_bound_states(P11, config, 2, 2))[:_STATE_BLOCK]
         verification.check_kg_eigen(states)
-        assert not any("eigenfunction" in vars(st.mode) for st in states)
-        states[0].upper.eval_polar(1.0, 0.3)
-        assert "eigenfunction" in vars(states[0].mode)
+        assert len(asked) == 1
+        asked.clear()
+        for _ in range(2):
+            states[0].upper.eval_polar(1.0, 0.3)
+            states[0].lower.eval_polar(1.0, 0.3)
+        assert asked == [[states[0].mode.angular_key]]
 
     def test_identical_sweeps_make_identical_call_counts(self, monkeypatch):
         def counts():

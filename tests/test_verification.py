@@ -82,7 +82,7 @@ def _shell_solution(shell, params, config, index, lower_of=None):
     upper, lower, e_val = states[index]
     if lower_of is not None:
         lower = states[lower_of][1]
-    return SpinorSolution(upper, lower, e_val, None, AngularMode(SectorLabel(1, 1), 0, 1, params), config)
+    return SpinorSolution(e_val, None, AngularMode(SectorLabel(1, 1), 0, 1, params), config, (upper, lower))
 
 
 class TestReportMechanics:
@@ -146,8 +146,8 @@ class TestKgCheck:
         mode = AngularMode(SectorLabel(-1, 1), 0.5, -1, P11)
         sol = build_spinor(mode, 2, CFG)
         bumped = SpinorSolution(
-            upper=sol.upper, lower=sol.lower, energy=sol.energy + 0.1,
-            quantum=sol.quantum, mode=sol.mode, config=sol.config,
+            energy=sol.energy + 0.1, quantum=sol.quantum, mode=sol.mode, config=sol.config,
+            rows=(sol.upper, sol.lower),
         )
         rep = check_kg_eigen(bumped, tol=1e-5)
         assert not rep.passed
@@ -281,6 +281,16 @@ class TestDiracCheck:
     def test_shell_pair_passes(self, mu, config):
         for index in range(4):
             assert check_dirac_system(_shell_solution(3, DunklParams(*mu), config, index), tol=1e-5).passed
+
+    @pytest.mark.parametrize("c", [1e154, 1.34e154])
+    def test_a_scale_past_the_double_range_raises_before_the_operator(self, monkeypatch, c):
+        # |E| + m c^2 overflows a double where m c^2 nears the largest double:
+        # the check raises rather than write NaN records
+        calls = []
+        monkeypatch.setattr(verification, "dirac_apply", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=r"\|E\| \+ m c\^2 overflows a double"):
+            run_suite(P11, OscillatorConfig(omega=1.0, c=c), "dirac", n_max=1, k_max=1)
+        assert calls == []
 
     def test_wrong_partner_index_fails(self):
         # the lower component of another eigenvector of the same shell
@@ -445,6 +455,15 @@ class TestNonrelativisticLimit:
             with pytest.raises(ValueError, match="overflows a double when squared"):
                 run_suite(P11, OscillatorConfig(omega=omega, omega_c=4.0 * omega), "nrlimit")
         assert calls == []
+
+    def test_errors_of_which_some_are_exactly_zero_raise_before_any_record(self):
+        # near the bottom of the double range some, not all, of the three
+        # errors round to exactly 0: log 0 has no fit, which would read NaN
+        with pytest.raises(ValueError, match=r"no fit at \|w~\| = 4\.99999e-319"):
+            run_suite(P11, OscillatorConfig(omega=5e-319), "nrlimit")
+        for omega in (1e-318, 1e-313):
+            records = run_suite(P11, OscillatorConfig(omega=omega), "nrlimit").records
+            assert len(records) == 8 and all(r.passed for r in records), omega
 
 
 class TestReferenceEigenstates:
@@ -667,7 +686,7 @@ def _by_mode(states):
 def _alone(state):
     """The state on its own fields, as the checks saw every state before
     states were stacked by mode."""
-    return dataclasses.replace(state, rows=None)
+    return dataclasses.replace(state, rows=(state.upper, state.lower))
 
 
 def _signature(records):
@@ -718,8 +737,7 @@ class TestModeStacks:
     def test_zero_lower_row_keeps_residual_zero(self):
         group = max(_by_mode(sweep_bound_states(P11, CFG, 2, 2)), key=len)
         upper, lower = group[0].rows
-        zeroed = dataclasses.replace(group[0], lower=ScalarField2D.zero(),
-                                     rows=(upper, lower._replace(amplitude=0.0)))
+        zeroed = dataclasses.replace(group[0], rows=(upper, lower._replace(amplitude=0.0)))
         stack = [zeroed, *group[1:]]
         for check in (check_kg_eigen, check_dirac_system):
             alone = [r for st in stack for r in check(_alone(st)).records]
@@ -875,11 +893,11 @@ class TestModeStacks:
     @pytest.mark.parametrize("check, asks, products", [
         (check_kg_eigen, 16, 7), (check_dirac_system, 10, 7)], ids=["kg", "dirac"])
     def test_a_block_computes_each_distinct_stencil_point_once(self, monkeypatch, check, asks, products):
-        # a block's stacked fields remember their products by (rho, phi):
+        # the checks' block fields remember their products by (rho, phi):
         # kg asks each component 16 times (the check's values and kg_apply's
         # 15) for 7 distinct points, dirac each 10 times (dirac_apply's 9 and
         # the check's scale) for 7, 20 asks and 14 products per block
-        original = solution_builder.remember_last
+        original = verification.remember_last
         fields = []
 
         def counted(fn):
@@ -899,7 +917,7 @@ class TestModeStacks:
 
             return ask
 
-        monkeypatch.setattr(solution_builder, "remember_last", counted)
+        monkeypatch.setattr(verification, "remember_last", counted)
         states = list(sweep_bound_states(P11, CFG, 2, 2))[:verification._STATE_BLOCK]
         records = check(states).records
         stacked = [(seen["asks"], seen["products"]) for seen in fields if seen["coords"] == {2}]
