@@ -32,7 +32,6 @@ from .solution_builder import (
     NegativeRadicandError,
     NormRangeError,
     OscillatorConfig,
-    QuantumNumbers,
     RadialProfile,
     Regime,
     RegimeError,

@@ -139,16 +139,6 @@ def classify_regime(config: OscillatorConfig) -> Regime:
     return Regime.POSITIVE if wt > 0 else Regime.NEGATIVE
 
 
-@dataclass(frozen=True)
-class QuantumNumbers:
-    k: int
-    k_prime: int
-
-    def __post_init__(self) -> None:
-        if self.k < 0 or self.k_prime < 0:
-            raise ValueError("radial indices must be non-negative")
-
-
 def radial_order(mode: AngularMode) -> float:
     """Laguerre/Bessel order A for the mode's sector family."""
     lam = lambda_eigenvalue(mode)
@@ -325,14 +315,14 @@ class SpinorSolution:
 
     ``rows`` holds, per component (upper, lower), the ``ComponentRow`` that
     ``mode_states`` or ``free_particle`` named for a built state, or the
-    component's own ``ScalarField2D`` for a hand-built one (both of one kind).
+    component's own ``ScalarField2D`` for a hand-built one (both of one kind);
+    a built state's radial indices (k and k', or 0 and 0) are their ``index``.
     ``upper`` and ``lower`` are a hand-built state's fields, or row 0 of a
     built state's one-state ``stacked_blocks`` fields, built on first use
     and kept on the object; a zero amplitude gives ``ScalarField2D.zero()``.
     """
 
     energy: float
-    quantum: QuantumNumbers | None
     mode: AngularMode
     config: OscillatorConfig
     rows: tuple[ComponentRow | ScalarField2D, ComponentRow | ScalarField2D]
@@ -410,7 +400,7 @@ def mode_states(mode: AngularMode, pairs, config: OscillatorConfig) -> dict:
         rows = tuple(ComponentRow(top.order, index, mode.angular_key,
                                   _amplitude(share, RadialProfile(top.order, top.mu_plus, top.scale, index)))
                      for index, share in shares)
-        states[k] = SpinorSolution(e_val, QuantumNumbers(k, k_prime), mode, config, rows)
+        states[k] = SpinorSolution(e_val, mode, config, rows)
     return states
 
 
@@ -470,12 +460,13 @@ def stacked_blocks(states):
     The package's one row evaluator: a state's own ``upper`` and ``lower``
     are row 0 of its one-state call. All blocks read one set of tables,
     built here over all of ``states`` (of any modes of one config and one
-    set of parameters, or free states of one energy, which share a grid)
-    from the rows that each component names (``SpinorSolution.rows``): one
-    ``_mixed_rows`` table of their distinct angular keys and one radial
-    table of their distinct orders, per coordinate array: one Laguerre
-    recurrence up to the largest index, or one ``free_rows`` Bessel call
-    read at index 0, in one layout (k, order, *rho.shape). The tables
+    set of parameters; at the critical point, whose states are all free,
+    of one energy too, as they share a grid) from the rows that each
+    component names (``SpinorSolution.rows``): one ``_mixed_rows`` table
+    of their distinct angular keys and one radial table of their distinct
+    orders, per coordinate array: one Laguerre recurrence up to the largest
+    index, or one ``free_rows`` Bessel call read at index 0, in one layout
+    (k, order, *rho.shape). The tables
     remember their last few coordinate arrays, so blocks evaluated on one
     stencil share each recurrence; the products are not kept (the checks
     keep theirs). Row i is (c_i R_i(rho)) F_i(phi), and a table row does
@@ -487,13 +478,13 @@ def stacked_blocks(states):
     if not states:
         return
     first = states[0]
-    config, params, free = first.config, first.mode.params, first.quantum is None
+    config, params, free = first.config, first.mode.params, classify_regime(first.config) is Regime.CRITICAL
     for st in states:
         if not all(isinstance(row, ComponentRow) for row in st.rows):
             raise ValueError("only states built by build_spinor or free_particle stack")
         if st.config != config or st.mode.params != params:
             raise ValueError(f"states of {first.mode} and {st.mode} do not share a config and parameters")
-        if (st.quantum is None) != free or (free and st.energy != first.energy):
+        if free and st.energy != first.energy:
             raise ValueError("free states stack only with free states of one energy")
     orders, keys = {}, {}  # each distinct radial order and angular key -> its row in its table
     # per state and component: its radial index, radial table row and angular table row
@@ -511,9 +502,15 @@ def stacked_blocks(states):
 def _stacked(table, angular, radial_ks, rows, angular_rows, amplitudes) -> ScalarField2D:
     """The field whose row i is (amplitudes[i] R(rho)) F(phi), R row
     (radial_ks[i], rows[i]) of the radial ``table`` and F row angular_rows[i]
-    of the ``angular`` one."""
-    return ScalarField2D(lambda rho, phi: _column(amplitudes, np.ndim(rho)) * table(rho)[radial_ks, rows]
-                         * angular(phi)[angular_rows])
+    of the ``angular`` one. Where rho and phi differ in rank, the lower one
+    first gains leading unit axes, so every row broadcasts them as numpy would."""
+    def rule(rho, phi):
+        if np.ndim(rho) != np.ndim(phi):
+            rank = max(np.ndim(rho), np.ndim(phi))
+            rho, phi = (np.reshape(a, (1,) * (rank - np.ndim(a)) + np.shape(a)) for a in (rho, phi))
+        return _column(amplitudes, np.ndim(rho)) * table(rho)[radial_ks, rows] * angular(phi)[angular_rows]
+
+    return ScalarField2D(rule)
 
 
 def reduced_energy(config: OscillatorConfig, e_val: float) -> float:
@@ -550,4 +547,4 @@ def free_particle(mode: AngularMode, e_val: float, config: OscillatorConfig) -> 
         raise ValueError(f"free-particle energy must be finite and >= m c^2, got {e_val}")
     reduced_energy(config, e_val)  # an E whose square overflows raises here, not at the first evaluation
     row = ComponentRow(radial_order(mode), 0, mode.angular_key, 1.0)
-    return SpinorSolution(e_val, None, mode, config, (row, row))
+    return SpinorSolution(e_val, mode, config, (row, row))

@@ -94,7 +94,7 @@ ANGULAR_N_MAX = 4
 ANGULAR_N_PHI = 64
 
 # Light speeds of the nonrelativistic limit's rate fit, increasing, in units
-# of sqrt(|w~|): q = 2 |w~| / c^2 is then 2e-2, 2e-4 and 2e-6 at any frequency.
+# hbar = m = |w~| = 1: q = 2 / c^2 is then 2e-2, 2e-4 and 2e-6 at any frequency.
 NRLIMIT_C_VALUES = (10.0, 100.0, 1000.0)
 
 # Energies of the critical regime's free states, in units of m c^2.
@@ -229,9 +229,12 @@ def _mode_record(suite: str, mode: AngularMode, tag: str, inputs: dict, residual
 
 
 def _state_tag(solution: SpinorSolution) -> str:
-    """A built state's k as a record-name tag; a free state, which has no k,
-    is tagged by its energy."""
-    return f" E={solution.energy:.6g}" if solution.quantum is None else f" k={solution.quantum.k}"
+    """A built bound state's k (its upper row's index) as a record-name tag;
+    a free or hand-built state (``rows`` of fields) is tagged by its energy."""
+    upper = solution.rows[0]
+    if isinstance(upper, ScalarField2D) or classify_regime(solution.config) is Regime.CRITICAL:
+        return f" E={solution.energy:.6g}"
+    return f" k={upper.index}"
 
 
 # ---------------------------------------------------------------------------
@@ -539,33 +542,30 @@ def check_nonrelativistic_limit(
     tol: float = DEFAULT_TOLS["nrlimit"],
 ) -> VerificationReport:
     """delta E(c) = E(c) - m c^2 against the series target, with rate fit
-    over the light speeds sqrt(|w~|) ``NRLIMIT_C_VALUES`` (the factor only
-    shifts log c), so the check reads the same at any frequency. The three
-    configs are built before any energy, so a |w~| whose largest c^2
-    overflows a double (``OscillatorConfig``) raises ``ValueError`` first;
-    errors of which some, not all, are exactly 0 (at a |w~| near the
-    bottom of the double range) have no log-log fit and raise ``ValueError``.
+    over the light speeds ``NRLIMIT_C_VALUES``. Both are in units
+    hbar = m = |w~| = 1: the check runs on the config of the input's
+    frequencies over |w~|, so its records are those of |w~| = 1 at any
+    frequency (at |w~| = 1 that config is the input's), and no light speed
+    or target leaves the double range.
 
     The shift must approach the target like c^{-2} (the Taylor remainder
     of sqrt(1 + u)), so the fitted log-log rate should sit near 2.
     """
-    target = nonrelativistic_target(mode, k, base_config)
-    configs = [replace(base_config, c=math.sqrt(base_config.effective_frequency) * c) for c in NRLIMIT_C_VALUES]
+    w_bar = base_config.effective_frequency
+    unit = OscillatorConfig(base_config.omega / w_bar, base_config.omega_c / w_bar)
+    target = nonrelativistic_target(mode, k, unit)
     errs_arr = np.array([abs(energy(Component.UPPER, mode.sector, mode, k, cfg) - cfg.rest_energy - target)
-                         for cfg in configs])
-    scale = max(abs(target), base_config.effective_frequency)
+                         for cfg in (replace(unit, c=c) for c in NRLIMIT_C_VALUES)])
+    scale = max(abs(target), 1.0)
     mismatch = errs_arr[-1] / scale
     if np.all(errs_arr < 1e-13 * scale):
         # exact cancellation (target 0 and spectrum flat in c): no rate to fit
         rate, rate_residual = None, 0.0
-    elif np.any(errs_arr == 0.0):
-        raise ValueError(f"the nonrelativistic rate of sector ({mode.sector}), n={mode.n:g}, k={k} has no fit at "
-                         f"|w~| = {base_config.effective_frequency:g}: some errors, not all, are exactly 0")
     else:
         rate = -float(np.polyfit(np.log(np.asarray(NRLIMIT_C_VALUES)), np.log(errs_arr), 1)[0])
         rate_residual = abs(rate - 2.0)
 
-    inputs = {"k": k, "target": target, "c_values": [cfg.c for cfg in configs]}
+    inputs = {"k": k, "target": target, "c_values": list(NRLIMIT_C_VALUES)}
     return VerificationReport("nrlimit", [
         _mode_record("nrlimit", mode, f" k={k} match", inputs, float(mismatch), tol),
         _mode_record("nrlimit", mode, f" k={k} rate", {**inputs, "rate": rate}, rate_residual, 0.2),

@@ -133,7 +133,7 @@ def test_criterion_03_kg_residual_sweep():
             failures.append(
                 f"  mu=({params.mu_x:g},{params.mu_y:g}) wt={cfg.omega_tilde:+g} "
                 f"[{sol.mode.sector}] n={sol.mode.n:g} b={sol.mode.branch:+d} "
-                f"k={sol.quantum.k}: residual {res:.3e}"
+                f"k={sol.rows[0].index}: residual {res:.3e}"
             )
     detail = f"{count - len(failures)}/{count} swept states within {tol:g}"
     if failures:
@@ -155,7 +155,7 @@ def test_criterion_04_coupled_system_residual():
             failures.append(
                 f"  mu=({params.mu_x:g},{params.mu_y:g}) wt={cfg.omega_tilde:+g} "
                 f"[{sol.mode.sector}] n={sol.mode.n:g} b={sol.mode.branch:+d} "
-                f"k={sol.quantum.k}: residual {rep.records[0].residual:.3e}"
+                f"k={sol.rows[0].index}: residual {rep.records[0].residual:.3e}"
             )
     detail = f"{count - len(failures)}/{count} pairs within {tol:g}"
     if failures:

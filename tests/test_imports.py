@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import dunkl_oscillator
 from dunkl_oscillator.angular_sector import AngularMode
 from dunkl_oscillator.solution_builder import OscillatorConfig, SpinorSolution
 
@@ -295,13 +296,14 @@ def test_state_field_readers():
 
 def test_a_built_state_is_its_rows():
     # a state stores the rows it reads and nothing else: its upper and lower
-    # are read through stacked_blocks, and no mode or closure keeps a second
-    # copy of a component
-    assert [field.name for field in dataclasses.fields(SpinorSolution)] == [
-        "energy", "quantum", "mode", "config", "rows"]
+    # are read through stacked_blocks, its radial indices are its rows'
+    # indices, and no mode, closure or label keeps a second copy of either
+    assert [field.name for field in dataclasses.fields(SpinorSolution)] == ["energy", "mode", "config", "rows"]
     assert all(isinstance(getattr(SpinorSolution, attr), property) for attr in ("upper", "lower"))
     assert not hasattr(AngularMode, "eigenfunction")
+    assert not hasattr(dunkl_oscillator, "QuantumNumbers")
     assert not _namers("_product_field")
+    assert not _attribute_readers("quantum")
 
 
 def test_oscillator_config_takes_what_callers_vary():
@@ -376,11 +378,11 @@ def test_remembered_tables_are_the_factor_builders():
 
 def _rows_givers(tree: ast.Module) -> set[str]:
     """Module-level definitions of ``tree`` that give a ``SpinorSolution`` its
-    rows: a ``SpinorSolution(...)`` call with a fifth argument or a ``rows=``
+    rows: a ``SpinorSolution(...)`` call with a fourth argument or a ``rows=``
     keyword, or a ``replace(..., rows=...)`` call."""
     def gives(call: ast.AST) -> bool:
         keywords = {kw.arg for kw in getattr(call, "keywords", ())}
-        return (_callee(call) == "SpinorSolution" and (len(call.args) >= 5 or "rows" in keywords)
+        return (_callee(call) == "SpinorSolution" and (len(call.args) >= 4 or "rows" in keywords)
                 or _callee(call) == "replace" and "rows" in keywords)
     return {name for name, node in _definitions(tree) if any(map(gives, ast.walk(node)))}
 
@@ -409,8 +411,8 @@ def test_each_component_reads_the_rows_its_builder_named():
     formers = {f"{stem}.{name}" for stem, tree in trees.items() for name in _weight_formers(tree)}
     assert formers == {"angular_sector.AngularMode"}, formers
     assert _rows_givers(ast.parse("def f(s):\n    return replace(s, rows=(s.upper, s.lower))")) == {"f"}
-    assert _rows_givers(ast.parse("def f(e, m, c, r):\n    return SpinorSolution(e, None, m, c, r)")) == {"f"}
-    assert _rows_givers(ast.parse("def f(*a):\n    return SpinorSolution(*a[:5])")) == set()
+    assert _rows_givers(ast.parse("def f(e, m, c, r):\n    return SpinorSolution(e, m, c, r)")) == {"f"}
+    assert _rows_givers(ast.parse("def f(*a):\n    return SpinorSolution(*a[:4])")) == set()
     assert _weight_formers(ast.parse("def f(m):\n    return m.sector.epsilon * m.branch")) == {"f"}
     assert _weight_formers(ast.parse("def f(m):\n    return m.branch * m.lam")) == set()
 

@@ -164,7 +164,7 @@ class TestPairing:
         for regime, config in ((Regime.POSITIVE, CFG_POS), (Regime.NEGATIVE, CFG_NEG)):
             swept: dict = {}
             for st in sweep_bound_states(params, config, 1, 8):
-                swept.setdefault(st.mode, []).append((st.quantum.k, st.quantum.k_prime))
+                swept.setdefault(st.mode, []).append((st.rows[0].index, st.rows[1].index))
             assert swept
             for sector in ALL_SECTORS:
                 offset = partner_offset(sector, regime, params)
@@ -405,8 +405,8 @@ def test_the_sweep_enumerates_each_sectors_modes_once(monkeypatch):
     monkeypatch.setattr(solution_builder, "modes_for_sector", counted)
     states = list(sweep_bound_states(P11, CFG_POS, 3, 2))
     assert len(calls) == len(set(calls)) == len(ALL_SECTORS)  # one call per sector
-    assert [(st.mode, st.quantum, st.energy, st.rows) for st in states] == \
-        [(st.mode, st.quantum, st.energy, st.rows) for st in reference]
+    assert [(st.mode, st.energy, st.rows) for st in states] == \
+        [(st.mode, st.energy, st.rows) for st in reference]
 
 
 class TestBuildSpinor:
@@ -414,8 +414,8 @@ class TestBuildSpinor:
         # each amplitude c gives its component the norm c^2 <R|R> of its share
         mode = AngularMode(SectorLabel(1, -1), 0.5, 1, P11)
         sol = build_spinor(mode, 1, CFG_POS)
-        ks = (sol.quantum.k, sol.quantum.k_prime)
-        assert [row.index for row in sol.rows] == list(ks)
+        ks = (sol.rows[0].index, sol.rows[1].index)
+        assert ks == (1, 0)
         norms = [row.amplitude * row.amplitude * math.exp(build_radial(mode, k, CFG_POS).log_norm_squared())
                  for row, k in zip(sol.rows, ks)]
         assert sum(norms) == pytest.approx(1.0, rel=1e-14)
@@ -447,10 +447,10 @@ class TestBuildSpinor:
         with pytest.raises(InvalidPairError):
             build_spinor(mode, 0, CFG_POS)
 
-    def test_quantum_numbers_recorded(self):
+    def test_rows_name_the_radial_indices(self):
         mode = AngularMode(SectorLabel(1, 1), 1, 1, P11)
         sol = build_spinor(mode, 3, CFG_POS)
-        assert sol.quantum.k == 3 and sol.quantum.k_prime == 0
+        assert sol.rows[0].index == 3 and sol.rows[1].index == 0
 
 
 class TestFreeParticle:
@@ -563,7 +563,7 @@ class TestFactorReuse:
         mode = sol.mode
         s, ni, b = 1.0 / math.sqrt(2.0), int(mode.n), mode.branch
         ang = s * (phi_pp(ni, P11, phi) + 1j * b * phi_mm(ni, P11, phi))
-        for fld, k, norm2 in zip((sol.upper, sol.lower), (sol.quantum.k, sol.quantum.k_prime), _split(sol)):
+        for fld, k, norm2 in zip((sol.upper, sol.lower), (sol.rows[0].index, sol.rows[1].index), _split(sol)):
             rad = build_radial(mode, k, CFG_NEG)
             c = math.sqrt(norm2 / math.exp(rad.log_norm_squared()))
             assert np.array_equal(fld.eval_polar(rho, phi), c * rad(rho) * ang)
@@ -619,7 +619,7 @@ class TestModeFactorSharing:
                     evaluate(st.lower, *point)
             for st in states:
                 mode = st.mode
-                alone = build_spinor(AngularMode(mode.sector, mode.n, mode.branch, P11), st.quantum.k, config)
+                alone = build_spinor(AngularMode(mode.sector, mode.n, mode.branch, P11), st.rows[0].index, config)
                 for point in stencil:
                     assert np.array_equal(evaluate(st.upper, *point), evaluate(alone.upper, *point))
                     assert np.array_equal(evaluate(st.lower, *point), evaluate(alone.lower, *point))
@@ -642,6 +642,22 @@ class TestModeFactorSharing:
                     for j, st in enumerate(block):
                         assert np.array_equal(rows_u[j], evaluate(st.upper, *point))
                         assert np.array_equal(rows_l[j], evaluate(st.lower, *point))
+
+    @pytest.mark.parametrize("rho, phi", [
+        (0.5, np.array([0.3, 0.4, 0.5])), (0.5, np.array([0.3, 0.4])), (np.array([0.3, 0.6, 0.9]), 0.7)],
+        ids=["3-angles", "2-angles", "radii"])
+    def test_block_rows_at_points_of_mixed_rank(self, rho, phi):
+        # a radius and an angle array of other ranks broadcast as rho
+        # against phi, in every row: no row mixes with the point axes
+        # (three modes, so that no two rows share their angular factor)
+        states = list({st.mode: st for st in sweep_bound_states(P11, CFG_POS, 2, 2)}.values())[:3]
+        assert len({st.rows[0].angular for st in states}) == 3
+        [(_, (upper, lower))] = list(solution_builder.stacked_blocks(states))
+        rows_u, rows_l = upper.eval_polar(rho, phi), lower.eval_polar(rho, phi)
+        assert rows_u.shape == rows_l.shape == (3, *np.broadcast(rho, phi).shape)
+        for i, st in enumerate(states):
+            assert np.array_equal(rows_u[i], st.upper.eval_polar(rho, phi))
+            assert np.array_equal(rows_l[i], st.lower.eval_polar(rho, phi))
 
     @pytest.mark.parametrize("config", [CFG_POS, CFG_NEG], ids=["w+", "w-"])
     def test_each_component_reads_its_own_rows(self, config):
@@ -788,7 +804,7 @@ class TestModeFactorSharing:
         assert calls == [(mode, [(4, 1)], CFG_POS)]
         rho, phi = GridSpec().polar_points(1.0)
         for st in (alone, column[4]):
-            assert (st.energy, st.quantum, st.rows) == (column[4].energy, column[4].quantum, column[4].rows)
+            assert (st.energy, st.rows) == (column[4].energy, column[4].rows)
         for a, b in ((alone.upper, column[4].upper), (alone.lower, column[4].lower)):
             assert np.array_equal(a.eval_polar(rho, phi), b.eval_polar(rho, phi))
 
@@ -796,7 +812,7 @@ class TestModeFactorSharing:
         # at w~ > 0 and mu = (1,1), k' = k + 1 in sector (-1,-1): k = 199 is the largest k
         sector = SectorLabel(-1, -1)
         mode = AngularMode(sector, 1, 1, P11)
-        assert build_spinor(mode, 199, CFG_POS).quantum.k_prime == 200
+        assert build_spinor(mode, 199, CFG_POS).rows[1].index == 200
         calls = []
         monkeypatch.setattr(solution_builder, "build_radial", lambda *a: calls.append(a))
         with pytest.raises(DomainError) as exc:
