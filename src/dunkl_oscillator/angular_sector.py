@@ -41,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from .dunkl_calculus import DunklParams, ScalarField2D, remember_last
-from .special_functions import DomainError, jacobi_rows, log_gamma
+from .special_functions import jacobi_rows, log_gamma
 
 
 @dataclass(frozen=True)
@@ -128,15 +128,13 @@ class AngularMode:
 
 def _family(s_x: int, s_y: int, n: float, params: DunklParams):
     """(e_x, e_y, a, b, j, c) of Phi^{s_x s_y}_n by the Jacobi rule of the
-    module docstring, with the domain checked; None where j < 0 (Phi^{--}_0
-    vanishes identically)."""
+    module docstring (a, b > -1, as each mu > -1/2); None where j < 0
+    (Phi^{--}_0 vanishes identically)."""
     e_x, e_y = (1 - s_x) // 2, (1 - s_y) // 2
     a, b = params.mu_x - 0.5 + e_x, params.mu_y - 0.5 + e_y
     j = int(round(n - 0.5 * (e_x + e_y)))
     if j < 0:
         return None
-    if a <= -1.0 or b <= -1.0:
-        raise DomainError(f"Phi^({s_x:+d},{s_y:+d}) needs Jacobi parameters > -1, got {a}, {b}")
     # c^2 = (2j+a+b+1) Gamma(j+a+b+1) j! / (2 Gamma(j+a+1) Gamma(j+b+1)); at
     # j = 0 its numerator is Gamma(a+b+2), finite also at a + b + 1 = 0.
     if j == 0:

@@ -116,8 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def system(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--mu-x", type=_bounded(float, -0.5, MAX_MU), default=0.0)
-        p.add_argument("--mu-y", type=_bounded(float, -0.5, MAX_MU), default=0.0)
+        p.add_argument("--mu-x", type=_bounded(float, -0.5, MAX_MU, strict=True), default=0.0)
+        p.add_argument("--mu-y", type=_bounded(float, -0.5, MAX_MU, strict=True), default=0.0)
         p.add_argument("--omega", type=_bounded(float, 0.0), default=1.0)
         p.add_argument("--omega-c", type=_bounded(float, 0.0), default=0.0)
 

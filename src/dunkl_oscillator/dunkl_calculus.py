@@ -38,8 +38,6 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .special_functions import DomainError
-
 if TYPE_CHECKING:  # pragma: no cover
     from .solution_builder import OscillatorConfig
 
@@ -76,7 +74,8 @@ class Component(enum.Enum):
 
 @dataclass(frozen=True)
 class DunklParams:
-    """Reflection-deformation parameters, one per axis (each >= -1/2)."""
+    """Reflection-deformation parameters, one per axis (each > -1/2, so that
+    the weight |x|^(2 mu_x) |y|^(2 mu_y) can be integrated)."""
 
     mu_x: float
     mu_y: float
@@ -84,8 +83,8 @@ class DunklParams:
     def __post_init__(self) -> None:
         if not all(math.isfinite(v) for v in (self.mu_x, self.mu_y, self.mu_x + self.mu_y)):
             raise ValueError(f"deformation parameters and their sum must be finite, got {self}")
-        if self.mu_x < -0.5 or self.mu_y < -0.5:
-            raise ValueError(f"deformation parameters must be >= -1/2, got {self}")
+        if self.mu_x <= -0.5 or self.mu_y <= -0.5:
+            raise ValueError(f"deformation parameters must be > -1/2, got {self}")
 
     @property
     def mu_plus(self) -> float:
@@ -349,7 +348,7 @@ def kg_apply(
     Returns the full left-hand side whose eigenvalue on a bound state is
     ``(E^2 - m^2 c^4) / (2 hbar^2 c^2)``. The upper component carries
     ``-(m w~/hbar)(1 + mu_x R_x + mu_y R_y)``, the lower one the same
-    term with a plus sign. The code works in units hbar = m = 1, so it
+    term with a plus sign. The code works in units hbar = m = c = 1, so it
     multiplies by w~ alone. All reflection terms are exact; rho and phi
     derivatives are central differences of step ``h``.
     """
@@ -394,11 +393,11 @@ def dirac_apply(
         r2 = [-i hbar c (D_x + i D_y) - i m c w~ (x + i y)] psi_1
              - (E + m c^2) psi_2
 
-    The code works in units hbar = m = 1, so it drops both factors.
+    The code works in units hbar = m = c = 1, so it drops all three.
     """
     upper, lower = pair
     x, y = np.asarray(point[0], dtype=float), np.asarray(point[1], dtype=float)
-    c, wt, mc2 = config.c, config.omega_tilde, config.rest_energy
+    wt = config.omega_tilde
 
     u0 = upper(x, y)
     l0 = lower(x, y)
@@ -407,8 +406,8 @@ def dirac_apply(
     dx_u = dunkl_derivative(upper, Axis.X, (x, y), params, h)
     dy_u = dunkl_derivative(upper, Axis.Y, (x, y), params, h)
 
-    r1 = -1j * c * (dx_l - 1j * dy_l) + 1j * c * wt * (x - 1j * y) * l0 - (energy - mc2) * u0
-    r2 = -1j * c * (dx_u + 1j * dy_u) - 1j * c * wt * (x + 1j * y) * u0 - (energy + mc2) * l0
+    r1 = -1j * (dx_l - 1j * dy_l) + 1j * wt * (x - 1j * y) * l0 - (energy - 1.0) * u0
+    r2 = -1j * (dx_u + 1j * dy_u) - 1j * wt * (x + 1j * y) * u0 - (energy + 1.0) * l0
     return r1, r2
 
 
@@ -441,8 +440,6 @@ def angular_quadrature(params: DunklParams) -> QuadratureRule:
     once per ``params``, with read-only arrays.
     """
     a, b = params.mu_x - 0.5, params.mu_y - 0.5
-    if a <= -1.0 or b <= -1.0:
-        raise DomainError(f"angular_quadrature needs Jacobi parameters > -1, got {a}, {b}")
     # The monic recurrence, its k = 0 and k = 1 terms in closed form: a + b
     # may round to a tiny nonzero value where it is 0, and they divide by it.
     k = np.arange(1, ANGULAR_NODES)

@@ -9,17 +9,18 @@ degenerates to a free particle with Bessel radial profiles.
 With sigma = s_x mu_x + s_y mu_y and A the radial order
 (A = sqrt(lambda^2 + (mu_x + mu_y)^2) for epsilon = +1,
  A = sqrt(lambda^2 + (mu_x - mu_y)^2) for epsilon = -1),
-the four sector spectra collapse to
+the four sector spectra collapse to, in the package's units hbar = m = c = 1,
 
-    w~ > 0:  E(upper, k) = s m c^2 sqrt(1 + q (2k + A + lambda - sigma))
-             E(lower, k') = s m c^2 sqrt(1 + q (2k' + A + lambda + sigma + 2))
-             with q = 2 hbar w~ / (m c^2), pairing k' = k - sigma - 1;
-    w~ < 0:  E(upper, k) = s m c^2 sqrt(1 + qb (2k + A - lambda + sigma + 2))
-             E(lower, k') = s m c^2 sqrt(1 + qb (2k' + A - lambda - sigma))
-             with qb = 2 hbar w-bar / (m c^2), pairing k' = k + sigma + 1.
+    w~ > 0:  E(upper, k) = s sqrt(1 + q (2k + A + lambda - sigma))
+             E(lower, k') = s sqrt(1 + q (2k' + A + lambda + sigma + 2))
+             with q = 2 w~, pairing k' = k - sigma - 1;
+    w~ < 0:  E(upper, k) = s sqrt(1 + qb (2k + A - lambda + sigma + 2))
+             E(lower, k') = s sqrt(1 + qb (2k' + A - lambda - sigma))
+             with qb = 2 w-bar, pairing k' = k + sigma + 1
 
+(in full units E carries a factor m c^2 and q is 2 hbar |w~| / (m c^2)).
 Both components of a built spinor share the mode's angular eigenfunction;
-the component norms split the total probability as (E +/- m c^2) / (2 E).
+the component norms split the total probability as (E +/- 1) / (2 E).
 The lower component is c_l R_l(rho) F(phi) with a real c_l >= 0: the
 first-order operators move each reflection-parity class to the opposite
 one, so they couple a pair that shares F not at all, and no relative
@@ -76,24 +77,18 @@ class Regime(enum.Enum):
 
 @dataclass(frozen=True)
 class OscillatorConfig:
-    """The two frequencies and the speed of light c (default 1), in units
-    hbar = m = 1: states and spectra depend on hbar and m only through q
-    and the length sqrt(hbar / (m |w~|)), so the two only choose units.
-    A c whose square m c^2 underflows to 0 or overflows a double (c below
-    about 1.6e-162 or above about 1.34e154) raises ``ValueError``."""
+    """The two frequencies, in units hbar = m = c = 1: states and spectra
+    depend on the three only through q = 2 hbar |w~| / (m c^2) and the length
+    sqrt(hbar / (m |w~|)), so they only choose units. The system of light
+    speed c is the one at omega / c^2 and omega_c / c^2, with its energies
+    times c^2 and its lengths over c."""
 
     omega: float
     omega_c: float = 0.0
-    c: float = 1.0
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.omega, self.omega_c, self.c)):
-            raise ValueError(f"omega, omega_c, c must be finite, got {self}")
-        if self.c <= 0:
-            raise ValueError("c must be positive")
-        if not 0.0 < self.c * self.c < math.inf:
-            raise ValueError(f"c = {self.c:g} {'overflows a double' if self.c > 1.0 else 'underflows to 0'} "
-                             "when squared")
+        if not all(math.isfinite(v) for v in (self.omega, self.omega_c)):
+            raise ValueError(f"omega, omega_c must be finite, got {self}")
         if self.omega < 0 or self.omega_c < 0:
             raise ValueError("omega and omega_c must be non-negative")
 
@@ -112,20 +107,15 @@ class OscillatorConfig:
 
     @property
     def length_scale(self) -> float:
-        """sqrt(hbar / (m |w~|)); the Compton length hbar / (m c) at the critical point.
+        """sqrt(hbar / (m |w~|)) = 1 / sqrt(|w~|); the Compton length hbar / (m c) = 1 at the critical point.
         A |w~| whose length is not a finite double (below about 5.6e-309) raises ``ValueError``."""
         if classify_regime(self) is Regime.CRITICAL:
-            return 1.0 / self.c
+            return 1.0
         length = math.sqrt(1.0 / self.effective_frequency)
         if not math.isfinite(length):
             raise ValueError(f"the length scale sqrt(hbar / (m |w~|)) of |w~| = {self.effective_frequency:g} "
                              "is not a finite double")
         return length
-
-    @property
-    def rest_energy(self) -> float:
-        """m c^2."""
-        return self.c * self.c
 
 
 def classify_regime(config: OscillatorConfig) -> Regime:
@@ -179,7 +169,7 @@ def spectral_terms(mode: AngularMode) -> tuple[float, float, float]:
 
 
 def spectral_sum(component: Component, regime: Regime, ks, lam: float, a_ord: float, sigma: float):
-    """The sum s of E = s m c^2 sqrt(1 + q s) (module docstring) of one
+    """The sum s of E = sqrt(1 + q s) (module docstring) of one
     spinor component in a bound regime, at each radial index of ``ks``,
     from a mode's ``spectral_terms``."""
     if regime is Regime.POSITIVE:
@@ -201,13 +191,12 @@ def energy_column(component: Component, mode: AngularMode, ks, config: Oscillato
     if regime is Regime.CRITICAL:
         raise RegimeError("no discrete spectrum at the critical frequency")
     lam, a_ord, sigma = spectral_terms(mode)
-    mc2 = config.rest_energy
-    q = 2.0 * config.effective_frequency / mc2
+    q = 2.0 * config.effective_frequency
     s_num = spectral_sum(component, regime, ks, lam, a_ord, sigma)
     # Some states have a radicand of exactly 0 (E = 0); rounding of q and of
     # the terms of s_num must not turn it into a tiny E in some units and an
     # error in others, so a radicand within a few ulps of those terms is 0.
-    # A bound of 1 or more cannot tell E = 0 from E >= m c^2, and one that
+    # A bound of 1 or more cannot tell E = 0 from E >= 1, and one that
     # overflows snaps every radicand: such energies raise instead.
     with np.errstate(over="ignore", invalid="ignore"):  # no overflow warning; sqrt of < 0 is NaN
         radicand = 1.0 + q * s_num
@@ -217,7 +206,7 @@ def energy_column(component: Component, mode: AngularMode, ks, config: Oscillato
                 np.any(snap & (bound >= 1.0)) or np.any(bound == math.inf)):
             raise ValueError(f"the energies of sector ({mode.sector}), n={mode.n:g}, b={mode.branch:+d} are "
                              f"not resolved in double precision at q = 2 hbar |w~| / (m c^2) = {q:g}")
-        return mc2 * np.sqrt(np.where(snap, 0.0, radicand))
+        return np.sqrt(np.where(snap, 0.0, radicand))
 
 
 def energy(component: Component, sector: SectorLabel, mode: AngularMode, k: int,
@@ -381,9 +370,9 @@ def mode_states(mode: AngularMode, pairs, config: OscillatorConfig) -> dict:
     """The paired two-component states of ``mode`` for the (k, k') of
     ``pairs``, keyed by k in order, from one ``energy_column`` call and the
     mode's radial profile (``build_radial``) at each index; a pair's E is
-    finite, E >= m c^2 sqrt(1 + q) (README, "Physics summary").
+    finite, E >= sqrt(1 + q) (README, "Physics summary").
 
-    Component norms are (E +/- mc^2)/(2E), summing to 1. Both components
+    Component norms are (E +/- 1)/(2E), summing to 1. Both components
     are a real constant >= 0 (the phase convention of the module docstring)
     times the mode's F: each state names its rows (``ComponentRow``), with
     the constants found here, and no field is evaluated. A last pair (the
@@ -392,11 +381,10 @@ def mode_states(mode: AngularMode, pairs, config: OscillatorConfig) -> dict:
     """
     _check_last_pair(mode.sector, pairs)
     top = build_radial(mode, 0, config)
-    mc2 = config.rest_energy
     e_vals = energy_column(Component.UPPER, mode, np.array([k for k, _ in pairs]), config).tolist()
     states = {}
     for (k, k_prime), e_val in zip(pairs, e_vals):
-        shares = ((k, (e_val + mc2) / (2.0 * e_val)), (k_prime, (e_val - mc2) / (2.0 * e_val)))
+        shares = ((k, (e_val + 1.0) / (2.0 * e_val)), (k_prime, (e_val - 1.0) / (2.0 * e_val)))
         rows = tuple(ComponentRow(top.order, index, mode.angular_key,
                                   _amplitude(share, RadialProfile(top.order, top.mu_plus, top.scale, index)))
                      for index, share in shares)
@@ -492,7 +480,7 @@ def stacked_blocks(states):
                         for row in st.rows] for st in states])
     amplitudes = np.array([[row.amplitude for row in st.rows] for st in states])
     angular = _mixed_rows(list(keys))
-    table = (free_rows(list(orders), params.mu_plus, config, first.energy) if free else
+    table = (free_rows(list(orders), params.mu_plus, first.energy) if free else
              radial_rows(list(orders), params.mu_plus, abs(config.omega_tilde), int(layout[..., 0].max())))
     for lo in range(0, len(states), _STATE_BLOCK):
         own = slice(lo, lo + _STATE_BLOCK)
@@ -513,24 +501,23 @@ def _stacked(table, angular, radial_ks, rows, angular_rows, amplitudes) -> Scala
     return ScalarField2D(rule)
 
 
-def reduced_energy(config: OscillatorConfig, e_val: float) -> float:
-    """Et = (E^2 - m^2 c^4) / (2 hbar^2 c^2) of the energy E = ``e_val``;
+def reduced_energy(e_val: float) -> float:
+    """Et = (E^2 - m^2 c^4) / (2 hbar^2 c^2) = (E^2 - 1) / 2 of the energy E = ``e_val``;
     an E whose square overflows a double raises ``ValueError``."""
-    mc2 = config.rest_energy
     try:
-        return (e_val**2 - mc2**2) / (2.0 * config.c**2)
+        return (e_val**2 - 1.0) / 2.0
     except OverflowError:
         raise ValueError(f"the energy {e_val:g} is too large: its square overflows a double") from None
 
 
-def free_rows(orders, mu_plus: float, config: OscillatorConfig, e_val: float):
+def free_rows(orders, mu_plus: float, e_val: float):
     """rho -> the (1, M, *rho.shape) table of rho^{-mu_+} J_A(sqrt(2 Et) rho),
     one row per order A of ``orders``, of the free state of energy ``e_val``
     (Et = ``reduced_energy``), with ``radial_rows``' layout at k = 0 alone.
     One ``bessel_j`` call per distinct radius array (the last few are kept,
     by ``remember_last``); each row equals its own order's value bit for
     bit, and tables are read-only."""
-    wavenumber = math.sqrt(2.0 * reduced_energy(config, e_val))
+    wavenumber = math.sqrt(2.0 * reduced_energy(e_val))
     return remember_last(lambda rho: (rho**-mu_plus * bessel_j(_column(orders, rho.ndim), wavenumber * rho))[None])
 
 
@@ -543,8 +530,8 @@ def free_particle(mode: AngularMode, e_val: float, config: OscillatorConfig) -> 
     """
     if classify_regime(config) is not Regime.CRITICAL:
         raise RegimeError("free states need the critical point, omega == omega_c / 2")
-    if not (math.isfinite(e_val) and e_val >= config.rest_energy):
+    if not (math.isfinite(e_val) and e_val >= 1.0):
         raise ValueError(f"free-particle energy must be finite and >= m c^2, got {e_val}")
-    reduced_energy(config, e_val)  # an E whose square overflows raises here, not at the first evaluation
+    reduced_energy(e_val)  # an E whose square overflows raises here, not at the first evaluation
     row = ComponentRow(radial_order(mode), 0, mode.angular_key, 1.0)
     return SpinorSolution(e_val, mode, config, (row, row))

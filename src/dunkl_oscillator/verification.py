@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,7 +97,7 @@ ANGULAR_N_PHI = 64
 # hbar = m = |w~| = 1: q = 2 / c^2 is then 2e-2, 2e-4 and 2e-6 at any frequency.
 NRLIMIT_C_VALUES = (10.0, 100.0, 1000.0)
 
-# Energies of the critical regime's free states, in units of m c^2.
+# Energies of the critical regime's free states, in units of m c^2 (= 1).
 _FREE_ENERGIES = (1.25, 2.0)
 
 # Most states that run_suite hands to one kg or dirac check call, a whole
@@ -175,7 +175,7 @@ def _length_scale(config: OscillatorConfig, e_val: float) -> float:
     """The oscillator length for bound states; the inverse wavenumber of a
     free state of energy ``e_val`` at the critical point (its Compton length at rest)."""
     if classify_regime(config) is Regime.CRITICAL:
-        tilde_e = reduced_energy(config, e_val)
+        tilde_e = reduced_energy(e_val)
         if tilde_e > 0.0:
             return 1.0 / math.sqrt(2.0 * tilde_e)
     return config.length_scale
@@ -192,7 +192,7 @@ def step_limit(suite: str, params: DunklParams, config: OscillatorConfig) -> tup
     limit: (inf, ""). Only kg and dirac read the grid's length scale."""
     wanted = SUITE_NAMES if suite == "all" else (suite,)
     if "kg" in wanted or "dirac" in wanted:
-        length = _length_scale(config, max(_FREE_ENERGIES) * config.rest_energy)
+        length = _length_scale(config, max(_FREE_ENERGIES))
         rho, phi = GridSpec().polar_points(length)
         grid = f"on a grid of length scale {length:g}"
     axes = params.mu_x != 0.0 or params.mu_y != 0.0
@@ -291,7 +291,7 @@ def check_kg_eigen(
     """
     records = []
     for block, fields, params, config, rho, phi in _state_blocks(states):
-        tilde_e = np.array([reduced_energy(st.config, st.energy) for st in block])[:, None, None]
+        tilde_e = np.array([reduced_energy(st.energy) for st in block])[:, None, None]
         residuals = []
         for component, fld in zip((Component.UPPER, Component.LOWER), fields):
             vals = fld.eval_polar(rho, phi)
@@ -380,20 +380,16 @@ def check_dirac_system(
     and a block of at most ``_STATE_BLOCK`` of them is checked in one
     operator application on the grid's Cartesian points with their energies
     as a (K, 1, 1) column.
-    Each residual is scaled by its own state's (|E| + m c^2) times its
-    largest component value; a block where that sum overflows a double
-    raises ``ValueError`` before its operator runs. One record per state,
-    in input order.
+    Each residual is scaled by its own state's (|E| + m c^2) = (|E| + 1)
+    times its largest component value. One record per state, in input order.
     """
     records = []
     for block, (upper, lower), params, config, rho, phi in _state_blocks(states):
-        if not math.isfinite(max(abs(st.energy) for st in block) + config.rest_energy):
-            raise ValueError(f"the dirac check's |E| + m c^2 overflows a double at m c^2 = {config.rest_energy:g}")
         xs, ys = rho * np.cos(phi), rho * np.sin(phi)
         energies = np.array([st.energy for st in block])
         r1, r2 = dirac_apply((upper, lower), energies[:, None, None], params, config, (xs, ys), h)
         amp = np.maximum(np.max(np.maximum(np.abs(upper(xs, ys)), np.abs(lower(xs, ys))), axis=(1, 2)), 1e-300)
-        scale = (np.abs(energies) + config.rest_energy) * amp
+        scale = (np.abs(energies) + 1.0) * amp
         residual = np.maximum(np.max(np.abs(r1), axis=(1, 2)), np.max(np.abs(r2), axis=(1, 2))) / scale
         records += [_mode_record("dirac", st.mode, _state_tag(st), {"energy": st.energy, "h": h},
                                  float(residual[i]), tol) for i, st in enumerate(block)]
@@ -468,15 +464,15 @@ def cartesian_states(
     N = n_x + n_y, in rising energy, for any mu >= 0 in both bound regimes.
 
     On the products |n_x, N - n_x> of ``_hermite_rows``, t = sqrt|w| (x, y)
-    and w = m w~ / hbar = w~ (hbar = m = 1), the upper component's operator is the block
+    and w = m w~ / hbar = w~ (hbar = m = c = 1), the upper component's operator is the block
     M = |w| (N + 1 + mu_+) I + w T_N - w diag(1 + mu_x (-1)^n_x + mu_y (-1)^n_y),
     T_N as in ``matrix_oracle_lambda``. An eigenpair (Et, v) gives the upper
-    component sum i^n_x v_n_x |n_x, N - n_x> and E = sqrt(m^2 c^4 + 2 hbar^2 c^2 Et).
-    The lower one is hbar c Pi+ psi_upper / (E + m c^2), exact on the
+    component sum i^n_x v_n_x |n_x, N - n_x> and E = sqrt(m^2 c^4 + 2 hbar^2 c^2 Et) = sqrt(1 + 2 Et).
+    The lower one is hbar c Pi+ psi_upper / (E + m c^2) = Pi+ psi_upper / (E + 1), exact on the
     coefficients: Pi+ = -i sqrt(2|w|) (A_x^- + i A_y^-), to shell N - 1, at
     w~ > 0 and +i sqrt(2|w|) (A_x^+ + i A_y^+), to N + 1, at w~ < 0. As
     |Pi+ psi|^2 = 2 Et, an Et within rounding of 0 is 0: that state (one per
-    shell at w~ > 0) has E = m c^2 and a zero lower component. The
+    shell at w~ > 0) has E = m c^2 = 1 and a zero lower component. The
     polynomials are Cartesian: at the check grid's innermost radius (0.1
     length scales) their terms cancel, and with mu != 0 the kg residual can
     reach its rounding floor, about 1e-5 at h = 1e-4, which grows as h falls.
@@ -496,7 +492,7 @@ def cartesian_states(
     _, up, down = _shell_ladder(top, params)
     lowering = np.diag(np.sqrt(up), 1)[:-1] + 1j * np.eye(top, top + 1) * np.sqrt(down)[:, None]
     pi_plus = -1j * lowering if w > 0 else 1j * lowering.T
-    mc2, root, phases = config.rest_energy, math.sqrt(abs_w), np.array([1, 1j, -1, -1j])[n_x % 4]
+    root, phases = math.sqrt(abs_w), np.array([1, 1j, -1, -1j])[n_x % 4]
 
     def field(coef: np.ndarray) -> ScalarField2D:
         # the Gaussian e^(-t^2/2) of both axes is a polar factor; only the polynomials see t_x, t_y
@@ -511,9 +507,9 @@ def cartesian_states(
     for et, v in zip(ets.tolist(), vecs.T):
         upper = phases * v  # i^n_x v_n_x
         et = 0.0 if et <= 1e-12 * floor else et
-        e_val = math.sqrt(mc2 * mc2 + 2.0 * config.c**2 * et)
+        e_val = math.sqrt(1.0 + 2.0 * et)
         lower = (ScalarField2D.zero() if et == 0.0 else
-                 field(config.c * math.sqrt(2.0 * abs_w) / (e_val + mc2) * (pi_plus @ upper)))
+                 field(math.sqrt(2.0 * abs_w) / (e_val + 1.0) * (pi_plus @ upper)))
         states.append((field(upper), lower, e_val))
     return states
 
@@ -543,19 +539,24 @@ def check_nonrelativistic_limit(
 ) -> VerificationReport:
     """delta E(c) = E(c) - m c^2 against the series target, with rate fit
     over the light speeds ``NRLIMIT_C_VALUES``. Both are in units
-    hbar = m = |w~| = 1: the check runs on the config of the input's
-    frequencies over |w~|, so its records are those of |w~| = 1 at any
-    frequency (at |w~| = 1 that config is the input's), and no light speed
-    or target leaves the double range.
+    hbar = m = |w~| = 1, so only the sign of the input's w~ enters: light
+    speed c is the config of |w~| = 1 / c^2 in units hbar = m = c = 1
+    (``OscillatorConfig``), whose E times c^2 is E(c), and the target is
+    that of |w~| = 1. The critical point raises ``RegimeError``.
 
     The shift must approach the target like c^{-2} (the Taylor remainder
     of sqrt(1 + u)), so the fitted log-log rate should sit near 2.
     """
-    w_bar = base_config.effective_frequency
-    unit = OscillatorConfig(base_config.omega / w_bar, base_config.omega_c / w_bar)
-    target = nonrelativistic_target(mode, k, unit)
-    errs_arr = np.array([abs(energy(Component.UPPER, mode.sector, mode, k, cfg) - cfg.rest_energy - target)
-                         for cfg in (replace(unit, c=c) for c in NRLIMIT_C_VALUES)])
+    regime = classify_regime(base_config)
+    if regime is Regime.CRITICAL:
+        raise RegimeError("the nonrelativistic limit needs a non-critical regime")
+
+    def at(c: float) -> OscillatorConfig:  # |w~| = 1 / c^2, of the input's sign
+        return OscillatorConfig(1.0 / (c * c)) if regime is Regime.POSITIVE else OscillatorConfig(0.0, 2.0 / (c * c))
+
+    target = nonrelativistic_target(mode, k, at(1.0))
+    errs_arr = np.array([abs(c * c * (energy(Component.UPPER, mode.sector, mode, k, at(c)) - 1.0) - target)
+                         for c in NRLIMIT_C_VALUES])
     scale = max(abs(target), 1.0)
     mismatch = errs_arr[-1] / scale
     if np.all(errs_arr < 1e-13 * scale):
@@ -591,7 +592,6 @@ def classical_oscillator_b_energy(
     is a genuine two-sided check.
     """
     wt = config.omega_tilde
-    mc2 = config.rest_energy
     am = abs(m_angular)
     if wt > 0:
         s_num = 2.0 * k + am - m_angular
@@ -603,7 +603,7 @@ def classical_oscillator_b_energy(
             s_num += 2.0
     else:
         raise RegimeError("no discrete spectrum at the critical frequency")
-    return sign * mc2 * math.sqrt(1.0 + 2.0 * abs(wt) / mc2 * s_num)
+    return sign * math.sqrt(1.0 + 2.0 * abs(wt) * s_num)
 
 
 def coupled_reflection_eigenstate(
@@ -657,8 +657,7 @@ def _critical_states(params: DunklParams, config: OscillatorConfig, n_max: float
     (a free state's grid follows its energy); both energies share each
     mode object."""
     modes = [mode for sector in ALL_SECTORS for mode in modes_for_sector(sector, params, n_max)]
-    return [[free_particle(mode, ratio * config.rest_energy, config) for mode in modes]
-            for ratio in _FREE_ENERGIES]
+    return [[free_particle(mode, e_val, config) for mode in modes] for e_val in _FREE_ENERGIES]
 
 
 def _batches(states):
@@ -730,7 +729,7 @@ def run_suite(
     if h > limit:
         raise ValueError(f"h {h:g} must be at most {limit:g} for suite {suite}: the {why}")
     if "kg" in wanted:  # kg_apply squares each radius; the largest is on the lowest free energy's grid
-        top = float(GridSpec().radii(_length_scale(config, min(_FREE_ENERGIES) * config.rest_energy))[-1])
+        top = float(GridSpec().radii(_length_scale(config, min(_FREE_ENERGIES)))[-1])
         if not math.isfinite(top * top):
             raise ValueError(f"the kg check's largest radius, {top:g}, overflows a double when squared")
 

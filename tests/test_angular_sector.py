@@ -33,7 +33,6 @@ from dunkl_oscillator.dunkl_calculus import (
     angular_quadrature,
     weighted_inner_product,
 )
-from dunkl_oscillator.special_functions import DomainError
 
 P11 = DunklParams(1.0, 1.0)
 P21 = DunklParams(2.0, 1.0)
@@ -125,8 +124,10 @@ class TestPhiFamilies:
             assert np.allclose(fn(-phis), sy * fn(phis), atol=1e-12)
 
     def test_gamma_domain_guard(self):
-        with pytest.raises(DomainError):
-            phi_pp(0, DunklParams(-0.5, 0.0), 0.3)
+        # mu = -1/2 gives Jacobi parameter a = -1, where the weight cannot be
+        # integrated: the parameters refuse it before any Phi is formed
+        with pytest.raises(ValueError, match="must be > -1/2"):
+            DunklParams(-0.5, 0.0)
 
 
 class TestLambdaEigenvalue:

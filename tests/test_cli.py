@@ -1095,8 +1095,8 @@ def _past(cap: float, toward: float) -> str:
 # a few milliseconds.
 _TINY, _HUGE = "5e-324", "1e308"
 _SYSTEM_FLAGS = {
-    "--mu-x": (["0", _TINY, "0.5", "1", "-0.5", "200.0"],
-               [_HUGE, _past(-0.5, -math.inf), _past(200.0, math.inf)]),
+    "--mu-x": (["0", _TINY, "0.5", "1", "200.0"],
+               [_HUGE, "-0.5", _past(-0.5, -math.inf), _past(200.0, math.inf)]),
     "--mu-y": (["0", _TINY, "0.5", "1", "200.0"], [_past(200.0, math.inf)]),
     "--omega": (["0", _TINY, "0.1", "1", "1e15", _HUGE], ["inf"]),
     "--omega-c": (["0", _TINY, "2", "2.5", _HUGE], ["nan"]),

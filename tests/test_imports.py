@@ -307,12 +307,12 @@ def test_a_built_state_is_its_rows():
 
 
 def test_oscillator_config_takes_what_callers_vary():
-    # hbar and m only choose units (q = 2 hbar |w~| / (m c^2)), so the
-    # package works in hbar = m = 1: the config holds the two frequencies
-    # and c, which the nonrelativistic check varies, and no module reads
-    # a unit constant or a rescaled copy of w~
-    assert [field.name for field in dataclasses.fields(OscillatorConfig)] == ["omega", "omega_c", "c"]
-    for attr in ("hbar", "m", "oscillator_scale"):
+    # hbar, m and c only choose units (q = 2 hbar |w~| / (m c^2)), so the
+    # package works in hbar = m = c = 1: the config holds the two
+    # frequencies, and no module reads a unit constant, the rest energy or
+    # a rescaled copy of w~
+    assert [field.name for field in dataclasses.fields(OscillatorConfig)] == ["omega", "omega_c"]
+    for attr in ("hbar", "m", "c", "rest_energy", "oscillator_scale"):
         assert not _attribute_readers(attr), attr
 
 
@@ -332,11 +332,11 @@ def test_radial_profiles_are_built_by_the_builder():
 
 
 def test_effective_frequency_readers():
-    # |w~| is read where q and the nonrelativistic scale are formed; the
-    # radial scale |w~| is read with the signed w~ (test_omega_tilde_readers)
+    # |w~| is read where q and the nonrelativistic target are formed; the
+    # radial scale |w~| is read with the signed w~ (test_omega_tilde_readers),
+    # and the nonrelativistic check reads only the regime
     readers = {name.split(".")[1] for name in _namers("effective_frequency")}
-    assert readers == {"OscillatorConfig", "energy_column", "nonrelativistic_target",
-                       "check_nonrelativistic_limit"}, readers
+    assert readers == {"OscillatorConfig", "energy_column", "nonrelativistic_target"}, readers
 
 
 def test_one_free_radial_profile():

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import re
 
 import numpy as np
 import pytest
@@ -61,10 +60,10 @@ CFG_CRIT = OscillatorConfig(omega=1.0, omega_c=2.0)
 
 
 def _split(st) -> tuple[float, float]:
-    """(E + m c^2) / (2E) and (E - m c^2) / (2E): the shares of a built
-    state's probability that its upper and lower components carry."""
-    e, mc2 = st.energy, st.config.rest_energy
-    return (e + mc2) / (2.0 * e), (e - mc2) / (2.0 * e)
+    """(E + m c^2) / (2E) and (E - m c^2) / (2E), m c^2 = 1: the shares of a
+    built state's probability that its upper and lower components carry."""
+    e = st.energy
+    return (e + 1.0) / (2.0 * e), (e - 1.0) / (2.0 * e)
 
 
 class TestRegime:
@@ -94,20 +93,8 @@ class TestRegime:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             OscillatorConfig(omega=-1.0)
-        with pytest.raises(ValueError):
-            OscillatorConfig(omega=1.0, c=0.0)
 
-    @pytest.mark.parametrize("c, why", [(1e-200, "underflows to 0"), (1.5e-162, "underflows to 0"),
-                                        (1.35e154, "overflows a double"), (1e155, "overflows a double")])
-    def test_a_c_whose_square_leaves_the_double_range_raises(self, c, why):
-        # m c^2 = 0 would divide q = 2 hbar |w~| / (m c^2) by zero, and an
-        # infinite one makes every energy infinite
-        with pytest.raises(ValueError, match=re.escape(f"c = {c:g} {why} when squared")):
-            OscillatorConfig(omega=1.0, c=c)
-        for c in (1.6e-162, 1e-160, 1e154, 1.34e154):
-            assert 0.0 < OscillatorConfig(omega=1.0, c=c).rest_energy < math.inf
-
-    @pytest.mark.parametrize("field", ["omega", "omega_c", "c"])
+    @pytest.mark.parametrize("field", ["omega", "omega_c"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_constants_rejected(self, field, value):
         with pytest.raises(ValueError):
@@ -116,11 +103,10 @@ class TestRegime:
     def test_effective_frequency_and_length_scale(self):
         assert CFG_NEG.effective_frequency == 1.0
         assert CFG_NEG.length_scale == 1.0
-        cfg = OscillatorConfig(omega=16.0, c=3.0)
-        assert cfg.length_scale == pytest.approx(0.25, rel=1e-15)
-        # at the critical point the length is the Compton length 1 / c
-        crit = OscillatorConfig(omega=1.0, omega_c=2.0, c=5.0)
-        assert crit.length_scale == pytest.approx(0.2, rel=1e-15)
+        assert OscillatorConfig(omega=16.0).length_scale == 0.25
+        # at the critical point the length is the Compton length hbar / (m c) = 1
+        crit = OscillatorConfig(omega=1.0, omega_c=2.0)
+        assert crit.length_scale == 1.0
         with pytest.raises(RegimeError):
             crit.effective_frequency
 
@@ -214,7 +200,7 @@ class TestEnergy:
                             e_up = energy(Component.UPPER, sector, mode, k, cfg, 1)
                             e_lo = energy(Component.LOWER, sector, mode, kp, cfg, 1)
                             assert e_lo == pytest.approx(e_up, rel=1e-14)
-                            assert abs(e_up) >= cfg.rest_energy  # bound-state positivity
+                            assert abs(e_up) >= 1.0  # bound-state positivity: |E| >= m c^2
 
     def test_negative_radicand_flagged(self):
         mode = AngularMode(SectorLabel(1, 1), 1, -1, DunklParams(3.0, 3.0))
@@ -264,29 +250,15 @@ def _energy_or_none(component, sector, mode, k, config, sign=1):
 
 
 class TestEnergyProperties:
-    @given(_bound_energy_args(), st.floats(0.1, 10.0))
-    @settings(max_examples=200, deadline=None)
-    def test_unchanged_when_units_are_rescaled(self, args, a):
-        # c -> a c with omega, omega_c -> a^2 omega, a^2 omega_c keeps
-        # q = 2 |w~| / c^2, so the spectrum scales with m c^2, as a^2
-        component, sector, mode, k, omega, omega_c = args
-        e1 = _energy_or_none(component, sector, mode, k, OscillatorConfig(omega=omega, omega_c=omega_c))
-        e2 = _energy_or_none(component, sector, mode, k,
-                             OscillatorConfig(omega=a * a * omega, omega_c=a * a * omega_c, c=a))
-        assume(e1 is not None and e2 is not None)
-        # where the radicand is near 0 (E near 0, reached exactly by some of
-        # these states) its rounding enters E as sqrt(eps), not eps
-        assume(abs(e1) > 1e-6)
-        assert e2 == pytest.approx(a * a * e1, rel=1e-12)
-
     def test_exactly_zero_radicand_is_zero_in_any_units(self):
         # mu=(2,3), (+1,+1), n=4, b=+1: lambda=12, A=13, sigma=5, so the lower
-        # k=0 radicand at w~ = -omega/2 is 1 + (2 |w~| / c^2)(13 - 12 - 5) = 0
+        # k=0 radicand at w~ = -1/8 is 1 + 2 |w~| (13 - 12 - 5) = 0; omega
+        # and omega_c = 2 omega + 1/4 round w~ off -1/8 in some of these
         mode = AngularMode(SectorLabel(1, 1), 4, 1, DunklParams(2.0, 3.0))
         for i in range(1, 200):
-            a = 0.05 * i
-            config = OscillatorConfig(omega=0.25 * a * a, omega_c=0.75 * a * a, c=a)
-            assert energy(Component.LOWER, SectorLabel(1, 1), mode, 0, config, 1) == 0.0, a
+            omega = 0.05 * i
+            config = OscillatorConfig(omega=omega, omega_c=2.0 * omega + 0.25)
+            assert energy(Component.LOWER, SectorLabel(1, 1), mode, 0, config, 1) == 0.0, omega
 
     @given(_bound_energy_args())
     @settings(max_examples=200, deadline=None)
@@ -305,8 +277,7 @@ def test_every_bound_pair_has_an_energy_of_at_least_mc2_sqrt_1_plus_q(params, om
     # every paired upper index has s_num >= 1, since A >= |lambda| (README,
     # "Physics summary"): no pair of the sweep meets a negative radicand
     config = OscillatorConfig(omega=omega, omega_c=ratio * omega)
-    mc2 = config.rest_energy
-    floor = mc2 * math.sqrt(1.0 + 2.0 * config.effective_frequency / mc2)
+    floor = math.sqrt(1.0 + 2.0 * config.effective_frequency)
     for sector in ALL_SECTORS:
         ks = np.arange(max(0, -partner_offset(sector, classify_regime(config), params)), 21)
         for mode in modes_for_sector(sector, params, 6):
@@ -368,30 +339,6 @@ class TestRadialProfile:
         mode = AngularMode(SectorLabel(1, 1), 1, 1, P11)
         prof = build_radial(mode, 0, CFG_NEG)
         assert prof.scale == pytest.approx(CFG_NEG.effective_frequency, rel=1e-15)
-
-
-@settings(max_examples=20, deadline=None)
-@given(mu=st.sampled_from([(0.0, 0.0), (1.0, 1.0), (0.5, 1.5), (2.0, 1.0)]),
-       log_a=st.floats(-3.0, 3.0), ratio=st.sampled_from([0.0, 4.0]),
-       pick=st.integers(0, 10**6), phi=st.floats(0.05, 1.5))
-def test_state_values_are_invariant_to_the_length_unit(mu, log_a, ratio, pick, phi):
-    # c = 1 / a and omega, omega_c proportional to 1 / a^2 leave q = 2 w~ / c^2
-    # alone and stretch lengths by a, so psi(t L_a, phi) L_a^(mu_+ + 1) is unit-free
-    params = DunklParams(*mu)
-    t = np.linspace(0.2, 3.0, 8)
-
-    def scaled_values(a):
-        config = OscillatorConfig(omega=1.0 / (a * a), omega_c=ratio / (a * a), c=1.0 / a)
-        states = list(sweep_bound_states(params, config, 2, 2))
-        state = states[pick % len(states)]
-        rho, factor = t * config.length_scale, config.length_scale ** (params.mu_plus + 1.0)
-        return len(states), [factor * f.eval_polar(rho, phi) for f in (state.upper, state.lower)]
-
-    count, reference = scaled_values(1.0)
-    other_count, values = scaled_values(10.0**log_a)
-    assert other_count == count
-    for ref, val in zip(reference, values):
-        assert np.max(np.abs(val - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_the_sweep_enumerates_each_sectors_modes_once(monkeypatch):
@@ -841,13 +788,12 @@ class TestModeFactorSharing:
         orders = [radial_order(AngularMode(SectorLabel(1, 1), n, 1, P11)) for n in (0, 1, 2)]
         rho = GridSpec().radii(1.0)
         bound = solution_builder.radial_rows(orders, P11.mu_plus, 1.0, 4)(rho)
-        free = solution_builder.free_rows(orders, P11.mu_plus, CFG_CRIT, 1.5)(rho)
+        free = solution_builder.free_rows(orders, P11.mu_plus, 1.5)(rho)
         assert bound.shape == (5, 3, rho.size) and free.shape == (1, 3, rho.size)
         for column, order in enumerate(orders):
             alone = solution_builder.radial_rows([order], P11.mu_plus, 1.0, 4)(rho)
             assert np.array_equal(bound[:, column], alone[:, 0])
-            assert np.array_equal(free[0, column], solution_builder.free_rows([order], P11.mu_plus, CFG_CRIT,
-                                                                              1.5)(rho)[0, 0])
+            assert np.array_equal(free[0, column], solution_builder.free_rows([order], P11.mu_plus, 1.5)(rho)[0, 0])
 
     def test_a_profile_keeps_its_table(self, monkeypatch):
         # two calls of one profile on one radius array run one Laguerre recurrence
@@ -879,9 +825,12 @@ class TestNormRange:
         assert issubclass(solution_builder.NormRangeError, ValueError)
 
     def test_a_tiny_lower_share_takes_the_sweep_past_the_double_range(self):
-        # at c = 1000 the lower share (E - m c^2) / (2E) is about 1e-6, which
-        # takes the k' = 2 amplitude of n = 146 just past the double range
-        # (the command line has no flag for c; its cases are in test_cli)
-        with pytest.raises(solution_builder.NormRangeError):
-            for _ in sweep_bound_states(P11, OscillatorConfig(omega=1.0, c=1000.0), 146, 1):
+        # at omega = 1e-6 (c = 1000 in units of omega = 1) the lower share
+        # (E - 1) / (2E) is about 1e-6, and the amplitude also carries the
+        # length unit, as |w~|^((mu_+ + 1) / 2): the k' = 1 amplitude of the
+        # sweep to n = 143 is just past the double range, and n = 142 builds
+        config = OscillatorConfig(omega=1e-6)
+        assert sum(1 for _ in sweep_bound_states(P11, config, 142, 1)) > 0
+        with pytest.raises(solution_builder.NormRangeError, match="radial index 1 is outside"):
+            for _ in sweep_bound_states(P11, config, 143, 1):
                 pass

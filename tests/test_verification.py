@@ -154,7 +154,7 @@ class TestKgCheck:
 
     def test_zero_component_passes_with_zero_residual(self):
         sol = _shell_solution(2, P11, CFG, 0)  # Et = 0: E = mc^2 and the lower component is zero
-        assert sol.energy == CFG.rest_energy
+        assert sol.energy == 1.0
         rep = check_kg_eigen(sol, tol=1e-5)
         lower_rec = [r for r in rep.records if "lower" in r.name][0]
         assert lower_rec.residual == 0.0
@@ -281,16 +281,6 @@ class TestDiracCheck:
         for index in range(4):
             assert check_dirac_system(_shell_solution(3, DunklParams(*mu), config, index), tol=1e-5).passed
 
-    @pytest.mark.parametrize("c", [1e154, 1.34e154])
-    def test_a_scale_past_the_double_range_raises_before_the_operator(self, monkeypatch, c):
-        # |E| + m c^2 overflows a double where m c^2 nears the largest double:
-        # the check raises rather than write NaN records
-        calls = []
-        monkeypatch.setattr(verification, "dirac_apply", lambda *args: calls.append(args))
-        with pytest.raises(ValueError, match=r"\|E\| \+ m c\^2 overflows a double"):
-            run_suite(P11, OscillatorConfig(omega=1.0, c=c), "dirac", n_max=1, k_max=1)
-        assert calls == []
-
     def test_wrong_partner_index_fails(self):
         # the lower component of another eigenvector of the same shell
         assert check_dirac_system(_shell_solution(2, P11, CFG, 1), tol=1e-4).passed
@@ -358,7 +348,7 @@ def _outer_kg_residual(field, component, params, config, e_val, h):
     rho, phi = radii[radii >= 0.27 * length][:, None], GridSpec().angles()[None, :]
     vals = field.eval_polar(rho, phi)
     applied = kg_apply(component, field, params, config, (rho, phi), h)
-    return np.max(np.abs(applied - verification.reduced_energy(config, e_val) * vals)) / np.max(np.abs(vals))
+    return np.max(np.abs(applied - verification.reduced_energy(e_val) * vals)) / np.max(np.abs(vals))
 
 
 class TestCartesianStates:
@@ -376,7 +366,7 @@ class TestCartesianStates:
         for shell in range(6):
             for config, count in ((CFG, 1), (CFG_NEG, 0)):
                 at_rest = [(lower, e) for _, lower, e in cartesian_states(shell, params, config)
-                           if e == config.rest_energy]
+                           if e == 1.0]
                 assert len(at_rest) == count
                 for lower, _ in at_rest:
                     assert not np.any(lower.eval_polar(np.array([0.5, 1.5]), np.array([0.3, 2.0])))
@@ -389,7 +379,7 @@ class TestCartesianStates:
         for index, (upper, lower, e_val) in enumerate(cartesian_states(shell, params, config)):
             assert check_dirac_system(_shell_solution(shell, params, config, index), tol=1e-6).passed
             for component, field in ((Component.UPPER, upper), (Component.LOWER, lower)):
-                if e_val == config.rest_energy and component is Component.LOWER:
+                if e_val == 1.0 and component is Component.LOWER:
                     continue  # the zero lower component of an Et = 0 state
                 coarse, fine = (_outer_kg_residual(field, component, params, config, e_val, h)
                                 for h in (1e-3, 5e-4))
@@ -459,6 +449,17 @@ class TestNonrelativisticLimit:
         # some, not all, were exactly 0 and had no log-log fit
         records = run_suite(P11, config, "nrlimit").records
         assert len(records) == 8 and all(r.passed for r in records), [(r.name, r.residual) for r in records]
+
+    @pytest.mark.parametrize("mu", [(1.0, 1.0), (0.5, 1.5), (0.0, 0.0)], ids=str)
+    @pytest.mark.parametrize("omega, omega_c", [(0.3, 0.2), (0.37, 0.2), (1e-7, 3e-8), (123.456, 7.89),
+                                                (0.25, 2.5), (0.1, 2.2)])
+    def test_records_depend_on_the_sign_of_w_alone(self, mu, omega, omega_c):
+        # the light speeds are the configs of |w~| = 1 / c^2 of the input's
+        # sign, so no rounding of omega / |w~| reaches a record
+        params, config = DunklParams(*mu), OscillatorConfig(omega=omega, omega_c=omega_c)
+        unit = OscillatorConfig(1.0, 0.0) if config.omega_tilde > 0 else OscillatorConfig(0.0, 2.0)
+        assert _signature(run_suite(params, config, "nrlimit").records) == \
+            _signature(run_suite(params, unit, "nrlimit").records)
 
 
 class TestReferenceEigenstates:
@@ -983,7 +984,7 @@ def _kg_residual_on_flat_points(state, component):
     if scale == 0.0:
         return 0.0
     applied = kg_apply(component, fld, state.mode.params, state.config, (rho, phi))
-    return float(np.max(np.abs(applied - verification.reduced_energy(state.config, state.energy) * vals)) / scale)
+    return float(np.max(np.abs(applied - verification.reduced_energy(state.energy) * vals)) / scale)
 
 
 def _dirac_residual_on_flat_points(state):
@@ -992,7 +993,7 @@ def _dirac_residual_on_flat_points(state):
     config = state.config
     r1, r2 = dirac_apply((state.upper, state.lower), state.energy, state.mode.params, config, (xs, ys))
     amp = max(np.max(np.abs(state.upper(xs, ys))), np.max(np.abs(state.lower(xs, ys))), 1e-300)
-    return float(max(np.max(np.abs(r1)), np.max(np.abs(r2))) / ((abs(state.energy) + config.rest_energy) * amp))
+    return float(max(np.max(np.abs(r1)), np.max(np.abs(r2))) / ((abs(state.energy) + 1.0) * amp))
 
 
 @settings(max_examples=24, deadline=None)
@@ -1039,11 +1040,27 @@ def test_random_cross_mode_block_matches_its_states_bit_for_bit(mu, omega, ratio
 def test_random_block_of_free_states_of_one_energy_matches_its_states_bit_for_bit(mu, omega, e_ratio, picks):
     params = DunklParams(*map(float, mu))
     config = OscillatorConfig(omega=omega, omega_c=2.0 * omega)
-    states = [free_particle(mode, e_ratio * config.rest_energy, config)
+    states = [free_particle(mode, e_ratio, config)
               for sector in ALL_SECTORS for mode in modes_for_sector(sector, params, 2)]
     block = [states[p % len(states)] for p in picks]
     alone = [r for st in block for r in check_kg_eigen(st).records]
     assert _signature(check_kg_eigen(block).records) == _signature(alone)
+
+
+@pytest.mark.parametrize("mu", [(1.0, 1.0), (0.5, 1.5), (0.0, 0.0)], ids=str)
+@pytest.mark.parametrize("suite, configs", [
+    ("all", [(1.0, 0.0), (2.0, 2.0), (3.0, 4.0)]),
+    ("all", [(0.25, 2.5), (0.5, 3.0)]),
+    ("all", [(1.0, 4.0), (0.0, 2.0)]),
+    ("kg", [(1.0, 2.0), (3.0, 6.0)]),
+], ids=["w+1", "w-1", "w-1-other", "critical"])
+def test_records_depend_on_the_two_frequencies_only_through_w(mu, suite, configs):
+    # each group shares one exactly representable w~, and no path reads
+    # omega or omega_c but through w~, bar the regime's critical tolerance
+    params = DunklParams(*mu)
+    first, *others = (_signature(run_suite(params, OscillatorConfig(*cfg), suite).records) for cfg in configs)
+    for cfg, other in zip(configs[1:], others):
+        assert other == first, cfg
 
 
 @pytest.mark.parametrize("call, error", [
@@ -1063,9 +1080,10 @@ def test_random_block_of_free_states_of_one_energy_matches_its_states_bit_for_bi
     (lambda: coupled_reflection_eigenstate(Component.UPPER, 1, 0.5, 1, 0, P11, CFG), ValueError),
     (lambda: coupled_reflection_eigenstate(Component.UPPER, -1, 1.0, 1, 0, P11, CFG), ValueError),
     (lambda: next(sweep_bound_states(P11, CFG_CRIT)), RegimeError),
+    (lambda: check_nonrelativistic_limit(MODE11, 2, CFG_CRIT), RegimeError),
 ], ids=["branch", "kg-origin", "pair-k", "energy-k", "radial-k", "energy-sign", "basis-size",
         "classical-critical", "shell-critical", "shell-negative", "coupled-epsilon", "coupled-critical",
-        "coupled-off-ladder-plus", "coupled-off-ladder-minus", "sweep-critical"])
+        "coupled-off-ladder-plus", "coupled-off-ladder-minus", "sweep-critical", "nrlimit-critical"])
 def test_each_input_guard_raises_its_own_error(call, error):
     with pytest.raises(ValueError) as exc:
         call()
